@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/monitor"
+	"repro/internal/sim"
 	"repro/internal/trace/telemetry"
 	"repro/internal/wire"
 )
@@ -58,7 +59,7 @@ func main() {
 	var bus *events.Bus
 	ix := monitor.NewIntrospector()
 	if *metricsAddr != "" {
-		bus = events.NewWallBus(nil)
+		bus = events.NewBus(sim.Wall)
 	}
 
 	var cli wire.Invoker
@@ -102,7 +103,7 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		sampler := monitor.NewWallSampler(reg, bus, time.Second, nil)
+		sampler := monitor.NewSampler(sim.Wall, reg, bus, time.Second)
 		sampler.AddCollector(monitor.NewRuntimeCollector(reg).Collect)
 		if *failover {
 			// Mirror the retry-budget level into a gauge each window so

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/events"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	bus := events.NewBus(nil)
+	bus := events.NewBus(sim.Wall)
 	bus.Subscribe(func(r events.Record) { fmt.Println(r.String()) }, events.KindChaos)
 	p, err := chaos.New(chaos.Config{
 		Listen:   *listen,

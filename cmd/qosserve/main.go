@@ -38,6 +38,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/monitor"
 	"repro/internal/pubsub"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/trace/telemetry"
 	"repro/internal/wire"
@@ -60,7 +61,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	tracer := wire.NewTracer()
-	bus := events.NewWallBus(tracer.Elapsed)
+	bus := events.NewBus(sim.Wall)
 	srv, err := wire.NewServer(wire.ServerConfig{
 		Lanes: []wire.LaneConfig{
 			{Priority: 0, Workers: *beWorkers, QueueLimit: *queue},
@@ -78,12 +79,12 @@ func main() {
 
 	// The ef_latency SLO is fed from the servant side: every expedited
 	// request's service time counts against the objective.
-	st := slo.NewWallTracker(slo.Objective{
+	st := slo.NewTracker(sim.Wall, slo.Objective{
 		Name:         "ef_latency",
 		Goal:         0.999,
 		LatencyBound: *sloBound,
 		Pairs:        slo.ScaledPairs(10 * time.Minute),
-	}, bus, tracer.Elapsed)
+	}, bus)
 
 	observed := func(h wire.Handler) wire.Handler {
 		return wire.HandlerFunc(func(req *wire.Request) ([]byte, error) {
@@ -119,7 +120,7 @@ func main() {
 	// TCP plane. Drops and lag surface on the event bus, and a firing
 	// alert or SLO burn degrades best-effort fan-out until it resolves.
 	ch := pubsub.New(pubsub.ChannelConfig{
-		Name: "qosserve", Now: tracer.Elapsed, Async: true,
+		Name: "qosserve", Now: sim.Wall.Now, Async: true,
 		Registry: reg, Tracer: tracer,
 	})
 	defer ch.Close()
@@ -145,7 +146,7 @@ func main() {
 	// Wall-clock sampler: closes telemetry windows, feeds alert rules,
 	// and polls the Go runtime (goroutines, heap, GC pauses, scheduling
 	// latency) into the same registry the exposition endpoint serves.
-	sampler := monitor.NewWallSampler(reg, bus, *sampleEvery, tracer.Elapsed)
+	sampler := monitor.NewSampler(sim.Wall, reg, bus, *sampleEvery)
 	sampler.AddCollector(monitor.NewRuntimeCollector(reg).Collect)
 	sampler.AddRule(&monitor.Rule{
 		Name:      "ef_queue_hot",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/rtos"
@@ -65,7 +66,7 @@ func (c *Control) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 		d := cdr.NewDecoder(req.Body, order)
 		name, err := d.String()
 		if err != nil {
-			return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0"}
+			return nil, &orb.SystemException{ID: giop.ExcBadParam}
 		}
 		r, ok := c.endpoints[name]
 		if !ok {
@@ -77,7 +78,7 @@ func (c *Control) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 		e.PutUShort(addr.Port)
 		return e.Bytes(), nil
 	default:
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_OPERATION:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
 	}
 }
 

@@ -109,7 +109,6 @@ type state struct {
 type Proxy struct {
 	cfg  Config
 	name string
-	base time.Time
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -157,7 +156,6 @@ func (p *Proxy) Start() error {
 	p.mu.Lock()
 	p.ln = ln
 	p.addr = ln.Addr().String()
-	p.base = time.Now()
 	p.mu.Unlock()
 	p.wg.Add(1)
 	go p.acceptLoop(ln)
@@ -344,19 +342,12 @@ func (p *Proxy) record(event string, f Fault) {
 		tr.Finish(ctx)
 	}
 	if p.cfg.Bus != nil {
-		p.cfg.Bus.PublishAt(p.now(), events.KindChaos, p.name,
+		p.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindChaos, p.name,
 			events.F("event", event),
 			events.F("fault", string(f.Kind)),
 			events.F("window", f.Duration.String()),
 		)
 	}
-}
-
-func (p *Proxy) now() sim.Time {
-	if tr := p.cfg.Tracer; tr != nil {
-		return tr.Elapsed()
-	}
-	return sim.Time(time.Since(p.base))
 }
 
 // acceptLoop pipes each accepted connection to the target through the

@@ -80,13 +80,13 @@ type Record struct {
 	// Seq is the bus-assigned publication sequence number, strictly
 	// increasing across all kinds.
 	Seq uint64
-	// At is the virtual time of the occurrence — kernel time on a
-	// simulation bus, elapsed-since-process-start on a wall bus (the
-	// same domain wire tracer spans use).
+	// At is the occurrence time on the bus clock — kernel time in a
+	// simulation, time since process start on sim.Wall (the domain of
+	// wire tracer spans).
 	At sim.Time
 	// Wall is the absolute wall-clock occurrence time. It is stamped
-	// only by buses constructed with NewWallBus; simulation records
-	// leave it zero and keep rendering in virtual time.
+	// only by buses on a clock that knows it (sim.Wall); simulation
+	// records leave it zero and keep rendering in virtual time.
 	Wall time.Time
 	// Kind classifies the record.
 	Kind Kind
@@ -130,28 +130,22 @@ func (s *BusSub) Cancel() { s.cancelled.Store(true) }
 // simulation all publishes come from the kernel goroutine and are
 // therefore deterministically ordered.
 type Bus struct {
-	k    *sim.Kernel
-	wall func() time.Time // non-nil on wall buses: stamps Record.Wall
-	now  func() sim.Time  // non-nil on wall buses: elapsed clock for Publish
-	mu   sync.Mutex
-	seq  uint64
-	sub  []*BusSub
+	clock sim.Clock
+	wall  func() time.Time // nil on clocks without absolute time
+	mu    sync.Mutex
+	seq   uint64
+	sub   []*BusSub
 }
 
-// NewBus creates a bus stamping records with k's virtual clock.
-func NewBus(k *sim.Kernel) *Bus { return &Bus{k: k} }
-
-// NewWallBus creates a bus for live (non-simulated) processes. Publish
-// stamps records with elapsed() in the At domain — pass the wire
-// tracer's Elapsed so bus records and spans share a time base, or nil
-// to anchor at the bus's creation — and every record (including those
-// via PublishAt) additionally carries the absolute wall-clock time.
-func NewWallBus(elapsed func() sim.Time) *Bus {
-	if elapsed == nil {
-		start := time.Now()
-		elapsed = func() sim.Time { return sim.Time(time.Since(start)) }
+// NewBus creates a bus stamping records with clock: a simulation kernel,
+// or sim.Wall in a live process — whose records (including those via
+// PublishAt) additionally carry the absolute wall-clock time.
+func NewBus(clock sim.Clock) *Bus {
+	b := &Bus{clock: clock}
+	if w, ok := clock.(interface{ WallTime() time.Time }); ok {
+		b.wall = w.WallTime
 	}
-	return &Bus{now: elapsed, wall: time.Now}
+	return b
 }
 
 // Subscribe registers fn for the given kinds (none = every kind).
@@ -172,19 +166,14 @@ func (b *Bus) Subscribe(fn func(Record), kinds ...Kind) *BusSub {
 	return s
 }
 
-// Publish stamps a record with the bus clock (virtual time on a
-// simulation bus, elapsed time on a wall bus) and delivers it.
+// Publish stamps a record with the bus clock and delivers it.
 func (b *Bus) Publish(kind Kind, source string, fields ...Field) Record {
-	if b.now != nil {
-		return b.PublishAt(b.now(), kind, source, fields...)
-	}
-	return b.PublishAt(b.k.Now(), kind, source, fields...)
+	return b.PublishAt(b.clock.Now(), kind, source, fields...)
 }
 
 // PublishAt delivers a record carrying an explicit timestamp, for
 // sources that know their occurrence time (or callers off the kernel
-// goroutine, where reading the kernel clock would race). On a wall
-// bus the record additionally gets an absolute wall-clock stamp.
+// goroutine, where reading the kernel clock would race).
 func (b *Bus) PublishAt(at sim.Time, kind Kind, source string, fields ...Field) Record {
 	var wall time.Time
 	if b.wall != nil {

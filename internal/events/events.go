@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/orb"
 	"repro/internal/rtcorba"
 	"repro/internal/rtos"
@@ -212,11 +213,11 @@ type servant struct {
 // event body publishes into the channel.
 func (s *servant) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 	if req.Op != "push" {
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_OPERATION:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
 	}
 	ev, err := UnmarshalEvent(req.Body)
 	if err != nil {
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadParam}
 	}
 	s.ch.Push(ev)
 	return nil, nil

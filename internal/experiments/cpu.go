@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/core"
+	"repro/internal/giop"
 	"repro/internal/imgproc"
 	"repro/internal/metrics"
 	"repro/internal/orb"
@@ -86,11 +87,11 @@ func (s *atrServant) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 	d := cdr.NewDecoder(req.Body, cdr.LittleEndian)
 	w, err := d.ULong()
 	if err != nil {
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadParam}
 	}
 	h, err := d.ULong()
 	if err != nil {
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadParam}
 	}
 	for _, algo := range imgproc.Algorithms() {
 		start := req.Now()

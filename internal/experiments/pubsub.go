@@ -118,15 +118,14 @@ func RunPubSub(opt Options) PubSubResult {
 	baselinePhase := total * 3 / 10
 
 	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
 	reg := telemetry.NewRegistry()
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Now: now, Async: true, Registry: reg})
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Now: sim.Wall.Now, Async: true, Registry: reg})
 	defer ch.Close()
 	// Admit at most 1.5 kHz of bulk with a 200-event burst: the 2 kHz
 	// flood must see refusals.
 	ch.Limit("bulk/**", 1500, 200)
 
-	bus := events.NewWallBus(now)
+	bus := events.NewBus(sim.Wall)
 	dropTL := events.NewTimeline(bus, events.KindDrop)
 	lagTL := events.NewTimeline(bus, events.KindSubLag)
 	monitor.WirePubSub(bus, ch)

@@ -14,7 +14,7 @@ import (
 func TestWirePubSub(t *testing.T) {
 	var now sim.Time
 	ch := pubsub.New(pubsub.ChannelConfig{Name: "mon", Now: func() sim.Time { return now }})
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	drops := events.NewTimeline(bus, events.KindDrop)
 	lags := events.NewTimeline(bus, events.KindSubLag)
 	WirePubSub(bus, ch)
@@ -60,7 +60,7 @@ func TestDegradePubSubOnBurn(t *testing.T) {
 	if _, err := ch.Subscribe(pubsub.SubscriberConfig{Name: "be", Priority: 0, Deliver: func(pubsub.Event) {}}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	sub := DegradePubSubOnBurn(bus, ch)
 	defer sub.Cancel()
 

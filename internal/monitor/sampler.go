@@ -58,7 +58,7 @@ func (r *Rule) holds(v float64) bool {
 	return v > r.Threshold
 }
 
-// Sampler walks a telemetry registry on a fixed virtual-time period,
+// Sampler walks a telemetry registry on a fixed period,
 // turning instruments into bounded time series:
 //
 //   - each counter becomes a per-window delta series (one observation
@@ -74,20 +74,17 @@ func (r *Rule) holds(v float64) bool {
 // created lazily as instruments appear in the registry, so scenarios
 // may register metrics after the sampler starts.
 //
-// The sampler is clock-abstract (the same injected-clock move the
-// breaker package made): NewSampler ticks on a simulation kernel,
-// NewWallSampler ticks on the wall clock in its own goroutine against
-// a live process's registry. All state is mutex-guarded so wall-clock
-// ticks, condition reads, and Stop may race cleanly.
+// The sampler ticks on whatever sim.Clock it is given: kernel events in
+// a simulation, a goroutine against a live process's registry on
+// sim.Wall. All state is mutex-guarded so wall-clock ticks, condition
+// reads, and Stop may race cleanly.
 type Sampler struct {
-	K     *sim.Kernel // nil in wall-clock mode
+	Clock sim.Clock
 	Reg   *telemetry.Registry
 	Bus   *events.Bus // optional; alert + tick records
 	Every time.Duration
 	// WindowCap bounds retained windows per series (DefaultWindows if 0).
 	WindowCap int
-
-	now func() sim.Time
 
 	mu         sync.Mutex
 	series     map[string]*Series
@@ -97,42 +94,22 @@ type Sampler struct {
 	order      []string // series creation order, for deterministic dashboards
 	lastTick   sim.Time
 	ticks      int
-	stopped    bool
-	started    bool
-	stopCh     chan struct{} // wall mode: signals the ticker goroutine
-	doneCh     chan struct{} // wall mode: closed when the goroutine exits
+	stop       func() // non-nil while started
 }
 
-// NewSampler creates a sampler over reg ticking every period (
-// DefaultEvery if <= 0) on k's virtual clock. The bus may be nil.
-func NewSampler(k *sim.Kernel, reg *telemetry.Registry, bus *events.Bus, every time.Duration) *Sampler {
-	s := newSampler(reg, bus, every, k.Now)
-	s.K = k
-	return s
-}
-
-// NewWallSampler creates a sampler ticking on the wall clock: Start
-// launches a goroutine sampling every period and Stop halts it
-// synchronously. now anchors the window-timestamp domain — pass the
-// wire tracer's Elapsed so windows line up with spans and bus records,
-// or nil to anchor at the sampler's creation.
-func NewWallSampler(reg *telemetry.Registry, bus *events.Bus, every time.Duration, now func() sim.Time) *Sampler {
-	if now == nil {
-		start := time.Now()
-		now = func() sim.Time { return sim.Time(time.Since(start)) }
-	}
-	return newSampler(reg, bus, every, now)
-}
-
-func newSampler(reg *telemetry.Registry, bus *events.Bus, every time.Duration, now func() sim.Time) *Sampler {
+// NewSampler creates a sampler over reg ticking every period
+// (DefaultEvery if <= 0) on clock; windows are stamped in its domain, so
+// on sim.Wall they line up with spans and bus records. The bus may be
+// nil.
+func NewSampler(clock sim.Clock, reg *telemetry.Registry, bus *events.Bus, every time.Duration) *Sampler {
 	if every <= 0 {
 		every = DefaultEvery
 	}
 	return &Sampler{
+		Clock:     clock,
 		Reg:       reg,
 		Bus:       bus,
 		Every:     every,
-		now:       now,
 		series:    make(map[string]*Series),
 		prevCount: make(map[string]float64),
 	}
@@ -159,78 +136,29 @@ func (s *Sampler) AddCollector(fn func()) *Sampler {
 	return s
 }
 
-// Start schedules the recurring sampling tick. In wall-clock mode it
-// may be called again after Stop to resume sampling.
+// Start schedules the recurring sampling tick; it may be called again
+// after Stop to resume sampling.
 func (s *Sampler) Start() {
 	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.stop != nil {
 		return
 	}
-	s.started = true
-	s.stopped = false
-	s.lastTick = s.now()
-	if s.K != nil {
-		s.mu.Unlock()
-		var tick func()
-		tick = func() {
-			if s.isStopped() {
-				return
-			}
-			s.Tick()
-			s.K.After(s.Every, tick)
-		}
-		s.K.After(s.Every, tick)
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.stopCh, s.doneCh = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(s.Every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.Tick()
-			}
-		}
-	}()
+	s.lastTick = s.Clock.Now()
+	s.stop = s.Clock.Every(s.Every, s.Tick)
 }
 
-// Stop halts sampling after the current tick. In wall-clock mode it
-// waits for the ticker goroutine to exit before returning, so callers
-// may tear down the registry or bus immediately after.
+// Stop halts sampling. On sim.Wall it waits for the ticker goroutine to
+// exit before returning, so callers may tear down the registry or bus
+// immediately after.
 func (s *Sampler) Stop() {
 	s.mu.Lock()
-	if s.stopped || !s.started {
-		s.stopped = true
-		s.mu.Unlock()
-		return
-	}
-	s.stopped = true
-	stop, done := s.stopCh, s.doneCh
-	s.stopCh, s.doneCh = nil, nil
-	if s.K == nil {
-		// Wall mode supports restart; the simulation kernel schedule is
-		// one-shot like before.
-		s.started = false
-	}
+	stop := s.stop
+	s.stop = nil
 	s.mu.Unlock()
 	if stop != nil {
-		close(stop)
-		<-done
+		stop()
 	}
-}
-
-func (s *Sampler) isStopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
 }
 
 // Ticks returns the number of completed sampling ticks.
@@ -282,7 +210,7 @@ func (s *Sampler) Tick() {
 	}
 
 	s.mu.Lock()
-	start, end := s.lastTick, s.now()
+	start, end := s.lastTick, s.Clock.Now()
 	s.lastTick = end
 	s.ticks++
 

@@ -48,6 +48,41 @@ func TestSamplerCounterDeltas(t *testing.T) {
 	}
 }
 
+// TestSamplerRestartOnKernel pins that Stop and Start mean the same on
+// a kernel as on the wall clock: a stopped sampler leaves no tick
+// behind, and starting it again resumes sampling from that instant.
+func TestSamplerRestartOnKernel(t *testing.T) {
+	k := sim.NewKernel(1)
+	reg := telemetry.NewRegistry()
+	reg.Counter("req").Inc()
+	s := NewSampler(k, reg, nil, 100*time.Millisecond)
+
+	s.Start()
+	s.Start() // already running: no second schedule
+	k.RunFor(350 * time.Millisecond)
+	s.Stop()
+	if s.Ticks() != 3 || k.Pending() != 0 {
+		t.Fatalf("after stop: %d ticks, %d pending events; want 3 and 0", s.Ticks(), k.Pending())
+	}
+	k.RunFor(time.Second)
+	if s.Ticks() != 3 {
+		t.Fatalf("ticked while stopped: %d", s.Ticks())
+	}
+
+	s.Start()
+	k.RunFor(250 * time.Millisecond)
+	s.Stop()
+	if s.Ticks() != 5 {
+		t.Fatalf("after restart: %d ticks, want 5", s.Ticks())
+	}
+	// The first window after the restart starts at the restart, not at
+	// the last tick before the stop.
+	w, _ := s.Series("req").Last()
+	if w.End-w.Start != 100*time.Millisecond {
+		t.Fatalf("window after restart spans %v, want one period", w.End-w.Start)
+	}
+}
+
 // TestSamplerHistogramWindows pins the TakeWindow drain: per-window
 // distributions appear under "<key>.window" while the cumulative
 // summary keeps every observation.

@@ -61,7 +61,7 @@ func TestWallSamplerTicksAndRestart(t *testing.T) {
 	leakCheck(t)
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("req")
-	s := NewWallSampler(reg, nil, 3*time.Millisecond, nil)
+	s := NewSampler(sim.Wall, reg, nil, 3*time.Millisecond)
 
 	s.Start()
 	c.Inc()
@@ -91,7 +91,7 @@ func TestWallSamplerConcurrency(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("req")
 	h := reg.Histogram("lat_ms")
-	s := NewWallSampler(reg, nil, time.Millisecond, nil)
+	s := NewSampler(sim.Wall, reg, nil, time.Millisecond)
 	s.AddRule(&Rule{Name: "hot", Series: "lat_ms.window", Stat: StatP99, Op: Above, Threshold: 1})
 	s.Start()
 
@@ -168,7 +168,7 @@ func TestRuntimeCollector(t *testing.T) {
 func TestProfilerAlertTriggeredCPU(t *testing.T) {
 	leakCheck(t)
 	dir := t.TempDir()
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	reg := telemetry.NewRegistry()
 	p, err := NewProfiler(ProfilerConfig{
 		Dir:         dir,
@@ -240,7 +240,7 @@ func TestProfilerAlertTriggeredCPU(t *testing.T) {
 func TestProfilerAlertCooldown(t *testing.T) {
 	leakCheck(t)
 	dir := t.TempDir()
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	reg := telemetry.NewRegistry()
 	p, err := NewProfiler(ProfilerConfig{
 		Dir:         dir,
@@ -305,7 +305,7 @@ func TestStartHTTPObservability(t *testing.T) {
 	leakCheck(t)
 	reg := telemetry.NewRegistry()
 	reg.Counter("app.requests", telemetry.L("class", "EF")).Add(3)
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	ix := NewIntrospector()
 	ix.Add("lane", func() any { return map[string]int{"depth": 7} })
 
@@ -405,7 +405,7 @@ func TestIntrospectorSnapshot(t *testing.T) {
 func TestWallSamplerAlertsOnBus(t *testing.T) {
 	leakCheck(t)
 	reg := telemetry.NewRegistry()
-	bus := events.NewWallBus(nil)
+	bus := events.NewBus(sim.Wall)
 	var mu sync.Mutex
 	var alerts []events.Record
 	bus.Subscribe(func(r events.Record) {
@@ -415,7 +415,7 @@ func TestWallSamplerAlertsOnBus(t *testing.T) {
 	}, events.KindAlert)
 
 	h := reg.Histogram("rtt_ms")
-	s := NewWallSampler(reg, bus, 2*time.Millisecond, nil)
+	s := NewSampler(sim.Wall, reg, bus, 2*time.Millisecond)
 	s.AddRule(&Rule{Name: "hot", Series: "rtt_ms.window", Stat: StatP99, Op: Above, Threshold: 10, For: 2})
 	s.Start()
 	stop := make(chan struct{})
@@ -448,20 +448,34 @@ func TestWallSamplerAlertsOnBus(t *testing.T) {
 	}
 }
 
-// TestWallSamplerInjectedClock pins that a wall sampler can run on an
-// injected clock: records published through the bus carry the elapsed
-// time the caller's now func reports.
+// settableClock ticks like sim.Wall but reads whatever time it is set to.
+type settableClock struct {
+	*sim.WallClock
+	mu sync.Mutex
+	t  sim.Time
+}
+
+func (c *settableClock) Now() sim.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *settableClock) set(t sim.Time) {
+	c.mu.Lock()
+	c.t = t
+	c.mu.Unlock()
+}
+
+// TestWallSamplerInjectedClock pins that the sampler and its bus read
+// time only through their sim.Clock: records carry the reading of the
+// clock they were given, not of the process clock.
 func TestWallSamplerInjectedClock(t *testing.T) {
 	leakCheck(t)
 	reg := telemetry.NewRegistry()
+	clk := &settableClock{WallClock: sim.Wall}
+	bus := events.NewBus(clk)
 	var mu sync.Mutex
-	fake := sim.Time(0)
-	now := func() sim.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return fake
-	}
-	bus := events.NewWallBus(now)
 	var recs []events.Record
 	bus.Subscribe(func(r events.Record) {
 		mu.Lock()
@@ -469,12 +483,10 @@ func TestWallSamplerInjectedClock(t *testing.T) {
 		mu.Unlock()
 	}, events.KindSample)
 
-	s := NewWallSampler(reg, bus, time.Millisecond, now)
+	s := NewSampler(clk, reg, bus, time.Millisecond)
 	reg.Counter("c").Inc()
 	s.Start()
-	mu.Lock()
-	fake = sim.Time(42 * time.Second)
-	mu.Unlock()
+	clk.set(42 * time.Second)
 	waitFor(t, 2*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -484,7 +496,7 @@ func TestWallSamplerInjectedClock(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if recs[len(recs)-1].At != sim.Time(42*time.Second) {
+	if recs[len(recs)-1].At != 42*time.Second {
 		t.Fatalf("record At = %v, want the injected clock's 42s", recs[len(recs)-1].At)
 	}
 }

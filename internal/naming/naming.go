@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/orb"
 	"repro/internal/rtos"
 )
@@ -166,12 +167,12 @@ func (s *Service) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 		}
 		return e.Bytes(), nil
 	default:
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_OPERATION:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
 	}
 }
 
 func badParam() error {
-	return &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0"}
+	return &orb.SystemException{ID: giop.ExcBadParam}
 }
 
 // Client is a typed stub for a remote naming context.

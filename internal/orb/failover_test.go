@@ -268,6 +268,53 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// TestFTDedupRefusalNotCached pins that a refusal never poisons the
+// at-most-once cache: an FT request refused by a full lane did not
+// execute, so the failover loop's next lap — same replica, same
+// retention id — must run the servant once the lane has drained, not be
+// answered with a replay of the refusal.
+func TestFTDedupRefusalNotCached(t *testing.T) {
+	r := newFTRig(t, 1, Config{})
+	srv := &blockerServant{delay: 30 * time.Millisecond}
+	poa, err := r.servers[0].CreatePOA("app", POAConfig{
+		Lanes: []rtcorba.LaneConfig{{Priority: 0, Threads: 1, QueueLimit: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref0, err := poa.Activate("obj", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := groupRef(3, ref0, ref0)
+
+	// Two oneways saturate the lane for 60ms: one running, one queued.
+	r.clientHost.Spawn("flood", 50, func(th *rtos.Thread) {
+		_ = r.client.InvokeOneway(th, ref0, "work", nil)
+		_ = r.client.InvokeOneway(th, ref0, "work", nil)
+	})
+	var reply []byte
+	var callErr error
+	r.clientHost.Spawn("caller", 40, func(th *rtos.Thread) {
+		th.Sleep(10 * time.Millisecond) // let the flood land first
+		reply, callErr = r.client.Invoke(th, ref, "work", []byte("once"))
+	})
+	r.k.RunUntil(2 * time.Second)
+
+	if got := poa.Pool().Refused(0); got == 0 {
+		t.Fatal("no attempt was refused: the scenario did not exercise the refusal path")
+	}
+	if callErr != nil {
+		t.Fatalf("invocation failed after the lane drained: %v", callErr)
+	}
+	if string(reply) != "once" {
+		t.Fatalf("reply = %q, want the servant's echo", reply)
+	}
+	if srv.calls != 3 {
+		t.Fatalf("servant executed %d times, want 3 (two flood calls + the request exactly once)", srv.calls)
+	}
+}
+
 // TestJitterDeterministicPerClient pins the satellite requirement: the
 // retry jitter stream is a pure function of the ORB's name.
 func TestJitterDeterministicPerClient(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/dedup"
 	"repro/internal/giop"
 	"repro/internal/netsim"
 	"repro/internal/rtcorba"
@@ -55,14 +56,7 @@ var (
 )
 
 // SystemException is a CORBA system exception returned by a servant.
-type SystemException struct {
-	ID    string
-	Minor uint32
-}
-
-func (e *SystemException) Error() string {
-	return fmt.Sprintf("orb: system exception %s (minor %d)", e.ID, e.Minor)
-}
+type SystemException = giop.SystemException
 
 // Config parameterises an ORB instance.
 type Config struct {
@@ -179,11 +173,9 @@ type ORB struct {
 	jrand    *rand.Rand
 	breaker  *orbBreaker
 
-	// Server-side duplicate suppression: completed (and in-progress)
-	// executions keyed by FT request context, so a retried request is
-	// answered from cache instead of executed twice.
-	ftReplies map[ftKey]*ftEntry
-	ftOrder   []ftKey
+	// Server-side duplicate suppression: a retried FT request is
+	// answered from this cache instead of executed twice.
+	ftCache *dedup.Cache[ftWaiter]
 
 	clientInterceptors []ClientInterceptor
 	serverInterceptors []ServerInterceptor
@@ -222,18 +214,18 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 	h.Write([]byte(name))
 	cid := h.Sum64()
 	o := &ORB{
-		name:      name,
-		host:      host,
-		ep:        transport.NewEndpoint(net, node),
-		cfg:       cfg,
-		mm:        rtcorba.NewMappingManager(),
-		poas:      make(map[string]*POA),
-		conns:     make(map[connKey]*clientConn),
-		pending:   make(map[uint32]*pendingCall),
-		currents:  make(map[*rtos.Thread]rtcorba.Priority),
-		clientID:  cid,
-		jrand:     rand.New(rand.NewSource(int64(cid))),
-		ftReplies: make(map[ftKey]*ftEntry),
+		name:     name,
+		host:     host,
+		ep:       transport.NewEndpoint(net, node),
+		cfg:      cfg,
+		mm:       rtcorba.NewMappingManager(),
+		poas:     make(map[string]*POA),
+		conns:    make(map[connKey]*clientConn),
+		pending:  make(map[uint32]*pendingCall),
+		currents: make(map[*rtos.Thread]rtcorba.Priority),
+		clientID: cid,
+		jrand:    rand.New(rand.NewSource(int64(cid))),
+		ftCache:  dedup.New[ftWaiter](ftCacheCap),
 	}
 	o.breaker = newBreaker(o)
 	o.lis = o.ep.Listen(cfg.ListenPort)
@@ -733,36 +725,20 @@ func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byt
 	return replyBody, dispatchErr
 }
 
+// decodeSystemException maps a SYSTEM_EXCEPTION reply onto the ORB's
+// error sentinels; exceptions without QoS meaning pass through.
 func decodeSystemException(rep *giop.Reply, order cdr.ByteOrder) error {
-	d := cdr.NewDecoder(rep.Body, order)
-	id, err := d.String()
-	if err != nil {
-		return &SystemException{ID: "IDL:omg.org/CORBA/UNKNOWN:1.0"}
-	}
-	minor, _ := d.ULong()
-	switch id {
-	case "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0":
-		return fmt.Errorf("%w (minor %d)", ErrObjectNotExist, minor)
-	case "IDL:omg.org/CORBA/TRANSIENT:1.0":
-		// Minor ≥ 2 marks a deliberate overload shed (admission refusal
-		// or queue eviction) — the replica is alive, distinguishing it
-		// from both crash timeouts and legacy minor-1 lane-full replies.
-		if minor >= 2 {
-			return fmt.Errorf("%w (minor %d)", ErrOverload, minor)
-		}
-		return fmt.Errorf("%w (minor %d)", ErrTransient, minor)
-	case "IDL:omg.org/CORBA/TIMEOUT:1.0":
-		// The server shed the request because its end-to-end deadline
-		// expired before (or during) dispatch.
-		return fmt.Errorf("%w (server, minor %d)", ErrDeadlineExpired, minor)
+	se := giop.DecodeSystemException(rep.Body, order)
+	switch se.Class() {
+	case giop.ClassNotExist:
+		return fmt.Errorf("%w (minor %d)", ErrObjectNotExist, se.Minor)
+	case giop.ClassOverload:
+		return fmt.Errorf("%w (minor %d)", ErrOverload, se.Minor)
+	case giop.ClassTransient:
+		return fmt.Errorf("%w (minor %d)", ErrTransient, se.Minor)
+	case giop.ClassDeadline:
+		return fmt.Errorf("%w (server, minor %d)", ErrDeadlineExpired, se.Minor)
 	default:
-		return &SystemException{ID: id, Minor: minor}
+		return se
 	}
-}
-
-func encodeSystemException(id string, minor uint32, order cdr.ByteOrder) []byte {
-	e := cdr.NewEncoder(order)
-	e.PutString(id)
-	e.PutULong(minor)
-	return e.Bytes()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/dedup"
 	"repro/internal/giop"
 	"repro/internal/rtcorba"
 	"repro/internal/rtos"
@@ -189,142 +190,98 @@ func (o *ORB) serverReader(conn *transport.StreamConn, t *rtos.Thread) {
 	}
 }
 
-// ftKey identifies one logical client invocation on an object group —
-// the FT request service context's (group, client, retention) triple.
-type ftKey struct {
-	group, client uint64
-	retention     uint32
-}
-
-// ftEntry records the execution state of one FT request at a replica.
-// While in progress, retransmissions park as waiters; once done, the
-// cached reply is resent instead of executing the request again.
-type ftEntry struct {
-	done    bool
-	status  giop.ReplyStatus
-	body    []byte
-	waiters []ftWaiter
-}
-
-// ftWaiter is a retransmitted request awaiting the original execution.
+// ftWaiter is a retransmitted FT request parked in the at-most-once
+// cache until the original execution settles.
 type ftWaiter struct {
 	conn  *transport.StreamConn
 	reqID uint32
 	tctx  trace.SpanContext
 }
 
-// ftCacheCap bounds the completed-request cache (FIFO eviction).
+// ftCacheCap bounds the at-most-once reply cache.
 const ftCacheCap = 512
 
-// completeFT records an FT request's outcome, answers any parked
-// retransmissions, and evicts the oldest cached replies beyond the cap.
-func (o *ORB) completeFT(k ftKey, status giop.ReplyStatus, body []byte) {
-	e, ok := o.ftReplies[k]
-	if !ok {
-		return
-	}
-	e.done, e.status, e.body = true, status, body
-	for _, w := range e.waiters {
-		rep := &giop.Reply{RequestID: w.reqID, Status: status, Body: body}
-		w.conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: w.tctx})
-	}
-	e.waiters = nil
-	o.ftOrder = append(o.ftOrder, k)
-	for len(o.ftOrder) > ftCacheCap {
-		old := o.ftOrder[0]
-		o.ftOrder = o.ftOrder[1:]
-		delete(o.ftReplies, old)
-	}
+// exception encodes a system-exception reply body in the ORB's byte order.
+func (o *ORB) exception(id string, minor uint32) []byte {
+	return giop.EncodeSystemException(id, minor, o.cfg.ByteOrder)
+}
+
+// sendReply marshals and sends one reply on conn.
+func (o *ORB) sendReply(conn *transport.StreamConn, reqID uint32, tctx trace.SpanContext, status giop.ReplyStatus, body []byte) {
+	rep := &giop.Reply{RequestID: reqID, Status: status, Body: body}
+	conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: tctx})
 }
 
 // dispatchRequest demultiplexes a request to its servant and queues it on
 // the POA's thread pool.
 func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, cancelled map[uint32]bool) {
-	// Extract the client's trace context first: even error replies (bad
-	// key, full lane) should join the caller's trace.
+	qos := giop.ParseRequestQoS(req.ServiceContexts)
+	// Even error replies (bad key, full lane) join the caller's trace.
 	var tctx trace.SpanContext
 	if o.tracer != nil {
-		if data, found := giop.FindContext(req.ServiceContexts, giop.ServiceTraceContext); found {
-			if tid, sid, err := giop.ParseTraceContext(data); err == nil {
-				tctx = trace.SpanContext{Trace: trace.TraceID(tid), Span: trace.SpanID(sid)}
-			}
-		}
+		tctx = trace.SpanContext{Trace: trace.TraceID(qos.TraceID), Span: trace.SpanID(qos.SpanID)}
 	}
 
 	// Duplicate suppression for fault-tolerant requests: a failover
-	// retry carries the same (group, client, retention) triple as the
-	// original, so if this replica already executed it — or is still
-	// executing it — the retry must not run the servant a second time.
-	var ftk ftKey
-	hasFT := false
-	if req.ResponseExpected {
-		if data, found := giop.FindContext(req.ServiceContexts, giop.ServiceFTRequest); found {
-			if g, c, r, err := giop.ParseFTRequestContext(data); err == nil {
-				ftk, hasFT = ftKey{group: g, client: c, retention: r}, true
-			}
-		}
-	}
+	// retry carries the same FT key as the original, so if this replica
+	// already executed it — or is still executing it — the retry must
+	// not run the servant a second time.
+	hasFT := req.ResponseExpected && qos.HasFT
 	if hasFT {
-		if e, ok := o.ftReplies[ftk]; ok {
-			if e.done {
-				rep := &giop.Reply{RequestID: req.RequestID, Status: e.status, Body: e.body}
-				conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: tctx})
-			} else {
-				e.waiters = append(e.waiters, ftWaiter{conn: conn, reqID: req.RequestID, tctx: tctx})
-			}
+		switch verdict, cached := o.ftCache.Admit(qos.FT, ftWaiter{conn: conn, reqID: req.RequestID, tctx: tctx}); verdict {
+		case dedup.Replay:
+			o.sendReply(conn, req.RequestID, tctx, cached.Status, cached.Body)
+			return
+		case dedup.Parked:
 			return
 		}
-		o.ftReplies[ftk] = &ftEntry{}
 	}
 
-	reply := func(status giop.ReplyStatus, body []byte) {
+	// settle answers the request and any retransmissions parked on it.
+	// An executed outcome is cached for later retries; a refused one never
+	// reached the servant and is forgotten, so a retry may still execute.
+	// A bad key is a deterministic outcome, cached like an execution.
+	const executed, refused = true, false
+	settle := func(ran bool, status giop.ReplyStatus, body []byte) {
 		if !req.ResponseExpected {
 			return
 		}
 		if hasFT {
-			o.completeFT(ftk, status, body)
+			var parked []ftWaiter
+			if ran {
+				parked = o.ftCache.Complete(qos.FT, dedup.Reply{Status: status, Body: body})
+			} else {
+				parked = o.ftCache.Abort(qos.FT)
+			}
+			for _, w := range parked {
+				o.sendReply(w.conn, w.reqID, w.tctx, status, body)
+			}
 		}
-		rep := &giop.Reply{RequestID: req.RequestID, Status: status, Body: body}
-		conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: tctx})
+		o.sendReply(conn, req.RequestID, tctx, status, body)
 	}
 
 	poaName, objID, ok := strings.Cut(string(req.ObjectKey), "/")
 	if !ok {
-		reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", 1, o.cfg.ByteOrder))
+		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 1))
 		return
 	}
 	poa, ok := o.poas[poaName]
 	if !ok {
-		reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", 2, o.cfg.ByteOrder))
+		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 2))
 		return
 	}
 	servant, ok := poa.servants[objID]
 	if !ok {
-		reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", 3, o.cfg.ByteOrder))
+		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 3))
 		return
 	}
 
 	// Effective dispatch priority per the POA's priority model.
 	prio := poa.cfg.ServerPriority
-	if poa.cfg.Model == rtcorba.ClientPropagated {
-		if data, found := giop.FindContext(req.ServiceContexts, giop.ServiceRTCorbaPriority); found {
-			if v, err := giop.ParsePriorityContext(data); err == nil {
-				prio = rtcorba.Priority(v)
-			}
-		}
+	if poa.cfg.Model == rtcorba.ClientPropagated && qos.HasPriority {
+		prio = rtcorba.Priority(qos.Priority)
 	}
-	var sentAt sim.Time
-	if data, found := giop.FindContext(req.ServiceContexts, giop.ServiceInvocationTimestamp); found {
-		if v, err := giop.ParseTimestampContext(data); err == nil {
-			sentAt = sim.Time(v)
-		}
-	}
-	var deadline sim.Time
-	if data, found := giop.FindContext(req.ServiceContexts, giop.ServiceDeadline); found {
-		if v, err := giop.ParseDeadlineContext(data); err == nil {
-			deadline = sim.Time(v)
-		}
-	}
+	sentAt, deadline := sim.Time(qos.SentAt), sim.Time(qos.Deadline)
 	// Expired on arrival (it spent its budget on the wire or in socket
 	// buffers): shed it here rather than waste a lane slot on it.
 	if deadline > 0 && o.ep.Kernel().Now() > deadline {
@@ -333,7 +290,7 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 			s.SetAttr(trace.String("at", "server"), trace.Dur("deadline", deadline))
 			s.Finish()
 		}
-		reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/TIMEOUT:1.0", 1, o.cfg.ByteOrder))
+		settle(refused, giop.StatusSystemException, o.exception(giop.ExcTimeout, 1))
 		return
 	}
 
@@ -346,23 +303,17 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 			// queued, or evicted for a higher-priority arrival). Tell
 			// the client which, so it can classify the failure.
 			if r == rtcorba.ShedDeadline {
-				reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/TIMEOUT:1.0", 2, o.cfg.ByteOrder))
+				settle(refused, giop.StatusSystemException, o.exception(giop.ExcTimeout, 2))
 			} else {
-				reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/TRANSIENT:1.0", 2, o.cfg.ByteOrder))
+				settle(refused, giop.StatusSystemException, o.exception(giop.ExcTransient, giop.MinorShed))
 			}
 		},
 		Fn: func(t *rtos.Thread) {
 			if cancelled[req.RequestID] {
 				delete(cancelled, req.RequestID)
-				if hasFT {
-					if e, ok := o.ftReplies[ftk]; ok && len(e.waiters) > 0 {
-						// A failover retransmission is already parked on
-						// this entry: execute anyway so it gets a reply.
-					} else {
-						delete(o.ftReplies, ftk)
-						return
-					}
-				} else {
+				// A failover retransmission parked on this request still
+				// wants the outcome: then execute anyway.
+				if !hasFT || o.ftCache.Cancel(qos.FT) {
 					return
 				}
 			}
@@ -395,12 +346,12 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 					rspan.SetAttr(trace.String("forward", fr.Ref.Addr.String()))
 					rspan.Finish()
 				}
-				reply(giop.StatusLocationForward, encodeForward(fr.Ref, o.cfg.ByteOrder))
+				settle(executed, giop.StatusLocationForward, encodeForward(fr.Ref, o.cfg.ByteOrder))
 				return
 			}
 			if err != nil {
 				var se *SystemException
-				id, minor := "IDL:omg.org/CORBA/UNKNOWN:1.0", uint32(0)
+				id, minor := giop.ExcUnknown, uint32(0)
 				if errors.As(err, &se) {
 					id, minor = se.ID, se.Minor
 				}
@@ -409,7 +360,7 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 				if rspan != nil {
 					rspan.Finish()
 				}
-				reply(giop.StatusSystemException, encodeSystemException(id, minor, o.cfg.ByteOrder))
+				settle(executed, giop.StatusSystemException, o.exception(id, minor))
 				return
 			}
 			t.Compute(o.msgCost(len(body)))
@@ -417,7 +368,7 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 				rspan.SetAttr(trace.Int("bytes", int64(len(body))))
 				rspan.Finish()
 			}
-			reply(giop.StatusNoException, body)
+			settle(executed, giop.StatusNoException, body)
 		},
 	}
 	if !poa.pool.Dispatch(work) {
@@ -426,6 +377,6 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 		// Minor 2 distinguishes the deliberate shed from legacy
 		// lane-full TRANSIENT replies, so clients classify it as
 		// overload rather than a transient glitch.
-		reply(giop.StatusSystemException, encodeSystemException("IDL:omg.org/CORBA/TRANSIENT:1.0", 2, o.cfg.ByteOrder))
+		settle(refused, giop.StatusSystemException, o.exception(giop.ExcTransient, giop.MinorShed))
 	}
 }

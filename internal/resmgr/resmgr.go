@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/rtos"
@@ -100,7 +101,7 @@ func (m *CPUManager) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 		}
 		id, _, err := m.Reserve(time.Duration(c), time.Duration(t), rtos.EnforcementPolicy(pol))
 		if err != nil {
-			return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/NO_RESOURCES:1.0", Minor: 1}
+			return nil, &orb.SystemException{ID: giop.ExcNoResources, Minor: 1}
 		}
 		e := cdr.NewEncoder(order)
 		e.PutULong(id)
@@ -111,7 +112,7 @@ func (m *CPUManager) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 			return nil, badParam(err)
 		}
 		if err := m.Cancel(id); err != nil {
-			return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0", Minor: 2}
+			return nil, &orb.SystemException{ID: giop.ExcBadParam, Minor: 2}
 		}
 		return nil, nil
 	case "utilization":
@@ -119,7 +120,7 @@ func (m *CPUManager) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 		e.PutDouble(m.host.ResourceKernel().Utilization())
 		return e.Bytes(), nil
 	default:
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_OPERATION:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
 	}
 }
 
@@ -197,7 +198,7 @@ func (b *BandwidthBroker) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 			BurstBytes: int(burst),
 		})
 		if err != nil {
-			return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/NO_RESOURCES:1.0", Minor: 3}
+			return nil, &orb.SystemException{ID: giop.ExcNoResources, Minor: 3}
 		}
 		e := cdr.NewEncoder(order)
 		e.PutULong(id)
@@ -208,17 +209,17 @@ func (b *BandwidthBroker) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 			return nil, badParam(err)
 		}
 		if err := b.Cancel(id); err != nil {
-			return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0", Minor: 4}
+			return nil, &orb.SystemException{ID: giop.ExcBadParam, Minor: 4}
 		}
 		return nil, nil
 	default:
-		return nil, &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_OPERATION:1.0"}
+		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
 	}
 }
 
 func badParam(err error) error {
 	_ = err
-	return &orb.SystemException{ID: "IDL:omg.org/CORBA/BAD_PARAM:1.0", Minor: 1}
+	return &orb.SystemException{ID: giop.ExcBadParam, Minor: 1}
 }
 
 // Activate registers both managers under the resmgr POA of o and returns

@@ -1,5 +1,5 @@
 // Package slo implements service-level-objective tracking with
-// multi-window burn-rate alerting over the simulation clock.
+// multi-window burn-rate alerting over a sim.Clock.
 //
 // An Objective states a goal ratio of good events (availability: calls
 // that succeed; latency: calls under a bound). The error budget is
@@ -85,61 +85,38 @@ type bucket struct {
 type pairState struct {
 	pair   WindowPair
 	firing bool
-	// firedAt is the virtual time the pair first entered the firing
+	// firedAt is the clock time the pair first entered the firing
 	// state (kept across resolves for FiredAt queries).
 	firedAt sim.Time
 	fired   bool
 }
 
 // Tracker accumulates good/bad events into a bucketed ring and
-// evaluates multi-window burn rates. It is clock-abstract: NewTracker
-// runs on a simulation kernel's virtual clock (evaluation driven by
-// Start's kernel tick), NewWallTracker runs on the wall clock with
-// Start launching a ticker goroutine. All state is mutex-guarded, so
-// live wire handlers may Observe concurrently with evaluation.
+// evaluates multi-window burn rates on its sim.Clock — a kernel's
+// virtual time, or sim.Wall in a live process. All state is
+// mutex-guarded, so live wire handlers may Observe concurrently with
+// evaluation.
 type Tracker struct {
-	k   *sim.Kernel // nil in wall-clock mode
-	now func() sim.Time
-	obj Objective
-	bus *events.Bus // optional
+	clock sim.Clock
+	obj   Objective
+	bus   *events.Bus // optional
 
 	mu        sync.Mutex
 	bucketLen sim.Time
 	ring      []bucket
-	ringStart sim.Time // virtual time of ring[head]'s slot start
+	ringStart sim.Time // clock time of ring[head]'s slot start
 	head      int      // index of the oldest retained bucket
 
-	pairs   []*pairState
-	good    int64
-	bad     int64
-	started bool
-	stopped bool
-	stopCh  chan struct{} // wall mode: signals the ticker goroutine
-	doneCh  chan struct{} // wall mode: closed when the goroutine exits
+	pairs []*pairState
+	good  int64
+	bad   int64
+	stop  func() // non-nil while started
 }
 
-// NewTracker creates a tracker for obj on k's virtual clock, publishing
-// transitions on bus (nil for none). Bucket granularity is the shortest
-// pair window / 5, so every window spans at least five buckets.
-func NewTracker(k *sim.Kernel, obj Objective, bus *events.Bus) *Tracker {
-	t := newTracker(obj, bus, k.Now)
-	t.k = k
-	return t
-}
-
-// NewWallTracker creates a tracker evaluating on the wall clock, for
-// live wire processes. now anchors the timestamp domain — pass the wire
-// tracer's Elapsed so slo_burn records line up with spans, or nil to
-// anchor at the tracker's creation.
-func NewWallTracker(obj Objective, bus *events.Bus, now func() sim.Time) *Tracker {
-	if now == nil {
-		start := time.Now()
-		now = func() sim.Time { return sim.Time(time.Since(start)) }
-	}
-	return newTracker(obj, bus, now)
-}
-
-func newTracker(obj Objective, bus *events.Bus, now func() sim.Time) *Tracker {
+// NewTracker creates a tracker for obj on clock, publishing transitions
+// on bus (nil for none). Bucket granularity is the shortest pair
+// window / 5, so every window spans at least five buckets.
+func NewTracker(clock sim.Clock, obj Objective, bus *events.Bus) *Tracker {
 	if obj.Goal <= 0 || obj.Goal >= 1 {
 		panic("slo: objective goal must be in (0, 1)")
 	}
@@ -163,9 +140,9 @@ func newTracker(obj Objective, bus *events.Bus, now func() sim.Time) *Tracker {
 		bl = 1
 	}
 	n := int(sim.Time(longest)/bl) + 2
-	start := now()
+	start := clock.Now()
 	t := &Tracker{
-		now:       now,
+		clock:     clock,
 		obj:       obj,
 		bus:       bus,
 		bucketLen: bl,
@@ -194,7 +171,7 @@ func (t *Tracker) advance(now sim.Time) {
 	}
 }
 
-// at returns the bucket covering the virtual time v, or nil when v is
+// at returns the bucket covering the clock time v, or nil when v is
 // older than the ring retains. Caller holds mu.
 func (t *Tracker) at(v sim.Time) *bucket {
 	if v < t.ringStart {
@@ -209,7 +186,7 @@ func (t *Tracker) at(v sim.Time) *bucket {
 
 // Observe records one event outcome at the current clock time.
 func (t *Tracker) Observe(good bool) {
-	now := t.now()
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.advance(now)
@@ -265,7 +242,7 @@ func (t *Tracker) burn(now sim.Time, w time.Duration) float64 {
 // Burn returns the burn rate over the trailing window w: the bad-event
 // ratio divided by the error budget (0 when the window is empty).
 func (t *Tracker) Burn(w time.Duration) float64 {
-	now := t.now()
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.burn(now, w)
@@ -275,7 +252,7 @@ func (t *Tracker) Burn(w time.Duration) float64 {
 // of its short- and long-window burns (the value the firing test
 // compares against the threshold), maximised over pairs.
 func (t *Tracker) WorstBurn() float64 {
-	now := t.now()
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.advance(now)
@@ -296,7 +273,7 @@ func (t *Tracker) WorstBurn() float64 {
 // publishing slo_burn transitions on the bus. Returns the number of
 // pairs currently firing.
 func (t *Tracker) Evaluate() int {
-	now := t.now()
+	now := t.clock.Now()
 	type transition struct {
 		ps          *pairState
 		state       string
@@ -370,84 +347,35 @@ func (t *Tracker) FiredAt(pair int) (sim.Time, bool) {
 }
 
 // Start schedules periodic evaluation every interval (bucket length if
-// <= 0) until Stop. In wall-clock mode the evaluation runs in its own
-// ticker goroutine; Stop halts it synchronously.
+// <= 0) until Stop; it may be called again after Stop.
 func (t *Tracker) Start(every time.Duration) {
 	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.stop != nil {
 		return
 	}
-	t.started = true
-	t.stopped = false
-	ev := sim.Time(every)
-	if ev <= 0 {
-		ev = t.bucketLen
+	if every <= 0 {
+		every = time.Duration(t.bucketLen)
 	}
-	if t.k != nil {
-		t.mu.Unlock()
-		var tick func()
-		tick = func() {
-			if t.isStopped() {
-				return
-			}
-			t.Evaluate()
-			t.k.After(time.Duration(ev), tick)
-		}
-		t.k.After(time.Duration(ev), tick)
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	t.stopCh, t.doneCh = stop, done
-	t.mu.Unlock()
-	go func() {
-		defer close(done)
-		tk := time.NewTicker(time.Duration(ev))
-		defer tk.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tk.C:
-				t.Evaluate()
-			}
-		}
-	}()
+	t.stop = t.clock.Every(every, func() { t.Evaluate() })
 }
 
-// Stop halts periodic evaluation. In wall-clock mode it waits for the
+// Stop halts periodic evaluation. On sim.Wall it waits for the
 // evaluation goroutine to exit before returning.
 func (t *Tracker) Stop() {
 	t.mu.Lock()
-	if t.stopped || !t.started {
-		t.stopped = true
-		t.mu.Unlock()
-		return
-	}
-	t.stopped = true
-	stop, done := t.stopCh, t.doneCh
-	t.stopCh, t.doneCh = nil, nil
-	if t.k == nil {
-		t.started = false
-	}
+	stop := t.stop
+	t.stop = nil
 	t.mu.Unlock()
 	if stop != nil {
-		close(stop)
-		<-done
+		stop()
 	}
-}
-
-func (t *Tracker) isStopped() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stopped
 }
 
 // Render returns the tracker's current state as deterministic text:
 // one line per pair with both burns and the alert state.
 func (t *Tracker) Render() string {
-	now := t.now()
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.advance(now)
@@ -490,7 +418,7 @@ type Snapshot struct {
 
 // Snapshot returns the tracker's current state for live introspection.
 func (t *Tracker) Snapshot() Snapshot {
-	now := t.now()
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.advance(now)

@@ -76,6 +76,33 @@ func TestBurnRateFiresOnBudgetBurnAndResolves(t *testing.T) {
 	}
 }
 
+// TestTrackerRestartOnKernel pins that Stop and Start mean the same on
+// a kernel as on the wall clock: a stopped tracker leaves no evaluation
+// behind and misses transitions, a restarted one catches them again.
+func TestTrackerRestartOnKernel(t *testing.T) {
+	k := sim.NewKernel(1)
+	tr := NewTracker(k, Objective{
+		Name: "avail", Goal: 0.99,
+		Pairs: []WindowPair{{Short: 100 * time.Millisecond, Long: 200 * time.Millisecond, Burn: 1}},
+	}, nil)
+	feed(k, tr, 0, 2*time.Second, 100, 2) // 50% bad throughout
+
+	tr.Start(50 * time.Millisecond)
+	tr.Stop()
+	if k.Pending() != 200 { // only the feed's observations remain
+		t.Fatalf("%d events pending after stop, want the 200 observations", k.Pending())
+	}
+	k.RunFor(time.Second)
+	if tr.Firing() {
+		t.Fatal("a stopped tracker evaluated")
+	}
+	tr.Start(50 * time.Millisecond)
+	k.RunFor(500 * time.Millisecond)
+	if !tr.Firing() {
+		t.Fatal("a restarted tracker did not evaluate")
+	}
+}
+
 // TestBurnRateIgnoresShortSpike pins the multi-window property: a
 // transient spike saturates the short window but not the long one, so
 // no pair fires — the false-alarm resistance single-window alerting

@@ -9,13 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeClock is a mutex-guarded controllable clock for wall trackers.
+// fakeClock ticks like sim.Wall but reads a mutex-guarded controllable
+// time.
 type fakeClock struct {
+	*sim.WallClock
 	mu sync.Mutex
 	t  sim.Time
 }
 
-func (c *fakeClock) now() sim.Time {
+func (c *fakeClock) Now() sim.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
@@ -31,8 +33,8 @@ func (c *fakeClock) advance(d time.Duration) {
 // clock: sustained bad events burn the budget, Evaluate transitions the
 // pair to firing, and the bus record carries a wall timestamp.
 func TestWallTrackerBurnFires(t *testing.T) {
-	clk := &fakeClock{}
-	bus := events.NewWallBus(clk.now)
+	clk := &fakeClock{WallClock: sim.Wall}
+	bus := events.NewBus(clk)
 	var mu sync.Mutex
 	var burns []events.Record
 	bus.Subscribe(func(r events.Record) {
@@ -41,11 +43,11 @@ func TestWallTrackerBurnFires(t *testing.T) {
 		mu.Unlock()
 	}, events.KindSLOBurn)
 
-	st := NewWallTracker(Objective{
+	st := NewTracker(clk, Objective{
 		Name:  "ef",
 		Goal:  0.99,
 		Pairs: []WindowPair{{Short: 100 * time.Millisecond, Long: time.Second, Burn: 1}},
-	}, bus, clk.now)
+	}, bus)
 
 	// 10% bad over a full long window: burn rate 0.1/0.01 = 10x >= 1.
 	for i := 0; i < 100; i++ {
@@ -79,12 +81,12 @@ func TestWallTrackerBurnFires(t *testing.T) {
 // TestWallTrackerStartStopRestart pins the ticker goroutine lifecycle:
 // Stop is synchronous, and a stopped wall tracker can start again.
 func TestWallTrackerStartStopRestart(t *testing.T) {
-	clk := &fakeClock{}
-	st := NewWallTracker(Objective{
+	clk := &fakeClock{WallClock: sim.Wall}
+	st := NewTracker(clk, Objective{
 		Name:  "ef",
 		Goal:  0.999,
 		Pairs: []WindowPair{{Short: 50 * time.Millisecond, Long: 200 * time.Millisecond, Burn: 1}},
-	}, nil, clk.now)
+	}, nil)
 
 	for cycle := 0; cycle < 2; cycle++ {
 		st.Start(2 * time.Millisecond)
@@ -103,12 +105,12 @@ func TestWallTrackerStartStopRestart(t *testing.T) {
 // goroutines while the evaluation ticker runs; fails under -race if
 // tracker state is unguarded.
 func TestWallTrackerConcurrentObserve(t *testing.T) {
-	st := NewWallTracker(Objective{
+	st := NewTracker(sim.Wall, Objective{
 		Name:         "ef",
 		Goal:         0.99,
 		LatencyBound: 100 * time.Microsecond,
 		Pairs:        []WindowPair{{Short: 10 * time.Millisecond, Long: 50 * time.Millisecond, Burn: 1}},
-	}, nil, nil)
+	}, nil)
 	st.Start(time.Millisecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

@@ -160,18 +160,18 @@ type Sink interface {
 	OnEnd(s *Span)
 }
 
-// Tracer mints spans against a clock — a simulation kernel's virtual
-// clock (NewTracer) or any injected time source such as a wall clock
-// (NewTracerWithClock). IDs are sequential, so a deterministic scenario
-// produces identical traces on every run. The zero value is unusable.
+// Tracer mints spans against a clock: a simulation kernel's virtual
+// time, or sim.Wall in a live process. IDs are sequential, so a
+// deterministic scenario produces identical traces on every run. The
+// zero value is unusable.
 //
 // A Tracer is not safe for concurrent use — in a simulation all
 // interaction happens from the kernel goroutine, like the kernel clock
 // it reads. Callers off that model (the wire plane's per-connection
 // goroutines) must serialise access with their own mutex; internal/wire
-// does exactly that around a wall-clock tracer.
+// does exactly that around a tracer on sim.Wall.
 type Tracer struct {
-	now       func() sim.Time
+	clock     sim.Clock
 	col       *Collector
 	sinks     []Sink
 	nextTrace uint64
@@ -180,20 +180,11 @@ type Tracer struct {
 	active    map[any]SpanContext
 }
 
-// NewTracer creates a tracer on kernel k with an in-memory Collector
-// already attached.
-func NewTracer(k *sim.Kernel) *Tracer {
-	return NewTracerWithClock(k.Now)
-}
-
-// NewTracerWithClock creates a tracer reading time from now — the hook
-// that lets the real-socket wire plane mint spans against the wall
-// clock while every simulated subsystem keeps using virtual time. The
-// same concurrency contract applies regardless of clock: callers must
-// serialise access.
-func NewTracerWithClock(now func() sim.Time) *Tracer {
+// NewTracer creates a tracer reading time from clock, with an in-memory
+// Collector already attached.
+func NewTracer(clock sim.Clock) *Tracer {
 	tr := &Tracer{
-		now:    now,
+		clock:  clock,
 		col:    NewCollector(),
 		open:   make(map[SpanID]*Span),
 		active: make(map[any]SpanContext),
@@ -203,7 +194,7 @@ func NewTracerWithClock(now func() sim.Time) *Tracer {
 }
 
 // Now returns the current clock reading (virtual time in a simulation).
-func (tr *Tracer) Now() sim.Time { return tr.now() }
+func (tr *Tracer) Now() sim.Time { return tr.clock.Now() }
 
 // Collector returns the tracer's in-memory span store.
 func (tr *Tracer) Collector() *Collector { return tr.col }
@@ -235,7 +226,7 @@ func (tr *Tracer) start(trace TraceID, parent SpanID, name, layer string) *Span 
 		Parent:  parent,
 		Name:    name,
 		Layer:   layer,
-		Start:   tr.now(),
+		Start:   tr.clock.Now(),
 		tracer:  tr,
 	}
 	tr.open[s.ID] = s

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cdr"
 	"repro/internal/events"
 	"repro/internal/giop"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
 )
@@ -286,7 +287,7 @@ func (c *Client) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, 
 	c.reg.Counter("wire.client.requests", bandL, telemetry.L("outcome", outcome)).Inc()
 	c.reg.Histogram("wire.client.rtt_ms", bandL).ObserveEx(
 		float64(rtt)/float64(time.Millisecond),
-		telemetry.Exemplar{TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: time.Duration(sinceStart())},
+		telemetry.Exemplar{TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: sim.Wall.At(start) + rtt},
 	)
 	if err != nil {
 		return nil, err
@@ -442,11 +443,7 @@ func (c *Client) observeTransition(b *clientBand, trans breaker.Transition) {
 		tr.Finish(ctx)
 	}
 	if c.cfg.Bus != nil {
-		at := sinceStart()
-		if tr := c.cfg.Tracer; tr != nil {
-			at = tr.Elapsed()
-		}
-		c.cfg.Bus.PublishAt(at, events.KindBreaker, c.name,
+		c.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindBreaker, c.name,
 			events.F("endpoint", trans.Endpoint),
 			events.F("from", trans.From.String()),
 			events.F("to", trans.To.String()),

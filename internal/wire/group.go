@@ -51,14 +51,6 @@ type GroupConfig struct {
 	// Seed fixes the backoff-jitter and breaker-jitter streams (0 = 1).
 	Seed int64
 
-	// FTGroup / FTClient identify this client against the replica
-	// group's dedup caches. FTGroup defaults to 1; FTClient defaults to
-	// a process-unique id (collisions across client processes would
-	// alias their retention sequences — set it explicitly when many
-	// processes share one group).
-	FTGroup  uint64
-	FTClient uint64
-
 	// MaxAttempts bounds total attempts per logical request, first
 	// included (default len(Endpoints)+1).
 	MaxAttempts int
@@ -110,16 +102,21 @@ type GroupClient struct {
 	eps       []*groupEndpoint
 	primary   atomic.Int32
 	budget    *RetryBudget
+	ftClient  uint64 // this client's id in FT request contexts
 	retention atomic.Uint32
 	jmu       sync.Mutex
 	jrand     *rand.Rand
-	base      time.Time
 	closed    atomic.Bool
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
 }
 
-// ftClientSeq derives default process-unique FTClient ids.
+// ftGroup is the object-group id group clients stamp in FT request
+// contexts: a GroupClient addresses one replica group.
+const ftGroup = 1
+
+// ftClientSeq makes FT client ids unique within a process; the
+// construction instant makes them unique across processes.
 var ftClientSeq atomic.Uint64
 
 // NewGroupClient builds a group client and starts its health probers.
@@ -132,12 +129,6 @@ func NewGroupClient(cfg GroupConfig) (*GroupClient, error) {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.FTGroup == 0 {
-		cfg.FTGroup = 1
-	}
-	if cfg.FTClient == 0 {
-		cfg.FTClient = uint64(time.Now().UnixNano())<<16 | (ftClientSeq.Add(1) & 0xffff)
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = len(cfg.Endpoints) + 1
@@ -170,8 +161,8 @@ func NewGroupClient(cfg GroupConfig) (*GroupClient, error) {
 		reg:       cfg.Registry,
 		name:      cfg.Name,
 		budget:    NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryBudgetRatio),
+		ftClient:  uint64(time.Now().UnixNano())<<16 | (ftClientSeq.Add(1) & 0xffff),
 		jrand:     rand.New(rand.NewSource(seed)),
-		base:      time.Now(),
 		probeStop: make(chan struct{}),
 	}
 	for i, addr := range cfg.Endpoints {
@@ -253,7 +244,7 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 	start := time.Now()
 	deadline := start.Add(timeout)
 	if opts.FT == nil {
-		opts.FT = &FTRequest{Group: g.cfg.FTGroup, Client: g.cfg.FTClient, Retention: g.retention.Add(1)}
+		opts.FT = &FTRequest{Group: ftGroup, Client: g.ftClient, Retention: g.retention.Add(1)}
 	}
 
 	var span trace.SpanContext
@@ -325,7 +316,7 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 				trace.String("to", g.eps[next].addr))
 		}
 		if g.cfg.Bus != nil {
-			g.cfg.Bus.PublishAt(g.busNow(), events.KindFailover, g.name,
+			g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
 				events.F("op", op),
 				events.F("from", g.eps[ep].addr),
 				events.F("to", g.eps[next].addr),
@@ -350,13 +341,13 @@ func (g *GroupClient) recordFailover(op string, from, to, attempts int, start ti
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	g.reg.Counter("wire.group.failovers", telemetry.L("to", g.eps[to].addr)).Inc()
 	g.reg.Histogram("wire.group.failover_ms").ObserveEx(ms, telemetry.Exemplar{
-		TraceID: uint64(span.Trace), SpanID: uint64(span.Span), Value: ms, At: time.Duration(g.busNow()),
+		TraceID: uint64(span.Trace), SpanID: uint64(span.Span), Value: ms, At: sim.Wall.Now(),
 	})
 	if to != from {
 		g.primary.CompareAndSwap(int32(from), int32(to))
 	}
 	if g.cfg.Bus != nil {
-		g.cfg.Bus.PublishAt(g.busNow(), events.KindFailover, g.name,
+		g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
 			events.F("op", op),
 			events.F("to", g.eps[to].addr),
 			events.F("attempts", fmt.Sprintf("%d", attempts)),
@@ -443,15 +434,6 @@ func (g *GroupClient) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(j)
 }
 
-// busNow returns the timestamp domain for bus records: the shared
-// tracer clock when there is one, the process clock otherwise.
-func (g *GroupClient) busNow() sim.Time {
-	if tr := g.cfg.Tracer; tr != nil {
-		return tr.Elapsed()
-	}
-	return sim.Time(time.Since(g.base))
-}
-
 // probeLoop runs endpoint i's heartbeat: stagger, then probe every
 // ProbeInterval, publishing verdict changes.
 func (g *GroupClient) probeLoop(i int) {
@@ -483,7 +465,7 @@ func (g *GroupClient) probeLoop(i int) {
 				tr.Finish(ctx)
 			}
 			if g.cfg.Bus != nil {
-				g.cfg.Bus.PublishAt(g.busNow(), events.KindHealth, g.name,
+				g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindHealth, g.name,
 					events.F("endpoint", ep.addr),
 					events.F("to", verdict),
 				)

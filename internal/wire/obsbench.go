@@ -15,6 +15,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/trace/telemetry"
 )
@@ -300,12 +301,10 @@ func startObsPlane(o ObsBenchOptions) (*obsPlane, error) {
 
 	// The plane prices monitoring itself — sampler, runtime collector,
 	// SLO tracker, profiler, live scrapes — not per-request span
-	// tracing, so the tracer serves only as the shared clock anchor for
-	// bus records and is not attached to the data path.
-	tracer := NewTracer()
-	p.bus = events.NewWallBus(tracer.Elapsed)
+	// tracing, so no tracer is attached to the data path.
+	p.bus = events.NewBus(sim.Wall)
 
-	p.sampler = monitor.NewWallSampler(p.reg, p.bus, o.SampleEvery, tracer.Elapsed)
+	p.sampler = monitor.NewSampler(sim.Wall, p.reg, p.bus, o.SampleEvery)
 	rc := monitor.NewRuntimeCollector(p.reg)
 	p.sampler.AddCollector(rc.Collect)
 	// A rule that is guaranteed to fire under load, so the benchmark
@@ -319,12 +318,12 @@ func startObsPlane(o ObsBenchOptions) (*obsPlane, error) {
 		For:       2,
 	})
 
-	p.st = slo.NewWallTracker(slo.Objective{
+	p.st = slo.NewTracker(sim.Wall, slo.Objective{
 		Name:         "ef_latency",
 		Goal:         0.999,
 		LatencyBound: 250 * time.Millisecond,
 		Pairs:        slo.ScaledPairs(2 * o.Duration),
-	}, p.bus, tracer.Elapsed)
+	}, p.bus)
 
 	// Alert-triggered CPU captures with a short window and a cooldown:
 	// the capture duty cycle, not the trigger plumbing, is what the

@@ -173,7 +173,7 @@ func (h *ChannelHost) Dispatch(req *Request) ([]byte, error) {
 		snap := h.ch.Snapshot()
 		return json.Marshal(snap)
 	default:
-		return nil, &Exception{ID: excBadOperation, Minor: 1}
+		return nil, &Exception{ID: giop.ExcBadOperation, Minor: 1}
 	}
 }
 
@@ -181,11 +181,11 @@ func (h *ChannelHost) publish(req *Request) ([]byte, error) {
 	ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
 	data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext)
 	if !ok {
-		return nil, &Exception{ID: excBadParam, Minor: 1}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 1}
 	}
 	topic, key, _, prio, _, err := giop.ParseEventContext(data)
 	if err != nil {
-		return nil, &Exception{ID: excBadParam, Minor: 2}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 2}
 	}
 	ev.Topic, ev.Key = topic, key
 	if prio != 0 {
@@ -193,11 +193,11 @@ func (h *ChannelHost) publish(req *Request) ([]byte, error) {
 	}
 	if err := h.ch.PublishCtx(ev, req.TraceCtx); err != nil {
 		if errors.Is(err, pubsub.ErrSaturated) {
-			// The same refusal lane admission uses: TRANSIENT minor 2,
+			// The same refusal lane admission uses: a TRANSIENT shed,
 			// which clients decode as ErrOverload.
-			return nil, &Exception{ID: excTransient, Minor: 2}
+			return nil, &Exception{ID: giop.ExcTransient, Minor: giop.MinorShed}
 		}
-		return nil, &Exception{ID: excTransient, Minor: 1}
+		return nil, &Exception{ID: giop.ExcTransient, Minor: 1}
 	}
 	return nil, nil
 }
@@ -205,14 +205,14 @@ func (h *ChannelHost) publish(req *Request) ([]byte, error) {
 func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 	sp, err := DecodeSubscribe(req.Body)
 	if err != nil {
-		return nil, &Exception{ID: excBadParam, Minor: 3}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 3}
 	}
 	if sp.Addr == "" || sp.ConsumerKey == "" {
-		return nil, &Exception{ID: excBadParam, Minor: 4}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 4}
 	}
 	cli, err := h.pushClient(sp)
 	if err != nil {
-		return nil, &Exception{ID: excTransient, Minor: 1}
+		return nil, &Exception{ID: giop.ExcTransient, Minor: 1}
 	}
 	key, timeout, tracer := sp.ConsumerKey, h.cfg.PushTimeout, h.cfg.Tracer
 	_, err = h.ch.Subscribe(pubsub.SubscriberConfig{
@@ -229,7 +229,7 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 	})
 	if err != nil {
 		h.releasePusher(sp.Name)
-		return nil, &Exception{ID: excBadParam, Minor: 5}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 5}
 	}
 	e := cdr.NewEncoder(cdr.LittleEndian)
 	e.PutOctet(byte(cdr.LittleEndian))
@@ -239,18 +239,18 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 
 func (h *ChannelHost) unsubscribe(req *Request) ([]byte, error) {
 	if len(req.Body) < 1 {
-		return nil, &Exception{ID: excBadParam, Minor: 1}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 1}
 	}
 	d := cdr.NewDecoder(req.Body, cdr.ByteOrder(req.Body[0]))
 	if _, err := d.Octet(); err != nil {
-		return nil, &Exception{ID: excBadParam, Minor: 1}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 1}
 	}
 	name, err := d.String()
 	if err != nil {
-		return nil, &Exception{ID: excBadParam, Minor: 1}
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 1}
 	}
 	if !h.ch.Unsubscribe(name) {
-		return nil, &Exception{ID: excObjectNotExist, Minor: 2}
+		return nil, &Exception{ID: giop.ExcObjectNotExist, Minor: 2}
 	}
 	h.releasePusher(name)
 	return nil, nil
@@ -333,10 +333,16 @@ func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, trace
 // ConsumerHandler adapts an event callback into the wire Handler a
 // consumer registers under its ConsumerKey: it reconstructs the Event
 // from the push invocation and hands it over.
+//
+// Ordering: the channel pushes one subscriber's events in publish order
+// over one connection, but pushes are oneway, so a lane with several
+// workers dispatches them concurrently and fn may see them reordered. A
+// consumer that needs per-subscriber order must serve the pushes'
+// priority from a lane with exactly one worker.
 func ConsumerHandler(fn func(ev pubsub.Event)) HandlerFunc {
 	return func(req *Request) ([]byte, error) {
 		if req.Operation != "push" {
-			return nil, &Exception{ID: excBadOperation, Minor: 2}
+			return nil, &Exception{ID: giop.ExcBadOperation, Minor: 2}
 		}
 		ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
 		if data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext); ok {

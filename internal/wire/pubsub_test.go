@@ -23,7 +23,9 @@ func pubsubLoopback(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event)) (
 	t.Helper()
 	leakCheck(t)
 
-	consumer, err := NewServer(ServerConfig{Name: "consumer"})
+	// One worker: pushes are oneway, so only a single-worker lane hands
+	// them to the sink in the order they arrived (see ConsumerHandler).
+	consumer, err := NewServer(ServerConfig{Name: "consumer", Lanes: []LaneConfig{{Workers: 1}}})
 	if err != nil {
 		t.Fatalf("consumer NewServer: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/dedup"
 	"repro/internal/events"
 	"repro/internal/giop"
 	"repro/internal/sim"
@@ -59,7 +60,7 @@ type Request struct {
 
 	// ft is the at-most-once dedup key from the FT request context,
 	// valid when hasFT is set (two-way requests only).
-	ft    ftKey
+	ft    giop.FTKey
 	hasFT bool
 }
 
@@ -99,15 +100,16 @@ type ServerConfig struct {
 	Bus *events.Bus
 	// Name labels telemetry and bus records ("wire.server" default).
 	Name string
-	// FTCacheCap bounds the at-most-once reply cache (default 8192
-	// entries). Requests carrying the GIOP FT request context (0x13) are
-	// deduplicated on their (group, client, retention) triple: a replay
-	// of an executed request — a failover retry, possibly over a fresh
-	// connection after a reconnect — gets the cached reply bytes back
-	// instead of re-invoking the servant, and a replay racing the
-	// original execution waits for its outcome instead of running twice.
-	FTCacheCap int
 }
+
+// ftCacheCap bounds the at-most-once reply cache (internal/dedup).
+// Requests carrying the GIOP FT request context (0x13) are deduplicated
+// on their key: a replay of an executed request — a failover retry,
+// possibly over a fresh connection after a reconnect — gets the cached
+// reply bytes back instead of re-invoking the servant, and a replay
+// racing the original execution waits for its outcome instead of
+// running twice.
+const ftCacheCap = 8192
 
 type laneWork struct {
 	conn     *serverConn
@@ -142,10 +144,7 @@ type Server struct {
 	servants map[string]Handler
 	conns    map[*serverConn]struct{}
 
-	// ftmu guards the at-most-once reply cache.
-	ftmu      sync.Mutex
-	ftReplies map[ftKey]*ftEntry
-	ftOrder   []ftKey // insertion order, for bounded eviction
+	ftCache *dedup.Cache[ftWaiter]
 
 	lanes    []*serverLane
 	workers  sync.WaitGroup
@@ -157,28 +156,11 @@ type Server struct {
 	closed   atomic.Bool
 }
 
-// ftKey identifies one logical fault-tolerant invocation: every retry
-// of it (same or different connection, same or different GIOP request
-// ID) carries the identical triple in its 0x13 service context.
-type ftKey struct {
-	group, client uint64
-	retention     uint32
-}
-
 // ftWaiter is a replayed request that arrived while the original was
-// still executing; it is answered when the execution completes.
+// still executing; it is answered when the execution settles.
 type ftWaiter struct {
 	conn *serverConn
 	id   uint32
-}
-
-// ftEntry is one logical invocation's dedup record: in flight until
-// done, then the cached reply (status + body bytes, replayed verbatim).
-type ftEntry struct {
-	done    bool
-	status  giop.ReplyStatus
-	body    []byte
-	waiters []ftWaiter
 }
 
 type serverConn struct {
@@ -200,17 +182,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Lanes = []LaneConfig{{Priority: 0, Workers: runtime.GOMAXPROCS(0), QueueLimit: 1024}}
 	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       cfg.Registry,
-		order:     cfg.ByteOrder,
-		maxMsg:    cfg.MaxMessage,
-		name:      cfg.Name,
-		servants:  make(map[string]Handler),
-		conns:     make(map[*serverConn]struct{}),
-		ftReplies: make(map[ftKey]*ftEntry),
-	}
-	if s.cfg.FTCacheCap <= 0 {
-		s.cfg.FTCacheCap = 8192
+		cfg:      cfg,
+		reg:      cfg.Registry,
+		order:    cfg.ByteOrder,
+		maxMsg:   cfg.MaxMessage,
+		name:     cfg.Name,
+		servants: make(map[string]Handler),
+		conns:    make(map[*serverConn]struct{}),
+		ftCache:  dedup.New[ftWaiter](ftCacheCap),
 	}
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
@@ -398,50 +377,41 @@ func (s *Server) ServeConn(nc net.Conn) {
 // its priority lane, refusing with TRANSIENT minor 2 when the lane
 // queue is full or the server is draining.
 func (s *Server) handleRequest(c *serverConn, m *giop.Request) {
+	qos := giop.ParseRequestQoS(m.ServiceContexts)
 	req := &Request{
 		Key:       string(m.ObjectKey),
 		Operation: m.Operation,
 		Body:      m.Body,
+		Priority:  qos.Priority,
+		TraceCtx:  trace.SpanContext{Trace: trace.TraceID(qos.TraceID), Span: trace.SpanID(qos.SpanID)},
 		Peer:      c.peer,
 		Oneway:    !m.ResponseExpected,
 		Contexts:  m.ServiceContexts,
+		ft:        qos.FT,
+		hasFT:     qos.HasFT && m.ResponseExpected,
 	}
-	if data, ok := giop.FindContext(m.ServiceContexts, giop.ServiceRTCorbaPriority); ok {
-		if p, err := giop.ParsePriorityContext(data); err == nil {
-			req.Priority = p
-		}
+	if qos.Deadline > 0 {
+		req.Deadline = time.Unix(0, qos.Deadline)
 	}
-	if data, ok := giop.FindContext(m.ServiceContexts, giop.ServiceDeadline); ok {
-		if exp, err := giop.ParseDeadlineContext(data); err == nil && exp > 0 {
-			req.Deadline = time.Unix(0, exp)
-		}
-	}
-	if data, ok := giop.FindContext(m.ServiceContexts, giop.ServiceInvocationTimestamp); ok {
-		if ts, err := giop.ParseTimestampContext(data); err == nil && ts > 0 {
-			req.SentAt = time.Unix(0, ts)
-		}
-	}
-	if data, ok := giop.FindContext(m.ServiceContexts, giop.ServiceTraceContext); ok {
-		if tid, sid, err := giop.ParseTraceContext(data); err == nil {
-			req.TraceCtx = trace.SpanContext{Trace: trace.TraceID(tid), Span: trace.SpanID(sid)}
-		}
-	}
-	if m.ResponseExpected {
-		if data, ok := giop.FindContext(m.ServiceContexts, giop.ServiceFTRequest); ok {
-			if g, cl, r, err := giop.ParseFTRequestContext(data); err == nil {
-				req.ft, req.hasFT = ftKey{group: g, client: cl, retention: r}, true
-			}
-		}
+	if qos.SentAt > 0 {
+		req.SentAt = time.Unix(0, qos.SentAt)
 	}
 
 	lane := s.laneFor(req.Priority)
 	laneL := telemetry.L("lane", lane.label)
 	s.reg.Counter("wire.server.requests", laneL).Inc()
-	if req.hasFT && s.ftAdmit(c, req.ft, m.RequestID) {
-		// A duplicate of an executed (or executing) invocation: answered
-		// from the cache or parked as a waiter — the servant never runs
-		// a second time.
-		return
+	if req.hasFT {
+		// A duplicate of an executed (or executing) invocation is answered
+		// from the cache or parked — the servant never runs a second time.
+		switch verdict, cached := s.ftCache.Admit(req.ft, ftWaiter{conn: c, id: m.RequestID}); verdict {
+		case dedup.Replay:
+			s.reg.Counter("wire.server.ft_replays").Inc()
+			c.write(&giop.Reply{RequestID: m.RequestID, Status: cached.Status, Body: cached.Body})
+			return
+		case dedup.Parked:
+			s.reg.Counter("wire.server.ft_waiters").Inc()
+			return
+		}
 	}
 	if s.draining.Load() {
 		s.refuse(c, req, m.RequestID, lane, "draining")
@@ -456,101 +426,29 @@ func (s *Server) handleRequest(c *serverConn, m *giop.Request) {
 	}
 }
 
-// ftAdmit gates a fault-tolerant request on the dedup cache. It returns
-// true when the request is a duplicate and has been fully handled here:
-// answered with the cached reply if the original execution finished, or
-// parked as a waiter on the in-flight execution otherwise. It returns
-// false — after registering the invocation as in flight — when this is
-// the first sighting and the request must proceed to a lane.
-func (s *Server) ftAdmit(c *serverConn, k ftKey, reqID uint32) bool {
-	s.ftmu.Lock()
-	e, ok := s.ftReplies[k]
-	if !ok {
-		s.ftReplies[k] = &ftEntry{}
-		s.ftOrder = append(s.ftOrder, k)
-		s.ftEvictLocked()
-		s.ftmu.Unlock()
-		return false
-	}
-	if !e.done {
-		e.waiters = append(e.waiters, ftWaiter{conn: c, id: reqID})
-		s.ftmu.Unlock()
-		s.reg.Counter("wire.server.ft_waiters").Inc()
-		return true
-	}
-	status, body := e.status, e.body
-	s.ftmu.Unlock()
-	s.reg.Counter("wire.server.ft_replays").Inc()
-	c.write(&giop.Reply{RequestID: reqID, Status: status, Body: body})
-	return true
-}
+// Whether a settled request reached its servant.
+const executed, refused = true, false
 
-// ftComplete publishes an execution outcome: the reply is cached for
-// future replays and every parked waiter is answered with it.
-func (s *Server) ftComplete(k ftKey, status giop.ReplyStatus, body []byte) {
-	s.ftmu.Lock()
-	e, ok := s.ftReplies[k]
-	if !ok {
-		s.ftmu.Unlock()
+// settle answers a two-way request and any replays parked on it. An
+// executed outcome is cached for later replays; a refused one (refusal,
+// shed) never reached the servant and is forgotten, so a retry may still
+// execute.
+func (s *Server) settle(c *serverConn, req *Request, id uint32, ran bool, status giop.ReplyStatus, body []byte) {
+	if req.Oneway {
 		return
 	}
-	e.done, e.status, e.body = true, status, body
-	waiters := e.waiters
-	e.waiters = nil
-	s.ftmu.Unlock()
-	for _, w := range waiters {
-		w.conn.write(&giop.Reply{RequestID: w.id, Status: status, Body: body})
-	}
-}
-
-// ftAbort clears an in-flight entry whose request never executed (it
-// was refused, shed, or cancelled before reaching a servant), so a
-// retry is allowed to execute. Waiters are answered with the given
-// refusal reply rather than left hanging; a nil body answers them with
-// retryable TRANSIENT.
-func (s *Server) ftAbort(k ftKey, status giop.ReplyStatus, body []byte) {
-	s.ftmu.Lock()
-	e, ok := s.ftReplies[k]
-	if !ok {
-		s.ftmu.Unlock()
-		return
-	}
-	delete(s.ftReplies, k)
-	for i, ord := range s.ftOrder {
-		if ord == k {
-			s.ftOrder = append(s.ftOrder[:i], s.ftOrder[i+1:]...)
-			break
+	if req.hasFT {
+		var parked []ftWaiter
+		if ran {
+			parked = s.ftCache.Complete(req.ft, dedup.Reply{Status: status, Body: body})
+		} else {
+			parked = s.ftCache.Abort(req.ft)
+		}
+		for _, w := range parked {
+			w.conn.write(&giop.Reply{RequestID: w.id, Status: status, Body: body})
 		}
 	}
-	waiters := e.waiters
-	s.ftmu.Unlock()
-	if body == nil {
-		status = giop.StatusSystemException
-		body = encodeException(excTransient, 1, s.order)
-	}
-	for _, w := range waiters {
-		w.conn.write(&giop.Reply{RequestID: w.id, Status: status, Body: body})
-	}
-}
-
-// ftEvictLocked bounds the cache: oldest completed entries go first;
-// in-flight entries are never evicted (their waiters must be answered).
-func (s *Server) ftEvictLocked() {
-	for len(s.ftReplies) > s.cfg.FTCacheCap {
-		evicted := false
-		for i, k := range s.ftOrder {
-			if e, ok := s.ftReplies[k]; ok && e.done {
-				delete(s.ftReplies, k)
-				s.ftOrder = append(s.ftOrder[:i], s.ftOrder[i+1:]...)
-				s.reg.Counter("wire.server.ft_evicted").Inc()
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything live is in flight; let it complete
-		}
-	}
+	c.write(&giop.Reply{RequestID: id, Status: status, Body: body})
 }
 
 // refuse sheds an arriving request with TRANSIENT minor 2 — the same
@@ -559,18 +457,8 @@ func (s *Server) refuse(c *serverConn, req *Request, id uint32, lane *serverLane
 	lane.refused.Add(1)
 	s.reg.Counter("wire.server.refused", telemetry.L("lane", lane.label), telemetry.L("reason", why)).Inc()
 	s.publishShed(req, lane, why)
-	body := encodeException(excTransient, 2, s.order)
-	if req.hasFT {
-		// The request never executed; a retry must be allowed to.
-		s.ftAbort(req.ft, giop.StatusSystemException, body)
-	}
-	if !req.Oneway {
-		c.write(&giop.Reply{
-			RequestID: id,
-			Status:    giop.StatusSystemException,
-			Body:      body,
-		})
-	}
+	s.settle(c, req, id, refused, giop.StatusSystemException,
+		giop.EncodeSystemException(giop.ExcTransient, giop.MinorShed, s.order))
 }
 
 // shed drops an already-queued request whose deadline expired before a
@@ -585,30 +473,15 @@ func (s *Server) shed(w laneWork, lane *serverLane) {
 			trace.String("op", w.req.Operation), trace.String("reason", "deadline"))
 		tr.Finish(ctx)
 	}
-	body := encodeException(excTimeout, 1, s.order)
-	if w.req.hasFT {
-		// Shed before execution: clear the in-flight entry so a retry
-		// with more deadline headroom can still run.
-		s.ftAbort(w.req.ft, giop.StatusSystemException, body)
-	}
-	if !w.req.Oneway {
-		w.conn.write(&giop.Reply{
-			RequestID: w.id,
-			Status:    giop.StatusSystemException,
-			Body:      body,
-		})
-	}
+	s.settle(w.conn, w.req, w.id, refused, giop.StatusSystemException,
+		giop.EncodeSystemException(giop.ExcTimeout, 1, s.order))
 }
 
 func (s *Server) publishShed(req *Request, lane *serverLane, why string) {
 	if s.cfg.Bus == nil {
 		return
 	}
-	at := sinceStart()
-	if tr := s.cfg.Tracer; tr != nil {
-		at = tr.Elapsed()
-	}
-	s.cfg.Bus.PublishAt(at, events.KindShed, s.name,
+	s.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindShed, s.name,
 		events.F("lane", lane.label),
 		events.F("op", req.Operation),
 		events.F("reason", why),
@@ -625,14 +498,13 @@ func (s *Server) worker(lane *serverLane) {
 		now := time.Now()
 		queueH.Observe(float64(now.Sub(w.enqueued)) / float64(time.Millisecond))
 		if _, cancelled := w.conn.cancelled.LoadAndDelete(w.id); cancelled {
-			s.reg.Counter("wire.server.cancelled", laneL).Inc()
-			if w.req.hasFT {
-				// Never executed; release the dedup entry (waiters from
-				// other connections get a retryable TRANSIENT).
-				s.ftAbort(w.req.ft, 0, nil)
+			// A replay parked on this request still wants the outcome:
+			// then execute anyway.
+			if !w.req.hasFT || s.ftCache.Cancel(w.req.ft) {
+				s.reg.Counter("wire.server.cancelled", laneL).Inc()
+				s.inflight.Done()
+				continue
 			}
-			s.inflight.Done()
-			continue
 		}
 		if !w.req.Deadline.IsZero() && now.After(w.req.Deadline) {
 			s.shed(w, lane)
@@ -660,14 +532,14 @@ func (s *Server) dispatch(w laneWork, lane *serverLane, execH *telemetry.Histogr
 	var err error
 	h, ok := s.lookup(w.req.Key)
 	if !ok {
-		err = &Exception{ID: excObjectNotExist, Minor: 1}
+		err = &Exception{ID: giop.ExcObjectNotExist, Minor: 1}
 	} else {
 		body, err = h.Dispatch(w.req)
 	}
 
 	elapsed := time.Since(start)
 	execH.ObserveEx(float64(elapsed)/float64(time.Millisecond), telemetry.Exemplar{
-		TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: time.Duration(sinceStart()),
+		TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: sim.Wall.At(start) + elapsed,
 	})
 	outcome := "ok"
 	if err != nil {
@@ -679,28 +551,17 @@ func (s *Server) dispatch(w laneWork, lane *serverLane, execH *telemetry.Histogr
 	lane.served.Add(1)
 	s.reg.Counter("wire.server.dispatched", telemetry.L("lane", lane.label), telemetry.L("outcome", outcome)).Inc()
 
-	if w.req.Oneway {
-		return
-	}
-	rep := &giop.Reply{RequestID: w.id}
+	// The servant ran (or the key resolution failed deterministically):
+	// replays get these exact bytes.
+	status := giop.StatusNoException
 	switch e := err.(type) {
 	case nil:
-		rep.Status = giop.StatusNoException
-		rep.Body = body
 	case *Exception:
-		rep.Status = giop.StatusSystemException
-		rep.Body = encodeException(e.ID, e.Minor, s.order)
+		status, body = giop.StatusSystemException, giop.EncodeSystemException(e.ID, e.Minor, s.order)
 	default:
-		rep.Status = giop.StatusSystemException
-		rep.Body = encodeException(excUnknown, 1, s.order)
+		status, body = giop.StatusSystemException, giop.EncodeSystemException(giop.ExcUnknown, 1, s.order)
 	}
-	if w.req.hasFT {
-		// The servant ran (or the key resolution failed deterministically);
-		// cache the outcome so replays return these exact bytes and flush
-		// any replay that raced the execution.
-		s.ftComplete(w.req.ft, rep.Status, rep.Body)
-	}
-	w.conn.write(rep)
+	s.settle(w.conn, w.req, w.id, executed, status, body)
 }
 
 // Shutdown drains the server gracefully: stop accepting, tell peers to
@@ -771,9 +632,3 @@ func (c *serverConn) write(m giop.Message) {
 func (c *serverConn) close() {
 	c.closeOnce.Do(func() { c.nc.Close() })
 }
-
-// processStart anchors wall-clock bus timestamps for components without
-// a tracer of their own.
-var processStart = time.Now()
-
-func sinceStart() sim.Time { return sim.Time(time.Since(processStart)) }

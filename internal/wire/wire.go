@@ -29,9 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -79,59 +79,24 @@ var (
 	ErrDial = fmt.Errorf("%w: dial failed", ErrUnavailable)
 )
 
-// CORBA system exception repository IDs shared with the simulated ORB's
-// reply encoding (internal/orb uses the identical strings, so a wire
-// reply decodes to the same classified error there).
-const (
-	excObjectNotExist = "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0"
-	excTransient      = "IDL:omg.org/CORBA/TRANSIENT:1.0"
-	excTimeout        = "IDL:omg.org/CORBA/TIMEOUT:1.0"
-	excUnknown        = "IDL:omg.org/CORBA/UNKNOWN:1.0"
-	excBadOperation   = "IDL:omg.org/CORBA/BAD_OPERATION:1.0"
-	excBadParam       = "IDL:omg.org/CORBA/BAD_PARAM:1.0"
-)
-
 // Exception is a CORBA system exception a servant returns explicitly.
-type Exception struct {
-	ID    string
-	Minor uint32
-}
+type Exception = giop.SystemException
 
-func (e *Exception) Error() string {
-	return fmt.Sprintf("wire: system exception %s (minor %d)", e.ID, e.Minor)
-}
-
-// encodeException builds a SystemException reply body: repository id
-// plus minor code, the same CDR shape internal/orb emits and parses.
-func encodeException(id string, minor uint32, order cdr.ByteOrder) []byte {
-	e := cdr.NewEncoder(order)
-	e.PutString(id)
-	e.PutULong(minor)
-	return e.Bytes()
-}
-
-// decodeException classifies a SystemException reply body into the wire
-// error taxonomy, mirroring internal/orb's mapping: TRANSIENT minor >= 2
-// is a deliberate overload shed, TIMEOUT is a server-side deadline shed.
+// decodeException maps a SYSTEM_EXCEPTION reply body onto the wire error
+// sentinels; exceptions without QoS meaning pass through.
 func decodeException(body []byte, order cdr.ByteOrder) error {
-	d := cdr.NewDecoder(body, order)
-	id, err := d.String()
-	if err != nil {
-		return &Exception{ID: excUnknown}
-	}
-	minor, _ := d.ULong()
-	switch id {
-	case excObjectNotExist:
-		return fmt.Errorf("%w (minor %d)", ErrObjectNotExist, minor)
-	case excTransient:
-		if minor >= 2 {
-			return fmt.Errorf("%w (minor %d)", ErrOverload, minor)
-		}
-		return fmt.Errorf("%w (minor %d)", ErrTransient, minor)
-	case excTimeout:
-		return fmt.Errorf("%w (server, minor %d)", ErrDeadlineExpired, minor)
+	se := giop.DecodeSystemException(body, order)
+	switch se.Class() {
+	case giop.ClassNotExist:
+		return fmt.Errorf("%w (minor %d)", ErrObjectNotExist, se.Minor)
+	case giop.ClassOverload:
+		return fmt.Errorf("%w (minor %d)", ErrOverload, se.Minor)
+	case giop.ClassTransient:
+		return fmt.Errorf("%w (minor %d)", ErrTransient, se.Minor)
+	case giop.ClassDeadline:
+		return fmt.Errorf("%w (server, minor %d)", ErrDeadlineExpired, se.Minor)
 	default:
-		return &Exception{ID: id, Minor: minor}
+		return se
 	}
 }
 
@@ -156,34 +121,28 @@ var frameBufs = sync.Pool{
 func getFrameBuf() *[]byte  { return frameBufs.Get().(*[]byte) }
 func putFrameBuf(b *[]byte) { frameBufs.Put(b) }
 
-// Tracer is the wire plane's span source: a trace.Tracer on the wall
-// clock (durations since construction), guarded by a mutex so the
-// plane's real goroutines — connection readers, lane workers, caller
-// threads — can share it. The underlying tracer type is the simulation
-// one, so collected spans render, decompose and export through the
-// exact same machinery (RenderTree, CriticalPath, JSONL).
+// Tracer is the wire plane's span source: a trace.Tracer on the process
+// clock (sim.Wall), guarded by a mutex so the plane's real goroutines —
+// connection readers, lane workers, caller threads — can share it. The
+// underlying tracer type is the simulation one, so collected spans
+// render, decompose and export through the exact same machinery
+// (RenderTree, CriticalPath, JSONL).
 //
 // Spans are only ever handed out as SpanContexts; every mutation goes
 // through these methods, which is what makes the lock discipline
 // airtight (satisfying the audit of trace sinks reached from wire
 // goroutines — the raw Tracer documents itself as single-goroutine).
 type Tracer struct {
-	mu   sync.Mutex
-	tr   *trace.Tracer
-	base time.Time
+	mu sync.Mutex
+	tr *trace.Tracer
 }
 
-// NewTracer creates a wall-clock tracer with an attached collector.
+// NewTracer creates a tracer on sim.Wall with an attached collector. Its
+// spans share a time base with everything else the process stamps from
+// that clock: bus records, sampler windows, exemplars.
 func NewTracer() *Tracer {
-	t := &Tracer{base: time.Now()}
-	t.tr = trace.NewTracerWithClock(func() sim.Time { return sim.Time(time.Since(t.base)) })
-	return t
+	return &Tracer{tr: trace.NewTracer(sim.Wall)}
 }
-
-// Elapsed returns the tracer's clock reading (time since construction),
-// the timestamp domain of its spans and of events-bus records the plane
-// publishes.
-func (t *Tracer) Elapsed() sim.Time { return sim.Time(time.Since(t.base)) }
 
 // StartRoot begins a root span and returns its portable context.
 func (t *Tracer) StartRoot(name string, attrs ...trace.Attr) trace.SpanContext {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/giop"
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
 )
@@ -139,6 +140,24 @@ func TestTracerSpans(t *testing.T) {
 	if dispatch.TraceID != invoke.TraceID || dispatch.Parent != invoke.ID {
 		t.Errorf("dispatch (trace %d parent %d) not a child of invoke (trace %d span %d)",
 			dispatch.TraceID, dispatch.Parent, invoke.TraceID, invoke.ID)
+	}
+
+	// Exemplars point at their span and are stamped on the span's clock:
+	// the observation instant lies inside the span it names.
+	for _, tc := range []struct {
+		hist *telemetry.Histogram
+		span *trace.Span
+	}{
+		{cli.Registry().Histogram("wire.client.rtt_ms", telemetry.L("band", "0")), invoke},
+		{srv.Registry().Histogram("wire.server.exec_ms", telemetry.L("lane", "0")), dispatch},
+	} {
+		ex, ok := tc.hist.Exemplar()
+		if !ok || ex.SpanID != uint64(tc.span.ID) {
+			t.Fatalf("%s: exemplar %+v (found %v) does not name span %d", tc.span.Name, ex, ok, tc.span.ID)
+		}
+		if ex.At < tc.span.Start || ex.At > tc.span.End {
+			t.Errorf("%s: exemplar At = %v, outside its span [%v, %v]", tc.span.Name, ex.At, tc.span.Start, tc.span.End)
+		}
 	}
 }
 
@@ -365,7 +384,7 @@ func TestBreakerOpensOnDialFailure(t *testing.T) {
 func TestErrorMapping(t *testing.T) {
 	srv, cli := loopback(t, ServerConfig{}, ClientConfig{Breaker: breaker.Config{Threshold: 100}})
 	srv.Register("app/overload", HandlerFunc(func(req *Request) ([]byte, error) {
-		return nil, &Exception{ID: excTransient, Minor: 2}
+		return nil, &Exception{ID: giop.ExcTransient, Minor: 2}
 	}))
 	srv.Register("app/boom", HandlerFunc(func(req *Request) ([]byte, error) {
 		return nil, errors.New("servant blew up")
@@ -378,7 +397,7 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("TRANSIENT minor 2: err = %v, want ErrOverload", err)
 	}
 	var exc *Exception
-	if _, err := cli.Invoke("app/boom", "op", nil, CallOptions{}); !errors.As(err, &exc) || exc.ID != excUnknown {
+	if _, err := cli.Invoke("app/boom", "op", nil, CallOptions{}); !errors.As(err, &exc) || exc.ID != giop.ExcUnknown {
 		t.Errorf("generic error: err = %v, want UNKNOWN exception", err)
 	}
 }
