@@ -51,11 +51,16 @@ var (
 	ErrInvalid = errors.New("cdr: invalid encoding")
 )
 
-// Encoder builds a CDR stream. The zero value encodes big-endian from
-// offset 0; use NewEncoder to choose byte order.
+// Encoder builds a CDR stream by appending to a byte slice. The zero
+// value encodes big-endian into a fresh buffer; NewEncoder chooses the
+// byte order, AppendEncoder also the destination. Alignment is measured
+// from the stream's origin — where the encoder started appending — not
+// from the start of the slice, so a stream appended behind other bytes
+// is laid out as it would be alone.
 type Encoder struct {
-	buf   []byte
-	order ByteOrder
+	buf    []byte
+	origin int
+	order  ByteOrder
 }
 
 // NewEncoder returns an encoder using the given byte order.
@@ -63,24 +68,55 @@ func NewEncoder(order ByteOrder) *Encoder {
 	return &Encoder{order: order}
 }
 
-// Bytes returns the encoded stream.
+// AppendEncoder returns an encoder whose stream starts at the end of
+// dst: Bytes returns dst's bytes followed by the stream. Passing a
+// reused buffer's buf[:0] with enough capacity makes encoding
+// allocation-free; the encoder never reads dst's spare capacity, so it
+// may hold stale bytes.
+func AppendEncoder(dst []byte, order ByteOrder) Encoder {
+	return Encoder{buf: dst, origin: len(dst), order: order}
+}
+
+// Bytes returns the destination slice with everything encoded so far.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
+// Len returns the length of Bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
 // Order returns the encoder's byte order.
 func (e *Encoder) Order() ByteOrder { return e.order }
 
-// align pads with zero bytes to an n-byte boundary.
-func (e *Encoder) align(n int) {
-	for len(e.buf)%n != 0 {
-		e.buf = append(e.buf, 0)
+// Grow makes room for n more bytes, so that the puts that follow
+// append without reallocating.
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
 	}
+}
+
+// SetOrigin moves the alignment origin to offset at of Bytes and returns
+// the previous origin. A CDR encapsulation (GIOP service-context data)
+// aligns from its own first byte: set the origin to Len before writing
+// one in place and restore it afterwards.
+func (e *Encoder) SetOrigin(at int) (prev int) {
+	prev, e.origin = e.origin, at
+	return prev
+}
+
+var padding [8]byte
+
+// Align pads with zero bytes to an n-byte boundary of the stream; n is
+// a power of two no larger than 8.
+func (e *Encoder) Align(n int) {
+	e.buf = append(e.buf, padding[:-(len(e.buf)-e.origin)&(n-1)]...)
 }
 
 // PutOctet appends one raw byte.
 func (e *Encoder) PutOctet(v byte) { e.buf = append(e.buf, v) }
+
+// PutOctets appends raw bytes with no length prefix — an already
+// encoded stream, such as a GIOP message body.
+func (e *Encoder) PutOctets(b []byte) { e.buf = append(e.buf, b...) }
 
 // PutBool appends a boolean as one octet (0 or 1).
 func (e *Encoder) PutBool(v bool) {
@@ -96,10 +132,12 @@ func (e *Encoder) PutShort(v int16) { e.PutUShort(uint16(v)) }
 
 // PutUShort appends a 16-bit unsigned integer.
 func (e *Encoder) PutUShort(v uint16) {
-	e.align(2)
-	var b [2]byte
-	e.order.order().PutUint16(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.Align(2)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint16(e.buf, v)
+	}
 }
 
 // PutLong appends a 32-bit signed integer (CORBA "long").
@@ -107,10 +145,12 @@ func (e *Encoder) PutLong(v int32) { e.PutULong(uint32(v)) }
 
 // PutULong appends a 32-bit unsigned integer.
 func (e *Encoder) PutULong(v uint32) {
-	e.align(4)
-	var b [4]byte
-	e.order.order().PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.Align(4)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+	}
 }
 
 // PutLongLong appends a 64-bit signed integer.
@@ -118,10 +158,12 @@ func (e *Encoder) PutLongLong(v int64) { e.PutULongLong(uint64(v)) }
 
 // PutULongLong appends a 64-bit unsigned integer.
 func (e *Encoder) PutULongLong(v uint64) {
-	e.align(8)
-	var b [8]byte
-	e.order.order().PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.Align(8)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+	}
 }
 
 // PutFloat appends a 32-bit IEEE float.
@@ -147,10 +189,10 @@ func (e *Encoder) PutOctetSeq(b []byte) {
 // PutEncapsulation appends an encapsulated CDR stream: an octet sequence
 // whose first byte is the inner byte order.
 func (e *Encoder) PutEncapsulation(inner *Encoder) {
-	body := make([]byte, 0, inner.Len()+1)
-	body = append(body, byte(inner.order))
-	body = append(body, inner.Bytes()...)
-	e.PutOctetSeq(body)
+	stream := inner.buf[inner.origin:]
+	e.PutULong(uint32(len(stream) + 1))
+	e.PutOctet(byte(inner.order))
+	e.PutOctets(stream)
 }
 
 // Decoder parses a CDR stream. Alignment is tracked from the start of
@@ -172,10 +214,17 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 // Pos returns the read cursor.
 func (d *Decoder) Pos() int { return d.pos }
 
-func (d *Decoder) align(n int) {
-	for d.pos%n != 0 {
-		d.pos++
+// align advances to an n-byte boundary; n is a power of two.
+func (d *Decoder) align(n int) { d.pos = (d.pos + n - 1) &^ (n - 1) }
+
+// Skip advances past n bytes without decoding them — a header the
+// caller has already parsed, whose bytes still count for alignment.
+func (d *Decoder) Skip(n int) error {
+	if err := d.need(n); err != nil {
+		return err
 	}
+	d.pos += n
+	return nil
 }
 
 func (d *Decoder) need(n int) error {
@@ -223,9 +272,12 @@ func (d *Decoder) UShort() (uint16, error) {
 	if err := d.need(2); err != nil {
 		return 0, err
 	}
-	v := d.order.order().Uint16(d.buf[d.pos:])
+	b := d.buf[d.pos:]
 	d.pos += 2
-	return v, nil
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint16(b), nil
+	}
+	return binary.BigEndian.Uint16(b), nil
 }
 
 // Long reads a 32-bit signed integer.
@@ -240,9 +292,12 @@ func (d *Decoder) ULong() (uint32, error) {
 	if err := d.need(4); err != nil {
 		return 0, err
 	}
-	v := d.order.order().Uint32(d.buf[d.pos:])
+	b := d.buf[d.pos:]
 	d.pos += 4
-	return v, nil
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint32(b), nil
+	}
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // LongLong reads a 64-bit signed integer.
@@ -257,9 +312,12 @@ func (d *Decoder) ULongLong() (uint64, error) {
 	if err := d.need(8); err != nil {
 		return 0, err
 	}
-	v := d.order.order().Uint64(d.buf[d.pos:])
+	b := d.buf[d.pos:]
 	d.pos += 8
-	return v, nil
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint64(b), nil
+	}
+	return binary.BigEndian.Uint64(b), nil
 }
 
 // Float reads a 32-bit IEEE float.
@@ -296,6 +354,18 @@ func (d *Decoder) String() (string, error) {
 
 // OctetSeq reads a sequence<octet>. The returned slice is a copy.
 func (d *Decoder) OctetSeq() ([]byte, error) {
+	view, err := d.OctetSeqView()
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(view)), view...), nil
+}
+
+// OctetSeqView reads a sequence<octet> without copying it: the returned
+// slice aliases the decoder's buffer (capacity clipped, so an append
+// reallocates instead of writing into the bytes that follow). It is
+// valid for as long as the buffer is, and must not be written to.
+func (d *Decoder) OctetSeqView() ([]byte, error) {
 	n, err := d.ULong()
 	if err != nil {
 		return nil, err
@@ -303,16 +373,17 @@ func (d *Decoder) OctetSeq() ([]byte, error) {
 	if err := d.need(int(n)); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.pos:d.pos+int(n)])
-	d.pos += int(n)
-	return out, nil
+	end := d.pos + int(n)
+	view := d.buf[d.pos:end:end]
+	d.pos = end
+	return view, nil
 }
 
 // Encapsulation reads an encapsulated stream and returns a decoder over
-// its contents using the byte order tagged in its first octet.
+// its contents (in place, not a copy) using the byte order tagged in its
+// first octet.
 func (d *Decoder) Encapsulation() (*Decoder, error) {
-	body, err := d.OctetSeq()
+	body, err := d.OctetSeqView()
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func (e *SystemException) Error() string {
 // EncodeSystemException builds a SYSTEM_EXCEPTION reply body: repository
 // id plus minor code.
 func EncodeSystemException(id string, minor uint32, order cdr.ByteOrder) []byte {
-	e := cdr.NewEncoder(order)
+	e := cdr.AppendEncoder(make([]byte, 0, alignUp(4+len(id)+1, 4)+4), order)
 	e.PutString(id)
 	e.PutULong(minor)
 	return e.Bytes()

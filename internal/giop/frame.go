@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/cdr"
 )
 
 // DefaultMaxMessage is the default cap on one GIOP message's declared
@@ -34,9 +36,13 @@ var ErrTooLarge = errors.New("giop: message exceeds size cap")
 // ReadFrame reads one complete GIOP message (header plus body) from r.
 // The header is validated (magic, version) and the declared body size
 // checked against max (0 selects DefaultMaxMessage) before the body is
-// read or any body-sized buffer allocated. scratch, when non-nil, is
-// reused as the destination if it has the capacity — the wire plane
-// passes sync.Pool buffers here so steady-state reads allocate nothing.
+// read or any body-sized buffer allocated. scratch, when it has the
+// capacity, is the destination, and a caller that reuses it reads
+// without allocating. With room for the header only, scratch saves the
+// header's allocation and the frame is allocated once, at its exact
+// size — what a reader that hands each frame to Decode wants, since the
+// decoded message aliases its frame; only a frame of HeaderSize bytes
+// (no body, nothing to alias) is then returned in scratch itself.
 //
 // A clean end of stream before any header byte returns io.EOF
 // unwrapped, so callers can distinguish an orderly close from a
@@ -45,8 +51,14 @@ func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
 	if max == 0 {
 		max = DefaultMaxMessage
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read where it will stay: a local array would escape
+	// to the heap through r.
+	buf := scratch
+	if cap(buf) < HeaderSize {
+		buf = make([]byte, HeaderSize)
+	}
+	hdr := buf[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -58,25 +70,22 @@ func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
 	if hdr[4] != VersionMajor || hdr[5] != VersionMinor {
 		return nil, fmt.Errorf("%w: %d.%d", ErrBadVersion, hdr[4], hdr[5])
 	}
-	var size uint32
-	if hdr[6]&1 == 1 {
-		size = uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24
-	} else {
-		size = uint32(hdr[11]) | uint32(hdr[10])<<8 | uint32(hdr[9])<<16 | uint32(hdr[8])<<24
-	}
+	size := headerOrder(hdr).Order().Uint32(hdr[8:12])
 	if size > max {
 		return nil, fmt.Errorf("%w: declared %d bytes, cap %d", ErrTooLarge, size, max)
 	}
 	total := HeaderSize + int(size)
-	buf := scratch
 	if cap(buf) < total {
 		buf = make([]byte, total)
+		copy(buf, hdr)
 	} else {
 		buf = buf[:total]
 	}
-	copy(buf, hdr[:])
 	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated body (%d declared): %v", ErrBadMessage, size, err)
 	}
 	return buf, nil
 }
+
+// headerOrder returns the byte order a message header's flags declare.
+func headerOrder(hdr []byte) cdr.ByteOrder { return cdr.ByteOrder(hdr[6] & 1) }

@@ -144,6 +144,38 @@ func TestReadFrameScratchReuse(t *testing.T) {
 	}
 }
 
+// TestReadFrameHeaderScratch pins what the wire read loops rely on: with
+// a header-sized scratch a frame costs one allocation, of exactly its
+// size, in storage of its own (so the message decoded from it may keep
+// it while the scratch reads the next header); with a frame-sized
+// scratch it costs none.
+func TestReadFrameHeaderScratch(t *testing.T) {
+	wire := validRequest(cdr.LittleEndian)
+	rd := bytes.NewReader(wire)
+	var r io.Reader = rd
+	hdr := make([]byte, HeaderSize)
+	var got []byte
+	read := func(scratch []byte) func() {
+		return func() {
+			rd.Reset(wire)
+			var err error
+			if got, err = ReadFrame(r, 0, scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, read(hdr)); n != 1 {
+		t.Errorf("ReadFrame with a header-sized scratch: %v allocs, want 1", n)
+	}
+	if !bytes.Equal(got, wire) || cap(got) != len(wire) || &got[0] == &hdr[0] {
+		t.Errorf("frame: %d bytes in a buffer of %d (shares the scratch: %v), want its own %d",
+			len(got), cap(got), &got[0] == &hdr[0], len(wire))
+	}
+	if n := testing.AllocsPerRun(100, read(make([]byte, 0, len(wire)))); n != 0 {
+		t.Errorf("ReadFrame with a frame-sized scratch: %v allocs, want 0", n)
+	}
+}
+
 // TestReadFrameBigEndianSize reads the declared size honouring the
 // header's byte-order flag, which the sim ORB can set either way.
 func TestReadFrameBigEndianSize(t *testing.T) {

@@ -1,9 +1,11 @@
 package giop
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/cdr"
@@ -117,10 +119,14 @@ func frameSeeds() [][]byte {
 	return [][]byte{wire, truncated, oversized, justOver, lying, wire[:1], wire[:HeaderSize]}
 }
 
-// FuzzDecode asserts the GIOP decoder never panics and that successful
-// decodes re-marshal to a message of the same type — the invariant the
-// corrupted-link scenarios rely on (corruption yields MessageError
-// handling, never a crash).
+// FuzzDecode asserts the GIOP decoder never panics and that every frame
+// it accepts re-marshals to a frame that is itself: the re-marshalled
+// bytes decode to an equal message and marshal — through AppendTo into a
+// buffer of stale bytes — to the same bytes again. (The input itself
+// need not be that frame: Decode accepts what Marshal never writes, such
+// as nonzero padding, other response flags, bytes behind a fixed-size
+// message.) Corruption yields MessageError handling, never a crash, and
+// the in-place decode reads nothing it then encodes differently.
 func FuzzDecode(f *testing.F) {
 	for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
 		f.Add(validRequest(order))
@@ -160,6 +166,17 @@ func FuzzDecode(f *testing.F) {
 		out := msg.Marshal(order)
 		if MsgType(out[7]) != msg.Type() {
 			t.Fatalf("re-marshal type %v != decoded type %v", MsgType(out[7]), msg.Type())
+		}
+		again, err := Decode(out)
+		if err != nil {
+			t.Fatalf("re-marshalled frame rejected: %v\n%x", err, out)
+		}
+		if !reflect.DeepEqual(again, msg) {
+			t.Fatalf("re-marshalled frame decodes to %#v, was %#v", again, msg)
+		}
+		dirty := bytes.Repeat([]byte{0xFF}, len(out)+8)
+		if fixed := again.AppendTo(dirty[:0], order); !bytes.Equal(fixed, out) {
+			t.Fatalf("re-marshalled frame does not re-marshal to itself\n got %x\nwant %x", fixed, out)
 		}
 	})
 }

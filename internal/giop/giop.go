@@ -139,7 +139,15 @@ var (
 // Message is any decoded GIOP message.
 type Message interface {
 	Type() MsgType
-	// Marshal produces the complete wire message in the given order.
+	// AppendTo appends the complete wire message in the given order to
+	// dst and returns the extended slice. The message is laid out as if
+	// it stood alone (alignment counts from its own first byte), dst is
+	// grown at most once, to the message's exact size, and the body is
+	// copied in one piece; into a buffer with room it allocates nothing.
+	// Bytes already in dst's spare capacity are overwritten, never read.
+	AppendTo(dst []byte, order cdr.ByteOrder) []byte
+	// Marshal is AppendTo(nil, order): the message in a slice of its own,
+	// of exactly its size.
 	Marshal(order cdr.ByteOrder) []byte
 }
 
@@ -158,8 +166,29 @@ type Request struct {
 func (r *Request) Type() MsgType { return MsgRequest }
 
 // Marshal implements Message.
-func (r *Request) Marshal(order cdr.ByteOrder) []byte {
-	e := newHeader(order, MsgRequest)
+func (r *Request) Marshal(order cdr.ByteOrder) []byte { return r.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (r *Request) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	return r.AppendQoS(dst, order, nil)
+}
+
+// AppendQoS is AppendTo with the contexts of q (when non-nil) encoded
+// straight into the message ahead of r.ServiceContexts, in the order
+// the wire client has always sent them: priority, timestamp, deadline,
+// trace, FT. The bytes equal those of a request whose ServiceContexts
+// start with PriorityContext, TimestampContext, DeadlineContext,
+// TraceContext and FTRequestContext values for the fields q has.
+func (r *Request) AppendQoS(dst []byte, order cdr.ByteOrder, q *RequestQoS) []byte {
+	// Header, request id, response flags + reserved[3], addressing
+	// disposition; then the two length-prefixed fields.
+	n := HeaderSize + 4 + 4 + 2
+	n = alignUp(n, 4) + 4 + len(r.ObjectKey)
+	n = alignUp(n, 4) + 4 + len(r.Operation) + 1
+	nq, n := q.layout(alignUp(n, 4) + 4)
+	n = bodyEnd(contextsEnd(n, r.ServiceContexts), r.Body)
+
+	e := newHeader(dst, n, order, MsgRequest)
 	e.PutULong(r.RequestID)
 	if r.ResponseExpected {
 		e.PutOctet(0x03) // SyncScope: with target
@@ -172,9 +201,11 @@ func (r *Request) Marshal(order cdr.ByteOrder) []byte {
 	e.PutShort(0) // addressing disposition: KeyAddr
 	e.PutOctetSeq(r.ObjectKey)
 	e.PutString(r.Operation)
-	putContexts(e, r.ServiceContexts)
-	putBody(e, r.Body)
-	return finish(e, order)
+	e.PutULong(uint32(nq + len(r.ServiceContexts)))
+	q.put(&e)
+	putContexts(&e, r.ServiceContexts)
+	putBody(&e, r.Body)
+	return finish(&e, len(dst))
 }
 
 // Reply is a GIOP 1.2 Reply message.
@@ -189,13 +220,20 @@ type Reply struct {
 func (r *Reply) Type() MsgType { return MsgReply }
 
 // Marshal implements Message.
-func (r *Reply) Marshal(order cdr.ByteOrder) []byte {
-	e := newHeader(order, MsgReply)
+func (r *Reply) Marshal(order cdr.ByteOrder) []byte { return r.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (r *Reply) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	n := HeaderSize + 4 + 4 + 4 // request id, status, context count
+	n = bodyEnd(contextsEnd(n, r.ServiceContexts), r.Body)
+
+	e := newHeader(dst, n, order, MsgReply)
 	e.PutULong(r.RequestID)
 	e.PutULong(uint32(r.Status))
-	putContexts(e, r.ServiceContexts)
-	putBody(e, r.Body)
-	return finish(e, order)
+	e.PutULong(uint32(len(r.ServiceContexts)))
+	putContexts(&e, r.ServiceContexts)
+	putBody(&e, r.Body)
+	return finish(&e, len(dst))
 }
 
 // LocateStatus is the LocateReply status.
@@ -232,12 +270,15 @@ type LocateRequest struct {
 func (l *LocateRequest) Type() MsgType { return MsgLocateRequest }
 
 // Marshal implements Message.
-func (l *LocateRequest) Marshal(order cdr.ByteOrder) []byte {
-	e := newHeader(order, MsgLocateRequest)
+func (l *LocateRequest) Marshal(order cdr.ByteOrder) []byte { return l.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (l *LocateRequest) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	e := newHeader(dst, HeaderSize+4+4+4+len(l.ObjectKey), order, MsgLocateRequest)
 	e.PutULong(l.RequestID)
 	e.PutShort(0) // KeyAddr
 	e.PutOctetSeq(l.ObjectKey)
-	return finish(e, order)
+	return finish(&e, len(dst))
 }
 
 // LocateReply answers a LocateRequest.
@@ -250,11 +291,14 @@ type LocateReply struct {
 func (l *LocateReply) Type() MsgType { return MsgLocateReply }
 
 // Marshal implements Message.
-func (l *LocateReply) Marshal(order cdr.ByteOrder) []byte {
-	e := newHeader(order, MsgLocateReply)
+func (l *LocateReply) Marshal(order cdr.ByteOrder) []byte { return l.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (l *LocateReply) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	e := newHeader(dst, HeaderSize+4+4, order, MsgLocateReply)
 	e.PutULong(l.RequestID)
 	e.PutULong(uint32(l.Status))
-	return finish(e, order)
+	return finish(&e, len(dst))
 }
 
 // CancelRequest asks the server to abandon a pending request.
@@ -266,10 +310,13 @@ type CancelRequest struct {
 func (c *CancelRequest) Type() MsgType { return MsgCancelRequest }
 
 // Marshal implements Message.
-func (c *CancelRequest) Marshal(order cdr.ByteOrder) []byte {
-	e := newHeader(order, MsgCancelRequest)
+func (c *CancelRequest) Marshal(order cdr.ByteOrder) []byte { return c.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (c *CancelRequest) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	e := newHeader(dst, HeaderSize+4, order, MsgCancelRequest)
 	e.PutULong(c.RequestID)
-	return finish(e, order)
+	return finish(&e, len(dst))
 }
 
 // CloseConnection is the orderly shutdown message.
@@ -279,8 +326,12 @@ type CloseConnection struct{}
 func (*CloseConnection) Type() MsgType { return MsgCloseConnection }
 
 // Marshal implements Message.
-func (*CloseConnection) Marshal(order cdr.ByteOrder) []byte {
-	return finish(newHeader(order, MsgCloseConnection), order)
+func (c *CloseConnection) Marshal(order cdr.ByteOrder) []byte { return c.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (*CloseConnection) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	e := newHeader(dst, HeaderSize, order, MsgCloseConnection)
+	return finish(&e, len(dst))
 }
 
 // MessageError reports a protocol error to the peer.
@@ -290,18 +341,41 @@ type MessageError struct{}
 func (*MessageError) Type() MsgType { return MsgMessageError }
 
 // Marshal implements Message.
-func (*MessageError) Marshal(order cdr.ByteOrder) []byte {
-	return finish(newHeader(order, MsgMessageError), order)
+func (m *MessageError) Marshal(order cdr.ByteOrder) []byte { return m.AppendTo(nil, order) }
+
+// AppendTo implements Message.
+func (*MessageError) AppendTo(dst []byte, order cdr.ByteOrder) []byte {
+	e := newHeader(dst, HeaderSize, order, MsgMessageError)
+	return finish(&e, len(dst))
 }
 
-// newHeader starts an encoder with a GIOP header whose size field is
-// patched by finish.
-func newHeader(order cdr.ByteOrder, t MsgType) *cdr.Encoder {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(magic[0])
-	e.PutOctet(magic[1])
-	e.PutOctet(magic[2])
-	e.PutOctet(magic[3])
+// alignUp rounds n up to a multiple of a, a power of two.
+func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
+
+// contextsEnd and bodyEnd compute a message's size ahead of encoding it:
+// given the offset the encoder has reached, the offset it will reach
+// after putContexts (the count already written) or putBody.
+func contextsEnd(n int, ctxs []ServiceContext) int {
+	for i := range ctxs {
+		n = alignUp(n, 4) + 4 + 4 + len(ctxs[i].Data)
+	}
+	return n
+}
+
+func bodyEnd(n int, body []byte) int {
+	if len(body) == 0 {
+		return n
+	}
+	return alignUp(n, 8) + len(body)
+}
+
+// newHeader starts a message of size bytes (header included) at the end
+// of dst, growing dst once if it lacks the room. finish fills in the
+// header's size field.
+func newHeader(dst []byte, size int, order cdr.ByteOrder, t MsgType) cdr.Encoder {
+	e := cdr.AppendEncoder(dst, order)
+	e.Grow(size)
+	e.PutOctets(magic[:])
 	e.PutOctet(VersionMajor)
 	e.PutOctet(VersionMinor)
 	if order == cdr.LittleEndian {
@@ -314,11 +388,11 @@ func newHeader(order cdr.ByteOrder, t MsgType) *cdr.Encoder {
 	return e
 }
 
+// putContexts appends service contexts; the caller has written the count.
 func putContexts(e *cdr.Encoder, ctxs []ServiceContext) {
-	e.PutULong(uint32(len(ctxs)))
-	for _, c := range ctxs {
-		e.PutULong(c.ID)
-		e.PutOctetSeq(c.Data)
+	for i := range ctxs {
+		e.PutULong(ctxs[i].ID)
+		e.PutOctetSeq(ctxs[i].Data)
 	}
 }
 
@@ -328,23 +402,24 @@ func putBody(e *cdr.Encoder, body []byte) {
 	if len(body) == 0 {
 		return
 	}
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	for _, b := range body {
-		e.PutOctet(b)
-	}
+	e.Align(8)
+	e.PutOctets(body)
 }
 
-// finish patches the message-size field (bytes following the header).
-func finish(e *cdr.Encoder, order cdr.ByteOrder) []byte {
+// finish patches the size field (bytes following the header) of the
+// message that starts at offset start of the encoder's buffer.
+func finish(e *cdr.Encoder, start int) []byte {
 	buf := e.Bytes()
-	size := uint32(len(buf) - HeaderSize)
-	order.Order().PutUint32(buf[8:12], size)
+	size := uint32(len(buf) - start - HeaderSize)
+	e.Order().Order().PutUint32(buf[start+8:start+12], size)
 	return buf
 }
 
-// Decode parses one complete GIOP message.
+// Decode parses one complete GIOP message in place: a Request's or
+// Reply's Body, object keys and service-context Data are views of buf,
+// not copies (strings are copies). The message therefore owns buf from
+// here on — the caller must not write to buf or read another frame into
+// it while the message, or anything taken from it, is in use.
 func Decode(buf []byte) (Message, error) {
 	if len(buf) < HeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadMessage, len(buf))
@@ -355,10 +430,7 @@ func Decode(buf []byte) (Message, error) {
 	if buf[4] != VersionMajor || buf[5] != VersionMinor {
 		return nil, fmt.Errorf("%w: %d.%d", ErrBadVersion, buf[4], buf[5])
 	}
-	order := cdr.BigEndian
-	if buf[6]&1 == 1 {
-		order = cdr.LittleEndian
-	}
+	order := headerOrder(buf)
 	t := MsgType(buf[7])
 	size := order.Order().Uint32(buf[8:12])
 	if int(size) != len(buf)-HeaderSize {
@@ -366,11 +438,7 @@ func Decode(buf []byte) (Message, error) {
 	}
 	// Decode with header bytes in place so alignment matches encoding.
 	d := cdr.NewDecoder(buf, order)
-	for i := 0; i < HeaderSize; i++ {
-		if _, err := d.Octet(); err != nil {
-			return nil, err
-		}
-	}
+	_ = d.Skip(HeaderSize) // cannot fail: len(buf) >= HeaderSize
 	switch t {
 	case MsgRequest:
 		return decodeRequest(d, buf)
@@ -392,7 +460,7 @@ func Decode(buf []byte) (Message, error) {
 		if err != nil || disp != 0 {
 			return nil, fmt.Errorf("%w: locate disposition %d (%v)", ErrBadMessage, disp, err)
 		}
-		if lr.ObjectKey, err = d.OctetSeq(); err != nil {
+		if lr.ObjectKey, err = d.OctetSeqView(); err != nil {
 			return nil, fmt.Errorf("%w: locate key: %v", ErrBadMessage, err)
 		}
 		return lr, nil
@@ -428,16 +496,14 @@ func decodeRequest(d *cdr.Decoder, buf []byte) (*Request, error) {
 		return nil, fmt.Errorf("%w: response flags: %v", ErrBadMessage, err)
 	}
 	r.ResponseExpected = flags != 0
-	for i := 0; i < 3; i++ {
-		if _, err := d.Octet(); err != nil {
-			return nil, fmt.Errorf("%w: reserved: %v", ErrBadMessage, err)
-		}
+	if err := d.Skip(3); err != nil {
+		return nil, fmt.Errorf("%w: reserved: %v", ErrBadMessage, err)
 	}
 	disp, err := d.Short()
 	if err != nil || disp != 0 {
 		return nil, fmt.Errorf("%w: addressing disposition %d (%v)", ErrBadMessage, disp, err)
 	}
-	if r.ObjectKey, err = d.OctetSeq(); err != nil {
+	if r.ObjectKey, err = d.OctetSeqView(); err != nil {
 		return nil, fmt.Errorf("%w: object key: %v", ErrBadMessage, err)
 	}
 	if r.Operation, err = d.String(); err != nil {
@@ -485,7 +551,7 @@ func getContexts(d *cdr.Decoder) ([]ServiceContext, error) {
 		if c.ID, err = d.ULong(); err != nil {
 			return nil, fmt.Errorf("%w: context id: %v", ErrBadMessage, err)
 		}
-		if c.Data, err = d.OctetSeq(); err != nil {
+		if c.Data, err = d.OctetSeqView(); err != nil {
 			return nil, fmt.Errorf("%w: context data: %v", ErrBadMessage, err)
 		}
 		out = append(out, c)
@@ -493,18 +559,13 @@ func getContexts(d *cdr.Decoder) ([]ServiceContext, error) {
 	return out, nil
 }
 
-// extractBody returns the 8-aligned remainder of the message.
+// extractBody returns the 8-aligned remainder of the message, in place.
 func extractBody(d *cdr.Decoder, buf []byte) []byte {
-	pos := d.Pos()
-	for pos%8 != 0 {
-		pos++
-	}
+	pos := alignUp(d.Pos(), 8)
 	if pos >= len(buf) {
 		return nil
 	}
-	body := make([]byte, len(buf)-pos)
-	copy(body, buf[pos:])
-	return body
+	return buf[pos:]
 }
 
 // FindContext returns the first service context with the given id.
@@ -520,9 +581,8 @@ func FindContext(ctxs []ServiceContext, id uint32) ([]byte, bool) {
 // PriorityContext builds the RTCorbaPriority service context for a CORBA
 // priority value.
 func PriorityContext(priority int16, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(byte(order))
-	e.PutShort(priority)
+	e := cdr.AppendEncoder(make([]byte, 0, priorityDataLen), order)
+	putPriorityData(&e, priority)
 	return ServiceContext{ID: ServiceRTCorbaPriority, Data: e.Bytes()}
 }
 
@@ -545,27 +605,16 @@ func ParsePriorityContext(data []byte) (int16, error) {
 
 // TimestampContext builds the invocation-timestamp service context.
 func TimestampContext(nanos int64, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(byte(order))
-	// Align manually: the octet order prefix is followed by pad to 8.
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	e.PutLongLong(nanos)
+	e := cdr.AppendEncoder(make([]byte, 0, instantDataLen), order)
+	putInstantData(&e, nanos)
 	return ServiceContext{ID: ServiceInvocationTimestamp, Data: e.Bytes()}
 }
 
 // TraceContext builds the trace-propagation service context: the CDR
 // encoding of an (order octet, pad, trace id, span id) record.
 func TraceContext(traceID, spanID uint64, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(byte(order))
-	// Align the two ULongLongs to 8, as TimestampContext does.
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	e.PutULongLong(traceID)
-	e.PutULongLong(spanID)
+	e := cdr.AppendEncoder(make([]byte, 0, traceDataLen), order)
+	putTraceData(&e, traceID, spanID)
 	return ServiceContext{ID: ServiceTraceContext, Data: e.Bytes()}
 }
 
@@ -594,15 +643,8 @@ func ParseTraceContext(data []byte) (traceID, spanID uint64, err error) {
 // of the same logical request (against the same or another group
 // member) carry the identical context.
 func FTRequestContext(group, client uint64, retention uint32, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(byte(order))
-	// Align the ULongLongs to 8, as the other 64-bit contexts do.
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	e.PutULongLong(group)
-	e.PutULongLong(client)
-	e.PutULong(retention)
+	e := cdr.AppendEncoder(make([]byte, 0, ftDataLen), order)
+	putFTData(&e, FTKey{Group: group, Client: client, Retention: retention})
 	return ServiceContext{ID: ServiceFTRequest, Data: e.Bytes()}
 }
 
@@ -632,13 +674,8 @@ func ParseFTRequestContext(data []byte) (group, client uint64, retention uint32,
 // DeadlineContext builds the end-to-end deadline service context: the
 // absolute expiry instant in simulation-clock nanoseconds.
 func DeadlineContext(expiry int64, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
-	e.PutOctet(byte(order))
-	// Align the LongLong to 8, as the other 64-bit contexts do.
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	e.PutLongLong(expiry)
+	e := cdr.AppendEncoder(make([]byte, 0, instantDataLen), order)
+	putInstantData(&e, expiry)
 	return ServiceContext{ID: ServiceDeadline, Data: e.Bytes()}
 }
 
@@ -665,13 +702,11 @@ func ParseDeadlineContext(data []byte) (int64, error) {
 // Published is the event's publication instant in the channel clock's
 // nanoseconds; Key is the coalescing key ("" for none).
 func EventContext(topic, key string, seq uint64, priority int16, published int64, order cdr.ByteOrder) ServiceContext {
-	e := cdr.NewEncoder(order)
+	// 26 bytes up to the priority, then two strings, each a 4-aligned
+	// length, the bytes and a NUL.
+	e := cdr.AppendEncoder(make([]byte, 0, 26+2+5+len(topic)+3+5+len(key)), order)
 	e.PutOctet(byte(order))
-	// Align the 64-bit fields to 8, as the other contexts do.
-	for e.Len()%8 != 0 {
-		e.PutOctet(0)
-	}
-	e.PutULongLong(seq)
+	e.PutULongLong(seq) // 8-aligned: seven bytes of padding first
 	e.PutLongLong(published)
 	e.PutShort(priority)
 	e.PutString(topic)

@@ -1,5 +1,7 @@
 package giop
 
+import "repro/internal/cdr"
+
 // FTKey identifies one logical invocation on an object group — the FT
 // request context's (group, client, retention) triple. Every retry of the
 // invocation, on any connection and under any GIOP request id, carries
@@ -9,9 +11,12 @@ type FTKey struct {
 	Retention     uint32
 }
 
-// RequestQoS is the standard QoS service contexts of one request, parsed
-// in a single pass. A context that is absent or malformed leaves its
-// fields zero.
+// RequestQoS is the standard QoS service contexts of one request: what
+// ParseRequestQoS extracts in a single pass, and what Request.AppendQoS
+// encodes straight into a message. Parsed, a context that is absent or
+// malformed leaves its fields zero; encoded, Priority is written when
+// HasPriority, FT when HasFT, SentAt and Deadline when nonzero, and the
+// trace context when both ids are nonzero.
 type RequestQoS struct {
 	// Priority is the RT-CORBA priority (0x10), valid when HasPriority.
 	Priority    int16
@@ -59,4 +64,103 @@ func ParseRequestQoS(ctxs []ServiceContext) RequestQoS {
 		}
 	}
 	return q
+}
+
+// The QoS contexts' data have fixed layouts — the order octet, padding
+// to the first value's boundary, the values — aligned from the data's
+// own first byte. Each put*Data writes one on an encoder whose origin is
+// there: the standalone constructors (PriorityContext, ...) use a fresh
+// encoder, RequestQoS.put re-bases the message's.
+const (
+	priorityDataLen = 1 + 1 + 2     // order, pad, short
+	instantDataLen  = 1 + 7 + 8     // order, pad, long long (timestamp, deadline)
+	traceDataLen    = 1 + 7 + 8 + 8 // order, pad, trace id, span id
+	ftDataLen       = 1 + 7 + 8 + 8 + 4
+)
+
+func putPriorityData(e *cdr.Encoder, priority int16) {
+	e.PutOctet(byte(e.Order()))
+	e.PutShort(priority)
+}
+
+func putInstantData(e *cdr.Encoder, nanos int64) {
+	e.PutOctet(byte(e.Order()))
+	e.PutLongLong(nanos)
+}
+
+func putTraceData(e *cdr.Encoder, traceID, spanID uint64) {
+	e.PutOctet(byte(e.Order()))
+	e.PutULongLong(traceID)
+	e.PutULongLong(spanID)
+}
+
+func putFTData(e *cdr.Encoder, k FTKey) {
+	e.PutOctet(byte(e.Order()))
+	e.PutULongLong(k.Group)
+	e.PutULongLong(k.Client)
+	e.PutULong(k.Retention)
+}
+
+func (q *RequestQoS) hasTrace() bool { return q.TraceID != 0 && q.SpanID != 0 }
+
+// layout returns how many contexts put will write and, given the offset
+// n the encoder has reached, the offset it will reach after them. A nil
+// q has none.
+func (q *RequestQoS) layout(n int) (count, end int) {
+	if q == nil {
+		return 0, n
+	}
+	add := func(present bool, dataLen int) {
+		if present {
+			count++
+			n = alignUp(n, 4) + 4 + 4 + dataLen
+		}
+	}
+	add(q.HasPriority, priorityDataLen)
+	add(q.SentAt != 0, instantDataLen)
+	add(q.Deadline != 0, instantDataLen)
+	add(q.hasTrace(), traceDataLen)
+	add(q.HasFT, ftDataLen)
+	return count, n
+}
+
+// put writes q's contexts in place, in layout's order.
+func (q *RequestQoS) put(e *cdr.Encoder) {
+	if q == nil {
+		return
+	}
+	if q.HasPriority {
+		origin := beginContext(e, ServiceRTCorbaPriority, priorityDataLen)
+		putPriorityData(e, q.Priority)
+		e.SetOrigin(origin)
+	}
+	if q.SentAt != 0 {
+		origin := beginContext(e, ServiceInvocationTimestamp, instantDataLen)
+		putInstantData(e, q.SentAt)
+		e.SetOrigin(origin)
+	}
+	if q.Deadline != 0 {
+		origin := beginContext(e, ServiceDeadline, instantDataLen)
+		putInstantData(e, q.Deadline)
+		e.SetOrigin(origin)
+	}
+	if q.hasTrace() {
+		origin := beginContext(e, ServiceTraceContext, traceDataLen)
+		putTraceData(e, q.TraceID, q.SpanID)
+		e.SetOrigin(origin)
+	}
+	if q.HasFT {
+		origin := beginContext(e, ServiceFTRequest, ftDataLen)
+		putFTData(e, q.FT)
+		e.SetOrigin(origin)
+	}
+}
+
+// beginContext writes a context's id and data length and moves the
+// encoder's alignment origin to the data's first byte, returning the
+// origin to restore once the data is written.
+func beginContext(e *cdr.Encoder, id uint32, dataLen int) (origin int) {
+	e.PutULong(id)
+	e.PutULong(uint32(dataLen))
+	return e.SetOrigin(e.Len())
 }

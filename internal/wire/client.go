@@ -91,11 +91,21 @@ type clientBand struct {
 	// poolGauge mirrors len(conns) into the registry so live scrapes
 	// and the sampler see banded-pool occupancy.
 	poolGauge *telemetry.Gauge
-	mu        sync.Mutex
-	conns     []*clientConn
+	// requests is wire.client.requests{band,outcome} by outcome; rtt is
+	// wire.client.rtt_ms{band}, resolved by the band's first invocation.
+	requests counterVec
+	rttOnce  sync.Once
+	rtt      *telemetry.Histogram
+	mu       sync.Mutex
+	conns    []*clientConn
 	// dialing counts in-flight dials so concurrent first calls cannot
-	// overshoot ConnsPerBand.
+	// overshoot ConnsPerBand: a call that finds the pool empty and every
+	// slot being dialed waits on dialed (dials counts completions) and
+	// shares the outcome — the connection, or dialErr.
 	dialing int
+	dialed  sync.Cond // on mu
+	dials   int
+	dialErr error
 	rr      int
 }
 
@@ -220,13 +230,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		})
 	for _, floor := range cfg.Bands {
 		label := strconv.Itoa(int(floor))
-		c.bands = append(c.bands, &clientBand{
+		bandL := telemetry.L("band", label)
+		b := &clientBand{
 			c:         c,
 			floor:     floor,
 			label:     label,
 			ep:        fmt.Sprintf("%s#%d", cfg.Addr, floor),
-			poolGauge: c.reg.Gauge("wire.client.pool_conns", telemetry.L("band", label)),
-		})
+			poolGauge: c.reg.Gauge("wire.client.pool_conns", bandL),
+			requests: counterVec{reg: c.reg, name: "wire.client.requests",
+				fixed: []telemetry.Label{bandL}, vary: "outcome"},
+		}
+		b.dialed.L = &b.mu
+		c.bands = append(c.bands, b)
 	}
 	return c, nil
 }
@@ -265,7 +280,6 @@ func (c *Client) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, 
 		timeout = c.cfg.RequestTimeout
 	}
 
-	bandL := telemetry.L("band", b.label)
 	var ctx trace.SpanContext
 	tr := c.cfg.Tracer
 	if tr != nil {
@@ -284,8 +298,9 @@ func (c *Client) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, 
 	if tr != nil {
 		tr.Finish(ctx, trace.String("outcome", outcome))
 	}
-	c.reg.Counter("wire.client.requests", bandL, telemetry.L("outcome", outcome)).Inc()
-	c.reg.Histogram("wire.client.rtt_ms", bandL).ObserveEx(
+	b.requests.get(outcome).Inc()
+	b.rttOnce.Do(func() { b.rtt = c.reg.Histogram("wire.client.rtt_ms", telemetry.L("band", b.label)) })
+	b.rtt.ObserveEx(
 		float64(rtt)/float64(time.Millisecond),
 		telemetry.Exemplar{TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: sim.Wall.At(start) + rtt},
 	)
@@ -331,24 +346,24 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 
 	id := c.reqSeq.Add(1)
 	expiry := start.Add(timeout)
-	contexts := []giop.ServiceContext{
-		giop.PriorityContext(opts.Priority, c.order),
-		giop.TimestampContext(start.UnixNano(), c.order),
-		giop.DeadlineContext(expiry.UnixNano(), c.order),
-	}
-	if ctx.Valid() {
-		contexts = append(contexts, giop.TraceContext(uint64(ctx.Trace), uint64(ctx.Span), c.order))
+	// The standard QoS contexts are encoded straight into the message,
+	// ahead of opts.Contexts; an invalid ctx has zero ids and writes no
+	// trace context.
+	qos := giop.RequestQoS{
+		Priority: opts.Priority, HasPriority: true,
+		SentAt:   start.UnixNano(),
+		Deadline: expiry.UnixNano(),
+		TraceID:  uint64(ctx.Trace), SpanID: uint64(ctx.Span),
 	}
 	if opts.FT != nil {
-		contexts = append(contexts, giop.FTRequestContext(opts.FT.Group, opts.FT.Client, opts.FT.Retention, c.order))
+		qos.FT, qos.HasFT = giop.FTKey{Group: opts.FT.Group, Client: opts.FT.Client, Retention: opts.FT.Retention}, true
 	}
-	contexts = append(contexts, opts.Contexts...)
-	req := &giop.Request{
+	req := giop.Request{
 		RequestID:        id,
 		ResponseExpected: !opts.Oneway,
 		ObjectKey:        []byte(key),
 		Operation:        op,
-		ServiceContexts:  contexts,
+		ServiceContexts:  opts.Contexts,
 		Body:             body,
 	}
 
@@ -379,7 +394,7 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 			return nil, err
 		}
 	}
-	if err := conn.writeFrame(req.Marshal(c.order), expiry); err != nil {
+	if err := conn.writeRequest(&req, &qos, expiry); err != nil {
 		conn.fail(fmt.Errorf("%w: write: %v", ErrUnavailable, err))
 		b.drop(conn)
 		c.record(b, true)
@@ -458,27 +473,42 @@ func (b *clientBand) get() (*clientConn, error) {
 		return nil, ErrClientClosed
 	}
 	b.mu.Lock()
-	if len(b.conns)+b.dialing < b.c.cfg.ConnsPerBand || len(b.conns) == 0 {
+	for len(b.conns) == 0 && b.dialing >= b.c.cfg.ConnsPerBand {
+		for seen := b.dials; b.dials == seen; {
+			b.dialed.Wait()
+		}
+		if err := b.dialErr; err != nil {
+			b.mu.Unlock()
+			return nil, err
+		}
+	}
+	if len(b.conns)+b.dialing < b.c.cfg.ConnsPerBand {
 		b.dialing++
 		b.mu.Unlock()
 		conn, err := b.dial()
 		b.mu.Lock()
 		b.dialing--
+		// Close may have run while this dial was in flight; it flushed the
+		// pool, so a connection appended now would never be torn down —
+		// its read loop would leak. Fail it here instead.
+		leaked := err == nil && b.c.closed.Load()
+		if leaked {
+			err = ErrClientClosed
+		}
+		if err == nil {
+			b.conns = append(b.conns, conn)
+			b.poolGauge.Set(float64(len(b.conns)))
+		}
+		b.dials++
+		b.dialErr = err
+		b.dialed.Broadcast()
+		b.mu.Unlock()
+		if leaked {
+			conn.fail(ErrClientClosed)
+		}
 		if err != nil {
-			b.mu.Unlock()
 			return nil, err
 		}
-		if b.c.closed.Load() {
-			// Close ran while this dial was in flight; it flushed the
-			// pool, so a connection appended now would never be torn
-			// down — its read loop would leak. Fail it here instead.
-			b.mu.Unlock()
-			conn.fail(ErrClientClosed)
-			return nil, ErrClientClosed
-		}
-		b.conns = append(b.conns, conn)
-		b.poolGauge.Set(float64(len(b.conns)))
-		b.mu.Unlock()
 		return conn, nil
 	}
 	b.rr++
@@ -570,15 +600,17 @@ func (conn *clientConn) unregister(id uint32) {
 	conn.mu.Unlock()
 }
 
-// writeFrame sends raw request bytes, serialised per connection, with a
-// write deadline so a wedged peer cannot block past the call expiry.
-func (conn *clientConn) writeFrame(buf []byte, expiry time.Time) error {
+// writeRequest encodes req, with qos's contexts, into a pooled buffer
+// outside the write lock and sends it, serialised per connection, with
+// a write deadline so a wedged peer cannot block past the call expiry.
+func (conn *clientConn) writeRequest(req *giop.Request, qos *giop.RequestQoS, expiry time.Time) error {
+	bufp := getWriteBuf()
+	*bufp = req.AppendQoS((*bufp)[:0], conn.band.c.order, qos)
 	conn.wmu.Lock()
-	defer conn.wmu.Unlock()
-	if !expiry.IsZero() {
-		conn.nc.SetWriteDeadline(expiry)
-	}
-	_, err := conn.nc.Write(buf)
+	conn.nc.SetWriteDeadline(expiry)
+	_, err := conn.nc.Write(*bufp)
+	conn.wmu.Unlock()
+	putWriteBuf(bufp)
 	return err
 }
 
@@ -592,15 +624,17 @@ func (conn *clientConn) tryWrite(buf []byte) error {
 }
 
 // readLoop frames and decodes inbound messages, delivering replies to
-// their pending calls by request ID.
+// their pending calls by request ID. Each frame is allocated once, at
+// its size (hdr saves ReadFrame the header's allocation), and belongs to
+// the message decoded from it: the reply body Invoke returns is a view
+// of its frame.
 func (conn *clientConn) readLoop() {
 	c := conn.band.c
 	br := bufio.NewReaderSize(conn.nc, 32<<10)
+	hdr := make([]byte, giop.HeaderSize)
 	for {
-		bufp := getFrameBuf()
-		frame, err := giop.ReadFrame(br, c.maxMsg, *bufp)
+		frame, err := giop.ReadFrame(br, c.maxMsg, hdr)
 		if err != nil {
-			putFrameBuf(bufp)
 			if err == io.EOF {
 				err = fmt.Errorf("%w: connection closed", ErrUnavailable)
 			} else {
@@ -615,8 +649,6 @@ func (conn *clientConn) readLoop() {
 			order = cdr.LittleEndian
 		}
 		msg, err := giop.Decode(frame)
-		*bufp = frame[:0]
-		putFrameBuf(bufp)
 		if err != nil {
 			conn.fail(fmt.Errorf("%w: %v", ErrProtocol, err))
 			conn.band.drop(conn)

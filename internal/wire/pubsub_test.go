@@ -21,6 +21,17 @@ import (
 // publish → admit → outbox → push → consume path runs socket-free.
 func pubsubLoopback(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event)) (*Client, *ChannelHost) {
 	t.Helper()
+	open := make(chan struct{})
+	close(open)
+	return pubsubLoopbackGated(t, ch, sink, open, time.Second)
+}
+
+// pubsubLoopbackGated is pubsubLoopback with a consumer that reads
+// nothing from a push connection until gate closes — so pushes block in
+// the host and events park in the subscriber's outbox — and the push
+// timeout that has to outlast the wait.
+func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event), gate <-chan struct{}, pushTimeout time.Duration) (*Client, *ChannelHost) {
+	t.Helper()
 	leakCheck(t)
 
 	// One worker: pushes are oneway, so only a single-worker lane hands
@@ -32,13 +43,16 @@ func pubsubLoopback(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event)) (
 	consumer.Register("consumer/a", ConsumerHandler(sink))
 
 	host, err := NewChannelHost(ch, ChannelHostConfig{
-		PushTimeout: time.Second,
+		PushTimeout: pushTimeout,
 		NewPushClient: func(addr string) (*Client, error) {
 			return NewClient(ClientConfig{
 				Addr: addr,
 				Dial: func() (net.Conn, error) {
 					cliEnd, srvEnd := net.Pipe()
-					go consumer.ServeConn(srvEnd)
+					go func() {
+						<-gate
+						consumer.ServeConn(srvEnd)
+					}()
 					return cliEnd, nil
 				},
 			})

@@ -38,7 +38,10 @@ func (f HandlerFunc) Dispatch(req *Request) ([]byte, error) { return f(req) }
 type Request struct {
 	Key       string
 	Operation string
-	Body      []byte
+	// Body is a view of the request's frame, which the request owns: a
+	// handler may keep it (or return it as the reply) for as long as it
+	// likes, but must not write to it — see the package comment.
+	Body []byte
 	// Priority is the propagated RT-CORBA CORBA priority (0 if absent).
 	Priority int16
 	// Deadline is the absolute wall-clock expiry from the end-to-end
@@ -123,6 +126,8 @@ type serverLane struct {
 	ch  chan laneWork
 	// label is the priority floor as a telemetry label value.
 	label string
+	// dispatched is wire.server.dispatched{lane,outcome} by outcome.
+	dispatched counterVec
 	// Lifetime outcome counts, readable lock-free by Snapshot for the
 	// /debug/qos introspection endpoint.
 	served  atomic.Int64
@@ -143,6 +148,9 @@ type Server struct {
 	mu       sync.Mutex
 	servants map[string]Handler
 	conns    map[*serverConn]struct{}
+
+	// requests is wire.server.requests{lane} by lane.
+	requests counterVec
 
 	ftCache *dedup.Cache[ftWaiter]
 
@@ -200,6 +208,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if s.name == "" {
 		s.name = "wire.server"
 	}
+	s.requests = counterVec{reg: s.reg, name: "wire.server.requests", vary: "lane"}
 	prev := int32(-1)
 	for _, lc := range cfg.Lanes {
 		if lc.Workers < 1 {
@@ -217,6 +226,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			ch:    make(chan laneWork, lc.QueueLimit),
 			label: strconv.Itoa(int(lc.Priority)),
 		}
+		lane.dispatched = counterVec{reg: s.reg, name: "wire.server.dispatched",
+			fixed: []telemetry.Label{telemetry.L("lane", lane.label)}, vary: "outcome"}
 		s.lanes = append(s.lanes, lane)
 		for i := 0; i < lc.Workers; i++ {
 			s.workers.Add(1)
@@ -323,12 +334,14 @@ func (s *Server) ServeConn(nc net.Conn) {
 		g.Add(-1)
 	}()
 
+	// Each frame is allocated once, at its size (hdr saves ReadFrame the
+	// header's allocation), and belongs to the message decoded from it:
+	// the Request a Handler sees aliases its frame.
 	br := bufio.NewReaderSize(nc, 32<<10)
+	hdr := make([]byte, giop.HeaderSize)
 	for {
-		bufp := getFrameBuf()
-		frame, err := giop.ReadFrame(br, s.maxMsg, *bufp)
+		frame, err := giop.ReadFrame(br, s.maxMsg, hdr)
 		if err != nil {
-			putFrameBuf(bufp)
 			if err != io.EOF && !s.closed.Load() {
 				s.reg.Counter("wire.server.read_errors").Inc()
 				c.write(&giop.MessageError{})
@@ -336,10 +349,6 @@ func (s *Server) ServeConn(nc net.Conn) {
 			return
 		}
 		msg, err := giop.Decode(frame)
-		// Decode copies every field it extracts, so the frame buffer can
-		// be recycled immediately regardless of outcome.
-		*bufp = frame[:0]
-		putFrameBuf(bufp)
 		if err != nil {
 			s.reg.Counter("wire.server.protocol_errors").Inc()
 			c.write(&giop.MessageError{})
@@ -398,8 +407,7 @@ func (s *Server) handleRequest(c *serverConn, m *giop.Request) {
 	}
 
 	lane := s.laneFor(req.Priority)
-	laneL := telemetry.L("lane", lane.label)
-	s.reg.Counter("wire.server.requests", laneL).Inc()
+	s.requests.get(lane.label).Inc()
 	if req.hasFT {
 		// A duplicate of an executed (or executing) invocation is answered
 		// from the cache or parked — the servant never runs a second time.
@@ -549,7 +557,7 @@ func (s *Server) dispatch(w laneWork, lane *serverLane, execH *telemetry.Histogr
 		tr.Finish(ctx, trace.String("outcome", outcome))
 	}
 	lane.served.Add(1)
-	s.reg.Counter("wire.server.dispatched", telemetry.L("lane", lane.label), telemetry.L("outcome", outcome)).Inc()
+	lane.dispatched.get(outcome).Inc()
 
 	// The servant ran (or the key resolution failed deterministically):
 	// replays get these exact bytes.
@@ -617,12 +625,15 @@ func (s *Server) Shutdown(grace time.Duration) {
 	s.workers.Wait()
 }
 
-// write marshals and sends one message, serialised per connection.
+// write encodes one message into a pooled buffer outside the write lock
+// and sends it, serialised per connection.
 func (c *serverConn) write(m giop.Message) {
-	buf := m.Marshal(c.s.order)
+	bufp := getWriteBuf()
+	*bufp = m.AppendTo((*bufp)[:0], c.s.order)
 	c.wmu.Lock()
-	_, err := c.nc.Write(buf)
+	_, err := c.nc.Write(*bufp)
 	c.wmu.Unlock()
+	putWriteBuf(bufp)
 	if err != nil {
 		c.s.reg.Counter("wire.server.write_errors").Inc()
 		c.close()

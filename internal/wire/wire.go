@@ -14,11 +14,24 @@
 // band, so expedited requests never queue behind best-effort bytes —
 // request-ID multiplexing, wall-clock RELATIVE_RT_TIMEOUT deadlines,
 // and reconnect gating through the circuit-breaker state machine shared
-// with the simulated ORB via internal/breaker). Read-path buffers are
-// sync.Pool-recycled, and everything is observable: spans with layer
-// "wire" on a wall-clock tracer, telemetry counters/histograms (with
-// trace exemplars) a live /metrics endpoint can scrape, and optional
-// records on the unified events bus.
+// with the simulated ORB via internal/breaker). Everything is
+// observable: spans with layer "wire" on a wall-clock tracer, telemetry
+// counters/histograms (with trace exemplars) a live /metrics endpoint
+// can scrape, and optional records on the unified events bus.
+//
+// Buffer ownership. A payload byte is moved once in each direction.
+// Inbound, a connection's read loop allocates every frame once, at its
+// exact size, and giop.Decode parses it in place: the decoded message
+// aliases the frame and owns it, and the frame is garbage-collected with
+// the message. So a Handler may keep req.Body (and Contexts data) for as
+// long as it likes — return it as the reply, cache it, queue it in an
+// outbox — with no lifetime rule, but must not write to it: the FT reply
+// cache and other retainers may hold the same bytes. Outbound, a message
+// is encoded (giop AppendTo) into a buffer from writeBufs outside the
+// connection's write lock, written, and the buffer returned to the pool
+// as soon as Write returns; nothing refers to it afterwards, so the body
+// a caller passed to Invoke, or a Handler returned, is the caller's
+// again the moment the call completes.
 //
 // Unit tests run socket-free and deterministic over net.Pipe loopback
 // connections (Server.ServeConn plus ClientConfig.Dial); the wall-clock
@@ -34,6 +47,7 @@ import (
 	"repro/internal/giop"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/trace/telemetry"
 )
 
 // Errors returned by wire invocations. They mirror the simulated ORB's
@@ -109,17 +123,62 @@ func breakerFailure(err error) bool {
 		errors.Is(err, ErrUnavailable)
 }
 
-// frameBufs recycles read-path frame buffers across connections and
-// messages: giop.ReadFrame fills a pooled buffer, giop.Decode copies
-// every field it extracts (cdr octet sequences and strings are copies),
-// so the buffer goes straight back to the pool after the decode —
-// steady-state reads allocate nothing frame-sized.
-var frameBufs = sync.Pool{
+// writeBufs recycles outbound encode buffers across connections and
+// messages. A buffer is held from encode to the end of the Write that
+// sends it, by one goroutine; giop AppendTo grows it to the message's
+// size when it is too small, and it returns to the pool grown, so
+// steady-state writes allocate nothing.
+var writeBufs = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-func getFrameBuf() *[]byte  { return frameBufs.Get().(*[]byte) }
-func putFrameBuf(b *[]byte) { frameBufs.Put(b) }
+// maxPooledWrite is the largest buffer putWriteBuf keeps. One message
+// near giop.DefaultMaxMessage would otherwise pin its megabytes in the
+// pool for as long as the entry circulates; above this size a buffer is
+// left to the collector and the next large message allocates its own.
+const maxPooledWrite = 1 << 20
+
+func getWriteBuf() *[]byte { return writeBufs.Get().(*[]byte) }
+
+func putWriteBuf(b *[]byte) {
+	if cap(*b) <= maxPooledWrite {
+		writeBufs.Put(b)
+	}
+}
+
+// counterVec caches the counters of one metric whose series differ in
+// one label's value (the outcome of a call, the lane of a request), so
+// the hot path pays a map read instead of rebuilding the registry key
+// per call. A counter is resolved from the registry at its first use,
+// not ahead of it, so a series still first appears on /metrics with its
+// first increment.
+type counterVec struct {
+	reg   *telemetry.Registry
+	name  string
+	fixed []telemetry.Label // carried by every series
+	vary  string            // key of the label that picks the series
+
+	mu sync.RWMutex
+	m  map[string]*telemetry.Counter
+}
+
+func (v *counterVec) get(value string) *telemetry.Counter {
+	v.mu.RLock()
+	c := v.m[value]
+	v.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	labels := append(append([]telemetry.Label(nil), v.fixed...), telemetry.L(v.vary, value))
+	c = v.reg.Counter(v.name, labels...)
+	v.mu.Lock()
+	if v.m == nil {
+		v.m = make(map[string]*telemetry.Counter)
+	}
+	v.m[value] = c
+	v.mu.Unlock()
+	return c
+}
 
 // Tracer is the wire plane's span source: a trace.Tracer on the process
 // clock (sim.Wall), guarded by a mutex so the plane's real goroutines —
