@@ -15,6 +15,10 @@ type LaneSnapshot struct {
 	Served     int64 `json:"served"`
 	Refused    int64 `json:"refused"`
 	Shed       int64 `json:"shed"`
+	// Frames is the replies the lane has written, Flushes the Writes that
+	// carried them: Frames/Flushes is the lane's messages per syscall.
+	Frames  int64 `json:"frames"`
+	Flushes int64 `json:"flushes"`
 }
 
 // ServerSnapshot is the server's live state.
@@ -40,6 +44,8 @@ func (s *Server) Snapshot() ServerSnapshot {
 			Served:     lane.served.Load(),
 			Refused:    lane.refused.Load(),
 			Shed:       lane.shed.Load(),
+			Frames:     s.frames.count(lane.label),
+			Flushes:    s.flushes.count(lane.label),
 		})
 	}
 	return out
@@ -52,6 +58,10 @@ type BandSnapshot struct {
 	ConnsPerBand int    `json:"conns_per_band"`
 	Dialing      int    `json:"dialing"`
 	Breaker      string `json:"breaker"`
+	// Frames is the messages the band has sent, Flushes the Writes that
+	// carried them: Frames/Flushes is the band's messages per syscall.
+	Frames  int64 `json:"frames"`
+	Flushes int64 `json:"flushes"`
 }
 
 // ClientSnapshot is a banded client's live state.
@@ -73,6 +83,8 @@ func (c *Client) Snapshot() ClientSnapshot {
 			ConnsPerBand: c.cfg.ConnsPerBand,
 			Dialing:      dialing,
 			Breaker:      c.brk.State(b.ep).String(),
+			Frames:       c.frames.count(b.label),
+			Flushes:      c.flushes.count(b.label),
 		})
 	}
 	return out

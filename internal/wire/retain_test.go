@@ -184,7 +184,8 @@ func TestAliasConcurrentCallersKeepOwnBytes(t *testing.T) {
 
 // TestWritePoolDoesNotRetainLargeBuffers: one message near the size cap
 // grows a write buffer on each side to megabytes; neither may go back to
-// the pool, or it would pin that memory for as long as it circulates.
+// the pool, or it would pin that memory for as long as it circulates, and
+// neither connection's writer may have taken it into its batch.
 func TestWritePoolDoesNotRetainLargeBuffers(t *testing.T) {
 	srv, cli := loopback(t, ServerConfig{}, ClientConfig{})
 	srv.Register("app/echo", HandlerFunc(func(req *Request) ([]byte, error) { return req.Body, nil }))
@@ -208,6 +209,21 @@ func TestWritePoolDoesNotRetainLargeBuffers(t *testing.T) {
 	for _, b := range held {
 		putWriteBuf(b)
 	}
+	writers := []*connWriter{&cli.bands[0].conns[0].connWriter}
+	srv.mu.Lock()
+	for c := range srv.conns {
+		writers = append(writers, &c.connWriter)
+	}
+	srv.mu.Unlock()
+	for _, w := range writers {
+		w.wmu.Lock()
+		w.mu.Lock()
+		if cap(w.pend) > maxPooledWrite || cap(w.out) > maxPooledWrite {
+			t.Errorf("a connection keeps %d- and %d-byte batch buffers after one large message", cap(w.pend), cap(w.out))
+		}
+		w.mu.Unlock()
+		w.wmu.Unlock()
+	}
 }
 
 // TestTelemetrySeriesAppearOnFirstIncrement: the per-band and per-lane
@@ -223,6 +239,11 @@ func TestTelemetrySeriesAppearOnFirstIncrement(t *testing.T) {
 		{cli.Registry(), telemetry.Key("wire.client.requests", telemetry.L("band", "0"), telemetry.L("outcome", "ok"))},
 		{srv.Registry(), telemetry.Key("wire.server.requests", telemetry.L("lane", "0"))},
 		{srv.Registry(), telemetry.Key("wire.server.dispatched", telemetry.L("lane", "0"), telemetry.L("outcome", "ok"))},
+		// One caller at a time: every message is a flush of its own.
+		{cli.Registry(), telemetry.Key("wire.client.frames", telemetry.L("band", "0"))},
+		{cli.Registry(), telemetry.Key("wire.client.flushes", telemetry.L("band", "0"))},
+		{srv.Registry(), telemetry.Key("wire.server.frames", telemetry.L("lane", "0"))},
+		{srv.Registry(), telemetry.Key("wire.server.flushes", telemetry.L("lane", "0"))},
 	}
 	rtt := telemetry.Key("wire.client.rtt_ms", telemetry.L("band", "0"))
 	for _, h := range hot {
@@ -239,11 +260,21 @@ func TestTelemetrySeriesAppearOnFirstIncrement(t *testing.T) {
 		}
 	}
 	for _, h := range hot {
-		if c := h.reg.CounterByKey(h.key); c == nil || c.Value() != 3 {
-			t.Errorf("%s = %v after 3 requests, want 3", h.key, c)
-		}
+		// (A lane books its frames after the flush that delivered them, so
+		// the third reply can be here before its count.)
+		eventually(t, h.key+" to reach 3 after 3 requests", func() bool {
+			c := h.reg.CounterByKey(h.key)
+			return c != nil && c.Value() == 3
+		})
 	}
 	if h := cli.Registry().HistogramByKey(rtt); h == nil || h.Count() != 3 {
 		t.Errorf("%s after 3 requests: %v", rtt, h)
+	}
+	// /debug/qos shows the same counts.
+	if band := cli.Snapshot().Bands[0]; band.Frames != 3 || band.Flushes != 3 {
+		t.Errorf("band snapshot: %d frames in %d flushes, want 3 in 3", band.Frames, band.Flushes)
+	}
+	if lane := srv.Snapshot().Lanes[0]; lane.Frames != 3 || lane.Flushes != 3 {
+		t.Errorf("lane snapshot: %d frames in %d flushes, want 3 in 3", lane.Frames, lane.Flushes)
 	}
 }

@@ -27,11 +27,15 @@
 // long as it likes — return it as the reply, cache it, queue it in an
 // outbox — with no lifetime rule, but must not write to it: the FT reply
 // cache and other retainers may hold the same bytes. Outbound, a message
-// is encoded (giop AppendTo) into a buffer from writeBufs outside the
-// connection's write lock, written, and the buffer returned to the pool
-// as soon as Write returns; nothing refers to it afterwards, so the body
-// a caller passed to Invoke, or a Handler returned, is the caller's
-// again the moment the call completes.
+// is encoded (giop AppendTo) once, straight into its connection's pending
+// batch, and a flush hands the whole batch to the kernel in one Write
+// (connWriter): a lane worker queues its replies and flushes when its
+// lane runs dry (and never holds one for longer than maxHeldTime),
+// concurrent callers on one client connection share a write. A frame with
+// a large body is instead encoded outside every lock into a buffer from
+// writeBufs and written on its own. Either way nothing refers to the body
+// once it is encoded, so the body a caller passed to Invoke, or a Handler
+// returned, is the caller's again the moment the call completes.
 //
 // Unit tests run socket-free and deterministic over net.Pipe loopback
 // connections (Server.ServeConn plus ClientConfig.Dial); the wall-clock
@@ -123,19 +127,20 @@ func breakerFailure(err error) bool {
 		errors.Is(err, ErrUnavailable)
 }
 
-// writeBufs recycles outbound encode buffers across connections and
-// messages. A buffer is held from encode to the end of the Write that
-// sends it, by one goroutine; giop AppendTo grows it to the message's
-// size when it is too small, and it returns to the pool grown, so
-// steady-state writes allocate nothing.
+// writeBufs recycles the encode buffers of large frames (connWriter.queue)
+// across connections. A buffer is held from encode to the end of the
+// Write that sends it, by one goroutine; giop AppendTo grows it to the
+// message's size when it is too small, and it returns to the pool grown,
+// so steady-state writes allocate nothing.
 var writeBufs = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// maxPooledWrite is the largest buffer putWriteBuf keeps. One message
-// near giop.DefaultMaxMessage would otherwise pin its megabytes in the
-// pool for as long as the entry circulates; above this size a buffer is
-// left to the collector and the next large message allocates its own.
+// maxPooledWrite is the largest buffer putWriteBuf, or a connWriter
+// between flushes, keeps. One message near giop.DefaultMaxMessage would
+// otherwise pin its megabytes for as long as the pool entry circulates or
+// the connection lives; above this size a buffer is left to the collector
+// and the next large message allocates its own.
 const maxPooledWrite = 1 << 20
 
 func getWriteBuf() *[]byte { return writeBufs.Get().(*[]byte) }
@@ -178,6 +183,17 @@ func (v *counterVec) get(value string) *telemetry.Counter {
 	v.m[value] = c
 	v.mu.Unlock()
 	return c
+}
+
+// count reads a series without creating it (live introspection).
+func (v *counterVec) count(value string) int64 {
+	v.mu.RLock()
+	c := v.m[value]
+	v.mu.RUnlock()
+	if c == nil {
+		return 0
+	}
+	return int64(c.Value())
 }
 
 // Tracer is the wire plane's span source: a trace.Tracer on the process
