@@ -140,8 +140,7 @@ func main() {
 	// localhost TCP sockets and burns wall-clock time, unlike the
 	// virtual-time experiments above.
 	if *run == "wire" {
-		o := wire.BenchOptions{Duration: *duration}
-		res, err := wire.RunBench(o)
+		res, err := wire.RunBench(wire.BenchOptions{Duration: *duration})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wire bench: %v\n", err)
 			os.Exit(1)
@@ -178,7 +177,7 @@ func main() {
 	// (sampler + rules + runtime collector + SLO tracker + profiler +
 	// live scraper) against an observers-off baseline.
 	if *run == "obs" {
-		res, err := wire.RunObsBench(wire.ObsBenchOptions{Duration: *duration})
+		res, err := wire.RunObsBench(wire.BenchOptions{Duration: *duration})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs bench: %v\n", err)
 			os.Exit(1)

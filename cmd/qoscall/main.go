@@ -47,13 +47,12 @@ func main() {
 	op := flag.String("key", "app/echo", "object key to invoke")
 	efTimeout := flag.Duration("ef-timeout", 500*time.Millisecond, "EF per-call RELATIVE_RT_TIMEOUT")
 	beTimeout := flag.Duration("be-timeout", 5*time.Second, "BE per-call RELATIVE_RT_TIMEOUT")
-	connsPerBand := flag.Int("conns", 1, "connections per priority band")
 	failover := flag.Bool("failover", false, "treat -addr as a comma-separated endpoint set (primary first) and drive it through the fault-tolerant group client")
 	metricsAddr := flag.String("metrics", "", "serve the client-side registry (/metrics, /debug/qos, /events) on this address during the run (empty = off)")
 	flag.Parse()
 
 	// With -metrics, the client side gets its own observability plane:
-	// banded-pool occupancy, RTT histograms and retry-budget level over
+	// band connections, RTT histograms and retry-budget level over
 	// the same exposition/introspection endpoints qosserve serves.
 	reg := telemetry.NewRegistry()
 	var bus *events.Bus
@@ -62,17 +61,17 @@ func main() {
 		bus = events.NewBus(sim.Wall)
 	}
 
+	ccfg := wire.ClientConfig{
+		Bands:    []int16{0, wire.EFPriority},
+		Registry: reg,
+		Bus:      bus,
+		Name:     "qoscall",
+	}
 	var cli wire.Invoker
 	if *failover {
 		endpoints := strings.Split(*addr, ",")
-		g, err := wire.NewGroupClient(wire.GroupConfig{
-			Endpoints:    endpoints,
-			Bands:        []int16{0, wire.EFPriority},
-			ConnsPerBand: *connsPerBand,
-			Registry:     reg,
-			Bus:          bus,
-			Name:         "qoscall.group",
-		})
+		ccfg.Name = "qoscall.group"
+		g, err := wire.NewGroupClient(wire.GroupConfig{Endpoints: endpoints, Client: ccfg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qoscall: %v\n", err)
 			os.Exit(1)
@@ -85,14 +84,8 @@ func main() {
 		cli = g
 		ix.Add("group", func() any { return g.Snapshot() })
 	} else {
-		c, err := wire.NewClient(wire.ClientConfig{
-			Addr:         *addr,
-			Bands:        []int16{0, wire.EFPriority},
-			ConnsPerBand: *connsPerBand,
-			Registry:     reg,
-			Bus:          bus,
-			Name:         "qoscall",
-		})
+		ccfg.Addr = *addr
+		c, err := wire.NewClient(ccfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qoscall: %v\n", err)
 			os.Exit(1)

@@ -120,7 +120,7 @@ func main() {
 	// TCP plane. Drops and lag surface on the event bus, and a firing
 	// alert or SLO burn degrades best-effort fan-out until it resolves.
 	ch := pubsub.New(pubsub.ChannelConfig{
-		Name: "qosserve", Now: sim.Wall.Now, Async: true,
+		Name: "qosserve", Async: true,
 		Registry: reg, Tracer: tracer,
 	})
 	defer ch.Close()

@@ -78,7 +78,7 @@ func main() {
 
 	// 3. The event channel, with the ground console subscribed to alarms
 	// (resolved by name) and a local recorder for sensor events.
-	channel, err := events.NewChannel(mission.Host, missionORB.MappingManager(), events.Config{})
+	channel, err := events.NewChannel(mission.Host, missionORB.MappingManager())
 	must(err)
 	sensorCount := 0
 	channel.Subscribe([]events.Type{evtSensor}, 8000, func(t *rtos.Thread, ev events.Event) {

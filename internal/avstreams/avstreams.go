@@ -194,15 +194,6 @@ func (r *Receiver) loop(t *rtos.Thread) {
 	}
 }
 
-// LatencySeconds returns the observed frame latencies in seconds.
-func (r *Receiver) LatencySeconds() []float64 {
-	out := make([]float64, len(r.Latency))
-	for i, d := range r.Latency {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
 // Sender is a stream source endpoint.
 type Sender struct {
 	svc  *Service
@@ -214,9 +205,6 @@ type Sender struct {
 func (s *Service) CreateSender(port uint16) *Sender {
 	return &Sender{svc: s, conn: s.ep.OpenDgram(port, 0), port: port}
 }
-
-// Flow returns the sender's network flow id (the id RSVP reserves for).
-func (snd *Sender) Flow() netsim.FlowID { return snd.conn.Flow() }
 
 // Stream is an established (bound) flow from a sender to a receiver.
 type Stream struct {
@@ -279,9 +267,6 @@ func (st *Stream) Retarget(dst netsim.Addr) { st.dst = dst }
 // SetFilter sets the QuO frame-filtering level; the next SendFrame
 // applies it. Contracts call this from transition callbacks.
 func (st *Stream) SetFilter(l video.FilterLevel) { st.filter = l }
-
-// Filter returns the current filtering level.
-func (st *Stream) Filter() video.FilterLevel { return st.filter }
 
 // SetDSCP re-marks the stream's packets (QuO adaptation knob).
 func (st *Stream) SetDSCP(d netsim.DSCP) { st.sender.conn.SetDSCP(d) }

@@ -69,8 +69,8 @@ func (s *Service) NewChannelDistributor(inPort uint16, prio rtos.Priority) *Dist
 		queue: sim.NewQueue[relayItem](),
 	}
 	d.ch = pubsub.New(pubsub.ChannelConfig{
-		Name: fmt.Sprintf("av-%d", inPort),
-		Now:  s.host.Kernel().Now,
+		Name:  fmt.Sprintf("av-%d", inPort),
+		Clock: s.host.Kernel(),
 	})
 	d.receiver = s.CreateReceiver(inPort, prio, nil)
 	d.receiver.ctxHandler = func(f video.Frame, sentAt, recvAt sim.Time, ctx trace.SpanContext) {
@@ -85,9 +85,6 @@ func (d *Distributor) Channel() *pubsub.Channel { return d.ch }
 
 // InAddr returns the address upstream senders should bind to.
 func (d *Distributor) InAddr() netsim.Addr { return d.receiver.Addr() }
-
-// Receiver returns the inbound endpoint (for statistics).
-func (d *Distributor) Receiver() *Receiver { return d.receiver }
 
 // Branches returns the downstream streams.
 func (d *Distributor) Branches() []*Stream { return d.branches }

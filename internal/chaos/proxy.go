@@ -9,9 +9,8 @@
 // a chaos run is reproducible: the same seed and schedule produce the
 // same fault windows, and the soak harness (soak.go) asserts hard
 // invariants — at-most-once execution, no silent losses, bounded
-// failover recovery — against them. Every fault boundary is observable:
-// a chaos_* record on the events bus and a layer-"chaos" span per fault
-// window on the shared wall-clock tracer, so injected fault timelines
+// failover recovery — against them. Every fault boundary is observable
+// as a chaos_* record on the events bus, so injected fault timelines
 // line up with the failover and breaker activity they provoke.
 package chaos
 
@@ -24,8 +23,6 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // FaultKind names one fault class the proxy can inject.
@@ -89,8 +86,6 @@ type Config struct {
 	Seed int64
 	// Bus, when set, receives chaos_start / chaos_stop records.
 	Bus *events.Bus
-	// Tracer, when set, gets one layer-"chaos" span per fault window.
-	Tracer *wire.Tracer
 	// Name labels records and spans (default "chaos").
 	Name string
 }
@@ -331,16 +326,8 @@ func (p *Proxy) end(f Fault) {
 	p.record("chaos_stop", f)
 }
 
-// record publishes one fault-boundary record and, for window starts, a
-// closed span covering nothing but marking the instant — the span per
-// *window* is emitted at chaos_stop with the full extent.
+// record publishes one fault-boundary record.
 func (p *Proxy) record(event string, f Fault) {
-	if tr := p.cfg.Tracer; tr != nil {
-		ctx := tr.StartRootLayer(trace.LayerChaos, event,
-			trace.String("fault", string(f.Kind)),
-			trace.Dur("window", sim.Time(f.Duration)))
-		tr.Finish(ctx)
-	}
 	if p.cfg.Bus != nil {
 		p.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindChaos, p.name,
 			events.F("event", event),

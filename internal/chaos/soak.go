@@ -8,42 +8,41 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
-// SoakConfig parameterises RunSoak. The zero value (plus nothing else)
-// runs the default seeded soak: 10k logical requests, mixed EF/BE,
-// latency torture on the BE primary and a kill/restart of it mid-run.
+// SoakConfig parameterises RunSoak. The zero value runs the default
+// seeded soak: 10k logical requests, mixed EF/BE, latency torture on the
+// BE primary and a kill/restart of it mid-run.
 type SoakConfig struct {
 	// Seed fixes every random stream in the run (0 = 1).
 	Seed int64
 	// Requests is the total logical request count (default 10000).
 	Requests int
-	// Concurrency caps in-flight requests (default 64).
-	Concurrency int
-	// EFEvery makes every Nth request expedited (default 3).
-	EFEvery int
-	// RequestTimeout bounds each logical request end to end, failover
-	// attempts included (default 750ms).
-	RequestTimeout time.Duration
-	// WarmFraction is the share of requests issued fault-free first to
-	// establish the latency baseline (default 0.25).
-	WarmFraction float64
-	// TortureLatency is the per-chunk latency injected on the BE
-	// primary's proxy during the fault phase (default 25ms).
-	TortureLatency time.Duration
-	// KillFor is how long the BE primary stays dead mid-fault-phase
-	// (default 400ms).
-	KillFor time.Duration
-	// Bus and Tracer, when set, receive the run's chaos/failover/health
-	// records and spans.
-	Bus    *events.Bus
-	Tracer *wire.Tracer
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
+
+// The soak's shape. The invariants' limits (soak_test.go, DESIGN §13)
+// were measured against these values.
+const (
+	// soakConcurrency caps in-flight requests.
+	soakConcurrency = 64
+	// soakEFEvery makes every Nth request expedited.
+	soakEFEvery = 3
+	// soakRequestTimeout bounds each logical request end to end,
+	// failover attempts included.
+	soakRequestTimeout = 750 * time.Millisecond
+	// soakWarmFraction is the share of requests issued fault-free first
+	// to establish the latency baseline.
+	soakWarmFraction = 0.25
+	// soakTortureLatency is the per-chunk latency injected on the BE
+	// primary's proxy during the fault phase.
+	soakTortureLatency = 25 * time.Millisecond
+	// soakKillFor is how long the BE primary stays dead mid-fault-phase.
+	soakKillFor = 400 * time.Millisecond
+)
 
 // SoakReport is the measured outcome of one soak run, including the
 // values the invariants are asserted against.
@@ -124,24 +123,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 10000
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 64
-	}
-	if cfg.EFEvery <= 0 {
-		cfg.EFEvery = 3
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 750 * time.Millisecond
-	}
-	if cfg.WarmFraction <= 0 || cfg.WarmFraction >= 1 {
-		cfg.WarmFraction = 0.25
-	}
-	if cfg.TortureLatency <= 0 {
-		cfg.TortureLatency = 25 * time.Millisecond
-	}
-	if cfg.KillFor <= 0 {
-		cfg.KillFor = 400 * time.Millisecond
-	}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -184,8 +165,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	proxy, err := New(Config{
 		Target: addrA,
 		Seed:   cfg.Seed,
-		Bus:    cfg.Bus,
-		Tracer: cfg.Tracer,
 		Name:   "chaos.proxyA",
 	})
 	if err != nil {
@@ -198,15 +177,15 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	newGroup := func(name string, endpoints []string, seed int64) (*wire.GroupClient, error) {
 		return wire.NewGroupClient(wire.GroupConfig{
-			Endpoints:      endpoints,
-			RequestTimeout: cfg.RequestTimeout,
-			DialTimeout:    250 * time.Millisecond,
-			ProbeInterval:  50 * time.Millisecond,
-			ProbeTimeout:   200 * time.Millisecond,
-			Bus:            cfg.Bus,
-			Tracer:         cfg.Tracer,
-			Name:           name,
-			Seed:           seed,
+			Endpoints: endpoints,
+			Client: wire.ClientConfig{
+				RequestTimeout: soakRequestTimeout,
+				DialTimeout:    250 * time.Millisecond,
+				Name:           name,
+				Seed:           seed,
+			},
+			ProbeInterval: 50 * time.Millisecond,
+			ProbeTimeout:  200 * time.Millisecond,
 		})
 	}
 	// BE prefers the tortured path; EF prefers the clean replica. Both
@@ -226,14 +205,14 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	sinceMs := func() float64 { return float64(time.Since(base)) / float64(time.Millisecond) }
 	outcomes := make([]soakOutcome, cfg.Requests)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Concurrency)
+	sem := make(chan struct{}, soakConcurrency)
 	issue := func(i int, warm bool) {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ef := i%cfg.EFEvery == 0
+			ef := i%soakEFEvery == 0
 			g, prio := beGroup, int16(0)
 			if ef {
 				g, prio = efGroup, wire.EFPriority
@@ -258,7 +237,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		}()
 	}
 
-	warmN := int(float64(cfg.Requests) * cfg.WarmFraction)
+	warmN := int(float64(cfg.Requests) * soakWarmFraction)
 	logf("soak: warm phase, %d requests", warmN)
 	for i := 0; i < warmN; i++ {
 		issue(i, true)
@@ -269,16 +248,16 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	// Fault phase: latency torture on the BE primary for the whole
 	// phase, with a kill/restart window once load is flowing again.
 	logf("soak: fault phase, %d requests, torture=%v kill=%v",
-		cfg.Requests-warmN, cfg.TortureLatency, cfg.KillFor)
-	proxy.Inject(Fault{Kind: FaultLatency, Latency: cfg.TortureLatency, Duration: time.Hour})
+		cfg.Requests-warmN, soakTortureLatency, soakKillFor)
+	proxy.Inject(Fault{Kind: FaultLatency, Latency: soakTortureLatency, Duration: time.Hour})
 	var restoreAtMs float64
 	killDone := make(chan struct{})
 	go func() {
 		defer close(killDone)
-		time.Sleep(cfg.KillFor) // let faulted load flow before the kill
+		time.Sleep(soakKillFor) // let faulted load flow before the kill
 		proxy.Kill()
 		logf("soak: killed BE primary at %.0fms", sinceMs())
-		time.Sleep(cfg.KillFor)
+		time.Sleep(soakKillFor)
 		if err := proxy.Restart(); err != nil {
 			logf("soak: restart failed: %v", err)
 			restoreAtMs = -1

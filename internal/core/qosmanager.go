@@ -26,9 +26,6 @@ type Activity struct {
 // CPUReserves returns the CPU reservations established for the activity.
 func (a *Activity) CPUReserves() []*rtos.Reserve { return a.cpuReserves }
 
-// NetworkReservation returns the bandwidth reservation, or nil.
-func (a *Activity) NetworkReservation() *netsim.Reservation { return a.netResv }
-
 // Release returns every resource held by the activity.
 func (a *Activity) Release() {
 	for _, r := range a.cpuReserves {

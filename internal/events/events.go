@@ -41,22 +41,14 @@ type Event struct {
 // Handler consumes events on a channel pool thread.
 type Handler func(t *rtos.Thread, ev Event)
 
-// Config parameterises a channel.
-type Config struct {
-	// Lanes configures the dispatch thread pool. Defaults to two lanes
-	// (priority 0 and 16000) with one thread each.
-	Lanes []rtcorba.LaneConfig
-	// DispatchCost is the CPU charged per consumer dispatch. Defaults
-	// to 5µs.
-	DispatchCost time.Duration
-}
+// dispatchCost is the CPU charged per consumer dispatch.
+const dispatchCost = 5 * time.Microsecond
 
 // Channel is an event channel instance on one host.
 type Channel struct {
 	host *rtos.Host
 	mm   *rtcorba.MappingManager
 	pool *rtcorba.ThreadPool
-	cfg  Config
 	subs []*Subscription
 
 	pushed     int64
@@ -77,21 +69,16 @@ type Subscription struct {
 }
 
 // NewChannel creates a channel on host using the given priority mapping.
-func NewChannel(host *rtos.Host, mm *rtcorba.MappingManager, cfg Config) (*Channel, error) {
-	if len(cfg.Lanes) == 0 {
-		cfg.Lanes = []rtcorba.LaneConfig{
-			{Priority: 0, Threads: 1},
-			{Priority: 16000, Threads: 1},
-		}
-	}
-	if cfg.DispatchCost == 0 {
-		cfg.DispatchCost = 5 * time.Microsecond
-	}
-	pool, err := rtcorba.NewThreadPool(host, mm, cfg.Lanes...)
+// Its dispatch pool has a best-effort and an expedited lane (priority 0
+// and 16000) of one thread each.
+func NewChannel(host *rtos.Host, mm *rtcorba.MappingManager) (*Channel, error) {
+	pool, err := rtcorba.NewThreadPool(host, mm,
+		rtcorba.LaneConfig{Priority: 0, Threads: 1},
+		rtcorba.LaneConfig{Priority: 16000, Threads: 1})
 	if err != nil {
 		return nil, err
 	}
-	return &Channel{host: host, mm: mm, pool: pool, cfg: cfg}, nil
+	return &Channel{host: host, mm: mm, pool: pool}, nil
 }
 
 // Subscribe registers a handler for the given event types (nil or empty
@@ -146,7 +133,7 @@ func (c *Channel) Push(ev Event) {
 		ok := c.pool.Dispatch(rtcorba.Work{
 			Priority: prio,
 			Fn: func(t *rtos.Thread) {
-				t.Compute(c.cfg.DispatchCost)
+				t.Compute(dispatchCost)
 				sub.handler(t, ev)
 				sub.Delivered++
 				c.dispatched++

@@ -23,7 +23,7 @@ func newHostChannel(t *testing.T) (*sim.Kernel, *rtos.Host, *Channel) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	h := rtos.NewHost(k, "h", rtos.HostConfig{Quantum: time.Millisecond})
-	ch, err := NewChannel(h, rtcorba.NewMappingManager(), Config{})
+	ch, err := NewChannel(h, rtcorba.NewMappingManager())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRemoteSupplierAndConsumer(t *testing.T) {
 		return nil, nil
 	}))
 
-	ch, err := NewChannel(chanH, rtcorba.NewMappingManager(), Config{})
+	ch, err := NewChannel(chanH, rtcorba.NewMappingManager())
 	if err != nil {
 		t.Fatal(err)
 	}

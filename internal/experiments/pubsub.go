@@ -119,7 +119,7 @@ func RunPubSub(opt Options) PubSubResult {
 
 	start := time.Now()
 	reg := telemetry.NewRegistry()
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Now: sim.Wall.Now, Async: true, Registry: reg})
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Async: true, Registry: reg})
 	defer ch.Close()
 	// Admit at most 1.5 kHz of bulk with a 200-event burst: the 2 kHz
 	// flood must see refusals.
@@ -152,7 +152,7 @@ func RunPubSub(opt Options) PubSubResult {
 	loadSeries := metrics.NewSeries("ef loaded")
 	var seriesMu sync.Mutex
 	mustSubscribe(ch, pubsub.SubscriberConfig{
-		Name: "display", Topic: "camera/**", Priority: pubsub.DefaultEFFloor, Outbox: 128,
+		Name: "display", Topic: "camera/**", Priority: pubsub.EFFloor, Outbox: 128,
 		Deliver: func(ev pubsub.Event) {
 			lat := ch.Now() - ev.Published
 			seriesMu.Lock()
@@ -218,7 +218,7 @@ func RunPubSub(opt Options) PubSubResult {
 			case <-tick.C:
 				_ = ch.Publish(pubsub.Event{
 					Topic: "camera/front", Key: "cam0",
-					Priority: pubsub.DefaultEFFloor, Payload: frame,
+					Priority: pubsub.EFFloor, Payload: frame,
 				})
 			}
 		}
@@ -280,7 +280,7 @@ func RunPubSub(opt Options) PubSubResult {
 	for _, s := range snap.Subscribers {
 		res.Coalesced += s.Coalesced
 		res.Sampled += s.Sampled
-		if s.Priority >= pubsub.DefaultEFFloor {
+		if s.Priority >= pubsub.EFFloor {
 			res.EFDelivered += s.Delivered
 			res.EFDropped += s.Dropped
 		}

@@ -23,8 +23,3 @@ func RecoverHost(h *rtos.Host, node *netsim.Node) {
 	node.SetDown(false)
 	h.Recover()
 }
-
-// Crashed reports whether the host is currently crash-stopped.
-func Crashed(h *rtos.Host, node *netsim.Node) bool {
-	return h.Halted() || node.Down()
-}

@@ -30,13 +30,12 @@ type Group struct {
 // GroupManager mints object groups with unique ids (the replication
 // manager's reference-minting half in FT-CORBA terms).
 type GroupManager struct {
-	seq    uint64
-	groups map[uint64]*Group
+	seq uint64
 }
 
 // NewGroupManager creates an empty manager.
 func NewGroupManager() *GroupManager {
-	return &GroupManager{groups: make(map[uint64]*Group)}
+	return &GroupManager{}
 }
 
 // CreateGroup forms a group over the given member references, primary
@@ -52,12 +51,8 @@ func (m *GroupManager) CreateGroup(members ...*orb.ObjectRef) (*Group, error) {
 	}
 	m.seq++
 	g := &Group{id: m.seq, version: 1, members: append([]*orb.ObjectRef(nil), members...)}
-	m.groups[g.id] = g
 	return g, nil
 }
-
-// Group returns the group with the given id, or nil.
-func (m *GroupManager) Group(id uint64) *Group { return m.groups[id] }
 
 // ID returns the group id.
 func (g *Group) ID() uint64 { return g.id }
@@ -66,16 +61,8 @@ func (g *Group) ID() uint64 { return g.id }
 // membership change, so stale references are detectable.
 func (g *Group) Version() uint64 { return g.version }
 
-// Members returns the current members, primary first.
-func (g *Group) Members() []*orb.ObjectRef {
-	return append([]*orb.ObjectRef(nil), g.members...)
-}
-
 // Primary returns the current primary member.
 func (g *Group) Primary() *orb.ObjectRef { return g.members[0] }
-
-// Size returns the number of members.
-func (g *Group) Size() int { return len(g.members) }
 
 // Ref mints the group's interoperable reference: the primary's profile
 // in front, the backups as ordered alternate profiles, and the group id
@@ -109,21 +96,6 @@ func (g *Group) Promote(i int) error {
 	}
 	p := g.members[i]
 	g.members = append([]*orb.ObjectRef{p}, append(g.members[:i:i], g.members[i+1:]...)...)
-	g.version++
-	return nil
-}
-
-// Remove drops the member at index i (e.g. a replica whose host is
-// confirmed dead) and bumps the version. The group must keep at least
-// one member.
-func (g *Group) Remove(i int) error {
-	if i < 0 || i >= len(g.members) {
-		return fmt.Errorf("ft: remove index %d out of range (group size %d)", i, len(g.members))
-	}
-	if len(g.members) == 1 {
-		return fmt.Errorf("ft: cannot remove last member of group %d", g.id)
-	}
-	g.members = append(g.members[:i:i], g.members[i+1:]...)
 	g.version++
 	return nil
 }

@@ -16,10 +16,9 @@ import (
 type MonitorConfig struct {
 	// Period is the heartbeat interval. Defaults to 100ms. The e2e
 	// failover bound is expressed in detector periods: a crash is
-	// declared within SuspectAfter-1 full periods plus one Timeout.
+	// declared within SuspectAfter-1 full periods plus one ping timeout,
+	// which is half a period.
 	Period time.Duration
-	// Timeout bounds each ping's reply wait. Defaults to Period/2.
-	Timeout time.Duration
 	// SuspectAfter is how many consecutive missed heartbeats declare a
 	// member dead. Defaults to 2 (one miss could be transient loss).
 	SuspectAfter int
@@ -33,9 +32,6 @@ type MonitorConfig struct {
 func (c *MonitorConfig) defaults() {
 	if c.Period == 0 {
 		c.Period = 100 * time.Millisecond
-	}
-	if c.Timeout == 0 {
-		c.Timeout = c.Period / 2
 	}
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 2
@@ -67,10 +63,8 @@ type Monitor struct {
 	members []*memberState
 	index   map[string]*memberState
 
-	cbs     []func(name string, alive bool)
-	seq     uint32
-	rounds  int64
-	stopped bool
+	cbs []func(name string, alive bool)
+	seq uint32
 }
 
 // NewMonitor creates a monitor issuing pings from o.
@@ -125,9 +119,6 @@ func (m *Monitor) AliveCount() int {
 	return n
 }
 
-// Rounds returns how many full ping rounds have completed.
-func (m *Monitor) Rounds() int64 { return m.rounds }
-
 // LivenessCond returns a QuO system condition reading 1 while name is
 // believed alive and 0 once it is suspected — the hook that lets a
 // contract region like "degraded: running on backup" react to faults.
@@ -165,26 +156,22 @@ func (m *Monitor) Start(prio rtos.Priority) {
 	m.orb.Host().Spawn("ft-monitor", prio, m.loop)
 }
 
-// Stop ends the ping loop after the current round.
-func (m *Monitor) Stop() { m.stopped = true }
-
 // loop pings every watched detector once per period, in registration
 // order (deterministic), and applies the miss-counting state machine.
 func (m *Monitor) loop(t *rtos.Thread) {
 	next := t.Now()
-	for !m.stopped {
+	for {
 		m.mu.Lock()
 		targets := append([]*memberState(nil), m.members...)
 		m.mu.Unlock()
 		for _, st := range targets {
 			m.seq++
 			_, err := m.orb.InvokeOpt(t, st.ref, PingOp, pingBody(m.seq, cdr.LittleEndian), orb.InvokeOptions{
-				Timeout:  m.cfg.Timeout,
+				Timeout:  m.cfg.Period / 2,
 				Priority: m.cfg.Priority,
 			})
 			m.record(st.name, err == nil)
 		}
-		m.rounds++
 		next += m.cfg.Period
 		if sleep := next - t.Now(); sleep > 0 {
 			t.Sleep(sleep)

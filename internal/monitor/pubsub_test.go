@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/pubsub"
@@ -12,8 +13,8 @@ import (
 // records and watermark crossings KindSubLag records, timestamped with
 // the channel's clock.
 func TestWirePubSub(t *testing.T) {
-	var now sim.Time
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "mon", Now: func() sim.Time { return now }})
+	clk := sim.NewKernel(1)
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "mon", Clock: clk})
 	bus := events.NewBus(sim.Wall)
 	drops := events.NewTimeline(bus, events.KindDrop)
 	lags := events.NewTimeline(bus, events.KindSubLag)
@@ -23,7 +24,7 @@ func TestWirePubSub(t *testing.T) {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	for i := 0; i < 6; i++ {
-		now += sim.Time(1e6)
+		clk.RunFor(time.Millisecond)
 		if err := ch.Publish(pubsub.Event{Topic: "t"}); err != nil {
 			t.Fatalf("Publish: %v", err)
 		}

@@ -3,7 +3,6 @@ package monitor
 import (
 	rm "runtime/metrics"
 	"sync"
-	"time"
 
 	"repro/internal/trace/telemetry"
 )
@@ -197,34 +196,4 @@ func histQuantile(h *rm.Float64Histogram, q float64) float64 {
 		}
 	}
 	return bucketMid(h.Buckets, len(h.Counts)-1)
-}
-
-// StartRuntime registers a runtime collector on reg and polls it every
-// period in a goroutine (for processes without a sampler). The returned
-// stop function halts the poller synchronously.
-func StartRuntime(reg *telemetry.Registry, every time.Duration) func() {
-	if every <= 0 {
-		every = DefaultEvery
-	}
-	c := NewRuntimeCollector(reg)
-	c.Collect()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Collect()
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		<-done
-	}
 }

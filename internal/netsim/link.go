@@ -62,8 +62,6 @@ type Link struct {
 
 	// Stats
 	txPackets  int64
-	txBytes    int64
-	drops      int64
 	lost       int64
 	corrupted  int64
 	duplicated int64
@@ -79,17 +77,11 @@ func (l *Link) SetLossRate(p float64) {
 	l.lossRate = p
 }
 
-// LossRate returns the injected loss rate.
-func (l *Link) LossRate() float64 { return l.lossRate }
-
 // SetFaults installs a byte-level fault-injection profile on the link.
 func (l *Link) SetFaults(f FaultProfile) {
 	f.validate()
 	l.faults = f
 }
-
-// Faults returns the installed fault profile.
-func (l *Link) Faults() FaultProfile { return l.faults }
 
 // Corrupted returns the number of packets hit by injected corruption
 // (delivered flipped or destroyed as checksum failures).
@@ -134,22 +126,6 @@ func (l *Link) Queue() Qdisc { return l.q }
 // TxPackets returns the number of packets transmitted.
 func (l *Link) TxPackets() int64 { return l.txPackets }
 
-// TxBytes returns the number of bytes transmitted.
-func (l *Link) TxBytes() int64 { return l.txBytes }
-
-// Drops returns the number of packets the egress queue rejected.
-func (l *Link) Drops() int64 { return l.drops }
-
-// Utilization returns transmitted bits over elapsed time as a fraction
-// of the link bandwidth.
-func (l *Link) Utilization() float64 {
-	now := l.net.k.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(l.txBytes*8) / (l.bps * now.Seconds())
-}
-
 func (l *Link) String() string {
 	return fmt.Sprintf("link(%s->%s %.1fMbps %v)", l.from.name, l.to.name, l.bps/1e6, l.delay)
 }
@@ -170,7 +146,6 @@ func (l *Link) enqueue(p *Packet) {
 		return
 	}
 	if !l.q.Enqueue(p) {
-		l.drops++
 		l.net.countDrop(p, DropQueue)
 		return
 	}
@@ -207,7 +182,6 @@ func (l *Link) kick() {
 	k.After(txTime, func() {
 		l.busy = false
 		l.txPackets++
-		l.txBytes += int64(p.Size)
 		l.transmitFaults(p)
 		l.kick()
 	})

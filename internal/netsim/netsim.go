@@ -69,9 +69,6 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // trace context. A nil tracer disables them.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tracer = tr }
 
-// Tracer returns the installed tracer, or nil.
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
-
 // NewFlowID allocates a fresh flow identifier.
 func (n *Network) NewFlowID() FlowID {
 	n.flowSeq++
@@ -110,9 +107,6 @@ func (nd *Node) SetDown(down bool) {
 // Epoch returns the node's crash epoch (the number of SetDown(true)
 // calls so far).
 func (nd *Node) Epoch() int { return nd.epoch }
-
-// Down reports whether the node is crash-stopped.
-func (nd *Node) Down() bool { return nd.down }
 
 // EphemeralPort returns an unbound port in the ephemeral range
 // (20000+), advancing past any ports already in use.

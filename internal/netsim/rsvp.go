@@ -91,9 +91,6 @@ type Reservation struct {
 	refresh *sim.Event
 }
 
-// Spec returns the reservation's parameters.
-func (r *Reservation) Spec() ReservationSpec { return r.spec }
-
 // Links returns the data-path links holding reserved state.
 func (r *Reservation) Links() []*Link { return r.links }
 

@@ -135,12 +135,3 @@ func (ct *CrossTraffic) Stop() {
 		g.Stop()
 	}
 }
-
-// Flows returns the bundle's flow ids.
-func (ct *CrossTraffic) Flows() []FlowID {
-	out := make([]FlowID, len(ct.gens))
-	for i, g := range ct.gens {
-		out[i] = g.flow
-	}
-	return out
-}

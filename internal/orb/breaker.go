@@ -69,7 +69,7 @@ func newBreaker(o *ORB) *orbBreaker {
 	cfg := breaker.Config{
 		Threshold:   o.cfg.BreakerThreshold,
 		Cooldown:    o.cfg.BreakerCooldown,
-		CooldownCap: o.cfg.BreakerCooldownCap,
+		CooldownCap: breakerCooldownCap,
 	}
 	return &orbBreaker{
 		o: o,
@@ -103,9 +103,6 @@ func (b *orbBreaker) observe(addr netsim.Addr, mtr breaker.Transition) {
 // circuit's cooldown has elapsed it flips to half-open and admits the
 // calling invocation as the single probe.
 func (b *orbBreaker) allow(addr netsim.Addr) bool {
-	if b.o.cfg.DisableBreaker {
-		return true
-	}
 	ok, tr, changed := b.m.Allow(addr.String())
 	if changed {
 		b.observe(addr, tr)
@@ -124,9 +121,6 @@ func breakerFailure(err error) bool {
 
 // record feeds an invocation outcome into addr's circuit.
 func (b *orbBreaker) record(addr netsim.Addr, err error) {
-	if b.o.cfg.DisableBreaker {
-		return
-	}
 	tr, changed := b.m.Record(addr.String(), err != nil && breakerFailure(err))
 	if changed {
 		b.observe(addr, tr)

@@ -131,8 +131,8 @@ func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 			}
 			t.Sleep(backoff/2 + time.Duration(o.jrand.Int63n(int64(backoff))))
 			backoff *= 2
-			if backoff > o.cfg.BackoffCap {
-				backoff = o.cfg.BackoffCap
+			if backoff > backoffCap {
+				backoff = backoffCap
 			}
 		}
 		reply, err := o.invokeProfile(t, p, op, body, prio, opts, timeout, info, extra)

@@ -62,19 +62,10 @@ type SystemException = giop.SystemException
 type Config struct {
 	// ListenPort is the server port. Defaults to 2809.
 	ListenPort uint16
-	// IOPriority is the native priority of the ORB's acceptor and
-	// connection reader threads. Defaults to the host's maximum: the
-	// protocol engine must not be starved by application threads.
-	IOPriority rtos.Priority
 	// ByteOrder selects the GIOP encoding. Defaults to little-endian,
-	// matching the paper's x86 testbed.
+	// matching the paper's x86 testbed. A test seam: no program sets it;
+	// the interop test runs its raw-GIOP script in a fixed order.
 	ByteOrder cdr.ByteOrder
-	// CostFixed is the CPU cost of processing one GIOP message
-	// (demultiplexing, header handling). Defaults to 20µs.
-	CostFixed time.Duration
-	// CostPerKB is the additional CPU cost per KiB of message body
-	// ((de)marshalling). Defaults to 8µs.
-	CostPerKB time.Duration
 	// NetMapping maps invocation CORBA priorities to DSCPs on the wire.
 	// Defaults to best effort (no network priority management).
 	NetMapping rtcorba.NetworkPriorityMapping
@@ -95,34 +86,38 @@ type Config struct {
 	// MaxAttempts caps the failover retry loop on a group reference.
 	// Zero means twice the reference's profile count.
 	MaxAttempts int
-	// BackoffBase and BackoffCap parameterise the exponential backoff
-	// between failover attempts (base doubles each retry up to the
-	// cap, jittered per client). Default 10ms base, 160ms cap.
+	// BackoffBase is the first backoff between failover attempts; it
+	// doubles each retry up to backoffCap, jittered per client. Default
+	// 10ms.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// BreakerThreshold is the number of consecutive classified failures
 	// (overload replies, deadline misses, crash timeouts) to one
 	// endpoint before its circuit opens. Defaults to 4.
 	BreakerThreshold int
 	// BreakerCooldown is the initial open interval before a half-open
 	// probe is allowed; it doubles on each failed probe up to
-	// BreakerCooldownCap. Defaults 250ms / 2s.
-	BreakerCooldown    time.Duration
-	BreakerCooldownCap time.Duration
-	// DisableBreaker turns circuit breaking off (every endpoint always
-	// admits traffic), isolating the failover path for measurement.
-	DisableBreaker bool
+	// breakerCooldownCap. Default 250ms.
+	BreakerCooldown time.Duration
 }
+
+const (
+	// costFixed is the CPU cost of processing one GIOP message
+	// (demultiplexing, header handling); costPerKB the additional cost
+	// per KiB of message body ((de)marshalling). Every latency the
+	// paper figures report includes them: changing either moves qosbench's
+	// golden output.
+	costFixed = 20 * time.Microsecond
+	costPerKB = 8 * time.Microsecond
+	// backoffCap bounds one failover backoff: four doublings of the
+	// default base.
+	backoffCap = 160 * time.Millisecond
+	// breakerCooldownCap bounds an open circuit's doubling cooldown.
+	breakerCooldownCap = 2 * time.Second
+)
 
 func (c *Config) defaults() {
 	if c.ListenPort == 0 {
 		c.ListenPort = 2809
-	}
-	if c.CostFixed == 0 {
-		c.CostFixed = 20 * time.Microsecond
-	}
-	if c.CostPerKB == 0 {
-		c.CostPerKB = 8 * time.Microsecond
 	}
 	if c.NetMapping == nil {
 		c.NetMapping = rtcorba.BestEffortMapping{}
@@ -133,17 +128,11 @@ func (c *Config) defaults() {
 	if c.BackoffBase == 0 {
 		c.BackoffBase = 10 * time.Millisecond
 	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 160 * time.Millisecond
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 4
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 250 * time.Millisecond
-	}
-	if c.BreakerCooldownCap == 0 {
-		c.BreakerCooldownCap = 2 * time.Second
 	}
 }
 
@@ -153,7 +142,11 @@ type ORB struct {
 	host *rtos.Host
 	ep   *transport.Endpoint
 	cfg  Config
-	mm   *rtcorba.MappingManager
+	// ioPrio is the native priority of the acceptor and connection
+	// reader threads, the host's maximum: the protocol engine must not be
+	// starved by application threads.
+	ioPrio rtos.Priority
+	mm     *rtcorba.MappingManager
 
 	lis      *transport.Listener
 	poas     map[string]*POA
@@ -161,7 +154,6 @@ type ORB struct {
 	pending  map[uint32]*pendingCall
 	currents map[*rtos.Thread]rtcorba.Priority
 	reqSeq   uint32
-	shutdown bool
 
 	// Client-side fault tolerance state. clientID identifies this ORB
 	// in FT request contexts; ftSeq numbers logical invocations on
@@ -180,10 +172,6 @@ type ORB struct {
 	clientInterceptors []ClientInterceptor
 	serverInterceptors []ServerInterceptor
 	tracer             *trace.Tracer
-
-	// Stats
-	requestsSent       int64
-	requestsDispatched int64
 }
 
 type connKey struct {
@@ -207,9 +195,6 @@ type pendingCall struct {
 // its acceptor immediately.
 func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, cfg Config) *ORB {
 	cfg.defaults()
-	if cfg.IOPriority == 0 {
-		cfg.IOPriority = host.Priorities().Max
-	}
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	cid := h.Sum64()
@@ -218,6 +203,7 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 		host:     host,
 		ep:       transport.NewEndpoint(net, node),
 		cfg:      cfg,
+		ioPrio:   host.Priorities().Max,
 		mm:       rtcorba.NewMappingManager(),
 		poas:     make(map[string]*POA),
 		conns:    make(map[connKey]*clientConn),
@@ -229,7 +215,7 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 	}
 	o.breaker = newBreaker(o)
 	o.lis = o.ep.Listen(cfg.ListenPort)
-	host.Spawn(name+"-acceptor", cfg.IOPriority, o.acceptLoop)
+	host.Spawn(name+"-acceptor", o.ioPrio, o.acceptLoop)
 	return o
 }
 
@@ -248,28 +234,9 @@ func (o *ORB) Addr() netsim.Addr { return o.ep.Addr(o.cfg.ListenPort) }
 // MappingManager returns the ORB's priority mapping manager.
 func (o *ORB) MappingManager() *rtcorba.MappingManager { return o.mm }
 
-// RequestsSent returns the number of client requests issued.
-func (o *ORB) RequestsSent() int64 { return o.requestsSent }
-
-// RequestsDispatched returns the number of server dispatches completed.
-func (o *ORB) RequestsDispatched() int64 { return o.requestsDispatched }
-
-// Shutdown stops accepting connections and closes client connections.
-func (o *ORB) Shutdown() {
-	if o.shutdown {
-		return
-	}
-	o.shutdown = true
-	o.lis.Close()
-	for _, c := range o.conns {
-		c.stream.Send(&transport.Message{Data: (&giop.CloseConnection{}).Marshal(o.cfg.ByteOrder)})
-		c.stream.Close()
-	}
-}
-
 // msgCost returns the CPU cost of handling a message of the given size.
 func (o *ORB) msgCost(size int) time.Duration {
-	return o.cfg.CostFixed + time.Duration(int64(o.cfg.CostPerKB)*int64(size)/1024)
+	return costFixed + time.Duration(int64(costPerKB)*int64(size)/1024)
 }
 
 // Current is the RT-CORBA Current interface for one thread: it carries
@@ -327,7 +294,7 @@ func (o *ORB) connFor(addr netsim.Addr, p rtcorba.Priority) *clientConn {
 		localPort := o.ep.Node().EphemeralPort()
 		c = &clientConn{stream: o.ep.Dial(localPort, addr)}
 		o.conns[key] = c
-		o.host.Spawn(fmt.Sprintf("%s-creader-%d", o.name, localPort), o.cfg.IOPriority, func(t *rtos.Thread) {
+		o.host.Spawn(fmt.Sprintf("%s-creader-%d", o.name, localPort), o.ioPrio, func(t *rtos.Thread) {
 			o.clientReader(c, t)
 		})
 	}
@@ -428,9 +395,6 @@ func (o *ORB) InvokeOneway(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 
 // InvokeOpt is Invoke with explicit options.
 func (o *ORB) InvokeOpt(t *rtos.Thread, ref *ObjectRef, op string, body []byte, opts InvokeOptions) ([]byte, error) {
-	if o.shutdown {
-		return nil, errors.New("orb: shut down")
-	}
 	prio := opts.Priority
 	if prio < 0 {
 		prio = o.Current(t).Priority()
@@ -477,7 +441,6 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 	}
 	o.reqSeq++
 	reqID := o.reqSeq
-	o.requestsSent++
 
 	contexts := []giop.ServiceContext{
 		giop.PriorityContext(int16(prio), o.cfg.ByteOrder),
@@ -595,9 +558,6 @@ func (o *ORB) shedExpired(info *ClientRequestInfo, where string) {
 // object is dispatchable at ref without invoking it — the cheap
 // existence probe CORBA clients use before expensive calls.
 func (o *ORB) Locate(t *rtos.Thread, ref *ObjectRef, timeout time.Duration) (bool, error) {
-	if o.shutdown {
-		return false, errors.New("orb: shut down")
-	}
 	if !o.cfg.DisableCollocation && ref.Addr == o.Addr() {
 		_, _, ok := o.resolveKey(ref.Key)
 		return ok, nil
@@ -646,7 +606,6 @@ func (o *ORB) resolveKey(key []byte) (*POA, Servant, bool) {
 // stubs preserve them.
 func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byte, prio rtcorba.Priority, opts InvokeOptions, timeout time.Duration, info *ClientRequestInfo) ([]byte, error) {
 	tctx := info.TraceCtx
-	o.requestsSent++
 	poaName, objID, ok := strings.Cut(string(key), "/")
 	if !ok {
 		return nil, fmt.Errorf("%w (collocated, bad key)", ErrObjectNotExist)
@@ -664,7 +623,7 @@ func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byt
 	}
 	// A collocated call still costs a (small) constant: TAO's collocated
 	// stubs avoid (de)marshalling but not the dispatch machinery.
-	t.Compute(o.cfg.CostFixed / 4)
+	t.Compute(costFixed / 4)
 
 	done := sim.NewSignal()
 	var replyBody []byte
@@ -699,7 +658,6 @@ func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byt
 			replyBody, dispatchErr = servant.Dispatch(sreq)
 			sinfo.Err = dispatchErr
 			o.interceptSendReply(sinfo)
-			o.requestsDispatched++
 			done.Broadcast()
 		},
 	}

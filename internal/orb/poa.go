@@ -138,19 +138,13 @@ func (p *POA) Activate(id string, s Servant) (*ObjectRef, error) {
 	}, nil
 }
 
-// Deactivate removes the servant registered under id.
-func (p *POA) Deactivate(id string) { delete(p.servants, id) }
-
 // acceptLoop runs on the ORB's acceptor thread, spawning a reader per
 // inbound connection.
 func (o *ORB) acceptLoop(t *rtos.Thread) {
 	for {
 		conn := o.lis.Accept(t.Proc())
-		if o.shutdown {
-			return
-		}
 		name := fmt.Sprintf("%s-sreader-%v", o.name, conn.RemoteAddr())
-		o.host.Spawn(name, o.cfg.IOPriority, func(rt *rtos.Thread) {
+		o.host.Spawn(name, o.ioPrio, func(rt *rtos.Thread) {
 			o.serverReader(conn, rt)
 		})
 	}
@@ -332,7 +326,6 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 			body, err := servant.Dispatch(sreq)
 			sinfo.Err = err
 			o.interceptSendReply(sinfo)
-			o.requestsDispatched++
 			var rspan *trace.Span
 			if o.tracer != nil && tctx.Valid() {
 				rspan = o.tracer.StartChild(tctx, "reply.marshal", trace.LayerORB)

@@ -35,9 +35,6 @@ func (o *ORB) EnableTracing(tr *trace.Tracer) {
 	o.AddServerInterceptor(&ServerTracer{Tracer: tr})
 }
 
-// Tracer returns the ORB's tracer, or nil when tracing is disabled.
-func (o *ORB) Tracer() *trace.Tracer { return o.tracer }
-
 // ClientTracer is the ready-made client interceptor that roots the
 // invocation span and injects the trace context service context into
 // every outgoing request.

@@ -37,10 +37,10 @@ import (
 	"repro/internal/trace/telemetry"
 )
 
-// DefaultEFFloor is the CORBA priority at or above which a subscriber
-// counts as expedited-forwarding for degradation purposes (matches the
-// wire plane's EF band floor).
-const DefaultEFFloor int16 = 16000
+// EFFloor is the CORBA priority at or above which a subscriber counts as
+// expedited-forwarding — exempt from degradation, its fan-out latency in
+// the "ef" band. It is the wire plane's EF band floor.
+const EFFloor int16 = 16000
 
 // Publish errors.
 var (
@@ -175,7 +175,7 @@ type SubscriberConfig struct {
 	Topic string
 	// MinPriority filters out events below this priority.
 	MinPriority int16
-	// Priority is the subscriber's own band: >= the channel's EF floor
+	// Priority is the subscriber's own band: >= EFFloor
 	// marks it expedited (exempt from degradation), below marks it BE.
 	Priority int16
 	// Outbox bounds the subscriber's queue (default 64).
@@ -194,17 +194,14 @@ type SubscriberConfig struct {
 type ChannelConfig struct {
 	// Name labels the channel in spans, stats and telemetry.
 	Name string
-	// Now is the channel clock. Nil means wall clock anchored at
-	// creation; pass the kernel's Now for simulation channels or the
-	// wire tracer's Elapsed to share the wire plane's time base.
-	Now func() sim.Time
+	// Clock is the channel clock: the kernel for simulation channels,
+	// nil for sim.Wall, the process clock the wire plane's spans and
+	// records share.
+	Clock sim.Clock
 	// Async runs one pump goroutine per subscriber. When false the
 	// caller drains outboxes explicitly with PumpOne/PumpAll — the
 	// deterministic mode simulation tests and the A/V relay use.
 	Async bool
-	// EFFloor is the priority at or above which subscribers are exempt
-	// from degradation (default DefaultEFFloor).
-	EFFloor int16
 	// Registry receives pubsub.* telemetry (fresh registry if nil).
 	Registry *telemetry.Registry
 	// Tracer emits layer-"pubsub" publish spans (nil = no spans).
@@ -223,9 +220,9 @@ type rateLimit struct {
 
 // Channel is a real-time pub/sub event channel.
 type Channel struct {
-	cfg  ChannelConfig
-	reg  *telemetry.Registry
-	base time.Time // wall anchor when cfg.Now is nil
+	cfg   ChannelConfig
+	reg   *telemetry.Registry
+	clock sim.Clock
 
 	mu        sync.Mutex
 	seq       uint64
@@ -252,17 +249,17 @@ func New(cfg ChannelConfig) *Channel {
 	if cfg.Name == "" {
 		cfg.Name = "chan"
 	}
-	if cfg.EFFloor == 0 {
-		cfg.EFFloor = DefaultEFFloor
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = sim.Wall
+	}
 	c := &Channel{
-		cfg:  cfg,
-		reg:  cfg.Registry,
-		base: time.Now(),
-		subs: make(map[string]*Subscriber),
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		clock: cfg.Clock,
+		subs:  make(map[string]*Subscriber),
 	}
 	c.hFanoutEF = c.reg.Histogram("pubsub.fanout_ms", telemetry.L("band", "ef"))
 	c.hFanoutBE = c.reg.Histogram("pubsub.fanout_ms", telemetry.L("band", "be"))
@@ -270,12 +267,7 @@ func New(cfg ChannelConfig) *Channel {
 }
 
 // Now returns the channel clock reading.
-func (c *Channel) Now() sim.Time {
-	if c.cfg.Now != nil {
-		return c.cfg.Now()
-	}
-	return sim.Time(time.Since(c.base))
-}
+func (c *Channel) Now() sim.Time { return c.clock.Now() }
 
 // Name returns the channel's configured name.
 func (c *Channel) Name() string { return c.cfg.Name }
@@ -324,15 +316,8 @@ func (c *Channel) Limit(pattern string, rate, burst float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.limits = append(c.limits, &rateLimit{
-		pattern: pattern, rate: rate, burst: burst, tokens: burst, last: c.now(),
+		pattern: pattern, rate: rate, burst: burst, tokens: burst, last: c.Now(),
 	})
-}
-
-func (c *Channel) now() sim.Time {
-	if c.cfg.Now != nil {
-		return c.cfg.Now()
-	}
-	return sim.Time(time.Since(c.base))
 }
 
 // admit refills and spends the first matching bucket; channel lock held.
@@ -392,7 +377,7 @@ func (c *Channel) Subscribe(cfg SubscriberConfig) (*Subscriber, error) {
 		return nil, fmt.Errorf("pubsub: duplicate subscriber %q", cfg.Name)
 	}
 	// A subscriber joining a degraded channel inherits the downgrade.
-	s.degraded = c.degraded && cfg.Priority < c.cfg.EFFloor
+	s.degraded = c.degraded && cfg.Priority < EFFloor
 	c.subs[cfg.Name] = s
 	c.order = append(c.order, s)
 	if c.cfg.Async {
@@ -447,7 +432,7 @@ func (c *Channel) PublishCtx(ev Event, parent trace.SpanContext) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	at := c.now()
+	at := c.Now()
 	if !c.admit(ev.Topic, at) {
 		c.refused++
 		c.mu.Unlock()
@@ -519,7 +504,7 @@ func (c *Channel) SetDegraded(on bool) int {
 	c.degraded = on
 	targets := make([]*Subscriber, 0, len(c.order))
 	for _, s := range c.order {
-		if s.cfg.Priority < c.cfg.EFFloor {
+		if s.cfg.Priority < EFFloor {
 			targets = append(targets, s)
 		}
 	}
@@ -676,13 +661,6 @@ func (s *Subscriber) Degraded() bool {
 	return s.degraded
 }
 
-// Depth returns the current outbox depth.
-func (s *Subscriber) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.box)
-}
-
 // lagHigh is the outbox depth that marks a subscriber lagging; lagLow
 // is where the mark clears (hysteresis so one pop doesn't flap it).
 func (s *Subscriber) lagHigh() int { return (s.cfg.Outbox*4 + 4) / 5 }
@@ -739,8 +717,7 @@ func (s *Subscriber) offer(ev Event) (drops []DropInfo, lag *LagInfo) {
 			s.dropped++
 			return []DropInfo{s.dropLocked(ev, "overflow", at)}, nil
 		default: // DropOldest, and CoalesceByKey with no queued key match
-			old := s.box[0]
-			s.box = s.box[1:]
+			old := s.dropHead()
 			s.dropped++
 			drops = append(drops, s.dropLocked(old, "overflow", at))
 		}
@@ -787,17 +764,25 @@ func (s *Subscriber) PumpOne() bool {
 	return true
 }
 
-// popLocked removes the head event; subscriber lock held.
-func (s *Subscriber) popLocked() (Event, *LagInfo, int) {
+// dropHead removes and returns the oldest queued event, clearing its
+// slot so the outbox's backing array stops pinning the payload;
+// subscriber lock held.
+func (s *Subscriber) dropHead() Event {
 	ev := s.box[0]
-	s.box[0] = Event{} // release payload references promptly
+	s.box[0] = Event{}
 	s.box = s.box[1:]
+	return ev
+}
+
+// popLocked removes the head event for delivery; subscriber lock held.
+func (s *Subscriber) popLocked() (Event, *LagInfo, int) {
+	ev := s.dropHead()
 	if len(s.box) == 0 {
 		s.box = nil // reset backing array so it can be collected
 	}
 	s.delivered++
 	s.cond.Broadcast() // wake Block publishers waiting for space
-	return ev, s.lagTransition(s.ch.now()), len(s.box)
+	return ev, s.lagTransition(s.ch.Now()), len(s.box)
 }
 
 // deliver invokes the consumer callback and records the fan-out
@@ -806,9 +791,9 @@ func (s *Subscriber) deliver(ev Event, lag *LagInfo, depth int) {
 	s.cfg.Deliver(ev)
 	s.cDelivered.Inc()
 	s.gDepth.Set(float64(depth))
-	latMs := float64(s.ch.now()-ev.Published) / float64(time.Millisecond)
+	latMs := float64(s.ch.Now()-ev.Published) / float64(time.Millisecond)
 	h := s.ch.hFanoutBE
-	if s.cfg.Priority >= s.ch.cfg.EFFloor {
+	if s.cfg.Priority >= EFFloor {
 		h = s.ch.hFanoutEF
 	}
 	h.ObserveEx(latMs, telemetry.Exemplar{

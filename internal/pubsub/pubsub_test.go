@@ -13,24 +13,6 @@ import (
 	"repro/internal/trace/telemetry"
 )
 
-// simClock is a hand-advanced virtual clock for deterministic tests.
-type simClock struct {
-	mu  sync.Mutex
-	now sim.Time
-}
-
-func (c *simClock) Now() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *simClock) Advance(d sim.Time) {
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
-}
-
 // collect returns a Deliver func appending into a guarded slice.
 func collect(mu *sync.Mutex, dst *[]Event) func(Event) {
 	return func(ev Event) {
@@ -41,8 +23,8 @@ func collect(mu *sync.Mutex, dst *[]Event) func(Event) {
 }
 
 func TestTopicAndPriorityFiltering(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Name: "t", Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Name: "t", Clock: clk})
 	var mu sync.Mutex
 	var cam, all, ef []Event
 	mustSub(t, ch, SubscriberConfig{Name: "cam", Topic: "camera/**", Deliver: collect(&mu, &cam)})
@@ -83,9 +65,9 @@ func mustSub(t *testing.T, ch *Channel, cfg SubscriberConfig) *Subscriber {
 }
 
 func TestOverflowPolicies(t *testing.T) {
-	clk := &simClock{}
+	clk := sim.NewKernel(1)
 	t.Run("DropOldest", func(t *testing.T) {
-		ch := New(ChannelConfig{Now: clk.Now})
+		ch := New(ChannelConfig{Clock: clk})
 		var mu sync.Mutex
 		var got []Event
 		mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 2, Policy: DropOldest, Deliver: collect(&mu, &got)})
@@ -99,8 +81,24 @@ func TestOverflowPolicies(t *testing.T) {
 			t.Errorf("dropped = %d, want 2", st.Dropped)
 		}
 	})
+	t.Run("DropOldestReleasesEvicted", func(t *testing.T) {
+		// The evicted event's slot is cleared, as a delivered one's is: a
+		// slow subscriber's backing array must not pin what it dropped.
+		ch := New(ChannelConfig{Clock: clk})
+		sub := mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 2, Policy: DropOldest, Deliver: func(Event) {}})
+		ch.Publish(Event{Topic: "t", Payload: []byte("evicted")})
+		ch.Publish(Event{Topic: "t", Payload: []byte("kept")})
+		array := sub.box[:2:2] // the outbox's backing array, manual channel: no pump running
+		ch.Publish(Event{Topic: "t", Payload: []byte("newcomer")})
+		if array[0].Payload != nil || array[0].Topic != "" {
+			t.Errorf("the evicted event is still reachable from the outbox array: %+v", array[0])
+		}
+		if string(array[1].Payload) != "kept" {
+			t.Errorf("slot 1 = %q, want the kept event", array[1].Payload)
+		}
+	})
 	t.Run("DropNewest", func(t *testing.T) {
-		ch := New(ChannelConfig{Now: clk.Now})
+		ch := New(ChannelConfig{Clock: clk})
 		var mu sync.Mutex
 		var got []Event
 		mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 2, Policy: DropNewest, Deliver: collect(&mu, &got)})
@@ -111,7 +109,7 @@ func TestOverflowPolicies(t *testing.T) {
 		checkKeys(t, &mu, got, []string{"0", "1"}) // 2 and 3 refused
 	})
 	t.Run("CoalesceByKey", func(t *testing.T) {
-		ch := New(ChannelConfig{Now: clk.Now})
+		ch := New(ChannelConfig{Clock: clk})
 		var mu sync.Mutex
 		var got []Event
 		mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 8, Policy: CoalesceByKey, Deliver: collect(&mu, &got)})
@@ -134,7 +132,7 @@ func TestOverflowPolicies(t *testing.T) {
 		}
 	})
 	t.Run("BlockNeedsAsync", func(t *testing.T) {
-		ch := New(ChannelConfig{Now: clk.Now})
+		ch := New(ChannelConfig{Clock: clk})
 		if _, err := ch.Subscribe(SubscriberConfig{Name: "s", Policy: Block, Deliver: func(Event) {}}); err == nil {
 			t.Fatal("Block policy on a manual channel should be rejected")
 		}
@@ -177,8 +175,8 @@ func checkKeys(t *testing.T, mu *sync.Mutex, got []Event, want []string) {
 }
 
 func TestAdmissionTokenBucket(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Clock: clk})
 	ch.Limit("bulk/**", 10, 5) // 10/s, burst 5
 	mustSub(t, ch, SubscriberConfig{Name: "s", Deliver: func(Event) {}})
 
@@ -196,7 +194,7 @@ func TestAdmissionTokenBucket(t *testing.T) {
 		t.Errorf("unlimited topic refused: %v", err)
 	}
 	// Virtual half a second refills 5 tokens.
-	clk.Advance(500 * time.Millisecond)
+	clk.RunFor(500 * time.Millisecond)
 	for i := 0; i < 5; i++ {
 		if err := ch.Publish(Event{Topic: "bulk/data"}); err != nil {
 			t.Fatalf("publish %d after refill: %v", i, err)
@@ -211,8 +209,8 @@ func TestAdmissionTokenBucket(t *testing.T) {
 }
 
 func TestDegradedModeSpareEF(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Clock: clk})
 	var mu sync.Mutex
 	var ef, be []Event
 	mustSub(t, ch, SubscriberConfig{Name: "ef", Priority: 16000, Outbox: 256, Deliver: collect(&mu, &ef)})
@@ -261,8 +259,8 @@ func TestDegradedModeSpareEF(t *testing.T) {
 }
 
 func TestHooksAndSnapshot(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Name: "hooks", Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Name: "hooks", Clock: clk})
 	var mu sync.Mutex
 	var drops []DropInfo
 	var lags []LagInfo
@@ -305,8 +303,8 @@ func TestHooksAndSnapshot(t *testing.T) {
 }
 
 func TestBindContractDegradesOnRegion(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Clock: clk})
 	mustSub(t, ch, SubscriberConfig{Name: "be", Priority: 0, Deliver: func(Event) {}})
 
 	load := quo.NewMeasuredCond("load", 0)
@@ -333,8 +331,8 @@ func TestBindContractDegradesOnRegion(t *testing.T) {
 }
 
 func TestLagCond(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Name: "lc", Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Name: "lc", Clock: clk})
 	mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 10, Deliver: func(Event) {}})
 	cond := LagCond(ch)
 	if v := cond.Value(); v != 0 {
@@ -358,8 +356,8 @@ func TestLagCond(t *testing.T) {
 // subscriber never drops, and every overflow drop lands on the slow BE
 // subscriber's outbox policy.
 func TestScenarioSimClock(t *testing.T) {
-	clk := &simClock{}
-	ch := New(ChannelConfig{Name: "scenario", Now: clk.Now})
+	clk := sim.NewKernel(1)
+	ch := New(ChannelConfig{Name: "scenario", Clock: clk})
 	ch.Limit("bulk/**", 2000, 100)
 
 	var mu sync.Mutex
@@ -391,7 +389,7 @@ func TestScenarioSimClock(t *testing.T) {
 	// slow one only once every 8 ticks.
 	frames := 0
 	for tick := 0; tick < 600; tick++ {
-		clk.Advance(time.Millisecond)
+		clk.RunFor(time.Millisecond)
 		if tick%3 == 0 {
 			if err := ch.Publish(Event{Topic: "camera/frames", Key: "cam0", Priority: 16000}); err != nil {
 				t.Fatalf("EF publish: %v", err)

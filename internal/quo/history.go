@@ -60,9 +60,6 @@ func (h *History) TimeIn(region string) time.Duration {
 	return total
 }
 
-// Transitions returns the number of recorded region changes.
-func (h *History) Transitions() int { return len(h.spans) }
-
 // Render prints the timeline, one span per line.
 func (h *History) Render() string {
 	now := h.k.Now()

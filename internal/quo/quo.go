@@ -13,7 +13,6 @@ package quo
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/sim"
@@ -312,7 +311,3 @@ func HysteresisBand(cond string, threshold, margin float64) (enter, leave func(V
 	leave = func(v Values) bool { return v[cond] > threshold+margin }
 	return enter, leave
 }
-
-// NearlyEqual reports whether two condition values are within eps, a
-// helper for predicates on float-valued conditions.
-func NearlyEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }

@@ -23,10 +23,6 @@ func (c *Contract) AttachTracer(tr *trace.Tracer) *Contract {
 	return c
 }
 
-// Span returns the contract's open span, or nil when no tracer is
-// attached.
-func (c *Contract) Span() *trace.Span { return c.span }
-
 // Instrument mirrors the contract's activity into reg: an evaluation
 // counter, a transition counter labeled by destination region, and one
 // gauge per system condition.

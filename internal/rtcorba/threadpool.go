@@ -305,9 +305,6 @@ func (tp *ThreadPool) laneFor(p Priority) *lane {
 	return best
 }
 
-// Lanes returns the number of lanes.
-func (tp *ThreadPool) Lanes() int { return len(tp.lanes) }
-
 // Served returns the number of completed dispatches in lane i.
 func (tp *ThreadPool) Served(i int) int64 { return tp.lanes[i].served }
 

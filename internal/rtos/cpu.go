@@ -57,9 +57,8 @@ type CPU struct {
 	halted  bool
 
 	// accounting
-	busy     time.Duration
-	lastIdle sim.Time
-	tracer   *Tracer
+	busy   time.Duration
+	tracer *Tracer
 }
 
 func newCPU(h *Host, quantum time.Duration) *CPU {
@@ -79,9 +78,6 @@ func (c *CPU) Utilization() float64 {
 	}
 	return float64(busy) / float64(now)
 }
-
-// Runnable reports the number of runnable jobs (including the running one).
-func (c *CPU) Runnable() int { return len(c.jobs) }
 
 // add enqueues a new compute demand and reevaluates the schedule.
 func (c *CPU) add(j *job) {

@@ -15,9 +15,6 @@ type LoadGen struct {
 // Stop makes the generator exit after its current burst.
 func (g *LoadGen) Stop() { g.stop = true }
 
-// Thread returns the generator's thread.
-func (g *LoadGen) Thread() *Thread { return g.t }
-
 // StartBusyLoop spawns a thread that consumes CPU continuously at prio
 // until stopped. It computes in small slices so scheduling decisions and
 // accounting stay responsive.

@@ -56,16 +56,6 @@ func (rk *ResourceKernel) Utilization() float64 {
 	return u
 }
 
-// Cap returns the admission-control utilisation bound.
-func (rk *ResourceKernel) Cap() float64 { return rk.cap }
-
-// Reserves returns a snapshot of the admitted reservations.
-func (rk *ResourceKernel) Reserves() []*Reserve {
-	out := make([]*Reserve, len(rk.reserves))
-	copy(out, rk.reserves)
-	return out
-}
-
 // Reserve requests a CPU reservation of compute time c every period t.
 // It returns ErrAdmission if the kernel cannot guarantee the request.
 func (rk *ResourceKernel) Reserve(c, t time.Duration, policy EnforcementPolicy) (*Reserve, error) {
@@ -107,31 +97,15 @@ type Reserve struct {
 	threads  []*Thread
 
 	// accounting
-	periods   int
-	overruns  int // periods in which the budget was fully consumed
-	delivered time.Duration
+	periods  int
+	overruns int // periods in which the budget was fully consumed
 }
 
 // Compute returns the per-period budget C.
 func (r *Reserve) Compute() time.Duration { return r.compute }
 
-// Period returns the replenishment period T.
-func (r *Reserve) Period() time.Duration { return r.period }
-
-// Budget returns the budget remaining in the current period.
-func (r *Reserve) Budget() time.Duration { return r.budget }
-
-// Depleted reports whether the current period's budget is exhausted.
-func (r *Reserve) Depleted() bool { return r.depleted }
-
-// Policy returns the enforcement policy.
-func (r *Reserve) Policy() EnforcementPolicy { return r.policy }
-
 // Overruns reports in how many periods the budget ran dry.
 func (r *Reserve) Overruns() int { return r.overruns }
-
-// Delivered returns the total reserved CPU time actually consumed.
-func (r *Reserve) Delivered() time.Duration { return r.delivered }
 
 // Attach places thread t under this reservation. A thread can be under
 // at most one reserve; attaching replaces any previous one.
@@ -145,15 +119,6 @@ func (r *Reserve) Attach(t *Thread) {
 	t.reserve = r
 	r.threads = append(r.threads, t)
 	r.rk.host.cpu.reschedule()
-}
-
-// Detach removes thread t from the reservation.
-func (r *Reserve) Detach(t *Thread) {
-	if t.reserve == r {
-		t.reserve = nil
-		r.forget(t)
-		r.rk.host.cpu.reschedule()
-	}
 }
 
 func (r *Reserve) forget(t *Thread) {
@@ -189,7 +154,6 @@ func (r *Reserve) Cancel() {
 
 func (r *Reserve) consume(d time.Duration) {
 	r.budget -= d
-	r.delivered += d
 }
 
 func (r *Reserve) deplete() {

@@ -95,9 +95,6 @@ func (h *Host) Name() string { return h.name }
 // Kernel returns the simulation kernel the host runs on.
 func (h *Host) Kernel() *sim.Kernel { return h.k }
 
-// Hz returns the CPU clock rate in cycles per second.
-func (h *Host) Hz() float64 { return h.cfg.Hz }
-
 // Priorities returns the host's native priority range.
 func (h *Host) Priorities() PriorityRange { return h.cfg.Priorities }
 
@@ -117,9 +114,6 @@ func (h *Host) Halt() { h.cpu.halt() }
 // Recover restarts a halted host's CPU; frozen compute demands resume
 // where they stopped.
 func (h *Host) Recover() { h.cpu.recover() }
-
-// Halted reports whether the host is crash-stopped.
-func (h *Host) Halted() bool { return h.cpu.halted }
 
 // Spawn starts a new thread at the given native priority running fn.
 // The priority is clamped to the host's range.

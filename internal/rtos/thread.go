@@ -18,7 +18,6 @@ type Thread struct {
 	base      Priority
 	inherited Priority // ceiling donated by priority-inheritance mutexes
 	reserve   *Reserve
-	computing time.Duration // total CPU time consumed, for accounting
 }
 
 // Host returns the thread's host.
@@ -56,9 +55,6 @@ func (t *Thread) SetPriority(p Priority) {
 // Reserve returns the CPU reservation the thread is attached to, or nil.
 func (t *Thread) Reserve() *Reserve { return t.reserve }
 
-// ConsumedCPU returns the total CPU time the thread has consumed.
-func (t *Thread) ConsumedCPU() time.Duration { return t.computing }
-
 // Compute consumes d of CPU time on the host's processor, blocking the
 // thread until the scheduler has actually delivered that much time under
 // contention. The elapsed virtual time is therefore >= d.
@@ -70,7 +66,6 @@ func (t *Thread) Compute(d time.Duration) {
 	j := &job{t: t, remaining: d, done: func() { done.Broadcast() }}
 	t.host.cpu.add(j)
 	done.Wait(t.proc)
-	t.computing += d
 }
 
 // ComputeCycles consumes n CPU cycles, converted via the host clock rate.
@@ -83,9 +78,6 @@ func (t *Thread) ComputeCycles(n float64) {
 
 // Sleep suspends the thread for d of virtual time without consuming CPU.
 func (t *Thread) Sleep(d time.Duration) { t.proc.Sleep(d) }
-
-// Yield lets same-instant events run before the thread continues.
-func (t *Thread) Yield() { t.proc.Yield() }
 
 // String implements fmt.Stringer.
 func (t *Thread) String() string {
@@ -117,9 +109,6 @@ func NewMutex(h *Host) *Mutex { return &Mutex{host: h} }
 // what inheritance buys.
 func NewMutexNoPI(h *Host) *Mutex { return &Mutex{host: h, noPI: true} }
 
-// Owner returns the current holder, or nil.
-func (m *Mutex) Owner() *Thread { return m.owner }
-
 // Lock acquires the mutex for t, blocking while another thread holds it.
 // Waiters are granted the lock in priority order.
 func (m *Mutex) Lock(t *Thread) {
@@ -134,15 +123,6 @@ func (m *Mutex) Lock(t *Thread) {
 	m.waiters = append(m.waiters, w)
 	m.updateInheritance()
 	w.sig.Wait(t.proc)
-}
-
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock(t *Thread) bool {
-	if m.owner == nil {
-		m.owner = t
-		return true
-	}
-	return false
 }
 
 // Unlock releases the mutex, handing it to the highest-priority waiter.

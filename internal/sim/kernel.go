@@ -33,9 +33,6 @@ type Event struct {
 	canceled bool
 }
 
-// At reports the virtual time the event is (or was) scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired or was already cancelled is a no-op.
 func (e *Event) Cancel() {

@@ -20,10 +20,6 @@ type Proc struct {
 	resume chan struct{}
 	parked chan struct{}
 	dead   bool
-
-	// waiting is non-nil while the process is blocked on a waitable and
-	// records how to abort that wait on Kill.
-	interrupt func()
 }
 
 // Go spawns a process running fn. The process starts at the current
@@ -67,9 +63,6 @@ func (p *Proc) park() {
 	p.parked <- struct{}{}
 	<-p.resume
 }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Name returns the diagnostic name given at spawn time.
 func (p *Proc) Name() string { return p.name }

@@ -209,13 +209,6 @@ func (t *Tracker) ObserveLatency(d time.Duration) {
 	t.Observe(d <= t.obj.LatencyBound)
 }
 
-// Totals returns the all-time good/bad counts.
-func (t *Tracker) Totals() (good, bad int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.good, t.bad
-}
-
 // window sums the buckets covering (now-w, now]. Caller holds mu.
 func (t *Tracker) window(now sim.Time, w time.Duration) (good, bad int64) {
 	lo := now - sim.Time(w)
@@ -237,15 +230,6 @@ func (t *Tracker) burn(now sim.Time, w time.Duration) float64 {
 		return 0
 	}
 	return (float64(bad) / float64(total)) / (1 - t.obj.Goal)
-}
-
-// Burn returns the burn rate over the trailing window w: the bad-event
-// ratio divided by the error budget (0 when the window is empty).
-func (t *Tracker) Burn(w time.Duration) float64 {
-	now := t.clock.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.burn(now, w)
 }
 
 // WorstBurn returns the highest pairwise burn: for each pair the lesser

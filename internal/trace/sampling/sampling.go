@@ -76,15 +76,10 @@ type Config struct {
 	// sampling, per priority band. <= 0 disables adaptation (the head
 	// probability stays at InitialProb).
 	TargetPerSec float64
-	// Adjust is the AIMD adjustment period (default 1s of virtual time).
-	Adjust time.Duration
 	// InitialProb is the starting head-sampling probability in (0, 1]
 	// (default 1.0; any negative value disables head sampling, keeping
 	// only error-class and tail-outlier traces).
 	InitialProb float64
-	// TailWindow bounds the per-operation duration ring used for the
-	// rolling p95 (default 128 samples).
-	TailWindow int
 	// TailMin is the minimum observations of an operation before the
 	// tail detector can fire (default 16), so cold starts don't keep
 	// everything.
@@ -96,6 +91,15 @@ type Config struct {
 	// attribute, overload layer, ft layer, or a netsim "drop" span.
 	AlwaysKeep func(s *trace.Span) bool
 }
+
+const (
+	// adjustPeriod is the AIMD adjustment period: TargetPerSec is a
+	// per-second budget, so the rate is judged over one second.
+	adjustPeriod = time.Second
+	// tailWindow bounds the per-operation duration ring used for the
+	// rolling p95.
+	tailWindow = 128
+)
 
 // DefaultBandOf is the default priority banding: the RT-CORBA
 // experiments escalate to priority 100, so < 50 is the best-effort band.
@@ -142,7 +146,7 @@ type Stats struct {
 }
 
 // tailEst is a bounded rolling-percentile estimator over one
-// operation's root durations: a ring of the most recent TailWindow
+// operation's root durations: a ring of the most recent tailWindow
 // observations, p95 computed on demand from a sorted copy. Memory and
 // decisions are bounded and deterministic.
 type tailEst struct {
@@ -221,9 +225,6 @@ var _ trace.Sink = (*Sampler)(nil)
 // New creates a sampler on the kernel's virtual clock, forwarding kept
 // spans to down.
 func New(k *sim.Kernel, cfg Config, down ...trace.Sink) *Sampler {
-	if cfg.Adjust <= 0 {
-		cfg.Adjust = time.Second
-	}
 	if cfg.InitialProb == 0 {
 		cfg.InitialProb = 1
 	}
@@ -232,9 +233,6 @@ func New(k *sim.Kernel, cfg Config, down ...trace.Sink) *Sampler {
 	}
 	if cfg.InitialProb > 1 {
 		cfg.InitialProb = 1
-	}
-	if cfg.TailWindow <= 0 {
-		cfg.TailWindow = 128
 	}
 	if cfg.TailMin <= 0 {
 		cfg.TailMin = 16
@@ -255,9 +253,6 @@ func New(k *sim.Kernel, cfg Config, down ...trace.Sink) *Sampler {
 		bands:   make(map[string]*bandCtl),
 	}
 }
-
-// AddSink attaches another downstream sink receiving kept spans.
-func (sp *Sampler) AddSink(s trace.Sink) { sp.down = append(sp.down, s) }
 
 // Instrument publishes sampling decisions into a telemetry registry:
 // trace.sampler.decided{verdict=...} counters and a
@@ -378,7 +373,7 @@ func (sp *Sampler) adjust(b *bandCtl) {
 	}
 	now := sp.k.Now()
 	elapsed := now - b.periodStart
-	if elapsed < sim.Time(sp.cfg.Adjust) {
+	if elapsed < sim.Time(adjustPeriod) {
 		return
 	}
 	rate := float64(b.kept) / elapsed.Seconds()
@@ -426,7 +421,7 @@ func (sp *Sampler) decide(root *trace.Span) {
 	if v == VerdictDrop && est.count() >= sp.cfg.TailMin && dur > est.p95() {
 		v = VerdictKeepTail
 	}
-	est.observe(dur, sp.cfg.TailWindow)
+	est.observe(dur, tailWindow)
 
 	b := sp.band(sp.cfg.BandOf(priorityOf(root)))
 	sp.adjust(b)

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/sim"
@@ -37,10 +38,6 @@ const (
 	// machinery: deadline sheds, admission refusals, and circuit-breaker
 	// transitions.
 	LayerOverload = "overload"
-	// LayerChaos tags spans emitted by the chaos TCP proxy
-	// (internal/chaos): one span per active fault window, so injected
-	// fault timelines line up with the failover spans they provoke.
-	LayerChaos = "chaos"
 	// LayerWire tags spans emitted by the real-socket GIOP plane
 	// (internal/wire): client invocations, connection reads, lane
 	// queueing and servant dispatch over actual TCP.
@@ -260,11 +257,7 @@ func (tr *Tracer) FlushOpen() {
 	for id := range tr.open {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		if s, ok := tr.open[id]; ok {
 			s.SetAttr(String("unfinished", "true"))

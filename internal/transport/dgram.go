@@ -20,16 +20,15 @@ type DgramConn struct {
 	flow  netsim.FlowID
 	msgID uint64
 
-	recvQ  *sim.Queue[*Message]
-	reasm  map[reasmKey]*reasmBuf
-	closed bool
+	recvQ *sim.Queue[*Message]
+	reasm map[reasmKey]*reasmBuf
 
 	// ReassemblyTimeout discards partial messages whose last fragment
 	// has not arrived in time.
 	ReassemblyTimeout time.Duration
 
 	// Stats
-	sentMsgs, recvMsgs, lostMsgs int64
+	recvMsgs int64
 }
 
 type reasmKey struct {
@@ -105,22 +104,9 @@ func (c *DgramConn) SetDSCP(d netsim.DSCP) { c.dscp = d }
 // DSCP returns the current outgoing codepoint.
 func (c *DgramConn) DSCP() netsim.DSCP { return c.dscp }
 
-// Close unbinds the socket.
-func (c *DgramConn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.ep.node.Unbind(c.port)
-}
-
 // Send transmits a message to dst, fragmenting as needed.
 func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
-	if c.closed {
-		return
-	}
 	c.msgID++
-	c.sentMsgs++
 	size := m.WireSize()
 	count := (size + maxPayload - 1) / maxPayload
 	if count == 0 {
@@ -154,17 +140,8 @@ func (c *DgramConn) RecvTimeout(p *sim.Proc, d time.Duration) (*Message, bool) {
 	return c.recvQ.GetTimeout(p, d)
 }
 
-// Pending reports complete messages waiting to be received.
-func (c *DgramConn) Pending() int { return c.recvQ.Len() }
-
-// SentMessages returns the number of messages sent.
-func (c *DgramConn) SentMessages() int64 { return c.sentMsgs }
-
 // ReceivedMessages returns the number of complete messages delivered.
 func (c *DgramConn) ReceivedMessages() int64 { return c.recvMsgs }
-
-// LostMessages returns messages discarded due to missing fragments.
-func (c *DgramConn) LostMessages() int64 { return c.lostMsgs }
 
 func (c *DgramConn) onPacket(p *netsim.Packet) {
 	frag, ok := p.Payload.(*fragment)
@@ -186,7 +163,6 @@ func (c *DgramConn) onPacket(p *netsim.Packet) {
 	buf, ok := c.reasm[key]
 	if !ok {
 		if len(c.reasm) >= reasmLimit {
-			c.lostMsgs++
 			return
 		}
 		buf = &reasmBuf{expected: frag.count, seen: make([]bool, frag.count), msg: frag.payload}
@@ -218,7 +194,6 @@ func (c *DgramConn) expireReassembly(now sim.Time) {
 	for key, buf := range c.reasm {
 		if now > buf.deadline {
 			delete(c.reasm, key)
-			c.lostMsgs++
 		}
 	}
 }

@@ -86,12 +86,10 @@ const recvBufLimit = 256
 
 // Listener accepts incoming stream connections on a port.
 type Listener struct {
-	ep      *Endpoint
-	port    uint16
-	conns   map[netsim.Addr]*StreamConn
-	accept  *sim.Queue[*StreamConn]
-	closed  bool
-	backlog int
+	ep     *Endpoint
+	port   uint16
+	conns  map[netsim.Addr]*StreamConn
+	accept *sim.Queue[*StreamConn]
 }
 
 // Listen binds a stream listener on port.
@@ -109,15 +107,6 @@ func (e *Endpoint) Listen(port uint16) *Listener {
 // Accept blocks until a new connection arrives.
 func (l *Listener) Accept(p *sim.Proc) *StreamConn {
 	return l.accept.Get(p)
-}
-
-// Close unbinds the listener. Established connections keep working.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	l.ep.node.Unbind(l.port)
 }
 
 func (l *Listener) onPacket(p *netsim.Packet) {
@@ -166,9 +155,6 @@ func (c *StreamConn) RemoteAddr() netsim.Addr { return c.remote }
 
 // LocalAddr returns the local address.
 func (c *StreamConn) LocalAddr() netsim.Addr { return c.ep.Addr(c.port) }
-
-// Flow returns the connection's outgoing flow id.
-func (c *StreamConn) Flow() netsim.FlowID { return c.flow }
 
 // SetDSCP marks outgoing packets (data and acks) with d. This implements
 // the TAO extension that lets RT-CORBA protocol properties set the
@@ -242,17 +228,6 @@ func (c *StreamConn) SendWait(p *sim.Proc, m *Message) {
 	}
 	c.Send(m)
 }
-
-// SetSendBuffer adjusts the SendWait backpressure bound in bytes.
-func (c *StreamConn) SetSendBuffer(bytes int) {
-	if bytes <= 0 {
-		panic("transport: send buffer must be positive")
-	}
-	c.bufferLimit = bytes
-}
-
-// Buffered reports bytes held for (re)transmission.
-func (c *StreamConn) Buffered() int { return c.buffered }
 
 // Recv blocks until the next in-order message is delivered.
 func (c *StreamConn) Recv(p *sim.Proc) *Message {

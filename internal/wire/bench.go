@@ -4,36 +4,41 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/monitor"
+	"repro/internal/events"
 	"repro/internal/trace/telemetry"
 )
 
-// BenchOptions shape the wall-clock wire benchmark: a real TCP server
-// with an EF lane and a BE lane, and an open-loop mixed load sized so
-// the BE lane saturates (offered above its service capacity) while the
-// EF lane stays lightly loaded — the regime where banded connections
-// plus priority lanes must keep the EF tail flat.
+// BenchOptions shape the two wall-clock wire benchmarks, RunBench and
+// RunObsBench.
 type BenchOptions struct {
-	// Duration of the measured load (default 2s).
+	// Duration of the measured load — of each phase, for RunObsBench
+	// (default 2s; qosbench -duration).
 	Duration time.Duration
-	// EFHz / BEHz are offered rates (defaults 200 / 1200 req/s).
-	EFHz, BEHz int
-	// Service is the servant's simulated per-request work, slept on the
-	// lane worker (default 1ms). With BEWorkers=1 the BE capacity is
-	// 1/Service req/s, so the default BEHz oversubscribes it ~1.2x.
-	Service time.Duration
-	// EFWorkers / BEWorkers size the two lanes (defaults 2 / 1).
-	EFWorkers, BEWorkers int
-	// QueueLimit bounds each lane's queue (default 256).
-	QueueLimit int
-	// Payload is the request body size (default 64 bytes).
-	Payload int
-	// Addr is the listen address (default "127.0.0.1:0").
-	Addr string
-	// MetricsAddr, when non-empty, serves the combined server+client
-	// telemetry on /metrics (plus pprof) for the benchmark's duration.
-	MetricsAddr string
 }
+
+// The benchmarks' load: a real TCP server with an EF lane and a BE lane,
+// and an open-loop mixed load sized so the BE lane saturates while the EF
+// lane stays lightly loaded — the regime where banded connections plus
+// priority lanes must keep the EF tail flat.
+const (
+	// benchService is the servant's simulated per-request work, slept on
+	// the lane worker: with benchBEWorkers = 1 the BE capacity is 1 000
+	// req/s, so benchBEHz oversubscribes it ~1.2x.
+	benchService   = time.Millisecond
+	benchBEHz      = 1200
+	benchBEWorkers = 1
+	benchEFWorkers = 2
+	// benchEFHz is RunBench's expedited rate, obsEFHz the obs bench's.
+	benchEFHz = 200
+	// benchQueueLimit bounds each lane's queue.
+	benchQueueLimit = 256
+	// benchPayload is the request body size in bytes.
+	benchPayload = 64
+	// BE calls must outlive the full queueing delay (benchQueueLimit *
+	// benchService behind one worker) or every saturated call dies to its
+	// own timeout instead of measuring the queue.
+	benchBETimeout = 4*benchQueueLimit*benchService + time.Second
+)
 
 // EFPriority is the expedited CORBA priority the benchmark and the
 // qosserve/qoscall pair use for the high band (BE rides at 0).
@@ -42,12 +47,11 @@ const EFPriority int16 = 16000
 // BenchResult is the benchmark outcome: one report per class plus the
 // server-side shed counters that explain the BE error budget.
 type BenchResult struct {
-	Addr       string
-	Duration   time.Duration
-	EF, BE     ClassReport
-	Refused    float64 // BE admission refusals (TRANSIENT minor 2)
-	Shed       float64 // BE deadline sheds at dequeue (TIMEOUT)
-	MetricsURL string
+	Addr     string
+	Duration time.Duration
+	EF, BE   ClassReport
+	Refused  float64 // BE admission refusals (TRANSIENT minor 2)
+	Shed     float64 // BE deadline sheds at dequeue (TIMEOUT)
 }
 
 // Render prints the benchmark tables.
@@ -64,91 +68,80 @@ func (r *BenchResult) Render() string {
 // and per-priority lanes, saturating the best-effort class must not
 // move the expedited tail (EF p99 << BE p99).
 func RunBench(o BenchOptions) (*BenchResult, error) {
+	return benchPhase(o.duration(), benchEFHz, nil)
+}
+
+func (o BenchOptions) duration() time.Duration {
 	if o.Duration <= 0 {
-		o.Duration = 2 * time.Second
+		return 2 * time.Second
 	}
-	if o.EFHz <= 0 {
-		o.EFHz = 200
-	}
-	if o.BEHz <= 0 {
-		o.BEHz = 1200
-	}
-	if o.Service <= 0 {
-		o.Service = time.Millisecond
-	}
-	if o.EFWorkers <= 0 {
-		o.EFWorkers = 2
-	}
-	if o.BEWorkers <= 0 {
-		o.BEWorkers = 1
-	}
-	if o.QueueLimit <= 0 {
-		o.QueueLimit = 256
-	}
-	if o.Payload <= 0 {
-		o.Payload = 64
-	}
-	if o.Addr == "" {
-		o.Addr = "127.0.0.1:0"
+	return o.Duration
+}
+
+// benchPhase runs one load phase against a fresh server and client: bare
+// when plane is nil (that is RunBench), otherwise attached to the obs
+// bench's resident observability plane.
+func benchPhase(d time.Duration, efHz int, plane *obsPlane) (*BenchResult, error) {
+	reg := telemetry.NewRegistry()
+	var bus *events.Bus
+	if plane != nil {
+		reg, bus = plane.reg, plane.bus
 	}
 
-	reg := telemetry.NewRegistry()
 	srv, err := NewServer(ServerConfig{
 		Lanes: []LaneConfig{
-			{Priority: 0, Workers: o.BEWorkers, QueueLimit: o.QueueLimit},
-			{Priority: EFPriority, Workers: o.EFWorkers, QueueLimit: o.QueueLimit},
+			{Priority: 0, Workers: benchBEWorkers, QueueLimit: benchQueueLimit},
+			{Priority: EFPriority, Workers: benchEFWorkers, QueueLimit: benchQueueLimit},
 		},
 		Registry: reg,
 		Name:     "qosbench.server",
+		Bus:      bus,
 	})
 	if err != nil {
 		return nil, err
 	}
-	service := o.Service
 	srv.Register("app/echo", HandlerFunc(func(req *Request) ([]byte, error) {
-		time.Sleep(service)
+		time.Sleep(benchService)
 		return req.Body, nil
 	}))
-	addr, err := srv.Listen(o.Addr)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Shutdown(5 * time.Second)
-
-	res := &BenchResult{Addr: addr.String()}
-	if o.MetricsAddr != "" {
-		url, stop, merr := monitor.StartHTTP(o.MetricsAddr, reg)
-		if merr != nil {
-			return nil, merr
-		}
-		res.MetricsURL = url
-		defer stop()
-	}
 
 	cli, err := NewClient(ClientConfig{
 		Addr:     addr.String(),
 		Bands:    []int16{0, EFPriority},
 		Registry: reg,
 		Name:     "qosbench.client",
+		Bus:      bus,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer cli.Close()
 
-	// BE calls must outlive the full queueing delay (QueueLimit *
-	// Service behind one worker) or every saturated call dies to its
-	// own timeout instead of measuring the queue.
-	beTimeout := 4*time.Duration(o.QueueLimit)*o.Service + time.Second
+	var inv Invoker = cli
+	if plane != nil {
+		inv = sloInvoker{inner: cli, st: plane.st}
+		plane.resume(srv, cli)
+	}
 	start := time.Now()
-	reports := RunLoad(cli, o.Duration, []LoadClass{
-		{Name: "EF", Priority: EFPriority, Hz: o.EFHz, Payload: o.Payload, Timeout: 500 * time.Millisecond},
-		{Name: "BE", Priority: 0, Hz: o.BEHz, Payload: o.Payload, Timeout: beTimeout},
+	reports := RunLoad(inv, d, []LoadClass{
+		{Name: "EF", Priority: EFPriority, Hz: efHz, Payload: benchPayload, Timeout: 500 * time.Millisecond},
+		{Name: "BE", Priority: 0, Hz: benchBEHz, Payload: benchPayload, Timeout: benchBETimeout},
 	})
-	res.Duration = time.Since(start)
-	res.EF, res.BE = reports[0], reports[1]
-	res.Refused = reg.Counter("wire.server.refused",
-		telemetry.L("lane", "0"), telemetry.L("reason", "queue_full")).Value()
-	res.Shed = reg.Counter("wire.server.deadline_shed", telemetry.L("lane", "0")).Value()
-	return res, nil
+	if plane != nil {
+		plane.pause()
+	}
+	return &BenchResult{
+		Addr:     addr.String(),
+		Duration: time.Since(start),
+		EF:       reports[0],
+		BE:       reports[1],
+		Refused: reg.Counter("wire.server.refused",
+			telemetry.L("lane", "0"), telemetry.L("reason", "queue_full")).Value(),
+		Shed: reg.Counter("wire.server.deadline_shed", telemetry.L("lane", "0")).Value(),
+	}, nil
 }

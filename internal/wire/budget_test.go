@@ -128,7 +128,7 @@ func TestRetryBudgetConcurrentEarnSpend(t *testing.T) {
 
 // TestGroupBudgetAllEndpointsDown pins the retry-storm bound end to
 // end: with every endpoint refusing dials, each logical request spends
-// at most MaxAttempts-1 retries and stops the moment the shared bucket
+// at most one retry per member and stops the moment the shared bucket
 // runs dry, surfacing ErrUnavailable rather than hammering the dead
 // set.
 func TestGroupBudgetAllEndpointsDown(t *testing.T) {
@@ -138,13 +138,10 @@ func TestGroupBudgetAllEndpointsDown(t *testing.T) {
 		f.setDead(ep, true)
 	}
 	g := f.group(t, GroupConfig{
-		Endpoints:        []string{"a", "b", "c"},
-		MaxAttempts:      4,
-		RetryBudgetMax:   5,
-		RetryBudgetRatio: 0, // nothing earns while everything fails
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       2 * time.Millisecond,
+		Endpoints:   []string{"a", "b", "c"},
+		BackoffBase: time.Millisecond,
 	})
+	g.budget = NewRetryBudget(5, 0) // nothing earns while everything fails
 
 	// First requests burn the initial allowance: 3 retries, then 2.
 	for i := 0; i < 2; i++ {

@@ -28,29 +28,25 @@ type ClientConfig struct {
 	// Addr is the TCP endpoint ("host:port"). Ignored when Dial is set.
 	Addr string
 	// Bands are ascending CORBA-priority floors; each band keeps its own
-	// private connection set (RT-CORBA banded connections), so an
-	// expedited request never queues behind best-effort bytes on a
-	// shared socket. Default: one band at floor 0.
+	// private connection (RT-CORBA banded connections), so an expedited
+	// request never queues behind best-effort bytes on a shared socket.
+	// Default: one band at floor 0.
 	Bands []int16
-	// ConnsPerBand sizes each band's connection pool (default 1);
-	// requests multiplex over the pool round-robin by request ID.
-	ConnsPerBand int
 	// RequestTimeout is the default RELATIVE_RT_TIMEOUT when a call
 	// passes none (default 2s). The timeout is both the client-side wait
 	// bound and the absolute deadline propagated in the GIOP deadline
 	// service context for server-side shedding.
 	RequestTimeout time.Duration
-	// DialTimeout bounds connection establishment (default 2s).
+	// DialTimeout bounds connection establishment (default 2s; the chaos
+	// soak's group clients shorten it).
 	DialTimeout time.Duration
 	// Breaker configures per-band circuit breaking; its open-state
 	// cooldown (doubling up to the cap, jittered) is also the reconnect
 	// backoff after dial failures. Defaults: threshold 4, cooldown
-	// 250ms, cap 4s.
+	// 250ms, cap 4s. A test seam: no program sets it; wall-clock tests
+	// need a breaker that never trips, or one that recovers in
+	// milliseconds.
 	Breaker breaker.Config
-	// MaxMessage caps inbound reply bodies (giop.DefaultMaxMessage if 0).
-	MaxMessage uint32
-	// ByteOrder for requests (the zero value is canonical big-endian).
-	ByteOrder cdr.ByteOrder
 	// Registry receives wire.client.* telemetry (private one if nil).
 	Registry *telemetry.Registry
 	// Tracer receives invocation spans (nil = no tracing).
@@ -67,14 +63,16 @@ type ClientConfig struct {
 	Seed int64
 }
 
-// Client is the real-socket GIOP client: private connection pools per
-// priority band, request-ID multiplexing over each connection,
-// wall-clock deadlines, and circuit-breaker-gated reconnection.
+// requestOrder is the byte order of every frame the client writes:
+// canonical big-endian. Replies decode in whatever order the server chose.
+const requestOrder = cdr.BigEndian
+
+// Client is the real-socket GIOP client: one private connection per
+// priority band, request-ID multiplexing over it, wall-clock deadlines,
+// and circuit-breaker-gated reconnection.
 type Client struct {
 	cfg    ClientConfig
 	reg    *telemetry.Registry
-	order  cdr.ByteOrder
-	maxMsg uint32
 	name   string
 	brk    *breaker.Machine
 	jmu    sync.Mutex
@@ -93,8 +91,8 @@ type clientBand struct {
 	floor int16
 	label string
 	ep    string // breaker endpoint key: addr#floor
-	// poolGauge mirrors len(conns) into the registry so live scrapes
-	// and the sampler see banded-pool occupancy.
+	// poolGauge mirrors "the band has a connection" (0/1) into the
+	// registry as wire.client.pool_conns{band}.
 	poolGauge *telemetry.Gauge
 	// requests is wire.client.requests{band,outcome} by outcome; rtt is
 	// wire.client.rtt_ms{band}, resolved by the band's first invocation.
@@ -102,17 +100,23 @@ type clientBand struct {
 	rttOnce  sync.Once
 	rtt      *telemetry.Histogram
 
-	mu    sync.Mutex
-	conns []*clientConn
-	// dialing counts in-flight dials so concurrent first calls cannot
-	// overshoot ConnsPerBand: a call that finds the pool empty and every
-	// slot being dialed waits on dialed (dials counts completions) and
-	// shares the outcome — the connection, or dialErr.
-	dialing int
-	dialed  sync.Cond // on mu
-	dials   int
-	dialErr error
-	rr      int
+	// One connection per band, the paper's transport model. A second one
+	// splits the burst one Write would have carried: with two, qosperf's
+	// mixed_flood lost 9–19 % ops_per_s and its EF lat_p99_us rose
+	// 44–65 % in 3/3 alternating pairs (DESIGN §12).
+	mu   sync.Mutex
+	conn *clientConn // nil when the band has no live connection
+	// dialing is the dial in flight, if any: calls that find neither a
+	// connection nor a finished dial wait for it and share its outcome.
+	dialing *bandDial
+}
+
+// bandDial is one connection attempt and, once done is closed, its
+// outcome.
+type bandDial struct {
+	done chan struct{}
+	conn *clientConn
+	err  error
 }
 
 type clientConn struct {
@@ -185,9 +189,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if !sort.SliceIsSorted(cfg.Bands, func(i, j int) bool { return cfg.Bands[i] < cfg.Bands[j] }) {
 		return nil, fmt.Errorf("wire: band floors must be ascending")
 	}
-	if cfg.ConnsPerBand <= 0 {
-		cfg.ConnsPerBand = 1
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
 	}
@@ -203,9 +204,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Breaker.CooldownCap <= 0 {
 		cfg.Breaker.CooldownCap = 4 * time.Second
 	}
-	if cfg.MaxMessage == 0 {
-		cfg.MaxMessage = giop.DefaultMaxMessage
-	}
 	if cfg.Name == "" {
 		cfg.Name = "wire.client"
 	}
@@ -214,12 +212,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		seed = 1
 	}
 	c := &Client{
-		cfg:    cfg,
-		reg:    cfg.Registry,
-		order:  cfg.ByteOrder,
-		maxMsg: cfg.MaxMessage,
-		name:   cfg.Name,
-		jrand:  rand.New(rand.NewSource(seed)),
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		name:  cfg.Name,
+		jrand: rand.New(rand.NewSource(seed)),
 	}
 	if c.reg == nil {
 		c.reg = telemetry.NewRegistry()
@@ -247,7 +243,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			requests: counterVec{reg: c.reg, name: "wire.client.requests",
 				fixed: []telemetry.Label{bandL}, vary: "outcome"},
 		}
-		b.dialed.L = &b.mu
 		c.bands = append(c.bands, b)
 	}
 	return c, nil
@@ -395,8 +390,10 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 		if err == nil {
 			break
 		}
-		// A retired connection (server draining) is already out of the
-		// pool; one fresh dial gets a live one.
+		// The connection is retired (server draining) or died before
+		// the band installed it; with it out of the band one fresh dial
+		// gets a live one.
+		b.remove(conn)
 		if attempt > 0 {
 			c.record(b, true)
 			return nil, err
@@ -405,7 +402,7 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	// The request is in the kernel, or the connection has failed, when
 	// send returns: the write deadline is the call's expiry, so a wedged
 	// peer cannot block past it.
-	if err := conn.send(len(body), func(dst []byte) []byte { return req.AppendQoS(dst, c.order, &qos) }, expiry, others); err != nil {
+	if err := conn.send(len(body), func(dst []byte) []byte { return req.AppendQoS(dst, requestOrder, &qos) }, expiry, others); err != nil {
 		c.record(b, true)
 		return nil, fmt.Errorf("%w: write %s: %v", ErrUnavailable, c.cfg.Addr, err)
 	}
@@ -473,55 +470,45 @@ func (c *Client) observeTransition(b *clientBand, trans breaker.Transition) {
 	}
 }
 
-// get returns a live connection from the band's pool, dialing one if
-// the pool is not yet full, round-robin otherwise.
+// get returns the band's connection, dialing it if there is none. Calls
+// that arrive while a dial is in flight share that dial and its error.
 func (b *clientBand) get() (*clientConn, error) {
 	if b.c.closed.Load() {
 		return nil, ErrClientClosed
 	}
 	b.mu.Lock()
-	for len(b.conns) == 0 && b.dialing >= b.c.cfg.ConnsPerBand {
-		for seen := b.dials; b.dials == seen; {
-			b.dialed.Wait()
-		}
-		if err := b.dialErr; err != nil {
-			b.mu.Unlock()
-			return nil, err
-		}
-	}
-	if len(b.conns)+b.dialing < b.c.cfg.ConnsPerBand {
-		b.dialing++
+	if conn := b.conn; conn != nil {
 		b.mu.Unlock()
-		conn, err := b.dial()
-		b.mu.Lock()
-		b.dialing--
-		// Close may have run while this dial was in flight; it flushed the
-		// pool, so a connection appended now would never be torn down —
-		// its read loop would leak. Fail it here instead.
-		leaked := err == nil && b.c.closed.Load()
-		if leaked {
-			err = ErrClientClosed
-		}
-		if err == nil {
-			b.conns = append(b.conns, conn)
-			b.poolGauge.Set(float64(len(b.conns)))
-		}
-		b.dials++
-		b.dialErr = err
-		b.dialed.Broadcast()
-		b.mu.Unlock()
-		if leaked {
-			conn.fail(ErrClientClosed)
-		}
-		if err != nil {
-			return nil, err
-		}
 		return conn, nil
 	}
-	b.rr++
-	conn := b.conns[b.rr%len(b.conns)]
+	if d := b.dialing; d != nil {
+		b.mu.Unlock()
+		<-d.done
+		return d.conn, d.err
+	}
+	d := &bandDial{done: make(chan struct{})}
+	b.dialing = d
 	b.mu.Unlock()
-	return conn, nil
+
+	conn, err := b.dial()
+	b.mu.Lock()
+	b.dialing = nil
+	// Close may have run while the dial was in flight; it found no
+	// connection to tear down, so one installed now would never be — its
+	// read loop would leak. Fail it here instead.
+	leaked := err == nil && b.c.closed.Load()
+	if err == nil && !leaked {
+		b.conn = conn
+		b.poolGauge.Set(1)
+	}
+	b.mu.Unlock()
+	if leaked {
+		conn.fail(ErrClientClosed)
+		conn, err = nil, ErrClientClosed
+	}
+	d.conn, d.err = conn, err
+	close(d.done)
+	return conn, err
 }
 
 // dial establishes one connection and starts its reader goroutine.
@@ -553,26 +540,24 @@ func (b *clientBand) dial() (*clientConn, error) {
 	return conn, nil
 }
 
-// remove takes a connection out of the pool without closing it.
+// remove takes conn out of the band without closing it, unless the band
+// has already moved on to a newer connection.
 func (b *clientBand) remove(conn *clientConn) {
 	b.mu.Lock()
-	for i, cc := range b.conns {
-		if cc == conn {
-			b.conns = append(b.conns[:i], b.conns[i+1:]...)
-			break
-		}
+	if b.conn == conn {
+		b.conn = nil
+		b.poolGauge.Set(0)
 	}
-	b.poolGauge.Set(float64(len(b.conns)))
 	b.mu.Unlock()
 }
 
-// drop removes a dead connection from the pool and closes it.
+// drop removes a dead connection from the band and closes it.
 func (b *clientBand) drop(conn *clientConn) {
 	b.remove(conn)
 	conn.nc.Close()
 }
 
-// Close tears the client down: every pooled connection is closed,
+// Close tears the client down: every band's connection is closed,
 // outstanding calls fail promptly with ErrClientClosed, and every
 // connection read loop terminates (a dial racing Close is failed on
 // the dialing goroutine's side, so nothing leaks).
@@ -582,11 +567,11 @@ func (c *Client) Close() {
 	}
 	for _, b := range c.bands {
 		b.mu.Lock()
-		conns := append([]*clientConn(nil), b.conns...)
-		b.conns = nil
+		conn := b.conn
+		b.conn = nil
 		b.poolGauge.Set(0)
 		b.mu.Unlock()
-		for _, conn := range conns {
+		if conn != nil {
 			conn.fail(ErrClientClosed)
 		}
 	}
@@ -623,7 +608,7 @@ func (conn *clientConn) cancel(id uint32) {
 
 	b := conn.band
 	m := giop.CancelRequest{RequestID: id}
-	ticket, _ := conn.queue(0, func(dst []byte) []byte { return m.AppendTo(dst, b.c.order) }, time.Time{})
+	ticket, _ := conn.queue(0, func(dst []byte) []byte { return m.AppendTo(dst, requestOrder) }, time.Time{})
 	b.c.frames.get(b.label).Inc()
 	if others {
 		return
@@ -672,7 +657,7 @@ func (conn *clientConn) readLoop() {
 	br := bufio.NewReaderSize(conn.nc, 32<<10)
 	hdr := make([]byte, giop.HeaderSize)
 	for {
-		frame, err := giop.ReadFrame(br, c.maxMsg, hdr)
+		frame, err := giop.ReadFrame(br, giop.DefaultMaxMessage, hdr)
 		if err != nil {
 			if err == io.EOF {
 				err = fmt.Errorf("%w: connection closed", ErrUnavailable)
@@ -730,7 +715,7 @@ func (conn *clientConn) readLoop() {
 }
 
 // retire marks the connection dead for new registrations and removes it
-// from the pool while leaving the socket open; the next invocation on
+// from the band while leaving the socket open; the next invocation on
 // the band dials afresh.
 func (conn *clientConn) retire() {
 	conn.mu.Lock()

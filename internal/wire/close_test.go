@@ -54,10 +54,11 @@ func TestClientCloseFailsInFlight(t *testing.T) {
 }
 
 // TestClientCloseDuringDial pins the dial/Close race: a connection
-// whose dial completes after Close flushed the pool must be torn down
-// by the dialing goroutine (not appended and leaked), and the call
-// fails with ErrClientClosed. The Dial hook blocks until Close has run,
-// forcing the interleaving deterministically.
+// whose dial completes after Close emptied the band must be torn down
+// by the dialing goroutine (not installed and leaked), and the call —
+// like the one waiting on the same dial — fails with ErrClientClosed.
+// The Dial hook blocks until Close has run, forcing the interleaving
+// deterministically.
 func TestClientCloseDuringDial(t *testing.T) {
 	leakCheck(t)
 	srv, err := NewServer(ServerConfig{})
@@ -76,7 +77,7 @@ func TestClientCloseDuringDial(t *testing.T) {
 		Addr: "pipe",
 		Dial: func() (net.Conn, error) {
 			close(dialing)
-			<-closed // hold the dial until Close has flushed the pool
+			<-closed // hold the dial until Close has emptied the band
 			cliEnd, srvEnd := net.Pipe()
 			readers.Add(1)
 			go func() {
@@ -90,21 +91,26 @@ func TestClientCloseDuringDial(t *testing.T) {
 		t.Fatalf("NewClient: %v", err)
 	}
 
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := cli.Invoke("app/echo", "echo", nil, CallOptions{Timeout: 5 * time.Second})
-		errCh <- err
-	}()
+	errCh := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := cli.Invoke("app/echo", "echo", nil, CallOptions{Timeout: 5 * time.Second})
+			errCh <- err
+		}()
+	}
 	<-dialing
+	waitInGet(t, 2)
 	cli.Close()
 	close(closed)
 
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("call racing Close failed with %v, want ErrClientClosed", err)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, ErrClientClosed) {
+				t.Fatalf("call racing Close failed with %v, want ErrClientClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("call racing Close never resolved")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("call racing Close never resolved")
 	}
 }

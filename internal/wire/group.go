@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/breaker"
-	"repro/internal/cdr"
 	"repro/internal/events"
 	"repro/internal/giop"
 	"repro/internal/sim"
@@ -27,54 +26,46 @@ import (
 type GroupConfig struct {
 	// Endpoints are the TCP addresses, primary first (required).
 	Endpoints []string
-	// Bands / ConnsPerBand / RequestTimeout / DialTimeout / Breaker /
-	// MaxMessage / ByteOrder are passed through to every per-endpoint
-	// Client (see ClientConfig).
-	Bands          []int16
-	ConnsPerBand   int
-	RequestTimeout time.Duration
-	DialTimeout    time.Duration
-	Breaker        breaker.Config
-	MaxMessage     uint32
-	ByteOrder      cdr.ByteOrder
-	// Registry receives wire.group.* and the per-endpoint wire.client.*
-	// telemetry (private one if nil).
-	Registry *telemetry.Registry
-	// Tracer receives group.invoke spans with per-attempt failover
-	// events (nil = no tracing).
-	Tracer *Tracer
-	// Bus, when set, receives failover (KindFailover), probe
-	// (KindHealth) and breaker transition records.
-	Bus *events.Bus
-	// Name labels telemetry and bus records ("wire.group" default).
-	Name string
-	// Seed fixes the backoff-jitter and breaker-jitter streams (0 = 1).
-	Seed int64
+	// Client is the template of every per-endpoint Client: Bands,
+	// RequestTimeout, DialTimeout, Breaker, Registry, Tracer and Bus apply
+	// to each member as ClientConfig documents them, and Registry, Tracer
+	// and Bus also receive the group's own wire.group.* telemetry,
+	// group.invoke spans and failover/health records. Name labels the
+	// group ("wire.group" default; member i is Name[i]); Seed fixes the
+	// backoff-jitter stream and, offset by the member index, each
+	// member's breaker jitter (0 = 1). Addr and Dial are set per endpoint.
+	Client ClientConfig
 
-	// MaxAttempts bounds total attempts per logical request, first
-	// included (default len(Endpoints)+1).
-	MaxAttempts int
-	// BackoffBase / BackoffCap shape the capped jittered backoff
-	// between attempts: attempt k waits in [d/2, d) for
-	// d = min(BackoffBase·2^(k-1), BackoffCap). Defaults 5ms / 200ms.
+	// BackoffBase shapes the capped jittered backoff between attempts:
+	// attempt k waits in [d/2, d) for d = min(BackoffBase·2^(k-1),
+	// groupBackoffCap). Default 5ms. A test seam: no program sets it;
+	// tests that exhaust the retry budget shorten it.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// RetryBudgetMax / RetryBudgetRatio parameterise the shared retry
-	// token bucket (defaults 64 tokens, 0.1 earned per first attempt).
-	RetryBudgetMax   float64
-	RetryBudgetRatio float64
 
 	// ProbeInterval is the endpoint heartbeat period (default 250ms;
 	// negative disables probing). Each probe dials the endpoint, sends
 	// a GIOP LocateRequest and requires any well-formed reply within
 	// ProbeTimeout (default 250ms) — so a half-open blackhole (TCP
-	// accepts, nothing answers) is detected, not just a dead port.
+	// accepts, nothing answers) is detected, not just a dead port. The
+	// chaos soak probes every 50ms.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 
-	// Dial overrides per-endpoint connection establishment for tests.
+	// Dial overrides per-endpoint connection establishment, for members
+	// and probes alike — the loopback hook of the socket-free tests.
 	Dial func(addr string) (net.Conn, error)
 }
+
+const (
+	// groupBackoffCap bounds one backoff wait; the request's deadline
+	// bounds their sum.
+	groupBackoffCap = 200 * time.Millisecond
+	// The shared retry bucket: 64 tokens absorb a failure burst, and 0.1
+	// earned per first attempt keeps steady-state retries at or below a
+	// tenth of offered load (see RetryBudget).
+	retryBudgetMax   = 64
+	retryBudgetRatio = 0.1
+)
 
 // groupEndpoint is one member's runtime state.
 type groupEndpoint struct {
@@ -124,26 +115,18 @@ func NewGroupClient(cfg GroupConfig) (*GroupClient, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, fmt.Errorf("wire: group client needs at least one endpoint")
 	}
-	if cfg.Name == "" {
-		cfg.Name = "wire.group"
+	tmpl := &cfg.Client
+	if tmpl.Name == "" {
+		tmpl.Name = "wire.group"
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
+	if tmpl.Registry == nil {
+		tmpl.Registry = telemetry.NewRegistry()
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Endpoints) + 1
+	if tmpl.Seed == 0 {
+		tmpl.Seed = 1
 	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 5 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 200 * time.Millisecond
-	}
-	if cfg.RetryBudgetMax <= 0 {
-		cfg.RetryBudgetMax = 64
-	}
-	if cfg.RetryBudgetRatio <= 0 {
-		cfg.RetryBudgetRatio = 0.1
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
@@ -151,37 +134,23 @@ func NewGroupClient(cfg GroupConfig) (*GroupClient, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 250 * time.Millisecond
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 
 	g := &GroupClient{
 		cfg:       cfg,
-		reg:       cfg.Registry,
-		name:      cfg.Name,
-		budget:    NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryBudgetRatio),
+		reg:       tmpl.Registry,
+		name:      tmpl.Name,
+		budget:    NewRetryBudget(retryBudgetMax, retryBudgetRatio),
 		ftClient:  uint64(time.Now().UnixNano())<<16 | (ftClientSeq.Add(1) & 0xffff),
-		jrand:     rand.New(rand.NewSource(seed)),
+		jrand:     rand.New(rand.NewSource(tmpl.Seed)),
 		probeStop: make(chan struct{}),
 	}
 	for i, addr := range cfg.Endpoints {
 		addr := addr
-		ccfg := ClientConfig{
-			Addr:           addr,
-			Bands:          cfg.Bands,
-			ConnsPerBand:   cfg.ConnsPerBand,
-			RequestTimeout: cfg.RequestTimeout,
-			DialTimeout:    cfg.DialTimeout,
-			Breaker:        cfg.Breaker,
-			MaxMessage:     cfg.MaxMessage,
-			ByteOrder:      cfg.ByteOrder,
-			Registry:       cfg.Registry,
-			Tracer:         cfg.Tracer,
-			Bus:            cfg.Bus,
-			Name:           fmt.Sprintf("%s[%d]", cfg.Name, i),
-			Seed:           seed + int64(i),
-		}
+		ccfg := *tmpl
+		ccfg.Addr = addr
+		ccfg.Name = fmt.Sprintf("%s[%d]", tmpl.Name, i)
+		ccfg.Seed = tmpl.Seed + int64(i)
+		ccfg.Dial = nil
 		if cfg.Dial != nil {
 			ccfg.Dial = func() (net.Conn, error) { return cfg.Dial(addr) }
 		}
@@ -205,9 +174,6 @@ func (g *GroupClient) Registry() *telemetry.Registry { return g.reg }
 
 // Budget returns the shared retry budget (for reporting).
 func (g *GroupClient) Budget() *RetryBudget { return g.budget }
-
-// Endpoints returns the configured endpoint addresses in order.
-func (g *GroupClient) Endpoints() []string { return append([]string(nil), g.cfg.Endpoints...) }
 
 // Primary returns the index of the currently preferred endpoint.
 func (g *GroupClient) Primary() int { return int(g.primary.Load()) }
@@ -248,7 +214,7 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 	}
 
 	var span trace.SpanContext
-	tr := g.cfg.Tracer
+	tr := g.cfg.Client.Tracer
 	if tr != nil {
 		span = tr.StartRoot("group.invoke",
 			trace.String("op", op),
@@ -289,7 +255,8 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 		if isAmbiguous(err) {
 			ambiguous = true
 		}
-		if !retryable(err, opts.Idempotent, ambiguous) || attempt >= g.cfg.MaxAttempts {
+		// At most one attempt per member, plus one.
+		if !retryable(err, opts.Idempotent, ambiguous) || attempt > len(g.eps) {
 			break
 		}
 		if !g.budget.TryAcquire() {
@@ -315,8 +282,8 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 				trace.String("from", g.eps[ep].addr),
 				trace.String("to", g.eps[next].addr))
 		}
-		if g.cfg.Bus != nil {
-			g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
+		if g.cfg.Client.Bus != nil {
+			g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
 				events.F("op", op),
 				events.F("from", g.eps[ep].addr),
 				events.F("to", g.eps[next].addr),
@@ -346,8 +313,8 @@ func (g *GroupClient) recordFailover(op string, from, to, attempts int, start ti
 	if to != from {
 		g.primary.CompareAndSwap(int32(from), int32(to))
 	}
-	if g.cfg.Bus != nil {
-		g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
+	if g.cfg.Client.Bus != nil {
+		g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
 			events.F("op", op),
 			events.F("to", g.eps[to].addr),
 			events.F("attempts", fmt.Sprintf("%d", attempts)),
@@ -422,11 +389,11 @@ func (g *GroupClient) next(ep int, prio int16, idempotent, ambiguous bool) int {
 }
 
 // backoff returns the capped jittered wait before attempt k+1: uniform
-// in [d/2, d) for d = min(BackoffBase·2^(k-1), BackoffCap).
+// in [d/2, d) for d = min(BackoffBase·2^(k-1), groupBackoffCap).
 func (g *GroupClient) backoff(attempt int) time.Duration {
 	d := g.cfg.BackoffBase << uint(attempt-1)
-	if d <= 0 || d > g.cfg.BackoffCap {
-		d = g.cfg.BackoffCap
+	if d <= 0 || d > groupBackoffCap {
+		d = groupBackoffCap
 	}
 	g.jmu.Lock()
 	j := g.jrand.Int63n(int64(d/2) + 1)
@@ -460,12 +427,12 @@ func (g *GroupClient) probeLoop(i int) {
 				verdict = "up"
 			}
 			g.reg.Counter("wire.group.health_transitions", epL, telemetry.L("to", verdict)).Inc()
-			if tr := g.cfg.Tracer; tr != nil {
+			if tr := g.cfg.Client.Tracer; tr != nil {
 				ctx := tr.StartRoot("health."+verdict, trace.String("endpoint", ep.addr))
 				tr.Finish(ctx)
 			}
-			if g.cfg.Bus != nil {
-				g.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindHealth, g.name,
+			if g.cfg.Client.Bus != nil {
+				g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindHealth, g.name,
 					events.F("endpoint", ep.addr),
 					events.F("to", verdict),
 				)
@@ -494,7 +461,7 @@ func (g *GroupClient) probe(addr string) bool {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(g.cfg.ProbeTimeout))
 	req := &giop.LocateRequest{RequestID: 1, ObjectKey: []byte("ft/heartbeat")}
-	if _, err := nc.Write(req.Marshal(g.order())); err != nil {
+	if _, err := nc.Write(req.Marshal(requestOrder)); err != nil {
 		return false
 	}
 	br := bufio.NewReaderSize(nc, 256)
@@ -505,5 +472,3 @@ func (g *GroupClient) probe(addr string) bool {
 	_, err = giop.Decode(frame)
 	return err == nil
 }
-
-func (g *GroupClient) order() cdr.ByteOrder { return g.cfg.ByteOrder }

@@ -242,19 +242,18 @@ func TestGroupRetryBudgetExhausts(t *testing.T) {
 	f.setDead("b", true)
 
 	g := f.group(t, GroupConfig{
-		Endpoints:        []string{"a", "b"},
-		MaxAttempts:      10,
-		RetryBudgetMax:   2,
-		RetryBudgetRatio: 0.01,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       2 * time.Millisecond,
+		Endpoints:   []string{"a", "b"},
+		BackoffBase: time.Millisecond,
 	})
+	// Two members allow two retries per request; one token stops the
+	// second.
+	g.budget = NewRetryBudget(1, 0.01)
 	_, err := g.Invoke("app/x", "x", nil, CallOptions{Timeout: 2 * time.Second})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Invoke = %v, want ErrUnavailable (dial failures)", err)
 	}
-	if spent := g.Budget().Spent(); spent != 2 {
-		t.Fatalf("budget spent = %d, want 2 (bucket drained)", spent)
+	if spent := g.Budget().Spent(); spent != 1 {
+		t.Fatalf("budget spent = %d, want 1 (bucket drained)", spent)
 	}
 	if denied := g.Budget().Denied(); denied != 1 {
 		t.Fatalf("budget denied = %d, want 1 (the stopped retry)", denied)

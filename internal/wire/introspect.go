@@ -51,13 +51,14 @@ func (s *Server) Snapshot() ServerSnapshot {
 	return out
 }
 
-// BandSnapshot is one client priority band's live state.
+// BandSnapshot is one client priority band's live state: Conns is 1
+// while the band holds its connection, Dialing 1 while a dial is in
+// flight.
 type BandSnapshot struct {
-	Floor        int16  `json:"floor"`
-	Conns        int    `json:"conns"`
-	ConnsPerBand int    `json:"conns_per_band"`
-	Dialing      int    `json:"dialing"`
-	Breaker      string `json:"breaker"`
+	Floor   int16  `json:"floor"`
+	Conns   int    `json:"conns"`
+	Dialing int    `json:"dialing"`
+	Breaker string `json:"breaker"`
 	// Frames is the messages the band has sent, Flushes the Writes that
 	// carried them: Frames/Flushes is the band's messages per syscall.
 	Frames  int64 `json:"frames"`
@@ -70,22 +71,25 @@ type ClientSnapshot struct {
 	Bands []BandSnapshot `json:"bands"`
 }
 
-// Snapshot returns the client's current pool and breaker state.
+// Snapshot returns the client's current connection and breaker state.
 func (c *Client) Snapshot() ClientSnapshot {
 	out := ClientSnapshot{Addr: c.cfg.Addr}
 	for _, b := range c.bands {
+		s := BandSnapshot{
+			Floor:   b.floor,
+			Breaker: c.brk.State(b.ep).String(),
+			Frames:  c.frames.count(b.label),
+			Flushes: c.flushes.count(b.label),
+		}
 		b.mu.Lock()
-		conns, dialing := len(b.conns), b.dialing
+		if b.conn != nil {
+			s.Conns = 1
+		}
+		if b.dialing != nil {
+			s.Dialing = 1
+		}
 		b.mu.Unlock()
-		out.Bands = append(out.Bands, BandSnapshot{
-			Floor:        b.floor,
-			Conns:        conns,
-			ConnsPerBand: c.cfg.ConnsPerBand,
-			Dialing:      dialing,
-			Breaker:      c.brk.State(b.ep).String(),
-			Frames:       c.frames.count(b.label),
-			Flushes:      c.flushes.count(b.label),
-		})
+		out.Bands = append(out.Bands, s)
 	}
 	return out
 }
@@ -99,7 +103,7 @@ type GroupEndpointSnapshot struct {
 }
 
 // GroupSnapshot is the fault-tolerant group client's live state:
-// endpoint health, pool occupancy per member, and retry-budget level.
+// endpoint health, band connections per member, and retry-budget level.
 type GroupSnapshot struct {
 	Name         string                  `json:"name"`
 	Primary      int                     `json:"primary"`

@@ -64,8 +64,8 @@ func TestServerClientSnapshots(t *testing.T) {
 		t.Fatalf("client bands = %d, want 2", len(cs.Bands))
 	}
 	for _, b := range cs.Bands {
-		if b.Conns != 1 || b.Breaker != "closed" {
-			t.Fatalf("band %d snapshot = %+v, want 1 conn, closed breaker", b.Floor, b)
+		if b.Conns != 1 || b.Dialing != 0 || b.Breaker != "closed" {
+			t.Fatalf("band %d snapshot = %+v, want its 1 conn, no dial in flight, closed breaker", b.Floor, b)
 		}
 	}
 }

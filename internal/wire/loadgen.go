@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -23,16 +24,17 @@ type LoadClass struct {
 	Payload int
 	// Timeout is the per-call RELATIVE_RT_TIMEOUT (client default if 0).
 	Timeout time.Duration
-	// Key and Op address the servant ("app/echo"/"echo" if empty).
-	Key, Op string
-	// MaxInFlight bounds concurrently outstanding calls; an issue tick
-	// finding the bound exhausted counts the request as dropped locally
-	// rather than blocking the schedule (default 1024).
-	MaxInFlight int
+	// Key is the servant's object key ("app/echo" if empty).
+	Key string
 	// Idempotent declares the operation safe to re-execute, letting a
 	// GroupClient retry it across endpoints after ambiguous failures.
 	Idempotent bool
 }
+
+// maxInFlight bounds one class's concurrently outstanding calls; an
+// issue tick finding the bound exhausted counts the request as dropped
+// locally rather than blocking the schedule.
+const maxInFlight = 1024
 
 // Invoker is the invocation surface the load generator drives: a plain
 // single-endpoint Client or a fault-tolerant GroupClient.
@@ -82,12 +84,6 @@ func runClass(c Invoker, d time.Duration, lc LoadClass) ClassReport {
 	if lc.Key == "" {
 		lc.Key = "app/echo"
 	}
-	if lc.Op == "" {
-		lc.Op = "echo"
-	}
-	if lc.MaxInFlight <= 0 {
-		lc.MaxInFlight = 1024
-	}
 	body := make([]byte, lc.Payload)
 	for i := range body {
 		body[i] = byte(i)
@@ -97,7 +93,7 @@ func runClass(c Invoker, d time.Duration, lc LoadClass) ClassReport {
 	rep := ClassReport{Name: lc.Name, Errors: make(map[string]int64)}
 	var lats []float64
 
-	sem := make(chan struct{}, lc.MaxInFlight)
+	sem := make(chan struct{}, maxInFlight)
 	var calls sync.WaitGroup
 	interval := time.Second / time.Duration(lc.Hz)
 	ticker := time.NewTicker(interval)
@@ -124,7 +120,7 @@ loop:
 			go func() {
 				defer func() { <-sem; calls.Done() }()
 				t0 := time.Now()
-				_, err := c.Invoke(lc.Key, lc.Op, body, CallOptions{
+				_, err := c.Invoke(lc.Key, "echo", body, CallOptions{
 					Priority:   lc.Priority,
 					Timeout:    lc.Timeout,
 					Idempotent: lc.Idempotent,
@@ -188,10 +184,6 @@ func sortedErrKeys(m map[string]int64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }

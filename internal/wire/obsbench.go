@@ -20,48 +20,32 @@ import (
 	"repro/internal/trace/telemetry"
 )
 
-// ObsBenchOptions shape the observer-overhead benchmark: the same
-// EF/BE wire load as RunBench, run in alternating bare and observed
-// phases. The observability plane (sampler + alert rules + runtime
-// collector + SLO tracker + profiler + a live scraper hitting
-// /metrics, /debug/qos and /events) is brought up once and stays
-// resident for the whole run — the production shape, where the plane
-// outlives any burst of traffic and a capture cooldown rate-limits
-// profiling — and is paused to full quiescence during the bare phases
-// so they measure a genuinely unobserved system.
-type ObsBenchOptions struct {
-	// Duration of each measured phase (default 2s).
-	Duration time.Duration
-	// Iterations repeats the off/on phase pair (default 11). The
-	// reported overhead is the median of the per-iteration paired p99
-	// ratios: the two phases of a pair run back to back, so a
-	// same-host interference burst (CPU steal on a shared VM, an I/O
-	// stall) lands inside one pair and is discarded by the median
-	// instead of polluting the verdict. The rendered EF reports pool
-	// every iteration's samples for the absolute numbers.
-	Iterations int
-	// EFHz / BEHz are offered rates (defaults 400 / 1200 req/s).
-	EFHz, BEHz int
-	// Service is the servant's simulated per-request work (default 1ms).
-	Service time.Duration
-	// EFWorkers / BEWorkers size the two lanes (defaults 2 / 1).
-	EFWorkers, BEWorkers int
-	// QueueLimit bounds each lane's queue (default 256).
-	QueueLimit int
-	// Payload is the request body size (default 64 bytes).
-	Payload int
-	// SampleEvery is the wall sampler period (default 100ms).
-	SampleEvery time.Duration
-	// ScrapeEvery is the live scraper's poll period (default 1.5s).
-	// Each poll fetches one endpoint, alternating /metrics and
-	// /debug/qos the way a real scraper spreads its targets, so a poll
-	// is one bounded burst of render work rather than several
-	// back-to-back.
-	ScrapeEvery time.Duration
-	// ProfileDir holds captured profiles; empty uses a temp directory
-	// removed when the benchmark finishes.
-	ProfileDir string
-}
+// The observer-overhead benchmark runs RunBench's EF/BE wire load in
+// alternating bare and observed phases. The observability plane (sampler
+// + alert rules + runtime collector + SLO tracker + profiler + a live
+// scraper hitting /metrics, /debug/qos and /events) is brought up once
+// and stays resident for the whole run — the production shape, where the
+// plane outlives any burst of traffic and a capture cooldown rate-limits
+// profiling — and is paused to full quiescence during the bare phases so
+// they measure a genuinely unobserved system.
+const (
+	// obsIterations repeats the off/on phase pair. The reported overhead
+	// is the median of the per-iteration paired p99 ratios: the two
+	// phases of a pair run back to back, so a same-host interference
+	// burst (CPU steal on a shared VM, an I/O stall) lands inside one
+	// pair and is discarded by the median instead of polluting the
+	// verdict. The rendered EF reports pool every iteration's samples for
+	// the absolute numbers.
+	obsIterations = 11
+	obsEFHz       = 400
+	// obsSampleEvery is the wall sampler period.
+	obsSampleEvery = 100 * time.Millisecond
+	// obsScrapeEvery is the live scraper's poll period. Each poll fetches
+	// one endpoint, alternating /metrics and /debug/qos the way a real
+	// scraper spreads its targets, so a poll is one bounded burst of
+	// render work rather than several back-to-back.
+	obsScrapeEvery = 1500 * time.Millisecond
+)
 
 // ObsBenchResult is the benchmark outcome: the EF/BE reports of both
 // phases, the relative EF p99 cost of the observer stack, and evidence
@@ -75,7 +59,7 @@ type ObsBenchResult struct {
 	OffEF, OffBE, OnEF, OnBE ClassReport
 	// OverheadP99 is the median over iterations of the paired
 	// (on - off) / off EF p99 ratio — robust to interference bursts
-	// that hit a single pair (see ObsBenchOptions.Iterations).
+	// that hit a single pair (see obsIterations).
 	OverheadP99 float64
 	// Observer-activity evidence, cumulative across observed phases.
 	SamplerTicks    int     // wall sampler windows closed
@@ -123,48 +107,13 @@ func (v sloInvoker) Invoke(key, op string, body []byte, opts CallOptions) ([]byt
 // load. The paper-shaped claim: monitoring that drives adaptation must
 // be cheap enough to leave on, so the EF tail should move by at most a
 // few percent.
-func RunObsBench(o ObsBenchOptions) (*ObsBenchResult, error) {
-	if o.Duration <= 0 {
-		o.Duration = 2 * time.Second
+func RunObsBench(o BenchOptions) (*ObsBenchResult, error) {
+	phase := o.duration()
+	profileDir, err := os.MkdirTemp("", "qosbench-obs-")
+	if err != nil {
+		return nil, err
 	}
-	if o.Iterations <= 0 {
-		o.Iterations = 11
-	}
-	if o.EFHz <= 0 {
-		o.EFHz = 400
-	}
-	if o.BEHz <= 0 {
-		o.BEHz = 1200
-	}
-	if o.Service <= 0 {
-		o.Service = time.Millisecond
-	}
-	if o.EFWorkers <= 0 {
-		o.EFWorkers = 2
-	}
-	if o.BEWorkers <= 0 {
-		o.BEWorkers = 1
-	}
-	if o.QueueLimit <= 0 {
-		o.QueueLimit = 256
-	}
-	if o.Payload <= 0 {
-		o.Payload = 64
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 100 * time.Millisecond
-	}
-	if o.ScrapeEvery <= 0 {
-		o.ScrapeEvery = 1500 * time.Millisecond
-	}
-	if o.ProfileDir == "" {
-		dir, err := os.MkdirTemp("", "qosbench-obs-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		o.ProfileDir = dir
-	}
+	defer os.RemoveAll(profileDir)
 
 	// Warm the CPU-profile encoder before anything is measured: the
 	// first capture in a process walks the binary's symbol tables to
@@ -175,46 +124,40 @@ func RunObsBench(o ObsBenchOptions) (*ObsBenchResult, error) {
 		pprof.StopCPUProfile()
 	}
 
-	plane, err := startObsPlane(o)
+	plane, err := startObsPlane(phase, profileDir)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ObsBenchResult{Iterations: o.Iterations}
+	res := &ObsBenchResult{Iterations: obsIterations}
 	start := time.Now()
 	var offPool, onPool pooledClass
 	var ratios []float64
-	for i := 0; i < o.Iterations; i++ {
-		offEF, offBE, err := obsPhase(o, nil)
+	for i := 0; i < obsIterations; i++ {
+		off, err := benchPhase(phase, obsEFHz, nil)
 		if err != nil {
-			plane.shutdown()
+			plane.shutdown(res)
 			return nil, err
 		}
-		offPool.add(offEF)
-		onEF, onBE, err := obsPhase(o, plane)
+		offPool.add(off.EF)
+		on, err := benchPhase(phase, obsEFHz, plane)
 		if err != nil {
-			plane.shutdown()
+			plane.shutdown(res)
 			return nil, err
 		}
-		onPool.add(onEF)
-		if off := offEF.Latency.P99; off > 0 {
-			ratios = append(ratios, (onEF.Latency.P99-off)/off)
+		onPool.add(on.EF)
+		if p99 := off.EF.Latency.P99; p99 > 0 {
+			ratios = append(ratios, (on.EF.Latency.P99-p99)/p99)
 		}
 		// BE reports come from the last iteration; their differences
 		// across iterations are noise.
-		res.OffBE, res.OnBE = offBE, onBE
+		res.OffBE, res.OnBE = off.BE, on.BE
 	}
-	obs := plane.shutdown()
-	loadPerSide := time.Duration(o.Iterations) * o.Duration
+	plane.shutdown(res)
+	loadPerSide := obsIterations * phase
 	res.OffEF = offPool.report(loadPerSide)
 	res.OnEF = onPool.report(loadPerSide)
 	res.Duration = time.Since(start)
-	res.SamplerTicks = obs.ticks
-	res.RuntimeSeries = obs.runtimeSeries
-	res.ProfileCaptures = obs.captures
-	res.AlertProfile = obs.alertProfile
-	res.EventsStreamed = obs.eventsSeen
-	res.Scrapes = obs.scrapes
 	if len(ratios) > 0 {
 		sort.Float64s(ratios)
 		res.OverheadP99 = ratios[len(ratios)/2]
@@ -252,16 +195,6 @@ func (p *pooledClass) report(loaded time.Duration) ClassReport {
 	return r
 }
 
-// obsStats is the observer-activity evidence gathered by the plane.
-type obsStats struct {
-	ticks         int
-	runtimeSeries int
-	captures      float64
-	alertProfile  bool
-	eventsSeen    int
-	scrapes       int
-}
-
 // obsPlane is the benchmark's resident observability stack: one
 // registry, bus, sampler, SLO tracker, profiler and HTTP endpoint live
 // for the whole run, and each observed phase's fresh server/client is
@@ -271,7 +204,6 @@ type obsStats struct {
 // cooldown do what it does in production: the hot-EF alert triggers
 // one CPU capture when it first fires, not one per burst of traffic.
 type obsPlane struct {
-	o       ObsBenchOptions
 	reg     *telemetry.Registry
 	bus     *events.Bus
 	sampler *monitor.Sampler
@@ -296,15 +228,15 @@ type obsPlane struct {
 	alertCPU atomic.Bool
 }
 
-func startObsPlane(o ObsBenchOptions) (*obsPlane, error) {
-	p := &obsPlane{o: o, reg: telemetry.NewRegistry()}
+func startObsPlane(phase time.Duration, profileDir string) (*obsPlane, error) {
+	p := &obsPlane{reg: telemetry.NewRegistry()}
 
 	// The plane prices monitoring itself — sampler, runtime collector,
 	// SLO tracker, profiler, live scrapes — not per-request span
 	// tracing, so no tracer is attached to the data path.
 	p.bus = events.NewBus(sim.Wall)
 
-	p.sampler = monitor.NewSampler(sim.Wall, p.reg, p.bus, o.SampleEvery)
+	p.sampler = monitor.NewSampler(sim.Wall, p.reg, p.bus, obsSampleEvery)
 	rc := monitor.NewRuntimeCollector(p.reg)
 	p.sampler.AddCollector(rc.Collect)
 	// A rule that is guaranteed to fire under load, so the benchmark
@@ -322,7 +254,7 @@ func startObsPlane(o ObsBenchOptions) (*obsPlane, error) {
 		Name:         "ef_latency",
 		Goal:         0.999,
 		LatencyBound: 250 * time.Millisecond,
-		Pairs:        slo.ScaledPairs(2 * o.Duration),
+		Pairs:        slo.ScaledPairs(2 * phase),
 	}, p.bus)
 
 	// Alert-triggered CPU captures with a short window and a cooldown:
@@ -333,7 +265,7 @@ func startObsPlane(o ObsBenchOptions) (*obsPlane, error) {
 	// system is free; the capture the bench prices fires *under load*
 	// via the alert path, which the rule above guarantees).
 	prof, err := monitor.NewProfiler(monitor.ProfilerConfig{
-		Dir:         o.ProfileDir,
+		Dir:         profileDir,
 		MaxFiles:    4,
 		CPUDuration: 40 * time.Millisecond,
 		Cooldown:    time.Minute,
@@ -406,13 +338,13 @@ func (p *obsPlane) resume(srv *Server, cli *Client) {
 	p.srv, p.cli = srv, cli
 	p.mu.Unlock()
 	p.sampler.Start()
-	p.st.Start(p.o.SampleEvery)
+	p.st.Start(obsSampleEvery)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	p.scrapeStop, p.scrapeDone = stop, done
 	go func() {
 		defer close(done)
-		t := time.NewTicker(p.o.ScrapeEvery)
+		t := time.NewTicker(obsScrapeEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -448,86 +380,22 @@ func (p *obsPlane) pause() {
 	p.mu.Unlock()
 }
 
-// shutdown tears the plane down and returns the accumulated
-// observer-activity evidence.
-func (p *obsPlane) shutdown() obsStats {
+// shutdown tears the plane down and records the accumulated
+// observer-activity evidence in res.
+func (p *obsPlane) shutdown(res *ObsBenchResult) {
 	_, _ = p.prof.CaptureHeap("post-run") // heap-capture evidence
 	p.prof.Stop()
 	p.stopHTTP() // closes the /events stream
 	<-p.eventsDone
-	var obs obsStats
-	obs.ticks = p.sampler.Ticks()
+	res.SamplerTicks = p.sampler.Ticks()
 	for _, key := range p.reg.GaugeKeys() {
 		if len(key) > 3 && key[:3] == "go." {
-			obs.runtimeSeries++
+			res.RuntimeSeries++
 		}
 	}
-	obs.captures = p.reg.Counter("monitor.profiler.captures", telemetry.L("kind", "cpu")).Value() +
+	res.ProfileCaptures = p.reg.Counter("monitor.profiler.captures", telemetry.L("kind", "cpu")).Value() +
 		p.reg.Counter("monitor.profiler.captures", telemetry.L("kind", "heap")).Value()
-	obs.alertProfile = p.alertCPU.Load()
-	obs.eventsSeen = p.eventsSeen
-	obs.scrapes = p.scrapes
-	return obs
-}
-
-// obsPhase runs one load phase: bare when plane is nil, otherwise
-// attached to the resident observability plane.
-func obsPhase(o ObsBenchOptions, plane *obsPlane) (ef, be ClassReport, err error) {
-	reg := telemetry.NewRegistry()
-	var bus *events.Bus
-	if plane != nil {
-		reg, bus = plane.reg, plane.bus
-	}
-
-	srv, err := NewServer(ServerConfig{
-		Lanes: []LaneConfig{
-			{Priority: 0, Workers: o.BEWorkers, QueueLimit: o.QueueLimit},
-			{Priority: EFPriority, Workers: o.EFWorkers, QueueLimit: o.QueueLimit},
-		},
-		Registry: reg,
-		Name:     "qosbench.obs.server",
-		Bus:      bus,
-	})
-	if err != nil {
-		return ef, be, err
-	}
-	service := o.Service
-	srv.Register("app/echo", HandlerFunc(func(req *Request) ([]byte, error) {
-		time.Sleep(service)
-		return req.Body, nil
-	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return ef, be, err
-	}
-	defer srv.Shutdown(5 * time.Second)
-
-	cli, err := NewClient(ClientConfig{
-		Addr:     addr.String(),
-		Bands:    []int16{0, EFPriority},
-		Registry: reg,
-		Name:     "qosbench.obs.client",
-		Bus:      bus,
-	})
-	if err != nil {
-		return ef, be, err
-	}
-	defer cli.Close()
-
-	var inv Invoker = cli
-	if plane != nil {
-		inv = sloInvoker{inner: cli, st: plane.st}
-		plane.resume(srv, cli)
-	}
-
-	beTimeout := 4*time.Duration(o.QueueLimit)*o.Service + time.Second
-	reports := RunLoad(inv, o.Duration, []LoadClass{
-		{Name: "EF", Priority: EFPriority, Hz: o.EFHz, Payload: o.Payload, Timeout: 500 * time.Millisecond},
-		{Name: "BE", Priority: 0, Hz: o.BEHz, Payload: o.Payload, Timeout: beTimeout},
-	})
-	if plane != nil {
-		plane.pause()
-	}
-	ef, be = reports[0], reports[1]
-	return ef, be, nil
+	res.AlertProfile = p.alertCPU.Load()
+	res.EventsStreamed = p.eventsSeen
+	res.Scrapes = p.scrapes
 }

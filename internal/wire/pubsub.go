@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/cdr"
 	"repro/internal/giop"
@@ -111,20 +110,18 @@ func DecodeSubscribe(body []byte) (SubscribeSpec, error) {
 
 // ChannelHostConfig shapes the host's push side.
 type ChannelHostConfig struct {
-	// Bands are the push clients' connection bands (default {0,
-	// EFPriority}), so EF events never queue behind BE bytes on the way
-	// to a consumer either.
-	Bands []int16
-	// ConnsPerBand sizes each push client's band pools (default 1).
-	ConnsPerBand int
-	// PushTimeout bounds one push invocation (default 2s).
-	PushTimeout time.Duration
 	// NewPushClient overrides push-client construction — the loopback
-	// hook for socket-free tests. Default: NewClient to the address.
+	// hook for socket-free tests; no program sets it. Default: NewClient
+	// to the address over pushBands.
 	NewPushClient func(addr string) (*Client, error)
 	// Tracer traces push invocations (nil = none).
 	Tracer *Tracer
 }
+
+// pushBands are the push clients' connection bands, so EF events never
+// queue behind BE bytes on the way to a consumer either. A push is an
+// ordinary oneway invocation, bounded by the client's request timeout.
+var pushBands = []int16{0, EFPriority}
 
 // ChannelHost is the servant exposing a pubsub.Channel on a wire
 // Server. The channel must be asynchronous: each remote subscriber is
@@ -145,20 +142,8 @@ func NewChannelHost(ch *pubsub.Channel, cfg ChannelHostConfig) (*ChannelHost, er
 	if !ch.Async() {
 		return nil, fmt.Errorf("wire: channel host needs an async channel (remote pushes block)")
 	}
-	if len(cfg.Bands) == 0 {
-		cfg.Bands = []int16{0, EFPriority}
-	}
-	if cfg.ConnsPerBand <= 0 {
-		cfg.ConnsPerBand = 1
-	}
-	if cfg.PushTimeout <= 0 {
-		cfg.PushTimeout = 2 * time.Second
-	}
 	return &ChannelHost{ch: ch, cfg: cfg, pushers: make(map[string]*Client)}, nil
 }
-
-// Channel returns the hosted channel.
-func (h *ChannelHost) Channel() *pubsub.Channel { return h.ch }
 
 // Dispatch implements Handler.
 func (h *ChannelHost) Dispatch(req *Request) ([]byte, error) {
@@ -211,10 +196,13 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 		return nil, &Exception{ID: giop.ExcBadParam, Minor: 4}
 	}
 	cli, err := h.pushClient(sp)
+	if errors.Is(err, errDuplicateSubscription) {
+		return nil, &Exception{ID: giop.ExcBadParam, Minor: 5}
+	}
 	if err != nil {
 		return nil, &Exception{ID: giop.ExcTransient, Minor: 1}
 	}
-	key, timeout, tracer := sp.ConsumerKey, h.cfg.PushTimeout, h.cfg.Tracer
+	key, tracer := sp.ConsumerKey, h.cfg.Tracer
 	_, err = h.ch.Subscribe(pubsub.SubscriberConfig{
 		Name:        sp.Name,
 		Topic:       sp.Topic,
@@ -224,7 +212,7 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 		Policy:      sp.Policy,
 		SampleEvery: int(sp.SampleEvery),
 		Deliver: func(ev pubsub.Event) {
-			PushEvent(cli, key, ev, CallOptions{Timeout: timeout, Oneway: true}, tracer)
+			PushEvent(cli, key, ev, CallOptions{Oneway: true}, tracer)
 		},
 	})
 	if err != nil {
@@ -256,17 +244,21 @@ func (h *ChannelHost) unsubscribe(req *Request) ([]byte, error) {
 	return nil, nil
 }
 
-// pushClient builds (and records) the per-subscription push client.
+var errDuplicateSubscription = errors.New("wire: subscription name in use")
+
+// pushClient builds (and records) the per-subscription push client. A
+// name that already has one is refused before anything is touched: the
+// live subscription's Deliver is bound to that client, so replacing it
+// would leave the subscription pushing into a closed client. To move a
+// subscription, unsubscribe first.
 func (h *ChannelHost) pushClient(sp SubscribeSpec) (*Client, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, fmt.Errorf("wire: channel host closed")
 	}
-	if old, ok := h.pushers[sp.Name]; ok {
-		// Re-subscription under the same name replaces the old pusher.
-		old.Close()
-		delete(h.pushers, sp.Name)
+	if _, ok := h.pushers[sp.Name]; ok {
+		return nil, errDuplicateSubscription
 	}
 	var cli *Client
 	var err error
@@ -274,11 +266,10 @@ func (h *ChannelHost) pushClient(sp SubscribeSpec) (*Client, error) {
 		cli, err = h.cfg.NewPushClient(sp.Addr)
 	} else {
 		cli, err = NewClient(ClientConfig{
-			Addr:         sp.Addr,
-			Bands:        h.cfg.Bands,
-			ConnsPerBand: h.cfg.ConnsPerBand,
-			Registry:     h.ch.Registry(),
-			Name:         "pubsub.push." + sp.Name,
+			Addr:     sp.Addr,
+			Bands:    pushBands,
+			Registry: h.ch.Registry(),
+			Name:     "pubsub.push." + sp.Name,
 		})
 	}
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/pubsub"
 	"repro/internal/trace/telemetry"
 )
@@ -23,14 +24,14 @@ func pubsubLoopback(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event)) (
 	t.Helper()
 	open := make(chan struct{})
 	close(open)
-	return pubsubLoopbackGated(t, ch, sink, open, time.Second)
+	return pubsubLoopbackGated(t, ch, sink, open)
 }
 
 // pubsubLoopbackGated is pubsubLoopback with a consumer that reads
 // nothing from a push connection until gate closes — so pushes block in
-// the host and events park in the subscriber's outbox — and the push
-// timeout that has to outlast the wait.
-func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event), gate <-chan struct{}, pushTimeout time.Duration) (*Client, *ChannelHost) {
+// the host and events park in the subscriber's outbox. The gate has to
+// open within the push client's request timeout (2s) of the first push.
+func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Event), gate <-chan struct{}) (*Client, *ChannelHost) {
 	t.Helper()
 	leakCheck(t)
 
@@ -43,7 +44,6 @@ func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Even
 	consumer.Register("consumer/a", ConsumerHandler(sink))
 
 	host, err := NewChannelHost(ch, ChannelHostConfig{
-		PushTimeout: pushTimeout,
 		NewPushClient: func(addr string) (*Client, error) {
 			return NewClient(ClientConfig{
 				Addr: addr,
@@ -88,6 +88,61 @@ func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Even
 		consumer.Shutdown(2 * time.Second)
 	})
 	return cli, host
+}
+
+// TestPubSubDuplicateSubscribeKeepsTheLiveOne: a second "subscribe" under
+// a name in use is refused (BAD_PARAM minor 5) before the host touches the
+// live subscription's push client — which it used to close, leaving the
+// subscription pushing into a closed client with every event counted as
+// delivered. After an unsubscribe the name is free again.
+func TestPubSubDuplicateSubscribeKeepsTheLiveOne(t *testing.T) {
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "dup", Async: true})
+	got := make(chan pubsub.Event, 64)
+	cli, host := pubsubLoopback(t, ch, func(ev pubsub.Event) { got <- ev })
+
+	spec := SubscribeSpec{
+		Name: "s1", Addr: "consumer", ConsumerKey: "consumer/a",
+		Topic: "camera/**", Priority: EFPriority, Outbox: 32,
+	}
+	if err := SubscribeRemote(cli, "pubsub/chan", spec, CallOptions{Timeout: time.Second}); err != nil {
+		t.Fatalf("SubscribeRemote: %v", err)
+	}
+	var exc *Exception
+	err := SubscribeRemote(cli, "pubsub/chan", spec, CallOptions{Timeout: time.Second})
+	if !errors.As(err, &exc) || exc.ID != giop.ExcBadParam || exc.Minor != 5 {
+		t.Fatalf("duplicate subscribe = %v, want BAD_PARAM minor 5", err)
+	}
+
+	const n = 10
+	for i := 0; i < n; i++ {
+		ev := pubsub.Event{Topic: "camera/front", Priority: EFPriority, Payload: []byte{byte(i)}}
+		if err := PublishRemote(cli, "pubsub/chan", ev, CallOptions{Timeout: time.Second}); err != nil {
+			t.Fatalf("PublishRemote %d: %v", i, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case ev := <-got:
+			if len(ev.Payload) != 1 || ev.Payload[0] != byte(i) {
+				t.Fatalf("push %d carried %v", i, ev.Payload)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("the first subscription stopped receiving: push %d of %d never arrived", i, n)
+		}
+	}
+	host.mu.Lock()
+	pushers, live := len(host.pushers), host.pushers["s1"] != nil && !host.pushers["s1"].closed.Load()
+	host.mu.Unlock()
+	if pushers != 1 || !live {
+		t.Errorf("host holds %d push clients (s1 live: %v), want the one live client", pushers, live)
+	}
+
+	if err := UnsubscribeRemote(cli, "pubsub/chan", "s1", CallOptions{Timeout: time.Second}); err != nil {
+		t.Fatalf("UnsubscribeRemote: %v", err)
+	}
+	if err := SubscribeRemote(cli, "pubsub/chan", spec, CallOptions{Timeout: time.Second}); err != nil {
+		t.Fatalf("subscribe after unsubscribe: %v", err)
+	}
 }
 
 // TestPubSubOverWire pins the remote path end to end: subscribe with a

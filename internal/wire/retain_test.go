@@ -94,7 +94,7 @@ func TestRetainParkedPublishPayload(t *testing.T) {
 		got = append(got, ev)
 		mu.Unlock()
 		done <- struct{}{}
-	}, gate, 30*time.Second)
+	}, gate)
 
 	if err := SubscribeRemote(cli, "pubsub/chan", SubscribeSpec{
 		Name: "blocked", Addr: "consumer", ConsumerKey: "consumer/a",
@@ -209,7 +209,7 @@ func TestWritePoolDoesNotRetainLargeBuffers(t *testing.T) {
 	for _, b := range held {
 		putWriteBuf(b)
 	}
-	writers := []*connWriter{&cli.bands[0].conns[0].connWriter}
+	writers := []*connWriter{&cli.bands[0].conn.connWriter}
 	srv.mu.Lock()
 	for c := range srv.conns {
 		writers = append(writers, &c.connWriter)

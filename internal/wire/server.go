@@ -91,9 +91,9 @@ type ServerConfig struct {
 	// Lanes of the worker pool, ascending priority floors. Default: one
 	// lane at floor 0 with GOMAXPROCS workers.
 	Lanes []LaneConfig
-	// MaxMessage caps inbound GIOP bodies (giop.DefaultMaxMessage if 0).
-	MaxMessage uint32
-	// ByteOrder for replies (the zero value is canonical big-endian).
+	// ByteOrder for replies (the zero value is canonical big-endian). A
+	// test seam: no program sets it; the interop tests run the raw-GIOP
+	// scripts in both orders.
 	ByteOrder cdr.ByteOrder
 	// Registry receives wire.server.* telemetry (private one if nil).
 	Registry *telemetry.Registry
@@ -139,11 +139,10 @@ type serverLane struct {
 // goroutine-per-connection readers, which parse frames and enqueue
 // requests onto per-priority lanes drained by a bounded worker pool.
 type Server struct {
-	cfg    ServerConfig
-	reg    *telemetry.Registry
-	order  cdr.ByteOrder
-	maxMsg uint32
-	name   string
+	cfg   ServerConfig
+	reg   *telemetry.Registry
+	order cdr.ByteOrder
+	name  string
 
 	// servants is read on every dispatch by workers of every lane, so it
 	// is a copy-on-write map behind a pointer: lookup takes no lock, and
@@ -203,7 +202,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		order:   cfg.ByteOrder,
-		maxMsg:  cfg.MaxMessage,
 		name:    cfg.Name,
 		conns:   make(map[*serverConn]struct{}),
 		ftCache: dedup.New[ftWaiter](ftCacheCap),
@@ -212,9 +210,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.servants.Store(&map[string]Handler{})
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
-	}
-	if s.maxMsg == 0 {
-		s.maxMsg = giop.DefaultMaxMessage
 	}
 	if s.name == "" {
 		s.name = "wire.server"
@@ -369,7 +364,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// once: its batch never holds a reply past the request that caused it.
 	b := &replyBatch{s: s}
 	for {
-		frame, err := giop.ReadFrame(br, s.maxMsg, hdr)
+		frame, err := giop.ReadFrame(br, giop.DefaultMaxMessage, hdr)
 		if err != nil {
 			if err != io.EOF && !s.closed.Load() {
 				s.reg.Counter("wire.server.read_errors").Inc()

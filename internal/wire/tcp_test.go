@@ -20,16 +20,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket benchmark run")
 	}
-	res, err := RunBench(BenchOptions{
-		Duration:   700 * time.Millisecond,
-		EFHz:       150,
-		BEHz:       700,
-		Service:    2 * time.Millisecond, // BE capacity 500/s with 1 worker
-		BEWorkers:  1,
-		EFWorkers:  2,
-		QueueLimit: 64,
-		Payload:    64,
-	})
+	res, err := RunBench(BenchOptions{Duration: 700 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("RunBench: %v", err)
 	}

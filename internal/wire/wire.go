@@ -10,7 +10,7 @@
 // The plane comprises a Server (accept loop, goroutine-per-connection
 // readers, a bounded worker pool with per-priority lanes mirroring
 // rtcorba.ThreadPool semantics, graceful drain) and a Client (RT-CORBA
-// private-connection banding — one pooled connection set per priority
+// private-connection banding — exactly one connection per priority
 // band, so expedited requests never queue behind best-effort bytes —
 // request-ID multiplexing, wall-clock RELATIVE_RT_TIMEOUT deadlines,
 // and reconnect gating through the circuit-breaker state machine shared
