@@ -11,12 +11,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/rtos"
 	"repro/internal/sim"
 )
 
@@ -24,41 +25,35 @@ func main() {
 	topo := flag.String("topo", "diffserv", "topology to inspect: diffserv (figures 4-6) or reservation (figure 7 / table 1)")
 	flag.Parse()
 
-	var sys *core.System
-	switch *topo {
-	case "diffserv":
-		sys = diffservTopo()
-	case "reservation":
-		sys = reservationTopo()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topo)
+	out, err := run(*topo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	dump(sys)
+	fmt.Print(out)
 }
 
-func diffservTopo() *core.System {
-	sys := core.NewSystem(1)
-	sys.AddMachine("sender", rtos.HostConfig{Hz: 1e9})
-	sys.AddMachine("receiver", rtos.HostConfig{Hz: 1e9})
-	sys.AddMachine("crossgen", rtos.HostConfig{Hz: 1e9})
-	sys.AddRouter("router")
-	sys.Link("sender", "router", core.LinkSpec{Bps: 100e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
-	sys.Link("crossgen", "router", core.LinkSpec{Bps: 100e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
-	sys.Link("router", "receiver", core.LinkSpec{Bps: 10e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
-	return sys
+// run builds the named topology with the experiments' own builders and
+// returns its dump.
+func run(topo string) (string, error) {
+	switch topo {
+	case "diffserv":
+		return dump(experiments.DiffServTopology(1)), nil
+	case "reservation":
+		return dump(reservationTopo()), nil
+	default:
+		return "", fmt.Errorf("unknown topology %q", topo)
+	}
 }
 
+// reservationTopo is the reservation testbed with one installed
+// reservation, so the dump shows reserved bandwidth on the link.
 func reservationTopo() *core.System {
-	sys := core.NewSystem(1)
-	snd := sys.AddMachine("sender", rtos.HostConfig{Hz: 750e6})
-	rcv := sys.AddMachine("receiver", rtos.HostConfig{Hz: 750e6})
-	sys.Link("sender", "receiver", core.LinkSpec{Bps: 10e6, Delay: 500 * time.Microsecond, Profile: core.ProfileFullQoS})
-	// Demonstrate an installed reservation in the dump.
+	sys := experiments.ReservationTopology(1)
 	flow := sys.Net.NewFlowID()
 	sys.K.Go("reserve", func(p *sim.Proc) {
 		_, err := sys.Net.ReserveFlow(p, netsim.ReservationSpec{
-			Flow: flow, Src: snd.Node, Dst: rcv.Node, RateBps: 1.2e6,
+			Flow: flow, Src: sys.Machine("sender").Node, Dst: sys.Machine("receiver").Node, RateBps: 1.2e6,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reservation failed: %v\n", err)
@@ -68,18 +63,19 @@ func reservationTopo() *core.System {
 	return sys
 }
 
-func dump(sys *core.System) {
-	nodes := metrics.NewTable("Nodes", "ID", "Name", "Kind")
+func dump(sys *core.System) string {
+	var out strings.Builder
+	nodes := metrics.NewTable("Nodes", "ID", "Name", "Kind", "Quantum")
 	for _, nd := range sys.Net.Nodes() {
-		kind := "host"
-		if nd.Router() {
-			kind = "router"
+		kind, quantum := "router", "-"
+		if m := sys.Machine(nd.Name()); m != nil {
+			kind, quantum = "host", m.Host.Quantum().String()
 		}
-		nodes.AddRow(fmt.Sprintf("%d", nd.ID()), nd.Name(), kind)
+		nodes.AddRow(fmt.Sprintf("%d", nd.ID()), nd.Name(), kind, quantum)
 	}
-	fmt.Println(nodes.Render())
+	fmt.Fprintln(&out, nodes.Render())
 
-	links := metrics.NewTable("Links", "From", "To", "Bandwidth", "Delay", "Queue backlog", "Reserved")
+	links := metrics.NewTable("Links", "From", "To", "Bandwidth", "Delay", "Queue limit", "Queue backlog", "Reserved")
 	for _, l := range sys.Net.Links() {
 		reserved := "n/a"
 		if rc, ok := l.Queue().(netsim.ReservationCapable); ok {
@@ -89,11 +85,12 @@ func dump(sys *core.System) {
 			l.From().Name(), l.To().Name(),
 			fmt.Sprintf("%.1f Mbps", l.Bps()/1e6),
 			l.Delay().String(),
+			fmt.Sprintf("%d B", l.Queue().Limit()),
 			fmt.Sprintf("%d B", l.Queue().Backlog()),
 			reserved,
 		)
 	}
-	fmt.Println(links.Render())
+	fmt.Fprintln(&out, links.Render())
 
 	routes := metrics.NewTable("Routes (host pairs)", "From", "To", "Hops", "Path")
 	all := sys.Net.Nodes()
@@ -114,5 +111,6 @@ func dump(sys *core.System) {
 			routes.AddRow(a.Name(), b.Name(), fmt.Sprintf("%d", len(path)), desc)
 		}
 	}
-	fmt.Println(routes.Render())
+	fmt.Fprintln(&out, routes.Render())
+	return out.String()
 }

@@ -110,60 +110,6 @@ func TestDistributorPerBranchFilter(t *testing.T) {
 	}
 }
 
-// TestChannelDistributorFansOut pins the pub/sub-backed fan-out path:
-// same topology and delivery expectations as the direct distributor,
-// with per-branch filters still honoured and the channel snapshot
-// accounting for every relayed frame.
-func TestChannelDistributorFansOut(t *testing.T) {
-	k, srcSvc, distSvc, dispSvc, atrSvc := distributorRig(t)
-	dispRecv := dispSvc.CreateReceiver(5000, 50, nil)
-	atrRecv := atrSvc.CreateReceiver(5000, 50, nil)
-
-	d := distSvc.NewChannelDistributor(4000, 60)
-	distSvc.Host().Spawn("branches", 60, func(th *rtos.Thread) {
-		if _, err := d.AddBranch(th.Proc(), 4001, dispRecv.Addr(), QoS{}); err != nil {
-			t.Errorf("display branch: %v", err)
-		}
-		thin, err := d.AddBranch(th.Proc(), 4002, atrRecv.Addr(), QoS{})
-		if err != nil {
-			t.Errorf("atr branch: %v", err)
-			return
-		}
-		thin.SetFilter(video.FilterIOnly)
-	})
-	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
-		st, err := sender.Bind(th.Proc(), d.InAddr(), QoS{})
-		if err != nil {
-			t.Errorf("bind: %v", err)
-			return
-		}
-		th.Sleep(100 * time.Millisecond) // let the branches come up
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 3*time.Second)
-	})
-	k.RunUntil(6 * time.Second)
-	if dispRecv.Stats.ReceivedTotal < 85 {
-		t.Fatalf("display received %d frames, want ~90", dispRecv.Stats.ReceivedTotal)
-	}
-	// The filtered branch still receives every event from the channel;
-	// its stream-side filter thins the wire to I frames only.
-	if atrRecv.Stats.RecvByType[video.FrameB] != 0 || atrRecv.Stats.RecvByType[video.FrameP] != 0 {
-		t.Fatalf("non-I frames reached the filtered branch: %v", atrRecv.Stats.RecvByType)
-	}
-	snap := d.Channel().Snapshot()
-	if snap.Published == 0 || snap.Dropped != 0 {
-		t.Fatalf("channel snapshot published=%d dropped=%d, want >0 and 0", snap.Published, snap.Dropped)
-	}
-	for _, s := range snap.Subscribers {
-		if s.Delivered != snap.Published {
-			t.Fatalf("branch %s delivered %d of %d published", s.Name, s.Delivered, snap.Published)
-		}
-	}
-	if len(snap.Subscribers) != 2 {
-		t.Fatalf("snapshot has %d subscribers, want 2", len(snap.Subscribers))
-	}
-}
-
 func TestDistributorBranchReservation(t *testing.T) {
 	k, srcSvc, distSvc, dispSvc, _ := distributorRig(t)
 	dispRecv := dispSvc.CreateReceiver(5000, 50, nil)

@@ -1,3 +1,16 @@
+// Package events is the monitoring bus: the observability spine that
+// merges occurrences from every middleware layer — span ends,
+// circuit-breaker transitions, FT failovers, lane sheds, network drops,
+// QuO region transitions, alert rule firings — into one ordered,
+// structured event timeline. (The paper's network-based Real-Time Event
+// Service, typed payloads fanned out by priority, is internal/pubsub.)
+//
+// Ordering guarantees: every published record carries a monotonically
+// increasing sequence number assigned under the bus lock, records are
+// delivered to subscribers synchronously in subscription order, and a
+// Timeline stores them in publication order. Within one simulation the
+// publication order is the deterministic kernel event order, so two
+// runs of the same seeded scenario produce identical timelines.
 package events
 
 import (
@@ -10,21 +23,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// The monitoring bus is the in-process half of this package: where the
-// Channel above models the paper's network-based Real-Time Event
-// Service (typed payloads dispatched through RT thread pools), the Bus
-// is the observability spine that merges occurrences from every
-// middleware layer — span ends, circuit-breaker transitions, FT
-// failovers, lane sheds, network drops, QuO region transitions, alert
-// rule firings — into one ordered, structured event timeline.
-//
-// Ordering guarantees: every published record carries a monotonically
-// increasing sequence number assigned under the bus lock, records are
-// delivered to subscribers synchronously in subscription order, and a
-// Timeline stores them in publication order. Within one simulation the
-// publication order is the deterministic kernel event order, so two
-// runs of the same seeded scenario produce identical timelines.
 
 // Kind classifies a monitoring record for subscription filtering.
 type Kind string

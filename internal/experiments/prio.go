@@ -42,20 +42,29 @@ type PrioCaseResult struct {
 	Sum1, Sum2 metrics.Summary
 }
 
-// runPriorityCase builds the paper's 4-machine DiffServ testbed: a
-// sender machine hosting two video sender tasks, a DiffServ router, a
-// receiver machine hosting two servants in two POAs, and a cross-traffic
-// generator machine. The bottleneck is the 10 Mbps router->receiver
-// link; other links run at 100 Mbps, mirroring the 10/100 testbed.
-func runPriorityCase(cfg prioConfig) PrioCaseResult {
-	sys := core.NewSystem(cfg.seed)
-	sender := sys.AddMachine("sender", rtos.HostConfig{Hz: 1e9, Quantum: time.Millisecond})
-	receiver := sys.AddMachine("receiver", rtos.HostConfig{Hz: 1e9, Quantum: time.Millisecond})
-	crossgen := sys.AddMachine("crossgen", rtos.HostConfig{Hz: 1e9})
+// DiffServTopology builds the paper's 4-machine DiffServ testbed
+// (Figures 4-6): a sender machine, a DiffServ router, a receiver machine
+// and a cross-traffic generator machine. The bottleneck is the 10 Mbps
+// router->receiver link; other links run at 100 Mbps, mirroring the
+// 10/100 testbed.
+func DiffServTopology(seed int64) *core.System {
+	sys := core.NewSystem(seed)
+	sys.AddMachine("sender", rtos.HostConfig{Hz: 1e9, Quantum: time.Millisecond})
+	sys.AddMachine("receiver", rtos.HostConfig{Hz: 1e9, Quantum: time.Millisecond})
+	sys.AddMachine("crossgen", rtos.HostConfig{Hz: 1e9})
 	sys.AddRouter("router")
 	sys.Link("sender", "router", core.LinkSpec{Bps: 100e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
 	sys.Link("crossgen", "router", core.LinkSpec{Bps: 100e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
 	sys.Link("router", "receiver", core.LinkSpec{Bps: 10e6, Delay: 100 * time.Microsecond, Profile: core.ProfileDiffServ})
+	return sys
+}
+
+// runPriorityCase runs one Figure 4/5/6 case on the DiffServ testbed:
+// the sender machine hosts two video sender tasks, the receiver machine
+// two servants in two POAs.
+func runPriorityCase(cfg prioConfig) PrioCaseResult {
+	sys := DiffServTopology(cfg.seed)
+	sender, receiver, crossgen := sys.Machine("sender"), sys.Machine("receiver"), sys.Machine("crossgen")
 
 	mapping := cfg.netMapping
 	if mapping == nil {

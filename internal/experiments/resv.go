@@ -61,20 +61,28 @@ type ResvCaseResult struct {
 	LoadStart, LoadEnd time.Duration
 }
 
-// runReservationCase reproduces the paper's two-laptop video delivery
-// testbed: sender and receiver on a 10 Mbps link with QoS-capable
-// queues, MPEG video for the full duration, and an extra 43.8 Mbps
-// network load during the pulse window.
-func runReservationCase(cfg resvConfig) ResvCaseResult {
-	sys := core.NewSystem(cfg.seed)
-	snd := sys.AddMachine("sender", rtos.HostConfig{Hz: 750e6, Quantum: time.Millisecond})
-	rcv := sys.AddMachine("receiver", rtos.HostConfig{Hz: 750e6, Quantum: time.Millisecond})
+// ReservationTopology builds the paper's two-laptop video delivery
+// testbed (Figure 7 / Table 1): sender and receiver on a 10 Mbps link
+// with QoS-capable queues.
+func ReservationTopology(seed int64) *core.System {
+	sys := core.NewSystem(seed)
+	sys.AddMachine("sender", rtos.HostConfig{Hz: 750e6, Quantum: time.Millisecond})
+	sys.AddMachine("receiver", rtos.HostConfig{Hz: 750e6, Quantum: time.Millisecond})
 	sys.Link("sender", "receiver", core.LinkSpec{
 		Bps:        10e6,
 		Delay:      500 * time.Microsecond,
 		Profile:    core.ProfileFullQoS,
 		QueueBytes: 64 * 1024,
 	})
+	return sys
+}
+
+// runReservationCase runs one Figure 7 / Table 1 case on the
+// reservation testbed: MPEG video for the full duration, and an extra
+// 43.8 Mbps network load during the pulse window.
+func runReservationCase(cfg resvConfig) ResvCaseResult {
+	sys := ReservationTopology(cfg.seed)
+	snd, rcv := sys.Machine("sender"), sys.Machine("receiver")
 
 	recv := rcv.AV().CreateReceiver(5000, 50, nil)
 	sender := snd.AV().CreateSender(5001)

@@ -16,6 +16,9 @@ type Qdisc interface {
 	Dequeue(now sim.Time) (*Packet, time.Duration)
 	// Backlog reports queued bytes across all internal queues.
 	Backlog() int
+	// Limit reports the byte bound of the best-effort queue (per flow
+	// where the discipline queues per flow).
+	Limit() int
 	// Clone returns an empty qdisc with the same configuration, used
 	// when one config is applied to both directions of a connection.
 	Clone() Qdisc
@@ -73,6 +76,9 @@ func (f *FIFO) Dequeue(sim.Time) (*Packet, time.Duration) { return f.q.pop(), 0 
 
 // Backlog implements Qdisc.
 func (f *FIFO) Backlog() int { return f.q.bytes }
+
+// Limit implements Qdisc.
+func (f *FIFO) Limit() int { return f.q.limit }
 
 // Clone implements Qdisc.
 func (f *FIFO) Clone() Qdisc { return NewFIFO(f.q.limit) }
@@ -187,6 +193,9 @@ func (d *DRR) Dequeue(sim.Time) (*Packet, time.Duration) {
 // Backlog implements Qdisc.
 func (d *DRR) Backlog() int { return d.totalByte }
 
+// Limit implements Qdisc.
+func (d *DRR) Limit() int { return d.perFlow }
+
 // Clone implements Qdisc.
 func (d *DRR) Clone() Qdisc { return NewDRR(d.quantum, d.perFlow) }
 
@@ -250,6 +259,9 @@ func (ds *DiffServ) Dequeue(now sim.Time) (*Packet, time.Duration) {
 
 // Backlog implements Qdisc.
 func (ds *DiffServ) Backlog() int { return ds.ef.bytes + ds.af.bytes + ds.be.Backlog() }
+
+// Limit implements Qdisc.
+func (ds *DiffServ) Limit() int { return ds.be.Limit() }
 
 // Clone implements Qdisc.
 func (ds *DiffServ) Clone() Qdisc { return NewDiffServ(ds.ef.limit, ds.be.Clone()) }
@@ -398,6 +410,9 @@ func (is *IntServ) Backlog() int {
 	}
 	return total
 }
+
+// Limit implements Qdisc.
+func (is *IntServ) Limit() int { return is.inner.Limit() }
 
 // Clone implements Qdisc.
 func (is *IntServ) Clone() Qdisc { return NewIntServ(is.inner.Clone()) }

@@ -1,7 +1,7 @@
 // Package pubsub is a real-time publish–subscribe event channel in the
 // TAO RT-Event-Service mold, layered over either clock domain the repo
-// runs in: a simulation kernel's virtual time (deterministic tests, the
-// A/V relay) or the wall clock (the TCP wire plane).
+// runs in: a simulation kernel's virtual time (deterministic tests,
+// examples/missioncontrol) or the wall clock (the TCP wire plane).
 //
 // A Channel fans prioritized, topic-addressed events out to many
 // subscribers. QoS is enforced at both ends of the channel: on the
@@ -200,7 +200,7 @@ type ChannelConfig struct {
 	Clock sim.Clock
 	// Async runs one pump goroutine per subscriber. When false the
 	// caller drains outboxes explicitly with PumpOne/PumpAll — the
-	// deterministic mode simulation tests and the A/V relay use.
+	// deterministic mode simulation tests and missioncontrol use.
 	Async bool
 	// Registry receives pubsub.* telemetry (fresh registry if nil).
 	Registry *telemetry.Registry

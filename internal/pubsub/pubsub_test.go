@@ -53,6 +53,18 @@ func TestTopicAndPriorityFiltering(t *testing.T) {
 	if len(ef) != 1 || ef[0].Topic != "camera/front" {
 		t.Errorf("ef got %v, want just camera/front", ef)
 	}
+	mu.Unlock()
+
+	// An unsubscribed consumer gets nothing further; the others do.
+	if !ch.Unsubscribe("cam") {
+		t.Fatal("Unsubscribe(cam) found no subscriber")
+	}
+	pub("camera/front", 0)
+	ch.PumpAll()
+	mu.Lock()
+	if len(cam) != 2 || len(all) != 4 {
+		t.Errorf("after unsubscribe cam got %d events (want 2), all got %d (want 4)", len(cam), len(all))
+	}
 }
 
 func mustSub(t *testing.T, ch *Channel, cfg SubscriberConfig) *Subscriber {

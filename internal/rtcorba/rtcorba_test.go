@@ -173,7 +173,7 @@ func TestThreadPoolRunsAtRequestPriority(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := rtos.NewHost(k, "h", rtos.HostConfig{})
 	mm := NewMappingManager()
-	tp, err := NewSingleLanePool(h, mm, 0, 1)
+	tp, err := NewThreadPool(h, mm, LaneConfig{Priority: 0, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

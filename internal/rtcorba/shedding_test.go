@@ -99,7 +99,7 @@ func TestWatermarkValidation(t *testing.T) {
 func TestDeadlineShedAtDequeue(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := rtos.NewHost(k, "h", rtos.HostConfig{})
-	tp, err := NewSingleLanePool(h, NewMappingManager(), 0, 1)
+	tp, err := NewThreadPool(h, NewMappingManager(), LaneConfig{Priority: 0, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,11 +173,6 @@ func NewThreadPool(host *rtos.Host, mm *MappingManager, lanes ...LaneConfig) (*T
 	return tp, nil
 }
 
-// NewSingleLanePool is the common case: one lane at the given priority.
-func NewSingleLanePool(host *rtos.Host, mm *MappingManager, prio Priority, threads int) (*ThreadPool, error) {
-	return NewThreadPool(host, mm, LaneConfig{Priority: prio, Threads: threads})
-}
-
 func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 	for {
 		w := ln.queue.Get(t.Proc())

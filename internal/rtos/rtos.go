@@ -95,6 +95,10 @@ func (h *Host) Name() string { return h.name }
 // Kernel returns the simulation kernel the host runs on.
 func (h *Host) Kernel() *sim.Kernel { return h.k }
 
+// Quantum returns the host's round-robin time slice (zero = FIFO within
+// a priority).
+func (h *Host) Quantum() time.Duration { return h.cfg.Quantum }
+
 // Priorities returns the host's native priority range.
 func (h *Host) Priorities() PriorityRange { return h.cfg.Priorities }
 
