@@ -52,6 +52,7 @@ func (tl *timeline) add(format string, args ...any) {
 // run executes the scenario and returns the full report as a string.
 func run(opt options) string {
 	sys := core.NewSystem(opt.seed)
+	defer sys.Close()
 	cli := sys.AddMachine("cli", rtos.HostConfig{})
 	names := []string{"s1", "s2", "s3"}
 	var machines []*core.Machine

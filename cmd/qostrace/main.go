@@ -158,6 +158,7 @@ func buildDoc(scenario string, col *trace.Collector, id trace.TraceID) traceDoc 
 // Solaris, all at CORBA priority 100 over DiffServ EF.
 func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc {
 	sys := core.NewSystem(seed)
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Priorities: rtos.RangeQNX})
 	middle := sys.AddMachine("middle", rtos.HostConfig{Priorities: rtos.RangeLynxOS})
 	server := sys.AddMachine("server", rtos.HostConfig{Priorities: rtos.RangeSolaris})
@@ -245,6 +246,7 @@ func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc
 // QuO contract watches delivered rate.
 func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceDoc {
 	sys := core.NewSystem(seed)
+	defer sys.Close()
 	uav := sys.AddMachine("uav", rtos.HostConfig{Hz: 750e6})
 	dist := sys.AddMachine("distributor", rtos.HostConfig{Hz: 1e9})
 	station := sys.AddMachine("station", rtos.HostConfig{Hz: 1e9})

@@ -36,14 +36,17 @@ func main() {
 // run builds the named topology with the experiments' own builders and
 // returns its dump.
 func run(topo string) (string, error) {
+	var sys *core.System
 	switch topo {
 	case "diffserv":
-		return dump(experiments.DiffServTopology(1)), nil
+		sys = experiments.DiffServTopology(1)
 	case "reservation":
-		return dump(reservationTopo()), nil
+		sys = reservationTopo()
 	default:
 		return "", fmt.Errorf("unknown topology %q", topo)
 	}
+	defer sys.Close()
+	return dump(sys), nil
 }
 
 // reservationTopo is the reservation testbed with one installed

@@ -60,6 +60,7 @@ func (s *atrServant) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 
 func main() {
 	sys := core.NewSystem(11)
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Hz: 1e9, Quantum: 10 * time.Millisecond})
 	server := sys.AddMachine("server", rtos.HostConfig{
 		Hz:             850e6,

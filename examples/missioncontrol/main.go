@@ -65,6 +65,7 @@ func run() string {
 	sensorEvents, deadlineMisses := 0, 0
 
 	sys := core.NewSystem(21)
+	defer sys.Close()
 	mission := sys.AddMachine("mission", rtos.HostConfig{Hz: 400e6})
 	ground := sys.AddMachine("ground", rtos.HostConfig{Hz: 1e9})
 	sys.Link("mission", "ground", core.LinkSpec{Bps: 2e6, Delay: 10 * time.Millisecond})

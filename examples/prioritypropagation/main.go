@@ -23,6 +23,7 @@ import (
 
 func main() {
 	sys := core.NewSystem(3)
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Priorities: rtos.RangeQNX})
 	middle := sys.AddMachine("middle", rtos.HostConfig{Priorities: rtos.RangeLynxOS})
 	server := sys.AddMachine("server", rtos.HostConfig{Priorities: rtos.RangeSolaris})

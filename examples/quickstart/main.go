@@ -24,6 +24,7 @@ import (
 func main() {
 	// 1. Build the system: two machines on a 10 Mbps link.
 	sys := core.NewSystem(1)
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Hz: 1e9})
 	server := sys.AddMachine("server", rtos.HostConfig{Hz: 1e9})
 	sys.Link("client", "server", core.LinkSpec{Bps: 10e6, Delay: time.Millisecond})

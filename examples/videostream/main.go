@@ -31,6 +31,7 @@ const (
 
 func main() {
 	sys := core.NewSystem(7)
+	defer sys.Close()
 	uav := sys.AddMachine("uav", rtos.HostConfig{Hz: 750e6})
 	dist := sys.AddMachine("distributor", rtos.HostConfig{Hz: 1e9})
 	station := sys.AddMachine("station", rtos.HostConfig{Hz: 1e9})

@@ -217,3 +217,7 @@ func (s *System) RunUntil(t sim.Time) { s.K.RunUntil(t) }
 
 // RunFor advances the system by d of virtual time.
 func (s *System) RunFor(d time.Duration) { s.K.RunFor(d) }
+
+// Close ends the scenario (see sim.Kernel.Close): whoever called
+// NewSystem defers it, or the system's server loops stay parked forever.
+func (s *System) Close() { s.K.Close() }

@@ -41,6 +41,7 @@ func (p AblationPair) String() string {
 func AblationDiffServVsFIFO(opt Options) AblationPair {
 	run := func(diffserv bool) float64 {
 		k := sim.NewKernel(opt.seed())
+		defer k.Close()
 		n := netsim.New(k)
 		src := n.AddHost("src")
 		dst := n.AddHost("dst")
@@ -81,6 +82,7 @@ func AblationDiffServVsFIFO(opt Options) AblationPair {
 func AblationReservationVsMarking(opt Options) AblationPair {
 	run := func(reserve bool) float64 {
 		k := sim.NewKernel(opt.seed())
+		defer k.Close()
 		n := netsim.New(k)
 		src := n.AddHost("src")
 		dst := n.AddHost("dst")
@@ -136,6 +138,7 @@ func AblationReservationVsMarking(opt Options) AblationPair {
 func AblationPriorityInheritance(opt Options) AblationPair {
 	run := func(pi bool) float64 {
 		k := sim.NewKernel(opt.seed())
+		defer k.Close()
 		h := rtos.NewHost(k, "h", rtos.HostConfig{})
 		var m *rtos.Mutex
 		if pi {
@@ -178,6 +181,7 @@ func AblationPriorityInheritance(opt Options) AblationPair {
 func AblationEnforcementPolicy(opt Options) AblationPair {
 	run := func(policy rtos.EnforcementPolicy) float64 {
 		k := sim.NewKernel(opt.seed())
+		defer k.Close()
 		h := rtos.NewHost(k, "h", rtos.HostConfig{Quantum: time.Millisecond})
 		r, err := h.ResourceKernel().Reserve(20*time.Millisecond, 100*time.Millisecond, policy)
 		if err != nil {
@@ -210,6 +214,7 @@ func AblationEnforcementPolicy(opt Options) AblationPair {
 func AblationThreadPoolLanes(opt Options) AblationPair {
 	run := func(lanes bool) float64 {
 		k := sim.NewKernel(opt.seed())
+		defer k.Close()
 		h := rtos.NewHost(k, "h", rtos.HostConfig{Quantum: time.Millisecond})
 		mm := rtcorba.NewMappingManager()
 		var cfg []rtcorba.LaneConfig
@@ -258,6 +263,7 @@ func AblationThreadPoolLanes(opt Options) AblationPair {
 func AblationFilterPlacement(opt Options) AblationPair {
 	run := func(filterAtSender bool) float64 {
 		sys := core.NewSystem(opt.seed())
+		defer sys.Close()
 		src := sys.AddMachine("src", rtos.HostConfig{})
 		dist := sys.AddMachine("dist", rtos.HostConfig{})
 		sink := sys.AddMachine("sink", rtos.HostConfig{})
@@ -314,6 +320,7 @@ func AblationFilterPlacement(opt Options) AblationPair {
 func AblationCollocation(opt Options) AblationPair {
 	run := func(collocated bool) float64 {
 		sys := core.NewSystem(opt.seed())
+		defer sys.Close()
 		m := sys.AddMachine("m", rtos.HostConfig{})
 		sys.AddMachine("peer", rtos.HostConfig{})
 		sys.Link("m", "peer", core.LinkSpec{Bps: 100e6})
@@ -360,6 +367,7 @@ func AblationCollocation(opt Options) AblationPair {
 // activity's granted fraction of its request, Without = the lowest's.
 func AblationPriorityDrivenReservations(opt Options) AblationPair {
 	sys := core.NewSystem(opt.seed())
+	defer sys.Close()
 	src := sys.AddMachine("src", rtos.HostConfig{})
 	dst := sys.AddMachine("dst", rtos.HostConfig{})
 	sys.Link("src", "dst", core.LinkSpec{Bps: 10e6, Profile: core.ProfileFullQoS})
@@ -412,6 +420,7 @@ func AblationPriorityDrivenReservations(opt Options) AblationPair {
 func AblationAdaptiveDSCP(opt Options) AblationPair {
 	run := func(adapt bool) float64 {
 		sys := core.NewSystem(opt.seed())
+		defer sys.Close()
 		snd := sys.AddMachine("snd", rtos.HostConfig{})
 		rcv := sys.AddMachine("rcv", rtos.HostConfig{})
 		sys.Link("snd", "rcv", core.LinkSpec{Bps: 10e6, Delay: time.Millisecond, Profile: core.ProfileDiffServ})

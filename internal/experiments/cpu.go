@@ -104,6 +104,7 @@ func (s *atrServant) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 // runTable2Case runs one condition and returns per-algorithm series.
 func runTable2Case(c Table2Case, images int, seed int64) map[imgproc.Algorithm]metrics.Summary {
 	sys := core.NewSystem(seed)
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Hz: 1e9, Quantum: 10 * time.Millisecond})
 	server := sys.AddMachine("server", rtos.HostConfig{
 		Hz:      atrServerHz,

@@ -40,6 +40,7 @@ type Figure2Result struct {
 // hop observed.
 func RunFigure2(opt Options) Figure2Result {
 	sys := core.NewSystem(opt.seed())
+	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Priorities: rtos.RangeQNX})
 	middle := sys.AddMachine("middle", rtos.HostConfig{Priorities: rtos.RangeLynxOS})
 	server := sys.AddMachine("server", rtos.HostConfig{Priorities: rtos.RangeSolaris})

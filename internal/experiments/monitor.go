@@ -107,6 +107,7 @@ func RunMonitor(opt Options) MonitorResult {
 	const every = 250 * time.Millisecond
 
 	sys := core.NewSystem(opt.seed())
+	defer sys.Close()
 	cli := sys.AddMachine("cli", rtos.HostConfig{})
 	loadm := sys.AddMachine("load", rtos.HostConfig{})
 	srv := sys.AddMachine("srv", rtos.HostConfig{})

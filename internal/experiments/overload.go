@@ -96,6 +96,7 @@ func RunOverload(opt Options) OverloadResult {
 	overEnd := 2 * dur / 3
 
 	sys := core.NewSystem(opt.seed())
+	defer sys.Close()
 	cli := sys.AddMachine("cli", rtos.HostConfig{})
 	loadm := sys.AddMachine("load", rtos.HostConfig{})
 	s1 := sys.AddMachine("s1", rtos.HostConfig{})

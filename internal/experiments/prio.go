@@ -64,6 +64,7 @@ func DiffServTopology(seed int64) *core.System {
 // two servants in two POAs.
 func runPriorityCase(cfg prioConfig) PrioCaseResult {
 	sys := DiffServTopology(cfg.seed)
+	defer sys.Close()
 	sender, receiver, crossgen := sys.Machine("sender"), sys.Machine("receiver"), sys.Machine("crossgen")
 
 	mapping := cfg.netMapping

@@ -82,6 +82,7 @@ func ReservationTopology(seed int64) *core.System {
 // 43.8 Mbps network load during the pulse window.
 func runReservationCase(cfg resvConfig) ResvCaseResult {
 	sys := ReservationTopology(cfg.seed)
+	defer sys.Close()
 	snd, rcv := sys.Machine("sender"), sys.Machine("receiver")
 
 	recv := rcv.AV().CreateReceiver(5000, 50, nil)

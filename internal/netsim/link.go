@@ -52,8 +52,15 @@ type Link struct {
 	delay time.Duration
 	q     Qdisc
 
-	busy  bool
-	retry *sim.Event
+	busy   bool
+	txPkt  *Packet // the packet being serialised while busy
+	retry  sim.Event
+	flight sim.Ring[inFlight] // propagating at the link's own delay, in arrival order
+
+	// The link's three recurring callbacks (kick, txDone, arriveNext),
+	// bound once: a closure or a method value built per packet would
+	// allocate per packet.
+	onRetry, onTxDone, onArrive func()
 
 	// Fault injection
 	lossRate float64
@@ -159,32 +166,32 @@ func (l *Link) kick() {
 	if l.busy || l.down {
 		return
 	}
-	if l.retry != nil {
-		l.retry.Cancel()
-		l.retry = nil
-	}
+	l.retry.Cancel() // a no-op once it has fired
 	k := l.net.k
 	p, wait := l.q.Dequeue(k.Now())
 	if p == nil {
 		if wait > 0 {
-			l.retry = k.After(wait, func() {
-				l.retry = nil
-				l.kick()
-			})
+			l.retry = k.After(wait, l.onRetry)
 		}
 		return
 	}
 	l.busy = true
+	l.txPkt = p
 	if p.hopSpan != nil {
 		p.hopSpan.Event("tx-start")
 	}
 	txTime := time.Duration(float64(p.Size*8) / l.bps * float64(time.Second))
-	k.After(txTime, func() {
-		l.busy = false
-		l.txPackets++
-		l.transmitFaults(p)
-		l.kick()
-	})
+	k.After(txTime, l.onTxDone)
+}
+
+// txDone fires when the transmitter has serialised l.txPkt.
+func (l *Link) txDone() {
+	p := l.txPkt
+	l.txPkt = nil
+	l.busy = false
+	l.txPackets++
+	l.transmitFaults(p)
+	l.kick()
 }
 
 // transmitFaults applies the link's fault injection to a just-serialised
@@ -243,18 +250,38 @@ func (l *Link) transmitFaults(p *Packet) {
 // propagate schedules the packet's arrival at the far node after delay,
 // destroying it if that node crash-stops while it is in flight.
 func (l *Link) propagate(p *Packet, delay time.Duration) {
-	epoch := l.to.epoch
-	l.net.k.After(delay, func() {
-		if l.to.epoch != epoch {
-			// The receiver crashed (and possibly rebooted) mid-flight;
-			// its pre-crash receive path is gone.
-			l.net.countDrop(p, DropTransitDown)
-			return
-		}
-		if p.hopSpan != nil {
-			p.hopSpan.Finish()
-			p.hopSpan = nil
-		}
-		l.to.receive(p)
-	})
+	f := inFlight{p, l.to.epoch}
+	if delay != l.delay {
+		// A held-back packet arrives out of turn.
+		l.net.k.After(delay, func() { l.arrive(f) })
+		return
+	}
+	// Packets sent at one delay arrive in the order sent, so the n-th
+	// arrival event belongs to the n-th packet queued here.
+	l.flight.Push(f)
+	l.net.k.After(delay, l.onArrive)
+}
+
+// inFlight is a packet on the wire and the receiver's crash epoch at
+// the time it left.
+type inFlight struct {
+	p     *Packet
+	epoch int
+}
+
+func (l *Link) arriveNext() { l.arrive(l.flight.Pop()) }
+
+func (l *Link) arrive(f inFlight) {
+	p := f.p
+	if l.to.epoch != f.epoch {
+		// The receiver crashed (and possibly rebooted) mid-flight;
+		// its pre-crash receive path is gone.
+		l.net.countDrop(p, DropTransitDown)
+		return
+	}
+	if p.hopSpan != nil {
+		p.hopSpan.Finish()
+		p.hopSpan = nil
+	}
+	l.to.receive(p)
 }

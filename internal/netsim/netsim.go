@@ -55,6 +55,7 @@ type Network struct {
 // SetDropHook installs fn to observe every packet the network destroys,
 // with the classified reason. The monitoring plane uses it to merge
 // network drops into the unified event timeline. A nil fn disables it.
+// fn must not keep p: a cross-traffic source reuses its dropped packets.
 func (n *Network) SetDropHook(fn func(p *Packet, reason DropReason)) { n.dropHook = fn }
 
 // New creates an empty network on kernel k.
@@ -208,6 +209,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 		delay: cfg.Delay,
 		q:     cfg.Queue,
 	}
+	l.onRetry, l.onTxDone, l.onArrive = l.kick, l.txDone, l.arriveNext
 	from.out = append(from.out, l)
 	n.links = append(n.links, l)
 	n.dirty = true
@@ -319,8 +321,9 @@ func (nd *Node) Send(p *Packet) {
 	}
 	p.Sent = nd.net.k.Now()
 	p.TTL = 64
-	nd.net.flowStats(p.Flow).Sent++
-	nd.net.flowStats(p.Flow).SentBytes += int64(p.Size)
+	st := nd.net.flowStats(p.Flow)
+	st.Sent++
+	st.SentBytes += int64(p.Size)
 	if nd.down {
 		nd.net.countDrop(p, DropNodeDown)
 		return

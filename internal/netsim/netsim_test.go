@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -442,5 +443,53 @@ func TestPacketConservation(t *testing.T) {
 	}
 	if st.Dropped == 0 {
 		t.Fatal("expected congestion drops at 3x overload")
+	}
+}
+
+// Recycling cross-traffic packets must not be observable: a bundle and
+// the same sources built by hand (which allocate every packet) produce
+// identical per-flow statistics, including on links that duplicate,
+// reorder and corrupt — the paths that copy or hold a packet.
+func TestCrossTrafficRecyclingChangesNothing(t *testing.T) {
+	const flows = 5
+	run := func(bundle bool) []FlowStats {
+		k := sim.NewKernel(9)
+		defer k.Close()
+		n := New(k)
+		src, rtr, dst := n.AddHost("src"), n.AddRouter("rtr"), n.AddHost("dst")
+		ab, _ := n.ConnectSym(src, rtr, LinkConfig{Bps: 100e6, Delay: time.Millisecond})
+		bc, _ := n.ConnectSym(rtr, dst, LinkConfig{Bps: 5e6, Delay: 2 * time.Millisecond, Queue: NewDRR(MTU, 16*1024)})
+		ab.SetFaults(FaultProfile{Duplicate: 0.05, Reorder: 0.05})
+		bc.SetFaults(FaultProfile{Corrupt: 0.05, Duplicate: 0.05, Reorder: 0.05})
+		bc.SetLossRate(0.02)
+		var gens []*TrafficGen
+		if bundle {
+			gens = StartCrossTraffic(n, src, dst, 100, 12e6, flows, DSCPBestEffort).gens
+		} else {
+			for i := 0; i < flows; i++ {
+				port := uint16(100 + i)
+				dst.Bind(port, func(*Packet) {})
+				g := NewCBR(n, CBRConfig{Src: src, SrcPort: port, Dst: dst.Addr(port), Bps: 12e6 / flows})
+				g.Start()
+				gens = append(gens, g)
+			}
+		}
+		k.At(time.Second, func() { dst.SetDown(true) }) // packets die in transit too
+		k.At(1100*time.Millisecond, func() { dst.SetDown(false) })
+		k.RunUntil(3 * time.Second)
+		var out []FlowStats
+		for _, g := range gens {
+			out = append(out, *n.FlowStats(g.Flow()))
+		}
+		return out
+	}
+	pooled, plain := run(true), run(false)
+	for i := range plain {
+		if !reflect.DeepEqual(pooled[i], plain[i]) {
+			t.Fatalf("flow %d: recycled %+v, allocated %+v", i, pooled[i], plain[i])
+		}
+		if plain[i].Delivered == 0 || plain[i].Dropped == 0 {
+			t.Fatalf("flow %d delivered %d dropped %d: the scenario must exercise both", i, plain[i].Delivered, plain[i].Dropped)
+		}
 	}
 }

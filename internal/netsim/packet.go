@@ -107,7 +107,8 @@ type Packet struct {
 	// transit span under it.
 	Ctx trace.SpanContext
 
-	hopSpan *trace.Span // open span for the hop currently in transit
+	hopSpan *trace.Span   // open span for the hop currently in transit
+	pool    *CrossTraffic // set on a cross-traffic source's packets: their sink recycles them
 }
 
 func (p *Packet) String() string {
@@ -266,5 +267,9 @@ func (n *Network) countDrop(p *Packet, reason DropReason) {
 		s := n.tracer.StartChild(p.Ctx, "drop", "netsim")
 		s.SetAttr(trace.String("reason", reason.String()))
 		s.Finish()
+	}
+	if p.pool != nil {
+		// Every caller returns right after counting the drop.
+		p.pool.free = append(p.pool.free, p)
 	}
 }

@@ -26,7 +26,7 @@ type Qdisc interface {
 
 // pktQueue is a byte-limited FIFO building block.
 type pktQueue struct {
-	pkts  []*Packet
+	pkts  sim.Ring[*Packet]
 	bytes int
 	limit int // bytes; 0 = unbounded
 }
@@ -35,26 +35,25 @@ func (q *pktQueue) push(p *Packet) bool {
 	if q.limit > 0 && q.bytes+p.Size > q.limit {
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	q.pkts.Push(p)
 	q.bytes += p.Size
 	return true
 }
 
 func (q *pktQueue) pop() *Packet {
-	if len(q.pkts) == 0 {
+	if q.pkts.Len() == 0 {
 		return nil
 	}
-	p := q.pkts[0]
-	q.pkts = q.pkts[1:]
+	p := q.pkts.Pop()
 	q.bytes -= p.Size
 	return p
 }
 
 func (q *pktQueue) head() *Packet {
-	if len(q.pkts) == 0 {
+	if q.pkts.Len() == 0 {
 		return nil
 	}
-	return q.pkts[0]
+	return q.pkts.At(0)
 }
 
 // FIFO is a single byte-limited tail-drop queue: the plain best-effort
@@ -90,9 +89,9 @@ func (f *FIFO) Clone() Qdisc { return NewFIFO(f.q.limit) }
 // multi-flow cross traffic in the Table 1 experiments.
 type DRR struct {
 	flows     map[FlowID]*drrFlow
-	active    []FlowID // round-robin order of backlogged flows
-	quantum   int      // bytes added to a flow's deficit per round
-	perFlow   int      // byte limit per flow queue
+	active    sim.Ring[FlowID] // round-robin order of backlogged flows
+	quantum   int              // bytes added to a flow's deficit per round
+	perFlow   int              // byte limit per flow queue
 	totalByte int
 	red       uint64 // xorshift state for random early drop
 }
@@ -152,29 +151,29 @@ func (d *DRR) Enqueue(p *Packet) bool {
 	d.totalByte += p.Size
 	if !fl.queued {
 		fl.queued = true
-		d.active = append(d.active, p.Flow)
+		d.active.Push(p.Flow)
 	}
 	return true
 }
 
 // Dequeue implements Qdisc.
 func (d *DRR) Dequeue(sim.Time) (*Packet, time.Duration) {
-	for len(d.active) > 0 {
-		id := d.active[0]
+	for d.active.Len() > 0 {
+		id := d.active.At(0)
 		fl := d.flows[id]
 		head := fl.q.head()
 		if head == nil {
 			// Flow drained; drop it from the rotation.
 			fl.queued = false
 			fl.deficit = 0
-			d.active = d.active[1:]
+			d.active.Pop()
 			continue
 		}
 		if fl.deficit < head.Size {
 			// Not enough credit: move to the back of the rotation with a
 			// fresh quantum.
 			fl.deficit += d.quantum
-			d.active = append(d.active[1:], id)
+			d.active.Push(d.active.Pop())
 			continue
 		}
 		p := fl.q.pop()
@@ -183,7 +182,7 @@ func (d *DRR) Dequeue(sim.Time) (*Packet, time.Duration) {
 		if fl.q.head() == nil {
 			fl.queued = false
 			fl.deficit = 0
-			d.active = d.active[1:]
+			d.active.Pop()
 		}
 		return p, 0
 	}

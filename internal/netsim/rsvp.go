@@ -88,7 +88,7 @@ type Reservation struct {
 	spec    ReservationSpec
 	links   []*Link
 	active  bool
-	refresh *sim.Event
+	refresh sim.Event
 }
 
 // Links returns the data-path links holding reserved state.
@@ -104,10 +104,7 @@ func (r *Reservation) Release() {
 		return
 	}
 	r.active = false
-	if r.refresh != nil {
-		r.refresh.Cancel()
-		r.refresh = nil
-	}
+	r.refresh.Cancel()
 	agent := r.spec.Src.rsvp
 	msg := &rsvpMsg{kind: kindTear, spec: r.spec, links: r.links, idx: 0}
 	agent.process(msg)
@@ -146,7 +143,7 @@ type softEntry struct {
 	link    *Link
 	spec    ReservationSpec
 	expires sim.Time
-	timer   *sim.Event
+	timer   sim.Event
 }
 
 // touchSoft (re)arms soft-state expiry for a flow on link l.
@@ -161,7 +158,7 @@ func (a *rsvpAgent) touchSoft(l *Link, spec ReservationSpec) {
 		a.soft[spec.Flow] = e
 	}
 	e.expires = now + spec.SoftLifetime
-	if e.timer == nil {
+	if e.timer == (sim.Event{}) {
 		a.armSoftTimer(e)
 	}
 }
@@ -169,7 +166,7 @@ func (a *rsvpAgent) touchSoft(l *Link, spec ReservationSpec) {
 func (a *rsvpAgent) armSoftTimer(e *softEntry) {
 	now := a.node.net.k.Now()
 	e.timer = a.node.net.k.After(e.expires-now, func() {
-		e.timer = nil
+		e.timer = sim.Event{}
 		if a.soft[e.spec.Flow] != e {
 			return // torn down meanwhile
 		}
@@ -187,9 +184,7 @@ func (a *rsvpAgent) armSoftTimer(e *softEntry) {
 func (a *rsvpAgent) dropSoft(f FlowID) {
 	if e, ok := a.soft[f]; ok {
 		delete(a.soft, f)
-		if e.timer != nil {
-			e.timer.Cancel()
-		}
+		e.timer.Cancel()
 	}
 }
 

@@ -19,6 +19,8 @@ type TrafficGen struct {
 	ecn     ECN
 	flow    FlowID
 	running bool
+	onTick  func()        // tick, bound once
+	pool    *CrossTraffic // where the sinks return this source's packets; nil: allocate
 }
 
 // CBRConfig parameterises a constant-bit-rate source.
@@ -44,7 +46,7 @@ func NewCBR(n *Network, cfg CBRConfig) *TrafficGen {
 	if cfg.Flow == 0 {
 		cfg.Flow = n.NewFlowID()
 	}
-	return &TrafficGen{
+	g := &TrafficGen{
 		net:     n,
 		src:     cfg.Src,
 		srcPort: cfg.SrcPort,
@@ -55,6 +57,8 @@ func NewCBR(n *Network, cfg CBRConfig) *TrafficGen {
 		ecn:     cfg.ECN,
 		flow:    cfg.Flow,
 	}
+	g.onTick = g.tick
+	return g
 }
 
 // Flow returns the generator's flow id.
@@ -70,7 +74,7 @@ func (g *TrafficGen) Start() {
 	g.running = true
 	gap := g.gap()
 	phase := time.Duration(g.net.k.Rand().Float64() * float64(gap))
-	g.net.k.After(phase, g.tick)
+	g.net.k.After(phase, g.onTick)
 }
 
 // Stop halts the generator after the current packet.
@@ -84,15 +88,18 @@ func (g *TrafficGen) tick() {
 	if !g.running {
 		return
 	}
-	g.src.Send(&Packet{
+	p := g.pool.get()
+	*p = Packet{
 		Src:  g.src.Addr(g.srcPort),
 		Dst:  g.dst,
 		Size: g.pktSize,
 		DSCP: g.dscp,
 		ECN:  g.ecn,
 		Flow: g.flow,
-	})
-	g.net.k.After(g.gap(), g.tick)
+		pool: g.pool,
+	}
+	g.src.Send(p)
+	g.net.k.After(g.gap(), g.onTick)
 }
 
 // CrossTraffic is a bundle of CBR flows sharing a path — the multi-flow
@@ -101,6 +108,28 @@ func (g *TrafficGen) tick() {
 // competes for one fair share, as independent connections would.
 type CrossTraffic struct {
 	gens []*TrafficGen
+	free []*Packet // delivered to a sink or dropped, ready for the next tick
+}
+
+// get returns a packet for a source to fill in. A source outside a
+// bundle (nil ct) allocates: nothing tells it when its packets die.
+func (ct *CrossTraffic) get() *Packet {
+	if ct == nil || len(ct.free) == 0 {
+		return new(Packet)
+	}
+	p := ct.free[len(ct.free)-1]
+	ct.free = ct.free[:len(ct.free)-1]
+	return p
+}
+
+// sink is the handler of every destination port of the bundle. A
+// packet's life ends here or in countDrop — the network touches it no
+// more, and unlike a transport's segment the payload-less packet has no
+// other holder — so the bundle's own packets go back to its sources.
+func (ct *CrossTraffic) sink(p *Packet) {
+	if p.pool == ct {
+		ct.free = append(ct.free, p)
+	}
 }
 
 // StartCrossTraffic launches `flows` CBR sources from src to dst whose
@@ -115,7 +144,7 @@ func StartCrossTraffic(n *Network, src *Node, dst *Node, basePort uint16, totalB
 	for i := 0; i < flows; i++ {
 		port := basePort + uint16(i)
 		// Sinks: deliveries are counted by flow stats; payload discarded.
-		dst.Bind(port, func(*Packet) {})
+		dst.Bind(port, ct.sink)
 		g := NewCBR(n, CBRConfig{
 			Src:     src,
 			SrcPort: port,
@@ -123,6 +152,7 @@ func StartCrossTraffic(n *Network, src *Node, dst *Node, basePort uint16, totalB
 			Bps:     per,
 			DSCP:    dscp,
 		})
+		g.pool = ct
 		g.Start()
 		ct.gens = append(ct.gens, g)
 	}

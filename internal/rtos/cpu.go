@@ -19,12 +19,11 @@ const (
 )
 
 // job is one Compute request by a thread: a demand for CPU time that the
-// scheduler satisfies under contention.
+// scheduler satisfies under contention. Its thread waits on t.computed.
 type job struct {
 	t         *Thread
 	remaining time.Duration
 	seq       uint64 // FIFO order within an effective-priority level
-	done      func()
 }
 
 func (j *job) effPrio() int64 {
@@ -52,7 +51,9 @@ type CPU struct {
 	jobs    []*job
 	running *job
 	runFrom sim.Time
-	timer   *sim.Event
+	timer   sim.Event
+	onTimer func() // decisionPoint, bound once
+	rotate  bool   // the armed timer is a quantum expiry
 	seq     uint64
 	halted  bool
 
@@ -62,7 +63,9 @@ type CPU struct {
 }
 
 func newCPU(h *Host, quantum time.Duration) *CPU {
-	return &CPU{host: h, quantum: quantum}
+	c := &CPU{host: h, quantum: quantum}
+	c.onTimer = c.decisionPoint
+	return c
 }
 
 // Utilization returns the fraction of virtual time the CPU has been busy
@@ -157,10 +160,7 @@ func (c *CPU) halt() {
 	c.charge()
 	c.halted = true
 	c.running = nil
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
+	c.timer.Cancel()
 }
 
 // recover restarts a halted processor and dispatches the frozen queue.
@@ -182,10 +182,7 @@ func (c *CPU) reschedule() {
 	}
 	k := c.host.k
 	c.charge()
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
+	c.timer.Cancel()
 
 	// Retire completed jobs. Completion callbacks may wake threads, which
 	// enqueue follow-on events rather than running inline, so iterating
@@ -202,9 +199,7 @@ func (c *CPU) reschedule() {
 			break
 		}
 		c.remove(doneJob)
-		if doneJob.done != nil {
-			doneJob.done()
-		}
+		doneJob.t.computed.Broadcast()
 	}
 
 	// A reserve whose budget just hit zero flips to depleted, which
@@ -242,15 +237,19 @@ func (c *CPU) reschedule() {
 	if next <= 0 {
 		next = time.Nanosecond
 	}
-	rotate := quantumHit
-	c.timer = k.After(next, func() {
-		c.timer = nil
-		if rotate && c.running == best {
-			// Round-robin: send the job to the back of its class.
-			c.charge()
-			c.seq++
-			best.seq = c.seq
-		}
-		c.reschedule()
-	})
+	c.rotate = quantumHit
+	c.timer = k.After(next, c.onTimer)
+}
+
+// decisionPoint is the dispatch timer's callback. Whatever changes
+// c.running cancels the timer first, so the job it was armed for is still
+// the one running.
+func (c *CPU) decisionPoint() {
+	if c.rotate {
+		// Round-robin: send the job to the back of its class.
+		c.charge()
+		c.seq++
+		c.running.seq = c.seq
+	}
+	c.reschedule()
 }

@@ -124,6 +124,7 @@ func (h *Host) Recover() { h.cpu.recover() }
 func (h *Host) Spawn(name string, prio Priority, fn func(t *Thread)) *Thread {
 	prio = h.clamp(prio)
 	t := &Thread{host: h, name: name, base: prio}
+	t.job.t = t
 	t.proc = h.k.Go(h.name+"/"+name, func(p *sim.Proc) {
 		fn(t)
 	})

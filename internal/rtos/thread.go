@@ -18,6 +18,11 @@ type Thread struct {
 	base      Priority
 	inherited Priority // ceiling donated by priority-inheritance mutexes
 	reserve   *Reserve
+
+	// A thread has at most one Compute outstanding, so its demand and
+	// the signal that ends the wait live in the thread and are reused.
+	job      job
+	computed sim.Signal
 }
 
 // Host returns the thread's host.
@@ -62,10 +67,9 @@ func (t *Thread) Compute(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	done := sim.NewSignal()
-	j := &job{t: t, remaining: d, done: func() { done.Broadcast() }}
-	t.host.cpu.add(j)
-	done.Wait(t.proc)
+	t.job.remaining = d
+	t.host.cpu.add(&t.job)
+	t.computed.Wait(t.proc)
 }
 
 // ComputeCycles consumes n CPU cycles, converted via the host clock rate.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -24,7 +25,7 @@ type Clock interface {
 // other events in the usual (time, sequence) order. stop may be called
 // from fn.
 func (k *Kernel) Every(d time.Duration, fn func()) (stop func()) {
-	var next *Event
+	var next Event
 	stopped := false
 	var tick func()
 	tick = func() {
@@ -65,24 +66,24 @@ func (w *WallClock) WallTime() time.Time { return time.Now() }
 // Every implements Clock with a ticker goroutine. stop waits for the
 // goroutine to exit, so it must not be called from fn.
 func (w *WallClock) Every(d time.Duration, fn func()) (stop func()) {
-	quit := make(chan struct{})
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer close(done)
+		defer wg.Done()
 		t := time.NewTicker(d)
 		defer t.Stop()
 		for {
 			select {
-			case <-quit:
+			case <-ctx.Done():
 				return
 			case <-t.C:
 				fn()
 			}
 		}
 	}()
-	var once sync.Once
 	return func() {
-		once.Do(func() { close(quit) })
-		<-done
+		cancel()
+		wg.Wait()
 	}
 }

@@ -51,8 +51,8 @@ func TestKernelEveryStopFromCallback(t *testing.T) {
 // after it returned — which is what lets callers tear down whatever the
 // tick touches.
 func TestWallEveryStopWaitsForTick(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
+	entered := make(chan bool)
+	release := make(chan bool)
 	ticks := 0 // touched only by the ticker goroutine until stop returns
 	stop := Wall.Every(time.Millisecond, func() {
 		if ticks++; ticks == 1 {
@@ -62,7 +62,7 @@ func TestWallEveryStopWaitsForTick(t *testing.T) {
 	})
 	<-entered
 
-	stopped := make(chan struct{})
+	stopped := make(chan bool)
 	go func() { stop(); close(stopped) }()
 	select {
 	case <-stopped:

@@ -3,18 +3,23 @@
 // The kernel advances a virtual clock by executing scheduled events in
 // timestamp order; ties are broken by scheduling sequence so runs are fully
 // reproducible. On top of the raw event queue the package offers a
-// cooperative process model (see Proc): each process is a goroutine that
-// runs exclusively while every other process is parked, which lets
-// higher-level code (the simulated OS, network, and middleware) be written
-// in a natural blocking style while remaining deterministic.
+// cooperative process model (see Proc): each process is a coroutine that
+// the kernel switches to from an event callback and that switches back
+// when it blocks, which lets higher-level code (the simulated OS, network,
+// and middleware) be written in a natural blocking style while remaining
+// deterministic. Everything — callbacks and processes — runs on the
+// goroutine that calls Run; nothing in a scenario runs in parallel.
 //
 // All simulated subsystems in this repository — the rtos scheduler, the
 // netsim network, the ORB and the QuO contracts — share one Kernel per
-// scenario, so a single Run drives the entire distributed system.
+// scenario, so a single Run drives the entire distributed system. Whoever
+// creates a Kernel calls Close when the scenario is over: processes still
+// blocked at that point (servers, monitors, anything written as a loop)
+// are unwound and their coroutines released; without Close they stay
+// parked forever and pin everything the scenario built.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -24,51 +29,48 @@ import (
 // the simulation. The zero Time is the instant the scenario begins.
 type Time = time.Duration
 
-// Event is a scheduled callback. It can be cancelled before it fires.
+// Event is a handle on a scheduled callback, good for cancelling it. It
+// is a small value: discarding it costs nothing, the zero Event refers to
+// no callback, and a handle kept past the firing or cancellation of its
+// callback goes stale rather than dangling — the kernel recycles the slot
+// under a new generation, which the old handle no longer matches.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	index    int // heap index, -1 when not queued
-	canceled bool
+	k    *Kernel
+	slot int32
+	gen  uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op.
-func (e *Event) Cancel() {
-	e.canceled = true
-}
-
-// Canceled reports whether Cancel has been called.
-func (e *Event) Canceled() bool { return e.canceled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Cancel prevents the event from firing and removes it from the queue.
+// Cancelling the zero Event, or an event that already fired or was
+// already cancelled, is a no-op.
+func (e Event) Cancel() {
+	if e.k == nil {
+		return
 	}
-	return h[i].seq < h[j].seq
+	if s := e.k.slots[e.slot]; s.gen == e.gen {
+		e.k.remove(int(s.pos))
+	}
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// entry is one queued event, stored by value in the heap.
+type entry struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	slot int32
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// slot is what a handle points at: which incarnation of the slot is in
+// use (bumped each time its entry fires or is cancelled, so a handle
+// matches only while its own entry is queued) and where that entry sits
+// in the heap.
+type slot struct {
+	pos int32
+	gen uint32
 }
 
 // Kernel is the event loop at the heart of a simulation scenario.
@@ -79,10 +81,12 @@ func (h *eventHeap) Pop() any {
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	heap    []entry // binary min-heap on (at, seq)
+	slots   []slot
+	free    []int32 // recycled slot numbers
 	rng     *rand.Rand
 	stopped bool
-	procs   int // live process count, for leak detection
+	live    []*Proc // started or startable, not yet finished
 	tracer  func(t Time, format string, args ...any)
 }
 
@@ -115,26 +119,92 @@ func (k *Kernel) Tracef(format string, args ...any) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (k *Kernel) At(t Time, fn func()) *Event {
+func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, k.now))
 	}
 	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn, index: -1}
-	heap.Push(&k.events, e)
-	return e
+	var s int32
+	if n := len(k.free); n > 0 {
+		s = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		s = int32(len(k.slots))
+		k.slots = append(k.slots, slot{})
+	}
+	k.heap = append(k.heap, entry{})
+	k.up(len(k.heap)-1, entry{at: t, seq: k.seq, fn: fn, slot: s})
+	return Event{k: k, slot: s, gen: k.slots[s].gen}
 }
 
 // After schedules fn to run d from now. Negative d panics.
-func (k *Kernel) After(d time.Duration, fn func()) *Event {
+func (k *Kernel) After(d time.Duration, fn func()) Event {
 	return k.At(k.now+d, fn)
 }
 
 // Soon schedules fn to run at the current time, after all events already
 // queued for this instant. It is the mechanism processes use to hand work
 // to each other without nesting resumptions.
-func (k *Kernel) Soon(fn func()) *Event {
+func (k *Kernel) Soon(fn func()) Event {
 	return k.At(k.now, fn)
+}
+
+// up places e at or above heap position i, shifting later entries down.
+func (k *Kernel) up(i int, e entry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&k.heap[parent]) {
+			break
+		}
+		k.set(i, k.heap[parent])
+		i = parent
+	}
+	k.set(i, e)
+}
+
+// down places e at or below heap position i, shifting earlier entries up.
+func (k *Kernel) down(i int, e entry) {
+	n := len(k.heap)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && k.heap[r].before(&k.heap[child]) {
+			child = r
+		}
+		if !k.heap[child].before(&e) {
+			break
+		}
+		k.set(i, k.heap[child])
+		i = child
+	}
+	k.set(i, e)
+}
+
+func (k *Kernel) set(i int, e entry) {
+	k.heap[i] = e
+	k.slots[e.slot].pos = int32(i)
+}
+
+// remove takes the entry at heap position i out of the queue and retires
+// its slot, so every handle on it goes stale.
+func (k *Kernel) remove(i int) {
+	k.slots[k.heap[i].slot].gen++
+	k.free = append(k.free, k.heap[i].slot)
+
+	n := len(k.heap) - 1
+	last := k.heap[n]
+	k.heap[n] = entry{} // drop the callback reference
+	k.heap = k.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&k.heap[(i-1)/2]) {
+		k.up(i, last)
+	} else {
+		k.down(i, last)
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -143,16 +213,14 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step executes the single next event, advancing the clock. It returns
 // false when the queue is empty.
 func (k *Kernel) Step() bool {
-	for k.events.Len() > 0 {
-		e := heap.Pop(&k.events).(*Event)
-		if e.canceled {
-			continue
-		}
-		k.now = e.at
-		e.fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	e := k.heap[0]
+	k.remove(0)
+	k.now = e.at
+	e.fn()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -166,11 +234,7 @@ func (k *Kernel) Run() {
 // Events scheduled exactly at t do fire.
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
-	for !k.stopped {
-		next := k.peek()
-		if next == nil || next.at > t {
-			break
-		}
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= t {
 		k.Step()
 	}
 	if k.now < t {
@@ -181,28 +245,27 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor executes events for d of virtual time from now.
 func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 
-func (k *Kernel) peek() *Event {
-	for k.events.Len() > 0 {
-		e := k.events[0]
-		if !e.canceled {
-			return e
-		}
-		heap.Pop(&k.events)
-	}
-	return nil
-}
+// Pending reports the number of queued events.
+func (k *Kernel) Pending() int { return len(k.heap) }
 
-// Pending reports the number of queued (non-cancelled) events.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.events {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+// LiveProcs reports how many processes have been spawned but not yet
+// finished. Useful in tests to detect leaked processes.
+func (k *Kernel) LiveProcs() int { return len(k.live) }
 
-// LiveProcs reports how many processes have started but not yet finished.
-// Useful in tests to detect leaked processes.
-func (k *Kernel) LiveProcs() int { return k.procs }
+// Close ends the scenario: every unfinished process is unwound — its
+// deferred calls run, then its coroutine exits — and every queued event is
+// dropped, including anything those deferred calls scheduled. Afterwards
+// LiveProcs and Pending are 0 and nothing the kernel created is left
+// running. Close is idempotent. It must be called from outside the
+// kernel's own callbacks and processes, normally deferred by whoever
+// called NewKernel.
+func (k *Kernel) Close() {
+	// Newest first, like deferred calls; a process spawned by an
+	// unwinding one lands at the end and is taken next.
+	for n := len(k.live); n > 0; n = len(k.live) {
+		k.live[n-1].kill()
+	}
+	for len(k.heap) > 0 {
+		k.remove(len(k.heap) - 1)
+	}
+}

@@ -49,9 +49,10 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if k.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Cancel, want 0", k.Pending())
 	}
+	e.Cancel() // stale handle: no-op
 }
 
 func TestSchedulePastPanics(t *testing.T) {

@@ -2,66 +2,95 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine that executes in lockstep with
-// the kernel. At any instant at most one process runs; all others are
-// parked waiting for the kernel to resume them, which keeps the simulation
-// deterministic even though processes are real goroutines.
+// Proc is a simulated process: a coroutine the kernel switches to from
+// an event callback and that switches back when it blocks. At any instant
+// at most one process runs, on the goroutine that called Run; all others
+// are parked in the middle of a blocking call, which keeps the simulation
+// deterministic and makes a switch cost a function call, not a trip
+// through the Go scheduler.
 //
 // A process interacts with virtual time exclusively through its Proc
 // handle: Sleep, Yield, and the blocking operations on Signal and Queue.
-// Calling those methods from any goroutine other than the process's own
-// corrupts the handoff protocol and panics.
+// Those methods must be called from the process's own function. Called
+// from an event callback or another process they suspend the wrong
+// coroutine (or fail inside iter.Pull); nothing detects that.
+//
+// A process ends when its function returns or when Kernel.Close unwinds
+// it: the blocking call it is parked in panics with a private value, so
+// its deferred calls run, and the kernel swallows that panic. Any other
+// panic in a process propagates out of Kernel.Run.
 type Proc struct {
 	k      *Kernel
 	name   string
-	resume chan struct{}
-	parked chan struct{}
-	dead   bool
+	next   func() (struct{}, bool) // runs the process until it parks or ends
+	stop   func()                  // makes the pending park return false
+	yield  func(struct{}) bool     // parks; false once stop was called
+	resume func()                  // step, bound once: the callback of every wake-up
+	w      waiter                  // a process blocks on one thing at a time
+	idx    int                     // position in k.live
+	done   bool
 }
+
+// killed is the panic value that unwinds a process during Kernel.Close.
+type killed struct{}
 
 // Go spawns a process running fn. The process starts at the current
 // virtual instant, after already-queued events for this instant.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	k.procs++
-	go func() {
-		<-p.resume // wait for the start event
+	p := &Proc{k: k, name: name, idx: len(k.live)}
+	k.live = append(k.live, p)
+	p.resume = p.step
+	p.w.p = p
+	p.w.expire = p.w.timeout
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			p.dead = true
-			k.procs--
-			// Return control to the kernel for the last time.
-			p.parked <- struct{}{}
+			p.finish()
+			if r := recover(); r != nil && r != (killed{}) {
+				panic(r) // iter.Pull hands it to whoever called next
+			}
 		}()
 		fn(p)
-	}()
-	k.Soon(func() { p.step() })
+	})
+	k.Soon(p.resume)
 	return p
 }
 
-// step transfers control to the process goroutine and waits for it to park
-// again (or exit). It must only be called from the kernel goroutine, i.e.
-// from inside an event callback.
-func (p *Proc) step() {
-	if p.dead {
-		return
+// step switches to the process and returns when it parks again or ends.
+// It runs as an event callback; once the process has ended it does
+// nothing, so a wake-up that outlives its process is harmless.
+func (p *Proc) step() { p.next() }
+
+// park switches back to the kernel until another event resumes the
+// process.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(killed{})
 	}
-	p.resume <- struct{}{}
-	<-p.parked
 }
 
-// park returns control to the kernel and blocks until another event
-// resumes this process.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+// finish takes the process off the kernel's books.
+func (p *Proc) finish() {
+	p.done = true
+	live := p.k.live
+	last := live[len(live)-1]
+	live[p.idx], last.idx = last, p.idx
+	live[len(live)-1] = nil
+	p.k.live = live[:len(live)-1]
+}
+
+// kill unwinds a process that has not finished.
+func (p *Proc) kill() {
+	p.stop()
+	if !p.done {
+		// Never started: its function, and so the deferred finish,
+		// did not run.
+		p.finish()
+	}
 }
 
 // Name returns the diagnostic name given at spawn time.
@@ -79,14 +108,14 @@ func (p *Proc) Sleep(d time.Duration) {
 		p.Yield()
 		return
 	}
-	p.k.After(d, func() { p.step() })
+	p.k.After(d, p.resume)
 	p.park()
 }
 
 // Yield reschedules the process behind all events queued for the current
 // instant, letting same-time work interleave fairly.
 func (p *Proc) Yield() {
-	p.k.Soon(func() { p.step() })
+	p.k.Soon(p.resume)
 	p.park()
 }
 
@@ -98,12 +127,16 @@ type Waitable interface {
 	dequeue(w *waiter)
 }
 
-// waiter links a blocked process to the waitable it sleeps on.
+// waiter links a blocked process to the waitable it sleeps on. Each
+// process owns one and reuses it: by the time block returns, the wake or
+// the timeout has taken it off the waitable's list.
 type waiter struct {
-	p     *Proc
-	fired bool // set when either the wake or the timeout has claimed it
-	timer *Event
-	ok    bool // result: true = woken by the waitable, false = timed out
+	p      *Proc
+	on     Waitable
+	fired  bool // set when either the wake or the timeout has claimed it
+	timer  Event
+	ok     bool   // result: true = woken by the waitable, false = timed out
+	expire func() // timeout, bound once
 }
 
 // wake is called by the waitable's owner (from kernel context) to release
@@ -114,27 +147,29 @@ func (w *waiter) wake() {
 	}
 	w.fired = true
 	w.ok = true
-	if w.timer != nil {
-		w.timer.Cancel()
+	w.timer.Cancel()
+	w.p.k.Soon(w.p.resume)
+}
+
+// timeout is the timer's callback.
+func (w *waiter) timeout() {
+	if w.fired {
+		return
 	}
-	w.p.k.Soon(func() { w.p.step() })
+	w.fired = true
+	w.ok = false
+	w.on.dequeue(w)
+	w.p.k.Soon(w.p.resume)
 }
 
 // block parks p until wake or until the timeout elapses. timeout < 0 means
 // wait forever. It reports whether the wait was satisfied (vs timed out).
 func block(p *Proc, wt Waitable, timeout time.Duration) bool {
-	w := &waiter{p: p}
+	w := &p.w
+	w.on, w.fired, w.ok, w.timer = wt, false, false, Event{}
 	wt.enqueue(w)
 	if timeout >= 0 {
-		w.timer = p.k.After(timeout, func() {
-			if w.fired {
-				return
-			}
-			w.fired = true
-			w.ok = false
-			wt.dequeue(w)
-			p.k.Soon(func() { p.step() })
-		})
+		w.timer = p.k.After(timeout, w.expire)
 	}
 	p.park()
 	return w.ok
@@ -144,18 +179,18 @@ func block(p *Proc, wt Waitable, timeout time.Duration) bool {
 // released one at a time (Pulse) or all at once (Broadcast). There is no
 // memory: a Pulse with no waiters is lost, like a condition variable.
 type Signal struct {
-	waiters []*waiter
+	waiters Ring[*waiter]
 }
 
 // NewSignal returns an empty signal.
 func NewSignal() *Signal { return &Signal{} }
 
-func (s *Signal) enqueue(w *waiter) { s.waiters = append(s.waiters, w) }
+func (s *Signal) enqueue(w *waiter) { s.waiters.Push(w) }
 
 func (s *Signal) dequeue(w *waiter) {
-	for i, x := range s.waiters {
-		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+	for i := 0; i < s.waiters.Len(); i++ {
+		if s.waiters.At(i) == w {
+			s.waiters.RemoveAt(i)
 			return
 		}
 	}
@@ -172,31 +207,27 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 
 // Pulse wakes the longest-waiting process, if any.
 func (s *Signal) Pulse() {
-	if len(s.waiters) == 0 {
-		return
+	if s.waiters.Len() > 0 {
+		s.waiters.Pop().wake()
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	w.wake()
 }
 
 // Broadcast wakes every waiting process.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w.wake()
+	// wake only schedules the process, so nobody re-enqueues meanwhile.
+	for s.waiters.Len() > 0 {
+		s.waiters.Pop().wake()
 	}
 }
 
 // Waiting reports how many processes are blocked on the signal.
-func (s *Signal) Waiting() int { return len(s.waiters) }
+func (s *Signal) Waiting() int { return s.waiters.Len() }
 
 // Queue is an unbounded FIFO of items with blocking receive, the standard
 // mailbox between simulated processes (socket receive buffers, thread-pool
 // request queues, and so on).
 type Queue[T any] struct {
-	items []T
+	items Ring[T]
 	sig   Signal
 	limit int // 0 = unbounded; otherwise Put beyond limit reports false
 }
@@ -210,23 +241,21 @@ func NewBoundedQueue[T any](limit int) *Queue[T] { return &Queue[T]{limit: limit
 // Put appends an item, waking one waiting receiver. It reports false if a
 // bound is configured and the queue is full (the item is discarded).
 func (q *Queue[T]) Put(v T) bool {
-	if q.limit > 0 && len(q.items) >= q.limit {
+	if q.limit > 0 && q.items.Len() >= q.limit {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.sig.Pulse()
 	return true
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Get blocks the calling process until an item is available.
@@ -262,40 +291,38 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Min returns the least queued item under less without removing it.
 // Ties resolve to the earliest-queued item, so repeated calls with the
 // same ordering are deterministic.
 func (q *Queue[T]) Min(less func(a, b T) bool) (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	i, ok := q.minIndex(less)
+	if !ok {
+		var zero T
 		return zero, false
 	}
-	best := 0
-	for i := 1; i < len(q.items); i++ {
-		if less(q.items[i], q.items[best]) {
-			best = i
-		}
-	}
-	return q.items[best], true
+	return q.items.At(i), true
 }
 
 // EvictMin removes and returns the least queued item under less (earliest
 // queued on ties) — the primitive behind reject-lowest-first load
 // shedding in bounded queues.
 func (q *Queue[T]) EvictMin(less func(a, b T) bool) (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	i, ok := q.minIndex(less)
+	if !ok {
+		var zero T
 		return zero, false
 	}
+	return q.items.RemoveAt(i), true
+}
+
+func (q *Queue[T]) minIndex(less func(a, b T) bool) (int, bool) {
 	best := 0
-	for i := 1; i < len(q.items); i++ {
-		if less(q.items[i], q.items[best]) {
+	for i := 1; i < q.items.Len(); i++ {
+		if less(q.items.At(i), q.items.At(best)) {
 			best = i
 		}
 	}
-	v := q.items[best]
-	q.items = append(q.items[:best], q.items[best+1:]...)
-	return v, true
+	return best, q.items.Len() > 0
 }

@@ -71,7 +71,8 @@ type StreamConn struct {
 	bufferLimit int        // send-buffer bound for SendWait
 	space       *sim.Signal
 	rto         time.Duration
-	rtoTimer    *sim.Event
+	rtoTimer    sim.Event
+	onRTO       func() // onTimeout, bound once: the timer is re-armed per ack
 	retransmits int64
 	dupAcks     int
 
@@ -136,7 +137,7 @@ func (e *Endpoint) Dial(localPort uint16, remote netsim.Addr) *StreamConn {
 }
 
 func newStreamConn(e *Endpoint, port uint16, remote netsim.Addr, owner *Listener) *StreamConn {
-	return &StreamConn{
+	c := &StreamConn{
 		ep:          e,
 		port:        port,
 		remote:      remote,
@@ -148,6 +149,8 @@ func newStreamConn(e *Endpoint, port uint16, remote netsim.Addr, owner *Listener
 		bufferLimit: 64 * 1024,
 		space:       sim.NewSignal(),
 	}
+	c.onRTO = c.onTimeout
+	return c
 }
 
 // RemoteAddr returns the peer address.
@@ -174,10 +177,8 @@ func (c *StreamConn) Close() {
 		return
 	}
 	c.closed = true
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
+	c.rtoTimer.Cancel()
+	c.rtoTimer = sim.Event{}
 	c.space.Broadcast()
 	if c.owner == nil {
 		c.ep.node.Unbind(c.port)
@@ -275,14 +276,14 @@ func (c *StreamConn) sendAck() {
 }
 
 func (c *StreamConn) armTimer() {
-	if c.rtoTimer != nil || len(c.outstanding) == 0 || c.closed {
+	if c.rtoTimer != (sim.Event{}) || len(c.outstanding) == 0 || c.closed {
 		return
 	}
-	c.rtoTimer = c.ep.Kernel().After(c.rto, c.onTimeout)
+	c.rtoTimer = c.ep.Kernel().After(c.rto, c.onRTO)
 }
 
 func (c *StreamConn) onTimeout() {
-	c.rtoTimer = nil
+	c.rtoTimer = sim.Event{}
 	if c.closed || len(c.outstanding) == 0 {
 		return
 	}
@@ -312,10 +313,8 @@ func (c *StreamConn) onSegment(seg *segment) {
 			c.outstanding = c.outstanding[1:]
 		}
 		c.rto = initialRTO
-		if c.rtoTimer != nil {
-			c.rtoTimer.Cancel()
-			c.rtoTimer = nil
-		}
+		c.rtoTimer.Cancel()
+		c.rtoTimer = sim.Event{}
 		c.pump()
 		c.space.Broadcast()
 	case seg.ack == c.base && len(c.outstanding) > 0:
