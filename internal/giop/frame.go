@@ -48,9 +48,6 @@ var ErrTooLarge = errors.New("giop: message exceeds size cap")
 // unwrapped, so callers can distinguish an orderly close from a
 // truncated message (io.ErrUnexpectedEOF wrapped in ErrBadMessage).
 func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
-	if max == 0 {
-		max = DefaultMaxMessage
-	}
 	// The header is read where it will stay: a local array would escape
 	// to the heap through r.
 	buf := scratch
@@ -64,17 +61,10 @@ func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadMessage, err)
 	}
-	if !bytes.Equal(hdr[0:4], magic[:]) {
-		return nil, ErrBadMagic
+	total, err := FrameSize(hdr, max)
+	if err != nil {
+		return nil, err
 	}
-	if hdr[4] != VersionMajor || hdr[5] != VersionMinor {
-		return nil, fmt.Errorf("%w: %d.%d", ErrBadVersion, hdr[4], hdr[5])
-	}
-	size := headerOrder(hdr).Order().Uint32(hdr[8:12])
-	if size > max {
-		return nil, fmt.Errorf("%w: declared %d bytes, cap %d", ErrTooLarge, size, max)
-	}
-	total := HeaderSize + int(size)
 	if cap(buf) < total {
 		buf = make([]byte, total)
 		copy(buf, hdr)
@@ -82,9 +72,32 @@ func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
 		buf = buf[:total]
 	}
 	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated body (%d declared): %v", ErrBadMessage, size, err)
+		return nil, fmt.Errorf("%w: truncated body (%d declared): %v", ErrBadMessage, total-HeaderSize, err)
 	}
 	return buf, nil
+}
+
+// FrameSize validates a message header — hdr's first HeaderSize bytes:
+// magic, version, the declared body size against max (0 selects
+// DefaultMaxMessage) — and returns the length of the whole frame, header
+// included. It is ReadFrame's header check, exported for a reader that
+// peeks at the header to choose the frame's memory before it reads (the
+// wire server borrows large frames from a pool).
+func FrameSize(hdr []byte, max uint32) (int, error) {
+	if max == 0 {
+		max = DefaultMaxMessage
+	}
+	if !bytes.Equal(hdr[0:4], magic[:]) {
+		return 0, ErrBadMagic
+	}
+	if hdr[4] != VersionMajor || hdr[5] != VersionMinor {
+		return 0, fmt.Errorf("%w: %d.%d", ErrBadVersion, hdr[4], hdr[5])
+	}
+	size := headerOrder(hdr).Order().Uint32(hdr[8:12])
+	if size > max {
+		return 0, fmt.Errorf("%w: declared %d bytes, cap %d", ErrTooLarge, size, max)
+	}
+	return HeaderSize + int(size), nil
 }
 
 // headerOrder returns the byte order a message header's flags declare.

@@ -62,6 +62,33 @@ func TestReadFrameSplitAcrossReads(t *testing.T) {
 	}
 }
 
+// TestFrameSizeAgreesWithReadFrame: the exported header check is the one
+// ReadFrame makes — the same size for a valid header, the same error for
+// each invalid one — so a reader that peeks with it and then calls
+// ReadFrame never disagrees with itself.
+func TestFrameSizeAgreesWithReadFrame(t *testing.T) {
+	wire := validRequest(cdr.BigEndian)
+	if n, err := FrameSize(wire[:HeaderSize], 0); err != nil || n != len(wire) {
+		t.Fatalf("FrameSize = %d, %v; the frame has %d bytes", n, err, len(wire))
+	}
+	mutate := map[string]func(b []byte){
+		"magic":   func(b []byte) { b[0] = 'X' },
+		"version": func(b []byte) { b[5] = 9 },
+		"size":    func(b []byte) { binary.BigEndian.PutUint32(b[8:12], DefaultMaxMessage+1) },
+	}
+	for name, f := range mutate {
+		bad := append([]byte(nil), wire...)
+		f(bad)
+		_, want := ReadFrame(bytes.NewReader(bad), 0, nil)
+		if _, err := FrameSize(bad[:HeaderSize], 0); err == nil || err.Error() != want.Error() {
+			t.Errorf("bad %s: FrameSize says %v, ReadFrame %v", name, err, want)
+		}
+	}
+	if _, err := FrameSize(wire[:HeaderSize], 4); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("small cap: err = %v, want ErrTooLarge", err)
+	}
+}
+
 // TestReadFrameHostileLengths pins the allocation guard: truncated
 // length prefixes fail as malformed, and an oversized declared length
 // is refused before any body-sized allocation happens.

@@ -126,7 +126,9 @@ var pushBands = []int16{0, EFPriority}
 // ChannelHost is the servant exposing a pubsub.Channel on a wire
 // Server. The channel must be asynchronous: each remote subscriber is
 // pumped by its own goroutine, so one slow consumer connection only
-// ever stalls its own outbox.
+// ever stalls its own outbox. A published event's payload is req.Body,
+// parked in subscriber outboxes past Dispatch's return, so publish calls
+// req.Retain.
 type ChannelHost struct {
 	ch  *pubsub.Channel
 	cfg ChannelHostConfig
@@ -163,6 +165,7 @@ func (h *ChannelHost) Dispatch(req *Request) ([]byte, error) {
 }
 
 func (h *ChannelHost) publish(req *Request) ([]byte, error) {
+	req.Retain()
 	ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
 	data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext)
 	if !ok {
@@ -330,11 +333,15 @@ func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, trace
 // workers dispatches them concurrently and fn may see them reordered. A
 // consumer that needs per-subscriber order must serve the pushes'
 // priority from a lane with exactly one worker.
+//
+// The event's Payload is req.Body and fn may keep it past Dispatch's
+// return, so the handler calls req.Retain.
 func ConsumerHandler(fn func(ev pubsub.Event)) HandlerFunc {
 	return func(req *Request) ([]byte, error) {
 		if req.Operation != "push" {
 			return nil, &Exception{ID: giop.ExcBadOperation, Minor: 2}
 		}
+		req.Retain()
 		ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
 		if data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext); ok {
 			if topic, key, seq, prio, published, err := giop.ParseEventContext(data); err == nil {

@@ -15,9 +15,11 @@ import (
 )
 
 // These tests hold the buffer-ownership rules (package comment) on live
-// connections, under -race: a decoded request owns its frame, so whoever
-// keeps req.Body keeps its bytes however much traffic follows; a write
-// buffer belongs to one message from encode to the end of its Write.
+// connections, under -race and with released frames poisoned
+// (frame_test.go): whoever keeps req.Body by the rules — the FT reply
+// cache, a handler that called Retain — keeps its bytes however much
+// traffic follows; a write buffer belongs to one message from encode to
+// the end of its Write.
 
 func seededBytes(seed int64, n int) []byte {
 	b := make([]byte, n)
@@ -141,7 +143,9 @@ func TestRetainParkedPublishPayload(t *testing.T) {
 // TestAliasConcurrentCallersKeepOwnBytes: 32 callers with distinct 64 KiB
 // bodies share one connection in each direction, so their requests and
 // replies are encoded concurrently into pooled write buffers and written
-// one after another. Each must get its own bytes back, every round.
+// one after another, while four workers borrow request frames from, and
+// return them to, that same pool. Each must get its own bytes back, every
+// round, and every frame goes back once.
 func TestAliasConcurrentCallersKeepOwnBytes(t *testing.T) {
 	srv, cli := loopback(t, ServerConfig{
 		Lanes: []LaneConfig{{Priority: 0, Workers: 4, QueueLimit: 64}},
@@ -149,6 +153,7 @@ func TestAliasConcurrentCallersKeepOwnBytes(t *testing.T) {
 	srv.Register("app/echo", HandlerFunc(func(req *Request) ([]byte, error) { return req.Body, nil }))
 
 	const callers, rounds = 32, 8
+	before := framesReleased.Load()
 	errs := make(chan error, callers)
 	for c := 0; c < callers; c++ {
 		go func(c int) {
@@ -177,6 +182,7 @@ func TestAliasConcurrentCallersKeepOwnBytes(t *testing.T) {
 			t.Error(err)
 		}
 	}
+	releasedSince(t, before, callers*rounds)
 	if dials := cli.Registry().Counter("wire.client.dials", telemetry.L("band", "0")).Value(); dials != 1 {
 		t.Errorf("dials = %g, want 1 (the callers must share a connection)", dials)
 	}

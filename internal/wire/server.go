@@ -22,7 +22,10 @@ import (
 
 // Handler executes one inbound request on a lane worker. It returns the
 // CDR-encoded reply body, or an error: a *Exception is encoded verbatim
-// as a system exception; any other error becomes CORBA UNKNOWN.
+// as a system exception; any other error becomes CORBA UNKNOWN. req.Body
+// and req.Contexts[i].Data are valid until Dispatch returns — returning
+// req.Body as the reply is legal and copy-free — and a handler that keeps
+// either past its return calls req.Retain first; see the package comment.
 type Handler interface {
 	Dispatch(req *Request) ([]byte, error)
 }
@@ -38,12 +41,15 @@ func (f HandlerFunc) Dispatch(req *Request) ([]byte, error) { return f(req) }
 type Request struct {
 	Key       string
 	Operation string
-	// Body is a view of the request's frame, which the request owns: a
-	// handler may keep it (or return it as the reply) for as long as it
-	// likes, but must not write to it — see the package comment.
+	// Body is a view of the request's frame, valid until Dispatch returns
+	// (returning it as the reply is legal and copy-free): a handler that
+	// keeps it past its return calls Retain first, and none may write to
+	// it — see the package comment.
 	Body []byte
 	// Priority is the propagated RT-CORBA CORBA priority (0 if absent).
 	Priority int16
+	// Oneway reports that no reply is expected.
+	Oneway bool
 	// Deadline is the absolute wall-clock expiry from the end-to-end
 	// deadline context (zero time if the client set none).
 	Deadline time.Time
@@ -54,18 +60,26 @@ type Request struct {
 	TraceCtx trace.SpanContext
 	// Peer is the remote address of the carrying connection.
 	Peer string
-	// Oneway reports that no reply is expected.
-	Oneway bool
 	// Contexts holds the request's raw GIOP service contexts, so
 	// servants can read application-level ones (the pub/sub event
-	// descriptor) beyond the standard QoS set parsed above.
+	// descriptor) beyond the standard QoS set parsed above. Their Data
+	// are views of the frame, with Body's lifetime.
 	Contexts []giop.ServiceContext
 
 	// ft is the at-most-once dedup key from the FT request context,
 	// valid when hasFT is set (two-way requests only).
 	ft    giop.FTKey
 	hasFT bool
+	// frame is the pooled buffer Body and Contexts alias, when the frame
+	// is borrowed: the lane worker returns it once the request is settled.
+	frame *[]byte
 }
+
+// Retain makes req.Body and req.Contexts[i].Data the handler's to keep
+// past Dispatch's return: the request's frame is left to the collector
+// instead of being recycled. It is for the worker goroutine, inside
+// Dispatch.
+func (r *Request) Retain() { r.frame = nil }
 
 // LaneConfig sizes one priority lane of the server's worker pool,
 // mirroring rtcorba.ThreadPool lanes: a lane serves every request whose
@@ -174,6 +188,9 @@ type Server struct {
 	closed   atomic.Bool
 }
 
+// maxCancelled bounds a connection's set of cancelled request ids.
+const maxCancelled = 1024
+
 // ftWaiter is a replayed request that arrived while the original was
 // still executing; it is answered when the execution settles.
 type ftWaiter struct {
@@ -186,8 +203,14 @@ type serverConn struct {
 	s    *Server
 	peer string
 	// cancelled holds request IDs a CancelRequest asked to abandon;
-	// checked at dequeue (best-effort, like the CORBA semantics).
+	// checked at dequeue (best-effort, like the CORBA semantics). A cancel
+	// that arrives after its request was dequeued — the usual case: the
+	// caller timed out while the servant ran — is never looked up, so the
+	// read loop counts what it stores (cancels) and forgets the whole set
+	// every maxCancelled: a long-lived connection's set stays bounded, and
+	// a stale id is gone long before request ids wrap.
 	cancelled sync.Map
+	cancels   int
 	closeOnce sync.Once
 }
 
@@ -355,16 +378,30 @@ func (s *Server) ServeConn(nc net.Conn) {
 		g.Add(-1)
 	}()
 
-	// Each frame is allocated once, at its size (hdr saves ReadFrame the
-	// header's allocation), and belongs to the message decoded from it:
-	// the Request a Handler sees aliases its frame.
+	// Each frame is read once into memory of its own, and the message
+	// decoded from it — the Request a Handler sees — aliases it. A frame
+	// below largeFrame is allocated at its exact size (hdr saves ReadFrame
+	// the header's allocation) and is garbage with its message: that small
+	// is cheaper to allocate than to pool. A larger one is borrowed from
+	// the write pool until its request is settled (one that never reaches
+	// a lane worker — not a Request, refused, an FT replay — is garbage
+	// like a small one).
 	br := bufio.NewReaderSize(nc, 32<<10)
 	hdr := make([]byte, giop.HeaderSize)
 	// What the read loop answers itself — a replay, a refusal — goes out at
 	// once: its batch never holds a reply past the request that caused it.
 	b := &replyBatch{s: s}
 	for {
-		frame, err := giop.ReadFrame(br, giop.DefaultMaxMessage, hdr)
+		scratch := hdr
+		var borrowed *[]byte
+		if h, err := br.Peek(giop.HeaderSize); err == nil {
+			// (A header that is short or invalid is ReadFrame's to report.)
+			if n, err := giop.FrameSize(h, giop.DefaultMaxMessage); err == nil && n >= largeFrame && n <= maxPooledWrite {
+				borrowed = getFrameBuf(n)
+				scratch = *borrowed
+			}
+		}
+		frame, err := giop.ReadFrame(br, giop.DefaultMaxMessage, scratch)
 		if err != nil {
 			if err != io.EOF && !s.closed.Load() {
 				s.reg.Counter("wire.server.read_errors").Inc()
@@ -380,8 +417,12 @@ func (s *Server) ServeConn(nc net.Conn) {
 		}
 		switch m := msg.(type) {
 		case *giop.Request:
-			s.handleRequest(c, m, b)
+			s.handleRequest(c, m, b, borrowed)
 		case *giop.CancelRequest:
+			if c.cancels++; c.cancels > maxCancelled {
+				c.cancelled.Clear()
+				c.cancels = 1
+			}
 			c.cancelled.Store(m.RequestID, struct{}{})
 			s.reg.Counter("wire.server.cancels").Inc()
 		case *giop.LocateRequest:
@@ -409,7 +450,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 // handleRequest parses the request's QoS contexts and enqueues it on
 // its priority lane, refusing with TRANSIENT minor 2 when the lane
 // queue is full or the server is draining; b is the read loop's batch.
-func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch) {
+// frame is the pooled buffer m aliases, if its frame is borrowed.
+func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch, frame *[]byte) {
 	qos := giop.ParseRequestQoS(m.ServiceContexts)
 	req := &Request{
 		Key:       string(m.ObjectKey),
@@ -428,6 +470,11 @@ func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch) {
 	}
 	if qos.SentAt > 0 {
 		req.SentAt = time.Unix(0, qos.SentAt)
+	}
+	if !req.hasFT {
+		// The reply cache keeps an FT request's reply body, which an echo
+		// servant aliases to the frame: those frames stay garbage.
+		req.frame = frame
 	}
 
 	lane := s.laneFor(req.Priority)
@@ -732,6 +779,11 @@ func (s *Server) worker(lane *serverLane) {
 			s.shed(b, w)
 		} else {
 			ran = s.dispatch(b, w, execH)
+		}
+		if w.req.frame != nil {
+			// Settled: the reply, if any, was encoded — copied — when it was
+			// queued, so nothing the server owns refers to the frame now.
+			putFrameBuf(w.req.frame)
 		}
 		if b.settled >= maxHeldReplies || ran > slowServant {
 			b.flush()

@@ -20,22 +20,29 @@
 // can scrape, and optional records on the unified events bus.
 //
 // Buffer ownership. A payload byte is moved once in each direction.
-// Inbound, a connection's read loop allocates every frame once, at its
-// exact size, and giop.Decode parses it in place: the decoded message
-// aliases the frame and owns it, and the frame is garbage-collected with
-// the message. So a Handler may keep req.Body (and Contexts data) for as
-// long as it likes — return it as the reply, cache it, queue it in an
-// outbox — with no lifetime rule, but must not write to it: the FT reply
-// cache and other retainers may hold the same bytes. Outbound, a message
-// is encoded (giop AppendTo) once, straight into its connection's pending
-// batch, and a flush hands the whole batch to the kernel in one Write
-// (connWriter): a lane worker queues its replies and flushes when its
-// lane runs dry (and never holds one for longer than maxHeldTime),
-// concurrent callers on one client connection share a write. A frame with
-// a large body is instead encoded outside every lock into a buffer from
-// writeBufs and written on its own. Either way nothing refers to the body
-// once it is encoded, so the body a caller passed to Invoke, or a Handler
-// returned, is the caller's again the moment the call completes.
+// Inbound, a connection's read loop reads every frame once into memory of
+// its own and giop.Decode parses it in place: the decoded message aliases
+// the frame. A frame below largeFrame is allocated at its exact size and
+// is garbage-collected with its message. The frame of a larger request is
+// borrowed from the write pool and goes back once the request is settled.
+// So req.Body and req.Contexts[i].Data are valid until Dispatch returns —
+// returning req.Body as the reply is legal and copy-free, the reply is
+// encoded before the frame is released — and a Handler that keeps either
+// past its return (caches it, queues it in an outbox) calls req.Retain
+// first, which leaves the frame to the collector. None may write to them:
+// the FT reply cache and other retainers may hold the same bytes. (The
+// server never recycles the frame of a request with an FT context, whose
+// reply the cache keeps.) The reply body Client.Invoke returns is a view of
+// the reply's frame, which is never recycled: it is the caller's to keep.
+// Outbound, a message is encoded (giop AppendTo) once, straight into its
+// connection's pending batch, and a flush hands the whole batch to the
+// kernel in one Write (connWriter): a lane worker queues its replies and
+// flushes when its lane runs dry (and never holds one for longer than
+// maxHeldTime), concurrent callers on one client connection share a write.
+// A frame with a large body is instead encoded outside every lock into a
+// buffer from writeBufs and written on its own. Either way nothing refers
+// to the body once it is encoded, so the body a caller passed to Invoke, or
+// a Handler returned, is the caller's again the moment the call completes.
 //
 // Unit tests run socket-free and deterministic over net.Pipe loopback
 // connections (Server.ServeConn plus ClientConfig.Dial); the wall-clock
@@ -127,20 +134,22 @@ func breakerFailure(err error) bool {
 		errors.Is(err, ErrUnavailable)
 }
 
-// writeBufs recycles the encode buffers of large frames (connWriter.queue)
-// across connections. A buffer is held from encode to the end of the
-// Write that sends it, by one goroutine; giop AppendTo grows it to the
-// message's size when it is too small, and it returns to the pool grown,
-// so steady-state writes allocate nothing.
+// writeBufs recycles the buffers of large frames across connections, in
+// both directions. Outbound (connWriter.queue) a buffer is held from encode
+// to the end of the Write that sends it, by one goroutine; giop AppendTo
+// grows it to the message's size when it is too small, and it returns to
+// the pool grown, so steady-state writes allocate nothing. Inbound
+// (getFrameBuf) the server borrows one for the frame of a large request,
+// from the read until the request is settled.
 var writeBufs = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// maxPooledWrite is the largest buffer putWriteBuf, or a connWriter
-// between flushes, keeps. One message near giop.DefaultMaxMessage would
-// otherwise pin its megabytes for as long as the pool entry circulates or
-// the connection lives; above this size a buffer is left to the collector
-// and the next large message allocates its own.
+// maxPooledWrite is the largest buffer the pool, or a connWriter between
+// flushes, keeps. One message near giop.DefaultMaxMessage would otherwise
+// pin its megabytes for as long as the pool entry circulates or the
+// connection lives; above this size a buffer is left to the collector and
+// the next large message allocates its own.
 const maxPooledWrite = 1 << 20
 
 func getWriteBuf() *[]byte { return writeBufs.Get().(*[]byte) }
@@ -149,6 +158,30 @@ func putWriteBuf(b *[]byte) {
 	if cap(*b) <= maxPooledWrite {
 		writeBufs.Put(b)
 	}
+}
+
+// getFrameBuf returns a pooled buffer with room for a frame of n bytes. One
+// too small is replaced by a new one, its capacity rounded up to the 8 KiB
+// span size the allocation costs anyway, so frames of about one size settle
+// on buffers that fit them all.
+func getFrameBuf(n int) *[]byte {
+	b := getWriteBuf()
+	if cap(*b) < n {
+		*b = make([]byte, 0, (n+8191)&^8191)
+	}
+	return b
+}
+
+// releaseHook, when a test sets it, sees every borrowed frame as it goes
+// back to the pool (and poisons it, so a use after release shows).
+var releaseHook func(frame []byte)
+
+// putFrameBuf ends the borrow getFrameBuf began.
+func putFrameBuf(b *[]byte) {
+	if releaseHook != nil {
+		releaseHook((*b)[:cap(*b)])
+	}
+	putWriteBuf(b)
 }
 
 // counterVec caches the counters of one metric whose series differ in
