@@ -135,13 +135,13 @@ func benchPhase(d time.Duration, efHz int, plane *obsPlane) (*BenchResult, error
 	if plane != nil {
 		plane.pause()
 	}
+	be := srv.Snapshot().Lanes[0]
 	return &BenchResult{
 		Addr:     addr.String(),
 		Duration: time.Since(start),
 		EF:       reports[0],
 		BE:       reports[1],
-		Refused: reg.Counter("wire.server.refused",
-			telemetry.L("lane", "0"), telemetry.L("reason", "queue_full")).Value(),
-		Shed: reg.Counter("wire.server.deadline_shed", telemetry.L("lane", "0")).Value(),
+		Refused:  float64(be.Refused),
+		Shed:     float64(be.Shed),
 	}, nil
 }

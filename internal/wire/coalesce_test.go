@@ -241,9 +241,15 @@ type gatedServer struct {
 	wg              sync.WaitGroup
 }
 
-func newGatedServer(t *testing.T, workers, queue int) *gatedServer {
+// newGatedServer's optional observed config supplies the Bus and Tracer.
+func newGatedServer(t *testing.T, workers, queue int, observed ...ServerConfig) *gatedServer {
 	leakCheck(t)
-	srv, err := NewServer(ServerConfig{Lanes: []LaneConfig{{Workers: workers, QueueLimit: queue}}})
+	var cfg ServerConfig
+	if len(observed) > 0 {
+		cfg = observed[0]
+	}
+	cfg.Lanes = []LaneConfig{{Workers: workers, QueueLimit: queue}}
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +271,7 @@ func newGatedServer(t *testing.T, workers, queue int) *gatedServer {
 		close(quit)
 		srv.Shutdown(2 * time.Second)
 		g.wg.Wait()
+		checkLedger(t, srv)
 	})
 	return g
 }
@@ -327,7 +334,7 @@ func TestCoalesceNothingStranded(t *testing.T) {
 			}
 			// A replay of the queued FT request parks on it.
 			b.send(rawRequest(idReplay, "echo", ft))
-			waitCounter(t, g.Registry(), "wire.server.ft_waiters", 1)
+			waitCounter(t, g.Registry(), "wire.server.outcomes", 1, telemetry.L("lane", "0"), telemetry.L("outcome", "ft_parked"))
 			g.tokens <- struct{}{}
 
 			want := map[uint32]giop.ReplyStatus{

@@ -72,6 +72,7 @@ func tcpLoopback(t *testing.T, scfg ServerConfig) (*Server, *Client) {
 	t.Cleanup(func() {
 		cli.Close()
 		srv.Shutdown(2 * time.Second)
+		checkLedger(t, srv)
 	})
 	return srv, cli
 }
@@ -273,7 +274,7 @@ func TestCancelSetStaysBounded(t *testing.T) {
 			t.Fatalf("got %#v, want the reply to request %d", rep, id)
 		}
 	}
-	waitCounter(t, g.Registry(), "wire.server.cancelled", 1, telemetry.L("lane", "0"))
+	waitCounter(t, g.Registry(), "wire.server.outcomes", 1, telemetry.L("lane", "0"), telemetry.L("outcome", "cancelled"))
 	if n := g.echoes.Load(); n != 1 {
 		t.Errorf("the echo servant ran %d times, want 1 (request 2 was cancelled in time)", n)
 	}

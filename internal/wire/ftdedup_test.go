@@ -45,6 +45,7 @@ func ftLoopback(t *testing.T, scfg ServerConfig, n int) (*Server, []*Client) {
 		}
 		srv.Shutdown(2 * time.Second)
 		readers.Wait()
+		checkLedger(t, srv)
 	})
 	return srv, clients
 }

@@ -12,9 +12,14 @@ type LaneSnapshot struct {
 	Workers    int   `json:"workers"`
 	Depth      int   `json:"depth"`
 	QueueLimit int   `json:"queue_limit"`
-	Served     int64 `json:"served"`
-	Refused    int64 `json:"refused"`
-	Shed       int64 `json:"shed"`
+	// Requests is what the lane read, Outcomes how they ended (read first:
+	// their sum never exceeds Requests, and equals it at quiesce). Served is
+	// ok + exception, Refused queue_full + draining, and Shed deadline.
+	Requests int64            `json:"requests"`
+	Outcomes map[string]int64 `json:"outcomes"`
+	Served   int64            `json:"served"`
+	Refused  int64            `json:"refused"`
+	Shed     int64            `json:"shed"`
 	// Frames is the replies the lane has written, Flushes the Writes that
 	// carried them: Frames/Flushes is the lane's messages per syscall.
 	Frames  int64 `json:"frames"`
@@ -36,17 +41,25 @@ func (s *Server) Snapshot() ServerSnapshot {
 	s.mu.Unlock()
 	out := ServerSnapshot{Name: s.name, Connections: conns, Draining: s.draining.Load()}
 	for _, lane := range s.lanes {
-		out.Lanes = append(out.Lanes, LaneSnapshot{
+		var n [len(outcomes)]int64
+		ls := LaneSnapshot{
 			Priority:   lane.cfg.Priority,
 			Workers:    lane.cfg.Workers,
 			Depth:      len(lane.ch),
 			QueueLimit: cap(lane.ch),
-			Served:     lane.served.Load(),
-			Refused:    lane.refused.Load(),
-			Shed:       lane.shed.Load(),
+			Outcomes:   make(map[string]int64, len(n)),
 			Frames:     s.frames.count(lane.label),
 			Flushes:    s.flushes.count(lane.label),
-		})
+		}
+		for o, f := range outcomes {
+			n[o] = lane.outcomes.count(f.label)
+			ls.Outcomes[f.label] = n[o]
+		}
+		ls.Requests = s.requests.count(lane.label)
+		ls.Served = n[outcomeOK] + n[outcomeException]
+		ls.Refused = n[outcomeQueueFull] + n[outcomeDraining]
+		ls.Shed = n[outcomeDeadline]
+		out.Lanes = append(out.Lanes, ls)
 	}
 	return out
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestServerClientSnapshots pins the live introspection surface: lane
-// served/refused counts and client pool state reflect real traffic, and
-// the snapshots are safe to take while the wire is busy.
+// request and served/refused counts and client pool state reflect real
+// traffic, and the snapshots are safe to take while the wire is busy.
 func TestServerClientSnapshots(t *testing.T) {
 	srv, cli := loopback(t, ServerConfig{
 		Lanes: []LaneConfig{
@@ -51,6 +51,11 @@ func TestServerClientSnapshots(t *testing.T) {
 	}
 	if efLane.Served != 5 || beLane.Served != 1 {
 		t.Fatalf("served EF=%d BE=%d, want 5/1", efLane.Served, beLane.Served)
+	}
+	for _, lane := range []*LaneSnapshot{efLane, beLane} {
+		if lane.Requests != lane.Served {
+			t.Fatalf("lane %d: %d requests read, %d served", lane.Priority, lane.Requests, lane.Served)
+		}
 	}
 	if efLane.QueueLimit != 4 || efLane.Workers != 1 {
 		t.Fatalf("EF lane config in snapshot = %+v", *efLane)

@@ -244,7 +244,7 @@ func TestTelemetrySeriesAppearOnFirstIncrement(t *testing.T) {
 	}{
 		{cli.Registry(), telemetry.Key("wire.client.requests", telemetry.L("band", "0"), telemetry.L("outcome", "ok"))},
 		{srv.Registry(), telemetry.Key("wire.server.requests", telemetry.L("lane", "0"))},
-		{srv.Registry(), telemetry.Key("wire.server.dispatched", telemetry.L("lane", "0"), telemetry.L("outcome", "ok"))},
+		{srv.Registry(), telemetry.Key("wire.server.outcomes", telemetry.L("lane", "0"), telemetry.L("outcome", "ok"))},
 		// One caller at a time: every message is a flush of its own.
 		{cli.Registry(), telemetry.Key("wire.client.frames", telemetry.L("band", "0"))},
 		{cli.Registry(), telemetry.Key("wire.client.flushes", telemetry.L("band", "0"))},

@@ -49,7 +49,8 @@ type Request struct {
 	// Priority is the propagated RT-CORBA CORBA priority (0 if absent).
 	Priority int16
 	// Oneway reports that no reply is expected.
-	Oneway bool
+	Oneway  bool
+	settled bool // settleHook's mark, in Oneway's padding: Request stays 208 B
 	// Deadline is the absolute wall-clock expiry from the end-to-end
 	// deadline context (zero time if the client set none).
 	Deadline time.Time
@@ -119,20 +120,56 @@ type ServerConfig struct {
 	Name string
 }
 
-// ftCacheCap bounds the at-most-once reply cache (internal/dedup).
-// Requests carrying the GIOP FT request context (0x13) are deduplicated
-// on their key: a replay of an executed request — a failover retry,
-// possibly over a fresh connection after a reconnect — gets the cached
-// reply bytes back instead of re-invoking the servant, and a replay
-// racing the original execution waits for its outcome instead of
-// running twice.
+// ftCacheCap bounds the at-most-once reply cache (internal/dedup), which
+// settles a failover retry of an FT-tagged request (context 0x13), on any
+// connection, as ft_replay or ft_parked instead of running it twice.
 const ftCacheCap = 8192
 
+// laneWork is one request's record from admission to settle, passed by
+// value through the lane channel or the dedup cache's parked waiters.
 type laneWork struct {
 	conn     *serverConn
 	req      *Request
 	id       uint32
 	enqueued time.Time
+	span     trace.SpanContext
+}
+
+// outcome names the mechanism that ended a request: one each, recorded by settle.
+type outcome uint8
+
+const (
+	outcomeOK        outcome = iota // the servant returned a body
+	outcomeException                // the servant or the key lookup raised
+	outcomeQueueFull                // lane admission: QueueLimit requests queued
+	outcomeDraining                 // Shutdown's drain had begun
+	outcomeDeadline                 // the deadline context expired before dequeue
+	outcomeCancelled                // a CancelRequest arrived before dequeue
+	outcomeFTReplay                 // dedup cache: the original had completed
+	outcomeFTParked                 // dedup cache: the original is in flight
+)
+
+// outcomes is what each outcome projects to. A reply is exc when set — the
+// server shed the request, and publishes events.KindShed — else the
+// servant's or the cached one settle is handed. dedup names the cache call:
+// Complete caches an executed reply for replays, Abort forgets a request
+// that never ran so a retry may. span is the span settle ends: the worker's
+// wire.dispatch, or a wire.shed of its own.
+var outcomes = [...]struct {
+	label string
+	reply bool
+	exc   Exception
+	dedup string
+	span  string
+}{
+	outcomeOK:        {label: "ok", reply: true, dedup: "Complete", span: "wire.dispatch"},
+	outcomeException: {label: "exception", reply: true, dedup: "Complete", span: "wire.dispatch"},
+	outcomeQueueFull: {label: "queue_full", reply: true, exc: Exception{ID: giop.ExcTransient, Minor: giop.MinorShed}, dedup: "Abort"},
+	outcomeDraining:  {label: "draining", reply: true, exc: Exception{ID: giop.ExcTransient, Minor: giop.MinorShed}, dedup: "Abort"},
+	outcomeDeadline:  {label: "deadline", reply: true, exc: Exception{ID: giop.ExcTimeout, Minor: 1}, dedup: "Abort", span: "wire.shed"},
+	outcomeCancelled: {label: "cancelled"},
+	outcomeFTReplay:  {label: "ft_replay", reply: true},
+	outcomeFTParked:  {label: "ft_parked"},
 }
 
 type serverLane struct {
@@ -140,13 +177,8 @@ type serverLane struct {
 	ch  chan laneWork
 	// label is the priority floor as a telemetry label value.
 	label string
-	// dispatched is wire.server.dispatched{lane,outcome} by outcome.
-	dispatched counterVec
-	// Lifetime outcome counts, readable lock-free by Snapshot for the
-	// /debug/qos introspection endpoint.
-	served  atomic.Int64
-	refused atomic.Int64
-	shed    atomic.Int64
+	// outcomes is wire.server.outcomes{lane,outcome} by outcome.
+	outcomes counterVec
 }
 
 // Server is the real-socket GIOP server: an accept loop feeding
@@ -171,7 +203,7 @@ type Server struct {
 	// wire.server.frames{lane} / wire.server.flushes{lane}.
 	requests, frames, flushes counterVec
 
-	ftCache *dedup.Cache[ftWaiter]
+	ftCache *dedup.Cache[laneWork]
 
 	lanes   []*serverLane
 	workers sync.WaitGroup
@@ -190,13 +222,6 @@ type Server struct {
 
 // maxCancelled bounds a connection's set of cancelled request ids.
 const maxCancelled = 1024
-
-// ftWaiter is a replayed request that arrived while the original was
-// still executing; it is answered when the execution settles.
-type ftWaiter struct {
-	conn *serverConn
-	id   uint32
-}
 
 type serverConn struct {
 	connWriter
@@ -227,7 +252,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		order:   cfg.ByteOrder,
 		name:    cfg.Name,
 		conns:   make(map[*serverConn]struct{}),
-		ftCache: dedup.New[ftWaiter](ftCacheCap),
+		ftCache: dedup.New[laneWork](ftCacheCap),
 		drained: make(chan struct{}, 1),
 	}
 	s.servants.Store(&map[string]Handler{})
@@ -257,9 +282,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			ch:    make(chan laneWork, lc.QueueLimit),
 			label: strconv.Itoa(int(lc.Priority)),
 		}
-		laneL := telemetry.L("lane", lane.label)
-		lane.dispatched = counterVec{reg: s.reg, name: "wire.server.dispatched",
-			fixed: []telemetry.Label{laneL}, vary: "outcome"}
+		lane.outcomes = counterVec{reg: s.reg, name: "wire.server.outcomes",
+			fixed: []telemetry.Label{telemetry.L("lane", lane.label)}, vary: "outcome"}
 		s.lanes = append(s.lanes, lane)
 		for i := 0; i < lc.Workers; i++ {
 			s.workers.Add(1)
@@ -448,9 +472,9 @@ func (s *Server) ServeConn(nc net.Conn) {
 }
 
 // handleRequest parses the request's QoS contexts and enqueues it on
-// its priority lane, refusing with TRANSIENT minor 2 when the lane
-// queue is full or the server is draining; b is the read loop's batch.
-// frame is the pooled buffer m aliases, if its frame is borrowed.
+// its priority lane, settling it at once when the dedup cache answers
+// for it or admission refuses it; b is the read loop's batch. frame is
+// the pooled buffer m aliases, if its frame is borrowed.
 func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch, frame *[]byte) {
 	qos := giop.ParseRequestQoS(m.ServiceContexts)
 	req := &Request{
@@ -483,32 +507,29 @@ func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch, fr
 	b.lane = lane
 	defer b.flush()
 	if req.hasFT {
-		// A duplicate of an executed (or executing) invocation is answered
-		// from the cache or parked — the servant never runs a second time.
-		switch verdict, cached := s.ftCache.Admit(req.ft, ftWaiter{conn: c, id: m.RequestID}); verdict {
+		switch verdict, cached := s.ftCache.Admit(req.ft, work); verdict {
 		case dedup.Replay:
-			s.reg.Counter("wire.server.ft_replays").Inc()
-			b.reply(c, m.RequestID, cached.Status, cached.Body)
+			s.settle(b, work, outcomeFTReplay, cached)
 			return
 		case dedup.Parked:
-			s.reg.Counter("wire.server.ft_waiters").Inc()
+			s.settle(b, work, outcomeFTParked, dedup.Reply{})
 			return
 		}
 	}
 	// Counted before the drain check: either Shutdown sees the request or
 	// the request sees the drain.
 	s.inflight.Add(1)
-	if s.draining.Load() {
-		s.release(1)
-		s.refuse(b, work, "draining")
-		return
+	o := outcomeDraining
+	if !s.draining.Load() {
+		select {
+		case lane.ch <- work:
+			return
+		default:
+			o = outcomeQueueFull
+		}
 	}
-	select {
-	case lane.ch <- work:
-	default:
-		s.release(1)
-		s.refuse(b, work, "queue_full")
-	}
+	s.release(1)
+	s.settle(b, work, o, dedup.Reply{})
 }
 
 // release takes n finished requests out of the in-flight count.
@@ -678,68 +699,49 @@ func (b *replyBatch) writeHeld() {
 	b.armed = false
 }
 
-// Whether a settled request reached its servant.
-const executed, refused = true, false
+// settleHook, when a test sets it, sees every request settle records.
+var settleHook func(req *Request)
 
-// settle answers a two-way request and any replays parked on it. An
-// executed outcome is cached for later replays; a refused one (refusal,
-// shed) never reached the servant and is forgotten, so a retry may still
-// execute.
-func (s *Server) settle(b *replyBatch, w laneWork, ran bool, status giop.ReplyStatus, body []byte) {
-	if w.req.Oneway {
+// settle records w's one outcome o on b's lane: the only code that counts,
+// publishes and traces a request's fate, answers it and the replays parked
+// on it, and tells the dedup cache. Its refusals are the sim ORB's bytes.
+func (s *Server) settle(b *replyBatch, w laneWork, o outcome, rep dedup.Reply) {
+	if settleHook != nil {
+		settleHook(w.req)
+	}
+	f := &outcomes[o]
+	b.lane.outcomes.get(f.label).Inc()
+	if f.exc.ID != "" && s.cfg.Bus != nil {
+		s.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindShed, s.name,
+			events.F("lane", b.lane.label), events.F("op", w.req.Operation), events.F("reason", f.label))
+	}
+	if tr := s.cfg.Tracer; tr != nil {
+		switch f.span {
+		case "wire.dispatch":
+			tr.Finish(w.span, trace.String("outcome", f.label))
+		case "wire.shed":
+			tr.Finish(tr.StartChild(w.req.TraceCtx, f.span, trace.String("op", w.req.Operation), trace.String("reason", f.label)))
+		}
+	}
+	if !f.reply || w.req.Oneway {
 		return
 	}
+	if f.exc.ID != "" {
+		rep = dedup.Reply{Status: giop.StatusSystemException, Body: giop.EncodeSystemException(f.exc.ID, f.exc.Minor, s.order)}
+	}
 	if w.req.hasFT {
-		var parked []ftWaiter
-		if ran {
-			parked = s.ftCache.Complete(w.req.ft, dedup.Reply{Status: status, Body: body})
-		} else {
+		var parked []laneWork
+		switch f.dedup {
+		case "Complete":
+			parked = s.ftCache.Complete(w.req.ft, rep)
+		case "Abort":
 			parked = s.ftCache.Abort(w.req.ft)
 		}
 		for _, p := range parked {
-			b.reply(p.conn, p.id, status, body)
+			b.reply(p.conn, p.id, rep.Status, rep.Body)
 		}
 	}
-	b.reply(w.conn, w.id, status, body)
-}
-
-// refuse sheds an arriving request with TRANSIENT minor 2 — the same
-// bytes the simulated ORB's lanes emit for an admission refusal.
-func (s *Server) refuse(b *replyBatch, w laneWork, why string) {
-	lane := b.lane
-	lane.refused.Add(1)
-	s.reg.Counter("wire.server.refused", telemetry.L("lane", lane.label), telemetry.L("reason", why)).Inc()
-	s.publishShed(w.req, lane, why)
-	s.settle(b, w, refused, giop.StatusSystemException,
-		giop.EncodeSystemException(giop.ExcTransient, giop.MinorShed, s.order))
-}
-
-// shed drops an already-queued request whose deadline expired before a
-// worker reached it, answering TIMEOUT — the wire counterpart of the
-// simulated lanes' deadline shedding.
-func (s *Server) shed(b *replyBatch, w laneWork) {
-	lane := b.lane
-	lane.shed.Add(1)
-	s.reg.Counter("wire.server.deadline_shed", telemetry.L("lane", lane.label)).Inc()
-	s.publishShed(w.req, lane, "deadline")
-	if tr := s.cfg.Tracer; tr != nil {
-		ctx := tr.StartChild(w.req.TraceCtx, "wire.shed",
-			trace.String("op", w.req.Operation), trace.String("reason", "deadline"))
-		tr.Finish(ctx)
-	}
-	s.settle(b, w, refused, giop.StatusSystemException,
-		giop.EncodeSystemException(giop.ExcTimeout, 1, s.order))
-}
-
-func (s *Server) publishShed(req *Request, lane *serverLane, why string) {
-	if s.cfg.Bus == nil {
-		return
-	}
-	s.cfg.Bus.PublishAt(sim.Wall.Now(), events.KindShed, s.name,
-		events.F("lane", lane.label),
-		events.F("op", req.Operation),
-		events.F("reason", why),
-	)
+	b.reply(w.conn, w.id, rep.Status, rep.Body)
 }
 
 // worker drains one lane until its channel closes at shutdown, holding
@@ -774,9 +776,9 @@ func (s *Server) worker(lane *serverLane) {
 		if _, cancelled := w.conn.cancelled.LoadAndDelete(w.id); cancelled && (!w.req.hasFT || s.ftCache.Cancel(w.req.ft)) {
 			// (A replay parked on a cancelled request still wants the
 			// outcome: then Cancel says no and the request executes.)
-			s.reg.Counter("wire.server.cancelled", laneL).Inc()
+			s.settle(b, w, outcomeCancelled, dedup.Reply{})
 		} else if !w.req.Deadline.IsZero() && now.After(w.req.Deadline) {
-			s.shed(b, w)
+			s.settle(b, w, outcomeDeadline, dedup.Reply{})
 		} else {
 			ran = s.dispatch(b, w, execH)
 		}
@@ -791,16 +793,13 @@ func (s *Server) worker(lane *serverLane) {
 	}
 }
 
-// dispatch runs the servant and queues the reply; it returns how long the
-// servant ran.
+// dispatch runs the servant and settles the request; it returns how long
+// the servant ran.
 func (s *Server) dispatch(b *replyBatch, w laneWork, execH *telemetry.Histogram) time.Duration {
-	lane := b.lane
-	var ctx trace.SpanContext
-	tr := s.cfg.Tracer
-	if tr != nil {
-		ctx = tr.StartChild(w.req.TraceCtx, "wire.dispatch",
+	if tr := s.cfg.Tracer; tr != nil {
+		w.span = tr.StartChild(w.req.TraceCtx, "wire.dispatch",
 			trace.String("op", w.req.Operation),
-			trace.String("lane", lane.label),
+			trace.String("lane", b.lane.label),
 			trace.Int("priority", int64(w.req.Priority)))
 	}
 	start := time.Now()
@@ -816,29 +815,17 @@ func (s *Server) dispatch(b *replyBatch, w laneWork, execH *telemetry.Histogram)
 
 	elapsed := time.Since(start)
 	execH.ObserveEx(float64(elapsed)/float64(time.Millisecond), telemetry.Exemplar{
-		TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span), At: sim.Wall.At(start) + elapsed,
+		TraceID: uint64(w.span.Trace), SpanID: uint64(w.span.Span), At: sim.Wall.At(start) + elapsed,
 	})
-	outcome := "ok"
+	o, status := outcomeOK, giop.StatusNoException
 	if err != nil {
-		outcome = "exception"
+		e, ok := err.(*Exception)
+		if !ok {
+			e = &Exception{ID: giop.ExcUnknown, Minor: 1}
+		}
+		o, status, body = outcomeException, giop.StatusSystemException, giop.EncodeSystemException(e.ID, e.Minor, s.order)
 	}
-	if tr != nil {
-		tr.Finish(ctx, trace.String("outcome", outcome))
-	}
-	lane.served.Add(1)
-	lane.dispatched.get(outcome).Inc()
-
-	// The servant ran (or the key resolution failed deterministically):
-	// replays get these exact bytes.
-	status := giop.StatusNoException
-	switch e := err.(type) {
-	case nil:
-	case *Exception:
-		status, body = giop.StatusSystemException, giop.EncodeSystemException(e.ID, e.Minor, s.order)
-	default:
-		status, body = giop.StatusSystemException, giop.EncodeSystemException(giop.ExcUnknown, 1, s.order)
-	}
-	s.settle(b, w, executed, status, body)
+	s.settle(b, w, o, dedup.Reply{Status: status, Body: body})
 	return elapsed
 }
 

@@ -99,7 +99,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		"wire_client_rtt_ms",
 		"wire_server_exec_ms",
-		"wire_server_dispatched",
+		"wire_server_outcomes",
 		"wire_server_connections",
 	} {
 		if !strings.Contains(text, want) {

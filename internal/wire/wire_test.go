@@ -43,6 +43,7 @@ func loopback(t *testing.T, scfg ServerConfig, ccfg ClientConfig) (*Server, *Cli
 		cli.Close()
 		srv.Shutdown(2 * time.Second)
 		readers.Wait()
+		checkLedger(t, srv)
 	})
 	return srv, cli
 }
