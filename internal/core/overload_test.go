@@ -106,22 +106,22 @@ func TestLaneShedsProtectHighBand(t *testing.T) {
 	if p99 > highP99Bound {
 		t.Errorf("high band p99 = %v, want <= %v under low-band flood", p99, highP99Bound)
 	}
-	if poa.Pool().Refused(1) != 0 || poa.Pool().Shed(1) != 0 {
-		t.Errorf("high lane shed work: refused=%d shed=%d",
-			poa.Pool().Refused(1), poa.Pool().Shed(1))
+	if hi := poa.Pool().Stats(1); hi.Refused != 0 || hi.Evicted+hi.Deadline != 0 {
+		t.Errorf("high lane shed work: refused=%d shed=%d", hi.Refused, hi.Evicted+hi.Deadline)
 	}
 
 	// Low band: degraded, with both shedding mechanisms engaged, and the
 	// lane queue bounded.
 	pool := poa.Pool()
-	shed := pool.Refused(0) + pool.Shed(0)
+	st := pool.Stats(0)
+	shed := st.Refused + st.Evicted + st.Deadline
 	if shed == 0 {
 		t.Fatal("low band was not shed despite 2x overload")
 	}
-	if pool.Refused(0) == 0 {
+	if st.Refused == 0 {
 		t.Error("no admission refusals at the watermark")
 	}
-	if pool.ShedDeadline(0) == 0 {
+	if st.Deadline == 0 {
 		t.Error("no deadline sheds from the lane queue")
 	}
 	rate := float64(shed) / float64(lowOffered)
@@ -132,7 +132,7 @@ func TestLaneShedsProtectHighBand(t *testing.T) {
 		t.Errorf("low lane queue depth %d exceeds its limit", pool.QueueDepth(0))
 	}
 	// Conservation: every offered message is accounted for.
-	accounted := pool.Served(0) + pool.Refused(0) + pool.Shed(0) + int64(pool.QueueDepth(0))
+	accounted := st.Served + shed + int64(pool.QueueDepth(0))
 	if accounted < lowOffered {
 		t.Errorf("accounting hole: offered %d, accounted %d", lowOffered, accounted)
 	}

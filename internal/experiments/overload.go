@@ -229,8 +229,9 @@ func RunOverload(opt Options) OverloadResult {
 		bt := bt
 		sys.K.At(sim.Time(bt), func() {
 			pool := poa1.Pool()
-			served := pool.Served(0)
-			shed := pool.Refused(0) + pool.Shed(0)
+			st := pool.Stats(0)
+			served := st.Served
+			shed := st.Refused + st.Evicted + st.Deadline
 			b := OverloadBucket{
 				At:         bt,
 				Phase:      phase(bt),
@@ -251,12 +252,11 @@ func RunOverload(opt Options) OverloadResult {
 	sys.RunUntil(sim.Time(dur + 500*time.Millisecond))
 
 	pool := poa1.Pool()
-	r.LowServed = pool.Served(0)
-	r.LowRefused = pool.Refused(0)
-	r.LowShedDeadline = pool.ShedDeadline(0)
-	r.LowShedEvicted = pool.ShedEvicted(0)
+	st := pool.Stats(0)
+	r.LowServed, r.LowRefused = st.Served, st.Refused
+	r.LowShedDeadline, r.LowShedEvicted = st.Deadline, st.Evicted
 	if r.LowOffered > 0 {
-		r.ShedRate = float64(r.LowRefused+pool.Shed(0)) / float64(r.LowOffered)
+		r.ShedRate = float64(st.Refused+st.Evicted+st.Deadline) / float64(r.LowOffered)
 	}
 	r.PrimaryQueueFinal = pool.QueueDepth(0)
 	r.HighOver = highLat.Window(sim.Time(warmEnd), sim.Time(overEnd)).Summarize()

@@ -142,7 +142,7 @@ func TestBreakerRoutesAroundSaturatedReplica(t *testing.T) {
 	}
 	// The primary saw exactly BreakerThreshold refusals; once open, no
 	// more traffic reached it.
-	if got := poa0.Pool().Refused(0); got != 3 {
+	if got := poa0.Pool().Stats(0).Refused; got != 3 {
 		t.Fatalf("primary refusals = %d, want exactly the 3 pre-open probes", got)
 	}
 	if got := r.client.BreakerState(ref1.Addr); got != BreakerClosed {

@@ -301,7 +301,7 @@ func TestFTDedupRefusalNotCached(t *testing.T) {
 	})
 	r.k.RunUntil(2 * time.Second)
 
-	if got := poa.Pool().Refused(0); got == 0 {
+	if got := poa.Pool().Stats(0).Refused; got == 0 {
 		t.Fatal("no attempt was refused: the scenario did not exercise the refusal path")
 	}
 	if callErr != nil {

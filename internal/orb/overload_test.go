@@ -62,7 +62,7 @@ func TestOverloadReplyClassified(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("overload rejection took %v, want a fast reply", elapsed)
 	}
-	if got := poa.Pool().Refused(0); got != 1 {
+	if got := poa.Pool().Stats(0).Refused; got != 1 {
 		t.Fatalf("server refused count = %d, want 1", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestDeadlineShedInServerLane(t *testing.T) {
 	if fast.calls != 0 {
 		t.Fatalf("expired request executed %d times, want shed", fast.calls)
 	}
-	if got := poa.Pool().ShedDeadline(0); got != 1 {
+	if got := poa.Pool().Stats(0).Deadline; got != 1 {
 		t.Fatalf("server ShedDeadline = %d, want 1", got)
 	}
 }

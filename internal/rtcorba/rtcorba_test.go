@@ -164,8 +164,8 @@ func TestThreadPoolLaneSelection(t *testing.T) {
 	if lane0 != 2 || lane1 != 2 {
 		t.Fatalf("lane work split = %d/%d, want 2/2", lane0, lane1)
 	}
-	if tp.Served(0) != 2 || tp.Served(1) != 2 {
-		t.Fatalf("served = %d/%d", tp.Served(0), tp.Served(1))
+	if tp.Stats(0).Served != 2 || tp.Stats(1).Served != 2 {
+		t.Fatalf("served = %d/%d", tp.Stats(0).Served, tp.Stats(1).Served)
 	}
 }
 
@@ -208,8 +208,8 @@ func TestThreadPoolBoundedQueueRefuses(t *testing.T) {
 	if accepted != 2 {
 		t.Fatalf("accepted %d, want 2 (bounded queue)", accepted)
 	}
-	if tp.Refused(0) != 3 {
-		t.Fatalf("refused = %d, want 3", tp.Refused(0))
+	if tp.Stats(0).Refused != 3 {
+		t.Fatalf("refused = %d, want 3", tp.Stats(0).Refused)
 	}
 	k.RunUntil(10 * time.Second)
 }

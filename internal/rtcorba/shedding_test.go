@@ -1,12 +1,13 @@
 package rtcorba
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/rtos"
 	"repro/internal/sim"
-	"repro/internal/trace/telemetry"
+	"repro/internal/trace"
 )
 
 // TestRejectLowestFirstEviction pins the shedding policy: a
@@ -45,8 +46,8 @@ func TestRejectLowestFirstEviction(t *testing.T) {
 	if evictedPrio != 10 || evictedReason != ShedEvicted {
 		t.Fatalf("evicted priority %d reason %v, want 10 evicted", evictedPrio, evictedReason)
 	}
-	if tp.ShedEvicted(0) != 1 || tp.Refused(0) != 1 {
-		t.Fatalf("shedEvicted=%d refused=%d, want 1/1", tp.ShedEvicted(0), tp.Refused(0))
+	if st := tp.Stats(0); st.Evicted != 1 || st.Refused != 1 {
+		t.Fatalf("evicted=%d refused=%d, want 1/1", st.Evicted, st.Refused)
 	}
 	k.RunUntil(10 * time.Second)
 }
@@ -95,7 +96,7 @@ func TestWatermarkValidation(t *testing.T) {
 }
 
 // TestDeadlineShedAtDequeue pins the budget check: work whose deadline
-// expired while queued is shed (callback, counter) instead of executed.
+// expired while queued is shed (callback, count) instead of executed.
 func TestDeadlineShedAtDequeue(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := rtos.NewHost(k, "h", rtos.HostConfig{})
@@ -103,8 +104,6 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	tp.SetTelemetry(reg)
 	ran, shed := 0, 0
 	var shedReason ShedReason
 	// First item occupies the thread for 100ms; the second has a 10ms
@@ -130,10 +129,86 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	if ranLate != 1 {
 		t.Fatal("in-budget work was not executed")
 	}
-	if tp.ShedDeadline(0) != 1 || tp.Shed(0) != 1 {
-		t.Fatalf("ShedDeadline=%d Shed=%d, want 1/1", tp.ShedDeadline(0), tp.Shed(0))
+	if st := tp.Stats(0); st != (LaneStats{Served: 2, Deadline: 1}) {
+		t.Fatalf("stats %+v, want 2 served, 1 deadline", st)
 	}
-	if got := reg.Counter("pool.shed", telemetry.L("lane", "0"), telemetry.L("reason", "deadline")).Value(); got != 1 {
-		t.Fatalf("telemetry pool.shed = %v, want 1", got)
+}
+
+// TestLaneOutcomeEachFate drives one work item to each of the pool's four
+// outcomes behind a busy thread: A runs, C is evicted by E, D is refused at
+// the full queue, B's deadline passes while it waits, and E runs. Each is
+// counted once in Stats, reaches the shed hook and the Work.Shed callback
+// (a refusal only the hook: Dispatch's false answers the caller), and ends
+// its lane.queue span with its outcome's event.
+func TestLaneOutcomeEachFate(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	h := rtos.NewHost(k, "h", rtos.HostConfig{})
+	tp, err := NewThreadPool(h, NewMappingManager(), LaneConfig{Priority: 0, Threads: 1, QueueLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewTracer(k)
+	tp.SetTracer(tr)
+	var hook, shed []string
+	tp.SetShedHook(func(_ Priority, reason string) { hook = append(hook, reason) })
+	offered := 0
+	dispatch := func(name string, p Priority, dl time.Duration, fn func(*rtos.Thread)) bool {
+		offered++
+		root := tr.StartRoot(name, trace.LayerApp)
+		defer root.Finish()
+		return tp.Dispatch(Work{Priority: p, Fn: fn, Ctx: root.Context(), Deadline: sim.Time(dl),
+			Shed: func(r ShedReason) { shed = append(shed, name+" "+r.String()) }})
+	}
+	busy := func(t *rtos.Thread) { t.Compute(100 * time.Millisecond) }
+	quick := func(*rtos.Thread) {}
+
+	dispatch("A", 10, 0, busy)
+	k.RunUntil(sim.Time(time.Millisecond)) // the thread is running A
+	dispatch("B", 20, 50*time.Millisecond, quick)
+	dispatch("C", 5, 0, quick)
+	if dispatch("D", 5, 0, quick) {
+		t.Fatal("D admitted to a full lane with no lower-priority victim")
+	}
+	if !dispatch("E", 30, 0, quick) {
+		t.Fatal("E refused despite an evictable victim")
+	}
+	k.RunUntil(sim.Time(time.Second))
+
+	st := tp.Stats(0)
+	if st != (LaneStats{Served: 2, Refused: 1, Evicted: 1, Deadline: 1}) {
+		t.Errorf("stats %+v, want 2 served and one of each other outcome", st)
+	}
+	if sum := st.Served + st.Refused + st.Evicted + st.Deadline + int64(tp.QueueDepth(0)); sum != int64(offered) {
+		t.Errorf("offered %d, accounted %d", offered, sum)
+	}
+	if got, want := fmt.Sprint(hook), "[refused evicted deadline]"; got != want {
+		t.Errorf("shed hook reasons %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(shed), "[C evicted B deadline]"; got != want {
+		t.Errorf("Shed callbacks %s, want %s", got, want)
+	}
+	events := map[string]string{}
+	parent := map[trace.SpanID]string{}
+	spans := tr.Collector().Spans()
+	for _, s := range spans {
+		if s.Parent == 0 {
+			parent[s.ID] = s.Name
+		}
+	}
+	for _, s := range spans {
+		if s.Name != "lane.queue" {
+			continue
+		}
+		var evs []string
+		for _, e := range s.Events {
+			evs = append(evs, fmt.Sprint(e.Name, e.Attrs))
+		}
+		events[parent[s.Parent]] = fmt.Sprint(evs)
+	}
+	want := map[string]string{"A": "[]", "B": "[deadline_expired[]]", "C": "[shed[{reason evicted}]]",
+		"D": "[refused[]]", "E": "[]"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("lane.queue events by item %v, want %v", events, want)
 	}
 }

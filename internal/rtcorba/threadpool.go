@@ -6,7 +6,6 @@ import (
 	"repro/internal/rtos"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/trace/telemetry"
 )
 
 // ShedReason classifies why the pool discarded a work item instead of
@@ -93,18 +92,12 @@ type ThreadPool struct {
 	mm       *MappingManager
 	lanes    []*lane
 	tracer   *trace.Tracer
-	reg      *telemetry.Registry
 	shedHook func(lane Priority, reason string)
 }
 
 // SetTracer enables lane-queue spans for work items carrying a trace
 // context. A nil tracer disables them.
 func (tp *ThreadPool) SetTracer(tr *trace.Tracer) { tp.tracer = tr }
-
-// SetTelemetry publishes per-lane shed and refusal counters into reg
-// (pool.shed{lane,reason} and pool.refused{lane}). A nil registry
-// disables them.
-func (tp *ThreadPool) SetTelemetry(reg *telemetry.Registry) { tp.reg = reg }
 
 // SetShedHook installs fn to observe every discarded work item: reason
 // is "evicted" or "deadline" for post-admission sheds and "refused" for
@@ -113,14 +106,31 @@ func (tp *ThreadPool) SetTelemetry(reg *telemetry.Registry) { tp.reg = reg }
 func (tp *ThreadPool) SetShedHook(fn func(lane Priority, reason string)) { tp.shedHook = fn }
 
 type lane struct {
-	cfg          LaneConfig
-	native       rtos.Priority
-	queue        *sim.Queue[Work]
-	threads      []*rtos.Thread
-	served       int64
-	refused      int64
-	shedEvicted  int64
-	shedDeadline int64
+	cfg     LaneConfig
+	native  rtos.Priority
+	queue   *sim.Queue[Work]
+	threads []*rtos.Thread
+	n       [4]int64 // work items by outcome
+}
+
+// outcome is how a work item's stay in a lane ended. settle is the one
+// place each is counted and, for the three that discard the item, traced
+// and reported; the name is the shed hook's reason.
+type outcome int
+
+const (
+	served   outcome = iota // a lane thread ran Fn
+	refused                 // admission: hard limit with no victim, or the watermark
+	evicted                 // a higher-priority arrival took its slot
+	deadline                // its deadline had passed when a thread dequeued it
+)
+
+var outcomeNames = [...]string{"served", "refused", "evicted", "deadline"}
+
+// LaneStats counts a lane's work items by outcome. Every item Dispatch
+// was offered is in one of them, or still queued or running.
+type LaneStats struct {
+	Served, Refused, Evicted, Deadline int64
 }
 
 // lowerPriority orders work items for eviction: strictly by CORBA
@@ -179,7 +189,7 @@ func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 		// Check the remaining deadline budget before spending CPU: a
 		// request that already expired in the queue is shed, not served.
 		if w.Deadline > 0 && t.Now() > w.Deadline {
-			tp.shed(ln, w, ShedDeadline)
+			tp.settle(ln, w, deadline)
 			continue
 		}
 		if w.qspan != nil {
@@ -196,39 +206,42 @@ func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 			t.SetPriority(ln.native)
 		}
 		w.Fn(t)
-		ln.served++
+		tp.settle(ln, w, served)
 		t.SetPriority(ln.native)
 	}
 }
 
-// shed records and reports the discard of a queued work item.
-func (tp *ThreadPool) shed(ln *lane, w Work, reason ShedReason) {
-	switch reason {
-	case ShedEvicted:
-		ln.shedEvicted++
-	case ShedDeadline:
-		ln.shedDeadline++
+// settle counts a work item's outcome. An item the lane discards also
+// leaves its event on the lane.queue span (or, untraced past dequeue, a
+// deadline_expired span), reaches the shed hook, and — once admitted —
+// has its Shed callback told why.
+func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
+	ln.n[o]++
+	if o == served {
+		return
 	}
 	if w.qspan != nil {
-		if reason == ShedDeadline {
+		switch o {
+		case refused:
+			w.qspan.Event("refused")
+		case evicted:
+			w.qspan.Event("shed", trace.String("reason", "evicted"))
+		case deadline:
 			w.qspan.Event("deadline_expired")
-		} else {
-			w.qspan.Event("shed", trace.String("reason", reason.String()))
 		}
 		w.qspan.Finish()
-	} else if tp.tracer != nil && w.Ctx.Valid() && reason == ShedDeadline {
+	} else if tp.tracer != nil && w.Ctx.Valid() && o == deadline {
 		s := tp.tracer.StartChild(w.Ctx, "deadline_expired", trace.LayerOverload)
 		s.Finish()
 	}
-	if tp.reg != nil {
-		tp.reg.Counter("pool.shed",
-			telemetry.L("lane", fmt.Sprint(ln.cfg.Priority)),
-			telemetry.L("reason", reason.String())).Inc()
-	}
 	if tp.shedHook != nil {
-		tp.shedHook(ln.cfg.Priority, reason.String())
+		tp.shedHook(ln.cfg.Priority, outcomeNames[o])
 	}
-	if w.Shed != nil {
+	if w.Shed != nil && o != refused {
+		reason := ShedEvicted
+		if o == deadline {
+			reason = ShedDeadline
+		}
 		w.Shed(reason)
 	}
 }
@@ -253,7 +266,8 @@ func (tp *ThreadPool) Dispatch(w Work) bool {
 	// equal-priority requests stabilises at the watermark.
 	if ln.cfg.HighWatermark > 0 && ln.queue.Len() >= ln.cfg.HighWatermark {
 		if min, ok := ln.queue.Min(lowerPriority); !ok || w.Priority <= min.Priority {
-			return tp.refuse(ln, w)
+			tp.settle(ln, w, refused)
+			return false
 		}
 	}
 	if ln.queue.Put(w) {
@@ -264,27 +278,13 @@ func (tp *ThreadPool) Dispatch(w Work) bool {
 	// arrival itself.
 	if min, ok := ln.queue.Min(lowerPriority); ok && min.Priority < w.Priority {
 		if victim, ok := ln.queue.EvictMin(lowerPriority); ok {
-			tp.shed(ln, victim, ShedEvicted)
+			tp.settle(ln, victim, evicted)
 			if ln.queue.Put(w) {
 				return true
 			}
 		}
 	}
-	return tp.refuse(ln, w)
-}
-
-func (tp *ThreadPool) refuse(ln *lane, w Work) bool {
-	ln.refused++
-	if w.qspan != nil {
-		w.qspan.Event("refused")
-		w.qspan.Finish()
-	}
-	if tp.reg != nil {
-		tp.reg.Counter("pool.refused", telemetry.L("lane", fmt.Sprint(ln.cfg.Priority))).Inc()
-	}
-	if tp.shedHook != nil {
-		tp.shedHook(ln.cfg.Priority, "refused")
-	}
+	tp.settle(ln, w, refused)
 	return false
 }
 
@@ -300,25 +300,10 @@ func (tp *ThreadPool) laneFor(p Priority) *lane {
 	return best
 }
 
-// Served returns the number of completed dispatches in lane i.
-func (tp *ThreadPool) Served(i int) int64 { return tp.lanes[i].served }
-
-// Refused returns the number of dispatches refused by lane i (hard
-// queue limit with no evictable victim, or watermark admission control).
-func (tp *ThreadPool) Refused(i int) int64 { return tp.lanes[i].refused }
-
-// ShedEvicted returns the number of queued items lane i evicted to admit
-// higher-priority arrivals.
-func (tp *ThreadPool) ShedEvicted(i int) int64 { return tp.lanes[i].shedEvicted }
-
-// ShedDeadline returns the number of items lane i discarded at dequeue
-// because their end-to-end deadline had expired.
-func (tp *ThreadPool) ShedDeadline(i int) int64 { return tp.lanes[i].shedDeadline }
-
-// Shed returns the total number of work items lane i discarded after
-// admission (evictions plus deadline sheds).
-func (tp *ThreadPool) Shed(i int) int64 {
-	return tp.lanes[i].shedEvicted + tp.lanes[i].shedDeadline
+// Stats returns lane i's outcome counts.
+func (tp *ThreadPool) Stats(i int) LaneStats {
+	n := tp.lanes[i].n
+	return LaneStats{Served: n[served], Refused: n[refused], Evicted: n[evicted], Deadline: n[deadline]}
 }
 
 // QueueDepth returns the number of requests buffered in lane i.

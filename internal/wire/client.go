@@ -297,6 +297,12 @@ func (c *Client) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, 
 	if err != nil {
 		outcome = errClass(err)
 	}
+	// The one breaker verdict: an open circuit answered locally and a
+	// closed client tore itself down, so neither says anything about the
+	// endpoint; every other outcome does.
+	if outcome != "circuit_open" && outcome != "closed" {
+		c.record(b, err != nil && breakerFailure(err))
+	}
 	if tr != nil {
 		tr.Finish(ctx, trace.String("outcome", outcome))
 	}
@@ -379,7 +385,6 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 			if errors.Is(err, ErrClientClosed) {
 				return nil, err
 			}
-			c.record(b, true)
 			return nil, fmt.Errorf("%w: %s: %v", ErrDial, c.cfg.Addr, err)
 		}
 		if opts.Oneway {
@@ -395,7 +400,6 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 		// gets a live one.
 		b.remove(conn)
 		if attempt > 0 {
-			c.record(b, true)
 			return nil, err
 		}
 	}
@@ -403,11 +407,9 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	// send returns: the write deadline is the call's expiry, so a wedged
 	// peer cannot block past it.
 	if err := conn.send(len(body), func(dst []byte) []byte { return req.AppendQoS(dst, requestOrder, &qos) }, expiry, others); err != nil {
-		c.record(b, true)
 		return nil, fmt.Errorf("%w: write %s: %v", ErrUnavailable, c.cfg.Addr, err)
 	}
 	if opts.Oneway {
-		c.record(b, false)
 		return nil, nil
 	}
 
@@ -417,29 +419,20 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	case <-call.done:
 	case <-timer.C:
 		conn.cancel(id)
-		c.record(b, true)
 		return nil, fmt.Errorf("%w: %v elapsed waiting for %s", ErrDeadlineExpired, timeout, op)
 	}
 
 	if call.err != nil {
-		c.record(b, true)
 		return nil, call.err
 	}
-	rep := call.reply
-	var err2 error
-	switch rep.Status {
+	switch rep := call.reply; rep.Status {
 	case giop.StatusNoException:
-		err2 = nil
+		return rep.Body, nil
 	case giop.StatusSystemException:
-		err2 = decodeException(rep.Body, call.order)
+		return nil, decodeException(rep.Body, call.order)
 	default:
-		err2 = fmt.Errorf("%w: reply status %v", ErrProtocol, rep.Status)
+		return nil, fmt.Errorf("%w: reply status %v", ErrProtocol, rep.Status)
 	}
-	c.record(b, err2 != nil && breakerFailure(err2))
-	if err2 != nil {
-		return nil, err2
-	}
-	return rep.Body, nil
 }
 
 // record books one outcome against the band's circuit and publishes any

@@ -603,10 +603,17 @@ func TestFlushFailureDropsConnectionOnce(t *testing.T) {
 		_, err := cli.Invoke("app/echo", "echo", []byte("y"), CallOptions{Timeout: 10 * time.Second})
 		errs <- err
 	}()
-	waitCounter(t, cli.Registry(), "wire.client.dials", 2, telemetry.L("band", "0"))
-	mu.Lock()
-	peer := peers[1]
-	mu.Unlock()
+	// (The dials counter moves before the Dial hook runs, so wait for the
+	// hook itself.)
+	var peer net.Conn
+	eventually(t, "the second dial", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(peers) > 1 {
+			peer = peers[1]
+		}
+		return peer != nil
+	})
 	frame, err := giop.ReadFrame(peer, 0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -100,6 +100,7 @@ type GroupClient struct {
 	closed    atomic.Bool
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
+	requests  counterVec // wire.group.requests{outcome}
 }
 
 // ftGroup is the object-group id group clients stamp in FT request
@@ -144,6 +145,7 @@ func NewGroupClient(cfg GroupConfig) (*GroupClient, error) {
 		jrand:     rand.New(rand.NewSource(tmpl.Seed)),
 		probeStop: make(chan struct{}),
 	}
+	g.requests = counterVec{reg: g.reg, name: "wire.group.requests", vary: "outcome"}
 	for i, addr := range cfg.Endpoints {
 		addr := addr
 		ccfg := *tmpl
@@ -194,133 +196,150 @@ func (g *GroupClient) Close() {
 	}
 }
 
+// groupCall is one logical invocation's ledger: Invoke's attempt loop
+// fills it and settle books it, once. Its outcome names the mechanism that
+// ended the call: ok (the first attempt answered), recovered (a later one
+// did), not_retryable (retryable said no), retry_denied (the RetryBudget),
+// exhausted (one attempt per member plus one), deadline (it passed before
+// an attempt, or the next backoff would cross it) or closed (Close had
+// run).
+type groupCall struct {
+	op        string
+	span      trace.SpanContext
+	start     time.Time
+	first, ep int // the primary when the call began; the last endpoint tried
+	attempts  int
+	err       error
+	outcome   string
+}
+
 // Invoke performs one logical invocation with transparent failover.
 // The request is stamped with a fresh FT retention id (unless opts.FT
 // already carries one — a caller-level retry of the same logical
 // request), so every transport-level attempt is deduplicated
 // server-side.
 func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, error) {
-	if g.closed.Load() {
-		return nil, ErrClientClosed
-	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = g.eps[0].cli.cfg.RequestTimeout
 	}
-	start := time.Now()
-	deadline := start.Add(timeout)
 	if opts.FT == nil {
 		opts.FT = &FTRequest{Group: ftGroup, Client: g.ftClient, Retention: g.retention.Add(1)}
 	}
-
-	var span trace.SpanContext
+	call := groupCall{op: op, start: time.Now(), first: int(g.primary.Load())}
+	deadline := call.start.Add(timeout)
 	tr := g.cfg.Client.Tracer
 	if tr != nil {
-		span = tr.StartRoot("group.invoke",
+		call.span = tr.StartRoot("group.invoke",
 			trace.String("op", op),
 			trace.Int("priority", int64(opts.Priority)),
 			trace.Int("retention", int64(opts.FT.Retention)))
 	}
+	call.ep = g.pick(call.first, opts.Priority)
+	if g.closed.Load() {
+		call.err, call.outcome = ErrClientClosed, "closed"
+	}
 
-	first := int(g.primary.Load())
-	ep := g.pick(first, opts.Priority)
-	var lastErr error
+	var res []byte
 	ambiguous := false
-	for attempt := 1; ; attempt++ {
+	for call.outcome == "" {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %v elapsed across failover attempts for %s", ErrDeadlineExpired, timeout, op)
+			if call.err == nil {
+				call.err = fmt.Errorf("%w: %v elapsed across failover attempts for %s", ErrDeadlineExpired, timeout, op)
 			}
+			call.outcome = "deadline"
 			break
 		}
 		opts2 := opts
 		opts2.Timeout = remaining
-		res, err := g.eps[ep].cli.Invoke(key, op, body, opts2)
-		if attempt == 1 {
+		res, call.err = g.eps[call.ep].cli.Invoke(key, op, body, opts2)
+		call.attempts++
+		if call.attempts == 1 {
 			g.budget.Earn()
 		}
-		if err == nil {
-			if attempt > 1 {
-				g.recordFailover(op, first, ep, attempt, start, span)
-			}
-			if tr != nil {
-				tr.Finish(span, trace.String("outcome", "ok"),
-					trace.String("endpoint", g.eps[ep].addr),
-					trace.Int("attempts", int64(attempt)))
-			}
-			return res, nil
+		err := call.err
+		ambiguous = ambiguous || isAmbiguous(err)
+		switch {
+		case err == nil && call.attempts == 1:
+			call.outcome = "ok"
+		case err == nil:
+			call.outcome = "recovered"
+		case errors.Is(err, ErrClientClosed):
+			call.outcome = "closed"
+		case !retryable(err):
+			call.outcome = "not_retryable"
+		case call.attempts > len(g.eps):
+			call.outcome = "exhausted"
+		case !g.budget.TryAcquire():
+			call.outcome = "retry_denied"
 		}
-		lastErr = err
-		if isAmbiguous(err) {
-			ambiguous = true
-		}
-		// At most one attempt per member, plus one.
-		if !retryable(err, opts.Idempotent, ambiguous) || attempt > len(g.eps) {
+		if call.outcome != "" {
 			break
 		}
-		if !g.budget.TryAcquire() {
-			g.reg.Counter("wire.group.retry_denied").Inc()
-			if tr != nil {
-				tr.Event(span, "retry_denied", trace.String("error", errClass(err)))
-			}
+		next := g.next(call.ep, opts.Priority, opts.Idempotent, ambiguous)
+		d := g.backoff(call.attempts)
+		if d >= time.Until(deadline) {
+			call.outcome = "deadline"
 			break
 		}
-		next := g.next(ep, opts.Priority, opts.Idempotent, ambiguous)
-		if d := g.backoff(attempt); d > 0 {
-			if d >= time.Until(deadline) {
-				break
-			}
-			time.Sleep(d)
-		}
+		time.Sleep(d)
 		g.reg.Counter("wire.group.retries",
 			telemetry.L("error", errClass(err)),
-			telemetry.L("from", g.eps[ep].addr)).Inc()
+			telemetry.L("from", g.eps[call.ep].addr)).Inc()
 		if tr != nil {
-			tr.Event(span, "failover_attempt",
+			tr.Event(call.span, "failover_attempt",
 				trace.String("error", errClass(err)),
-				trace.String("from", g.eps[ep].addr),
+				trace.String("from", g.eps[call.ep].addr),
 				trace.String("to", g.eps[next].addr))
 		}
 		if g.cfg.Client.Bus != nil {
 			g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
 				events.F("op", op),
-				events.F("from", g.eps[ep].addr),
+				events.F("from", g.eps[call.ep].addr),
 				events.F("to", g.eps[next].addr),
 				events.F("error", errClass(err)),
-				events.F("attempt", fmt.Sprintf("%d", attempt)),
+				events.F("attempt", fmt.Sprintf("%d", call.attempts)),
 			)
 		}
-		ep = next
+		call.ep = next
 	}
-	if tr != nil {
-		tr.Finish(span, trace.String("outcome", errClass(lastErr)),
-			trace.String("endpoint", g.eps[ep].addr))
-	}
-	return nil, lastErr
+	return res, g.settle(call)
 }
 
-// recordFailover books a successful failover: telemetry (the
-// failover-time histogram the chaos bench reports), a bus record, and
-// primary promotion so subsequent requests go straight to the endpoint
-// that answered — the wire counterpart of ft.Group.Promote.
-func (g *GroupClient) recordFailover(op string, from, to, attempts int, start time.Time, span trace.SpanContext) {
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	g.reg.Counter("wire.group.failovers", telemetry.L("to", g.eps[to].addr)).Inc()
-	g.reg.Histogram("wire.group.failover_ms").ObserveEx(ms, telemetry.Exemplar{
-		TraceID: uint64(span.Trace), SpanID: uint64(span.Span), Value: ms, At: sim.Wall.Now(),
-	})
-	if to != from {
-		g.primary.CompareAndSwap(int32(from), int32(to))
+// settle books a logical invocation's one outcome: it counts
+// wire.group.requests{outcome} and ends the group.invoke span. A recovery
+// also observes wire.group.failover_ms (the failover time the chaos soak
+// reports), publishes a KindFailover record, and promotes the endpoint
+// that answered so later calls go straight to it — the wire counterpart of
+// ft.Group.Promote.
+func (g *GroupClient) settle(c groupCall) error {
+	g.requests.get(c.outcome).Inc()
+	if c.outcome == "recovered" {
+		ms := float64(time.Since(c.start)) / float64(time.Millisecond)
+		g.reg.Histogram("wire.group.failover_ms").ObserveEx(ms, telemetry.Exemplar{
+			TraceID: uint64(c.span.Trace), SpanID: uint64(c.span.Span), Value: ms, At: sim.Wall.Now(),
+		})
+		g.primary.CompareAndSwap(int32(c.first), int32(c.ep))
+		if g.cfg.Client.Bus != nil {
+			g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
+				events.F("op", c.op),
+				events.F("to", g.eps[c.ep].addr),
+				events.F("attempts", fmt.Sprintf("%d", c.attempts)),
+				events.F("outcome", "recovered"),
+			)
+		}
 	}
-	if g.cfg.Client.Bus != nil {
-		g.cfg.Client.Bus.PublishAt(sim.Wall.Now(), events.KindFailover, g.name,
-			events.F("op", op),
-			events.F("to", g.eps[to].addr),
-			events.F("attempts", fmt.Sprintf("%d", attempts)),
-			events.F("outcome", "recovered"),
-		)
+	if tr := g.cfg.Client.Tracer; tr != nil {
+		attrs := []trace.Attr{trace.String("outcome", c.outcome),
+			trace.String("endpoint", g.eps[c.ep].addr),
+			trace.Int("attempts", int64(c.attempts))}
+		if c.err != nil {
+			attrs = append(attrs, trace.String("error", errClass(c.err)))
+		}
+		tr.Finish(c.span, attrs...)
 	}
+	return c.err
 }
 
 // isAmbiguous reports whether err leaves the execution state of the
@@ -332,26 +351,16 @@ func isAmbiguous(err error) bool {
 	return errors.Is(err, ErrUnavailable) && !errors.Is(err, ErrDial)
 }
 
-// retryable decides whether another attempt may be made at all. The
-// at-most-once rule: once an invocation has seen an ambiguous failure,
-// a non-idempotent call may only be retried where the server-side FT
-// dedup cache protects it (enforced by next keeping the endpoint);
-// deadline expiry, unknown objects, protocol errors and application
+// retryable decides whether another attempt may be made at all: an open
+// circuit, an overload or TRANSIENT refusal and a dial failure prove the
+// request unexecuted, and a dead connection (ambiguous) may retry where
+// next allows — once an invocation has seen an ambiguous failure, a
+// non-idempotent call stays on the endpoint whose FT dedup cache protects
+// it. Deadline expiry, unknown objects, protocol errors and application
 // exceptions never retry.
-func retryable(err error, idempotent, ambiguous bool) bool {
-	switch {
-	case errors.Is(err, ErrClientClosed):
-		return false
-	case errors.Is(err, ErrDeadlineExpired):
-		return false
-	case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrOverload),
-		errors.Is(err, ErrTransient), errors.Is(err, ErrDial):
-		return true
-	case errors.Is(err, ErrUnavailable):
-		return true // ambiguous; next() restricts where it may run
-	default:
-		return false
-	}
+func retryable(err error) bool {
+	return errors.Is(err, ErrCircuitOpen) || errors.Is(err, ErrOverload) ||
+		errors.Is(err, ErrTransient) || errors.Is(err, ErrUnavailable)
 }
 
 // pick returns the endpoint an invocation should start on: the first

@@ -8,6 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/breaker"
+	"repro/internal/events"
+	"repro/internal/sim"
+	"repro/internal/trace/telemetry"
 )
 
 // fabric is the group tests' in-process network: named endpoints backed
@@ -90,7 +95,30 @@ func (f *fabric) dial(addr string) (net.Conn, error) {
 	return cliEnd, nil
 }
 
-func (f *fabric) group(t *testing.T, cfg GroupConfig) *GroupClient {
+// testGroup counts the invocations a test makes, so the fabric can check
+// that each ended in exactly one wire.group.requests outcome.
+type testGroup struct {
+	*GroupClient
+	calls atomic.Int64
+}
+
+func (g *testGroup) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, error) {
+	g.calls.Add(1)
+	return g.GroupClient.Invoke(key, op, body, opts)
+}
+
+// groupOutcomes reads the wire.group.requests series by outcome.
+func groupOutcomes(g *GroupClient) map[string]float64 {
+	out := map[string]float64{}
+	for _, key := range g.Registry().CounterKeys() {
+		if name, labels := telemetry.ParseKey(key); name == "wire.group.requests" {
+			out[labels[0].V] = g.Registry().CounterByKey(key).Value()
+		}
+	}
+	return out
+}
+
+func (f *fabric) group(t *testing.T, cfg GroupConfig) *testGroup {
 	t.Helper()
 	cfg.Dial = f.dial
 	if cfg.ProbeInterval == 0 {
@@ -100,8 +128,18 @@ func (f *fabric) group(t *testing.T, cfg GroupConfig) *GroupClient {
 	if err != nil {
 		t.Fatalf("NewGroupClient: %v", err)
 	}
-	t.Cleanup(g.Close)
-	return g
+	tg := &testGroup{GroupClient: g}
+	t.Cleanup(func() {
+		g.Close()
+		var settled float64
+		for _, n := range groupOutcomes(g) {
+			settled += n
+		}
+		if calls := tg.calls.Load(); settled != float64(calls) {
+			t.Errorf("%d invocations, %g settled %v", calls, settled, groupOutcomes(g))
+		}
+	})
+	return tg
 }
 
 func tagHandler(execs *atomic.Int64, tag string) HandlerFunc {
@@ -306,5 +344,107 @@ func TestGroupCloseRefusesAndStopsProbes(t *testing.T) {
 	g.Close()
 	if _, err := g.Invoke("app/x", "x", nil, CallOptions{}); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Invoke after Close = %v, want ErrClientClosed", err)
+	}
+}
+
+// TestGroupOutcomeEachFate drives one invocation to each of the seven group
+// outcomes in turn. Each moves exactly its own wire.group.requests series
+// and ends exactly one group.invoke span carrying it; the one recovery
+// publishes the one recovered KindFailover record and is the only step that
+// moves the primary, to the endpoint that answered.
+func TestGroupOutcomeEachFate(t *testing.T) {
+	f := newFabric(t)
+	var execs atomic.Int64
+	f.addServer("a").Register("app/x", tagHandler(&execs, "from-a"))
+	f.addServer("b").Register("app/x", tagHandler(&execs, "from-b"))
+	bus := events.NewBus(sim.Wall)
+	failovers := events.NewTimeline(bus, events.KindFailover)
+	tr := NewTracer()
+	g := f.group(t, GroupConfig{
+		Endpoints:   []string{"a", "b"},
+		BackoffBase: time.Millisecond,
+		// Members never open a circuit here, so every step starts at the
+		// primary.
+		Client: ClientConfig{Bus: bus, Tracer: tr, Breaker: breaker.Config{Threshold: 1 << 20}},
+	})
+	budget := g.budget
+	// killA refuses a's dials and severs the connection the ok steps made.
+	killA := func() {
+		f.setDead("a", true)
+		f.severAll("a")
+		band := g.eps[0].cli.bands[0]
+		eventually(t, "a's connection to drop", func() bool {
+			band.mu.Lock()
+			defer band.mu.Unlock()
+			return band.conn == nil
+		})
+	}
+	steps := []struct {
+		outcome string
+		primary int // after the step
+		setup   func()
+		key     string
+		timeout time.Duration
+	}{
+		{outcome: "ok", key: "app/x"},
+		{outcome: "not_retryable", key: "app/missing"},
+		{outcome: "retry_denied", setup: func() { killA(); g.budget = NewRetryBudget(0, 0) }},
+		{outcome: "exhausted", setup: func() { g.budget = budget; f.setDead("b", true) }},
+		{outcome: "recovered", primary: 1, setup: func() { f.setDead("b", false) }},
+		{outcome: "deadline", primary: 1, timeout: time.Nanosecond},
+		{outcome: "closed", primary: 1, setup: g.Close},
+	}
+	for _, st := range steps {
+		if st.setup != nil {
+			st.setup()
+		}
+		if st.key == "" {
+			st.key = "app/x"
+		}
+		if st.timeout == 0 {
+			st.timeout = 2 * time.Second
+		}
+		before := groupOutcomes(g.GroupClient)
+		_, err := g.Invoke(st.key, "x", nil, CallOptions{Timeout: st.timeout})
+		if (err == nil) != (st.outcome == "ok" || st.outcome == "recovered") {
+			t.Errorf("%s: err = %v", st.outcome, err)
+		}
+		before[st.outcome]++
+		if after := groupOutcomes(g.GroupClient); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Errorf("%s: wire.group.requests %v, want %v", st.outcome, after, before)
+		}
+		if g.Primary() != st.primary {
+			t.Errorf("%s: primary = %d, want %d", st.outcome, g.Primary(), st.primary)
+		}
+	}
+
+	spans := map[string]int{}
+	for _, s := range tr.Collector().Spans() {
+		if s.Name == "group.invoke" {
+			for _, a := range s.Attrs {
+				if a.Key == "outcome" {
+					spans[a.Val]++
+				}
+			}
+		}
+	}
+	if len(spans) != len(steps) {
+		t.Errorf("group.invoke spans by outcome: %v, want one per step", spans)
+	}
+	for _, st := range steps {
+		if spans[st.outcome] != 1 {
+			t.Errorf("%d group.invoke spans with outcome=%s, want 1", spans[st.outcome], st.outcome)
+		}
+	}
+	var recovered []string
+	for _, r := range failovers.Records() {
+		if fmt.Sprint(r.Fields) == "[{op x} {to b} {attempts 2} {outcome recovered}]" {
+			recovered = append(recovered, fmt.Sprint(r.Fields))
+		} else if len(r.Fields) != 5 {
+			t.Errorf("unexpected failover record %v", r.Fields)
+		}
+	}
+	if len(recovered) != 1 {
+		t.Errorf("recovered failover records %v, want exactly one", recovered)
 	}
 }

@@ -62,9 +62,12 @@ import (
 )
 
 // Errors returned by wire invocations. They mirror the simulated ORB's
-// classification so the shared breaker semantics line up: overload,
-// deadline and unavailable outcomes trip circuits; application
-// exceptions and protocol errors do not.
+// classification so the shared breaker semantics line up: overload and
+// deadline outcomes trip circuits on both planes, and on sockets so do
+// unavailable and protocol outcomes, each of which ends the connection
+// under the call (breakerFailure). Application exceptions, unknown
+// objects and TRANSIENT do not; an open circuit and a closed client
+// record nothing.
 var (
 	// ErrDeadlineExpired means the invocation's wall-clock
 	// RELATIVE_RT_TIMEOUT passed before a useful reply arrived — at the
@@ -127,11 +130,15 @@ func decodeException(body []byte, order cdr.ByteOrder) error {
 
 // breakerFailure reports whether err counts against an endpoint's
 // circuit — the same classification the simulated ORB applies, plus the
-// connection-level outcomes that only exist on real sockets.
+// connection-level outcomes that only exist on real sockets: a dead
+// connection (ErrUnavailable) and a peer that broke the protocol
+// (ErrProtocol), which kills the connection too. Client.Invoke is its one
+// caller.
 func breakerFailure(err error) bool {
 	return errors.Is(err, ErrOverload) ||
 		errors.Is(err, ErrDeadlineExpired) ||
-		errors.Is(err, ErrUnavailable)
+		errors.Is(err, ErrUnavailable) ||
+		errors.Is(err, ErrProtocol)
 }
 
 // writeBufs recycles the buffers of large frames across connections, in
