@@ -102,9 +102,8 @@ func (r PubSubResult) Violations() []string {
 	if r.Refused == 0 {
 		v = append(v, "admission refused nothing: the token bucket never engaged")
 	}
-	if uint64(r.DropRecords) != r.SlowOverflow+r.OtherOverflow+r.Coalesced+r.Sampled {
-		v = append(v, fmt.Sprintf("bus saw %d drop records, counters say %d",
-			r.DropRecords, r.SlowOverflow+r.OtherOverflow+r.Coalesced+r.Sampled))
+	if uint64(r.DropRecords) != r.Snap.Dropped {
+		v = append(v, fmt.Sprintf("bus saw %d drop records, outbox ledgers count %d drops", r.DropRecords, r.Snap.Dropped))
 	}
 	return v
 }
@@ -129,22 +128,6 @@ func RunPubSub(opt Options) PubSubResult {
 	dropTL := events.NewTimeline(bus, events.KindDrop)
 	lagTL := events.NewTimeline(bus, events.KindSubLag)
 	monitor.WirePubSub(bus, ch)
-
-	// Overflow attribution by subscriber, chained in front of the bus
-	// wiring's hook so both observers see every drop.
-	var mu sync.Mutex
-	overflow := map[string]uint64{}
-	var prevDrop func(pubsub.DropInfo)
-	prevDrop = ch.SetDropHook(func(d pubsub.DropInfo) {
-		if d.Reason == "overflow" {
-			mu.Lock()
-			overflow[d.Sub]++
-			mu.Unlock()
-		}
-		if prevDrop != nil {
-			prevDrop(d)
-		}
-	})
 
 	// EF latency, split by phase at delivery time.
 	var loaded atomic.Bool
@@ -256,7 +239,6 @@ func RunPubSub(opt Options) PubSubResult {
 	res := PubSubResult{
 		Published:      snap.Published,
 		Refused:        snap.Refused,
-		Coalesced:      0,
 		DropRecords:    dropTL.Len(),
 		LagRecords:     lagTL.Len(),
 		DegradeEngaged: engaged.Load(),
@@ -268,16 +250,12 @@ func RunPubSub(opt Options) PubSubResult {
 	res.Baseline = baseSeries.Summarize()
 	res.Loaded = loadSeries.Summarize()
 	seriesMu.Unlock()
-	mu.Lock()
-	for name, n := range overflow {
-		if name == "analytics-slow" {
-			res.SlowOverflow += n
-		} else {
-			res.OtherOverflow += n
-		}
-	}
-	mu.Unlock()
 	for _, s := range snap.Subscribers {
+		if s.Name == "analytics-slow" {
+			res.SlowOverflow += s.Overflow
+		} else {
+			res.OtherOverflow += s.Overflow
+		}
 		res.Coalesced += s.Coalesced
 		res.Sampled += s.Sampled
 		if s.Priority >= pubsub.EFFloor {

@@ -9,10 +9,11 @@ import (
 )
 
 // WirePubSub connects a channel's drop and lag hooks to the monitoring
-// bus: every overflow/coalesce/sample decision becomes a KindDrop
-// record and every lag-watermark crossing a KindSubLag record, so
-// dissemination losses line up on the same timeline as sheds, breaker
-// trips and SLO burns. Works for simulation and wall buses alike (the
+// bus: every event an outbox settles as overflow, coalesced, sampled or
+// closed becomes one KindDrop record, so the records reconcile with the
+// snapshot's Dropped, and every lag-watermark crossing a KindSubLag
+// record, so dissemination losses line up on the same timeline as sheds,
+// breaker trips and SLO burns. Works for simulation and wall buses alike (the
 // channel stamps its own clock into the records).
 func WirePubSub(bus *events.Bus, ch *pubsub.Channel) {
 	source := "pubsub/" + ch.Name()

@@ -344,11 +344,6 @@ func CounterRateCond(name string, s *Sampler, counterKey string) *SeriesCond {
 	return NewSeriesCond(name, s, counterKey, StatRate)
 }
 
-// GaugeCond reads the mean sampled gauge level.
-func GaugeCond(name string, s *Sampler, gaugeKey string) *SeriesCond {
-	return NewSeriesCond(name, s, gaugeKey, StatMean)
-}
-
 // Name implements quo.SysCond.
 func (c *SeriesCond) Name() string { return c.name }
 

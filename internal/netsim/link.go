@@ -109,9 +109,6 @@ func (l *Link) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the link is down.
-func (l *Link) Down() bool { return l.down }
-
 // Lost returns the number of packets destroyed by injected loss.
 func (l *Link) Lost() int64 { return l.lost }
 

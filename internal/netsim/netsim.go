@@ -277,29 +277,6 @@ func (n *Network) Route(src, dst NodeID) []*Link {
 	return path
 }
 
-// Partition severs the given set of nodes from the rest of the network
-// by taking down every link that crosses the cut (both directions).
-// Traffic within the set and within the remainder keeps flowing. It
-// returns a heal function that brings exactly those links back up.
-func (n *Network) Partition(nodes ...*Node) (heal func()) {
-	inSet := make(map[NodeID]bool, len(nodes))
-	for _, nd := range nodes {
-		inSet[nd.id] = true
-	}
-	var cut []*Link
-	for _, l := range n.links {
-		if inSet[l.from.id] != inSet[l.to.id] && !l.Down() {
-			cut = append(cut, l)
-			l.SetDown(true)
-		}
-	}
-	return func() {
-		for _, l := range cut {
-			l.SetDown(false)
-		}
-	}
-}
-
 // Bind registers a packet handler on a node port. Binding an in-use port
 // panics: it is always a programming error in a scenario.
 func (nd *Node) Bind(port uint16, h Handler) {

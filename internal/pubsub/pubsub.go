@@ -29,7 +29,9 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -145,9 +147,8 @@ type DropInfo struct {
 	Topic string
 	// Seq is the dropped event's channel sequence number.
 	Seq uint64
-	// Reason is "overflow" (policy evicted or refused under a full
-	// outbox), "coalesced" (replaced by a fresher same-key event),
-	// "sampled" (degraded-mode sampling) or "closed".
+	// Reason is the event's outcome at the subscriber: "overflow",
+	// "coalesced", "sampled" or "closed" (see the outcome constants).
 	Reason string
 	// Policy is the subscriber's configured overflow policy.
 	Policy Policy
@@ -238,6 +239,10 @@ type Channel struct {
 	dropHook func(DropInfo)
 	lagHook  func(LagInfo)
 
+	// left is the ledger of every unsubscribed subscriber (see leave), so
+	// the channel's totals never go down.
+	left [numOutcomes]atomic.Uint64
+
 	wg sync.WaitGroup
 
 	hFanoutEF *telemetry.Histogram
@@ -279,27 +284,21 @@ func (c *Channel) Async() bool { return c.cfg.Async }
 func (c *Channel) Registry() *telemetry.Registry { return c.reg }
 
 // SetDropHook installs the drop-decision callback (monitor wiring
-// publishes it as a KindDrop bus record) and returns the previous one,
-// so additional observers can chain rather than displace it. The hook
-// runs on the publishing or pumping goroutine with no channel locks
-// held.
-func (c *Channel) SetDropHook(fn func(DropInfo)) func(DropInfo) {
+// publishes it as a KindDrop bus record): it sees every event settled
+// with a drop outcome, once. The hook runs on the publishing or
+// unsubscribing goroutine with no channel locks held.
+func (c *Channel) SetDropHook(fn func(DropInfo)) {
 	c.hookMu.Lock()
-	prev := c.dropHook
 	c.dropHook = fn
 	c.hookMu.Unlock()
-	return prev
 }
 
 // SetLagHook installs the subscriber-lag callback (monitor wiring
-// publishes it as a KindSubLag bus record) and returns the previous
-// one for chaining.
-func (c *Channel) SetLagHook(fn func(LagInfo)) func(LagInfo) {
+// publishes it as a KindSubLag bus record).
+func (c *Channel) SetLagHook(fn func(LagInfo)) {
 	c.hookMu.Lock()
-	prev := c.lagHook
 	c.lagHook = fn
 	c.hookMu.Unlock()
-	return prev
 }
 
 func (c *Channel) hooks() (func(DropInfo), func(LagInfo)) {
@@ -364,7 +363,6 @@ func (c *Channel) Subscribe(cfg SubscriberConfig) (*Subscriber, error) {
 	}
 	s := &Subscriber{ch: c, cfg: cfg}
 	s.cond = sync.NewCond(&s.mu)
-	s.cDelivered = c.reg.Counter("pubsub.delivered", telemetry.L("sub", cfg.Name))
 	s.gDepth = c.reg.Gauge("pubsub.outbox_depth", telemetry.L("sub", cfg.Name))
 
 	c.mu.Lock()
@@ -388,24 +386,28 @@ func (c *Channel) Subscribe(cfg SubscriberConfig) (*Subscriber, error) {
 	return s, nil
 }
 
-// Unsubscribe removes a subscriber, discarding its queued events.
+// Unsubscribe removes a subscriber, discarding its queued events: each
+// is settled as closed and reaches the drop hook, on either pump mode,
+// and the channel's totals keep everything the subscriber delivered and
+// dropped.
 func (c *Channel) Unsubscribe(name string) bool {
 	c.mu.Lock()
 	s, ok := c.subs[name]
-	if ok {
-		delete(c.subs, name)
-		for i, o := range c.order {
-			if o == s {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
+	if !ok {
+		c.mu.Unlock()
+		return false
+	}
+	delete(c.subs, name)
+	c.order = slices.DeleteFunc(c.order, func(o *Subscriber) bool { return o == s })
+	drops := s.leave()
+	c.mu.Unlock()
+	s.gDepth.Set(0)
+	if dropHook, _ := c.hooks(); dropHook != nil {
+		for _, d := range drops {
+			dropHook(d)
 		}
 	}
-	c.mu.Unlock()
-	if ok {
-		s.close()
-	}
-	return ok
+	return true
 }
 
 // Sub returns the named subscriber, or nil.
@@ -467,12 +469,9 @@ func (c *Channel) PublishCtx(ev Event, parent trace.SpanContext) error {
 
 	dropHook, lagHook := c.hooks()
 	for _, s := range matched {
-		drops, lag := s.offer(ev)
-		for _, d := range drops {
-			c.countDrop(d)
-			if dropHook != nil {
-				dropHook(d)
-			}
+		drop, lag := s.offer(ev)
+		if drop.Reason != "" && dropHook != nil {
+			dropHook(drop)
 		}
 		if lag != nil && lagHook != nil {
 			lagHook(*lag)
@@ -482,17 +481,6 @@ func (c *Channel) PublishCtx(ev Event, parent trace.SpanContext) error {
 		c.cfg.Tracer.Finish(ev.span)
 	}
 	return nil
-}
-
-func (c *Channel) countDrop(d DropInfo) {
-	switch d.Reason {
-	case "coalesced":
-		c.reg.Counter("pubsub.coalesced", telemetry.L("sub", d.Sub)).Inc()
-	case "sampled":
-		c.reg.Counter("pubsub.sampled", telemetry.L("sub", d.Sub)).Inc()
-	}
-	c.reg.Counter("pubsub.dropped",
-		telemetry.L("sub", d.Sub), telemetry.L("reason", d.Reason)).Inc()
 }
 
 // SetDegraded flips the channel-wide degradation mode: every BE
@@ -559,12 +547,18 @@ func (c *Channel) Close() {
 	subs := append([]*Subscriber(nil), c.order...)
 	c.mu.Unlock()
 	for _, s := range subs {
-		s.close()
+		s.mu.Lock()
+		s.closed = true
+		s.cond.Broadcast() // wake the pump to drain and exit, and any Block publishers
+		s.mu.Unlock()
 	}
 	c.wg.Wait()
 }
 
-// SubSnapshot is one subscriber's state for introspection.
+// SubSnapshot is one subscriber's state for introspection. Its ledger
+// conserves events: Offered == Delivered + Dropped + Depth, except for
+// an offer still waiting for Block space, and Dropped is the sum of the
+// four drop outcomes.
 type SubSnapshot struct {
 	Name        string `json:"name"`
 	Topic       string `json:"topic"`
@@ -573,16 +567,20 @@ type SubSnapshot struct {
 	Policy      string `json:"policy"`
 	Outbox      int    `json:"outbox"`
 	Depth       int    `json:"depth"`
+	Offered     uint64 `json:"offered"`
 	Delivered   uint64 `json:"delivered"`
 	Dropped     uint64 `json:"dropped"`
+	Overflow    uint64 `json:"overflow,omitempty"`
 	Coalesced   uint64 `json:"coalesced,omitempty"`
 	Sampled     uint64 `json:"sampled,omitempty"`
+	Closed      uint64 `json:"closed,omitempty"`
 	Degraded    bool   `json:"degraded,omitempty"`
 	Lagging     bool   `json:"lagging,omitempty"`
 }
 
 // ChannelSnapshot is the channel's introspection view (the /debug/qos
-// "pubsub" section).
+// "pubsub" section). Delivered and Dropped count every subscriber the
+// channel ever had, so neither goes down when one leaves.
 type ChannelSnapshot struct {
 	Name        string        `json:"name"`
 	Published   uint64        `json:"published"`
@@ -602,10 +600,16 @@ func (c *Channel) Snapshot() ChannelSnapshot {
 		Refused:   c.refused,
 		Degraded:  c.degraded,
 	}
+	// leave folds under c.mu too, so each subscriber is counted once: in
+	// subs or in left.
+	snap.Delivered = c.left[outcomeDelivered].Load()
+	for o := outcomeOverflow; o < numOutcomes; o++ {
+		snap.Dropped += c.left[o].Load()
+	}
 	subs := append([]*Subscriber(nil), c.order...)
 	c.mu.Unlock()
 	for _, s := range subs {
-		ss := s.snapshot()
+		ss := s.Stats()
 		snap.Delivered += ss.Delivered
 		snap.Dropped += ss.Dropped
 		snap.Subscribers = append(snap.Subscribers, ss)
@@ -628,15 +632,36 @@ type Subscriber struct {
 	skip     int
 	closed   bool
 	lagging  bool
+	// left is set once Unsubscribe folded n into the channel's ledger;
+	// settle folds any later outcome as it counts it.
+	left bool
 
-	delivered uint64
-	dropped   uint64
-	coalesced uint64
-	sampled   uint64
+	// offered counts the events offer took, n their settled outcomes, and
+	// counters is pubsub.outcomes{sub,outcome} by outcome, each resolved
+	// at its first use.
+	offered  uint64
+	n        [numOutcomes]uint64
+	counters [numOutcomes]*telemetry.Counter
 
-	cDelivered *telemetry.Counter
-	gDepth     *telemetry.Gauge
+	gDepth *telemetry.Gauge
 }
+
+// outcome is how one event offered to a subscriber's outbox ended. Each
+// event gets exactly one, from settle; its name is the counter label and,
+// for the four drops (every outcome after delivered), the drop hook's
+// Reason.
+type outcome uint8
+
+const (
+	outcomeDelivered outcome = iota // popped for the consumer's Deliver
+	outcomeOverflow                 // a full outbox's policy evicted it (DropOldest) or refused it (DropNewest)
+	outcomeCoalesced                // a fresher event with its key and topic took its queued slot
+	outcomeSampled                  // degraded sampling skipped it
+	outcomeClosed                   // the subscriber closed first: offered after close, or queued at Unsubscribe
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"delivered", "overflow", "coalesced", "sampled", "closed"}
 
 // Name returns the subscriber's name.
 func (s *Subscriber) Name() string { return s.cfg.Name }
@@ -667,10 +692,11 @@ func (s *Subscriber) lagHigh() int { return (s.cfg.Outbox*4 + 4) / 5 }
 func (s *Subscriber) lagLow() int  { return s.cfg.Outbox / 2 }
 
 // offer enqueues ev per the subscriber's policy and degradation state.
-// It returns the drop decisions taken (at most one real drop plus the
-// incoming event when refused) and a lag transition if one occurred.
-// Called with no channel locks held; may block under the Block policy.
-func (s *Subscriber) offer(ev Event) (drops []DropInfo, lag *LagInfo) {
+// It returns the drop it settled, if any (no branch drops more than one
+// event; Reason is empty when nothing was dropped), and a lag transition
+// if one occurred. Called with no channel locks held; may block under
+// the Block policy.
+func (s *Subscriber) offer(ev Event) (drop DropInfo, lag *LagInfo) {
 	at := ev.Published
 	s.mu.Lock()
 	defer func() {
@@ -678,18 +704,16 @@ func (s *Subscriber) offer(ev Event) (drops []DropInfo, lag *LagInfo) {
 		s.mu.Unlock()
 		s.gDepth.Set(float64(depth))
 	}()
+	s.offered++
 	if s.closed {
-		s.dropped++
-		return []DropInfo{s.dropLocked(ev, "closed", at)}, nil
+		return s.settle(ev, outcomeClosed, at), nil
 	}
 	degraded := s.degraded
 	if degraded && ev.Key == "" {
 		// Sampled delivery: keep one event in every SampleEvery.
 		s.skip++
 		if s.skip%s.cfg.SampleEvery != 0 {
-			s.sampled++
-			s.dropped++
-			return []DropInfo{s.dropLocked(ev, "sampled", at)}, nil
+			return s.settle(ev, outcomeSampled, at), nil
 		}
 	}
 	if (s.cfg.Policy == CoalesceByKey || degraded) && ev.Key != "" {
@@ -697,9 +721,7 @@ func (s *Subscriber) offer(ev Event) (drops []DropInfo, lag *LagInfo) {
 			if s.box[i].Key == ev.Key && s.box[i].Topic == ev.Topic {
 				old := s.box[i]
 				s.box[i] = ev
-				s.coalesced++
-				s.dropped++
-				return []DropInfo{s.dropLocked(old, "coalesced", at)}, s.lagTransition(at)
+				return s.settle(old, outcomeCoalesced, at), s.lagTransition(at)
 			}
 		}
 	}
@@ -710,29 +732,62 @@ func (s *Subscriber) offer(ev Event) (drops []DropInfo, lag *LagInfo) {
 				s.cond.Wait()
 			}
 			if s.closed {
-				s.dropped++
-				return []DropInfo{s.dropLocked(ev, "closed", at)}, nil
+				return s.settle(ev, outcomeClosed, at), nil
 			}
 		case DropNewest:
-			s.dropped++
-			return []DropInfo{s.dropLocked(ev, "overflow", at)}, nil
+			return s.settle(ev, outcomeOverflow, at), nil
 		default: // DropOldest, and CoalesceByKey with no queued key match
-			old := s.dropHead()
-			s.dropped++
-			drops = append(drops, s.dropLocked(old, "overflow", at))
+			drop = s.settle(s.dropHead(), outcomeOverflow, at)
 		}
 	}
 	s.box = append(s.box, ev)
 	s.cond.Broadcast()
-	return drops, s.lagTransition(at)
+	return drop, s.lagTransition(at)
 }
 
-// dropLocked builds the DropInfo for ev; subscriber lock held.
-func (s *Subscriber) dropLocked(ev Event, reason string, at sim.Time) DropInfo {
+// settle records ev's one outcome o at this subscriber, decided at the
+// channel-clock instant at: the only code that counts an event's fate.
+// It returns what the drop hook is told, or the zero DropInfo for a
+// delivery. Subscriber lock held.
+func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) DropInfo {
+	s.n[o]++
+	if s.left {
+		s.ch.left[o].Add(1)
+	}
+	if s.counters[o] == nil {
+		s.counters[o] = s.ch.reg.Counter("pubsub.outcomes", telemetry.L("sub", s.cfg.Name), telemetry.L("outcome", outcomeNames[o]))
+	}
+	s.counters[o].Inc()
+	if o == outcomeDelivered {
+		return DropInfo{}
+	}
 	return DropInfo{
 		Sub: s.cfg.Name, Topic: ev.Topic, Seq: ev.Seq,
-		Reason: reason, Policy: s.cfg.Policy, Depth: len(s.box), At: at,
+		Reason: outcomeNames[o], Policy: s.cfg.Policy, Depth: len(s.box), At: at,
 	}
+}
+
+// leave closes the subscriber for Unsubscribe: every queued event is
+// settled as closed, and the ledger is folded into the channel's. A
+// publisher that matched the subscriber just before, or a Block
+// publisher this wakes, may still settle one more event; settle folds
+// those as it counts them. Channel lock held.
+func (s *Subscriber) leave() []DropInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.cond.Broadcast()
+	at := s.ch.Now()
+	drops := make([]DropInfo, 0, len(s.box))
+	for _, ev := range s.box {
+		drops = append(drops, s.settle(ev, outcomeClosed, at))
+	}
+	s.box = nil
+	for o, n := range s.n {
+		s.ch.left[o].Add(n)
+	}
+	s.left = true
+	return drops
 }
 
 // lagTransition updates the lag mark from the current depth; lock held.
@@ -780,16 +835,16 @@ func (s *Subscriber) popLocked() (Event, *LagInfo, int) {
 	if len(s.box) == 0 {
 		s.box = nil // reset backing array so it can be collected
 	}
-	s.delivered++
+	at := s.ch.Now()
+	s.settle(ev, outcomeDelivered, at)
 	s.cond.Broadcast() // wake Block publishers waiting for space
-	return ev, s.lagTransition(s.ch.Now()), len(s.box)
+	return ev, s.lagTransition(at), len(s.box)
 }
 
 // deliver invokes the consumer callback and records the fan-out
 // latency; no locks held.
 func (s *Subscriber) deliver(ev Event, lag *LagInfo, depth int) {
 	s.cfg.Deliver(ev)
-	s.cDelivered.Inc()
 	s.gDepth.Set(float64(depth))
 	latMs := float64(s.ch.Now()-ev.Published) / float64(time.Millisecond)
 	h := s.ch.hFanoutBE
@@ -827,17 +882,8 @@ func (s *Subscriber) run() {
 	}
 }
 
-// close marks the subscriber closed and wakes its pump and any blocked
-// publishers. The async pump drains the remaining backlog first.
-func (s *Subscriber) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// snapshot captures the subscriber's stats.
-func (s *Subscriber) snapshot() SubSnapshot {
+// Stats captures the subscriber's state and its ledger.
+func (s *Subscriber) Stats() SubSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SubSnapshot{
@@ -848,14 +894,14 @@ func (s *Subscriber) snapshot() SubSnapshot {
 		Policy:      s.cfg.Policy.String(),
 		Outbox:      s.cfg.Outbox,
 		Depth:       len(s.box),
-		Delivered:   s.delivered,
-		Dropped:     s.dropped,
-		Coalesced:   s.coalesced,
-		Sampled:     s.sampled,
+		Offered:     s.offered,
+		Delivered:   s.n[outcomeDelivered],
+		Dropped:     s.n[outcomeOverflow] + s.n[outcomeCoalesced] + s.n[outcomeSampled] + s.n[outcomeClosed],
+		Overflow:    s.n[outcomeOverflow],
+		Coalesced:   s.n[outcomeCoalesced],
+		Sampled:     s.n[outcomeSampled],
+		Closed:      s.n[outcomeClosed],
 		Degraded:    s.degraded,
 		Lagging:     s.lagging,
 	}
 }
-
-// Stats returns the subscriber's snapshot (exported for tests/tools).
-func (s *Subscriber) Stats() SubSnapshot { return s.snapshot() }

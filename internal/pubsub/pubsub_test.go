@@ -67,13 +67,31 @@ func TestTopicAndPriorityFiltering(t *testing.T) {
 	}
 }
 
+// mustSub subscribes cfg; for a channel's first subscriber it also
+// checks the channel's ledgers when the test ends.
 func mustSub(t *testing.T, ch *Channel, cfg SubscriberConfig) *Subscriber {
 	t.Helper()
 	s, err := ch.Subscribe(cfg)
 	if err != nil {
 		t.Fatalf("Subscribe(%s): %v", cfg.Name, err)
 	}
+	if len(ch.Snapshot().Subscribers) == 1 {
+		t.Cleanup(func() { checkLedger(t, ch) })
+	}
 	return s
+}
+
+// checkLedger asserts that every current subscriber's outbox conserves
+// events: each one offered was delivered, dropped or is still queued.
+// It holds at any instant no publisher is waiting for Block space.
+func checkLedger(t *testing.T, ch *Channel) {
+	t.Helper()
+	for _, s := range ch.Snapshot().Subscribers {
+		if s.Offered != s.Delivered+s.Dropped+uint64(s.Depth) {
+			t.Errorf("subscriber %s: offered %d != delivered %d + dropped %d + depth %d",
+				s.Name, s.Offered, s.Delivered, s.Dropped, s.Depth)
+		}
+	}
 }
 
 func TestOverflowPolicies(t *testing.T) {
@@ -309,8 +327,8 @@ func TestHooksAndSnapshot(t *testing.T) {
 		t.Errorf("snapshot = %+v, want published=12 delivered=10 dropped=2", snap)
 	}
 	reg := ch.Registry()
-	if v := reg.Counter("pubsub.dropped", telemetry.L("reason", "overflow"), telemetry.L("sub", "slow")).Value(); v != 2 {
-		t.Errorf("pubsub.dropped counter = %g, want 2", v)
+	if v := reg.Counter("pubsub.outcomes", telemetry.L("outcome", "overflow"), telemetry.L("sub", "slow")).Value(); v != 2 {
+		t.Errorf("pubsub.outcomes{overflow} counter = %g, want 2", v)
 	}
 }
 

@@ -81,6 +81,7 @@ func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Even
 	}
 
 	t.Cleanup(func() {
+		checkOutboxLedger(t, ch)
 		cli.Close()
 		host.Close()
 		ch.Close()
@@ -88,6 +89,19 @@ func pubsubLoopbackGated(t *testing.T, ch *pubsub.Channel, sink func(pubsub.Even
 		consumer.Shutdown(2 * time.Second)
 	})
 	return cli, host
+}
+
+// checkOutboxLedger asserts that every subscriber still on the channel
+// conserves events: each one offered was delivered, dropped or is still
+// queued in its outbox.
+func checkOutboxLedger(t *testing.T, ch *pubsub.Channel) {
+	t.Helper()
+	for _, s := range ch.Snapshot().Subscribers {
+		if s.Offered != s.Delivered+s.Dropped+uint64(s.Depth) {
+			t.Errorf("subscriber %s: offered %d != delivered %d + dropped %d + depth %d",
+				s.Name, s.Offered, s.Delivered, s.Dropped, s.Depth)
+		}
+	}
 }
 
 // TestPubSubDuplicateSubscribeKeepsTheLiveOne: a second "subscribe" under
