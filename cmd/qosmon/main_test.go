@@ -1,13 +1,16 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
 // TestRunByteIdentical pins the acceptance criteria: repeated runs with
 // the same seed produce byte-identical dashboards including the
-// per-layer latency breakdown table, and the QuO contract performs at
+// per-layer latency breakdown table, equal to the committed output of
+// `qosmon -prom` (testdata/prom.golden; regenerate it with that command
+// only for a deliberate change), and the QuO contract performs at
 // least one region transition triggered by a sampled condition (the
 // closed monitoring loop), never by a hand-set probe.
 func TestRunByteIdentical(t *testing.T) {
@@ -16,6 +19,13 @@ func TestRunByteIdentical(t *testing.T) {
 	b, regb := run(opt)
 	if a != b {
 		t.Fatalf("repeated runs diverged:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+	golden, err := os.ReadFile("testdata/prom.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != string(golden) {
+		t.Errorf("dashboard differs from testdata/prom.golden:\n%s", a)
 	}
 	if rega == nil || regb == nil {
 		t.Fatal("run returned no registry")

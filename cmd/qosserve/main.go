@@ -121,7 +121,7 @@ func main() {
 	// alert or SLO burn degrades best-effort fan-out until it resolves.
 	ch := pubsub.New(pubsub.ChannelConfig{
 		Name: "qosserve", Async: true,
-		Registry: reg, Tracer: tracer,
+		Registry: reg, Tracer: tracer, Bus: bus,
 	})
 	defer ch.Close()
 	chanHost, err := wire.NewChannelHost(ch, wire.ChannelHostConfig{Tracer: tracer})
@@ -131,8 +131,7 @@ func main() {
 	}
 	defer chanHost.Close()
 	srv.Register("pubsub/chan", chanHost)
-	monitor.WirePubSub(bus, ch)
-	degrade := monitor.DegradePubSubOnBurn(bus, ch)
+	degrade := pubsub.DegradePubSubOnBurn(bus, ch)
 	defer degrade.Cancel()
 
 	bound, err := srv.Listen(*addr)

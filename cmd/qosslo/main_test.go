@@ -1,13 +1,16 @@
 package main
 
 import (
+	"os"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestRunByteIdentical pins the PR's acceptance criteria: repeated
-// same-seed runs produce byte-identical reports; the burn rate fires
+// TestRunByteIdentical pins the acceptance criteria: repeated same-seed
+// runs produce byte-identical reports, equal to the committed output of
+// `qosslo -events` (testdata/events.golden; regenerate it with that
+// command only for a deliberate change); the burn rate fires
 // before the raw-p95 rule; the contract escalates on burn; every
 // deadline-missed invocation has a kept trace whose critical path names
 // a guilty layer; and the kept-trace rate lands on the head budget.
@@ -16,6 +19,13 @@ func TestRunByteIdentical(t *testing.T) {
 	a, b := run(opt), run(opt)
 	if a != b {
 		t.Fatalf("repeated runs diverged:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+	golden, err := os.ReadFile("testdata/events.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != string(golden) {
+		t.Errorf("report differs from testdata/events.golden:\n%s", a)
 	}
 
 	if !strings.Contains(a, "winner: burn rate, by ") {

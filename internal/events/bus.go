@@ -27,7 +27,12 @@ import (
 // Kind classifies a monitoring record for subscription filtering.
 type Kind string
 
-// Built-in record kinds published by the monitoring plane's wiring.
+// Built-in record kinds. Each layer publishes its own fates on the bus
+// it is handed: netsim its drops, rtcorba and wire their sheds, orb and
+// wire their breaker transitions, wire its health verdicts, chaos its
+// fault boundaries, pubsub its drops and lag, slo its burns. The
+// monitoring plane bridges span ends, failovers and contract regions,
+// and publishes its own samples, alerts and profiles.
 const (
 	// KindSpanEnd is a notable span ending (errors, sheds, FT activity).
 	KindSpanEnd Kind = "span_end"
@@ -37,7 +42,8 @@ const (
 	KindFailover Kind = "failover"
 	// KindShed is a thread-pool lane discarding admitted or arriving work.
 	KindShed Kind = "shed"
-	// KindDrop is the network destroying a packet.
+	// KindDrop is the network destroying a packet, or a pub/sub outbox
+	// dropping an event.
 	KindDrop Kind = "drop"
 	// KindRegion is a QuO contract region transition.
 	KindRegion Kind = "region"

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
@@ -97,6 +98,39 @@ type MonitorResult struct {
 	Timeline *events.Timeline
 	Sampler  *monitor.Sampler
 	Reg      *telemetry.Registry
+	// Unreconciled lists every counter the timeline's records disagree
+	// with (see reconcile); empty when they agree.
+	Unreconciled []string
+}
+
+// reconcile checks the sim plane's bus records against the counters of
+// the layers that published them: the KindShed records from the server
+// POA's pool ("pool/srv/app") against the discards in its lanes, and the
+// KindBreaker records from the client ORB ("orb@cli") against its
+// transition log. It returns one line per disagreement.
+func reconcile(tl *events.Timeline, poa *orb.POA, lanes int, cli *orb.ORB) []string {
+	var sheds, trips int
+	for _, r := range tl.Records() {
+		switch {
+		case r.Kind == events.KindShed && r.Source == "pool/srv/app":
+			sheds++
+		case r.Kind == events.KindBreaker && r.Source == "orb@cli":
+			trips++
+		}
+	}
+	var discarded int64
+	for i := 0; i < lanes; i++ {
+		st := poa.Pool().Stats(i)
+		discarded += st.Refused + st.Evicted + st.Deadline
+	}
+	var out []string
+	if int64(sheds) != discarded {
+		out = append(out, fmt.Sprintf("%d KindShed records from pool/srv/app, its lanes discarded %d", sheds, discarded))
+	}
+	if n := len(cli.BreakerTransitions()); trips != n {
+		out = append(out, fmt.Sprintf("%d KindBreaker records from orb@cli, its log holds %d transitions", trips, n))
+	}
+	return out
 }
 
 // RunMonitor executes the scenario. Duration defaults to 12s with the
@@ -135,7 +169,7 @@ func RunMonitor(opt Options) MonitorResult {
 	sys.Net.SetTracer(tr)
 	reg := telemetry.NewRegistry()
 	plane := monitor.NewPlane(sys.K, reg, every)
-	plane.WireNetwork(sys.Net)
+	sys.Net.SetBus(plane.Bus)
 	plane.WireTracer(tr)
 
 	// The client's priorities map onto the wire: best effort below the
@@ -152,19 +186,19 @@ func RunMonitor(opt Options) MonitorResult {
 	// of the dashboard series then names a concrete causal trace.
 	ctxCap := &traceCtxCapture{}
 	cliORB.AddClientInterceptor(ctxCap)
-	plane.WireORB(cliORB)
+	// Breaker transitions from the client, lane sheds from the server's
+	// POA pool ("pool/srv/app").
+	cliORB.SetBus(plane.Bus)
+	srvORB.SetBus(plane.Bus)
 
-	poa, err := srvORB.CreatePOA("app", orb.POAConfig{
-		Model: rtcorba.ClientPropagated,
-		Lanes: []rtcorba.LaneConfig{
-			{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
-			{Priority: monitorEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
-		},
-	})
+	lanes := []rtcorba.LaneConfig{
+		{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
+		{Priority: monitorEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
+	}
+	poa, err := srvORB.CreatePOA("app", orb.POAConfig{Model: rtcorba.ClientPropagated, Lanes: lanes})
 	if err != nil {
 		panic(err)
 	}
-	plane.WirePool("srv/app", poa.Pool())
 	servant := orb.ServantFunc(func(req *orb.ServerRequest) ([]byte, error) {
 		req.Thread.Compute(200 * time.Microsecond)
 		return make([]byte, 128), nil
@@ -300,6 +334,7 @@ func RunMonitor(opt Options) MonitorResult {
 	tr.FlushOpen()
 
 	r.RTT = plane.Sampler.Series("app.rtt_ms.window")
+	r.Unreconciled = reconcile(plane.Timeline, poa, len(lanes), cliORB)
 	r.Regions = hist.Spans()
 	r.Transitions = contract.Transitions()
 	for _, s := range hist.Spans() {

@@ -62,6 +62,18 @@ func TestRunMonitorClosedLoop(t *testing.T) {
 	}
 }
 
+// TestSimPlaneRecordsReconcile: in both monitoring scenarios, the shed
+// and breaker records the server pool and the client ORB published agree
+// with those layers' own counters.
+func TestSimPlaneRecordsReconcile(t *testing.T) {
+	if u := RunMonitor(Options{Seed: 42}).Unreconciled; len(u) > 0 {
+		t.Errorf("RunMonitor: %v", u)
+	}
+	if u := RunSLO(Options{Seed: 42}).Unreconciled; len(u) > 0 {
+		t.Errorf("RunSLO: %v", u)
+	}
+}
+
 func TestRunMonitorDeterministic(t *testing.T) {
 	a := RunMonitor(Options{Seed: 7, Duration: 6 * time.Second})
 	b := RunMonitor(Options{Seed: 7, Duration: 6 * time.Second})

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/pubsub"
 	"repro/internal/quo"
 	"repro/internal/sim"
@@ -49,8 +48,8 @@ type PubSubResult struct {
 	// across all subscribers.
 	Coalesced uint64
 	Sampled   uint64
-	// DropRecords and LagRecords count the bus records the monitoring
-	// plane emitted (KindDrop and KindSubLag).
+	// DropRecords and LagRecords count the bus records the channel
+	// published (KindDrop and KindSubLag).
 	DropRecords int
 	LagRecords  int
 	// DegradeEngaged reports whether the contract ever entered the
@@ -118,16 +117,14 @@ func RunPubSub(opt Options) PubSubResult {
 
 	start := time.Now()
 	reg := telemetry.NewRegistry()
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Async: true, Registry: reg})
+	bus := events.NewBus(sim.Wall)
+	dropTL := events.NewTimeline(bus, events.KindDrop)
+	lagTL := events.NewTimeline(bus, events.KindSubLag)
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "bench", Async: true, Registry: reg, Bus: bus})
 	defer ch.Close()
 	// Admit at most 1.5 kHz of bulk with a 200-event burst: the 2 kHz
 	// flood must see refusals.
 	ch.Limit("bulk/**", 1500, 200)
-
-	bus := events.NewBus(sim.Wall)
-	dropTL := events.NewTimeline(bus, events.KindDrop)
-	lagTL := events.NewTimeline(bus, events.KindSubLag)
-	monitor.WirePubSub(bus, ch)
 
 	// EF latency, split by phase at delivery time.
 	var loaded atomic.Bool

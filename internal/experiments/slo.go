@@ -92,6 +92,9 @@ type SLOResult struct {
 	Timeline *events.Timeline
 	Sampler  *monitor.Sampler
 	Reg      *telemetry.Registry
+	// Unreconciled lists every counter the timeline's records disagree
+	// with (see reconcile); empty when they agree.
+	Unreconciled []string
 }
 
 // sloMissCapture records the trace context of every deadline-missed
@@ -134,7 +137,7 @@ func RunSLO(opt Options) SLOResult {
 
 	reg := telemetry.NewRegistry()
 	plane := monitor.NewPlane(sys.K, reg, every)
-	plane.WireNetwork(sys.Net)
+	sys.Net.SetBus(plane.Bus)
 
 	// The tracer's expensive sink sits behind the adaptive sampler: the
 	// kept collector holds only error-class, tail-outlier and
@@ -168,19 +171,17 @@ func RunSLO(opt Options) SLOResult {
 	cliORB.AddClientInterceptor(missCap)
 	ctxCap := &traceCtxCapture{}
 	cliORB.AddClientInterceptor(ctxCap)
-	plane.WireORB(cliORB)
+	cliORB.SetBus(plane.Bus)
+	srvORB.SetBus(plane.Bus)
 
-	poa, err := srvORB.CreatePOA("app", orb.POAConfig{
-		Model: rtcorba.ClientPropagated,
-		Lanes: []rtcorba.LaneConfig{
-			{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
-			{Priority: sloEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
-		},
-	})
+	lanes := []rtcorba.LaneConfig{
+		{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
+		{Priority: sloEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
+	}
+	poa, err := srvORB.CreatePOA("app", orb.POAConfig{Model: rtcorba.ClientPropagated, Lanes: lanes})
 	if err != nil {
 		panic(err)
 	}
-	plane.WirePool("srv/app", poa.Pool())
 	servant := orb.ServantFunc(func(req *orb.ServerRequest) ([]byte, error) {
 		req.Thread.Compute(200 * time.Microsecond)
 		return make([]byte, 128), nil
@@ -345,6 +346,7 @@ func RunSLO(opt Options) SLOResult {
 	tr.FlushOpen()
 	smp.FlushOpen()
 
+	r.Unreconciled = reconcile(plane.Timeline, poa, len(lanes), cliORB)
 	r.Regions = hist.Spans()
 	r.Transitions = contract.Transitions()
 	for _, s := range hist.Spans() {

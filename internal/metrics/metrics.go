@@ -128,18 +128,6 @@ func (sm Summary) StdDuration() time.Duration {
 	return time.Duration(sm.Std * float64(time.Second))
 }
 
-// PerSecond buckets a series into whole-second counts over [0, horizon).
-func (s *Series) PerSecond(horizon int) []int {
-	out := make([]int, horizon)
-	for _, p := range s.Points {
-		sec := int(p.T / time.Second)
-		if sec >= 0 && sec < horizon {
-			out[sec]++
-		}
-	}
-	return out
-}
-
 // Table renders aligned text tables, the output format of the benchmark
 // harness (one table per paper table, one series block per figure).
 type Table struct {
@@ -199,33 +187,6 @@ func (t *Table) Render() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// RenderCSV produces the table as RFC-4180-ish CSV (quotes applied only
-// where needed), for piping into plotting tools.
-func (t *Table) RenderCSV() string {
-	var b strings.Builder
-	writeCSVRow(&b, t.Headers)
-	for _, row := range t.Rows {
-		writeCSVRow(&b, row)
-	}
-	return b.String()
-}
-
-func writeCSVRow(b *strings.Builder, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if strings.ContainsAny(c, ",\"\n") {
-			b.WriteByte('"')
-			b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-			b.WriteByte('"')
-		} else {
-			b.WriteString(c)
-		}
-	}
-	b.WriteByte('\n')
 }
 
 // WriteCSV emits the series as "seconds,value" rows with a header.

@@ -50,24 +50,6 @@ func TestSeriesWindow(t *testing.T) {
 	}
 }
 
-func TestSeriesPerSecond(t *testing.T) {
-	s := NewSeries("frames")
-	for i := 0; i < 90; i++ {
-		s.Add(time.Duration(i)*33*time.Millisecond, 1)
-	}
-	buckets := s.PerSecond(3)
-	total := buckets[0] + buckets[1] + buckets[2]
-	if total != 90 {
-		t.Fatalf("buckets = %v, total %d", buckets, total)
-	}
-	// ~30 per second.
-	for i, n := range buckets {
-		if n < 29 || n > 32 {
-			t.Fatalf("bucket[%d] = %d", i, n)
-		}
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Table 1", "Case", "% Delivered", "Latency")
 	tb.AddRow("No Adaptation", "0.8%", "324.0 ms")
@@ -126,17 +108,6 @@ func TestSummaryInvariants(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tb := NewTable("x", "Case", "Value")
-	tb.AddRow("plain", "1")
-	tb.AddRow(`with "quotes", and comma`, "2")
-	out := tb.RenderCSV()
-	want := "Case,Value\nplain,1\n\"with \"\"quotes\"\", and comma\",2\n"
-	if out != want {
-		t.Fatalf("csv = %q, want %q", out, want)
 	}
 }
 

@@ -1,25 +1,23 @@
 package monitor
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/events"
-	"repro/internal/netsim"
-	"repro/internal/orb"
 	"repro/internal/quo"
-	"repro/internal/rtcorba"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
 )
 
 // Plane bundles the monitoring machinery for one scenario: the bus
-// merging every layer's occurrences into a unified timeline, the
-// sampler turning the telemetry registry into time series, and Wire*
-// helpers that attach each middleware subsystem's observation hook.
-// Everything runs on the simulation clock, so a seeded scenario yields
-// a byte-identical dashboard on every run.
+// merging every layer's occurrences into a unified timeline, and the
+// sampler turning the telemetry registry into time series. Middleware
+// layers publish their own fates once handed the bus (netsim's and orb's
+// SetBus, pubsub.ChannelConfig.Bus); WireContract and WireTracer bridge
+// the two sources that are not layers. Everything runs on the simulation
+// clock, so a seeded scenario yields a byte-identical dashboard on every
+// run.
 type Plane struct {
 	K        *sim.Kernel
 	Reg      *telemetry.Registry
@@ -46,38 +44,6 @@ func (p *Plane) Start() { p.Sampler.Start() }
 
 // Stop halts sampling.
 func (p *Plane) Stop() { p.Sampler.Stop() }
-
-// WireORB publishes the ORB's circuit-breaker transitions as
-// KindBreaker records sourced "orb@<name>".
-func (p *Plane) WireORB(o *orb.ORB) {
-	o.SetBreakerHook(func(tr orb.BreakerTransition) {
-		p.Bus.PublishAt(tr.At, events.KindBreaker, "orb@"+o.Name(),
-			events.F("endpoint", tr.Addr.String()),
-			events.F("from", tr.From.String()),
-			events.F("to", tr.To.String()))
-	})
-}
-
-// WirePool publishes a thread pool's lane sheds and refusals as
-// KindShed records sourced "pool/<name>".
-func (p *Plane) WirePool(name string, tp *rtcorba.ThreadPool) {
-	tp.SetShedHook(func(lane rtcorba.Priority, reason string) {
-		p.Bus.Publish(events.KindShed, "pool/"+name,
-			events.F("lane", strconv.Itoa(int(lane))),
-			events.F("reason", reason))
-	})
-}
-
-// WireNetwork publishes every classified packet drop as a KindDrop
-// record sourced "net".
-func (p *Plane) WireNetwork(n *netsim.Network) {
-	n.SetDropHook(func(pkt *netsim.Packet, reason netsim.DropReason) {
-		p.Bus.Publish(events.KindDrop, "net",
-			events.F("reason", reason.String()),
-			events.F("dst", pkt.Dst.String()),
-			events.F("flow", strconv.FormatUint(uint64(pkt.Flow), 10)))
-	})
-}
 
 // WireContract publishes a QuO contract's region transitions as
 // KindRegion records sourced "contract/<name>". It composes with any

@@ -9,16 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TestWirePubSub pins the bus wiring: outbox overflows become KindDrop
-// records and watermark crossings KindSubLag records, timestamped with
-// the channel's clock.
+// TestWirePubSub pins the bus wiring from the monitor's side: a channel
+// handed the plane's bus (ChannelConfig.Bus) turns outbox overflows into
+// KindDrop records and watermark crossings into KindSubLag records that
+// the plane's timelines see, timestamped with the channel's clock.
 func TestWirePubSub(t *testing.T) {
 	clk := sim.NewKernel(1)
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "mon", Clock: clk})
 	bus := events.NewBus(sim.Wall)
 	drops := events.NewTimeline(bus, events.KindDrop)
 	lags := events.NewTimeline(bus, events.KindSubLag)
-	WirePubSub(bus, ch)
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "mon", Clock: clk, Bus: bus})
 
 	if _, err := ch.Subscribe(pubsub.SubscriberConfig{Name: "slow", Outbox: 4, Deliver: func(pubsub.Event) {}}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -37,6 +37,9 @@ func TestWirePubSub(t *testing.T) {
 	if r.Source != "pubsub/mon" {
 		t.Errorf("drop source = %q", r.Source)
 	}
+	if want := sim.Time(5) * time.Millisecond; r.At != want {
+		t.Errorf("drop at %v, want the channel clock's %v", r.At, want)
+	}
 	fields := map[string]string{}
 	for _, f := range r.Fields {
 		fields[f.K] = f.V
@@ -50,37 +53,5 @@ func TestWirePubSub(t *testing.T) {
 	ch.PumpAll()
 	if lags.Len() != 2 {
 		t.Errorf("sub_lag records after drain = %d, want 2 (cleared)", lags.Len())
-	}
-}
-
-// TestDegradePubSubOnBurn pins the adaptive hook: any firing alert or
-// SLO burn degrades BE subscribers; when the last source resolves, full
-// fan-out resumes.
-func TestDegradePubSubOnBurn(t *testing.T) {
-	ch := pubsub.New(pubsub.ChannelConfig{Name: "adapt"})
-	if _, err := ch.Subscribe(pubsub.SubscriberConfig{Name: "be", Priority: 0, Deliver: func(pubsub.Event) {}}); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	bus := events.NewBus(sim.Wall)
-	sub := DegradePubSubOnBurn(bus, ch)
-	defer sub.Cancel()
-
-	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "firing"))
-	if !ch.Degraded() {
-		t.Fatal("firing alert must degrade the channel")
-	}
-	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "firing"))
-	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "resolved"))
-	if !ch.Degraded() {
-		t.Fatal("one source still firing: channel must stay degraded")
-	}
-	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "resolved"))
-	if ch.Degraded() {
-		t.Fatal("all sources resolved: channel must recover")
-	}
-	// Records without a state field (other kinds' shapes) are ignored.
-	bus.Publish(events.KindAlert, "rule/odd")
-	if ch.Degraded() {
-		t.Fatal("stateless record must not flip degradation")
 	}
 }

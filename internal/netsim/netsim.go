@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -47,16 +48,10 @@ type Network struct {
 	dirty   bool      // topology changed since last route computation
 	flowSeq uint64
 	tracer  *trace.Tracer
+	bus     *events.Bus
 
-	stats    map[FlowID]*FlowStats
-	dropHook func(p *Packet, reason DropReason)
+	stats map[FlowID]*FlowStats
 }
-
-// SetDropHook installs fn to observe every packet the network destroys,
-// with the classified reason. The monitoring plane uses it to merge
-// network drops into the unified event timeline. A nil fn disables it.
-// fn must not keep p: a cross-traffic source reuses its dropped packets.
-func (n *Network) SetDropHook(fn func(p *Packet, reason DropReason)) { n.dropHook = fn }
 
 // New creates an empty network on kernel k.
 func New(k *sim.Kernel) *Network {
@@ -69,6 +64,11 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // SetTracer enables per-hop transit spans for packets that carry a
 // trace context. A nil tracer disables them.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tracer = tr }
+
+// SetBus publishes every packet the network destroys as a KindDrop
+// record sourced "net", carrying the classified reason, so network drops
+// merge into the unified event timeline. A nil bus disables them.
+func (n *Network) SetBus(b *events.Bus) { n.bus = b }
 
 // NewFlowID allocates a fresh flow identifier.
 func (n *Network) NewFlowID() FlowID {

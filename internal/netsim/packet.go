@@ -3,8 +3,10 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -249,12 +251,17 @@ func (n *Network) flowStats(f FlowID) *FlowStats {
 // needed so callers can read counters before traffic starts.
 func (n *Network) FlowStats(f FlowID) *FlowStats { return n.flowStats(f) }
 
+// countDrop ends p's life with reason: the flow's counters, the KindDrop
+// record when a bus is attached, the trace, and p's return to its pool.
 func (n *Network) countDrop(p *Packet, reason DropReason) {
 	st := n.flowStats(p.Flow)
 	st.Dropped++
 	st.DropReasons[reason]++
-	if n.dropHook != nil {
-		n.dropHook(p, reason)
+	if n.bus != nil {
+		n.bus.Publish(events.KindDrop, "net",
+			events.F("reason", reason.String()),
+			events.F("dst", p.Dst.String()),
+			events.F("flow", strconv.FormatUint(uint64(p.Flow), 10)))
 	}
 	if p.hopSpan != nil {
 		p.hopSpan.Event("drop", trace.String("reason", reason.String()))

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/sim"
@@ -265,38 +264,6 @@ func (ds *DiffServ) Limit() int { return ds.be.Limit() }
 // Clone implements Qdisc.
 func (ds *DiffServ) Clone() Qdisc { return NewDiffServ(ds.ef.limit, ds.be.Clone()) }
 
-// tokenBucket meters a reserved flow: tokens accrue at the reserved rate
-// up to the burst size, and a packet is eligible when the bucket holds
-// its size in tokens.
-type tokenBucket struct {
-	rate   float64 // bytes per second
-	burst  float64 // bucket depth in bytes
-	tokens float64
-	last   sim.Time
-}
-
-func (tb *tokenBucket) refill(now sim.Time) {
-	dt := (now - tb.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	tb.tokens = math.Min(tb.burst, tb.tokens+dt*tb.rate)
-	tb.last = now
-}
-
-// eligibleIn returns 0 if size tokens are available now, else the time
-// until they will be.
-func (tb *tokenBucket) eligibleIn(now sim.Time, size int) time.Duration {
-	tb.refill(now)
-	need := float64(size) - tb.tokens
-	if need <= 0 {
-		return 0
-	}
-	return time.Duration(need / tb.rate * float64(time.Second))
-}
-
-func (tb *tokenBucket) take(size int) { tb.tokens -= float64(size) }
-
 // IntServ layers guaranteed-service flow queues over an inner discipline.
 // Reserved flows (installed by RSVP signalling) are served first — each
 // metered to its reserved rate by a token bucket — so they are isolated
@@ -311,8 +278,10 @@ type IntServ struct {
 	order    []FlowID // deterministic service order
 }
 
+// gflow is one reserved flow: its queue, metered in bytes by a bucket
+// at the reserved rate.
 type gflow struct {
-	tb tokenBucket
+	tb sim.Bucket
 	q  pktQueue
 }
 
@@ -338,7 +307,7 @@ func (is *IntServ) InstallFlow(f FlowID, rateBps float64, burstBytes, limitBytes
 		is.order = append(is.order, f)
 	}
 	is.reserved[f] = &gflow{
-		tb: tokenBucket{rate: rateBps / 8, burst: float64(burstBytes), tokens: float64(burstBytes), last: now},
+		tb: sim.NewBucket(rateBps/8, float64(burstBytes), now),
 		q:  pktQueue{limit: limitBytes},
 	}
 }
@@ -358,7 +327,7 @@ func (is *IntServ) RemoveFlow(f FlowID) {
 func (is *IntServ) ReservedRate() float64 {
 	total := 0.0
 	for _, g := range is.reserved {
-		total += g.tb.rate * 8
+		total += g.tb.Rate() * 8
 	}
 	return total
 }
@@ -380,8 +349,7 @@ func (is *IntServ) Dequeue(now sim.Time) (*Packet, time.Duration) {
 		if head == nil {
 			continue
 		}
-		if g.tb.eligibleIn(now, head.Size) == 0 {
-			g.tb.take(head.Size)
+		if g.tb.Take(now, float64(head.Size)) {
 			return g.q.pop(), 0
 		}
 	}

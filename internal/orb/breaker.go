@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/breaker"
+	"repro/internal/events"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -56,13 +57,12 @@ type BreakerTransition struct {
 
 // orbBreaker adapts the shared circuit machine to the ORB: endpoint
 // keys are netsim addresses, timestamps are virtual time, and every
-// transition feeds the transition log, the monitoring hook and a
-// zero-length overload-layer span.
+// transition feeds the transition log, the ORB's bus and a zero-length
+// overload-layer span.
 type orbBreaker struct {
 	o           *ORB
 	m           *breaker.Machine
 	transitions []BreakerTransition
-	hook        func(BreakerTransition)
 }
 
 func newBreaker(o *ORB) *orbBreaker {
@@ -80,7 +80,7 @@ func newBreaker(o *ORB) *orbBreaker {
 }
 
 // observe translates a machine transition into the ORB's domain and
-// fans it out to the log, the hook and the tracer.
+// fans it out to the log, the bus and the tracer.
 func (b *orbBreaker) observe(addr netsim.Addr, mtr breaker.Transition) {
 	tr := BreakerTransition{
 		At:   sim.Time(mtr.At),
@@ -89,8 +89,11 @@ func (b *orbBreaker) observe(addr netsim.Addr, mtr breaker.Transition) {
 		To:   BreakerState(mtr.To),
 	}
 	b.transitions = append(b.transitions, tr)
-	if b.hook != nil {
-		b.hook(tr)
+	if b.o.bus != nil {
+		b.o.bus.PublishAt(tr.At, events.KindBreaker, "orb@"+b.o.name,
+			events.F("endpoint", addr.String()),
+			events.F("from", tr.From.String()),
+			events.F("to", tr.To.String()))
 	}
 	if b.o.tracer != nil {
 		s := b.o.tracer.StartRoot("breaker."+tr.To.String(), trace.LayerOverload)
@@ -147,8 +150,3 @@ func (o *ORB) BreakerState(addr netsim.Addr) BreakerState {
 func (o *ORB) BreakerTransitions() []BreakerTransition {
 	return o.breaker.transitions
 }
-
-// SetBreakerHook installs fn to observe every circuit transition as it
-// happens, in addition to the transition log. The monitoring plane uses
-// it to feed breaker state changes into the unified event timeline.
-func (o *ORB) SetBreakerHook(fn func(BreakerTransition)) { o.breaker.hook = fn }

@@ -2,10 +2,12 @@ package orb
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/netsim"
 	"repro/internal/rtcorba"
 	"repro/internal/rtos"
@@ -152,9 +154,14 @@ func TestBreakerRoutesAroundSaturatedReplica(t *testing.T) {
 
 // TestBreakerReclosesAfterRecovery completes the loop: when the
 // saturated replica drains, the next post-cooldown probe succeeds and
-// the circuit re-closes.
+// the circuit re-closes. Every transition and every lane discard reaches
+// the bus once, from the ORB and the POA pool that decided it.
 func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	r := newFTRig(t, 2, Config{BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond})
+	bus := events.NewBus(r.k)
+	log := events.NewTimeline(bus)
+	r.client.SetBus(bus)
+	r.servers[0].SetBus(bus)
 	// The primary is saturated for ~2s (two 1s dispatches through a
 	// single-slot lane); once those drain it answers instantly.
 	satCalls := 0
@@ -202,6 +209,29 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	// ran a probe or post-recovery invocation to completion.
 	if satCalls < 3 {
 		t.Fatalf("primary dispatched %d, want the 2 saturating calls plus a successful probe", satCalls)
+	}
+
+	var trips, want []string
+	sheds := 0
+	for _, rec := range log.Records() {
+		switch {
+		case rec.Kind == events.KindBreaker && rec.Source == "orb@"+r.client.Name():
+			trips = append(trips, fmt.Sprint(rec.At, rec.Fields))
+		case rec.Kind == events.KindShed && rec.Source == "pool/"+r.servers[0].Name()+"/app":
+			sheds++
+		default:
+			t.Errorf("unexpected record %v", rec)
+		}
+	}
+	for _, tr := range r.client.BreakerTransitions() {
+		want = append(want, fmt.Sprint(tr.At, []events.Field{
+			events.F("endpoint", tr.Addr.String()), events.F("from", tr.From.String()), events.F("to", tr.To.String())}))
+	}
+	if fmt.Sprint(trips) != fmt.Sprint(want) {
+		t.Errorf("KindBreaker records %v, transition log %v", trips, want)
+	}
+	if st := poa0.Pool().Stats(0); int64(sheds) != st.Refused+st.Evicted+st.Deadline || sheds == 0 {
+		t.Errorf("%d KindShed records, lane stats %+v", sheds, st)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/dedup"
+	"repro/internal/events"
 	"repro/internal/giop"
 	"repro/internal/netsim"
 	"repro/internal/rtcorba"
@@ -172,6 +173,7 @@ type ORB struct {
 	clientInterceptors []ClientInterceptor
 	serverInterceptors []ServerInterceptor
 	tracer             *trace.Tracer
+	bus                *events.Bus
 }
 
 type connKey struct {

@@ -104,6 +104,9 @@ func (o *ORB) CreatePOA(name string, cfg POAConfig) (*POA, error) {
 	if o.tracer != nil {
 		pool.SetTracer(o.tracer)
 	}
+	if o.bus != nil {
+		pool.SetBus(o.bus, "pool/"+o.name+"/"+name)
+	}
 	p := &POA{
 		name:     name,
 		orb:      o,

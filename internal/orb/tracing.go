@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/events"
 	"repro/internal/giop"
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
@@ -33,6 +34,17 @@ func (o *ORB) EnableTracing(tr *trace.Tracer) {
 	}
 	o.AddClientInterceptor(&ClientTracer{Tracer: tr, ORB: o})
 	o.AddServerInterceptor(&ServerTracer{Tracer: tr})
+}
+
+// SetBus publishes the ORB's circuit-breaker transitions as KindBreaker
+// records sourced "orb@<name>". Existing and future POA thread pools
+// publish their sheds on the same bus, sourced "pool/<orb>/<poa>". A nil
+// bus disables both.
+func (o *ORB) SetBus(b *events.Bus) {
+	o.bus = b
+	for _, p := range o.poas {
+		p.pool.SetBus(b, "pool/"+o.name+"/"+p.name)
+	}
 }
 
 // ClientTracer is the ready-made client interceptor that roots the

@@ -1,6 +1,9 @@
 package pubsub
 
 import (
+	"sync"
+
+	"repro/internal/events"
 	"repro/internal/quo"
 )
 
@@ -42,4 +45,38 @@ func BindContract(c *quo.Contract, ch *Channel, degradedRegions ...string) {
 	c.OnTransition(func(from, to string, v quo.Values) {
 		ch.SetDegraded(set[to])
 	})
+}
+
+// DegradePubSubOnBurn drives the channel's adaptive downgrade from the
+// monitoring bus: while any alert rule or SLO burn pair is in the firing
+// state, BE subscribers run degraded (coalesced/sampled delivery); when
+// the last firing source resolves, full fan-out resumes. EF subscribers
+// keep complete streams throughout. Cancel the returned subscription to
+// detach.
+func DegradePubSubOnBurn(bus *events.Bus, ch *Channel) *events.BusSub {
+	var mu sync.Mutex
+	firing := make(map[string]bool)
+	return bus.Subscribe(func(r events.Record) {
+		state := ""
+		for _, f := range r.Fields {
+			if f.K == "state" {
+				state = f.V
+				break
+			}
+		}
+		key := string(r.Kind) + "/" + r.Source
+		mu.Lock()
+		switch state {
+		case "firing":
+			firing[key] = true
+		case "resolved":
+			delete(firing, key)
+		default:
+			mu.Unlock()
+			return
+		}
+		degraded := len(firing) > 0
+		mu.Unlock()
+		ch.SetDegraded(degraded)
+	}, events.KindAlert, events.KindSLOBurn)
 }

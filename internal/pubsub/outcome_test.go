@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/events"
+	"repro/internal/sim"
 	"repro/internal/trace/telemetry"
 )
 
@@ -29,9 +31,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// recordBus returns a wall-clock bus and a timeline of the records of
+// the given kinds that a channel publishes on it.
+func recordBus(kinds ...events.Kind) (*events.Bus, *events.Timeline) {
+	bus := events.NewBus(sim.Wall)
+	return bus, events.NewTimeline(bus, kinds...)
+}
+
+// field returns the value of r's field k, or "".
+func field(r events.Record, k string) string {
+	for _, f := range r.Fields {
+		if f.K == k {
+			return f.V
+		}
+	}
+	return ""
+}
+
 // TestOutboxOutcomeEachFate drives one event to each outcome and checks
 // that exactly that outcome's pubsub.outcomes series and Stats field
-// move, by one, and that the drop hook hears of every drop by its name.
+// move, by one, and that every drop is published as one KindDrop record
+// with its name as the reason.
 func TestOutboxOutcomeEachFate(t *testing.T) {
 	publish := func(t *testing.T, ch *Channel, key string) {
 		t.Helper()
@@ -44,40 +64,40 @@ func TestOutboxOutcomeEachFate(t *testing.T) {
 		want outcome
 		// setup brings subscriber "s" to the edge of the fate and returns
 		// the step that settles one event.
-		setup func(t *testing.T) (*Channel, *Subscriber, func())
+		setup func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func())
 	}{
-		{"Delivered", outcomeDelivered, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{})
+		{"Delivered", outcomeDelivered, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Bus: bus})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Deliver: func(Event) {}})
 			publish(t, ch, "")
 			return ch, s, func() { s.PumpOne() }
 		}},
-		{"DropOldest", outcomeOverflow, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{})
+		{"DropOldest", outcomeOverflow, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Bus: bus})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 1, Policy: DropOldest, Deliver: func(Event) {}})
 			publish(t, ch, "")
 			return ch, s, func() { publish(t, ch, "") }
 		}},
-		{"DropNewest", outcomeOverflow, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{})
+		{"DropNewest", outcomeOverflow, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Bus: bus})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 1, Policy: DropNewest, Deliver: func(Event) {}})
 			publish(t, ch, "")
 			return ch, s, func() { publish(t, ch, "") }
 		}},
-		{"CoalesceByKey", outcomeCoalesced, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{})
+		{"CoalesceByKey", outcomeCoalesced, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Bus: bus})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Policy: CoalesceByKey, Deliver: func(Event) {}})
 			publish(t, ch, "k")
 			return ch, s, func() { publish(t, ch, "k") }
 		}},
-		{"DegradedSampling", outcomeSampled, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{})
+		{"DegradedSampling", outcomeSampled, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Bus: bus})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", SampleEvery: 2, Deliver: func(Event) {}})
 			ch.SetDegraded(true)
 			return ch, s, func() { publish(t, ch, "") }
 		}},
-		{"BlockWokenByClose", outcomeClosed, func(t *testing.T) (*Channel, *Subscriber, func()) {
-			ch := New(ChannelConfig{Async: true})
+		{"BlockWokenByClose", outcomeClosed, func(t *testing.T, bus *events.Bus) (*Channel, *Subscriber, func()) {
+			ch := New(ChannelConfig{Async: true, Bus: bus})
 			entered, gate := make(chan struct{}, 1), make(chan struct{})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 1, Policy: Block, Deliver: func(Event) {
 				entered <- struct{}{}
@@ -109,10 +129,8 @@ func TestOutboxOutcomeEachFate(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ch, s, step := tc.setup(t)
-			var mu sync.Mutex
-			var drops []DropInfo
-			ch.SetDropHook(func(d DropInfo) { mu.Lock(); drops = append(drops, d); mu.Unlock() })
+			bus, log := recordBus(events.KindDrop)
+			ch, s, step := tc.setup(t, bus)
 			series := func() (n [numOutcomes]float64) {
 				for o := range n {
 					n[o] = ch.Registry().Counter("pubsub.outcomes",
@@ -120,7 +138,7 @@ func TestOutboxOutcomeEachFate(t *testing.T) {
 				}
 				return n
 			}
-			seriesBefore, statsBefore := series(), s.Stats()
+			seriesBefore, statsBefore, recordsBefore := series(), s.Stats(), log.Len()
 			step()
 			seriesAfter, statsAfter := series(), s.Stats()
 			for o := outcome(0); o < numOutcomes; o++ {
@@ -135,20 +153,19 @@ func TestOutboxOutcomeEachFate(t *testing.T) {
 					t.Errorf("Stats %s moved by %d, want %d", outcomeNames[o], d, want)
 				}
 			}
-			mu.Lock()
-			defer mu.Unlock()
+			drops := log.Records()[recordsBefore:]
 			switch {
 			case tc.want == outcomeDelivered && len(drops) != 0:
-				t.Errorf("a delivery reached the drop hook: %+v", drops)
-			case tc.want != outcomeDelivered && (len(drops) != 1 || drops[0].Reason != outcomeNames[tc.want] || drops[0].Sub != "s"):
-				t.Errorf("drop hook saw %+v, want one drop of s with reason %s", drops, outcomeNames[tc.want])
+				t.Errorf("a delivery was published as a drop: %v", drops)
+			case tc.want != outcomeDelivered && (len(drops) != 1 || field(drops[0], "reason") != outcomeNames[tc.want] || field(drops[0], "sub") != "s"):
+				t.Errorf("drop records %v, want one drop of s with reason %s", drops, outcomeNames[tc.want])
 			}
 		})
 	}
 }
 
 // TestUnsubscribeSettlesBacklog: unsubscribing with events queued settles
-// each as closed, tells the drop hook, and keeps them in the channel's
+// each as closed, publishes each as a drop, and keeps them in the channel's
 // totals after the subscriber is gone. On an async channel the pump
 // stops instead of pushing the backlog.
 func TestUnsubscribeSettlesBacklog(t *testing.T) {
@@ -156,10 +173,8 @@ func TestUnsubscribeSettlesBacklog(t *testing.T) {
 	for _, mode := range []string{"Manual", "Async"} {
 		async := mode == "Async"
 		t.Run(mode, func(t *testing.T) {
-			ch := New(ChannelConfig{Async: async})
-			var mu sync.Mutex
-			var drops []DropInfo
-			ch.SetDropHook(func(d DropInfo) { mu.Lock(); drops = append(drops, d); mu.Unlock() })
+			bus, log := recordBus(events.KindDrop)
+			ch := New(ChannelConfig{Async: async, Bus: bus})
 			var pushed atomic.Int64
 			entered, gate := make(chan struct{}, 1), make(chan struct{})
 			s := mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 8, Deliver: func(Event) {
@@ -196,16 +211,14 @@ func TestUnsubscribeSettlesBacklog(t *testing.T) {
 			if n := pushed.Load(); n != int64(delivered) {
 				t.Errorf("Deliver ran %d times, want %d: the backlog was pushed after Unsubscribe", n, delivered)
 			}
-			mu.Lock()
-			if len(drops) != backlog {
-				t.Errorf("drop hook fired %d times, want %d", len(drops), backlog)
+			if log.Len() != backlog {
+				t.Errorf("%d drop records, want %d", log.Len(), backlog)
 			}
-			for _, d := range drops {
-				if d.Reason != "closed" || d.Sub != "s" {
-					t.Errorf("drop = %+v, want sub=s reason=closed", d)
+			for _, r := range log.Records() {
+				if field(r, "reason") != "closed" || field(r, "sub") != "s" {
+					t.Errorf("drop record %v, want sub=s reason=closed", r)
 				}
 			}
-			mu.Unlock()
 			snap := ch.Snapshot()
 			if len(snap.Subscribers) != 0 || snap.Dropped != backlog || snap.Delivered != delivered {
 				t.Errorf("channel snapshot = %+v, want no subscribers, dropped %d, delivered %d", snap, backlog, delivered)
@@ -217,12 +230,12 @@ func TestUnsubscribeSettlesBacklog(t *testing.T) {
 // TestLedgerConservedUnderChurn races publishers against subscribers
 // joining and leaving, over every policy, and then reconciles: the
 // channel's totals account for every event offered to every subscriber
-// it ever had, Deliver ran once per delivery, and the drop hook fired
-// once per drop. Run under -race.
+// it ever had, Deliver ran once per delivery, and one KindDrop record was
+// published per drop. Run under -race.
 func TestLedgerConservedUnderChurn(t *testing.T) {
-	ch := New(ChannelConfig{Async: true})
-	var pushed, dropHooks atomic.Int64
-	ch.SetDropHook(func(DropInfo) { dropHooks.Add(1) })
+	bus, log := recordBus(events.KindDrop)
+	ch := New(ChannelConfig{Async: true, Bus: bus})
+	var pushed atomic.Int64
 	deliver := func(Event) {
 		pushed.Add(1)
 		time.Sleep(10 * time.Microsecond)
@@ -280,8 +293,8 @@ func TestLedgerConservedUnderChurn(t *testing.T) {
 	if n := uint64(pushed.Load()); n != snap.Delivered {
 		t.Errorf("Deliver ran %d times, channel delivered %d", n, snap.Delivered)
 	}
-	if n := uint64(dropHooks.Load()); n != snap.Dropped {
-		t.Errorf("drop hook fired %d times, channel dropped %d", n, snap.Dropped)
+	if n := uint64(log.Len()); n != snap.Dropped {
+		t.Errorf("%d drop records, channel dropped %d", n, snap.Dropped)
 	}
 	if snap.Dropped == 0 {
 		t.Error("nothing dropped: the churn did not exercise the drop outcomes")

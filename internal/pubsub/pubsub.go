@@ -16,24 +16,26 @@
 //
 // Degraded mode is the paper's adaptive-QoS contract applied to
 // dissemination: when a QuO contract region, SLO burn or monitor alert
-// asks for it (see BindContract and monitor.DegradePubSubOnBurn), BE
+// asks for it (see BindContract and DegradePubSubOnBurn), BE
 // subscribers are individually downgraded to coalescing/sampled
 // delivery while EF subscribers keep their full streams.
 //
-// The package is dependency-light by design: it reports drop decisions
-// and subscriber lag through callback hooks (SetDropHook / SetLagHook)
-// rather than importing the events bus, mirroring how netsim and
-// rtcorba publish into the monitoring plane without import cycles.
+// Every drop an outbox settles and every lag-watermark crossing is
+// published by the channel itself on ChannelConfig.Bus, as KindDrop and
+// KindSubLag records, the way netsim, rtcorba, orb and wire publish their
+// own fates.
 package pubsub
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
@@ -138,34 +140,26 @@ type Tracer interface {
 	Finish(ctx trace.SpanContext, attrs ...trace.Attr)
 }
 
-// DropInfo describes one event the channel dropped (or folded) on a
-// subscriber's behalf; it feeds bus records and the drop hook.
-type DropInfo struct {
-	// Sub is the owning subscriber.
-	Sub string
-	// Topic is the dropped event's topic.
-	Topic string
-	// Seq is the dropped event's channel sequence number.
-	Seq uint64
-	// Reason is the event's outcome at the subscriber: "overflow",
-	// "coalesced", "sampled" or "closed" (see the outcome constants).
-	Reason string
-	// Policy is the subscriber's configured overflow policy.
-	Policy Policy
-	// Depth is the outbox depth when the decision was taken.
-	Depth int
-	// At is the channel-clock decision instant.
-	At sim.Time
+// dropRecord is one event an outbox settled with a drop outcome, held
+// until the channel publishes it with no lock held.
+type dropRecord struct {
+	sub, topic string
+	seq        uint64
+	// reason is the outcome's name ("overflow", "coalesced", "sampled" or
+	// "closed"); empty for a delivery, which publishes nothing.
+	reason string
+	policy Policy
+	depth  int      // outbox depth when the decision was taken
+	at     sim.Time // channel-clock decision instant
 }
 
-// LagInfo describes a subscriber crossing (Lagging=true) or leaving
-// (Lagging=false) its outbox lag high-watermark.
-type LagInfo struct {
-	Sub     string
-	Depth   int
-	Cap     int
-	Lagging bool
-	At      sim.Time
+// lagRecord is a subscriber crossing (lagging) or leaving its outbox lag
+// high-watermark.
+type lagRecord struct {
+	sub           string
+	depth, outbox int
+	lagging       bool
+	at            sim.Time
 }
 
 // SubscriberConfig describes one subscription.
@@ -207,23 +201,27 @@ type ChannelConfig struct {
 	Registry *telemetry.Registry
 	// Tracer emits layer-"pubsub" publish spans (nil = no spans).
 	Tracer Tracer
+	// Bus receives a KindDrop record, sourced "pubsub/<name>", for every
+	// event an outbox drops, and a KindSubLag record for every lag
+	// watermark crossing (nil = no records). They are published with no
+	// channel or subscriber lock held, so a bus subscriber may call back
+	// into the channel.
+	Bus *events.Bus
 }
 
 // rateLimit is one per-topic token bucket; the first bucket whose
 // pattern matches a published topic admits or refuses it.
 type rateLimit struct {
 	pattern string
-	rate    float64 // tokens per second
-	burst   float64
-	tokens  float64
-	last    sim.Time
+	tb      sim.Bucket // one token per event
 }
 
 // Channel is a real-time pub/sub event channel.
 type Channel struct {
-	cfg   ChannelConfig
-	reg   *telemetry.Registry
-	clock sim.Clock
+	cfg    ChannelConfig
+	reg    *telemetry.Registry
+	clock  sim.Clock
+	source string // the bus records' source
 
 	mu        sync.Mutex
 	seq       uint64
@@ -234,10 +232,6 @@ type Channel struct {
 	limits    []*rateLimit
 	degraded  bool
 	closed    bool
-
-	hookMu   sync.Mutex
-	dropHook func(DropInfo)
-	lagHook  func(LagInfo)
 
 	// left is the ledger of every unsubscribed subscriber (see leave), so
 	// the channel's totals never go down.
@@ -261,10 +255,11 @@ func New(cfg ChannelConfig) *Channel {
 		cfg.Clock = sim.Wall
 	}
 	c := &Channel{
-		cfg:   cfg,
-		reg:   cfg.Registry,
-		clock: cfg.Clock,
-		subs:  make(map[string]*Subscriber),
+		cfg:    cfg,
+		reg:    cfg.Registry,
+		clock:  cfg.Clock,
+		source: "pubsub/" + cfg.Name,
+		subs:   make(map[string]*Subscriber),
 	}
 	c.hFanoutEF = c.reg.Histogram("pubsub.fanout_ms", telemetry.L("band", "ef"))
 	c.hFanoutBE = c.reg.Histogram("pubsub.fanout_ms", telemetry.L("band", "be"))
@@ -283,28 +278,36 @@ func (c *Channel) Async() bool { return c.cfg.Async }
 // Registry returns the channel's telemetry registry.
 func (c *Channel) Registry() *telemetry.Registry { return c.reg }
 
-// SetDropHook installs the drop-decision callback (monitor wiring
-// publishes it as a KindDrop bus record): it sees every event settled
-// with a drop outcome, once. The hook runs on the publishing or
-// unsubscribing goroutine with no channel locks held.
-func (c *Channel) SetDropHook(fn func(DropInfo)) {
-	c.hookMu.Lock()
-	c.dropHook = fn
-	c.hookMu.Unlock()
+// publishDrop puts one settled drop on the bus; a delivery (empty
+// reason) publishes nothing. No locks held.
+func (c *Channel) publishDrop(d dropRecord) {
+	if c.cfg.Bus == nil || d.reason == "" {
+		return
+	}
+	c.cfg.Bus.PublishAt(d.at, events.KindDrop, c.source,
+		events.F("sub", d.sub),
+		events.F("topic", d.topic),
+		events.F("seq", strconv.FormatUint(d.seq, 10)),
+		events.F("reason", d.reason),
+		events.F("policy", d.policy.String()),
+		events.F("depth", strconv.Itoa(d.depth)))
 }
 
-// SetLagHook installs the subscriber-lag callback (monitor wiring
-// publishes it as a KindSubLag bus record).
-func (c *Channel) SetLagHook(fn func(LagInfo)) {
-	c.hookMu.Lock()
-	c.lagHook = fn
-	c.hookMu.Unlock()
-}
-
-func (c *Channel) hooks() (func(DropInfo), func(LagInfo)) {
-	c.hookMu.Lock()
-	defer c.hookMu.Unlock()
-	return c.dropHook, c.lagHook
+// publishLag puts a lag-watermark crossing, if any, on the bus. No locks
+// held.
+func (c *Channel) publishLag(l *lagRecord) {
+	if c.cfg.Bus == nil || l == nil {
+		return
+	}
+	state := "cleared"
+	if l.lagging {
+		state = "lagging"
+	}
+	c.cfg.Bus.PublishAt(l.at, events.KindSubLag, c.source,
+		events.F("sub", l.sub),
+		events.F("state", state),
+		events.F("depth", strconv.Itoa(l.depth)),
+		events.F("cap", strconv.Itoa(l.outbox)))
 }
 
 // Limit installs a per-topic admission token bucket: events published
@@ -314,29 +317,15 @@ func (c *Channel) hooks() (func(DropInfo), func(LagInfo)) {
 func (c *Channel) Limit(pattern string, rate, burst float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.limits = append(c.limits, &rateLimit{
-		pattern: pattern, rate: rate, burst: burst, tokens: burst, last: c.Now(),
-	})
+	c.limits = append(c.limits, &rateLimit{pattern: pattern, tb: sim.NewBucket(rate, burst, c.Now())})
 }
 
-// admit refills and spends the first matching bucket; channel lock held.
+// admit spends a token from the first matching bucket; channel lock held.
 func (c *Channel) admit(topic string, at sim.Time) bool {
 	for _, l := range c.limits {
-		if !MatchTopic(l.pattern, topic) {
-			continue
+		if MatchTopic(l.pattern, topic) {
+			return l.tb.Take(at, 1)
 		}
-		if dt := at - l.last; dt > 0 {
-			l.tokens += l.rate * dt.Seconds()
-			if l.tokens > l.burst {
-				l.tokens = l.burst
-			}
-			l.last = at
-		}
-		if l.tokens < 1 {
-			return false
-		}
-		l.tokens--
-		return true
 	}
 	return true
 }
@@ -387,7 +376,7 @@ func (c *Channel) Subscribe(cfg SubscriberConfig) (*Subscriber, error) {
 }
 
 // Unsubscribe removes a subscriber, discarding its queued events: each
-// is settled as closed and reaches the drop hook, on either pump mode,
+// is settled as closed and published as a drop, on either pump mode,
 // and the channel's totals keep everything the subscriber delivered and
 // dropped.
 func (c *Channel) Unsubscribe(name string) bool {
@@ -402,10 +391,8 @@ func (c *Channel) Unsubscribe(name string) bool {
 	drops := s.leave()
 	c.mu.Unlock()
 	s.gDepth.Set(0)
-	if dropHook, _ := c.hooks(); dropHook != nil {
-		for _, d := range drops {
-			dropHook(d)
-		}
+	for _, d := range drops {
+		c.publishDrop(d)
 	}
 	return true
 }
@@ -467,15 +454,10 @@ func (c *Channel) PublishCtx(ev Event, parent trace.SpanContext) error {
 		}
 	}
 
-	dropHook, lagHook := c.hooks()
 	for _, s := range matched {
 		drop, lag := s.offer(ev)
-		if drop.Reason != "" && dropHook != nil {
-			dropHook(drop)
-		}
-		if lag != nil && lagHook != nil {
-			lagHook(*lag)
-		}
+		c.publishDrop(drop)
+		c.publishLag(lag)
 	}
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Finish(ev.span)
@@ -648,8 +630,8 @@ type Subscriber struct {
 
 // outcome is how one event offered to a subscriber's outbox ended. Each
 // event gets exactly one, from settle; its name is the counter label and,
-// for the four drops (every outcome after delivered), the drop hook's
-// Reason.
+// for the four drops (every outcome after delivered), the KindDrop
+// record's reason.
 type outcome uint8
 
 const (
@@ -693,10 +675,10 @@ func (s *Subscriber) lagLow() int  { return s.cfg.Outbox / 2 }
 
 // offer enqueues ev per the subscriber's policy and degradation state.
 // It returns the drop it settled, if any (no branch drops more than one
-// event; Reason is empty when nothing was dropped), and a lag transition
+// event; reason is empty when nothing was dropped), and a lag transition
 // if one occurred. Called with no channel locks held; may block under
 // the Block policy.
-func (s *Subscriber) offer(ev Event) (drop DropInfo, lag *LagInfo) {
+func (s *Subscriber) offer(ev Event) (drop dropRecord, lag *lagRecord) {
 	at := ev.Published
 	s.mu.Lock()
 	defer func() {
@@ -747,9 +729,9 @@ func (s *Subscriber) offer(ev Event) (drop DropInfo, lag *LagInfo) {
 
 // settle records ev's one outcome o at this subscriber, decided at the
 // channel-clock instant at: the only code that counts an event's fate.
-// It returns what the drop hook is told, or the zero DropInfo for a
-// delivery. Subscriber lock held.
-func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) DropInfo {
+// It returns the drop to publish, or the zero dropRecord for a delivery.
+// Subscriber lock held.
+func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) dropRecord {
 	s.n[o]++
 	if s.left {
 		s.ch.left[o].Add(1)
@@ -759,11 +741,11 @@ func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) DropInfo {
 	}
 	s.counters[o].Inc()
 	if o == outcomeDelivered {
-		return DropInfo{}
+		return dropRecord{}
 	}
-	return DropInfo{
-		Sub: s.cfg.Name, Topic: ev.Topic, Seq: ev.Seq,
-		Reason: outcomeNames[o], Policy: s.cfg.Policy, Depth: len(s.box), At: at,
+	return dropRecord{
+		sub: s.cfg.Name, topic: ev.Topic, seq: ev.Seq,
+		reason: outcomeNames[o], policy: s.cfg.Policy, depth: len(s.box), at: at,
 	}
 }
 
@@ -772,13 +754,13 @@ func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) DropInfo {
 // publisher that matched the subscriber just before, or a Block
 // publisher this wakes, may still settle one more event; settle folds
 // those as it counts them. Channel lock held.
-func (s *Subscriber) leave() []DropInfo {
+func (s *Subscriber) leave() []dropRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
 	s.cond.Broadcast()
 	at := s.ch.Now()
-	drops := make([]DropInfo, 0, len(s.box))
+	drops := make([]dropRecord, 0, len(s.box))
 	for _, ev := range s.box {
 		drops = append(drops, s.settle(ev, outcomeClosed, at))
 	}
@@ -791,15 +773,11 @@ func (s *Subscriber) leave() []DropInfo {
 }
 
 // lagTransition updates the lag mark from the current depth; lock held.
-func (s *Subscriber) lagTransition(at sim.Time) *LagInfo {
+func (s *Subscriber) lagTransition(at sim.Time) *lagRecord {
 	depth := len(s.box)
-	if !s.lagging && depth >= s.lagHigh() {
-		s.lagging = true
-		return &LagInfo{Sub: s.cfg.Name, Depth: depth, Cap: s.cfg.Outbox, Lagging: true, At: at}
-	}
-	if s.lagging && depth <= s.lagLow() {
-		s.lagging = false
-		return &LagInfo{Sub: s.cfg.Name, Depth: depth, Cap: s.cfg.Outbox, Lagging: false, At: at}
+	if !s.lagging && depth >= s.lagHigh() || s.lagging && depth <= s.lagLow() {
+		s.lagging = !s.lagging
+		return &lagRecord{sub: s.cfg.Name, depth: depth, outbox: s.cfg.Outbox, lagging: s.lagging, at: at}
 	}
 	return nil
 }
@@ -830,7 +808,7 @@ func (s *Subscriber) dropHead() Event {
 }
 
 // popLocked removes the head event for delivery; subscriber lock held.
-func (s *Subscriber) popLocked() (Event, *LagInfo, int) {
+func (s *Subscriber) popLocked() (Event, *lagRecord, int) {
 	ev := s.dropHead()
 	if len(s.box) == 0 {
 		s.box = nil // reset backing array so it can be collected
@@ -843,7 +821,7 @@ func (s *Subscriber) popLocked() (Event, *LagInfo, int) {
 
 // deliver invokes the consumer callback and records the fan-out
 // latency; no locks held.
-func (s *Subscriber) deliver(ev Event, lag *LagInfo, depth int) {
+func (s *Subscriber) deliver(ev Event, lag *lagRecord, depth int) {
 	s.cfg.Deliver(ev)
 	s.gDepth.Set(float64(depth))
 	latMs := float64(s.ch.Now()-ev.Published) / float64(time.Millisecond)
@@ -855,12 +833,7 @@ func (s *Subscriber) deliver(ev Event, lag *LagInfo, depth int) {
 		TraceID: uint64(ev.span.Trace), SpanID: uint64(ev.span.Span),
 		At: time.Duration(ev.Published),
 	})
-	if lag != nil {
-		_, lagHook := s.ch.hooks()
-		if lagHook != nil {
-			lagHook(*lag)
-		}
-	}
+	s.ch.publishLag(lag)
 }
 
 // run is the async pump: one goroutine per subscriber, so a slow

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/quo"
 	"repro/internal/sim"
 	"repro/internal/trace/telemetry"
@@ -288,39 +289,53 @@ func TestDegradedModeSpareEF(t *testing.T) {
 	}
 }
 
+// TestHooksAndSnapshot pins the channel's own bus records: outbox
+// overflows become KindDrop records and watermark crossings KindSubLag
+// records, sourced "pubsub/<name>" and stamped with the channel's clock
+// even on a bus with another clock.
 func TestHooksAndSnapshot(t *testing.T) {
 	clk := sim.NewKernel(1)
-	ch := New(ChannelConfig{Name: "hooks", Clock: clk})
-	var mu sync.Mutex
-	var drops []DropInfo
-	var lags []LagInfo
-	ch.SetDropHook(func(d DropInfo) { mu.Lock(); drops = append(drops, d); mu.Unlock() })
-	ch.SetLagHook(func(l LagInfo) { mu.Lock(); lags = append(lags, l); mu.Unlock() })
+	bus, log := recordBus(events.KindDrop, events.KindSubLag)
+	ch := New(ChannelConfig{Name: "mon", Clock: clk, Bus: bus})
 	mustSub(t, ch, SubscriberConfig{Name: "slow", Outbox: 10, Deliver: func(Event) {}})
 
 	for i := 0; i < 12; i++ {
+		clk.RunFor(time.Millisecond)
 		ch.Publish(Event{Topic: "t"})
 	}
-	mu.Lock()
-	if len(drops) != 2 {
-		t.Errorf("drop hook fired %d times, want 2", len(drops))
-	}
-	for _, d := range drops {
-		if d.Sub != "slow" || d.Reason != "overflow" {
-			t.Errorf("drop = %+v, want sub=slow reason=overflow", d)
+	var drops, lags []events.Record
+	split := func() {
+		drops, lags = nil, nil
+		for _, r := range log.Records() {
+			if r.Kind == events.KindDrop {
+				drops = append(drops, r)
+			} else {
+				lags = append(lags, r)
+			}
 		}
 	}
-	if len(lags) != 1 || !lags[0].Lagging {
-		t.Fatalf("lag hook = %+v, want one 'lagging' crossing", lags)
+	split()
+	if len(drops) != 2 {
+		t.Fatalf("%d drop records, want 2:\n%s", len(drops), log.Render())
 	}
-	mu.Unlock()
+	for i, r := range drops {
+		if r.Source != "pubsub/mon" || field(r, "sub") != "slow" || field(r, "reason") != "overflow" ||
+			field(r, "policy") != "drop-oldest" || field(r, "seq") != fmt.Sprint(i+1) {
+			t.Errorf("drop record %v, want source pubsub/mon, sub=slow reason=overflow policy=drop-oldest seq=%d", r, i+1)
+		}
+		if want := sim.Time(11+i) * time.Millisecond; r.At != want {
+			t.Errorf("drop record at %v, want the channel clock's %v", r.At, want)
+		}
+	}
+	if len(lags) != 1 || field(lags[0], "state") != "lagging" {
+		t.Fatalf("sub_lag records %v, want one 'lagging' crossing", lags)
+	}
 
 	ch.PumpAll() // draining clears the lag mark
-	mu.Lock()
-	if len(lags) != 2 || lags[1].Lagging {
-		t.Errorf("lag hook after drain = %+v, want a 'cleared' transition", lags)
+	split()
+	if len(lags) != 2 || field(lags[1], "state") != "cleared" {
+		t.Errorf("sub_lag records after drain %v, want a 'cleared' transition", lags)
 	}
-	mu.Unlock()
 
 	snap := ch.Snapshot()
 	if snap.Published != 12 || snap.Delivered != 10 || snap.Dropped != 2 {
@@ -360,6 +375,70 @@ func TestBindContractDegradesOnRegion(t *testing.T) {
 	}
 }
 
+// TestDegradePubSubOnBurn pins the adaptive trigger: any firing alert or
+// SLO burn degrades BE subscribers; when the last source resolves, full
+// fan-out resumes.
+func TestDegradePubSubOnBurn(t *testing.T) {
+	ch := New(ChannelConfig{Name: "adapt"})
+	mustSub(t, ch, SubscriberConfig{Name: "be", Priority: 0, Deliver: func(Event) {}})
+	bus := events.NewBus(sim.Wall)
+	sub := DegradePubSubOnBurn(bus, ch)
+	defer sub.Cancel()
+
+	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "firing"))
+	if !ch.Degraded() {
+		t.Fatal("firing alert must degrade the channel")
+	}
+	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "firing"))
+	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "resolved"))
+	if !ch.Degraded() {
+		t.Fatal("one source still firing: channel must stay degraded")
+	}
+	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "resolved"))
+	if ch.Degraded() {
+		t.Fatal("all sources resolved: channel must recover")
+	}
+	// Records without a state field (other kinds' shapes) are ignored.
+	bus.Publish(events.KindAlert, "rule/odd")
+	if ch.Degraded() {
+		t.Fatal("stateless record must not flip degradation")
+	}
+}
+
+// TestBusSubscriberReentersChannel: the channel publishes its records
+// with no channel or subscriber lock held, so a bus subscriber may call
+// back into it, as DegradePubSubOnBurn does.
+func TestBusSubscriberReentersChannel(t *testing.T) {
+	bus := events.NewBus(sim.Wall)
+	ch := New(ChannelConfig{Bus: bus})
+	var kinds []events.Kind
+	bus.Subscribe(func(r events.Record) {
+		kinds = append(kinds, r.Kind)
+		ch.Snapshot() // takes the channel lock and every subscriber's
+		ch.SetDegraded(false)
+	})
+	mustSub(t, ch, SubscriberConfig{Name: "s", Outbox: 2, Deliver: func(Event) {}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 4; i++ { // lagging at depth 2, then two overflows
+			ch.Publish(Event{Topic: "t"})
+		}
+		ch.PumpAll() // cleared on the first pop
+		ch.Publish(Event{Topic: "t"})
+		ch.Unsubscribe("s") // one closed drop
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a bus subscriber calling back into the channel deadlocked")
+	}
+	want := fmt.Sprint([]events.Kind{events.KindSubLag, events.KindDrop, events.KindDrop, events.KindSubLag, events.KindDrop})
+	if got := fmt.Sprint(kinds); got != want {
+		t.Errorf("records %s, want %s", got, want)
+	}
+}
+
 func TestLagCond(t *testing.T) {
 	clk := sim.NewKernel(1)
 	ch := New(ChannelConfig{Name: "lc", Clock: clk})
@@ -387,13 +466,12 @@ func TestLagCond(t *testing.T) {
 // subscriber's outbox policy.
 func TestScenarioSimClock(t *testing.T) {
 	clk := sim.NewKernel(1)
-	ch := New(ChannelConfig{Name: "scenario", Clock: clk})
+	bus, log := recordBus(events.KindDrop)
+	ch := New(ChannelConfig{Name: "scenario", Clock: clk, Bus: bus})
 	ch.Limit("bulk/**", 2000, 100)
 
 	var mu sync.Mutex
 	var efLatencies []sim.Time
-	drops := map[string]int{}
-	ch.SetDropHook(func(d DropInfo) { mu.Lock(); drops[d.Sub]++; mu.Unlock() })
 
 	mustSub(t, ch, SubscriberConfig{
 		Name: "display-ef", Topic: "camera/**", MinPriority: 16000, Priority: 16000, Outbox: 128,
@@ -453,16 +531,14 @@ func TestScenarioSimClock(t *testing.T) {
 	if snap.Dropped != slowStats.Dropped {
 		t.Errorf("channel drops %d != slow-sub drops %d: losses leaked to other subscribers", snap.Dropped, slowStats.Dropped)
 	}
-	mu.Lock()
-	if drops["be-slow"] != int(slowStats.Dropped) {
-		t.Errorf("drop hook saw %d be-slow drops, stats say %d", drops["be-slow"], slowStats.Dropped)
+	if log.Len() != int(slowStats.Dropped) {
+		t.Errorf("%d drop records, be-slow stats say %d drops", log.Len(), slowStats.Dropped)
 	}
-	for sub := range drops {
-		if sub != "be-slow" {
-			t.Errorf("drop hook fired for %s; only be-slow may drop", sub)
+	for _, r := range log.Records() {
+		if sub := field(r, "sub"); sub != "be-slow" {
+			t.Errorf("drop record for %s; only be-slow may drop", sub)
 		}
 	}
-	mu.Unlock()
 	// Determinism: the virtual clock makes the counts exact run to run —
 	// published = frames + (bulk attempts - admission refusals).
 	if snap.Published != uint64(frames)+600-snap.Refused {

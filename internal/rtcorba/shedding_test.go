@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -137,8 +138,9 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 // TestLaneOutcomeEachFate drives one work item to each of the pool's four
 // outcomes behind a busy thread: A runs, C is evicted by E, D is refused at
 // the full queue, B's deadline passes while it waits, and E runs. Each is
-// counted once in Stats, reaches the shed hook and the Work.Shed callback
-// (a refusal only the hook: Dispatch's false answers the caller), and ends
+// counted once in Stats, is published as a KindShed record and reaches
+// the Work.Shed callback (a refusal only the record: Dispatch's false
+// answers the caller), and ends
 // its lane.queue span with its outcome's event.
 func TestLaneOutcomeEachFate(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -150,8 +152,10 @@ func TestLaneOutcomeEachFate(t *testing.T) {
 	}
 	tr := trace.NewTracer(k)
 	tp.SetTracer(tr)
-	var hook, shed []string
-	tp.SetShedHook(func(_ Priority, reason string) { hook = append(hook, reason) })
+	bus := events.NewBus(k)
+	records := events.NewTimeline(bus, events.KindShed)
+	tp.SetBus(bus, "pool/h/app")
+	var shed []string
 	offered := 0
 	dispatch := func(name string, p Priority, dl time.Duration, fn func(*rtos.Thread)) bool {
 		offered++
@@ -182,8 +186,15 @@ func TestLaneOutcomeEachFate(t *testing.T) {
 	if sum := st.Served + st.Refused + st.Evicted + st.Deadline + int64(tp.QueueDepth(0)); sum != int64(offered) {
 		t.Errorf("offered %d, accounted %d", offered, sum)
 	}
-	if got, want := fmt.Sprint(hook), "[refused evicted deadline]"; got != want {
-		t.Errorf("shed hook reasons %s, want %s", got, want)
+	var reasons []string
+	for _, r := range records.Records() {
+		if r.Source != "pool/h/app" || r.Fields[0] != events.F("lane", "0") {
+			t.Errorf("shed record %v, want source pool/h/app and lane=0", r)
+		}
+		reasons = append(reasons, r.Fields[1].V)
+	}
+	if got, want := fmt.Sprint(reasons), "[refused evicted deadline]"; got != want {
+		t.Errorf("KindShed record reasons %s, want %s", got, want)
 	}
 	if got, want := fmt.Sprint(shed), "[C evicted B deadline]"; got != want {
 		t.Errorf("Shed callbacks %s, want %s", got, want)

@@ -2,7 +2,9 @@ package rtcorba
 
 import (
 	"fmt"
+	"strconv"
 
+	"repro/internal/events"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -88,22 +90,23 @@ type LaneConfig struct {
 // item rather than being refused, and items whose end-to-end deadline
 // has already expired are discarded at dequeue.
 type ThreadPool struct {
-	host     *rtos.Host
-	mm       *MappingManager
-	lanes    []*lane
-	tracer   *trace.Tracer
-	shedHook func(lane Priority, reason string)
+	host   *rtos.Host
+	mm     *MappingManager
+	lanes  []*lane
+	tracer *trace.Tracer
+	bus    *events.Bus
+	source string
 }
 
 // SetTracer enables lane-queue spans for work items carrying a trace
 // context. A nil tracer disables them.
 func (tp *ThreadPool) SetTracer(tr *trace.Tracer) { tp.tracer = tr }
 
-// SetShedHook installs fn to observe every discarded work item: reason
-// is "evicted" or "deadline" for post-admission sheds and "refused" for
-// admission rejections. The monitoring plane uses it to merge lane
-// sheds into the unified event timeline.
-func (tp *ThreadPool) SetShedHook(fn func(lane Priority, reason string)) { tp.shedHook = fn }
+// SetBus publishes every discarded work item as a KindShed record named
+// source, carrying the lane and a reason: "evicted" or "deadline" for
+// post-admission sheds, "refused" for admission rejections. Lane sheds
+// thereby merge into the unified event timeline. A nil bus disables them.
+func (tp *ThreadPool) SetBus(b *events.Bus, source string) { tp.bus, tp.source = b, source }
 
 type lane struct {
 	cfg     LaneConfig
@@ -115,7 +118,7 @@ type lane struct {
 
 // outcome is how a work item's stay in a lane ended. settle is the one
 // place each is counted and, for the three that discard the item, traced
-// and reported; the name is the shed hook's reason.
+// and published; the name is the KindShed record's reason.
 type outcome int
 
 const (
@@ -213,7 +216,7 @@ func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 
 // settle counts a work item's outcome. An item the lane discards also
 // leaves its event on the lane.queue span (or, untraced past dequeue, a
-// deadline_expired span), reaches the shed hook, and — once admitted —
+// deadline_expired span), a KindShed record, and — once admitted —
 // has its Shed callback told why.
 func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
 	ln.n[o]++
@@ -234,8 +237,10 @@ func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
 		s := tp.tracer.StartChild(w.Ctx, "deadline_expired", trace.LayerOverload)
 		s.Finish()
 	}
-	if tp.shedHook != nil {
-		tp.shedHook(ln.cfg.Priority, outcomeNames[o])
+	if tp.bus != nil {
+		tp.bus.Publish(events.KindShed, tp.source,
+			events.F("lane", strconv.Itoa(int(ln.cfg.Priority))),
+			events.F("reason", outcomeNames[o]))
 	}
 	if w.Shed != nil && o != refused {
 		reason := ShedEvicted
