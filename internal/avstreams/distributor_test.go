@@ -42,7 +42,7 @@ func TestDistributorFansOut(t *testing.T) {
 	atrRecv := atrSvc.CreateReceiver(5000, 50, nil)
 
 	d := distSvc.NewDistributor(4000, 60)
-	distSvc.Host().Spawn("branches", 60, func(th *rtos.Thread) {
+	distSvc.host.Spawn("branches", 60, func(th *rtos.Thread) {
 		if _, err := d.AddBranch(th.Proc(), 4001, dispRecv.Addr(), QoS{}); err != nil {
 			t.Errorf("display branch: %v", err)
 		}
@@ -51,7 +51,7 @@ func TestDistributorFansOut(t *testing.T) {
 		}
 	})
 	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
+	srcSvc.host.Spawn("source", 50, func(th *rtos.Thread) {
 		st, err := sender.Bind(th.Proc(), d.InAddr(), QoS{})
 		if err != nil {
 			t.Errorf("bind: %v", err)
@@ -73,7 +73,7 @@ func TestDistributorPerBranchFilter(t *testing.T) {
 	atrRecv := atrSvc.CreateReceiver(5000, 50, nil)
 
 	d := distSvc.NewDistributor(4000, 60)
-	distSvc.Host().Spawn("branches", 60, func(th *rtos.Thread) {
+	distSvc.host.Spawn("branches", 60, func(th *rtos.Thread) {
 		full, err := d.AddBranch(th.Proc(), 4001, dispRecv.Addr(), QoS{})
 		if err != nil {
 			t.Errorf("branch: %v", err)
@@ -88,7 +88,7 @@ func TestDistributorPerBranchFilter(t *testing.T) {
 		thin.SetFilter(video.FilterIOnly)
 	})
 	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
+	srcSvc.host.Spawn("source", 50, func(th *rtos.Thread) {
 		st, err := sender.Bind(th.Proc(), d.InAddr(), QoS{})
 		if err != nil {
 			t.Errorf("bind: %v", err)
@@ -115,7 +115,7 @@ func TestDistributorBranchReservation(t *testing.T) {
 	dispRecv := dispSvc.CreateReceiver(5000, 50, nil)
 	d := distSvc.NewDistributor(4000, 60)
 	var st *Stream
-	distSvc.Host().Spawn("branches", 60, func(th *rtos.Thread) {
+	distSvc.host.Spawn("branches", 60, func(th *rtos.Thread) {
 		var err error
 		st, err = d.AddBranch(th.Proc(), 4001, dispRecv.Addr(), QoS{ReserveBps: 1.4e6})
 		if err != nil {
@@ -125,11 +125,11 @@ func TestDistributorBranchReservation(t *testing.T) {
 	// Swamp the dist->display link with best-effort cross traffic; the
 	// reserved branch must still deliver.
 	cross := netsim.StartCrossTraffic(
-		distSvc.Endpoint().Network(), distSvc.Endpoint().Node(), dispSvc.Endpoint().Node(),
+		distSvc.net, distSvc.ep.Node(), dispSvc.ep.Node(),
 		6000, 40e6, 20, netsim.DSCPBestEffort)
 	defer cross.Stop()
 	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
+	srcSvc.host.Spawn("source", 50, func(th *rtos.Thread) {
 		up, err := sender.Bind(th.Proc(), d.InAddr(), QoS{})
 		if err != nil {
 			t.Errorf("bind: %v", err)
@@ -139,7 +139,7 @@ func TestDistributorBranchReservation(t *testing.T) {
 		up.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
 	})
 	k.RunUntil(8 * time.Second)
-	if st == nil || st.Reservation() == nil {
+	if st == nil || st.resv == nil {
 		t.Fatal("branch reservation missing")
 	}
 	frac := float64(dispRecv.Stats.ReceivedTotal) / 150

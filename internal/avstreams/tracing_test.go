@@ -20,12 +20,12 @@ func TestFrameTraceSpansPipeline(t *testing.T) {
 	for _, s := range []*Service{srcSvc, distSvc, dispSvc, atrSvc} {
 		s.SetTracer(tr)
 	}
-	srcSvc.Endpoint().Network().SetTracer(tr)
+	srcSvc.net.SetTracer(tr)
 
 	dispRecv := dispSvc.CreateReceiver(5000, 50, nil)
 	atrRecv := atrSvc.CreateReceiver(5000, 50, nil)
 	d := distSvc.NewDistributor(4000, 60)
-	distSvc.Host().Spawn("branches", 60, func(th *rtos.Thread) {
+	distSvc.host.Spawn("branches", 60, func(th *rtos.Thread) {
 		if _, err := d.AddBranch(th.Proc(), 4001, dispRecv.Addr(), QoS{}); err != nil {
 			t.Errorf("display branch: %v", err)
 		}
@@ -37,7 +37,7 @@ func TestFrameTraceSpansPipeline(t *testing.T) {
 		thin.SetFilter(video.FilterIOnly)
 	})
 	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
+	srcSvc.host.Spawn("source", 50, func(th *rtos.Thread) {
 		st, err := sender.Bind(th.Proc(), d.InAddr(), QoS{})
 		if err != nil {
 			t.Errorf("bind: %v", err)
@@ -127,10 +127,10 @@ func TestLostFrameLeavesUnfinishedSpan(t *testing.T) {
 	srcSvc.SetTracer(tr)
 
 	sender := srcSvc.CreateSender(4100)
-	srcSvc.Host().Spawn("source", 50, func(th *rtos.Thread) {
+	srcSvc.host.Spawn("source", 50, func(th *rtos.Thread) {
 		// Port 5999 has no receiver: the frame is delivered to nothing
 		// and its span is never finished.
-		st, err := sender.Bind(th.Proc(), dispSvc.Endpoint().Addr(5999), QoS{})
+		st, err := sender.Bind(th.Proc(), dispSvc.ep.Addr(5999), QoS{})
 		if err != nil {
 			t.Errorf("bind: %v", err)
 			return

@@ -186,15 +186,6 @@ func (e *Encoder) PutOctetSeq(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// PutEncapsulation appends an encapsulated CDR stream: an octet sequence
-// whose first byte is the inner byte order.
-func (e *Encoder) PutEncapsulation(inner *Encoder) {
-	stream := inner.buf[inner.origin:]
-	e.PutULong(uint32(len(stream) + 1))
-	e.PutOctet(byte(inner.order))
-	e.PutOctets(stream)
-}
-
 // Decoder parses a CDR stream. Alignment is tracked from the start of
 // the buffer, matching how GIOP bodies are decoded in place.
 type Decoder struct {
@@ -207,9 +198,6 @@ type Decoder struct {
 func NewDecoder(buf []byte, order ByteOrder) *Decoder {
 	return &Decoder{buf: buf, order: order}
 }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
 // Pos returns the read cursor.
 func (d *Decoder) Pos() int { return d.pos }
@@ -377,26 +365,4 @@ func (d *Decoder) OctetSeqView() ([]byte, error) {
 	view := d.buf[d.pos:end:end]
 	d.pos = end
 	return view, nil
-}
-
-// Encapsulation reads an encapsulated stream and returns a decoder over
-// its contents (in place, not a copy) using the byte order tagged in its
-// first octet.
-func (d *Decoder) Encapsulation() (*Decoder, error) {
-	body, err := d.OctetSeqView()
-	if err != nil {
-		return nil, err
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("%w: empty encapsulation", ErrInvalid)
-	}
-	order := ByteOrder(body[0])
-	if order != BigEndian && order != LittleEndian {
-		return nil, fmt.Errorf("%w: encapsulation byte order %d", ErrInvalid, body[0])
-	}
-	// The inner stream's alignment restarts after the order octet; CDR
-	// encapsulations align relative to the start of the sequence body.
-	// We conservatively re-base at offset 0 of the remaining bytes,
-	// matching how PutEncapsulation produced it.
-	return NewDecoder(body[1:], order), nil
 }

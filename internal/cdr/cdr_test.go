@@ -61,8 +61,8 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		if v, err := d.OctetSeq(); err != nil || !bytes.Equal(v, []byte{1, 2, 3}) {
 			t.Fatalf("%v octetseq = %v, %v", o, v, err)
 		}
-		if d.Remaining() != 0 {
-			t.Fatalf("%v left %d bytes", o, d.Remaining())
+		if d.pos != len(d.buf) {
+			t.Fatalf("%v left %d bytes", o, len(d.buf)-d.pos)
 		}
 	}
 }
@@ -161,40 +161,6 @@ func TestZeroLengthStringRejected(t *testing.T) {
 	}
 }
 
-func TestEncapsulationRoundTrip(t *testing.T) {
-	inner := NewEncoder(LittleEndian)
-	inner.PutString("component")
-	inner.PutULong(99)
-
-	outer := NewEncoder(BigEndian)
-	outer.PutULong(1) // something before, to force interesting alignment
-	outer.PutEncapsulation(inner)
-
-	d := NewDecoder(outer.Bytes(), BigEndian)
-	if v, _ := d.ULong(); v != 1 {
-		t.Fatal("outer prefix lost")
-	}
-	id, err := d.Encapsulation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err := id.String(); err != nil || s != "component" {
-		t.Fatalf("inner string = %q, %v", s, err)
-	}
-	if v, err := id.ULong(); err != nil || v != 99 {
-		t.Fatalf("inner ulong = %v, %v", v, err)
-	}
-}
-
-func TestEncapsulationBadOrder(t *testing.T) {
-	e := NewEncoder(BigEndian)
-	e.PutOctetSeq([]byte{9, 1, 2}) // order byte 9 is invalid
-	d := NewDecoder(e.Bytes(), BigEndian)
-	if _, err := d.Encapsulation(); err == nil {
-		t.Fatal("invalid encapsulation order accepted")
-	}
-}
-
 // Property: every (value-sequence, order) round-trips exactly.
 func TestRoundTripProperty(t *testing.T) {
 	prop := func(oc byte, b bool, s int16, us uint16, l int32, ul uint32, ll int64, ull uint64, f float64, str string, seq []byte, little bool) bool {
@@ -242,7 +208,7 @@ func TestRoundTripProperty(t *testing.T) {
 		return oc2 == oc && b2 == b && s2 == s && us2 == us && l2 == l &&
 			ul2 == ul && ll2 == ll && ull2 == ull &&
 			(f2 == f || (f2 != f2 && f != f)) && // NaN-safe
-			str2 == str && bytes.Equal(seq2, seq) && d.Remaining() == 0
+			str2 == str && bytes.Equal(seq2, seq) && d.pos == len(d.buf)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -257,7 +223,7 @@ func TestDecoderRobustness(t *testing.T) {
 			order = LittleEndian
 		}
 		d := NewDecoder(data, order)
-		for d.Remaining() > 0 {
+		for d.pos < len(d.buf) {
 			before := d.Pos()
 			if _, err := d.String(); err != nil {
 				if _, err := d.ULong(); err != nil {

@@ -187,9 +187,6 @@ func (s *System) checkName(name string) {
 // Machine returns a machine by name, or nil.
 func (s *System) Machine(name string) *Machine { return s.machines[name] }
 
-// Router returns a router by name, or nil.
-func (s *System) Router(name string) *netsim.Node { return s.routers[name] }
-
 // nodeOf resolves a machine or router name to its network node.
 func (s *System) nodeOf(name string) *netsim.Node {
 	if m, ok := s.machines[name]; ok {
@@ -214,9 +211,6 @@ func (s *System) Link(a, b string, spec LinkSpec) {
 
 // Run advances the system to absolute virtual time t.
 func (s *System) RunUntil(t sim.Time) { s.K.RunUntil(t) }
-
-// RunFor advances the system by d of virtual time.
-func (s *System) RunFor(d time.Duration) { s.K.RunFor(d) }
 
 // Close ends the scenario (see sim.Kernel.Close): whoever called
 // NewSystem defers it, or the system's server loops stay parked forever.

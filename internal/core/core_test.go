@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/avstreams"
 	"repro/internal/netsim"
-	"repro/internal/orb"
-	"repro/internal/quo"
 	"repro/internal/rtos"
 	"repro/internal/video"
 )
@@ -24,11 +22,11 @@ func videoSystem(profile LinkProfile, bps float64) (*System, *Machine, *Machine)
 func TestSystemBuilder(t *testing.T) {
 	sys := NewSystem(1)
 	a := sys.AddMachine("a", rtos.HostConfig{})
-	r := sys.AddRouter("r")
+	sys.AddRouter("r")
 	b := sys.AddMachine("b", rtos.HostConfig{})
 	sys.Link("a", "r", LinkSpec{Bps: 10e6})
 	sys.Link("r", "b", LinkSpec{Bps: 10e6})
-	if sys.Machine("a") != a || sys.Router("r") != r || sys.Machine("b") != b {
+	if sys.Machine("a") != a || sys.Machine("b") != b {
 		t.Fatal("lookup failures")
 	}
 	route := sys.Net.Route(a.Node.ID(), b.Node.ID())
@@ -54,80 +52,6 @@ func TestLinkProfiles(t *testing.T) {
 		_, capable := q.(netsim.ReservationCapable)
 		if capable != (p == ProfileFullQoS) {
 			t.Errorf("profile %v reservation-capable = %v", p, capable)
-		}
-	}
-}
-
-func TestApplyThreadPriorityAndDSCP(t *testing.T) {
-	sys := NewSystem(1)
-	m := sys.AddMachine("m", rtos.HostConfig{Priorities: rtos.RangeQNX})
-	qm := NewQoSManager(sys)
-	act := &Activity{Name: "video", Priority: 32767}
-	th := m.Host.Spawn("worker", 0, func(t *rtos.Thread) {})
-	if err := qm.ApplyThreadPriority(act, th, m); err != nil {
-		t.Fatal(err)
-	}
-	if th.Priority() != rtos.RangeQNX.Max {
-		t.Fatalf("native priority = %d, want %d", th.Priority(), rtos.RangeQNX.Max)
-	}
-	if qm.DSCPFor(act) != netsim.DSCPEF {
-		t.Fatalf("DSCP = %v, want EF", qm.DSCPFor(act))
-	}
-	low := &Activity{Name: "bulk", Priority: 100}
-	if qm.DSCPFor(low) != netsim.DSCPBestEffort {
-		t.Fatalf("low-priority DSCP = %v", qm.DSCPFor(low))
-	}
-	sys.K.Run()
-}
-
-func TestEstablishCPUReservesRollback(t *testing.T) {
-	sys := NewSystem(1)
-	a := sys.AddMachine("a", rtos.HostConfig{})
-	b := sys.AddMachine("b", rtos.HostConfig{})
-	qm := NewQoSManager(sys)
-	act := &Activity{Name: "x", Priority: 1000}
-	// Second spec over-commits b: the first reserve must be rolled back.
-	err := qm.EstablishCPUReserves(act,
-		CPUSpec{Machine: a, Compute: 10 * time.Millisecond, Period: 100 * time.Millisecond},
-		CPUSpec{Machine: b, Compute: 95 * time.Millisecond, Period: 100 * time.Millisecond},
-	)
-	if err == nil {
-		t.Fatal("over-commit accepted")
-	}
-	if u := a.Host.ResourceKernel().Utilization(); u != 0 {
-		t.Fatalf("machine a utilization after rollback = %v", u)
-	}
-	if len(act.CPUReserves()) != 0 {
-		t.Fatalf("activity holds %d reserves after failure", len(act.CPUReserves()))
-	}
-}
-
-func TestEstablishAndReleaseEndToEnd(t *testing.T) {
-	sys, snd, rcv := videoSystem(ProfileFullQoS, 10e6)
-	qm := NewQoSManager(sys)
-	act := &Activity{Name: "uav", Priority: 20000}
-	flow := sys.Net.NewFlowID()
-	snd.Host.Spawn("setup", 50, func(th *rtos.Thread) {
-		if err := qm.EstablishCPUReserves(act,
-			CPUSpec{Machine: snd, Compute: 20 * time.Millisecond, Period: 100 * time.Millisecond},
-			CPUSpec{Machine: rcv, Compute: 20 * time.Millisecond, Period: 100 * time.Millisecond},
-		); err != nil {
-			t.Errorf("cpu reserves: %v", err)
-			return
-		}
-		if err := qm.EstablishBandwidth(th.Proc(), act, flow, snd, rcv, 1.5e6, 16*1024); err != nil {
-			t.Errorf("bandwidth: %v", err)
-			return
-		}
-		act.Release()
-	})
-	sys.RunUntil(2 * time.Second)
-	if u := snd.Host.ResourceKernel().Utilization(); u != 0 {
-		t.Fatalf("sender utilization after release = %v", u)
-	}
-	for _, l := range sys.Net.Links() {
-		if rc, ok := l.Queue().(netsim.ReservationCapable); ok && rc.ReservedRate() != 0 {
-			t.Fatalf("link %v still reserved after release", l)
 		}
 	}
 }
@@ -203,51 +127,4 @@ func TestVideoAdaptationEscalatesAndRecovers(t *testing.T) {
 	if va.Transitions < 2 {
 		t.Fatalf("transitions = %d", va.Transitions)
 	}
-}
-
-func TestRemoteCondPollsThroughORB(t *testing.T) {
-	sys := NewSystem(1)
-	cli := sys.AddMachine("cli", rtos.HostConfig{})
-	srv := sys.AddMachine("srv", rtos.HostConfig{})
-	sys.Link("cli", "srv", LinkSpec{Bps: 10e6, Delay: time.Millisecond})
-
-	// The server exposes a value that ramps over time.
-	value := 0.0
-	srvORB := srv.ORB(orb.Config{})
-	poa, err := srvORB.CreatePOA("metrics", orb.POAConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := poa.Activate("cpu", DoubleServant(func() float64 { return value }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.K.At(time.Second, func() { value = 0.75 })
-
-	cliORB := cli.ORB(orb.Config{})
-	rc := sys.NewRemoteCond("remote-cpu", cliORB, cli, ref, "read", 100*time.Millisecond, 20000)
-
-	// A contract reacting to the remote condition.
-	contract := quo.NewContract("watch", 100*time.Millisecond).
-		AddCondition(rc).
-		AddRegion(quo.Region{Name: "hot", When: func(v quo.Values) bool { return v["remote-cpu"] > 0.5 }}).
-		AddRegion(quo.Region{Name: "cool"})
-	contract.Start(sys.K)
-
-	sys.RunUntil(900 * time.Millisecond)
-	if rc.Value() != 0 || contract.Region() != "cool" {
-		t.Fatalf("before ramp: value=%v region=%q", rc.Value(), contract.Region())
-	}
-	sys.RunUntil(2 * time.Second)
-	if rc.Value() != 0.75 {
-		t.Fatalf("after ramp: value=%v", rc.Value())
-	}
-	if contract.Region() != "hot" {
-		t.Fatalf("region = %q", contract.Region())
-	}
-	if rc.Errors != 0 || rc.Polls < 10 {
-		t.Fatalf("polls=%d errors=%d", rc.Polls, rc.Errors)
-	}
-	rc.Stop()
-	contract.Stop()
 }

@@ -39,10 +39,12 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 
 	d := dist.AV().NewDistributor(4000, 70)
 	var adaptive *VideoAdaptation
+	var displayBranch, atrBranch *avstreams.Stream
 	dist.Host.Spawn("branches", 70, func(th *rtos.Thread) {
 		// Display branch: reserved end to end (distributor -> router ->
 		// display), marked EF.
-		if _, err := d.AddBranch(th.Proc(), 4001, displayRecv.Addr(), avstreams.QoS{
+		var err error
+		if displayBranch, err = d.AddBranch(th.Proc(), 4001, displayRecv.Addr(), avstreams.QoS{
 			ReserveBps: 1.5e6,
 			DSCP:       netsim.DSCPEF,
 		}); err != nil {
@@ -50,7 +52,7 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 			return
 		}
 		// ATR branch: best effort with QuO adaptation.
-		atrBranch, err := d.AddBranch(th.Proc(), 4002, atrRecv.Addr(), avstreams.QoS{})
+		atrBranch, err = d.AddBranch(th.Proc(), 4002, atrRecv.Addr(), avstreams.QoS{})
 		if err != nil {
 			t.Errorf("atr branch: %v", err)
 			return
@@ -89,7 +91,7 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 	sys.RunUntil(95 * time.Second)
 
 	// The reserved display branch is essentially unaffected.
-	displayFrac := float64(displayRecv.Stats.ReceivedTotal) / float64(d.Branches()[0].Stats.SentTotal)
+	displayFrac := float64(displayRecv.Stats.ReceivedTotal) / float64(displayBranch.Stats.SentTotal)
 	if displayFrac < 0.99 {
 		t.Fatalf("reserved display branch delivered %.3f", displayFrac)
 	}
@@ -103,7 +105,7 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 	// During the load window the ATR branch thinned (occasional upward
 	// probes allowed) and delivered the bulk of what it sent.
 	_, atrRecvPerSec := atrRecv.Stats.PerSecond(95)
-	sentPerSec, _ := d.Branches()[1].Stats.PerSecond(95)
+	sentPerSec, _ := atrBranch.Stats.PerSecond(95)
 	var sentLoad, recvLoad, filteredSeconds int64
 	for s := 35; s < 60; s++ {
 		sentLoad += sentPerSec[s]

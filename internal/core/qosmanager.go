@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/rtcorba"
-	"repro/internal/rtos"
 	"repro/internal/sim"
 )
 
@@ -18,116 +16,29 @@ type Activity struct {
 	Name string
 	// Priority is the activity's global CORBA priority.
 	Priority rtcorba.Priority
-
-	cpuReserves []*rtos.Reserve
-	netResv     *netsim.Reservation
-}
-
-// CPUReserves returns the CPU reservations established for the activity.
-func (a *Activity) CPUReserves() []*rtos.Reserve { return a.cpuReserves }
-
-// Release returns every resource held by the activity.
-func (a *Activity) Release() {
-	for _, r := range a.cpuReserves {
-		r.Cancel()
-	}
-	a.cpuReserves = nil
-	if a.netResv != nil {
-		a.netResv.Release()
-		a.netResv = nil
-	}
 }
 
 // QoSManager coordinates priority- and reservation-based mechanisms
 // end to end across a System.
 type QoSManager struct {
 	sys *System
-	// Mapping converts CORBA priorities to native priorities per host.
-	Mapping *rtcorba.MappingManager
-	// DSCPMapping converts CORBA priorities to network codepoints.
-	DSCPMapping rtcorba.NetworkPriorityMapping
 }
 
-// NewQoSManager creates a manager with the default linear priority
-// mapping and a two-band DSCP mapping (priorities >= 16000 ride EF).
-func NewQoSManager(sys *System) *QoSManager {
-	return &QoSManager{
-		sys:     sys,
-		Mapping: rtcorba.NewMappingManager(),
-		DSCPMapping: rtcorba.BandedDSCPMapping{Bands: []rtcorba.DSCPBand{
-			{From: 0, DSCP: netsim.DSCPBestEffort},
-			{From: 16000, DSCP: netsim.DSCPEF},
-		}},
-	}
-}
+// NewQoSManager creates a manager for sys.
+func NewQoSManager(sys *System) *QoSManager { return &QoSManager{sys: sys} }
 
-// NativePriority maps an activity priority onto a machine's range.
-func (q *QoSManager) NativePriority(p rtcorba.Priority, m *Machine) (rtos.Priority, error) {
-	n, ok := q.Mapping.ToNative(p, m.Host.Priorities())
-	if !ok {
-		return 0, fmt.Errorf("core: priority %d does not map on %s", p, m.Name())
-	}
-	return n, nil
-}
-
-// ApplyThreadPriority sets a thread's native priority from the activity's
-// CORBA priority — the OS half of a priority path.
-func (q *QoSManager) ApplyThreadPriority(a *Activity, t *rtos.Thread, m *Machine) error {
-	n, err := q.NativePriority(a.Priority, m)
-	if err != nil {
-		return err
-	}
-	t.SetPriority(n)
-	return nil
-}
-
-// DSCPFor returns the network codepoint for the activity — the network
-// half of a priority path.
-func (q *QoSManager) DSCPFor(a *Activity) netsim.DSCP {
-	return q.DSCPMapping.ToDSCP(a.Priority)
-}
-
-// CPUSpec asks for a CPU reservation on one machine.
-type CPUSpec struct {
-	Machine *Machine
-	Compute time.Duration
-	Period  time.Duration
-	Policy  rtos.EnforcementPolicy
-}
-
-// EstablishCPUReserves sets up CPU reservations for the activity on each
-// listed machine, attaching them to the activity for later release. On
-// any admission failure the already-established reserves are rolled back.
-func (q *QoSManager) EstablishCPUReserves(a *Activity, specs ...CPUSpec) error {
-	var done []*rtos.Reserve
-	for _, spec := range specs {
-		r, err := spec.Machine.Host.ResourceKernel().Reserve(spec.Compute, spec.Period, spec.Policy)
-		if err != nil {
-			for _, d := range done {
-				d.Cancel()
-			}
-			return fmt.Errorf("core: CPU reserve on %s: %w", spec.Machine.Name(), err)
-		}
-		done = append(done, r)
-	}
-	a.cpuReserves = append(a.cpuReserves, done...)
-	return nil
-}
-
-// EstablishBandwidth performs RSVP signalling for the activity's flow.
-// It must run on a simulation process.
-func (q *QoSManager) EstablishBandwidth(p *sim.Proc, a *Activity, flow netsim.FlowID, src, dst *Machine, rateBps float64, burst int) error {
-	resv, err := q.sys.Net.ReserveFlow(p, netsim.ReservationSpec{
-		Flow:       flow,
-		Src:        src.Node,
-		Dst:        dst.Node,
+// reserve performs RSVP signalling for one request's flow at rateBps.
+func (q *QoSManager) reserve(p *sim.Proc, req ReservationRequest, rateBps float64) error {
+	_, err := q.sys.Net.ReserveFlow(p, netsim.ReservationSpec{
+		Flow:       req.Flow,
+		Src:        req.Src.Node,
+		Dst:        req.Dst.Node,
 		RateBps:    rateBps,
-		BurstBytes: burst,
+		BurstBytes: req.Burst,
 	})
 	if err != nil {
-		return fmt.Errorf("core: bandwidth reserve %s->%s: %w", src.Name(), dst.Name(), err)
+		return fmt.Errorf("core: bandwidth reserve %s->%s: %w", req.Src.Name(), req.Dst.Name(), err)
 	}
-	a.netResv = resv
 	return nil
 }
 
@@ -174,7 +85,7 @@ func (q *QoSManager) PriorityDrivenReservations(p *sim.Proc, reqs []ReservationR
 		res := AllocationResult{Request: req}
 		rate := req.RateBps
 		for {
-			err := q.EstablishBandwidth(p, req.Activity, req.Flow, req.Src, req.Dst, rate, req.Burst)
+			err := q.reserve(p, req, rate)
 			if err == nil {
 				res.GrantedBps = rate
 				break

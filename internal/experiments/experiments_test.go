@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/video"
 )
 
 // Short durations keep the suite fast; shapes are already stable at
@@ -265,12 +264,13 @@ func TestFilterLevelUsedDuringLoad(t *testing.T) {
 	if r.PartialWithFilter.FilterTransitions == 0 {
 		t.Fatal("filtering case made no filter transitions")
 	}
-	// The filtered send rate during load must match a known ladder rung.
+	// The filtered send rate during load must match a known ladder rung:
+	// I-frames only (2 fps) or I+P (10 fps), as video's TestFilterRates
+	// pins.
 	mid := int((r.PartialWithFilter.LoadStart + r.PartialWithFilter.LoadEnd) / 2 / time.Second)
 	sent := r.PartialWithFilter.SentPerSec[mid]
 	okRates := map[int64]bool{}
-	for _, l := range []video.FilterLevel{video.FilterIOnly, video.FilterIP} {
-		f := int64(l.FPS(video.StreamConfig{}))
+	for _, f := range []int64{2, 10} {
 		okRates[f] = true
 		okRates[f-1] = true
 		okRates[f+1] = true

@@ -42,7 +42,9 @@ func TestLifecycleRunnersReleaseProcesses(t *testing.T) {
 	for _, r := range runners {
 		before := runtime.NumGoroutine()
 		r.run()
-		if n := settledGoroutines(before); n != before {
+		// Only an excess is a leak: a goroutine counted in before may
+		// exit during the run (seen under -race).
+		if n := settledGoroutines(before); n > before {
 			t.Errorf("%s: %d goroutines after it returned, %d before", r.name, n, before)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 // failover order.
 type Group struct {
 	id      uint64
-	version uint64
 	members []*orb.ObjectRef
 }
 
@@ -50,19 +49,9 @@ func (m *GroupManager) CreateGroup(members ...*orb.ObjectRef) (*Group, error) {
 		}
 	}
 	m.seq++
-	g := &Group{id: m.seq, version: 1, members: append([]*orb.ObjectRef(nil), members...)}
+	g := &Group{id: m.seq, members: append([]*orb.ObjectRef(nil), members...)}
 	return g, nil
 }
-
-// ID returns the group id.
-func (g *Group) ID() uint64 { return g.id }
-
-// Version returns the group's membership version; it advances on every
-// membership change, so stale references are detectable.
-func (g *Group) Version() uint64 { return g.version }
-
-// Primary returns the current primary member.
-func (g *Group) Primary() *orb.ObjectRef { return g.members[0] }
 
 // Ref mints the group's interoperable reference: the primary's profile
 // in front, the backups as ordered alternate profiles, and the group id
@@ -80,22 +69,4 @@ func (g *Group) Ref() *orb.ObjectRef {
 		ref.Alternates = append(ref.Alternates, orb.Profile{Addr: m.Addr, Key: m.Key})
 	}
 	return ref
-}
-
-// Promote reorders the membership so the member at index i becomes
-// primary (the others keep their relative order) and bumps the version.
-// References minted afterwards lead with the new primary; references
-// already in client hands keep working because their profile list still
-// covers the membership.
-func (g *Group) Promote(i int) error {
-	if i < 0 || i >= len(g.members) {
-		return fmt.Errorf("ft: promote index %d out of range (group size %d)", i, len(g.members))
-	}
-	if i == 0 {
-		return nil
-	}
-	p := g.members[i]
-	g.members = append([]*orb.ObjectRef{p}, append(g.members[:i:i], g.members[i+1:]...)...)
-	g.version++
-	return nil
 }

@@ -73,9 +73,6 @@ func NewMonitor(o *orb.ORB, cfg MonitorConfig) *Monitor {
 	return &Monitor{orb: o, cfg: cfg, index: make(map[string]*memberState)}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (m *Monitor) Config() MonitorConfig { return m.cfg }
-
 // Watch adds a detector to the ping schedule. Members start presumed
 // alive; the first SuspectAfter missed heartbeats flip them. Watching
 // the same name twice panics: it is always a scenario bug.
@@ -103,20 +100,6 @@ func (m *Monitor) Alive(name string) bool {
 	defer m.mu.Unlock()
 	st, ok := m.index[name]
 	return ok && st.alive
-}
-
-// AliveCount returns how many watched members are currently believed
-// alive.
-func (m *Monitor) AliveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, st := range m.members {
-		if st.alive {
-			n++
-		}
-	}
-	return n
 }
 
 // LivenessCond returns a QuO system condition reading 1 while name is

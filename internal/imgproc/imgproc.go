@@ -1,19 +1,18 @@
 // Package imgproc provides the image-processing substrate for the
-// paper's ATR (automatic target recognition) experiments: PPM (P6) image
-// reading and writing, grayscale conversion, and the three
-// computationally intensive edge-detection algorithms the paper runs —
-// Prewitt, Sobel, and Kirsch — implemented as real convolutions.
+// paper's ATR (automatic target recognition) experiments: synthetic RGB
+// images, grayscale conversion, and the three computationally intensive
+// edge-detection algorithms the paper runs — Prewitt, Sobel, and Kirsch
+// — implemented as real convolutions.
 //
-// The detectors genuinely compute edge maps (and are unit-tested on
-// synthetic images); a calibrated cycle-cost model converts each
-// algorithm's per-pixel work into simulated CPU time so the scheduling
-// experiments (Table 2) see realistic, proportionate compute demands.
+// The scheduling experiments (Table 2) and examples/atr never run the
+// detectors: a calibrated cycle-cost model (Algorithm.Cycles) converts
+// each algorithm's per-pixel work into simulated CPU time. The
+// detectors are kept, and unit-tested on synthetic images, as the
+// computation that model stands for.
 package imgproc
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -30,12 +29,6 @@ func NewImage(w, h int) *Image {
 		panic(fmt.Sprintf("imgproc: invalid dimensions %dx%d", w, h))
 	}
 	return &Image{W: w, H: h, Pix: make([]uint8, 3*w*h)}
-}
-
-// At returns the RGB components at (x, y).
-func (im *Image) At(x, y int) (r, g, b uint8) {
-	i := 3 * (y*im.W + x)
-	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
 }
 
 // Set writes the RGB components at (x, y).
@@ -58,83 +51,6 @@ func (im *Image) Gray() []uint8 {
 		out[i] = uint8((299*r + 587*g + 114*b) / 1000)
 	}
 	return out
-}
-
-// WritePPM encodes the image as binary PPM (P6).
-func (im *Image) WritePPM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	if _, err := bw.Write(im.Pix); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadPPM decodes a binary PPM (P6) image.
-func ReadPPM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("imgproc: reading magic: %w", err)
-	}
-	if magic != "P6" {
-		return nil, fmt.Errorf("imgproc: unsupported magic %q", magic)
-	}
-	readToken := func() (int, error) {
-		// Skip whitespace and comments.
-		for {
-			c, err := br.ReadByte()
-			if err != nil {
-				return 0, err
-			}
-			switch {
-			case c == '#':
-				if _, err := br.ReadString('\n'); err != nil {
-					return 0, err
-				}
-			case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-				continue
-			default:
-				if err := br.UnreadByte(); err != nil {
-					return 0, err
-				}
-				var v int
-				if _, err := fmt.Fscan(br, &v); err != nil {
-					return 0, err
-				}
-				return v, nil
-			}
-		}
-	}
-	w, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: reading width: %w", err)
-	}
-	h, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: reading height: %w", err)
-	}
-	maxval, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: reading maxval: %w", err)
-	}
-	if maxval != 255 {
-		return nil, fmt.Errorf("imgproc: unsupported maxval %d", maxval)
-	}
-	if w <= 0 || h <= 0 || w*h > 64<<20 {
-		return nil, fmt.Errorf("imgproc: unreasonable dimensions %dx%d", w, h)
-	}
-	// Exactly one whitespace byte separates the header from the pixels.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, fmt.Errorf("imgproc: header separator: %w", err)
-	}
-	im := NewImage(w, h)
-	if _, err := io.ReadFull(br, im.Pix); err != nil {
-		return nil, fmt.Errorf("imgproc: reading pixels: %w", err)
-	}
-	return im, nil
 }
 
 // Synthetic generates a deterministic test image with gradients and

@@ -2,70 +2,13 @@ package imgproc
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestPPMRoundTrip(t *testing.T) {
-	im := Synthetic(40, 25, 7)
-	var buf bytes.Buffer
-	if err := im.WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPPM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.W != 40 || got.H != 25 {
-		t.Fatalf("dimensions %dx%d", got.W, got.H)
-	}
-	if !bytes.Equal(got.Pix, im.Pix) {
-		t.Fatal("pixel data corrupted in round trip")
-	}
-}
-
-func TestPPMWithComments(t *testing.T) {
-	data := "P6\n# a comment\n2 1\n# another\n255\n" + string([]byte{1, 2, 3, 4, 5, 6})
-	im, err := ReadPPM(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.W != 2 || im.H != 1 {
-		t.Fatalf("dimensions %dx%d", im.W, im.H)
-	}
-	r, g, b := im.At(1, 0)
-	if r != 4 || g != 5 || b != 6 {
-		t.Fatalf("pixel (1,0) = %d,%d,%d", r, g, b)
-	}
-}
-
-func TestPPMRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":  "P5\n2 2\n255\n",
-		"empty":      "",
-		"truncated":  "P6\n10 10\n255\n\x00\x01",
-		"bad maxval": "P6\n2 2\n65535\n",
-		"bad dims":   "P6\n-3 2\n255\n",
-	}
-	for name, s := range cases {
-		if _, err := ReadPPM(strings.NewReader(s)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
 func TestPaperImageSize(t *testing.T) {
-	// The paper's images: 400x250 PPM in RGB, 300,060 bytes with header.
+	// The paper's images: 400x250 RGB, 300,000 bytes of pixels.
 	im := Synthetic(400, 250, 1)
-	var buf bytes.Buffer
-	if err := im.WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 300_015 {
-		// 300,000 pixels bytes + "P6\n400 250\n255\n" (15 bytes).
-		t.Fatalf("PPM size = %d", buf.Len())
-	}
 	if im.Bytes() != 300_000 {
 		t.Fatalf("payload = %d", im.Bytes())
 	}

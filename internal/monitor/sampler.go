@@ -65,7 +65,7 @@ func (r *Rule) holds(v float64) bool {
 //     per tick: the increase since the previous tick),
 //   - each gauge becomes a per-window level series (its value at the
 //     tick),
-//   - each histogram's window reservoir is drained via TakeWindow into
+//   - each histogram's window reservoir is drained via TakeWindowEx into
 //     a per-window distribution series, leaving the cumulative summary
 //     untouched.
 //
@@ -91,7 +91,6 @@ type Sampler struct {
 	prevCount  map[string]float64
 	rules      []*Rule
 	collectors []func() // run at the top of every tick (runtime collector hook)
-	order      []string // series creation order, for deterministic dashboards
 	lastTick   sim.Time
 	ticks      int
 	stop       func() // non-nil while started
@@ -174,7 +173,6 @@ func (s *Sampler) get(name string) *Series {
 	if !ok {
 		sr = NewSeries(name, s.WindowCap)
 		s.series[name] = sr
-		s.order = append(s.order, name)
 	}
 	return sr
 }
@@ -186,14 +184,6 @@ func (s *Sampler) Series(name string) *Series {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.series[name]
-}
-
-// SeriesNames returns all series in creation order (registry key order
-// at each tick, so deterministic for a deterministic scenario).
-func (s *Sampler) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
 }
 
 // Tick closes one sampling window: runs collectors, reads every

@@ -98,18 +98,18 @@ func TestSamplerHistogramWindows(t *testing.T) {
 	k.RunFor(300 * time.Millisecond)
 
 	sr := s.Series("lat_ms.window")
-	if sr == nil || sr.Len() < 2 {
+	if sr == nil || len(sr.Windows()) < 2 {
 		t.Fatalf("window series missing or short: %v", sr)
 	}
-	w0, w1 := sr.Window(0), sr.Window(1)
+	w0, w1 := sr.Windows()[0], sr.Windows()[1]
 	if w0.N != 2 || w0.Mean != 15 {
 		t.Fatalf("first window = %+v", w0.Summary)
 	}
 	if w1.N != 1 || w1.Mean != 100 {
 		t.Fatalf("second window = %+v", w1.Summary)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("cumulative count = %d, want 3 (TakeWindow must not consume it)", h.Count())
+	if h.Summary().N != 3 {
+		t.Fatalf("cumulative count = %d, want 3 (TakeWindow must not consume it)", h.Summary().N)
 	}
 }
 

@@ -157,7 +157,7 @@ func (s *Series) Roll(start, end sim.Time) Window {
 }
 
 // Append adds an externally summarized window (the sampler uses it for
-// histogram windows drained via TakeWindow).
+// histogram windows drained via TakeWindowEx).
 func (s *Series) Append(w Window) {
 	s.mu.Lock()
 	s.append(w)
@@ -172,20 +172,6 @@ func (s *Series) append(w Window) {
 	}
 	s.wins[s.head] = w
 	s.head = (s.head + 1) % len(s.wins)
-}
-
-// Len returns the number of retained windows.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Window returns retained window i (0 = oldest).
-func (s *Series) Window(i int) Window {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window(i)
 }
 
 func (s *Series) window(i int) Window { return s.wins[(s.head+i)%len(s.wins)] }

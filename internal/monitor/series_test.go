@@ -23,8 +23,8 @@ func TestSeriesRoll(t *testing.T) {
 	if w2.N != 1 || w2.Mean != 100 {
 		t.Fatalf("second window = %+v", w2.Summary)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.Windows()) != 2 {
+		t.Fatalf("len = %d", len(s.Windows()))
 	}
 }
 
@@ -33,8 +33,8 @@ func TestSeriesRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append(Window{Start: sim.Time(i), End: sim.Time(i + 1), Summary: metrics.Summary{N: i}})
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d, want ring cap 4", s.Len())
+	if len(s.Windows()) != 4 {
+		t.Fatalf("len = %d, want ring cap 4", len(s.Windows()))
 	}
 	ws := s.Windows()
 	for i, w := range ws {

@@ -78,7 +78,7 @@ func TestWallSamplerTicksAndRestart(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return s.Ticks() > n }, "tick after restart")
 	s.Stop()
 
-	if sr := s.Series("req"); sr == nil || sr.Len() == 0 {
+	if sr := s.Series("req"); sr == nil || len(sr.Windows()) == 0 {
 		t.Fatal("counter series missing after wall sampling")
 	}
 }
@@ -120,7 +120,7 @@ func TestWallSamplerConcurrency(t *testing.T) {
 				if sr := s.Series("lat_ms.window"); sr != nil {
 					sr.LastNonEmpty()
 				}
-				s.SeriesNames()
+				s.Series("req")
 			}
 		}
 	}()

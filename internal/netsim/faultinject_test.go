@@ -41,8 +41,8 @@ func TestMidTransitCrashDropsPacket(t *testing.T) {
 	if st.DropReasons[DropTransitDown] != 1 {
 		t.Fatalf("drop reasons = %v, want 1 transit-node-down", st.DropReasons)
 	}
-	if b.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", b.Epoch())
+	if b.epoch != 1 {
+		t.Fatalf("epoch = %d, want 1", b.epoch)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestCorruptionDeliversFlippedCopy(t *testing.T) {
 	if !bytes.Equal(payload.data, orig) {
 		t.Fatal("corruption mutated the sender's original payload")
 	}
-	if ab.Corrupted() != 1 {
-		t.Fatalf("Corrupted() = %d, want 1", ab.Corrupted())
+	if ab.corrupted != 1 {
+		t.Fatalf("Corrupted() = %d, want 1", ab.corrupted)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered %d times, want 2", delivered)
 	}
-	if ab.Duplicated() != 1 {
-		t.Fatalf("Duplicated() = %d, want 1", ab.Duplicated())
+	if ab.duplicated != 1 {
+		t.Fatalf("Duplicated() = %d, want 1", ab.duplicated)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestReorderSwapsArrivalOrder(t *testing.T) {
 	if order[0] != "second" || order[1] != "first" {
 		t.Fatalf("arrival order = %v, want [second first]", order)
 	}
-	if ab.Reordered() != 1 {
-		t.Fatalf("Reordered() = %d, want 1", ab.Reordered())
+	if ab.reordered != 1 {
+		t.Fatalf("Reordered() = %d, want 1", ab.reordered)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestDeadlineExpiredDroppedAtEnqueue(t *testing.T) {
 	if n.FlowStats(flow).DropReasons[DropDeadline] != 1 {
 		t.Fatalf("drop reasons = %v, want 1 deadline", n.FlowStats(flow).DropReasons)
 	}
-	if ab.TxPackets() != 0 {
-		t.Fatalf("expired packet consumed bandwidth: TxPackets = %d", ab.TxPackets())
+	if ab.txPackets != 0 {
+		t.Fatalf("expired packet consumed bandwidth: TxPackets = %d", ab.txPackets)
 	}
 }
 

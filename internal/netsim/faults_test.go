@@ -28,8 +28,8 @@ func TestLinkLossRate(t *testing.T) {
 	if st.DropReasons[DropLoss] != st.Dropped {
 		t.Fatalf("drops not attributed to link loss: %v", st.DropReasons)
 	}
-	if ab.Lost() != st.Dropped {
-		t.Fatalf("link lost counter %d != flow drops %d", ab.Lost(), st.Dropped)
+	if ab.lost != st.Dropped {
+		t.Fatalf("link lost counter %d != flow drops %d", ab.lost, st.Dropped)
 	}
 	if st.Delivered+st.Dropped != st.Sent {
 		t.Fatalf("conservation violated: %+v", st)
@@ -99,7 +99,7 @@ func TestSoftStateExpiresWithoutRefresh(t *testing.T) {
 	})
 	k.RunUntil(10 * time.Second)
 	// With refreshes flowing, state persists well past the lifetime.
-	for _, l := range resv.Links() {
+	for _, l := range resv.links {
 		if l.Queue().(ReservationCapable).ReservedRate() != 1e6 {
 			t.Fatalf("soft state expired despite refreshes on %v", l)
 		}
@@ -109,7 +109,7 @@ func TestSoftStateExpiresWithoutRefresh(t *testing.T) {
 	// refreshed locally (the sender is on that node).
 	ar.SetDown(true)
 	k.RunUntil(20 * time.Second)
-	secondHop := resv.Links()[1]
+	secondHop := resv.links[1]
 	if got := secondHop.Queue().(ReservationCapable).ReservedRate(); got != 0 {
 		t.Fatalf("downstream soft state still %v bps after refreshes stopped", got)
 	}

@@ -90,16 +90,6 @@ func (l *Link) SetFaults(f FaultProfile) {
 	l.faults = f
 }
 
-// Corrupted returns the number of packets hit by injected corruption
-// (delivered flipped or destroyed as checksum failures).
-func (l *Link) Corrupted() int64 { return l.corrupted }
-
-// Duplicated returns the number of packets delivered twice.
-func (l *Link) Duplicated() int64 { return l.duplicated }
-
-// Reordered returns the number of packets held back for reordering.
-func (l *Link) Reordered() int64 { return l.reordered }
-
 // SetDown takes the link down (transmission stalls; queued and arriving
 // packets wait or overflow the queue) or brings it back up.
 func (l *Link) SetDown(down bool) {
@@ -108,9 +98,6 @@ func (l *Link) SetDown(down bool) {
 		l.kick()
 	}
 }
-
-// Lost returns the number of packets destroyed by injected loss.
-func (l *Link) Lost() int64 { return l.lost }
 
 // From returns the transmitting node.
 func (l *Link) From() *Node { return l.from }
@@ -126,9 +113,6 @@ func (l *Link) Delay() time.Duration { return l.delay }
 
 // Queue returns the egress queueing discipline.
 func (l *Link) Queue() Qdisc { return l.q }
-
-// TxPackets returns the number of packets transmitted.
-func (l *Link) TxPackets() int64 { return l.txPackets }
 
 func (l *Link) String() string {
 	return fmt.Sprintf("link(%s->%s %.1fMbps %v)", l.from.name, l.to.name, l.bps/1e6, l.delay)

@@ -105,10 +105,6 @@ func (nd *Node) SetDown(down bool) {
 	nd.down = down
 }
 
-// Epoch returns the node's crash epoch (the number of SetDown(true)
-// calls so far).
-func (nd *Node) Epoch() int { return nd.epoch }
-
 // EphemeralPort returns an unbound port in the ephemeral range
 // (20000+), advancing past any ports already in use.
 func (nd *Node) EphemeralPort() uint16 {
@@ -342,7 +338,7 @@ func (nd *Node) deliver(p *Packet) {
 	if p.ECN == ECNCongestionExperienced {
 		st.Marked++
 	}
-	st.recordLatency(nd.net.k.Now() - p.Sent)
+	st.latSum += nd.net.k.Now() - p.Sent
 	h(p)
 }
 

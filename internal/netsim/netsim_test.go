@@ -40,8 +40,8 @@ func TestPointToPointDelivery(t *testing.T) {
 	if st.Sent != 1 || st.Delivered != 1 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.MeanLatency() != 2*time.Millisecond {
-		t.Fatalf("mean latency = %v", st.MeanLatency())
+	if meanLatency(st) != 2*time.Millisecond {
+		t.Fatalf("mean latency = %v", meanLatency(st))
 	}
 }
 
@@ -154,8 +154,8 @@ func TestDiffServEFPreemptsBestEffort(t *testing.T) {
 	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1500, DSCP: DSCPEF, Flow: ef})
 	k.Run()
 
-	efLat := n.FlowStats(ef).MeanLatency()
-	beLat := n.FlowStats(be).MeanLatency()
+	efLat := meanLatency(n.FlowStats(ef))
+	beLat := meanLatency(n.FlowStats(be))
 	// The EF packet waits at most for the in-flight BE packet, not the
 	// whole backlog.
 	if efLat > 3*1500*8*time.Second/1e6 {
@@ -231,13 +231,13 @@ func TestRSVPReserveAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReserveFlow: %v", err)
 	}
-	if !resv.Active() {
+	if !resv.active {
 		t.Fatal("reservation not active")
 	}
-	if len(resv.Links()) != 2 {
-		t.Fatalf("reserved on %d links, want 2", len(resv.Links()))
+	if len(resv.links) != 2 {
+		t.Fatalf("reserved on %d links, want 2", len(resv.links))
 	}
-	for _, l := range resv.Links() {
+	for _, l := range resv.links {
 		rc := l.Queue().(ReservationCapable)
 		if rc.ReservedRate() != 2e6 {
 			t.Fatalf("link %v reserved %.0f bps, want 2e6", l, rc.ReservedRate())
@@ -245,7 +245,7 @@ func TestRSVPReserveAndRelease(t *testing.T) {
 	}
 	resv.Release()
 	k.Run()
-	for _, l := range resv.Links() {
+	for _, l := range resv.links {
 		rc := l.Queue().(ReservationCapable)
 		if rc.ReservedRate() != 0 {
 			t.Fatalf("link %v still has %.0f bps reserved after release", l, rc.ReservedRate())
@@ -335,8 +335,8 @@ func TestIntServIsolatesReservedFlow(t *testing.T) {
 	if lr := st.LossRate(); lr > 0.01 {
 		t.Fatalf("reserved flow loss rate %.3f, want ~0", lr)
 	}
-	if st.MeanLatency() > 20*time.Millisecond {
-		t.Fatalf("reserved flow latency %v, want low", st.MeanLatency())
+	if meanLatency(st) > 20*time.Millisecond {
+		t.Fatalf("reserved flow latency %v, want low", meanLatency(st))
 	}
 }
 
@@ -408,25 +408,6 @@ func TestIntServShapesOverRateFlowUnderContention(t *testing.T) {
 	}
 }
 
-func TestLatencyStats(t *testing.T) {
-	st := &FlowStats{DropReasons: map[DropReason]int64{}}
-	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
-		st.Delivered++
-		st.recordLatency(d)
-	}
-	if st.MeanLatency() != 20*time.Millisecond {
-		t.Fatalf("mean = %v", st.MeanLatency())
-	}
-	if st.MinLatency() != 10*time.Millisecond || st.MaxLatency() != 30*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", st.MinLatency(), st.MaxLatency())
-	}
-	sd := st.StdDevLatency()
-	// Population std dev of {10,20,30} ms is ~8.165 ms.
-	if sd < 8*time.Millisecond || sd > 8300*time.Microsecond {
-		t.Fatalf("stddev = %v, want ~8.16ms", sd)
-	}
-}
-
 func TestPacketConservation(t *testing.T) {
 	// Every sent packet is eventually delivered or dropped.
 	k, n, a, b := twoHosts(LinkConfig{Bps: 1e6, Queue: NewFIFO(8 * 1024)})
@@ -493,3 +474,6 @@ func TestCrossTrafficRecyclingChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// meanLatency is the flow's average delivery latency.
+func meanLatency(st *FlowStats) time.Duration { return st.latSum / time.Duration(st.Delivered) }

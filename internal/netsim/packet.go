@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
@@ -184,22 +183,7 @@ type FlowStats struct {
 	Marked      int64
 	DropReasons map[DropReason]int64
 
-	latSum   time.Duration
-	latSqSum float64 // sum of squared latencies in seconds^2
-	latMin   time.Duration
-	latMax   time.Duration
-}
-
-func (s *FlowStats) recordLatency(d time.Duration) {
-	if s.Delivered == 1 || d < s.latMin {
-		s.latMin = d
-	}
-	if d > s.latMax {
-		s.latMax = d
-	}
-	s.latSum += d
-	sec := d.Seconds()
-	s.latSqSum += sec * sec
+	latSum time.Duration // sum of delivery latencies
 }
 
 // LossRate returns dropped/sent, or 0 with no traffic.
@@ -209,34 +193,6 @@ func (s *FlowStats) LossRate() float64 {
 	}
 	return float64(s.Dropped) / float64(s.Sent)
 }
-
-// MeanLatency returns the average delivery latency.
-func (s *FlowStats) MeanLatency() time.Duration {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return s.latSum / time.Duration(s.Delivered)
-}
-
-// StdDevLatency returns the latency standard deviation.
-func (s *FlowStats) StdDevLatency() time.Duration {
-	if s.Delivered < 2 {
-		return 0
-	}
-	n := float64(s.Delivered)
-	mean := s.latSum.Seconds() / n
-	variance := s.latSqSum/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return time.Duration(math.Sqrt(variance) * float64(time.Second))
-}
-
-// MinLatency returns the smallest observed delivery latency.
-func (s *FlowStats) MinLatency() time.Duration { return s.latMin }
-
-// MaxLatency returns the largest observed delivery latency.
-func (s *FlowStats) MaxLatency() time.Duration { return s.latMax }
 
 func (n *Network) flowStats(f FlowID) *FlowStats {
 	st, ok := n.stats[f]

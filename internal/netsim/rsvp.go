@@ -91,12 +91,6 @@ type Reservation struct {
 	refresh sim.Event
 }
 
-// Links returns the data-path links holding reserved state.
-func (r *Reservation) Links() []*Link { return r.links }
-
-// Active reports whether the reservation is installed.
-func (r *Reservation) Active() bool { return r.active }
-
 // Release tears the reservation down along the path. The teardown message
 // propagates asynchronously; per-hop state is removed as it arrives.
 func (r *Reservation) Release() {

@@ -215,9 +215,9 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	sheds := 0
 	for _, rec := range log.Records() {
 		switch {
-		case rec.Kind == events.KindBreaker && rec.Source == "orb@"+r.client.Name():
+		case rec.Kind == events.KindBreaker && rec.Source == "orb@"+r.client.name:
 			trips = append(trips, fmt.Sprint(rec.At, rec.Fields))
-		case rec.Kind == events.KindShed && rec.Source == "pool/"+r.servers[0].Name()+"/app":
+		case rec.Kind == events.KindShed && rec.Source == "pool/"+r.servers[0].name+"/app":
 			sheds++
 		default:
 			t.Errorf("unexpected record %v", rec)

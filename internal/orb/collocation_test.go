@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/rtcorba"
 	"repro/internal/rtos"
+	"repro/internal/transport"
 )
 
 func TestCollocatedInvocation(t *testing.T) {
@@ -145,37 +148,28 @@ func TestCancelRequestAbandonsQueuedWork(t *testing.T) {
 func TestLocateRemote(t *testing.T) {
 	r := newRig(t, Config{}, Config{})
 	poa, _ := r.server.CreatePOA("app", POAConfig{})
-	ref, _ := poa.Activate("real", &echoServant{})
-	ghost := &ObjectRef{Addr: r.server.Addr(), Key: []byte("app/ghost")}
-	var hereReal, hereGhost bool
-	var err1, err2 error
+	if _, err := poa.Activate("real", &echoServant{}); err != nil {
+		t.Fatal(err)
+	}
+	// A bare GIOP peer on the client host asks the server ORB where each
+	// key lives.
+	conn := transport.NewEndpoint(r.net, r.client.ep.Node()).Dial(5555, r.server.Addr())
+	var got []giop.LocateStatus
 	r.clientHost.Spawn("caller", 10, func(th *rtos.Thread) {
-		hereReal, err1 = r.client.Locate(th, ref, time.Second)
-		hereGhost, err2 = r.client.Locate(th, ghost, time.Second)
+		for i, key := range []string{"app/real", "app/ghost"} {
+			req := &giop.LocateRequest{RequestID: uint32(i + 1), ObjectKey: []byte(key)}
+			conn.Send(&transport.Message{Data: req.Marshal(cdr.LittleEndian)})
+			msg, err := giop.Decode(conn.Recv(th.Proc()).Data)
+			rep, ok := msg.(*giop.LocateReply)
+			if err != nil || !ok || rep.RequestID != req.RequestID {
+				t.Errorf("locate %s: %v, %#v", key, err, msg)
+				return
+			}
+			got = append(got, rep.Status)
+		}
 	})
 	r.k.RunUntil(time.Second)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v / %v", err1, err2)
-	}
-	if !hereReal {
-		t.Fatal("existing object not located")
-	}
-	if hereGhost {
-		t.Fatal("ghost object located")
-	}
-}
-
-func TestLocateCollocated(t *testing.T) {
-	r := newRig(t, Config{}, Config{})
-	poa, _ := r.server.CreatePOA("app", POAConfig{})
-	ref, _ := poa.Activate("real", &echoServant{})
-	var here bool
-	var err error
-	r.serverHost.Spawn("local", 10, func(th *rtos.Thread) {
-		here, err = r.server.Locate(th, ref, time.Second)
-	})
-	r.k.RunUntil(time.Second)
-	if err != nil || !here {
-		t.Fatalf("collocated locate = %v, %v", here, err)
+	if len(got) != 2 || got[0] != giop.LocateObjectHere || got[1] != giop.LocateUnknownObject {
+		t.Fatalf("locate statuses = %v, want [OBJECT_HERE UNKNOWN_OBJECT]", got)
 	}
 }

@@ -1,8 +1,6 @@
 package orb
 
 import (
-	"sync"
-
 	"repro/internal/giop"
 	"repro/internal/rtcorba"
 	"repro/internal/rtos"
@@ -152,52 +150,3 @@ func (f *PriorityFloor) SendRequest(info *ClientRequestInfo) {
 
 // ReceiveReply implements ClientInterceptor.
 func (*PriorityFloor) ReceiveReply(*ClientRequestInfo) {}
-
-// DispatchProbe is a ready-made server interceptor recording servant
-// execution times. It is safe for concurrent use: although the
-// simulation kernel serialises virtual-time execution, probes are also
-// exercised from test harnesses and external samplers, so the pending
-// map is mutex-guarded.
-type DispatchProbe struct {
-	mu      sync.Mutex
-	start   map[*ServerRequest]sim.Time
-	Observe func(op string, exec sim.Time, prio rtcorba.Priority)
-}
-
-var _ ServerInterceptor = (*DispatchProbe)(nil)
-
-// NewDispatchProbe creates a probe delivering to observe.
-func NewDispatchProbe(observe func(op string, exec sim.Time, prio rtcorba.Priority)) *DispatchProbe {
-	return &DispatchProbe{start: make(map[*ServerRequest]sim.Time), Observe: observe}
-}
-
-// ReceiveRequest implements ServerInterceptor.
-func (p *DispatchProbe) ReceiveRequest(info *ServerRequestInfo) {
-	p.mu.Lock()
-	p.start[info.Request] = info.Request.Now()
-	p.mu.Unlock()
-}
-
-// SendReply implements ServerInterceptor. It always removes the
-// request's entry — error outcomes included — so the pending map cannot
-// leak requests whose servants failed.
-func (p *DispatchProbe) SendReply(info *ServerRequestInfo) {
-	p.mu.Lock()
-	start, ok := p.start[info.Request]
-	delete(p.start, info.Request)
-	p.mu.Unlock()
-	if !ok {
-		return
-	}
-	if p.Observe != nil {
-		p.Observe(info.Request.Op, info.Request.Now()-start, info.Request.Priority)
-	}
-}
-
-// Pending returns the number of in-flight dispatches the probe is
-// timing — useful to assert against leaks in tests.
-func (p *DispatchProbe) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.start)
-}

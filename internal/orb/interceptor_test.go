@@ -118,30 +118,6 @@ func (*extraCtxInterceptor) SendRequest(info *ClientRequestInfo) {
 }
 func (*extraCtxInterceptor) ReceiveReply(*ClientRequestInfo) {}
 
-func TestDispatchProbeObservesExecution(t *testing.T) {
-	r := newRig(t, Config{}, Config{})
-	poa, _ := r.server.CreatePOA("app", POAConfig{})
-	busy := ServantFunc(func(req *ServerRequest) ([]byte, error) {
-		req.Thread.Compute(25 * time.Millisecond)
-		return nil, nil
-	})
-	ref, _ := poa.Activate("busy", busy)
-	var execs []sim.Time
-	r.server.AddServerInterceptor(NewDispatchProbe(func(op string, exec sim.Time, prio rtcorba.Priority) {
-		execs = append(execs, exec)
-	}))
-	r.clientHost.Spawn("caller", 10, func(th *rtos.Thread) {
-		_, _ = r.client.Invoke(th, ref, "op", nil)
-	})
-	r.k.RunUntil(time.Second)
-	if len(execs) != 1 {
-		t.Fatalf("observed %d dispatches", len(execs))
-	}
-	if execs[0] < 25*time.Millisecond || execs[0] > 40*time.Millisecond {
-		t.Fatalf("exec = %v", execs[0])
-	}
-}
-
 func TestInterceptorsCoverCollocatedPath(t *testing.T) {
 	r := newRig(t, Config{}, Config{})
 	poa, _ := r.server.CreatePOA("app", POAConfig{})

@@ -186,11 +186,10 @@ type clientConn struct {
 }
 
 type pendingCall struct {
-	sig    *sim.Signal
-	conn   *clientConn
-	reply  *giop.Reply
-	locate *giop.LocateReply
-	err    error // set instead of reply on a connection-level failure
+	sig   *sim.Signal
+	conn  *clientConn
+	reply *giop.Reply
+	err   error // set instead of reply on a connection-level failure
 }
 
 // New creates an ORB for host attached to network node. The ORB starts
@@ -221,14 +220,8 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 	return o
 }
 
-// Name returns the ORB's name.
-func (o *ORB) Name() string { return o.name }
-
 // Host returns the ORB's host.
 func (o *ORB) Host() *rtos.Host { return o.host }
-
-// Endpoint returns the ORB's transport endpoint.
-func (o *ORB) Endpoint() *transport.Endpoint { return o.ep }
 
 // Addr returns the ORB's listening address.
 func (o *ORB) Addr() netsim.Addr { return o.ep.Addr(o.cfg.ListenPort) }
@@ -323,12 +316,6 @@ func (o *ORB) clientReader(c *clientConn, t *rtos.Thread) {
 			if pc, ok := o.pending[rep.RequestID]; ok {
 				delete(o.pending, rep.RequestID)
 				pc.reply = rep
-				pc.sig.Broadcast()
-			}
-		case *giop.LocateReply:
-			if pc, ok := o.pending[rep.RequestID]; ok {
-				delete(o.pending, rep.RequestID)
-				pc.locate = rep
 				pc.sig.Broadcast()
 			}
 		case *giop.MessageError:
@@ -554,36 +541,6 @@ func (o *ORB) shedExpired(info *ClientRequestInfo, where string) {
 	s := o.tracer.StartChild(info.TraceCtx, "deadline_expired", trace.LayerOverload)
 	s.SetAttr(trace.String("at", where), trace.Dur("deadline", info.Deadline))
 	s.Finish()
-}
-
-// Locate performs a GIOP LocateRequest: it reports whether the target
-// object is dispatchable at ref without invoking it — the cheap
-// existence probe CORBA clients use before expensive calls.
-func (o *ORB) Locate(t *rtos.Thread, ref *ObjectRef, timeout time.Duration) (bool, error) {
-	if !o.cfg.DisableCollocation && ref.Addr == o.Addr() {
-		_, _, ok := o.resolveKey(ref.Key)
-		return ok, nil
-	}
-	o.reqSeq++
-	reqID := o.reqSeq
-	wire := (&giop.LocateRequest{RequestID: reqID, ObjectKey: ref.Key}).Marshal(o.cfg.ByteOrder)
-	t.Compute(o.msgCost(len(wire)))
-	conn := o.connFor(ref.Addr, o.Current(t).Priority())
-	pc := &pendingCall{sig: sim.NewSignal()}
-	o.pending[reqID] = pc
-	conn.stream.SendWait(t.Proc(), &transport.Message{Data: wire})
-	if timeout > 0 {
-		if !pc.sig.WaitTimeout(t.Proc(), timeout) {
-			delete(o.pending, reqID)
-			return false, ErrTimeout
-		}
-	} else {
-		pc.sig.Wait(t.Proc())
-	}
-	if pc.locate == nil {
-		return false, fmt.Errorf("orb: locate got unexpected reply")
-	}
-	return pc.locate.Status == giop.LocateObjectHere, nil
 }
 
 // resolveKey finds the POA and servant for an object key.

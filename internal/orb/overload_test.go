@@ -148,7 +148,7 @@ func TestProtocolErrorClassified(t *testing.T) {
 			r := newRig(t, Config{}, Config{ListenPort: 9999})
 			// A rogue endpoint on the server host: answers every inbound
 			// message with the configured junk instead of a Reply.
-			rogue := transport.NewEndpoint(r.net, r.server.Endpoint().Node())
+			rogue := transport.NewEndpoint(r.net, r.server.ep.Node())
 			lis := rogue.Listen(4444)
 			r.serverHost.Spawn("rogue", 50, func(th *rtos.Thread) {
 				conn := lis.Accept(th.Proc())

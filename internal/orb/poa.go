@@ -118,9 +118,6 @@ func (o *ORB) CreatePOA(name string, cfg POAConfig) (*POA, error) {
 	return p, nil
 }
 
-// Name returns the POA name.
-func (p *POA) Name() string { return p.name }
-
 // Pool returns the POA's thread pool, for inspection.
 func (p *POA) Pool() *rtcorba.ThreadPool { return p.pool }
 

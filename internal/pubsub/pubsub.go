@@ -397,13 +397,6 @@ func (c *Channel) Unsubscribe(name string) bool {
 	return true
 }
 
-// Sub returns the named subscriber, or nil.
-func (c *Channel) Sub(name string) *Subscriber {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.subs[name]
-}
-
 // Publish routes an event to every matching subscriber. It returns
 // ErrSaturated when the topic's admission bucket is empty and ErrClosed
 // after Close; a successfully admitted event is never an error, however
@@ -493,13 +486,6 @@ func (c *Channel) SetDegraded(on bool) int {
 		c.reg.Counter("pubsub.degrade_transitions", telemetry.L("state", state)).Inc()
 	}
 	return n
-}
-
-// Degraded reports the channel-wide degradation mode.
-func (c *Channel) Degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
 }
 
 // PumpAll drains every subscriber's outbox on the calling goroutine
@@ -645,9 +631,6 @@ const (
 
 var outcomeNames = [numOutcomes]string{"delivered", "overflow", "coalesced", "sampled", "closed"}
 
-// Name returns the subscriber's name.
-func (s *Subscriber) Name() string { return s.cfg.Name }
-
 // SetDegraded switches this subscriber's degraded delivery on or off,
 // reporting whether the state changed.
 func (s *Subscriber) SetDegraded(on bool) bool {
@@ -659,13 +642,6 @@ func (s *Subscriber) SetDegraded(on bool) bool {
 	}
 	s.mu.Unlock()
 	return changed
-}
-
-// Degraded reports the subscriber's degraded state.
-func (s *Subscriber) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
 }
 
 // lagHigh is the outbox depth that marks a subscriber lagging; lagLow

@@ -108,7 +108,7 @@ func TestOverflowPolicies(t *testing.T) {
 		ch.PumpAll()
 		want := []string{"2", "3"} // 0 and 1 evicted
 		checkKeys(t, &mu, got, want)
-		if st := ch.Sub("s").Stats(); st.Dropped != 2 {
+		if st := sub(ch, "s").Stats(); st.Dropped != 2 {
 			t.Errorf("dropped = %d, want 2", st.Dropped)
 		}
 	})
@@ -158,7 +158,7 @@ func TestOverflowPolicies(t *testing.T) {
 		if got[0].Key != "a" || got[0].Payload[0] != 2 {
 			t.Errorf("stream a delivered payload %v, want the latest frame", got[0].Payload)
 		}
-		if st := ch.Sub("s").Stats(); st.Coalesced != 2 {
+		if st := sub(ch, "s").Stats(); st.Coalesced != 2 {
 			t.Errorf("coalesced = %d, want 2", st.Coalesced)
 		}
 	})
@@ -250,7 +250,7 @@ func TestDegradedModeSpareEF(t *testing.T) {
 	if n := ch.SetDegraded(true); n != 1 {
 		t.Fatalf("SetDegraded toggled %d subscribers, want 1 (the BE one)", n)
 	}
-	if ch.Sub("ef").Degraded() {
+	if subDegraded(sub(ch, "ef")) {
 		t.Fatal("EF subscriber must not degrade")
 	}
 	// Un-keyed events: BE keeps 1 in 3, EF keeps all.
@@ -271,7 +271,7 @@ func TestDegradedModeSpareEF(t *testing.T) {
 	if gotBE != 4 { // 3 of 9 sampled + 1 coalesced survivor
 		t.Errorf("degraded BE delivered %d, want 4", gotBE)
 	}
-	st := ch.Sub("be").Stats()
+	st := sub(ch, "be").Stats()
 	if st.Sampled != 6 || st.Coalesced != 3 {
 		t.Errorf("BE sampled=%d coalesced=%d, want 6 and 3", st.Sampled, st.Coalesced)
 	}
@@ -360,17 +360,17 @@ func TestBindContractDegradesOnRegion(t *testing.T) {
 	BindContract(c, ch, "degraded")
 
 	c.Eval()
-	if ch.Degraded() {
+	if degraded(ch) {
 		t.Fatal("channel degraded in normal region")
 	}
 	load.Set(0.9)
 	c.Eval()
-	if !ch.Degraded() || !ch.Sub("be").Degraded() {
+	if !degraded(ch) || !subDegraded(sub(ch, "be")) {
 		t.Fatal("entering the degraded region must downgrade BE subscribers")
 	}
 	load.Set(0.1)
 	c.Eval()
-	if ch.Degraded() {
+	if degraded(ch) {
 		t.Fatal("returning to normal must restore full fan-out")
 	}
 }
@@ -386,21 +386,21 @@ func TestDegradePubSubOnBurn(t *testing.T) {
 	defer sub.Cancel()
 
 	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "firing"))
-	if !ch.Degraded() {
+	if !degraded(ch) {
 		t.Fatal("firing alert must degrade the channel")
 	}
 	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "firing"))
 	bus.Publish(events.KindAlert, "rule/ef_hot", events.F("state", "resolved"))
-	if !ch.Degraded() {
+	if !degraded(ch) {
 		t.Fatal("one source still firing: channel must stay degraded")
 	}
 	bus.Publish(events.KindSLOBurn, "slo/echo", events.F("state", "resolved"))
-	if ch.Degraded() {
+	if degraded(ch) {
 		t.Fatal("all sources resolved: channel must recover")
 	}
 	// Records without a state field (other kinds' shapes) are ignored.
 	bus.Publish(events.KindAlert, "rule/odd")
-	if ch.Degraded() {
+	if degraded(ch) {
 		t.Fatal("stateless record must not flip degradation")
 	}
 }
@@ -505,9 +505,9 @@ func TestScenarioSimClock(t *testing.T) {
 			frames++
 		}
 		ch.Publish(Event{Topic: "bulk/data", Priority: 0}) // admission may refuse; that's the design
-		ch.Sub("display-ef").PumpOne()
+		sub(ch, "display-ef").PumpOne()
 		for i := 0; i < 4; i++ {
-			for ch.Sub(fmt.Sprintf("be-%d", i)).PumpOne() {
+			for sub(ch, fmt.Sprintf("be-%d", i)).PumpOne() {
 			}
 		}
 		if tick%8 == 0 {
@@ -516,7 +516,7 @@ func TestScenarioSimClock(t *testing.T) {
 	}
 	ch.PumpAll()
 
-	efStats := ch.Sub("display-ef").Stats()
+	efStats := sub(ch, "display-ef").Stats()
 	if efStats.Dropped != 0 {
 		t.Errorf("EF subscriber dropped %d events, want 0", efStats.Dropped)
 	}
@@ -588,4 +588,25 @@ func TestAsyncConcurrency(t *testing.T) {
 	if delivered.Load() == 0 {
 		t.Error("nothing delivered")
 	}
+}
+
+// sub returns the named subscriber, or nil.
+func sub(ch *Channel, name string) *Subscriber {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.subs[name]
+}
+
+// degraded reports the channel-wide degradation mode.
+func degraded(ch *Channel) bool {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.degraded
+}
+
+// subDegraded reports the subscriber's degraded state.
+func subDegraded(s *Subscriber) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.degraded
 }

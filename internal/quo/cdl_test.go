@@ -130,25 +130,3 @@ func TestParseContractCommentsAndWhitespace(t *testing.T) {
 		t.Fatalf("region = %q", got)
 	}
 }
-
-func TestParsedContractDrivesDelegate(t *testing.T) {
-	c, err := ParseContract(videoCDL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loss := NewMeasuredCond("loss", 0)
-	fps := NewMeasuredCond("fps", 30)
-	c.AddCondition(loss).AddCondition(fps)
-	d := NewDelegate[string](c).
-		Behavior("normal", func(s string) (string, bool) { return s, true }).
-		Behavior("crisis", func(s string) (string, bool) { return "", false })
-	c.Eval()
-	if _, ok := d.Call("frame"); !ok {
-		t.Fatal("normal region filtered")
-	}
-	loss.Set(0.9)
-	c.Eval()
-	if _, ok := d.Call("frame"); ok {
-		t.Fatal("crisis region passed")
-	}
-}

@@ -2,7 +2,6 @@ package quo_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/quo"
 )
@@ -31,33 +30,4 @@ func ExampleParseContract() {
 	// loss=0.10 -> degraded
 	// loss=0.40 -> crisis
 	// loss=0.02 -> normal
-}
-
-// A delegate routes calls through per-region behaviours: the adaptation
-// is woven into the data path, invisible to the caller.
-func ExampleDelegate() {
-	contract := quo.NewContract("filter", time.Second).
-		AddRegion(quo.Region{Name: "drop", When: func(v quo.Values) bool {
-			return v["congested"] > 0
-		}}).
-		AddRegion(quo.Region{Name: "pass"})
-	congested := quo.NewMeasuredCond("congested", 0)
-	contract.AddCondition(congested)
-
-	delegate := quo.NewDelegate[string](contract).
-		Behavior("pass", func(s string) (string, bool) { return s, true }).
-		Behavior("drop", func(s string) (string, bool) { return "", false })
-
-	contract.Eval()
-	if v, ok := delegate.Call("frame-1"); ok {
-		fmt.Println("sent", v)
-	}
-	congested.Set(1)
-	contract.Eval()
-	if _, ok := delegate.Call("frame-2"); !ok {
-		fmt.Println("frame-2 filtered")
-	}
-	// Output:
-	// sent frame-1
-	// frame-2 filtered
 }

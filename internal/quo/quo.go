@@ -183,9 +183,6 @@ func (c *Contract) OnEnter(region string, fn func(v Values)) *Contract {
 // Region returns the current region name ("" before first evaluation).
 func (c *Contract) Region() string { return c.current }
 
-// Evaluations returns how many times the contract has been evaluated.
-func (c *Contract) Evaluations() int64 { return c.evals }
-
 // Transitions returns how many region changes have occurred.
 func (c *Contract) Transitions() int64 { return c.transitions }
 
@@ -243,38 +240,6 @@ func (c *Contract) Start(k *sim.Kernel) {
 // Stop halts periodic evaluation after the current tick.
 func (c *Contract) Stop() { c.stopped = true }
 
-// Delegate weaves per-region behaviour into an object interaction path:
-// each call is routed to the behaviour registered for the contract's
-// current region. The zero behaviour passes values through unchanged.
-type Delegate[T any] struct {
-	contract  *Contract
-	behaviors map[string]func(T) (T, bool)
-}
-
-// NewDelegate wraps contract.
-func NewDelegate[T any](c *Contract) *Delegate[T] {
-	return &Delegate[T]{contract: c, behaviors: make(map[string]func(T) (T, bool))}
-}
-
-// Behavior registers the in-band behaviour for a region: it may transform
-// the value and reports whether the call should proceed (false filters
-// the value out).
-func (d *Delegate[T]) Behavior(region string, fn func(T) (T, bool)) *Delegate[T] {
-	d.behaviors[region] = fn
-	return d
-}
-
-// Call applies the current region's behaviour to v.
-func (d *Delegate[T]) Call(v T) (T, bool) {
-	if fn, ok := d.behaviors[d.contract.Region()]; ok {
-		return fn(v)
-	}
-	return v, true
-}
-
-// Contract returns the wrapped contract.
-func (d *Delegate[T]) Contract() *Contract { return d.contract }
-
 // Qosket packages a contract with its conditions and delegate wiring into
 // a reusable unit of QoS behaviour, per the paper's Qosket mechanism.
 type Qosket struct {
@@ -291,23 +256,4 @@ func NewQosket(name string, c *Contract, conds ...SysCond) *Qosket {
 		c.AddCondition(sc)
 	}
 	return q
-}
-
-// Cond returns a bundled condition by name, or nil.
-func (q *Qosket) Cond(name string) SysCond { return q.Conds[name] }
-
-// Measured returns a bundled MeasuredCond by name, or nil.
-func (q *Qosket) Measured(name string) *MeasuredCond {
-	mc, _ := q.Conds[name].(*MeasuredCond)
-	return mc
-}
-
-// HysteresisBand returns a pair of predicates implementing a band with
-// hysteresis around threshold: enter() matches when the value drops
-// below threshold-margin, leave() when it rises above threshold+margin.
-// Contracts use these to avoid oscillating at a region boundary.
-func HysteresisBand(cond string, threshold, margin float64) (enter, leave func(Values) bool) {
-	enter = func(v Values) bool { return v[cond] < threshold-margin }
-	leave = func(v Values) bool { return v[cond] > threshold+margin }
-	return enter, leave
 }

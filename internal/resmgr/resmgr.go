@@ -1,13 +1,12 @@
 // Package resmgr implements the middleware-level resource-management
-// agents the paper describes: a CORBA-based CPU reservation manager (the
+// agent the paper describes: a CORBA-based CPU reservation manager (the
 // local agent that sets up reservations on a host and translates
 // middleware reservation specifications into the resource kernel's
-// parameters, as in the Utah/TimeSys collaboration) and a bandwidth
-// broker that initiates RSVP reservations on behalf of applications.
+// parameters, as in the Utah/TimeSys collaboration).
 //
-// Both are real CORBA servants: clients reach them through ORB
-// invocations with CDR-marshalled bodies, so reservation setup itself
-// exercises the middleware path and consumes host/network resources.
+// It is a real CORBA servant: clients reach it through ORB invocations
+// with CDR-marshalled bodies, so reservation setup itself exercises the
+// middleware path and consumes host/network resources.
 package resmgr
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/giop"
-	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/rtos"
 )
@@ -28,8 +26,6 @@ const (
 	POAName = "resmgr"
 	// CPUManagerID is the CPU manager's object id.
 	CPUManagerID = "cpu"
-	// BandwidthBrokerID is the bandwidth broker's object id.
-	BandwidthBrokerID = "bw"
 )
 
 // ErrUnknownReservation is returned for operations on missing ids.
@@ -124,127 +120,22 @@ func (m *CPUManager) Dispatch(req *orb.ServerRequest) ([]byte, error) {
 	}
 }
 
-// BandwidthBroker initiates RSVP reservations for callers. The broker
-// runs where the flow's sender is; the flow id and endpoints arrive in
-// the request.
-type BandwidthBroker struct {
-	net      *netsim.Network
-	nextID   uint32
-	reserves map[uint32]*netsim.Reservation
-}
-
-// NewBandwidthBroker creates a broker over net.
-func NewBandwidthBroker(net *netsim.Network) *BandwidthBroker {
-	return &BandwidthBroker{net: net, reserves: make(map[uint32]*netsim.Reservation)}
-}
-
-// Reserve performs the RSVP signalling (blocking the caller's thread).
-func (b *BandwidthBroker) Reserve(t *rtos.Thread, spec netsim.ReservationSpec) (uint32, *netsim.Reservation, error) {
-	resv, err := b.net.ReserveFlow(t.Proc(), spec)
-	if err != nil {
-		return 0, nil, err
-	}
-	b.nextID++
-	b.reserves[b.nextID] = resv
-	return b.nextID, resv, nil
-}
-
-// Cancel tears down the reservation for id.
-func (b *BandwidthBroker) Cancel(id uint32) error {
-	r, ok := b.reserves[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownReservation, id)
-	}
-	delete(b.reserves, id)
-	r.Release()
-	return nil
-}
-
-// Dispatch implements orb.Servant. Operations:
-//
-//	reserve(flow: ulonglong, src: long, dst: long, rate_bps: double,
-//	        burst: ulong) -> id: ulong
-//	cancel(id: ulong)
-func (b *BandwidthBroker) Dispatch(req *orb.ServerRequest) ([]byte, error) {
-	const order = cdr.LittleEndian
-	d := cdr.NewDecoder(req.Body, order)
-	switch req.Op {
-	case "reserve":
-		flow, err := d.ULongLong()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		src, err := d.Long()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		dst, err := d.Long()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		rate, err := d.Double()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		burst, err := d.ULong()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		id, _, err := b.Reserve(req.Thread, netsim.ReservationSpec{
-			Flow:       netsim.FlowID(flow),
-			Src:        b.net.Node(netsim.NodeID(src)),
-			Dst:        b.net.Node(netsim.NodeID(dst)),
-			RateBps:    rate,
-			BurstBytes: int(burst),
-		})
-		if err != nil {
-			return nil, &orb.SystemException{ID: giop.ExcNoResources, Minor: 3}
-		}
-		e := cdr.NewEncoder(order)
-		e.PutULong(id)
-		return e.Bytes(), nil
-	case "cancel":
-		id, err := d.ULong()
-		if err != nil {
-			return nil, badParam(err)
-		}
-		if err := b.Cancel(id); err != nil {
-			return nil, &orb.SystemException{ID: giop.ExcBadParam, Minor: 4}
-		}
-		return nil, nil
-	default:
-		return nil, &orb.SystemException{ID: giop.ExcBadOperation}
-	}
-}
-
 func badParam(err error) error {
 	_ = err
 	return &orb.SystemException{ID: giop.ExcBadParam, Minor: 1}
 }
 
-// Activate registers both managers under the resmgr POA of o and returns
-// their references.
-func Activate(o *orb.ORB, cpu *CPUManager, bw *BandwidthBroker) (cpuRef, bwRef *orb.ObjectRef, err error) {
+// Activate registers the CPU manager under the resmgr POA of o and
+// returns its reference.
+func Activate(o *orb.ORB, cpu *CPUManager) (*orb.ObjectRef, error) {
 	poa, err := o.CreatePOA(POAName, orb.POAConfig{ServerPriority: 32767})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if cpu != nil {
-		cpuRef, err = poa.Activate(CPUManagerID, cpu)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if bw != nil {
-		bwRef, err = poa.Activate(BandwidthBrokerID, bw)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return cpuRef, bwRef, nil
+	return poa.Activate(CPUManagerID, cpu)
 }
 
-// Client is a typed stub for invoking the managers remotely.
+// Client is a typed stub for invoking the manager remotely.
 type Client struct {
 	orb *orb.ORB
 }
@@ -270,14 +161,6 @@ func (c *Client) ReserveCPU(t *rtos.Thread, ref *orb.ObjectRef, compute, period 
 	return id, nil
 }
 
-// CancelCPU cancels a CPU reservation by id.
-func (c *Client) CancelCPU(t *rtos.Thread, ref *orb.ObjectRef, id uint32) error {
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	e.PutULong(id)
-	_, err := c.orb.Invoke(t, ref, "cancel", e.Bytes())
-	return err
-}
-
 // CPUUtilization reads the host's promised utilisation.
 func (c *Client) CPUUtilization(t *rtos.Thread, ref *orb.ObjectRef) (float64, error) {
 	body, err := c.orb.Invoke(t, ref, "utilization", nil)
@@ -286,32 +169,4 @@ func (c *Client) CPUUtilization(t *rtos.Thread, ref *orb.ObjectRef) (float64, er
 	}
 	d := cdr.NewDecoder(body, cdr.LittleEndian)
 	return d.Double()
-}
-
-// ReserveBandwidth asks the broker at ref for an RSVP reservation.
-func (c *Client) ReserveBandwidth(t *rtos.Thread, ref *orb.ObjectRef, flow netsim.FlowID, src, dst netsim.NodeID, rateBps float64, burst int) (uint32, error) {
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	e.PutULongLong(uint64(flow))
-	e.PutLong(int32(src))
-	e.PutLong(int32(dst))
-	e.PutDouble(rateBps)
-	e.PutULong(uint32(burst))
-	body, err := c.orb.Invoke(t, ref, "reserve", e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	d := cdr.NewDecoder(body, cdr.LittleEndian)
-	id, err := d.ULong()
-	if err != nil {
-		return 0, fmt.Errorf("resmgr: decoding reserve reply: %w", err)
-	}
-	return id, nil
-}
-
-// CancelBandwidth tears down a bandwidth reservation by id.
-func (c *Client) CancelBandwidth(t *rtos.Thread, ref *orb.ObjectRef, id uint32) error {
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	e.PutULong(id)
-	_, err := c.orb.Invoke(t, ref, "cancel", e.Bytes())
-	return err
 }

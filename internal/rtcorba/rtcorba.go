@@ -141,9 +141,6 @@ func (m *MappingManager) Install(pm PriorityMapping) {
 	m.mapping = pm
 }
 
-// Mapping returns the mapping in force.
-func (m *MappingManager) Mapping() PriorityMapping { return m.mapping }
-
 // ToNative maps via the installed mapping.
 func (m *MappingManager) ToNative(p Priority, r rtos.PriorityRange) (rtos.Priority, bool) {
 	return m.mapping.ToNative(p, r)

@@ -103,8 +103,8 @@ func TestStepMapping(t *testing.T) {
 
 func TestMappingManagerInstall(t *testing.T) {
 	mm := NewMappingManager()
-	if _, ok := mm.Mapping().(LinearMapping); !ok {
-		t.Fatalf("default mapping = %T", mm.Mapping())
+	if _, ok := mm.mapping.(LinearMapping); !ok {
+		t.Fatalf("default mapping = %T", mm.mapping)
 	}
 	custom := StepMapping{Steps: []Step{{From: 0, Native: 16}}}
 	mm.Install(custom)
@@ -113,7 +113,7 @@ func TestMappingManagerInstall(t *testing.T) {
 		t.Fatalf("custom mapping: ToNative(100) = %d, %v", n, ok)
 	}
 	mm.Install(nil)
-	if _, ok := mm.Mapping().(LinearMapping); !ok {
+	if _, ok := mm.mapping.(LinearMapping); !ok {
 		t.Fatal("Install(nil) did not restore the default")
 	}
 }

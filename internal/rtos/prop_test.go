@@ -18,7 +18,7 @@ func TestPropertyCPUConservation(t *testing.T) {
 		}
 		k := sim.NewKernel(11)
 		h := NewHost(k, "h", HostConfig{Quantum: time.Millisecond})
-		tr := h.CPU().Trace()
+		tr := trace(h.CPU())
 		var demand time.Duration
 		for i, s := range seeds {
 			d := time.Duration(int(s)+1) * time.Millisecond
@@ -29,8 +29,8 @@ func TestPropertyCPUConservation(t *testing.T) {
 		}
 		k.Run()
 		var delivered time.Duration
-		for _, span := range tr.Spans() {
-			delivered += span.Duration()
+		for _, span := range tr.spans {
+			delivered += span.duration()
 		}
 		// All demand met, in exactly demand of busy time, finishing at
 		// exactly the total demand (single CPU, no idling).
@@ -85,15 +85,15 @@ func TestPropertyReservationBudget(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		StartBusyLoop(h, "hog", 90)
-		tr := h.CPU().Trace()
+		busyLoop(h, "hog", 90)
+		tr := trace(h.CPU())
 		h.Spawn("reserved", 1, func(th *Thread) {
 			r.Attach(th)
 			th.Compute(time.Second) // insatiable
 		})
 		const periods = 20
 		k.RunUntil(period * periods)
-		got := tr.TotalFor("reserved")
+		got := tr.totalFor("reserved")
 		min := budget * (periods - 1) // first period may start mid-way
 		max := budget * (periods + 1)
 		return got >= min && got <= max

@@ -101,12 +101,6 @@ type Reserve struct {
 	overruns int // periods in which the budget was fully consumed
 }
 
-// Compute returns the per-period budget C.
-func (r *Reserve) Compute() time.Duration { return r.compute }
-
-// Overruns reports in how many periods the budget ran dry.
-func (r *Reserve) Overruns() int { return r.overruns }
-
 // Attach places thread t under this reservation. A thread can be under
 // at most one reserve; attaching replaces any previous one.
 func (r *Reserve) Attach(t *Thread) {

@@ -92,9 +92,6 @@ func NewHost(k *sim.Kernel, name string, cfg HostConfig) *Host {
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
 
-// Kernel returns the simulation kernel the host runs on.
-func (h *Host) Kernel() *sim.Kernel { return h.k }
-
 // Quantum returns the host's round-robin time slice (zero = FIFO within
 // a priority).
 func (h *Host) Quantum() time.Duration { return h.cfg.Quantum }

@@ -131,8 +131,7 @@ func TestPriorityClampedToHostRange(t *testing.T) {
 func TestReservationGuaranteesBudgetUnderLoad(t *testing.T) {
 	k, h := newTestHost(t, time.Millisecond)
 	// Saturating load at the highest normal priority.
-	load := StartBusyLoop(h, "load", 99)
-	defer load.Stop()
+	busyLoop(h, "load", 99)
 
 	r, err := h.ResourceKernel().Reserve(20*time.Millisecond, 100*time.Millisecond, EnforceHard)
 	if err != nil {
@@ -147,7 +146,6 @@ func TestReservationGuaranteesBudgetUnderLoad(t *testing.T) {
 		}
 	})
 	k.RunUntil(time.Second)
-	load.Stop()
 	if len(progress) != 5 {
 		t.Fatalf("reserved thread completed %d/5 quanta under saturating load", len(progress))
 	}
@@ -162,8 +160,7 @@ func TestReservationGuaranteesBudgetUnderLoad(t *testing.T) {
 
 func TestHardEnforcementDemotesOverrun(t *testing.T) {
 	k, h := newTestHost(t, time.Millisecond)
-	load := StartBusyLoop(h, "load", 50)
-	defer load.Stop()
+	busyLoop(h, "load", 50)
 
 	r, err := h.ResourceKernel().Reserve(10*time.Millisecond, 100*time.Millisecond, EnforceHard)
 	if err != nil {
@@ -179,15 +176,14 @@ func TestHardEnforcementDemotesOverrun(t *testing.T) {
 		done = th.Now()
 	})
 	k.RunUntil(2 * time.Second)
-	load.Stop()
 	if done == 0 {
 		t.Fatal("greedy reserved thread never finished")
 	}
 	if done < 200*time.Millisecond || done > 250*time.Millisecond {
 		t.Fatalf("greedy thread finished at %v, want early in period 3 (200..250ms)", done)
 	}
-	if r.Overruns() < 2 {
-		t.Fatalf("overruns = %d, want >= 2", r.Overruns())
+	if r.overruns < 2 {
+		t.Fatalf("overruns = %d, want >= 2", r.overruns)
 	}
 }
 
@@ -331,32 +327,10 @@ func TestMutexGrantsByPriority(t *testing.T) {
 	}
 }
 
-func TestBusyLoopUtilization(t *testing.T) {
-	k, h := newTestHost(t, time.Millisecond)
-	g := StartBusyLoop(h, "hog", 10)
-	k.RunUntil(time.Second)
-	g.Stop()
-	if u := h.CPU().Utilization(); u < 0.99 {
-		t.Fatalf("busy loop utilization = %v, want ~1.0", u)
-	}
-}
-
-func TestPeriodicLoadDutyCycle(t *testing.T) {
-	k, h := newTestHost(t, 0)
-	g := StartPeriodicLoad(h, "periodic", 10, 20*time.Millisecond, 100*time.Millisecond)
-	k.RunUntil(time.Second)
-	g.Stop()
-	u := h.CPU().Utilization()
-	if u < 0.18 || u > 0.22 {
-		t.Fatalf("periodic load utilization = %v, want ~0.20", u)
-	}
-}
-
 func TestBurstLoadIsVariable(t *testing.T) {
 	k, h := newTestHost(t, time.Millisecond)
-	g := StartBurstLoad(h, "burst", 10, 10*time.Millisecond, 10*time.Millisecond)
+	StartBurstLoad(h, "burst", 10, 10*time.Millisecond, 10*time.Millisecond)
 	k.RunUntil(2 * time.Second)
-	g.Stop()
 	u := h.CPU().Utilization()
 	if u < 0.2 || u > 0.8 {
 		t.Fatalf("burst load utilization = %v, want mid-range (~0.5)", u)
@@ -391,4 +365,14 @@ func TestWorkConservation(t *testing.T) {
 	if k.Now() != total {
 		t.Fatalf("5 jobs totalling %v finished at %v; CPU idled with work pending", total, k.Now())
 	}
+}
+
+// busyLoop spawns a thread that consumes CPU at prio for as long as the
+// scenario runs, in 1 ms slices so scheduling decisions stay responsive.
+func busyLoop(h *Host, name string, prio Priority) {
+	h.Spawn(name, prio, func(t *Thread) {
+		for {
+			t.Compute(time.Millisecond)
+		}
+	})
 }

@@ -1,10 +1,6 @@
 package rtos
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
 	"repro/internal/sim"
 )
 
@@ -15,18 +11,12 @@ type ExecSpan struct {
 	End    sim.Time
 }
 
-// Duration returns the span length.
-func (s ExecSpan) Duration() time.Duration { return time.Duration(s.End - s.Start) }
-
 // Tracer records the CPU's execution timeline — which thread ran when —
-// for debugging schedules and asserting scheduling properties in tests.
-// Consecutive spans of the same thread are coalesced.
+// for asserting scheduling properties in tests, which attach one to a
+// CPU's tracer field. Consecutive spans of the same thread are coalesced.
 type Tracer struct {
 	spans []ExecSpan
 }
-
-// Spans returns the recorded timeline.
-func (tr *Tracer) Spans() []ExecSpan { return tr.spans }
 
 // record appends execution of t over [from, to).
 func (tr *Tracer) record(t *Thread, from, to sim.Time) {
@@ -39,34 +29,4 @@ func (tr *Tracer) record(t *Thread, from, to sim.Time) {
 		return
 	}
 	tr.spans = append(tr.spans, ExecSpan{Thread: name, Start: from, End: to})
-}
-
-// TotalFor sums the CPU time recorded for a thread name.
-func (tr *Tracer) TotalFor(thread string) time.Duration {
-	var total time.Duration
-	for _, s := range tr.spans {
-		if s.Thread == thread {
-			total += s.Duration()
-		}
-	}
-	return total
-}
-
-// Gantt renders the timeline as one line per span — a poor man's Gantt
-// chart for schedule inspection.
-func (tr *Tracer) Gantt() string {
-	var b strings.Builder
-	for _, s := range tr.spans {
-		fmt.Fprintf(&b, "%12v  %-24s %v\n", s.Start, s.Thread, s.Duration())
-	}
-	return b.String()
-}
-
-// Trace attaches a tracer to the CPU and returns it. Tracing starts at
-// the moment of attachment; attach before spawning threads for a
-// complete timeline.
-func (c *CPU) Trace() *Tracer {
-	tr := &Tracer{}
-	c.tracer = tr
-	return tr
 }

@@ -1,7 +1,6 @@
 package rtos
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -11,14 +10,14 @@ import (
 func TestTracerRecordsPreemption(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := h.CPU().Trace()
+	tr := trace(h.CPU())
 	h.Spawn("low", 5, func(th *Thread) { th.Compute(30 * time.Millisecond) })
 	h.Spawn("high", 20, func(th *Thread) {
 		th.Sleep(10 * time.Millisecond)
 		th.Compute(10 * time.Millisecond)
 	})
 	k.Run()
-	spans := tr.Spans()
+	spans := tr.spans
 	// Expected timeline: low [0,10), high [10,20), low [20,40).
 	if len(spans) != 3 {
 		t.Fatalf("spans = %v", spans)
@@ -37,44 +36,41 @@ func TestTracerRecordsPreemption(t *testing.T) {
 			t.Fatalf("span %d = %+v, want %+v", i, s, w)
 		}
 	}
-	if tr.TotalFor("low") != 30*time.Millisecond {
-		t.Fatalf("low total = %v", tr.TotalFor("low"))
+	if tr.totalFor("low") != 30*time.Millisecond {
+		t.Fatalf("low total = %v", tr.totalFor("low"))
 	}
-	if tr.TotalFor("high") != 10*time.Millisecond {
-		t.Fatalf("high total = %v", tr.TotalFor("high"))
-	}
-	if !strings.Contains(tr.Gantt(), "high") {
-		t.Fatal("gantt missing thread")
+	if tr.totalFor("high") != 10*time.Millisecond {
+		t.Fatalf("high total = %v", tr.totalFor("high"))
 	}
 }
 
 func TestTracerCoalescesContiguousSpans(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := h.CPU().Trace()
+	tr := trace(h.CPU())
 	h.Spawn("solo", 5, func(th *Thread) {
 		// Two back-to-back computes: contiguous execution, one span.
 		th.Compute(5 * time.Millisecond)
 		th.Compute(5 * time.Millisecond)
 	})
 	k.Run()
-	if len(tr.Spans()) != 1 {
-		t.Fatalf("spans = %v, want one coalesced span", tr.Spans())
+	if len(tr.spans) != 1 {
+		t.Fatalf("spans = %v, want one coalesced span", tr.spans)
 	}
-	if tr.Spans()[0].Duration() != 10*time.Millisecond {
-		t.Fatalf("span duration = %v", tr.Spans()[0].Duration())
+	if tr.spans[0].duration() != 10*time.Millisecond {
+		t.Fatalf("span duration = %v", tr.spans[0].duration())
 	}
 }
 
 func TestTracerAccountsReservationSlices(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := h.CPU().Trace()
+	tr := trace(h.CPU())
 	r, err := h.ResourceKernel().Reserve(10*time.Millisecond, 100*time.Millisecond, EnforceHard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	StartBusyLoop(h, "hog", 50)
+	busyLoop(h, "hog", 50)
 	h.Spawn("reserved", 1, func(th *Thread) {
 		r.Attach(th)
 		th.Compute(30 * time.Millisecond)
@@ -82,11 +78,30 @@ func TestTracerAccountsReservationSlices(t *testing.T) {
 	k.RunUntil(400 * time.Millisecond)
 	// The reserved thread gets exactly 10ms per 100ms period until its
 	// 30ms of demand is met.
-	if got := tr.TotalFor("reserved"); got != 30*time.Millisecond {
+	if got := tr.totalFor("reserved"); got != 30*time.Millisecond {
 		t.Fatalf("reserved total = %v", got)
 	}
-	hog := tr.TotalFor("hog")
+	hog := tr.totalFor("hog")
 	if hog < 360*time.Millisecond || hog > 372*time.Millisecond {
 		t.Fatalf("hog total = %v, want ~370ms", hog)
 	}
 }
+
+// trace attaches a tracer to c; tracing starts now.
+func trace(c *CPU) *Tracer {
+	c.tracer = &Tracer{}
+	return c.tracer
+}
+
+// totalFor sums the CPU time recorded for a thread name.
+func (tr *Tracer) totalFor(thread string) time.Duration {
+	var total time.Duration
+	for _, s := range tr.spans {
+		if s.Thread == thread {
+			total += s.duration()
+		}
+	}
+	return total
+}
+
+func (s ExecSpan) duration() time.Duration { return time.Duration(s.End - s.Start) }

@@ -87,7 +87,6 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 	live    []*Proc // started or startable, not yet finished
-	tracer  func(t Time, format string, args ...any)
 }
 
 // NewKernel returns a kernel whose deterministic random stream is seeded
@@ -104,18 +103,6 @@ func (k *Kernel) Now() Time { return k.now }
 // behaviour in a scenario (jitter, drop decisions, load bursts) must draw
 // from this source to keep runs reproducible.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// SetTracer installs a debug trace sink. A nil tracer disables tracing.
-func (k *Kernel) SetTracer(fn func(t Time, format string, args ...any)) {
-	k.tracer = fn
-}
-
-// Tracef emits a debug trace line if a tracer is installed.
-func (k *Kernel) Tracef(format string, args ...any) {
-	if k.tracer != nil {
-		k.tracer(k.now, format, args...)
-	}
-}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
@@ -248,14 +235,10 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
-// LiveProcs reports how many processes have been spawned but not yet
-// finished. Useful in tests to detect leaked processes.
-func (k *Kernel) LiveProcs() int { return len(k.live) }
-
 // Close ends the scenario: every unfinished process is unwound — its
 // deferred calls run, then its coroutine exits — and every queued event is
 // dropped, including anything those deferred calls scheduled. Afterwards
-// LiveProcs and Pending are 0 and nothing the kernel created is left
+// no process is live, Pending is 0 and nothing the kernel created is left
 // running. Close is idempotent. It must be called from outside the
 // kernel's own callbacks and processes, normally deferred by whoever
 // called NewKernel.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,8 +117,8 @@ func TestProcSleep(t *testing.T) {
 	if wake != 42*time.Millisecond {
 		t.Fatalf("woke at %v, want 42ms", wake)
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d, want 0", k.LiveProcs())
+	if len(k.live) != 0 {
+		t.Fatalf("%d live processes, want 0", len(k.live))
 	}
 }
 
@@ -166,8 +165,8 @@ func TestSignalPulseWakesOne(t *testing.T) {
 	if woken != 1 {
 		t.Fatalf("Pulse woke %d procs, want 1", woken)
 	}
-	if s.Waiting() != 2 {
-		t.Fatalf("Waiting() = %d, want 2", s.Waiting())
+	if s.waiters.Len() != 2 {
+		t.Fatalf("Waiting() = %d, want 2", s.waiters.Len())
 	}
 	// Drain remaining waiters so the test leaves no stuck goroutines.
 	s.Broadcast()
@@ -193,8 +192,8 @@ func TestSignalWaitTimeout(t *testing.T) {
 	if at != 20*time.Millisecond {
 		t.Fatalf("timed out at %v, want 20ms", at)
 	}
-	if s.Waiting() != 0 {
-		t.Fatalf("timed-out waiter still enqueued: Waiting() = %d", s.Waiting())
+	if s.waiters.Len() != 0 {
+		t.Fatalf("timed-out waiter still enqueued: Waiting() = %d", s.waiters.Len())
 	}
 }
 
@@ -363,19 +362,4 @@ func TestQueueOrderProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestTracer(t *testing.T) {
-	k := NewKernel(1)
-	var lines []string
-	k.SetTracer(func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: "+format, append([]any{at}, args...)...))
-	})
-	k.After(time.Millisecond, func() { k.Tracef("fired %d", 7) })
-	k.Run()
-	if len(lines) != 1 || lines[0] != "1ms: fired 7" {
-		t.Fatalf("trace = %v", lines)
-	}
-	k.SetTracer(nil)
-	k.Tracef("ignored") // must not panic with no tracer
 }

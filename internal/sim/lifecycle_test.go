@@ -46,16 +46,16 @@ func TestLifecycleCloseUnwindsProcesses(t *testing.T) {
 	spawn("finished", func(p *Proc) {})
 	k.RunUntil(time.Minute)
 	spawn("never-started", func(p *Proc) { t.Error("a process started during Close") })
-	if k.LiveProcs() != 4 {
-		t.Fatalf("LiveProcs() = %d before Close, want 4", k.LiveProcs())
+	if len(k.live) != 4 {
+		t.Fatalf("%d live processes before Close, want 4", len(k.live))
 	}
 
 	k.Close()
 	if got := strings.Join(unwound, " "); got != "finished sleeper waiter server" {
 		t.Fatalf("deferred calls ran as %q, want the finished process then the blocked ones, newest first", got)
 	}
-	if k.LiveProcs() != 0 || k.Pending() != 0 {
-		t.Fatalf("after Close: LiveProcs() = %d, Pending() = %d, want 0, 0", k.LiveProcs(), k.Pending())
+	if len(k.live) != 0 || k.Pending() != 0 {
+		t.Fatalf("after Close: %d live processes, Pending() = %d, want 0, 0", len(k.live), k.Pending())
 	}
 	k.Run() // nothing left to fire
 	k.Close()
@@ -81,8 +81,8 @@ func TestLifecycleProcessPanicReachesRun(t *testing.T) {
 		k.Run()
 		t.Error("Run returned although a process panicked")
 	}()
-	if k.LiveProcs() != 1 {
-		t.Fatalf("LiveProcs() = %d after the panic, want 1 (the bystander)", k.LiveProcs())
+	if len(k.live) != 1 {
+		t.Fatalf("%d live processes after the panic, want 1 (the bystander)", len(k.live))
 	}
 	k.Close()
 	if n := settledGoroutines(before); n != before {

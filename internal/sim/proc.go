@@ -93,9 +93,6 @@ func (p *Proc) kill() {
 	}
 }
 
-// Name returns the diagnostic name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 
@@ -219,9 +216,6 @@ func (s *Signal) Broadcast() {
 		s.waiters.Pop().wake()
 	}
 }
-
-// Waiting reports how many processes are blocked on the signal.
-func (s *Signal) Waiting() int { return s.waiters.Len() }
 
 // Queue is an unbounded FIFO of items with blocking receive, the standard
 // mailbox between simulated processes (socket receive buffers, thread-pool

@@ -307,18 +307,6 @@ func (t *Tracker) publish(ps *pairState, state string, short, long float64) {
 		events.F("threshold", strconv.FormatFloat(ps.pair.Burn, 'g', 6, 64)))
 }
 
-// Firing reports whether any pair is currently in the firing state.
-func (t *Tracker) Firing() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ps := range t.pairs {
-		if ps.firing {
-			return true
-		}
-	}
-	return false
-}
-
 // FiredAt returns the clock time the given pair (by index) first
 // fired, and whether it ever did.
 func (t *Tracker) FiredAt(pair int) (sim.Time, bool) {

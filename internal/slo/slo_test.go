@@ -50,7 +50,7 @@ func TestBurnRateFiresOnBudgetBurnAndResolves(t *testing.T) {
 	if fastAt <= sim.Time(4*time.Second) || fastAt >= sim.Time(8*time.Second) {
 		t.Fatalf("fast pair fired at %v, want during the burst", time.Duration(fastAt))
 	}
-	if tr.Firing() {
+	if firing(tr) {
 		t.Fatalf("still firing long after recovery:\n%s", tr.Render())
 	}
 
@@ -93,12 +93,12 @@ func TestTrackerRestartOnKernel(t *testing.T) {
 		t.Fatalf("%d events pending after stop, want the 200 observations", k.Pending())
 	}
 	k.RunFor(time.Second)
-	if tr.Firing() {
+	if firing(tr) {
 		t.Fatal("a stopped tracker evaluated")
 	}
 	tr.Start(50 * time.Millisecond)
 	k.RunFor(500 * time.Millisecond)
-	if !tr.Firing() {
+	if !firing(tr) {
 		t.Fatal("a restarted tracker did not evaluate")
 	}
 }
@@ -214,4 +214,16 @@ func TestTrackerRingBoundedAndDeterministic(t *testing.T) {
 	if len(tr.ring) != before || before > 200 {
 		t.Fatalf("ring grew or oversized: %d -> %d buckets", before, len(tr.ring))
 	}
+}
+
+// firing reports whether any pair of t is currently in the firing state.
+func firing(t *Tracker) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ps := range t.pairs {
+		if ps.firing {
+			return true
+		}
+	}
+	return false
 }

@@ -57,7 +57,7 @@ func TestWallTrackerBurnFires(t *testing.T) {
 	if n := st.Evaluate(); n == 0 {
 		t.Fatal("Evaluate reported no transitions despite sustained burn")
 	}
-	if !st.Firing() {
+	if !firing(st) {
 		t.Fatal("tracker not firing after sustained burn")
 	}
 	mu.Lock()
@@ -96,7 +96,7 @@ func TestWallTrackerStartStopRestart(t *testing.T) {
 	}
 	// Observing after Stop must not panic or deadlock.
 	st.Observe(true)
-	if st.Firing() {
+	if firing(st) {
 		t.Fatal("all-good tracker is firing")
 	}
 }

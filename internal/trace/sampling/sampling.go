@@ -280,15 +280,6 @@ func (sp *Sampler) Stats() Stats { return sp.stats }
 // root has not ended).
 func (sp *Sampler) Verdict(id trace.TraceID) Verdict { return sp.decided[id] }
 
-// HeadProb returns a band's current head-sampling probability
-// (InitialProb if the band has not been seen yet).
-func (sp *Sampler) HeadProb(band string) float64 {
-	if b, ok := sp.bands[band]; ok {
-		return b.prob
-	}
-	return sp.cfg.InitialProb
-}
-
 // OnEnd implements trace.Sink.
 func (sp *Sampler) OnEnd(s *trace.Span) {
 	if v, ok := sp.decided[s.TraceID]; ok {
@@ -493,17 +484,4 @@ func (sp *Sampler) FlushOpen() {
 			sp.deliver(s, v)
 		}
 	}
-}
-
-// KeptTraceIDs returns the IDs of every kept trace, ascending — the
-// deterministic fingerprint the determinism test compares across runs.
-func (sp *Sampler) KeptTraceIDs() []trace.TraceID {
-	out := make([]trace.TraceID, 0, len(sp.decided))
-	for id, v := range sp.decided {
-		if v.Keep() {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

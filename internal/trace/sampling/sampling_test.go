@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -125,7 +126,7 @@ func TestSamplerAdaptiveBudget(t *testing.T) {
 		t.Fatal("AIMD collapsed to zero")
 	}
 	for _, band := range []string{"low", "high"} {
-		if p := sp.HeadProb(band); p >= 1 {
+		if p := headProb(sp, band); p >= 1 {
 			t.Fatalf("band %s probability never adapted: %v", band, p)
 		}
 	}
@@ -176,7 +177,7 @@ func TestSamplerDeterminism(t *testing.T) {
 	sp1, _ := genWorkload(7, 500, cfg)
 	sp2, _ := genWorkload(7, 500, cfg)
 
-	ids1, ids2 := sp1.KeptTraceIDs(), sp2.KeptTraceIDs()
+	ids1, ids2 := keptTraceIDs(sp1), keptTraceIDs(sp2)
 	if fmt.Sprint(ids1) != fmt.Sprint(ids2) {
 		t.Fatalf("kept trace sets differ across same-seed runs:\n%v\n%v", ids1, ids2)
 	}
@@ -191,4 +192,25 @@ func TestSamplerDeterminism(t *testing.T) {
 	if s := sp1.Stats(); s.Kept+s.Dropped != s.Traces || s.Traces < 500 {
 		t.Fatalf("inconsistent tally: %+v", s)
 	}
+}
+
+// headProb is a band's current head-sampling probability (InitialProb if
+// the band has not been seen yet).
+func headProb(sp *Sampler, band string) float64 {
+	if b, ok := sp.bands[band]; ok {
+		return b.prob
+	}
+	return sp.cfg.InitialProb
+}
+
+// keptTraceIDs returns the IDs of every kept trace, ascending.
+func keptTraceIDs(sp *Sampler) []trace.TraceID {
+	var out []trace.TraceID
+	for id, v := range sp.decided {
+		if v.Keep() {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

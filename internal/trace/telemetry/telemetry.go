@@ -72,12 +72,8 @@ func keyOf(name string, labels []Label) string {
 	return b.String()
 }
 
-// Key builds the canonical instrument key for name+labels, the same
-// form the registry uses internally and the enumeration helpers return.
-func Key(name string, labels ...Label) string { return keyOf(name, labels) }
-
 // ParseKey splits a canonical instrument key back into its name and
-// sorted label set. It is the inverse of Key for keys the registry
+// sorted label set. It is the inverse of keyOf for keys the registry
 // minted (label keys and values must not contain ',', '=' or '}').
 func ParseKey(key string) (name string, labels []Label) {
 	open := strings.IndexByte(key, '{')
@@ -211,16 +207,8 @@ func (r *Reservoir) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (not the retained sample
-// size).
-func (r *Reservoir) Count() int64 { return r.n }
-
 // Sum returns the exact sum of all observations.
 func (r *Reservoir) Sum() float64 { return r.sum }
-
-// Values returns the retained samples (all observations, in order,
-// while under the capacity).
-func (r *Reservoir) Values() []float64 { return r.vs }
 
 // Reset clears the reservoir.
 func (r *Reservoir) Reset() {
@@ -263,7 +251,7 @@ func summarizeSampled(vs []float64, n int64, sum, sq, min, max float64) metrics.
 // memory is bounded: a deterministic reservoir caps retained samples
 // (see Reservoir) while counts and moments stay exact. Alongside the
 // cumulative distribution it maintains a window reservoir the
-// monitoring sampler drains once per tick (TakeWindow), which is how
+// monitoring sampler drains once per tick (TakeWindowEx), which is how
 // per-window percentiles reach the time-series plane.
 type Histogram struct {
 	mu  sync.Mutex
@@ -320,16 +308,6 @@ func (h *Histogram) Exemplar() (Exemplar, bool) {
 	return h.cumEx, h.cumEx.Valid()
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.cum == nil {
-		return 0
-	}
-	return int(h.cum.Count())
-}
-
 // Sum returns the exact sum of all observations.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
@@ -338,17 +316,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.cum.Sum()
-}
-
-// Values returns a copy of the retained samples (every observation, in
-// order, for streams under the reservoir capacity).
-func (h *Histogram) Values() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.cum == nil {
-		return nil
-	}
-	return append([]float64(nil), h.cum.Values()...)
 }
 
 // Summary computes distribution statistics over all observations. The
@@ -368,16 +335,11 @@ func (h *Histogram) Summary() metrics.Summary {
 	return summarizeSampled(vs, n, sum, sq, min, max)
 }
 
-// TakeWindow summarizes the observations since the previous TakeWindow
-// (or since creation) and resets the window, leaving the cumulative
-// distribution untouched.
-func (h *Histogram) TakeWindow() metrics.Summary {
-	s, _, _ := h.TakeWindowEx()
-	return s
-}
-
-// TakeWindowEx is TakeWindow plus the window's max-value exemplar (ok
-// reports whether any observation in the window carried one).
+// TakeWindowEx summarizes the observations since the previous call (or
+// since creation) and resets the window, leaving the cumulative
+// distribution untouched. It also returns the window's max-value
+// exemplar (ok reports whether any observation in the window carried
+// one).
 func (h *Histogram) TakeWindowEx() (metrics.Summary, Exemplar, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -57,10 +57,10 @@ func TestGaugeAndHistogram(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
 	s := h.Summary()
+	if s.N != 4 {
+		t.Fatalf("count = %d", s.N)
+	}
 	if s.Mean != 2.5 || s.P50 != 2.5 {
 		t.Fatalf("summary mean/P50 = %v/%v, want 2.5/2.5", s.Mean, s.P50)
 	}
@@ -115,14 +115,14 @@ func TestKeyRoundTrip(t *testing.T) {
 		{"pool.shed", []Label{L("reason", "deadline"), L("lane", "0")}},
 	}
 	for _, c := range cases {
-		key := Key(c.name, c.labels...)
+		key := keyOf(c.name, c.labels)
 		name, labels := ParseKey(key)
 		if name != c.name {
 			t.Fatalf("ParseKey(%q) name = %q", key, name)
 		}
 		// Re-keying the parsed form must reproduce the canonical key:
 		// canonical label ordering survives the sampling round trip.
-		if got := Key(name, labels...); got != key {
+		if got := keyOf(name, labels); got != key {
 			t.Fatalf("round trip %q -> %q", key, got)
 		}
 		for i := 1; i < len(labels); i++ {
@@ -139,7 +139,7 @@ func TestHistogramBoundedMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i))
 	}
-	if got := len(h.Values()); got != DefaultReservoirCap {
+	if got := len(h.cum.vs); got != DefaultReservoirCap {
 		t.Fatalf("retained %d samples, want cap %d", got, DefaultReservoirCap)
 	}
 	s := h.Summary()
@@ -179,7 +179,7 @@ func TestHistogramDeterministicReservoir(t *testing.T) {
 		for i := 0; i < 2*DefaultReservoirCap; i++ {
 			h.Observe(float64(i))
 		}
-		return h.Values()
+		return h.cum.vs
 	}
 	a, b := sample(), sample()
 	for i := range a {
@@ -193,16 +193,16 @@ func TestHistogramTakeWindow(t *testing.T) {
 	h := &Histogram{}
 	h.Observe(1)
 	h.Observe(3)
-	w := h.TakeWindow()
+	w, _, _ := h.TakeWindowEx()
 	if w.N != 2 || w.Mean != 2 {
 		t.Fatalf("window 1 = %+v, want N=2 mean=2", w)
 	}
 	h.Observe(10)
-	w = h.TakeWindow()
+	w, _, _ = h.TakeWindowEx()
 	if w.N != 1 || w.Mean != 10 {
 		t.Fatalf("window 2 = %+v, want N=1 mean=10", w)
 	}
-	if w = h.TakeWindow(); w.N != 0 {
+	if w, _, _ = h.TakeWindowEx(); w.N != 0 {
 		t.Fatalf("empty window = %+v, want N=0", w)
 	}
 	// Cumulative view is unaffected by window draining.
@@ -233,7 +233,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			_ = r.Render()
-			_ = r.Histogram("rtt", L("prio", "0")).TakeWindow()
+			r.Histogram("rtt", L("prio", "0")).TakeWindowEx()
 		}
 	}()
 	wg.Wait()

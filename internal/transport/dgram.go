@@ -101,9 +101,6 @@ func (c *DgramConn) LocalAddr() netsim.Addr { return c.ep.Addr(c.port) }
 // adjust to mark a stream for expedited forwarding.
 func (c *DgramConn) SetDSCP(d netsim.DSCP) { c.dscp = d }
 
-// DSCP returns the current outgoing codepoint.
-func (c *DgramConn) DSCP() netsim.DSCP { return c.dscp }
-
 // Send transmits a message to dst, fragmenting as needed.
 func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
 	c.msgID++
@@ -134,14 +131,6 @@ func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
 func (c *DgramConn) Recv(p *sim.Proc) *Message {
 	return c.recvQ.Get(p)
 }
-
-// RecvTimeout blocks for at most d.
-func (c *DgramConn) RecvTimeout(p *sim.Proc, d time.Duration) (*Message, bool) {
-	return c.recvQ.GetTimeout(p, d)
-}
-
-// ReceivedMessages returns the number of complete messages delivered.
-func (c *DgramConn) ReceivedMessages() int64 { return c.recvMsgs }
 
 func (c *DgramConn) onPacket(p *netsim.Packet) {
 	frag, ok := p.Payload.(*fragment)

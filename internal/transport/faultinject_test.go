@@ -30,8 +30,8 @@ func TestDgramDuplicatedFragmentsDeliverOnce(t *testing.T) {
 	if got == nil || got.Payload != "frame" {
 		t.Fatalf("got %+v", got)
 	}
-	if cb.ReceivedMessages() != 1 {
-		t.Fatalf("ReceivedMessages = %d, want 1", cb.ReceivedMessages())
+	if cb.recvMsgs != 1 {
+		t.Fatalf("ReceivedMessages = %d, want 1", cb.recvMsgs)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestDgramByteslessPayloadDestroyedByCorruption(t *testing.T) {
 	cb := eb.OpenDgram(100, 0)
 	ca.Send(eb.Addr(100), &Message{Payload: "frame", Size: 500})
 	k.Run()
-	if cb.ReceivedMessages() != 0 {
+	if cb.recvMsgs != 0 {
 		t.Fatal("checksum-failed frame was delivered")
 	}
 	if n.FlowStats(ca.Flow()).DropReasons[netsim.DropCorrupt] != 1 {
@@ -107,8 +107,8 @@ func TestDgramMalformedFragmentHeadersIgnored(t *testing.T) {
 	var got *Message
 	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
 	k.Run()
-	if cb.ReceivedMessages() != 1 {
-		t.Fatalf("ReceivedMessages = %d, want exactly 1", cb.ReceivedMessages())
+	if cb.recvMsgs != 1 {
+		t.Fatalf("ReceivedMessages = %d, want exactly 1", cb.recvMsgs)
 	}
 	if got == nil || string(got.Data) != "payload" {
 		t.Fatalf("got %+v", got)
@@ -126,7 +126,7 @@ func TestDgramDeadlineShedsExpiredFragments(t *testing.T) {
 		Deadline: sim.Time(500 * time.Microsecond),
 	})
 	k.Run()
-	if cb.ReceivedMessages() != 0 {
+	if cb.recvMsgs != 0 {
 		t.Fatal("expired datagram delivered past its deadline")
 	}
 	if n.FlowStats(ca.Flow()).DropReasons[netsim.DropDeadline] == 0 {

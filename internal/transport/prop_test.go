@@ -93,7 +93,7 @@ func TestPropertyDgramAtMostOnce(t *testing.T) {
 		seen := map[string]int{}
 		k.Go("recv", func(p *sim.Proc) {
 			for {
-				m, ok := cb.RecvTimeout(p, 30*time.Second)
+				m, ok := cb.recvQ.GetTimeout(p, 30*time.Second)
 				if !ok {
 					return
 				}

@@ -167,9 +167,6 @@ func (c *StreamConn) SetDSCP(d netsim.DSCP) { c.dscp = d }
 // DSCP returns the current outgoing codepoint.
 func (c *StreamConn) DSCP() netsim.DSCP { return c.dscp }
 
-// Retransmits returns the number of go-back-N retransmissions performed.
-func (c *StreamConn) Retransmits() int64 { return c.retransmits }
-
 // Close tears the connection down locally: timers stop and, on the
 // dialing side, the port is released. In-flight data is abandoned.
 func (c *StreamConn) Close() {

@@ -29,9 +29,6 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node) *Endpoint {
 // Node returns the underlying network node.
 func (e *Endpoint) Node() *netsim.Node { return e.node }
 
-// Network returns the underlying network.
-func (e *Endpoint) Network() *netsim.Network { return e.net }
-
 // Kernel returns the simulation kernel.
 func (e *Endpoint) Kernel() *sim.Kernel { return e.net.Kernel() }
 

@@ -53,8 +53,8 @@ func TestDgramFragmentationReassembly(t *testing.T) {
 	if got == nil || got.Payload != "frame-1" || got.Size != 10*1024 {
 		t.Fatalf("got %+v", got)
 	}
-	if cb.ReceivedMessages() != 1 {
-		t.Fatalf("ReceivedMessages = %d", cb.ReceivedMessages())
+	if cb.recvMsgs != 1 {
+		t.Fatalf("ReceivedMessages = %d", cb.recvMsgs)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestDgramLostFragmentLosesMessage(t *testing.T) {
 	var timedOut bool
 	k.Go("recv", func(p *sim.Proc) {
 		var ok bool
-		got, ok = cb.RecvTimeout(p, 5*time.Second)
+		got, ok = cb.recvQ.GetTimeout(p, 5*time.Second)
 		timedOut = !ok
 	})
 	ca.Send(eb.Addr(100), &Message{Payload: "big", Size: 20 * 1024})
@@ -141,7 +141,7 @@ func TestStreamRetransmissionRecoversLoss(t *testing.T) {
 	if got != msgs {
 		t.Fatalf("delivered %d/%d messages", got, msgs)
 	}
-	if cli.Retransmits() == 0 {
+	if cli.retransmits == 0 {
 		t.Fatal("expected retransmissions through the lossy queue")
 	}
 }
@@ -209,7 +209,7 @@ func TestDgramSetDSCPPropagates(t *testing.T) {
 	if st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if ca.DSCP() != netsim.DSCPEF {
-		t.Fatalf("DSCP = %v", ca.DSCP())
+	if ca.dscp != netsim.DSCPEF {
+		t.Fatalf("DSCP = %v", ca.dscp)
 	}
 }

@@ -133,9 +133,6 @@ func NewGenerator(cfg StreamConfig) *Generator {
 // Config returns the generator's (defaulted) configuration.
 func (g *Generator) Config() StreamConfig { return g.cfg }
 
-// FrameSizes returns the I, P, and B frame sizes in bytes.
-func (g *Generator) FrameSizes() (i, p, b int) { return g.sizeI, g.sizeP, g.sizeB }
-
 // Next returns the next frame in the stream.
 func (g *Generator) Next() Frame {
 	seq := g.seq
@@ -212,35 +209,6 @@ func (l FilterLevel) Admits(t FrameType) bool {
 	}
 }
 
-// FPS returns the frame rate the filter level passes for cfg.
-func (l FilterLevel) FPS(cfg StreamConfig) float64 {
-	c := cfg.withDefaults()
-	gopsPerSec := float64(c.FPS) / float64(c.GOPSize)
-	switch l {
-	case FilterIP:
-		return gopsPerSec * float64(1+c.PFrames)
-	case FilterIOnly:
-		return gopsPerSec
-	default:
-		return float64(c.FPS)
-	}
-}
-
-// BitrateBps returns the approximate bitrate the filter level passes.
-func (l FilterLevel) BitrateBps(cfg StreamConfig) float64 {
-	g := NewGenerator(cfg)
-	c := g.cfg
-	gopsPerSec := float64(c.FPS) / float64(c.GOPSize)
-	switch l {
-	case FilterIP:
-		return gopsPerSec * float64(g.sizeI+c.PFrames*g.sizeP) * 8
-	case FilterIOnly:
-		return gopsPerSec * float64(g.sizeI) * 8
-	default:
-		return c.BitrateBps
-	}
-}
-
 // DeliveryStats accumulates per-type and per-second frame delivery
 // accounting, the raw material for the paper's Figure 7 and Table 1.
 type DeliveryStats struct {
@@ -274,14 +242,6 @@ func (s *DeliveryStats) RecordReceived(f Frame, t sim.Time) {
 	s.ReceivedTotal++
 	s.RecvByType[f.Type]++
 	s.recvPerSec[int(t/time.Second)]++
-}
-
-// DeliveredFraction returns received/sent (1 with no traffic).
-func (s *DeliveryStats) DeliveredFraction() float64 {
-	if s.SentTotal == 0 {
-		return 1
-	}
-	return float64(s.ReceivedTotal) / float64(s.SentTotal)
 }
 
 // PerSecond returns (sent, received) counts for each whole second in

@@ -46,7 +46,7 @@ func TestBitrateMatchesConfig(t *testing.T) {
 
 func TestFrameSizeOrdering(t *testing.T) {
 	g := NewGenerator(StreamConfig{})
-	i, p, b := g.FrameSizes()
+	i, p, b := g.sizeI, g.sizeP, g.sizeB
 	if !(i > p && p > b && b > 0) {
 		t.Fatalf("frame sizes I=%d P=%d B=%d, want I > P > B > 0", i, p, b)
 	}
@@ -84,24 +84,36 @@ func TestFilterAdmits(t *testing.T) {
 	}
 }
 
+// passed returns the frames per second and bits per second level lets
+// through over ten seconds of the default stream.
+func passed(l FilterLevel) (fps, bps float64) {
+	g := NewGenerator(StreamConfig{})
+	var frames, bytes int
+	for i := 0; i < 300; i++ {
+		if f := g.Next(); l.Admits(f.Type) {
+			frames++
+			bytes += f.Size
+		}
+	}
+	return float64(frames) / 10, float64(bytes) * 8 / 10
+}
+
 func TestFilterRates(t *testing.T) {
-	cfg := StreamConfig{}
-	if fps := FilterNone.FPS(cfg); fps != 30 {
+	if fps, _ := passed(FilterNone); fps != 30 {
 		t.Fatalf("FilterNone fps = %v", fps)
 	}
-	if fps := FilterIP.FPS(cfg); fps != 10 {
+	if fps, _ := passed(FilterIP); fps != 10 {
 		t.Fatalf("FilterIP fps = %v, want 10 (paper's intermediate rate)", fps)
 	}
-	if fps := FilterIOnly.FPS(cfg); fps != 2 {
+	if fps, _ := passed(FilterIOnly); fps != 2 {
 		t.Fatalf("FilterIOnly fps = %v, want 2 (paper's minimum rate)", fps)
 	}
 }
 
 func TestFilterBitrates(t *testing.T) {
-	cfg := StreamConfig{}
-	full := FilterNone.BitrateBps(cfg)
-	ip := FilterIP.BitrateBps(cfg)
-	iOnly := FilterIOnly.BitrateBps(cfg)
+	_, full := passed(FilterNone)
+	_, ip := passed(FilterIP)
+	_, iOnly := passed(FilterIOnly)
 	if !(full > ip && ip > iOnly && iOnly > 0) {
 		t.Fatalf("bitrates %v > %v > %v violated", full, ip, iOnly)
 	}
@@ -126,7 +138,7 @@ func TestDeliveryStats(t *testing.T) {
 	if s.SentTotal != 30 || s.ReceivedTotal != 2 {
 		t.Fatalf("sent=%d recv=%d", s.SentTotal, s.ReceivedTotal)
 	}
-	frac := s.DeliveredFraction()
+	frac := float64(s.ReceivedTotal) / float64(s.SentTotal)
 	if frac < 0.06 || frac > 0.07 {
 		t.Fatalf("delivered fraction = %v", frac)
 	}

@@ -311,8 +311,7 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 // wire.group.requests{outcome} and ends the group.invoke span. A recovery
 // also observes wire.group.failover_ms (the failover time the chaos soak
 // reports), publishes a KindFailover record, and promotes the endpoint
-// that answered so later calls go straight to it — the wire counterpart of
-// ft.Group.Promote.
+// that answered so later calls go straight to it.
 func (g *GroupClient) settle(c groupCall) error {
 	g.requests.get(c.outcome).Inc()
 	if c.outcome == "recovered" {

@@ -242,16 +242,16 @@ func TestTelemetrySeriesAppearOnFirstIncrement(t *testing.T) {
 		reg *telemetry.Registry
 		key string
 	}{
-		{cli.Registry(), telemetry.Key("wire.client.requests", telemetry.L("band", "0"), telemetry.L("outcome", "ok"))},
-		{srv.Registry(), telemetry.Key("wire.server.requests", telemetry.L("lane", "0"))},
-		{srv.Registry(), telemetry.Key("wire.server.outcomes", telemetry.L("lane", "0"), telemetry.L("outcome", "ok"))},
+		{cli.Registry(), "wire.client.requests{band=0,outcome=ok}"},
+		{srv.Registry(), "wire.server.requests{lane=0}"},
+		{srv.Registry(), "wire.server.outcomes{lane=0,outcome=ok}"},
 		// One caller at a time: every message is a flush of its own.
-		{cli.Registry(), telemetry.Key("wire.client.frames", telemetry.L("band", "0"))},
-		{cli.Registry(), telemetry.Key("wire.client.flushes", telemetry.L("band", "0"))},
-		{srv.Registry(), telemetry.Key("wire.server.frames", telemetry.L("lane", "0"))},
-		{srv.Registry(), telemetry.Key("wire.server.flushes", telemetry.L("lane", "0"))},
+		{cli.Registry(), "wire.client.frames{band=0}"},
+		{cli.Registry(), "wire.client.flushes{band=0}"},
+		{srv.Registry(), "wire.server.frames{lane=0}"},
+		{srv.Registry(), "wire.server.flushes{lane=0}"},
 	}
-	rtt := telemetry.Key("wire.client.rtt_ms", telemetry.L("band", "0"))
+	rtt := "wire.client.rtt_ms{band=0}"
 	for _, h := range hot {
 		if h.reg.CounterByKey(h.key) != nil {
 			t.Errorf("%s exists before any request", h.key)
@@ -273,7 +273,7 @@ func TestTelemetrySeriesAppearOnFirstIncrement(t *testing.T) {
 			return c != nil && c.Value() == 3
 		})
 	}
-	if h := cli.Registry().HistogramByKey(rtt); h == nil || h.Count() != 3 {
+	if h := cli.Registry().HistogramByKey(rtt); h == nil || h.Summary().N != 3 {
 		t.Errorf("%s after 3 requests: %v", rtt, h)
 	}
 	// /debug/qos shows the same counts.

@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestLib(t *testing.T) {
+	if TestOnly() != 3 || Seam() != 4 {
+		t.Fatal("fixture values")
+	}
+}
