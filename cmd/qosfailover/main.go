@@ -68,7 +68,7 @@ func run(opt options) string {
 	cliORB.EnableTracing(tr)
 
 	gm := ft.NewGroupManager()
-	monitor := ft.NewMonitor(cliORB, ft.MonitorConfig{Period: opt.period, SuspectAfter: 1, Priority: -1})
+	monitor := ft.NewMonitor(cliORB, opt.period)
 	var refs []*orb.ObjectRef
 	var recvs []*avstreams.Receiver
 	for i, m := range machines {
@@ -144,7 +144,7 @@ func run(opt options) string {
 		monitor.OnChange(func(string, bool) {
 			tl.add("A/V stream: destination now %v", st.Dst())
 		})
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), opt.dur)
+		st.RunSource(th, video.NewGenerator(), opt.dur)
 	})
 	recvs[1].SetHandler(func(f video.Frame, sentAt, recvAt sim.Time) {
 		if firstBackupFrame == 0 && crashTime != 0 {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/trace/sampling"
 )
 
 type options struct {
@@ -83,7 +84,7 @@ func run(opt options) string {
 	tb.AddRow("total", fmt.Sprint(st.Traces))
 	out += tb.Render()
 	out += fmt.Sprintf("kept %d of %d traces (%.1f/s against a %g/s head budget), %d resurrected by late spans\n",
-		st.Kept, st.Traces, r.KeptPerSec, experiments.SLOHeadBudget, st.Resurrected)
+		st.Kept, st.Traces, r.KeptPerSec, sampling.HeadBudget, st.Resurrected)
 	out += fmt.Sprintf("spans stored %d, spans discarded %d\n\n", st.SpansKept, st.SpansDropped)
 
 	out += fmt.Sprintf("deadline-miss audit: %d missed invocations, %d with a kept trace\n", r.MissTotal, r.MissKept)

@@ -316,12 +316,12 @@ func runVideo(w io.Writer, opt options) []traceDoc {
 		Instrument(reg)
 
 	sender := uav.AV().CreateSender(5004)
-	dur := time.Duration(opt.frames) * video.StreamConfig{}.FrameInterval()
+	dur := time.Duration(opt.frames) * video.FrameInterval
 	uav.Host.Spawn("camera", 40, func(t *rtos.Thread) {
 		st, err := sender.Bind(t.Proc(), d.InAddr(), avstreams.QoS{DSCP: netsim.DSCPEF})
 		check(err)
 		contract.Start(sys.K)
-		st.RunSource(t, video.NewGenerator(video.StreamConfig{}), dur)
+		st.RunSource(t, video.NewGenerator(), dur)
 	})
 	sys.RunUntil(dur + 500*time.Millisecond)
 	contract.Stop()

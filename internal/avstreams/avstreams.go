@@ -289,13 +289,12 @@ func (st *Stream) sendFrame(t *rtos.Thread, f video.Frame, parent trace.SpanCont
 // RunSource pumps frames from gen through the stream at the configured
 // frame rate for the given duration. It blocks the calling thread.
 func (st *Stream) RunSource(t *rtos.Thread, gen *video.Generator, dur time.Duration) {
-	interval := gen.Config().FrameInterval()
 	deadline := t.Now() + dur
 	next := t.Now()
 	for t.Now() < deadline {
 		f := gen.Next()
 		st.SendFrame(t, f)
-		next += interval
+		next += video.FrameInterval
 		if sleep := next - t.Now(); sleep > 0 {
 			t.Sleep(sleep)
 		}

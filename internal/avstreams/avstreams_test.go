@@ -53,7 +53,7 @@ func TestStreamDeliversAllFramesUncongested(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	r.k.RunUntil(7 * time.Second)
 	if recv.Stats.ReceivedTotal < 145 || recv.Stats.ReceivedTotal > 151 {
@@ -80,7 +80,7 @@ func TestFilterLevelsReduceTraffic(t *testing.T) {
 			return
 		}
 		st.SetFilter(video.FilterIOnly)
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	r.k.RunUntil(7 * time.Second)
 	// 5 seconds at 2 fps (I-frames only).
@@ -116,7 +116,7 @@ func TestReservationIsolatesStreamFromCrossTraffic(t *testing.T) {
 			t.Error("no reservation attached")
 			return
 		}
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 		st.resv.Release()
 	})
 	r.k.RunUntil(8 * time.Second)
@@ -141,7 +141,7 @@ func TestUnprotectedStreamCollapsesUnderCrossTraffic(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	r.k.RunUntil(8 * time.Second)
 	frac := float64(recv.Stats.ReceivedTotal) / 150.0
@@ -186,7 +186,7 @@ func TestHandlerSeesFrames(t *testing.T) {
 	sender := r.sendSvc.CreateSender(5001)
 	r.sendHost.Spawn("source", 50, func(th *rtos.Thread) {
 		st, _ := sender.Bind(th.Proc(), recv.Addr(), QoS{})
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), time.Second)
+		st.RunSource(th, video.NewGenerator(), time.Second)
 	})
 	r.k.RunUntil(3 * time.Second)
 	if seen < 29 {
@@ -204,7 +204,7 @@ func TestInterArrivalJitter(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	r.k.RunUntil(7 * time.Second)
 	mean, std := jitter(recv.ArrivalTimes())

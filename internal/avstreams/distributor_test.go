@@ -58,7 +58,7 @@ func TestDistributorFansOut(t *testing.T) {
 			return
 		}
 		th.Sleep(100 * time.Millisecond) // let the branches come up
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 3*time.Second)
+		st.RunSource(th, video.NewGenerator(), 3*time.Second)
 	})
 	k.RunUntil(6 * time.Second)
 	if dispRecv.Stats.ReceivedTotal < 85 || atrRecv.Stats.ReceivedTotal < 85 {
@@ -95,7 +95,7 @@ func TestDistributorPerBranchFilter(t *testing.T) {
 			return
 		}
 		th.Sleep(100 * time.Millisecond)
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		st.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	k.RunUntil(8 * time.Second)
 	// Display sees ~30 fps; ATR sees only the 2 fps of I frames.
@@ -136,7 +136,7 @@ func TestDistributorBranchReservation(t *testing.T) {
 			return
 		}
 		th.Sleep(100 * time.Millisecond)
-		up.RunSource(th, video.NewGenerator(video.StreamConfig{}), 5*time.Second)
+		up.RunSource(th, video.NewGenerator(), 5*time.Second)
 	})
 	k.RunUntil(8 * time.Second)
 	if st == nil || st.resv == nil {

@@ -33,45 +33,28 @@ type VideoAdaptation struct {
 	Transitions int64
 }
 
-// VideoAdaptationConfig tunes the adaptation qosket.
-type VideoAdaptationConfig struct {
-	// Window is the sampling/evaluation period. Defaults to 1s.
-	Window time.Duration
-	// EscalateLoss is the loss fraction above which filtering
-	// escalates. Defaults to 0.08: a stream that cannot deliver ~92%
-	// of its (already filtered) frames does not fit and must thin
-	// further.
-	EscalateLoss float64
-	// RecoverLoss is the loss fraction below which the stream is
-	// considered clean. Defaults to 0.02.
-	RecoverLoss float64
-	// RecoverAfter is how many consecutive clean windows precede a
-	// de-escalation (an upward probe). Defaults to 6: probing too
-	// eagerly costs frames every time the network is still loaded.
-	RecoverAfter int
-}
-
-func (c *VideoAdaptationConfig) defaults() {
-	if c.Window == 0 {
-		c.Window = time.Second
-	}
-	if c.EscalateLoss == 0 {
-		c.EscalateLoss = 0.08
-	}
-	if c.RecoverLoss == 0 {
-		c.RecoverLoss = 0.02
-	}
-	if c.RecoverAfter == 0 {
-		c.RecoverAfter = 6
-	}
-}
+// The adaptation qosket's tuning, which every program runs.
+const (
+	// adaptWindow is the sampling/evaluation period.
+	adaptWindow = 500 * time.Millisecond
+	// escalateLoss is the loss fraction above which filtering
+	// escalates: a stream that cannot deliver ~92% of its (already
+	// filtered) frames does not fit and must thin further.
+	escalateLoss = 0.08
+	// recoverLoss is the loss fraction below which the stream is
+	// considered clean.
+	recoverLoss = 0.02
+	// recoverAfter is how many consecutive clean windows precede a
+	// de-escalation (an upward probe): probing too eagerly costs frames
+	// every time the network is still loaded.
+	recoverAfter = 6
+)
 
 // NewVideoAdaptation wires the qosket between a sender-side stream and
 // its receiver and starts periodic contract evaluation. The receiver's
 // delivery statistics stand in for the A/V service's control channel
 // feedback.
-func (s *System) NewVideoAdaptation(stream *avstreams.Stream, recv *avstreams.Receiver, cfg VideoAdaptationConfig) *VideoAdaptation {
-	cfg.defaults()
+func (s *System) NewVideoAdaptation(stream *avstreams.Stream, recv *avstreams.Receiver) *VideoAdaptation {
 	va := &VideoAdaptation{
 		stream:   stream,
 		receiver: recv,
@@ -80,12 +63,12 @@ func (s *System) NewVideoAdaptation(stream *avstreams.Stream, recv *avstreams.Re
 		backoff:  1,
 	}
 
-	contract := quo.NewContract("video-adaptation", cfg.Window).
+	contract := quo.NewContract("video-adaptation", adaptWindow).
 		AddRegion(quo.Region{Name: "overloaded", When: func(v quo.Values) bool {
-			return v["loss"] > cfg.EscalateLoss
+			return v["loss"] > escalateLoss
 		}}).
 		AddRegion(quo.Region{Name: "clean", When: func(v quo.Values) bool {
-			return v["loss"] < cfg.RecoverLoss
+			return v["loss"] < recoverLoss
 		}}).
 		AddRegion(quo.Region{Name: "marginal"})
 	va.Qosket = quo.NewQosket("video-adaptation", contract, va.loss)
@@ -96,10 +79,10 @@ func (s *System) NewVideoAdaptation(stream *avstreams.Stream, recv *avstreams.Re
 	tick = func() {
 		va.sample()
 		contract.Eval()
-		va.apply(cfg)
-		s.K.After(cfg.Window, tick)
+		va.apply()
+		s.K.After(adaptWindow, tick)
 	}
-	s.K.After(cfg.Window, tick)
+	s.K.After(adaptWindow, tick)
 	return va
 }
 
@@ -122,7 +105,7 @@ func (va *VideoAdaptation) sample() {
 }
 
 // apply adjusts the filter ladder per the contract region.
-func (va *VideoAdaptation) apply(cfg VideoAdaptationConfig) {
+func (va *VideoAdaptation) apply() {
 	switch va.Qosket.Contract.Region() {
 	case "overloaded":
 		va.quiet = 0
@@ -159,7 +142,7 @@ func (va *VideoAdaptation) apply(cfg VideoAdaptationConfig) {
 			va.probing = false
 			va.backoff = 1
 		}
-		if va.quiet >= cfg.RecoverAfter*va.backoff && va.level > 0 {
+		if va.quiet >= recoverAfter*va.backoff && va.level > 0 {
 			va.quiet = 0
 			va.level--
 			va.probing = true

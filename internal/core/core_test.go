@@ -101,8 +101,8 @@ func TestVideoAdaptationEscalatesAndRecovers(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		va = sys.NewVideoAdaptation(st, recv, VideoAdaptationConfig{})
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 90*time.Second)
+		va = sys.NewVideoAdaptation(st, recv)
+		st.RunSource(th, video.NewGenerator(), 90*time.Second)
 	})
 
 	// Heavy cross traffic between t=10s and t=40s.

@@ -115,7 +115,7 @@ func runKillPrimaryE2E(seed int64) *e2eResult {
 	gm := ft.NewGroupManager()
 	var refs []*orb.ObjectRef
 	var recvs []*avstreams.Receiver
-	monitor := ft.NewMonitor(cliORB, ft.MonitorConfig{Period: period, SuspectAfter: 1, Priority: -1})
+	monitor := ft.NewMonitor(cliORB, period)
 	for i, m := range machines {
 		o := m.ORB(orb.Config{})
 		poa, _ := o.CreatePOA("app", orb.POAConfig{})
@@ -171,7 +171,7 @@ func runKillPrimaryE2E(seed int64) *e2eResult {
 			targets[i] = ft.StreamTarget{Name: n, Addr: recvs[i].Addr()}
 		}
 		ft.BindStreamFailover(monitor, st, targets)
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), endAt)
+		st.RunSource(th, video.NewGenerator(), endAt)
 	})
 
 	// Control-plane traffic: periodic invocations on the group.

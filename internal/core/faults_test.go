@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/avstreams"
-	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/rtos"
 	"repro/internal/video"
@@ -80,7 +79,7 @@ func TestStreamOverLossyLink(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 20*time.Second)
+		st.RunSource(th, video.NewGenerator(), 20*time.Second)
 	})
 	sys.RunUntil(25 * time.Second)
 	frac := float64(recv.Stats.ReceivedTotal) / float64(st.Stats.SentTotal)
@@ -111,8 +110,8 @@ func TestAdaptationReactsToLinkLoss(t *testing.T) {
 			t.Errorf("bind: %v", err)
 			return
 		}
-		va = sys.NewVideoAdaptation(st, recv, VideoAdaptationConfig{})
-		st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 60*time.Second)
+		va = sys.NewVideoAdaptation(st, recv)
+		st.RunSource(th, video.NewGenerator(), 60*time.Second)
 	})
 	sys.K.At(10*time.Second, func() { link.SetLossRate(0.4) })
 	sys.K.At(30*time.Second, func() { link.SetLossRate(0) })
@@ -124,38 +123,5 @@ func TestAdaptationReactsToLinkLoss(t *testing.T) {
 	sys.RunUntil(65 * time.Second)
 	if va.Level() != video.FilterNone {
 		t.Fatalf("adaptation stuck at %v after loss cleared", va.Level())
-	}
-}
-
-// TestSoftStateSurvivesSignallingLoss: RSVP refreshes ride a lossy
-// control path; the 3-refreshes-per-lifetime margin must keep the
-// reservation installed.
-func TestSoftStateSurvivesSignallingLoss(t *testing.T) {
-	sys := NewSystem(1)
-	snd := sys.AddMachine("snd", rtos.HostConfig{})
-	rcv := sys.AddMachine("rcv", rtos.HostConfig{})
-	sys.Link("snd", "rcv", LinkSpec{Bps: 10e6, Delay: time.Millisecond, Profile: ProfileFullQoS})
-	link := sys.Net.Links()[0]
-
-	var resv *netsim.Reservation
-	snd.Host.Spawn("setup", 50, func(th *rtos.Thread) {
-		var err error
-		resv, err = sys.Net.ReserveFlow(th.Proc(), netsim.ReservationSpec{
-			Flow: sys.Net.NewFlowID(), Src: snd.Node, Dst: rcv.Node,
-			RateBps: 1e6, SoftLifetime: 3 * time.Second,
-		})
-		if err != nil {
-			t.Errorf("reserve: %v", err)
-			return
-		}
-		// 20% loss on the control path from t=2s on.
-		link.SetLossRate(0.2)
-	})
-	sys.RunUntil(60 * time.Second)
-	if resv == nil {
-		t.Fatal("reservation not established")
-	}
-	if link.Queue().(netsim.ReservationCapable).ReservedRate() != 1e6 {
-		t.Fatalf("soft state lost under 20%% signalling loss on %v", link)
 	}
 }

@@ -57,9 +57,7 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 			t.Errorf("atr branch: %v", err)
 			return
 		}
-		adaptive = sys.NewVideoAdaptation(atrBranch, atrRecv, VideoAdaptationConfig{
-			Window: 500 * time.Millisecond,
-		})
+		adaptive = sys.NewVideoAdaptation(atrBranch, atrRecv)
 	})
 
 	// Two UAV sources: only uav1's flow is relayed by this distributor;
@@ -74,7 +72,7 @@ func TestFigure3ArchitectureEndToEnd(t *testing.T) {
 				return
 			}
 			th.Sleep(200 * time.Millisecond)
-			st.RunSource(th, video.NewGenerator(video.StreamConfig{}), 90*time.Second)
+			st.RunSource(th, video.NewGenerator(), 90*time.Second)
 		})
 	}
 	startSource(uav1, 4100, d.InAddr())

@@ -30,11 +30,10 @@ func NewQoSManager(sys *System) *QoSManager { return &QoSManager{sys: sys} }
 // reserve performs RSVP signalling for one request's flow at rateBps.
 func (q *QoSManager) reserve(p *sim.Proc, req ReservationRequest, rateBps float64) error {
 	_, err := q.sys.Net.ReserveFlow(p, netsim.ReservationSpec{
-		Flow:       req.Flow,
-		Src:        req.Src.Node,
-		Dst:        req.Dst.Node,
-		RateBps:    rateBps,
-		BurstBytes: req.Burst,
+		Flow:    req.Flow,
+		Src:     req.Src.Node,
+		Dst:     req.Dst.Node,
+		RateBps: rateBps,
 	})
 	if err != nil {
 		return fmt.Errorf("core: bandwidth reserve %s->%s: %w", req.Src.Name(), req.Dst.Name(), err)
@@ -53,7 +52,6 @@ type ReservationRequest struct {
 	// MinRateBps is the smallest acceptable rate (a partial
 	// reservation); zero means all-or-nothing.
 	MinRateBps float64
-	Burst      int
 }
 
 // AllocationResult reports the outcome for one request.

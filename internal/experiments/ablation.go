@@ -294,7 +294,7 @@ func AblationFilterPlacement(opt Options) AblationPair {
 				uplink.SetFilter(video.FilterIOnly)
 			}
 			t.Sleep(100 * time.Millisecond)
-			uplink.RunSource(t, video.NewGenerator(video.StreamConfig{}), opt.duration(20*time.Second))
+			uplink.RunSource(t, video.NewGenerator(), opt.duration(20*time.Second))
 		})
 		sys.RunUntil(opt.duration(20*time.Second) + 5*time.Second)
 		// I-frames delivered end to end per I-frame the camera offered
@@ -435,7 +435,7 @@ func AblationAdaptiveDSCP(opt Options) AblationPair {
 				panic(err)
 			}
 			stream = st
-			st.RunSource(t, video.NewGenerator(video.StreamConfig{}), dur)
+			st.RunSource(t, video.NewGenerator(), dur)
 		})
 
 		if adapt {

@@ -115,8 +115,7 @@ func runPriorityCase(cfg prioConfig) PrioCaseResult {
 				panic(err)
 			}
 			t.Sleep(offset)
-			gen := video.NewGenerator(video.StreamConfig{})
-			interval := gen.Config().FrameInterval()
+			gen := video.NewGenerator()
 			deadline := t.Now() + cfg.duration
 			next := t.Now()
 			for t.Now() < deadline {
@@ -127,7 +126,7 @@ func runPriorityCase(cfg prioConfig) PrioCaseResult {
 				if err := cliORB.InvokeOneway(t, ref, "frame", body); err != nil {
 					return
 				}
-				next += interval
+				next += video.FrameInterval
 				if sleep := next - t.Now(); sleep > 0 {
 					t.Sleep(sleep)
 				}
@@ -158,15 +157,10 @@ func runPriorityCase(cfg prioConfig) PrioCaseResult {
 	}
 
 	sys.RunUntil(cfg.duration + 2*time.Second)
-	DebugLastUtilization = sender.Host.CPU().Utilization()
 	result.Sum1 = result.S1.Summarize()
 	result.Sum2 = result.S2.Summarize()
 	return result
 }
-
-// DebugLastUtilization records the sender host's CPU utilisation from
-// the last priority-case run (test/debug aid).
-var DebugLastUtilization float64
 
 // Figure4Result holds the two control runs.
 type Figure4Result struct {

@@ -112,11 +112,9 @@ func runReservationCase(cfg resvConfig) ResvCaseResult {
 		}
 		stream = st
 		if cfg.filtering {
-			adaptation = sys.NewVideoAdaptation(st, recv, core.VideoAdaptationConfig{
-				Window: 500 * time.Millisecond,
-			})
+			adaptation = sys.NewVideoAdaptation(st, recv)
 		}
-		st.RunSource(t, video.NewGenerator(video.StreamConfig{}), cfg.duration)
+		st.RunSource(t, video.NewGenerator(), cfg.duration)
 	})
 
 	var load *netsim.CrossTraffic

@@ -45,9 +45,6 @@ const (
 	// push RTTs past it, producing the deadline-missed traces the
 	// sampler must keep.
 	sloDeadline = 40 * time.Millisecond
-	// SLOHeadBudget is the sampler's kept-traces-per-second head budget
-	// per priority band.
-	SLOHeadBudget = 10.0
 )
 
 // SLOResult is the measured outcome of the SLO scenario.
@@ -147,10 +144,6 @@ func RunSLO(opt Options) SLOResult {
 	plane.WireTracer(tr)
 	kept := trace.NewCollector()
 	smp := sampling.New(sys.K, sampling.Config{
-		TargetPerSec: SLOHeadBudget,
-		// Start below full head sampling so the AIMD controller
-		// converges onto the budget without a cold-start overshoot.
-		InitialProb: 0.25,
 		BandOf: func(p int64) string {
 			if p >= int64(sloEscalatedPrio) {
 				return "ef"

@@ -25,7 +25,7 @@ func newDetectorSystem(t *testing.T, n int) (*core.System, *Monitor, []*core.Mac
 		machines = append(machines, m)
 	}
 	monORB := mon.ORB(orb.Config{})
-	monitor := NewMonitor(monORB, MonitorConfig{Period: 100 * time.Millisecond, SuspectAfter: 2, Priority: -1})
+	monitor := NewMonitor(monORB, 100*time.Millisecond)
 	for i, m := range machines {
 		ref, err := RegisterDetector(m.ORB(orb.Config{}), 30000)
 		if err != nil {
@@ -64,10 +64,9 @@ func TestMonitorDetectsCrashWithinBound(t *testing.T) {
 	if deadAt == 0 {
 		t.Fatal("no liveness transition callback fired")
 	}
-	// SuspectAfter=2 missed beats: worst case one full period until the
-	// first missed ping, a second period to the second miss, plus its
-	// timeout — comfortably within 3 periods.
-	bound := 3 * monitor.cfg.Period
+	// One missed beat: worst case one full period until the first
+	// missed ping plus its timeout — comfortably within 2 periods.
+	bound := 2 * monitor.period
 	if lat := time.Duration(deadAt - crashAt); lat > bound {
 		t.Fatalf("detection latency %v exceeds %v", lat, bound)
 	}
@@ -144,8 +143,7 @@ func TestGroupRefMinting(t *testing.T) {
 // goroutines while the state machine mutates it. Run with -race (CI
 // does): any unguarded access to the map trips the detector.
 func TestLivenessMapRace(t *testing.T) {
-	m := &Monitor{cfg: MonitorConfig{SuspectAfter: 2}, index: make(map[string]*memberState)}
-	m.cfg.defaults()
+	m := &Monitor{index: make(map[string]*memberState)}
 	for i := 0; i < 4; i++ {
 		m.Watch(fmt.Sprintf("h%d", i), &orb.ObjectRef{Key: []byte("app/obj")})
 	}

@@ -12,38 +12,21 @@ import (
 	"repro/internal/rtos"
 )
 
-// MonitorConfig parameterises heartbeat fault detection.
-type MonitorConfig struct {
-	// Period is the heartbeat interval. Defaults to 100ms. The e2e
-	// failover bound is expressed in detector periods: a crash is
-	// declared within SuspectAfter-1 full periods plus one ping timeout,
-	// which is half a period.
-	Period time.Duration
-	// SuspectAfter is how many consecutive missed heartbeats declare a
-	// member dead. Defaults to 2 (one miss could be transient loss).
-	SuspectAfter int
-	// Priority is the CORBA priority pings are sent at; like the
-	// detector servant's dispatch priority, it should sit above
-	// application traffic. Negative means the monitor thread's own
-	// priority.
-	Priority rtcorba.Priority
-}
-
-func (c *MonitorConfig) defaults() {
-	if c.Period == 0 {
-		c.Period = 100 * time.Millisecond
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 2
-	}
-}
+// The detector's tuning, which every program runs: one missed
+// heartbeat declares a member dead, so a crash is declared within one
+// period plus one ping timeout (half a period); pings go out at the
+// monitor thread's own priority, which like the detector servant's
+// dispatch priority sits above application traffic.
+const (
+	pingPriority  = rtcorba.Priority(-1)
+	defaultPeriod = 100 * time.Millisecond
+)
 
 // memberState is the monitor's view of one watched detector.
 type memberState struct {
-	name   string
-	ref    *orb.ObjectRef
-	alive  bool
-	missed int
+	name  string
+	ref   *orb.ObjectRef
+	alive bool
 }
 
 // Monitor is a heartbeat fault monitor: it pings each watched host's
@@ -56,8 +39,8 @@ type memberState struct {
 // serialises virtual-time execution, liveness is also read from test
 // harnesses and external samplers (see the -race tests).
 type Monitor struct {
-	orb *orb.ORB
-	cfg MonitorConfig
+	orb    *orb.ORB
+	period time.Duration
 
 	mu      sync.Mutex
 	members []*memberState
@@ -67,14 +50,17 @@ type Monitor struct {
 	seq uint32
 }
 
-// NewMonitor creates a monitor issuing pings from o.
-func NewMonitor(o *orb.ORB, cfg MonitorConfig) *Monitor {
-	cfg.defaults()
-	return &Monitor{orb: o, cfg: cfg, index: make(map[string]*memberState)}
+// NewMonitor creates a monitor issuing pings from o every period
+// (100ms if period is not positive).
+func NewMonitor(o *orb.ORB, period time.Duration) *Monitor {
+	if period <= 0 {
+		period = defaultPeriod
+	}
+	return &Monitor{orb: o, period: period, index: make(map[string]*memberState)}
 }
 
 // Watch adds a detector to the ping schedule. Members start presumed
-// alive; the first SuspectAfter missed heartbeats flip them. Watching
+// alive; the first missed heartbeat flips them. Watching
 // the same name twice panics: it is always a scenario bug.
 func (m *Monitor) Watch(name string, ref *orb.ObjectRef) {
 	m.mu.Lock()
@@ -150,12 +136,12 @@ func (m *Monitor) loop(t *rtos.Thread) {
 		for _, st := range targets {
 			m.seq++
 			_, err := m.orb.InvokeOpt(t, st.ref, PingOp, pingBody(m.seq, cdr.LittleEndian), orb.InvokeOptions{
-				Timeout:  m.cfg.Period / 2,
-				Priority: m.cfg.Priority,
+				Timeout:  m.period / 2,
+				Priority: pingPriority,
 			})
 			m.record(st.name, err == nil)
 		}
-		next += m.cfg.Period
+		next += m.period
 		if sleep := next - t.Now(); sleep > 0 {
 			t.Sleep(sleep)
 		} else {
@@ -175,25 +161,12 @@ func (m *Monitor) record(name string, ok bool) {
 		m.mu.Unlock()
 		return
 	}
-	var flipped bool
-	var nowAlive bool
-	if ok {
-		st.missed = 0
-		if !st.alive {
-			st.alive = true
-			flipped, nowAlive = true, true
-		}
-	} else {
-		st.missed++
-		if st.alive && st.missed >= m.cfg.SuspectAfter {
-			st.alive = false
-			flipped, nowAlive = true, false
-		}
-	}
+	flipped := st.alive != ok
+	st.alive = ok
 	m.mu.Unlock()
 	if flipped {
 		for _, cb := range m.cbs {
-			cb(name, nowAlive)
+			cb(name, ok)
 		}
 	}
 }

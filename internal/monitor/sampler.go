@@ -83,8 +83,6 @@ type Sampler struct {
 	Reg   *telemetry.Registry
 	Bus   *events.Bus // optional; alert + tick records
 	Every time.Duration
-	// WindowCap bounds retained windows per series (DefaultWindows if 0).
-	WindowCap int
 
 	mu         sync.Mutex
 	series     map[string]*Series
@@ -171,7 +169,7 @@ func (s *Sampler) Ticks() int {
 func (s *Sampler) get(name string) *Series {
 	sr, ok := s.series[name]
 	if !ok {
-		sr = NewSeries(name, s.WindowCap)
+		sr = NewSeries(name, DefaultWindows)
 		s.series[name] = sr
 	}
 	return sr

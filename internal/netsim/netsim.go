@@ -335,9 +335,6 @@ func (nd *Node) deliver(p *Packet) {
 	st := nd.net.flowStats(p.Flow)
 	st.Delivered++
 	st.DeliveredBytes += int64(p.Size)
-	if p.ECN == ECNCongestionExperienced {
-		st.Marked++
-	}
 	st.latSum += nd.net.k.Now() - p.Sent
 	h(p)
 }

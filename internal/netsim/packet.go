@@ -54,35 +54,6 @@ func (d DSCP) String() string {
 	}
 }
 
-// ECN is the 2-bit explicit congestion notification field that shares
-// the IP header's DiffServ byte with the 6-bit DSCP, as the paper
-// describes. ECN-capable packets are marked rather than dropped by
-// active queue management.
-type ECN uint8
-
-// ECN codepoints (RFC 3168).
-const (
-	// ECNNotCapable marks a flow that must be dropped on congestion.
-	ECNNotCapable ECN = 0
-	// ECNCapable marks a flow whose endpoints understand CE marks.
-	ECNCapable ECN = 1
-	// ECNCongestionExperienced is set by a router instead of dropping.
-	ECNCongestionExperienced ECN = 3
-)
-
-func (e ECN) String() string {
-	switch e {
-	case ECNNotCapable:
-		return "Not-ECT"
-	case ECNCapable:
-		return "ECT"
-	case ECNCongestionExperienced:
-		return "CE"
-	default:
-		return fmt.Sprintf("ECN(%d)", uint8(e))
-	}
-}
-
 // MTU is the maximum transmission unit used by the transports when
 // fragmenting application messages, matching Ethernet.
 const MTU = 1500
@@ -92,7 +63,6 @@ type Packet struct {
 	Src, Dst Addr
 	Size     int // bytes on the wire, headers included
 	DSCP     DSCP
-	ECN      ECN
 	Flow     FlowID
 	Payload  any
 	Sent     sim.Time // stamped by Node.Send
@@ -178,10 +148,7 @@ type FlowStats struct {
 	Delivered      int64
 	DeliveredBytes int64
 	Dropped        int64
-	// Marked counts packets that received a congestion-experienced ECN
-	// mark instead of being dropped.
-	Marked      int64
-	DropReasons map[DropReason]int64
+	DropReasons    map[DropReason]int64
 
 	latSum time.Duration // sum of delivery latencies
 }

@@ -132,16 +132,11 @@ func (d *DRR) Enqueue(p *Packet) bool {
 		d.flows[p.Flow] = fl
 	}
 	// Random early drop: linear ramp from 0 at half occupancy to 1 at
-	// the limit. ECN-capable packets are marked congestion-experienced
-	// instead of dropped (RFC 3168 behaviour).
+	// the limit.
 	if d.perFlow > 0 {
 		occ := float64(fl.q.bytes+p.Size) / float64(d.perFlow)
 		if occ > 0.5 && d.rand01() < (occ-0.5)*2 {
-			if p.ECN == ECNCapable {
-				p.ECN = ECNCongestionExperienced
-			} else {
-				return false
-			}
+			return false
 		}
 	}
 	if !fl.q.push(p) {

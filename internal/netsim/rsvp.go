@@ -42,7 +42,6 @@ const (
 	kindResv
 	kindResvErr
 	kindTear
-	kindRefresh
 )
 
 type rsvpMsg struct {
@@ -65,12 +64,6 @@ type ReservationSpec struct {
 	BurstBytes int
 	// QueueBytes is the per-hop flow queue limit. Defaults to 4x burst.
 	QueueBytes int
-	// SoftLifetime, when positive, makes the reservation soft state:
-	// per-hop state expires unless refreshed within this lifetime. The
-	// sender refreshes automatically every SoftLifetime/3 (RSVP's
-	// refresh/cleanup ratio). Zero keeps hard state that persists until
-	// an explicit teardown.
-	SoftLifetime time.Duration
 }
 
 func (s *ReservationSpec) defaults() {
@@ -82,13 +75,12 @@ func (s *ReservationSpec) defaults() {
 	}
 }
 
-// Reservation is an installed end-to-end bandwidth reservation.
+// Reservation is an installed end-to-end bandwidth reservation. Its
+// per-hop state is hard: it persists until Release tears it down.
 type Reservation struct {
-	net     *Network
-	spec    ReservationSpec
-	links   []*Link
-	active  bool
-	refresh sim.Event
+	spec   ReservationSpec
+	links  []*Link
+	active bool
 }
 
 // Release tears the reservation down along the path. The teardown message
@@ -98,29 +90,9 @@ func (r *Reservation) Release() {
 		return
 	}
 	r.active = false
-	r.refresh.Cancel()
 	agent := r.spec.Src.rsvp
 	msg := &rsvpMsg{kind: kindTear, spec: r.spec, links: r.links, idx: 0}
 	agent.process(msg)
-}
-
-// startRefresher begins the sender-side periodic refresh for soft-state
-// reservations (every lifetime/3, like RSVP's refresh timer).
-func (r *Reservation) startRefresher() {
-	if r.spec.SoftLifetime <= 0 {
-		return
-	}
-	interval := r.spec.SoftLifetime / 3
-	var tick func()
-	tick = func() {
-		if !r.active {
-			return
-		}
-		agent := r.spec.Src.rsvp
-		agent.process(&rsvpMsg{kind: kindRefresh, spec: r.spec, links: r.links, idx: 0})
-		r.refresh = r.net.k.After(interval, tick)
-	}
-	r.refresh = r.net.k.After(interval, tick)
 }
 
 // rsvpAgent is the per-node RSVP daemon.
@@ -128,58 +100,6 @@ type rsvpAgent struct {
 	node    *Node
 	pending map[uint64]*pendingResv
 	seq     uint64
-	soft    map[FlowID]*softEntry
-}
-
-// softEntry tracks soft reservation state installed on one of this
-// node's egress links.
-type softEntry struct {
-	link    *Link
-	spec    ReservationSpec
-	expires sim.Time
-	timer   sim.Event
-}
-
-// touchSoft (re)arms soft-state expiry for a flow on link l.
-func (a *rsvpAgent) touchSoft(l *Link, spec ReservationSpec) {
-	if spec.SoftLifetime <= 0 {
-		return
-	}
-	now := a.node.net.k.Now()
-	e, ok := a.soft[spec.Flow]
-	if !ok {
-		e = &softEntry{link: l, spec: spec}
-		a.soft[spec.Flow] = e
-	}
-	e.expires = now + spec.SoftLifetime
-	if e.timer == (sim.Event{}) {
-		a.armSoftTimer(e)
-	}
-}
-
-func (a *rsvpAgent) armSoftTimer(e *softEntry) {
-	now := a.node.net.k.Now()
-	e.timer = a.node.net.k.After(e.expires-now, func() {
-		e.timer = sim.Event{}
-		if a.soft[e.spec.Flow] != e {
-			return // torn down meanwhile
-		}
-		if a.node.net.k.Now() < e.expires {
-			a.armSoftTimer(e) // refreshed since arming
-			return
-		}
-		// Lifetime elapsed without a refresh: expire the state.
-		delete(a.soft, e.spec.Flow)
-		e.link.removeReservation(e.spec)
-	})
-}
-
-// dropSoft removes the expiry tracking for a flow (explicit teardown).
-func (a *rsvpAgent) dropSoft(f FlowID) {
-	if e, ok := a.soft[f]; ok {
-		delete(a.soft, f)
-		e.timer.Cancel()
-	}
 }
 
 type pendingResv struct {
@@ -193,7 +113,6 @@ func newRSVPAgent(nd *Node) *rsvpAgent {
 	return &rsvpAgent{
 		node:    nd,
 		pending: make(map[uint64]*pendingResv),
-		soft:    make(map[FlowID]*softEntry),
 	}
 }
 
@@ -231,7 +150,6 @@ func (n *Network) ReserveFlowTimeout(p *sim.Proc, spec ReservationSpec, timeout 
 	if pend.err != nil {
 		return nil, pend.err
 	}
-	pend.resv.startRefresher()
 	return pend.resv, nil
 }
 
@@ -303,20 +221,7 @@ func (a *rsvpAgent) process(msg *rsvpMsg) {
 	case kindTear:
 		l := msg.links[msg.idx]
 		if l.from == nd {
-			a.dropSoft(msg.spec.Flow)
 			l.removeReservation(msg.spec)
-			msg.idx++
-		}
-		if msg.idx < len(msg.links) {
-			a.sendTo(msg.links[msg.idx].from, msg)
-		}
-
-	case kindRefresh:
-		l := msg.links[msg.idx]
-		if l.from == nd {
-			if _, installed := a.soft[msg.spec.Flow]; installed {
-				a.touchSoft(l, msg.spec)
-			}
 			msg.idx++
 		}
 		if msg.idx < len(msg.links) {
@@ -344,7 +249,7 @@ func (a *rsvpAgent) complete(msg *rsvpMsg, err error) {
 	pend.done = true
 	pend.err = err
 	if err == nil {
-		pend.resv = &Reservation{net: a.node.net, spec: msg.spec, links: msg.links, active: true}
+		pend.resv = &Reservation{spec: msg.spec, links: msg.links, active: true}
 	}
 	pend.sig.Broadcast()
 }
@@ -397,7 +302,6 @@ func (l *Link) installReservation(spec ReservationSpec) error {
 			ErrLinkAdmission, l, rc.ReservedRate(), LinkReservationCap*l.bps, spec.RateBps)
 	}
 	rc.InstallFlow(spec.Flow, spec.RateBps, spec.BurstBytes, spec.QueueBytes, l.net.k.Now())
-	l.from.rsvp.touchSoft(l, spec)
 	return nil
 }
 

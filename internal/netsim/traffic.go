@@ -16,7 +16,6 @@ type TrafficGen struct {
 	bps     float64
 	pktSize int
 	dscp    DSCP
-	ecn     ECN
 	flow    FlowID
 	running bool
 	onTick  func()        // tick, bound once
@@ -32,8 +31,6 @@ type CBRConfig struct {
 	// PktSize defaults to MTU.
 	PktSize int
 	DSCP    DSCP
-	// ECN marks the flow ECN-capable when set to ECNCapable.
-	ECN ECN
 	// Flow defaults to a freshly allocated id.
 	Flow FlowID
 }
@@ -54,7 +51,6 @@ func NewCBR(n *Network, cfg CBRConfig) *TrafficGen {
 		bps:     cfg.Bps,
 		pktSize: cfg.PktSize,
 		dscp:    cfg.DSCP,
-		ecn:     cfg.ECN,
 		flow:    cfg.Flow,
 	}
 	g.onTick = g.tick
@@ -94,7 +90,6 @@ func (g *TrafficGen) tick() {
 		Dst:  g.dst,
 		Size: g.pktSize,
 		DSCP: g.dscp,
-		ECN:  g.ecn,
 		Flow: g.flow,
 		pool: g.pool,
 	}

@@ -243,7 +243,6 @@ func TestBreakerAllOpenFailsFast(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 		AttemptTimeout:   100 * time.Millisecond,
-		MaxAttempts:      6,
 	})
 	var refs [2]*ObjectRef
 	for i := range refs {

@@ -83,10 +83,7 @@ func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 	if ref.Group != 0 {
 		o.ftSeq++
 		extra = append(extra, giop.FTRequestContext(ref.Group, o.clientID, o.ftSeq, o.cfg.ByteOrder))
-		maxAttempts = o.cfg.MaxAttempts
-		if maxAttempts <= 0 {
-			maxAttempts = 2 * len(profiles)
-		}
+		maxAttempts = 2 * len(profiles)
 		if timeout == 0 {
 			// A group invocation must not block forever on a dead
 			// replica: detection is what the alternates are for.

@@ -118,7 +118,7 @@ func TestGroupFailoverOnCrashedPrimary(t *testing.T) {
 }
 
 func TestGroupExhaustsAttempts(t *testing.T) {
-	r := newFTRig(t, 2, Config{AttemptTimeout: 50 * time.Millisecond, MaxAttempts: 3})
+	r := newFTRig(t, 2, Config{AttemptTimeout: 50 * time.Millisecond})
 	var refs [2]*ObjectRef
 	for i := range refs {
 		refs[i] = r.activate(t, i, &echoServant{})

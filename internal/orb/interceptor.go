@@ -112,41 +112,3 @@ func (o *ORB) interceptSendReply(info *ServerRequestInfo) {
 		o.serverInterceptors[i].SendReply(info)
 	}
 }
-
-// LatencyProbe is a ready-made client interceptor recording round-trip
-// times per operation — the measurement half of a QuO system condition.
-type LatencyProbe struct {
-	// Observe receives each completed two-way invocation's RTT.
-	Observe func(op string, rtt sim.Time, err error)
-}
-
-var _ ClientInterceptor = (*LatencyProbe)(nil)
-
-// SendRequest implements ClientInterceptor.
-func (*LatencyProbe) SendRequest(*ClientRequestInfo) {}
-
-// ReceiveReply implements ClientInterceptor.
-func (p *LatencyProbe) ReceiveReply(info *ClientRequestInfo) {
-	if p.Observe != nil && !info.Oneway {
-		p.Observe(info.Op, info.RTT, info.Err)
-	}
-}
-
-// PriorityFloor is a ready-made client interceptor enforcing a minimum
-// invocation priority — a policy knob a QoS manager can install without
-// touching callers.
-type PriorityFloor struct {
-	Min rtcorba.Priority
-}
-
-var _ ClientInterceptor = (*PriorityFloor)(nil)
-
-// SendRequest implements ClientInterceptor.
-func (f *PriorityFloor) SendRequest(info *ClientRequestInfo) {
-	if info.Priority < f.Min {
-		info.Priority = f.Min
-	}
-}
-
-// ReceiveReply implements ClientInterceptor.
-func (*PriorityFloor) ReceiveReply(*ClientRequestInfo) {}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/giop"
-	"repro/internal/rtcorba"
 	"repro/internal/rtos"
-	"repro/internal/sim"
 )
 
 // recordingInterceptor logs the interception points it visits.
@@ -43,52 +41,6 @@ func TestClientInterceptorOrdering(t *testing.T) {
 		if log[i] != want[i] {
 			t.Fatalf("log = %v, want %v", log, want)
 		}
-	}
-}
-
-func TestLatencyProbeObservesRTT(t *testing.T) {
-	r := newRig(t, Config{}, Config{})
-	poa, _ := r.server.CreatePOA("app", POAConfig{})
-	slow := ServantFunc(func(req *ServerRequest) ([]byte, error) {
-		req.Thread.Sleep(30 * time.Millisecond)
-		return nil, nil
-	})
-	ref, _ := poa.Activate("slow", slow)
-	var rtts []sim.Time
-	r.client.AddClientInterceptor(&LatencyProbe{Observe: func(op string, rtt sim.Time, err error) {
-		if err == nil {
-			rtts = append(rtts, rtt)
-		}
-	}})
-	r.clientHost.Spawn("caller", 10, func(th *rtos.Thread) {
-		for i := 0; i < 3; i++ {
-			_, _ = r.client.Invoke(th, ref, "op", nil)
-		}
-	})
-	r.k.RunUntil(5 * time.Second)
-	if len(rtts) != 3 {
-		t.Fatalf("observed %d RTTs", len(rtts))
-	}
-	for _, rtt := range rtts {
-		if rtt < 30*time.Millisecond || rtt > 100*time.Millisecond {
-			t.Fatalf("rtt = %v", rtt)
-		}
-	}
-}
-
-func TestPriorityFloorRaisesDispatchPriority(t *testing.T) {
-	r := newRig(t, Config{}, Config{})
-	srv := &echoServant{}
-	poa, _ := r.server.CreatePOA("app", POAConfig{Model: rtcorba.ClientPropagated})
-	ref, _ := poa.Activate("echo", srv)
-	r.client.AddClientInterceptor(&PriorityFloor{Min: 25000})
-	r.clientHost.Spawn("caller", 10, func(th *rtos.Thread) {
-		_ = r.client.Current(th).SetPriority(100) // below the floor
-		_, _ = r.client.Invoke(th, ref, "op", nil)
-	})
-	r.k.RunUntil(time.Second)
-	if srv.lastPrio != 25000 {
-		t.Fatalf("dispatch priority = %d, want floored 25000", srv.lastPrio)
 	}
 }
 

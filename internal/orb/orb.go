@@ -63,17 +63,13 @@ type SystemException = giop.SystemException
 type Config struct {
 	// ListenPort is the server port. Defaults to 2809.
 	ListenPort uint16
-	// ByteOrder selects the GIOP encoding. Defaults to little-endian,
-	// matching the paper's x86 testbed. A test seam: no program sets it;
-	// the interop test runs its raw-GIOP script in a fixed order.
+	// ByteOrder selects the GIOP encoding (the zero value is canonical
+	// big-endian). A test seam: no program sets it; the interop test
+	// compares replies in its raw-GIOP script's order.
 	ByteOrder cdr.ByteOrder
 	// NetMapping maps invocation CORBA priorities to DSCPs on the wire.
 	// Defaults to best effort (no network priority management).
 	NetMapping rtcorba.NetworkPriorityMapping
-	// PriorityBands, when non-empty, enables priority-banded
-	// connections: one transport connection per band, so low-priority
-	// traffic cannot head-of-line-block high-priority requests.
-	PriorityBands []rtcorba.Priority
 	// DisableCollocation forces invocations on objects served by this
 	// same ORB through the full marshal/transport/demarshal path
 	// instead of the collocated fast path (TAO's collocation
@@ -84,9 +80,6 @@ type Config struct {
 	// dead replica would block the invocation forever and failover
 	// would never trigger. Defaults to 200ms.
 	AttemptTimeout time.Duration
-	// MaxAttempts caps the failover retry loop on a group reference.
-	// Zero means twice the reference's profile count.
-	MaxAttempts int
 	// BackoffBase is the first backoff between failover attempts; it
 	// doubles each retry up to backoffCap, jittered per client. Default
 	// 10ms.
@@ -151,7 +144,7 @@ type ORB struct {
 
 	lis      *transport.Listener
 	poas     map[string]*POA
-	conns    map[connKey]*clientConn
+	conns    map[netsim.Addr]*clientConn
 	pending  map[uint32]*pendingCall
 	currents map[*rtos.Thread]rtcorba.Priority
 	reqSeq   uint32
@@ -174,11 +167,6 @@ type ORB struct {
 	serverInterceptors []ServerInterceptor
 	tracer             *trace.Tracer
 	bus                *events.Bus
-}
-
-type connKey struct {
-	addr netsim.Addr
-	band int
 }
 
 type clientConn struct {
@@ -207,7 +195,7 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 		ioPrio:   host.Priorities().Max,
 		mm:       rtcorba.NewMappingManager(),
 		poas:     make(map[string]*POA),
-		conns:    make(map[connKey]*clientConn),
+		conns:    make(map[netsim.Addr]*clientConn),
 		pending:  make(map[uint32]*pendingCall),
 		currents: make(map[*rtos.Thread]rtcorba.Priority),
 		clientID: cid,
@@ -269,26 +257,16 @@ func (c *Current) Priority() rtcorba.Priority {
 	return p
 }
 
-// band returns the priority band index for a CORBA priority.
-func (o *ORB) band(p rtcorba.Priority) int {
-	band := 0
-	for i, b := range o.cfg.PriorityBands {
-		if p >= b {
-			band = i
-		}
-	}
-	return band
-}
-
-// connFor returns (creating on demand) the client connection to addr in
-// the band for priority p, with the band's DSCP applied.
+// connFor returns (creating on demand) the client connection to addr,
+// with the DSCP for priority p applied. Banded connections are the wire
+// plane's (wire.ClientConfig.Bands); the simulated ORB keeps one
+// connection per server.
 func (o *ORB) connFor(addr netsim.Addr, p rtcorba.Priority) *clientConn {
-	key := connKey{addr: addr, band: o.band(p)}
-	c, ok := o.conns[key]
+	c, ok := o.conns[addr]
 	if !ok {
 		localPort := o.ep.Node().EphemeralPort()
 		c = &clientConn{stream: o.ep.Dial(localPort, addr)}
-		o.conns[key] = c
+		o.conns[addr] = c
 		o.host.Spawn(fmt.Sprintf("%s-creader-%d", o.name, localPort), o.ioPrio, func(t *rtos.Thread) {
 			o.clientReader(c, t)
 		})

@@ -222,34 +222,12 @@ func TestDSCPFollowsNetworkMapping(t *testing.T) {
 		_, _ = r.client.Invoke(th, ref, "op", nil)
 	})
 	r.k.RunUntil(time.Second)
-	conn := r.client.conns[connKey{addr: r.server.Addr(), band: 0}]
+	conn := r.client.conns[r.server.Addr()]
 	if conn == nil {
 		t.Fatal("no client connection")
 	}
 	if conn.stream.DSCP() != netsim.DSCPEF {
 		t.Fatalf("connection DSCP = %v, want EF", conn.stream.DSCP())
-	}
-}
-
-func TestPriorityBandedConnections(t *testing.T) {
-	clientCfg := Config{PriorityBands: []rtcorba.Priority{0, 16000}}
-	r := newRig(t, clientCfg, Config{})
-	srv := &echoServant{}
-	poa, _ := r.server.CreatePOA("app", POAConfig{})
-	ref, _ := poa.Activate("echo", srv)
-
-	r.clientHost.Spawn("caller", 10, func(th *rtos.Thread) {
-		_ = r.client.Current(th).SetPriority(100)
-		_, _ = r.client.Invoke(th, ref, "low", nil)
-		_ = r.client.Current(th).SetPriority(30000)
-		_, _ = r.client.Invoke(th, ref, "high", nil)
-	})
-	r.k.RunUntil(time.Second)
-	if len(r.client.conns) != 2 {
-		t.Fatalf("client opened %d connections, want 2 (one per band)", len(r.client.conns))
-	}
-	if srv.calls != 2 {
-		t.Fatalf("servant calls = %d", srv.calls)
 	}
 }
 

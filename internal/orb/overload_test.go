@@ -183,7 +183,7 @@ func TestProtocolErrorClassified(t *testing.T) {
 // failover retry loop stops the moment the deadline passes instead of
 // walking every profile of a dead group.
 func TestDeadlineBoundsFailoverLoop(t *testing.T) {
-	r := newFTRig(t, 2, Config{AttemptTimeout: 100 * time.Millisecond, MaxAttempts: 8})
+	r := newFTRig(t, 2, Config{AttemptTimeout: 100 * time.Millisecond})
 	var refs [2]*ObjectRef
 	for i := range refs {
 		refs[i] = r.activate(t, i, &echoServant{})
@@ -205,7 +205,7 @@ func TestDeadlineBoundsFailoverLoop(t *testing.T) {
 	if !errors.Is(callErr, ErrDeadlineExpired) {
 		t.Fatalf("err = %v, want ErrDeadlineExpired", callErr)
 	}
-	// Budget 250ms, not 8 × 100ms of attempts.
+	// Budget 250ms, not 4 × 100ms of attempts (twice the two profiles).
 	if elapsed > 300*time.Millisecond {
 		t.Fatalf("dead group burned %v, want bounded by the 250ms deadline", elapsed)
 	}

@@ -57,8 +57,6 @@ type CPU struct {
 	seq     uint64
 	halted  bool
 
-	// accounting
-	busy   time.Duration
 	tracer *Tracer
 }
 
@@ -66,20 +64,6 @@ func newCPU(h *Host, quantum time.Duration) *CPU {
 	c := &CPU{host: h, quantum: quantum}
 	c.onTimer = c.decisionPoint
 	return c
-}
-
-// Utilization returns the fraction of virtual time the CPU has been busy
-// since the start of the simulation.
-func (c *CPU) Utilization() float64 {
-	now := c.host.k.Now()
-	if now == 0 {
-		return 0
-	}
-	busy := c.busy
-	if c.running != nil {
-		busy += now - c.runFrom
-	}
-	return float64(busy) / float64(now)
 }
 
 // add enqueues a new compute demand and reevaluates the schedule.
@@ -102,7 +86,6 @@ func (c *CPU) charge() {
 		return
 	}
 	c.running.remaining -= elapsed
-	c.busy += elapsed
 	if c.tracer != nil {
 		c.tracer.record(c.running.t, now-elapsed, now)
 	}

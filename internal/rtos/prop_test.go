@@ -18,7 +18,7 @@ func TestPropertyCPUConservation(t *testing.T) {
 		}
 		k := sim.NewKernel(11)
 		h := NewHost(k, "h", HostConfig{Quantum: time.Millisecond})
-		tr := trace(h.CPU())
+		tr := trace(h.cpu)
 		var demand time.Duration
 		for i, s := range seeds {
 			d := time.Duration(int(s)+1) * time.Millisecond
@@ -86,7 +86,7 @@ func TestPropertyReservationBudget(t *testing.T) {
 			return false
 		}
 		busyLoop(h, "hog", 90)
-		tr := trace(h.CPU())
+		tr := trace(h.cpu)
 		h.Spawn("reserved", 1, func(th *Thread) {
 			r.Attach(th)
 			th.Compute(time.Second) // insatiable

@@ -99,9 +99,6 @@ func (h *Host) Quantum() time.Duration { return h.cfg.Quantum }
 // Priorities returns the host's native priority range.
 func (h *Host) Priorities() PriorityRange { return h.cfg.Priorities }
 
-// CPU returns the host's processor, mainly for inspection in tests.
-func (h *Host) CPU() *CPU { return h.cpu }
-
 // ResourceKernel returns the host's reservation manager.
 func (h *Host) ResourceKernel() *ResourceKernel { return h.rk }
 

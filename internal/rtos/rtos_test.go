@@ -329,9 +329,10 @@ func TestMutexGrantsByPriority(t *testing.T) {
 
 func TestBurstLoadIsVariable(t *testing.T) {
 	k, h := newTestHost(t, time.Millisecond)
+	tr := trace(h.cpu)
 	StartBurstLoad(h, "burst", 10, 10*time.Millisecond, 10*time.Millisecond)
 	k.RunUntil(2 * time.Second)
-	u := h.CPU().Utilization()
+	u := float64(tr.totalFor("burst")) / float64(2*time.Second)
 	if u < 0.2 || u > 0.8 {
 		t.Fatalf("burst load utilization = %v, want mid-range (~0.5)", u)
 	}

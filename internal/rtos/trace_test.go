@@ -10,7 +10,7 @@ import (
 func TestTracerRecordsPreemption(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := trace(h.CPU())
+	tr := trace(h.cpu)
 	h.Spawn("low", 5, func(th *Thread) { th.Compute(30 * time.Millisecond) })
 	h.Spawn("high", 20, func(th *Thread) {
 		th.Sleep(10 * time.Millisecond)
@@ -47,7 +47,7 @@ func TestTracerRecordsPreemption(t *testing.T) {
 func TestTracerCoalescesContiguousSpans(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := trace(h.CPU())
+	tr := trace(h.cpu)
 	h.Spawn("solo", 5, func(th *Thread) {
 		// Two back-to-back computes: contiguous execution, one span.
 		th.Compute(5 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestTracerCoalescesContiguousSpans(t *testing.T) {
 func TestTracerAccountsReservationSlices(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "h", HostConfig{})
-	tr := trace(h.CPU())
+	tr := trace(h.cpu)
 	r, err := h.ResourceKernel().Reserve(10*time.Millisecond, 100*time.Millisecond, EnforceHard)
 	if err != nil {
 		t.Fatal(err)

@@ -69,17 +69,9 @@ func (v Verdict) String() string {
 // Keep reports whether the verdict retains the trace.
 func (v Verdict) Keep() bool { return v >= VerdictKeepError }
 
-// Config tunes the sampler. The zero value is usable: keep everything
-// notable, head-sample at 1.0 with no budget pressure.
+// Config tunes the sampler. The zero value keeps everything notable
+// and head-samples within HeadBudget.
 type Config struct {
-	// TargetPerSec is the kept-traces-per-second budget for head
-	// sampling, per priority band. <= 0 disables adaptation (the head
-	// probability stays at InitialProb).
-	TargetPerSec float64
-	// InitialProb is the starting head-sampling probability in (0, 1]
-	// (default 1.0; any negative value disables head sampling, keeping
-	// only error-class and tail-outlier traces).
-	InitialProb float64
 	// TailMin is the minimum observations of an operation before the
 	// tail detector can fire (default 16), so cold starts don't keep
 	// everything.
@@ -93,7 +85,14 @@ type Config struct {
 }
 
 const (
-	// adjustPeriod is the AIMD adjustment period: TargetPerSec is a
+	// HeadBudget is the kept-traces-per-second budget for head
+	// sampling, per priority band.
+	HeadBudget = 10.0
+	// initialProb is the starting head-sampling probability: below full
+	// head sampling, so the AIMD controller converges onto the budget
+	// without a cold-start overshoot.
+	initialProb = 0.25
+	// adjustPeriod is the AIMD adjustment period: HeadBudget is a
 	// per-second budget, so the rate is judged over one second.
 	adjustPeriod = time.Second
 	// tailWindow bounds the per-operation duration ring used for the
@@ -225,15 +224,6 @@ var _ trace.Sink = (*Sampler)(nil)
 // New creates a sampler on the kernel's virtual clock, forwarding kept
 // spans to down.
 func New(k *sim.Kernel, cfg Config, down ...trace.Sink) *Sampler {
-	if cfg.InitialProb == 0 {
-		cfg.InitialProb = 1
-	}
-	if cfg.InitialProb < 0 { // explicit "head sampling off"
-		cfg.InitialProb = 0
-	}
-	if cfg.InitialProb > 1 {
-		cfg.InitialProb = 1
-	}
 	if cfg.TailMin <= 0 {
 		cfg.TailMin = 16
 	}
@@ -348,7 +338,7 @@ func coin(id trace.TraceID) float64 {
 func (sp *Sampler) band(name string) *bandCtl {
 	b, ok := sp.bands[name]
 	if !ok {
-		b = &bandCtl{prob: sp.cfg.InitialProb, periodStart: sp.k.Now()}
+		b = &bandCtl{prob: initialProb, periodStart: sp.k.Now()}
 		sp.bands[name] = b
 		sp.bandOrder = append(sp.bandOrder, name)
 	}
@@ -359,16 +349,13 @@ func (sp *Sampler) band(name string) *bandCtl {
 // head probability when the kept rate overshot the budget, add a fixed
 // increment when under it.
 func (sp *Sampler) adjust(b *bandCtl) {
-	if sp.cfg.TargetPerSec <= 0 {
-		return
-	}
 	now := sp.k.Now()
 	elapsed := now - b.periodStart
 	if elapsed < sim.Time(adjustPeriod) {
 		return
 	}
 	rate := float64(b.kept) / elapsed.Seconds()
-	if rate > sp.cfg.TargetPerSec {
+	if rate > HeadBudget {
 		b.prob /= 2
 		if b.prob < 1.0/1024 {
 			b.prob = 1.0 / 1024
@@ -463,7 +450,7 @@ func (sp *Sampler) FlushOpen() {
 				break
 			}
 		}
-		if v == VerdictDrop && coin(id) < sp.cfg.InitialProb {
+		if v == VerdictDrop && coin(id) < initialProb {
 			v = VerdictKeepHead
 		}
 		sp.decided[id] = v

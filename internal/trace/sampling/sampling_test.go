@@ -14,14 +14,17 @@ import (
 // whose only expensive sink is the sampler under test: steady 5ms
 // "invoke work" roots every 10ms, a 50ms outlier every 16th, an
 // error-attributed trace every 25th, and a deadline_expired overload
-// marker (ending AFTER its root, the late-span shape) every 40th.
-func genWorkload(seed int64, n int, cfg Config) (*Sampler, *trace.Collector) {
+// marker (ending AFTER its root, the late-span shape) every 40th. It
+// returns the sampler, its downstream collector and the IDs of the
+// error-attributed traces.
+func genWorkload(seed int64, n int, cfg Config) (*Sampler, *trace.Collector, []trace.TraceID) {
 	k := sim.NewKernel(seed)
 	tr := trace.NewTracer(k)
 	col := trace.NewCollector()
 	sp := New(k, cfg, col)
 	tr.AddSink(sp)
 
+	var errs []trace.TraceID
 	for i := 0; i < n; i++ {
 		i := i
 		k.At(sim.Time(i)*sim.Time(10*time.Millisecond), func() {
@@ -33,6 +36,7 @@ func genWorkload(seed int64, n int, cfg Config) (*Sampler, *trace.Collector) {
 			}
 			if i%25 == 24 {
 				root.SetAttr(trace.String("error", "boom"))
+				errs = append(errs, root.TraceID)
 			}
 			var late *trace.Span
 			if i%40 == 39 {
@@ -49,20 +53,20 @@ func genWorkload(seed int64, n int, cfg Config) (*Sampler, *trace.Collector) {
 	k.RunUntil(sim.Time(n+20) * sim.Time(10*time.Millisecond))
 	tr.FlushOpen()
 	sp.FlushOpen()
-	return sp, col
+	return sp, col, errs
 }
 
 func TestSamplerAlwaysKeepsErrorTraces(t *testing.T) {
-	sp, col := genWorkload(1, 200, Config{InitialProb: -1}) // head sampling off
-	st := sp.Stats()
-	if st.KeepHead != 0 {
-		t.Fatalf("head sampling disabled but kept %d by coin", st.KeepHead)
+	sp, col, errs := genWorkload(1, 200, Config{})
+	if len(errs) != 8 {
+		t.Fatalf("workload made %d error traces, want 8", len(errs))
 	}
-	if st.KeepError == 0 {
-		t.Fatal("no error-class traces kept")
+	for _, id := range errs {
+		if v := sp.Verdict(id); v != VerdictKeepError {
+			t.Fatalf("error trace %d verdict %v, want keep_error", id, v)
+		}
 	}
-	// Every kept-for-error trace must actually contain an error marker,
-	// and every error/overload trace must have been kept.
+	// Every kept-for-error trace must actually contain an error marker.
 	for _, id := range col.TraceIDs() {
 		if v := sp.Verdict(id); v == VerdictKeepError {
 			found := false
@@ -85,7 +89,7 @@ func TestSamplerAlwaysKeepsErrorTraces(t *testing.T) {
 }
 
 func TestSamplerKeepsTailOutliers(t *testing.T) {
-	sp, col := genWorkload(1, 200, Config{InitialProb: -1})
+	sp, col, _ := genWorkload(1, 200, Config{})
 	if sp.Stats().KeepTail == 0 {
 		t.Fatal("no tail outliers kept")
 	}
@@ -107,10 +111,9 @@ func TestSamplerKeepsTailOutliers(t *testing.T) {
 // kept-head rate lands near the target.
 func TestSamplerAdaptiveBudget(t *testing.T) {
 	const n = 2000 // 100 roots/sec for 20s of virtual time
-	sp, _ := genWorkload(1, n, Config{
-		TargetPerSec: 10,
-		AlwaysKeep:   func(*trace.Span) bool { return false }, // isolate the head path
-		TailMin:      1 << 30,                                 // tail detector off
+	sp, _, _ := genWorkload(1, n, Config{
+		AlwaysKeep: func(*trace.Span) bool { return false }, // isolate the head path
+		TailMin:    1 << 30,                                 // tail detector off
 	})
 	st := sp.Stats()
 	if st.KeepError != 0 || st.KeepTail != 0 {
@@ -139,7 +142,7 @@ func TestSamplerResurrection(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := trace.NewTracer(k)
 	col := trace.NewCollector()
-	sp := New(k, Config{InitialProb: -1}, col)
+	sp := New(k, Config{}, col)
 	tr.AddSink(sp)
 
 	var root, late *trace.Span
@@ -173,9 +176,8 @@ func TestSamplerResurrection(t *testing.T) {
 // TestSamplerDeterminism is the acceptance gate: two same-seed runs
 // keep byte-identical trace sets, verdict by verdict.
 func TestSamplerDeterminism(t *testing.T) {
-	cfg := Config{TargetPerSec: 20}
-	sp1, _ := genWorkload(7, 500, cfg)
-	sp2, _ := genWorkload(7, 500, cfg)
+	sp1, _, _ := genWorkload(7, 500, Config{})
+	sp2, _, _ := genWorkload(7, 500, Config{})
 
 	ids1, ids2 := keptTraceIDs(sp1), keptTraceIDs(sp2)
 	if fmt.Sprint(ids1) != fmt.Sprint(ids2) {
@@ -194,13 +196,13 @@ func TestSamplerDeterminism(t *testing.T) {
 	}
 }
 
-// headProb is a band's current head-sampling probability (InitialProb if
-// the band has not been seen yet).
+// headProb is a band's current head-sampling probability (initialProb
+// if the band has not been seen yet).
 func headProb(sp *Sampler, band string) float64 {
 	if b, ok := sp.bands[band]; ok {
 		return b.prob
 	}
-	return sp.cfg.InitialProb
+	return initialProb
 }
 
 // keptTraceIDs returns the IDs of every kept trace, ascending.

@@ -47,106 +47,68 @@ type Frame struct {
 	Type FrameType
 	// Size is the encoded size in bytes.
 	Size int
-	// PTS is the frame's presentation timestamp: Seq / FPS.
+	// PTS is the frame's presentation timestamp: Seq / 30 fps.
 	PTS time.Duration
 }
 
-// StreamConfig describes an MPEG stream.
-type StreamConfig struct {
-	// FPS is the frame rate. Defaults to 30, the paper's full-motion
-	// rate.
-	FPS int
-	// GOPSize is the frames per group of pictures. Defaults to 15,
-	// giving 2 I-frames per second at 30 fps as the paper states.
-	GOPSize int
-	// PFrames is the number of P frames per GOP. Defaults to 4, so that
-	// I+P frames arrive at 10 fps — the paper's intermediate filter
-	// rate.
-	PFrames int
-	// BitrateBps is the stream bitrate in bits per second. Defaults to
-	// 1.2 Mbps, the paper's MPEG-1 rate at 30 fps.
-	BitrateBps float64
-	// SizeRatioI and SizeRatioP scale I and P frame sizes relative to a
-	// B frame. Defaults 5 and 3 (typical MPEG-1 ratios).
-	SizeRatioI, SizeRatioP int
-}
+// The stream every program runs: the paper's MPEG-1 at 1.2 Mbps, 30 fps
+// full motion, a 15-frame GOP (2 I frames per second) with 4 P frames,
+// so that I+P frames arrive at 10 fps — the paper's intermediate filter
+// rate. I and P frames are 5 and 3 times a B frame (typical MPEG-1
+// ratios).
+const (
+	fps        = 30
+	gopSize    = 15
+	pFrames    = 4
+	bitrateBps = 1.2e6
+	sizeRatioI = 5
+	sizeRatioP = 3
+	// pStride spreads the P frames evenly through the GOP after the I
+	// frame.
+	pStride = (gopSize - 1) / pFrames
+)
 
-// withDefaults returns cfg with zero fields filled in.
-func (cfg StreamConfig) withDefaults() StreamConfig {
-	if cfg.FPS == 0 {
-		cfg.FPS = 30
-	}
-	if cfg.GOPSize == 0 {
-		cfg.GOPSize = 15
-	}
-	if cfg.PFrames == 0 {
-		cfg.PFrames = 4
-	}
-	if cfg.BitrateBps == 0 {
-		cfg.BitrateBps = 1.2e6
-	}
-	if cfg.SizeRatioI == 0 {
-		cfg.SizeRatioI = 5
-	}
-	if cfg.SizeRatioP == 0 {
-		cfg.SizeRatioP = 3
-	}
-	return cfg
-}
+// FrameInterval is the time between frames.
+const FrameInterval = time.Second / fps
 
-// FrameInterval returns the time between frames.
-func (cfg StreamConfig) FrameInterval() time.Duration {
-	c := cfg.withDefaults()
-	return time.Second / time.Duration(c.FPS)
-}
-
-// Generator produces the deterministic frame sequence of a stream.
+// Generator produces the deterministic frame sequence of the stream.
 type Generator struct {
-	cfg   StreamConfig
 	seq   int64
 	sizeI int
 	sizeP int
 	sizeB int
 }
 
-// NewGenerator creates a generator for cfg.
-func NewGenerator(cfg StreamConfig) *Generator {
-	c := cfg.withDefaults()
+// NewGenerator creates a generator for the stream.
+func NewGenerator() *Generator {
 	// Bytes per GOP = bitrate * gop duration / 8. Distribute over
-	// 1 I + PFrames P + rest B in the configured ratios.
-	gopSeconds := float64(c.GOPSize) / float64(c.FPS)
-	gopBytes := c.BitrateBps * gopSeconds / 8
-	bFrames := c.GOPSize - 1 - c.PFrames
-	if bFrames < 0 {
-		panic(fmt.Sprintf("video: GOP %d too small for %d P frames", c.GOPSize, c.PFrames))
-	}
-	units := float64(c.SizeRatioI + c.PFrames*c.SizeRatioP + bFrames)
+	// 1 I + pFrames P + rest B in the configured ratios.
+	gopSeconds := float64(gopSize) / float64(fps)
+	gopBytes := bitrateBps * gopSeconds / 8
+	bFrames := gopSize - 1 - pFrames
+	units := float64(sizeRatioI + pFrames*sizeRatioP + bFrames)
 	unit := gopBytes / units
 	return &Generator{
-		cfg:   c,
-		sizeI: int(unit * float64(c.SizeRatioI)),
-		sizeP: int(unit * float64(c.SizeRatioP)),
+		sizeI: int(unit * float64(sizeRatioI)),
+		sizeP: int(unit * float64(sizeRatioP)),
 		sizeB: int(unit),
 	}
 }
-
-// Config returns the generator's (defaulted) configuration.
-func (g *Generator) Config() StreamConfig { return g.cfg }
 
 // Next returns the next frame in the stream.
 func (g *Generator) Next() Frame {
 	seq := g.seq
 	g.seq++
-	pos := int(seq % int64(g.cfg.GOPSize))
+	pos := int(seq % gopSize)
 	f := Frame{
 		Seq: seq,
-		PTS: time.Duration(seq) * time.Second / time.Duration(g.cfg.FPS),
+		PTS: time.Duration(seq) * time.Second / fps,
 	}
 	switch {
 	case pos == 0:
 		f.Type = FrameI
 		f.Size = g.sizeI
-	case g.isPSlot(pos):
+	case pos%pStride == 0 && pos/pStride <= pFrames:
 		f.Type = FrameP
 		f.Size = g.sizeP
 	default:
@@ -156,19 +118,6 @@ func (g *Generator) Next() Frame {
 	return f
 }
 
-// isPSlot spreads the P frames evenly through the GOP after the I frame.
-func (g *Generator) isPSlot(pos int) bool {
-	if g.cfg.PFrames == 0 {
-		return false
-	}
-	span := g.cfg.GOPSize - 1
-	stride := span / g.cfg.PFrames
-	if stride == 0 {
-		return true
-	}
-	return pos%stride == 0 && pos/stride <= g.cfg.PFrames
-}
-
 // FilterLevel is a QuO frame-filtering level.
 type FilterLevel int
 
@@ -176,9 +125,9 @@ type FilterLevel int
 const (
 	// FilterNone passes every frame (full rate).
 	FilterNone FilterLevel = iota
-	// FilterIP passes I and P frames (10 fps with default config).
+	// FilterIP passes I and P frames (10 fps).
 	FilterIP
-	// FilterIOnly passes only I frames (2 fps with default config).
+	// FilterIOnly passes only I frames (2 fps).
 	FilterIOnly
 )
 

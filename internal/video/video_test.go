@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultGOPStructure(t *testing.T) {
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	counts := map[FrameType]int{}
 	for i := 0; i < 15; i++ {
 		counts[g.Next().Type]++
@@ -18,7 +18,7 @@ func TestDefaultGOPStructure(t *testing.T) {
 }
 
 func TestIFrameRateIsTwoPerSecond(t *testing.T) {
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	iFrames := 0
 	for i := 0; i < 30; i++ { // one second at 30 fps
 		if g.Next().Type == FrameI {
@@ -31,8 +31,7 @@ func TestIFrameRateIsTwoPerSecond(t *testing.T) {
 }
 
 func TestBitrateMatchesConfig(t *testing.T) {
-	cfg := StreamConfig{BitrateBps: 1.2e6}
-	g := NewGenerator(cfg)
+	g := NewGenerator()
 	total := 0
 	const frames = 300 // 10 seconds
 	for i := 0; i < frames; i++ {
@@ -45,7 +44,7 @@ func TestBitrateMatchesConfig(t *testing.T) {
 }
 
 func TestFrameSizeOrdering(t *testing.T) {
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	i, p, b := g.sizeI, g.sizeP, g.sizeB
 	if !(i > p && p > b && b > 0) {
 		t.Fatalf("frame sizes I=%d P=%d B=%d, want I > P > B > 0", i, p, b)
@@ -53,7 +52,7 @@ func TestFrameSizeOrdering(t *testing.T) {
 }
 
 func TestPTSSpacing(t *testing.T) {
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	prev := g.Next()
 	for i := 0; i < 60; i++ {
 		f := g.Next()
@@ -87,7 +86,7 @@ func TestFilterAdmits(t *testing.T) {
 // passed returns the frames per second and bits per second level lets
 // through over ten seconds of the default stream.
 func passed(l FilterLevel) (fps, bps float64) {
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	var frames, bytes int
 	for i := 0; i < 300; i++ {
 		if f := g.Next(); l.Admits(f.Type) {
@@ -126,7 +125,7 @@ func TestFilterBitrates(t *testing.T) {
 
 func TestDeliveryStats(t *testing.T) {
 	s := NewDeliveryStats()
-	g := NewGenerator(StreamConfig{})
+	g := NewGenerator()
 	for i := 0; i < 30; i++ {
 		f := g.Next()
 		at := time.Duration(i) * 33 * time.Millisecond
@@ -149,20 +148,16 @@ func TestDeliveryStats(t *testing.T) {
 }
 
 // Property: over any whole number of GOPs the generator emits exactly
-// the configured composition, and filter admission is consistent with
-// the advertised FPS.
+// the stream's composition, 1 I, 4 P and 10 B frames per GOP.
 func TestGOPCompositionProperty(t *testing.T) {
-	prop := func(gops uint8, pSel uint8) bool {
+	prop := func(gops uint8) bool {
 		n := int(gops%8) + 1
-		cfg := StreamConfig{GOPSize: 15, PFrames: int(pSel%6) + 1}
-		g := NewGenerator(cfg)
+		g := NewGenerator()
 		counts := map[FrameType]int{}
-		for i := 0; i < n*15; i++ {
+		for i := 0; i < n*gopSize; i++ {
 			counts[g.Next().Type]++
 		}
-		wantP := n * cfg.PFrames
-		wantB := n * (15 - 1 - cfg.PFrames)
-		return counts[FrameI] == n && counts[FrameP] == wantP && counts[FrameB] == wantB
+		return counts[FrameI] == n && counts[FrameP] == n*pFrames && counts[FrameB] == n*(gopSize-1-pFrames)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

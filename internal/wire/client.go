@@ -169,12 +169,13 @@ type CallOptions struct {
 	// connection died after the request bytes were written). Plain
 	// clients ignore it.
 	Idempotent bool
-	// FT, when set, stamps the FT request service context on the wire.
-	FT *FTRequest
-	// Contexts are additional service contexts appended verbatim after
+	// ft, when set, stamps the FT request service context on the wire;
+	// GroupClient sets it.
+	ft *FTRequest
+	// contexts are additional service contexts appended verbatim after
 	// the standard QoS contexts — the pub/sub plane uses it to ride the
 	// event descriptor (ServiceEventContext) on push invocations.
-	Contexts []giop.ServiceContext
+	contexts []giop.ServiceContext
 }
 
 // NewClient builds a client. No connection is dialed until the first
@@ -355,7 +356,7 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	id := c.reqSeq.Add(1)
 	expiry := start.Add(timeout)
 	// The standard QoS contexts are encoded straight into the message,
-	// ahead of opts.Contexts; an invalid ctx has zero ids and writes no
+	// ahead of opts.contexts; an invalid ctx has zero ids and writes no
 	// trace context.
 	qos := giop.RequestQoS{
 		Priority: opts.Priority, HasPriority: true,
@@ -363,15 +364,15 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 		Deadline: expiry.UnixNano(),
 		TraceID:  uint64(ctx.Trace), SpanID: uint64(ctx.Span),
 	}
-	if opts.FT != nil {
-		qos.FT, qos.HasFT = giop.FTKey{Group: opts.FT.Group, Client: opts.FT.Client, Retention: opts.FT.Retention}, true
+	if opts.ft != nil {
+		qos.FT, qos.HasFT = giop.FTKey{Group: opts.ft.Group, Client: opts.ft.Client, Retention: opts.ft.Retention}, true
 	}
 	req := giop.Request{
 		RequestID:        id,
 		ResponseExpected: !opts.Oneway,
 		ObjectKey:        []byte(key),
 		Operation:        op,
-		ServiceContexts:  opts.Contexts,
+		ServiceContexts:  opts.contexts,
 		Body:             body,
 	}
 

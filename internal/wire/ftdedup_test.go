@@ -64,7 +64,7 @@ func TestFTDedupReplayAcrossReconnect(t *testing.T) {
 	}))
 
 	ft := &FTRequest{Group: 7, Client: 99, Retention: 1}
-	first, err := clients[0].Invoke("app/echo", "echo", []byte("original"), CallOptions{FT: ft})
+	first, err := clients[0].Invoke("app/echo", "echo", []byte("original"), CallOptions{ft: ft})
 	if err != nil {
 		t.Fatalf("original invoke: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestFTDedupReplayAcrossReconnect(t *testing.T) {
 	// "Reconnect": the original connection epoch ends, the retry goes
 	// out on a new connection with the same logical identity.
 	clients[0].Close()
-	replay, err := clients[1].Invoke("app/echo", "echo", []byte("RETRY-DIFFERENT-BODY"), CallOptions{FT: ft})
+	replay, err := clients[1].Invoke("app/echo", "echo", []byte("RETRY-DIFFERENT-BODY"), CallOptions{ft: ft})
 	if err != nil {
 		t.Fatalf("replayed invoke: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestFTDedupReplayAcrossReconnect(t *testing.T) {
 
 	// A different retention id is a new logical request and executes.
 	fresh, err := clients[1].Invoke("app/echo", "echo", []byte("second logical"), CallOptions{
-		FT: &FTRequest{Group: 7, Client: 99, Retention: 2},
+		ft: &FTRequest{Group: 7, Client: 99, Retention: 2},
 	})
 	if err != nil {
 		t.Fatalf("fresh invoke: %v", err)
@@ -120,7 +120,7 @@ func TestFTDedupConcurrentReplayWaits(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		cli := clients[i]
 		go func() {
-			body, err := cli.Invoke("app/slow", "slow", nil, CallOptions{FT: ft, Timeout: 5 * time.Second})
+			body, err := cli.Invoke("app/slow", "slow", nil, CallOptions{ft: ft, Timeout: 5 * time.Second})
 			results <- res{body, err}
 		}()
 		// Stagger so the first registers the in-flight entry before the
@@ -157,7 +157,7 @@ func TestFTDedupRefusalNotCached(t *testing.T) {
 	// Drain mode refuses at admission; flip it on via the internal flag
 	// to hit the refuse path deterministically without filling a queue.
 	srv.draining.Store(true)
-	_, err := clients[0].Invoke("app/echo", "echo", []byte("refused"), CallOptions{FT: ft})
+	_, err := clients[0].Invoke("app/echo", "echo", []byte("refused"), CallOptions{ft: ft})
 	if !errors.Is(err, ErrOverload) {
 		t.Fatalf("refused invoke = %v, want ErrOverload", err)
 	}
@@ -166,7 +166,7 @@ func TestFTDedupRefusalNotCached(t *testing.T) {
 	}
 	srv.draining.Store(false)
 
-	got, err := clients[0].Invoke("app/echo", "echo", []byte("retried"), CallOptions{FT: ft})
+	got, err := clients[0].Invoke("app/echo", "echo", []byte("retried"), CallOptions{ft: ft})
 	if err != nil {
 		t.Fatalf("retry after refusal: %v", err)
 	}

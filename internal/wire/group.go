@@ -214,18 +214,14 @@ type groupCall struct {
 }
 
 // Invoke performs one logical invocation with transparent failover.
-// The request is stamped with a fresh FT retention id (unless opts.FT
-// already carries one — a caller-level retry of the same logical
-// request), so every transport-level attempt is deduplicated
-// server-side.
+// The request is stamped with a fresh FT retention id, so every
+// transport-level attempt is deduplicated server-side.
 func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]byte, error) {
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = g.eps[0].cli.cfg.RequestTimeout
 	}
-	if opts.FT == nil {
-		opts.FT = &FTRequest{Group: ftGroup, Client: g.ftClient, Retention: g.retention.Add(1)}
-	}
+	opts.ft = &FTRequest{Group: ftGroup, Client: g.ftClient, Retention: g.retention.Add(1)}
 	call := groupCall{op: op, start: time.Now(), first: int(g.primary.Load())}
 	deadline := call.start.Add(timeout)
 	tr := g.cfg.Client.Tracer
@@ -233,7 +229,7 @@ func (g *GroupClient) Invoke(key, op string, body []byte, opts CallOptions) ([]b
 		call.span = tr.StartRoot("group.invoke",
 			trace.String("op", op),
 			trace.Int("priority", int64(opts.Priority)),
-			trace.Int("retention", int64(opts.FT.Retention)))
+			trace.Int("retention", int64(opts.ft.Retention)))
 	}
 	call.ep = g.pick(call.first, opts.Priority)
 	if g.closed.Load() {

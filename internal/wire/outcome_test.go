@@ -210,7 +210,7 @@ func TestConservationUnderShutdown(t *testing.T) {
 				opts := CallOptions{Timeout: time.Duration(1+(c+i)%4) * time.Millisecond}
 				switch i % 3 {
 				case 0:
-					opts.FT = &FTRequest{Group: 1, Client: uint64(c % 2), Retention: uint32(i)}
+					opts.ft = &FTRequest{Group: 1, Client: uint64(c % 2), Retention: uint32(i)}
 				case 1:
 					opts.Oneway = i%2 == 0
 				}

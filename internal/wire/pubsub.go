@@ -313,7 +313,7 @@ func (h *ChannelHost) Close() {
 // delivery QoS is the outbox policy's job, not the transport's.
 func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, tracer *Tracer) {
 	opts.Priority = ev.Priority
-	opts.Contexts = append(opts.Contexts,
+	opts.contexts = append(opts.contexts,
 		giop.EventContext(ev.Topic, ev.Key, ev.Seq, ev.Priority, int64(ev.Published), cdr.LittleEndian))
 	_, err := inv.Invoke(key, "push", ev.Payload, opts)
 	if err != nil && tracer != nil {
@@ -363,7 +363,7 @@ func PublishRemote(inv Invoker, key string, ev pubsub.Event, opts CallOptions) e
 	if opts.Priority == 0 {
 		opts.Priority = ev.Priority
 	}
-	opts.Contexts = append(opts.Contexts,
+	opts.contexts = append(opts.contexts,
 		giop.EventContext(ev.Topic, ev.Key, 0, ev.Priority, int64(ev.Published), cdr.LittleEndian))
 	_, err := inv.Invoke(key, "publish", ev.Payload, opts)
 	return err

@@ -41,7 +41,7 @@ func TestRetainFTReplayAfterChurn(t *testing.T) {
 
 	original := seededBytes(1, 64<<10)
 	ft := &FTRequest{Group: 7, Client: 99, Retention: 1}
-	first, err := clients[0].Invoke("app/echo", "echo", original, CallOptions{FT: ft})
+	first, err := clients[0].Invoke("app/echo", "echo", original, CallOptions{ft: ft})
 	if err != nil || !bytes.Equal(first, original) {
 		t.Fatalf("original invoke: %d bytes, %v", len(first), err)
 	}
@@ -55,7 +55,7 @@ func TestRetainFTReplayAfterChurn(t *testing.T) {
 		rng.Read(body)
 		opts := CallOptions{}
 		if i%2 == 0 {
-			opts.FT = &FTRequest{Group: 7, Client: 99, Retention: uint32(100 + i)}
+			opts.ft = &FTRequest{Group: 7, Client: 99, Retention: uint32(100 + i)}
 		}
 		got, err := clients[0].Invoke("app/echo", "echo", body, opts)
 		if err != nil || !bytes.Equal(got, body) {
@@ -64,7 +64,7 @@ func TestRetainFTReplayAfterChurn(t *testing.T) {
 	}
 
 	before := execs.Load()
-	replay, err := clients[1].Invoke("app/echo", "echo", []byte("a retry's body is not echoed"), CallOptions{FT: ft})
+	replay, err := clients[1].Invoke("app/echo", "echo", []byte("a retry's body is not echoed"), CallOptions{ft: ft})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -3,11 +3,12 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"fixture/internal/lib"
 )
 
 func main() {
 	var s lib.Shape = lib.Square{Side: lib.Reached()}
-	fmt.Println(s.Area())
+	fmt.Println(s.Area(), lib.Sum(lib.Config{Set: len(os.Args), OneValue: 3}))
 }
