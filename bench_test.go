@@ -103,3 +103,18 @@ func BenchmarkTable2CPUReservation(b *testing.B) {
 	b.ReportMetric(loadInflation/float64(b.N), "x-kirsch-under-load")
 	b.ReportMetric(resvInflation/float64(b.N), "x-kirsch-with-reserve")
 }
+
+// BenchmarkVerify prices one reproduction audit — the 15 simulations of
+// experiments.Verify, run side by side on up to GOMAXPROCS workers —
+// the unit of work of qosperf's sim_paper workload. Compare widths with
+// -cpu 1,2.
+func BenchmarkVerify(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range experiments.Verify(experiments.Options{Seed: 1}) {
+			if !c.OK {
+				b.Fatalf("%s: %s: %s", c.Experiment, c.Claim, c.Detail)
+			}
+		}
+	}
+}

@@ -176,7 +176,11 @@ func runTable2Case(c Table2Case, images int, seed int64) map[imgproc.Algorithm]m
 
 // RunTable2 reproduces Table 2: edge-detection times per algorithm under
 // no load, competing load, and competing load with a CPU reservation.
-func RunTable2(opt Options) Table2Result {
+func RunTable2(opt Options) Table2Result { return run(table2(opt)) }
+
+// table2 lists Table 2's three cases, one per condition, and assembles
+// the table from their per-algorithm summaries.
+func table2(opt Options) ([]simCase, func() Table2Result) {
 	images := atrImages
 	if opt.Duration != 0 {
 		// Interpret Duration as a scale: one image per 6 seconds of the
@@ -186,20 +190,24 @@ func RunTable2(opt Options) Table2Result {
 			images = 5
 		}
 	}
-	noLoad := runTable2Case(CaseNoLoad, images, opt.seed())
-	load := runTable2Case(CaseLoad, images, opt.seed())
-	resv := runTable2Case(CaseLoadWithReserve, images, opt.seed())
-
-	res := Table2Result{Images: images}
-	for _, algo := range imgproc.Algorithms() {
-		res.Rows = append(res.Rows, Table2Row{
-			Algo:    algo,
-			NoLoad:  noLoad[algo],
-			Load:    load[algo],
-			Reserve: resv[algo],
-		})
+	conds := []Table2Case{CaseNoLoad, CaseLoad, CaseLoadWithReserve}
+	sums := make([]map[imgproc.Algorithm]metrics.Summary, len(conds))
+	cases := make([]simCase, len(conds))
+	for i, c := range conds {
+		cases[i] = simCase{c.String(), func() { sums[i] = runTable2Case(c, images, opt.seed()) }}
 	}
-	return res
+	return cases, func() Table2Result {
+		res := Table2Result{Images: images}
+		for _, algo := range imgproc.Algorithms() {
+			res.Rows = append(res.Rows, Table2Row{
+				Algo:    algo,
+				NoLoad:  sums[0][algo],
+				Load:    sums[1][algo],
+				Reserve: sums[2][algo],
+			})
+		}
+		return res
+	}
 }
 
 // Render prints Table 2 in the paper's layout.

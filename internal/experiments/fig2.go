@@ -38,7 +38,16 @@ type Figure2Result struct {
 
 // RunFigure2 executes the three-tier invocation and reports what each
 // hop observed.
-func RunFigure2(opt Options) Figure2Result {
+func RunFigure2(opt Options) Figure2Result { return run(figure2(opt)) }
+
+// figure2 lists Figure 2's one case and assembles its result.
+func figure2(opt Options) ([]simCase, func() Figure2Result) {
+	var r Figure2Result
+	return []simCase{{"fig2: priority propagation", func() { r = runFigure2(opt) }}},
+		func() Figure2Result { return r }
+}
+
+func runFigure2(opt Options) Figure2Result {
 	sys := core.NewSystem(opt.seed())
 	defer sys.Close()
 	client := sys.AddMachine("client", rtos.HostConfig{Priorities: rtos.RangeQNX})

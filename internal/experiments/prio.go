@@ -170,12 +170,14 @@ type Figure4Result struct {
 
 // RunFigure4 reproduces the control runs: equal task priorities, no
 // network management, with and without contending traffic.
-func RunFigure4(opt Options) Figure4Result {
-	dur := opt.duration(30 * time.Second)
+func RunFigure4(opt Options) Figure4Result { return run(figure4(opt)) }
+
+// figure4 lists Figure 4's two cases and assembles their result.
+func figure4(opt Options) ([]simCase, func() Figure4Result) {
 	base := prioConfig{
 		prio1:    prioEqual,
 		prio2:    prioEqual,
-		duration: dur,
+		duration: opt.duration(30 * time.Second),
 		seed:     opt.seed(),
 	}
 	a := base
@@ -183,7 +185,9 @@ func RunFigure4(opt Options) Figure4Result {
 	b := base
 	b.name = "fig4b: equal priorities, with congestion"
 	b.cross = true
-	return Figure4Result{NoTraffic: runPriorityCase(a), WithTraffic: runPriorityCase(b)}
+	var r Figure4Result
+	return []simCase{prioCase(a, &r.NoTraffic), prioCase(b, &r.WithTraffic)},
+		func() Figure4Result { return r }
 }
 
 // Figure5Result holds the thread-priority-only runs.
@@ -195,13 +199,15 @@ type Figure5Result struct {
 // RunFigure5 reproduces the thread-priority-only runs: different thread
 // priorities and CPU load, with and without network congestion, no
 // network management.
-func RunFigure5(opt Options) Figure5Result {
-	dur := opt.duration(30 * time.Second)
+func RunFigure5(opt Options) Figure5Result { return run(figure5(opt)) }
+
+// figure5 lists Figure 5's two cases and assembles their result.
+func figure5(opt Options) ([]simCase, func() Figure5Result) {
 	base := prioConfig{
 		prio1:    prioHigh,
 		prio2:    prioLow,
 		cpuLoad:  true,
-		duration: dur,
+		duration: opt.duration(30 * time.Second),
 		seed:     opt.seed(),
 	}
 	a := base
@@ -209,7 +215,9 @@ func RunFigure5(opt Options) Figure5Result {
 	b := base
 	b.name = "fig5b: thread priorities + CPU load, with congestion"
 	b.cross = true
-	return Figure5Result{NoTraffic: runPriorityCase(a), WithTraffic: runPriorityCase(b)}
+	var r Figure5Result
+	return []simCase{prioCase(a, &r.NoTraffic), prioCase(b, &r.WithTraffic)},
+		func() Figure5Result { return r }
 }
 
 // Figure6Result holds the combined priority + DiffServ run.
@@ -220,8 +228,10 @@ type Figure6Result struct {
 // RunFigure6 reproduces the combined run: thread priorities mapped to
 // DSCPs (Sender 1 expedited, Sender 2 assured), CPU load, and network
 // congestion.
-func RunFigure6(opt Options) Figure6Result {
-	dur := opt.duration(30 * time.Second)
+func RunFigure6(opt Options) Figure6Result { return run(figure6(opt)) }
+
+// figure6 lists Figure 6's one case and assembles its result.
+func figure6(opt Options) ([]simCase, func() Figure6Result) {
 	cfg := prioConfig{
 		name:    "fig6: thread priorities + DSCP, CPU load + congestion",
 		prio1:   prioHigh,
@@ -233,10 +243,16 @@ func RunFigure6(opt Options) Figure6Result {
 			{From: prioLow, DSCP: netsim.DSCPAF41},
 			{From: prioHigh, DSCP: netsim.DSCPEF},
 		}},
-		duration: dur,
+		duration: opt.duration(30 * time.Second),
 		seed:     opt.seed(),
 	}
-	return Figure6Result{Combined: runPriorityCase(cfg)}
+	var r Figure6Result
+	return []simCase{prioCase(cfg, &r.Combined)}, func() Figure6Result { return r }
+}
+
+// prioCase is the case that runs cfg into out.
+func prioCase(cfg prioConfig, out *PrioCaseResult) simCase {
+	return simCase{cfg.name, func() { *out = runPriorityCase(cfg) }}
 }
 
 // summaryRow renders one sender's latency summary.

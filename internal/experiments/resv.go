@@ -169,29 +169,36 @@ type Table1Result struct {
 
 // RunTable1 reproduces Table 1: every combination of {no, partial, full}
 // reservation x {no filtering, filtering}.
-func RunTable1(opt Options) Table1Result {
+func RunTable1(opt Options) Table1Result { return run(table1(opt)) }
+
+// table1 lists Table 1's six cases and assembles their result.
+func table1(opt Options) ([]simCase, func() Table1Result) {
+	r := Table1Result{Cases: make([]ResvCaseResult, 6)}
+	c := r.Cases
+	return []simCase{
+		resvCase(opt, "No Adaptation", 0, false, &c[0]),
+		resvCase(opt, "Partial Reservation", PartialReservationBps, false, &c[1]),
+		resvCase(opt, "Full Reservation", FullReservationBps, false, &c[2]),
+		resvCase(opt, "No Reservation; Frame Filtering", 0, true, &c[3]),
+		resvCase(opt, "Partial Reservation; Frame Filtering", PartialReservationBps, true, &c[4]),
+		resvCase(opt, "Full Reservation; Frame Filtering", FullReservationBps, true, &c[5]),
+	}, func() Table1Result { return r }
+}
+
+// resvCase is the Figure 7 / Table 1 case that runs the named
+// reservation and filtering combination into out.
+func resvCase(opt Options, name string, reserveBps float64, filtering bool, out *ResvCaseResult) simCase {
 	dur := opt.duration(300 * time.Second)
-	base := resvConfig{
-		duration:  dur,
-		loadStart: dur / 5,
-		loadDur:   dur / 5,
-		seed:      opt.seed(),
+	cfg := resvConfig{
+		name:       name,
+		reserveBps: reserveBps,
+		filtering:  filtering,
+		duration:   dur,
+		loadStart:  dur / 5,
+		loadDur:    dur / 5,
+		seed:       opt.seed(),
 	}
-	mk := func(name string, reserve float64, filter bool) ResvCaseResult {
-		c := base
-		c.name = name
-		c.reserveBps = reserve
-		c.filtering = filter
-		return runReservationCase(c)
-	}
-	return Table1Result{Cases: []ResvCaseResult{
-		mk("No Adaptation", 0, false),
-		mk("Partial Reservation", PartialReservationBps, false),
-		mk("Full Reservation", FullReservationBps, false),
-		mk("No Reservation; Frame Filtering", 0, true),
-		mk("Partial Reservation; Frame Filtering", PartialReservationBps, true),
-		mk("Full Reservation; Frame Filtering", FullReservationBps, true),
-	}}
+	return simCase{name, func() { *out = runReservationCase(cfg) }}
 }
 
 // Render prints Table 1 in the paper's layout.
@@ -218,25 +225,13 @@ type Figure7Result struct {
 
 // RunFigure7 reproduces Figure 7's three cases.
 func RunFigure7(opt Options) Figure7Result {
-	dur := opt.duration(300 * time.Second)
-	base := resvConfig{
-		duration:  dur,
-		loadStart: dur / 5,
-		loadDur:   dur / 5,
-		seed:      opt.seed(),
-	}
-	mk := func(name string, reserve float64, filter bool) ResvCaseResult {
-		c := base
-		c.name = name
-		c.reserveBps = reserve
-		c.filtering = filter
-		return runReservationCase(c)
-	}
-	return Figure7Result{
-		NoAdaptation:      mk("No Adaptation", 0, false),
-		PartialWithFilter: mk("Partial Resv and Frame Filtering", PartialReservationBps, true),
-		FullReservation:   mk("Full Reservation", FullReservationBps, false),
-	}
+	var r Figure7Result
+	runCases([]simCase{
+		resvCase(opt, "No Adaptation", 0, false, &r.NoAdaptation),
+		resvCase(opt, "Partial Resv and Frame Filtering", PartialReservationBps, true, &r.PartialWithFilter),
+		resvCase(opt, "Full Reservation", FullReservationBps, false, &r.FullReservation),
+	})
+	return r
 }
 
 // Render prints the per-second sent/received series for each case.

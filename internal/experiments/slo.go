@@ -318,7 +318,7 @@ func RunSLO(opt Options) SLOResult {
 		if now >= sim.Time(loadStart) {
 			bulkSent.Inc()
 			r.BulkOffer++
-			loadm.Node.Send(&netsim.Packet{
+			loadm.Node.Send(netsim.Packet{
 				Src:  loadm.Node.Addr(9998),
 				Dst:  srv.Node.Addr(9999),
 				Size: 1500,

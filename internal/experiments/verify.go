@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,17 +35,33 @@ func Verify(opt Options) []Check {
 		})
 	}
 
+	// Every experiment's cases run side by side; each owns its kernel,
+	// seed and network, so the results do not depend on the order they
+	// finish in. Figures 4-6 run at 20 s; Table 2 with enough images
+	// for the burst-load averages to settle.
+	prioOpt := opt
+	prioOpt.Duration = 20 * time.Second
+	t2Opt := opt
+	if t2Opt.Duration < 150*time.Second {
+		t2Opt.Duration = 150 * time.Second // 25 images
+	}
+	c2, fig2 := figure2(opt)
+	c4, fig4 := figure4(prioOpt)
+	c5, fig5 := figure5(prioOpt)
+	c6, fig6 := figure6(prioOpt)
+	ct1, tab1 := table1(opt)
+	ct2, tab2 := table2(t2Opt)
+	runCases(slices.Concat(c2, c4, c5, c6, ct1, ct2))
+
 	// Figure 2.
-	f2 := RunFigure2(opt)
+	f2 := fig2()
 	okF2 := len(f2.Hops) == 3 &&
 		f2.Hops[0].Native == 16 && f2.Hops[1].Native == 128 && f2.Hops[2].Native == 136
 	add("Figure 2", "CORBA priority 100 maps to QNX 16 / LynxOS 128 / Solaris 136 end to end",
 		okF2, "natives: %v", hopNatives(f2))
 
-	// Figures 4-6 share runs.
-	prioOpt := opt
-	prioOpt.Duration = 20 * time.Second
-	f4 := RunFigure4(prioOpt)
+	// Figures 4-6.
+	f4 := fig4()
 	add("Figure 4", "without congestion latency is flat low milliseconds",
 		f4.NoTraffic.Sum1.Mean < 0.020 && f4.NoTraffic.Sum2.Mean < 0.020,
 		"means %.1f / %.1f ms", f4.NoTraffic.Sum1.Mean*1e3, f4.NoTraffic.Sum2.Mean*1e3)
@@ -52,7 +69,7 @@ func Verify(opt Options) []Check {
 		f4.WithTraffic.Sum1.Max > 0.5 && f4.WithTraffic.Sum1.Mean > 0.1,
 		"mean %.0f ms max %.0f ms", f4.WithTraffic.Sum1.Mean*1e3, f4.WithTraffic.Sum1.Max*1e3)
 
-	f5 := RunFigure5(prioOpt)
+	f5 := fig5()
 	add("Figure 5", "thread priority separates senders under CPU load",
 		f5.NoTraffic.Sum2.Mean > 1.3*f5.NoTraffic.Sum1.Mean,
 		"high %.1f ms vs low %.1f ms", f5.NoTraffic.Sum1.Mean*1e3, f5.NoTraffic.Sum2.Mean*1e3)
@@ -61,7 +78,7 @@ func Verify(opt Options) []Check {
 			f5.WithTraffic.Sum2.Mean-f5.WithTraffic.Sum1.Mean < 0.5*f5.WithTraffic.Sum1.Mean,
 		"means %.0f / %.0f ms", f5.WithTraffic.Sum1.Mean*1e3, f5.WithTraffic.Sum2.Mean*1e3)
 
-	f6 := RunFigure6(prioOpt)
+	f6 := fig6()
 	add("Figure 6", "thread + network priorities restore predictability under combined load",
 		f6.Combined.Sum1.Mean < 0.020 && f6.Combined.Sum1.Mean < 0.05*f5.WithTraffic.Sum1.Mean,
 		"sender1 mean %.1f ms (vs %.0f ms unmanaged)",
@@ -71,7 +88,7 @@ func Verify(opt Options) []Check {
 		"%.1f vs %.1f ms", f6.Combined.Sum1.Mean*1e3, f6.Combined.Sum2.Mean*1e3)
 
 	// Table 1 (also covers Figure 7's claims).
-	t1 := RunTable1(opt)
+	t1 := tab1()
 	byName := map[string]ResvCaseResult{}
 	for _, c := range t1.Cases {
 		byName[c.Name] = c
@@ -101,12 +118,8 @@ func Verify(opt Options) []Check {
 		byName["No Reservation; Frame Filtering"].LatencyUnderLoad.Mean*1e3,
 		byName["No Adaptation"].LatencyUnderLoad.Mean*1e3)
 
-	// Table 2, with enough images for the burst-load averages to settle.
-	t2Opt := opt
-	if t2Opt.Duration < 150*time.Second {
-		t2Opt.Duration = 150 * time.Second // 25 images
-	}
-	t2 := RunTable2(t2Opt)
+	// Table 2.
+	t2 := tab2()
 	allInflate, allRestore := true, true
 	for _, row := range t2.Rows {
 		if row.Load.Mean < 1.10*row.NoLoad.Mean {

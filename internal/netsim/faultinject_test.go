@@ -30,7 +30,7 @@ func TestMidTransitCrashDropsPacket(t *testing.T) {
 	b.Bind(9, func(*Packet) { delivered++ })
 	flow := n.NewFlowID()
 	// 1000 B at 100 Mbps = 80 us serialisation, arrival at ~10.08 ms.
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
 	k.After(5*time.Millisecond, func() { b.SetDown(true) })
 	k.After(8*time.Millisecond, func() { b.SetDown(false) })
 	k.Run()
@@ -52,11 +52,11 @@ func TestCorruptionDeliversFlippedCopy(t *testing.T) {
 	ab.SetFaults(FaultProfile{Corrupt: 1.0})
 	orig := []byte{0x00, 0x00, 0x00, 0x00}
 	payload := &corruptibleBytes{data: append([]byte(nil), orig...)}
-	var got *Packet
-	b.Bind(9, func(p *Packet) { got = p })
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID(), Payload: payload})
+	var got Packet // a copy: the packet is the network's once the handler returns
+	b.Bind(9, func(p *Packet) { got = *p })
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID(), Payload: payload})
 	k.Run()
-	if got == nil {
+	if got.Payload == nil {
 		t.Fatal("corrupted packet not delivered")
 	}
 	cp := got.Payload.(*corruptibleBytes)
@@ -92,7 +92,7 @@ func TestCorruptionDestroysIntegrityCheckedPayload(t *testing.T) {
 	delivered := 0
 	b.Bind(9, func(*Packet) { delivered++ })
 	flow := n.NewFlowID()
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "opaque"})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "opaque"})
 	k.Run()
 	if delivered != 0 {
 		t.Fatal("checksum-failed packet was delivered")
@@ -108,7 +108,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	ab.SetFaults(FaultProfile{Duplicate: 1.0})
 	delivered := 0
 	b.Bind(9, func(*Packet) { delivered++ })
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID()})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID()})
 	k.Run()
 	if delivered != 2 {
 		t.Fatalf("delivered %d times, want 2", delivered)
@@ -128,10 +128,10 @@ func TestReorderSwapsArrivalOrder(t *testing.T) {
 	// First packet transmitted under Reorder=1 is held back; faults are
 	// cleared before the second packet's transmission completes, so it
 	// overtakes the first.
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "first"})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "first"})
 	k.After(500*time.Microsecond, func() {
 		ab.SetFaults(FaultProfile{})
-		a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "second"})
+		a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "second"})
 	})
 	k.Run()
 	if len(order) != 2 {
@@ -152,7 +152,7 @@ func TestDeadlineExpiredDroppedAtEnqueue(t *testing.T) {
 	b.Bind(9, func(*Packet) { delivered++ })
 	flow := n.NewFlowID()
 	k.After(2*time.Millisecond, func() {
-		a.Send(&Packet{
+		a.Send(Packet{
 			Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow,
 			Deadline: sim.Time(time.Millisecond), // already past
 		})
@@ -176,7 +176,7 @@ func TestDeadlineExpiredDroppedInTransit(t *testing.T) {
 	delivered := 0
 	b.Bind(9, func(*Packet) { delivered++ })
 	flow := n.NewFlowID()
-	a.Send(&Packet{
+	a.Send(Packet{
 		Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow,
 		Deadline: sim.Time(5 * time.Millisecond), // arrival is at ~10.08ms
 	})

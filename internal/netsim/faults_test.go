@@ -61,7 +61,7 @@ func TestLinkDownStallsAndRecovers(t *testing.T) {
 
 	ab.SetDown(true)
 	flow := n.NewFlowID()
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
 	k.RunUntil(time.Second)
 	if len(delivered) != 0 {
 		t.Fatal("packet delivered across a down link")

@@ -199,20 +199,19 @@ func (l *Link) transmitFaults(p *Packet) {
 			l.net.countDrop(p, DropCorrupt)
 			return
 		}
-		// Deliver a corrupted copy; the original may sit in a sender's
-		// retransmission buffer and must stay intact.
-		cp := *p
-		cp.Payload = flipped
-		if cp.hopSpan != nil {
-			cp.hopSpan.Event("corrupt")
+		// The packet carries the corrupted copy on; the original payload
+		// may sit in a sender's retransmission buffer and stays intact.
+		p.Payload = flipped
+		if p.hopSpan != nil {
+			p.hopSpan.Event("corrupt")
 		}
-		p = &cp
 	}
 	if l.faults.Duplicate > 0 && k.Rand().Float64() < l.faults.Duplicate {
 		l.duplicated++
-		dup := *p
+		dup := l.net.packet()
+		*dup = *p
 		dup.hopSpan = nil // the duplicate travels outside the trace
-		l.propagate(&dup, l.delay)
+		l.propagate(dup, l.delay)
 	}
 	delay := l.delay
 	if l.faults.Reorder > 0 && k.Rand().Float64() < l.faults.Reorder {

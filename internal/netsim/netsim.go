@@ -36,7 +36,8 @@ func (a Addr) String() string { return fmt.Sprintf("%d:%d", a.Node, a.Port) }
 // five-tuple). Flow-aware qdiscs (fair queueing, IntServ) key on it.
 type FlowID uint64
 
-// Handler consumes packets delivered to a bound port.
+// Handler consumes packets delivered to a bound port. The network
+// recycles p when the handler returns.
 type Handler func(p *Packet)
 
 // Network is a simulated internetwork sharing one simulation kernel.
@@ -50,12 +51,30 @@ type Network struct {
 	tracer  *trace.Tracer
 	bus     *events.Bus
 
-	stats map[FlowID]*FlowStats
+	stats []*FlowStats // indexed by FlowID
+	free  []*Packet    // delivered or dropped, ready to carry the next send
 }
 
 // New creates an empty network on kernel k.
 func New(k *sim.Kernel) *Network {
-	return &Network{k: k, stats: make(map[FlowID]*FlowStats)}
+	return &Network{k: k}
+}
+
+// packet returns a zeroed packet from the free list, or a new one.
+func (n *Network) packet() *Packet {
+	if len(n.free) == 0 {
+		return new(Packet)
+	}
+	p := n.free[len(n.free)-1]
+	n.free = n.free[:len(n.free)-1]
+	return p
+}
+
+// recycle ends p's life: it is zeroed, so it holds no payload, span or
+// deadline of its last trip, and goes back on the free list.
+func (n *Network) recycle(p *Packet) {
+	*p = Packet{}
+	n.free = append(n.free, p)
 }
 
 // Kernel returns the simulation kernel.
@@ -285,13 +304,16 @@ func (nd *Node) Bind(port uint16, h Handler) {
 // Unbind releases a port.
 func (nd *Node) Unbind(port uint16) { delete(nd.ports, port) }
 
-// Send injects a packet into the network from node nd. The packet's Src
-// must be an address on nd. Delivery (or drop) happens asynchronously in
-// virtual time.
-func (nd *Node) Send(p *Packet) {
-	if p.Src.Node != nd.id {
+// Send injects a copy of pkt into the network from node nd, carried by a
+// packet from the network's free list. The packet's Src must be an
+// address on nd. Delivery (or drop) happens asynchronously in virtual
+// time.
+func (nd *Node) Send(pkt Packet) {
+	if pkt.Src.Node != nd.id {
 		panic("netsim: Send with foreign source address")
 	}
+	p := nd.net.packet()
+	*p = pkt
 	p.Sent = nd.net.k.Now()
 	p.TTL = 64
 	st := nd.net.flowStats(p.Flow)
@@ -316,7 +338,8 @@ func (nd *Node) receive(p *Packet) {
 		return
 	}
 	if msg, ok := p.Payload.(*rsvpMsg); ok {
-		nd.rsvp.handle(p, msg)
+		nd.rsvp.process(msg)
+		nd.net.recycle(p)
 		return
 	}
 	if p.Dst.Node == nd.id {
@@ -337,6 +360,7 @@ func (nd *Node) deliver(p *Packet) {
 	st.DeliveredBytes += int64(p.Size)
 	st.latSum += nd.net.k.Now() - p.Sent
 	h(p)
+	nd.net.recycle(p)
 }
 
 func (nd *Node) forward(p *Packet) {

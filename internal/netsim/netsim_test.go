@@ -20,13 +20,14 @@ func twoHosts(cfg LinkConfig) (*sim.Kernel, *Network, *Node, *Node) {
 
 func TestPointToPointDelivery(t *testing.T) {
 	k, n, a, b := twoHosts(LinkConfig{Bps: 8e6, Delay: time.Millisecond})
-	var got *Packet
+	// The packet is the network's until the handler returns: keep a copy.
+	var got Packet
 	var at sim.Time
-	b.Bind(9, func(p *Packet) { got = p; at = k.Now() })
+	b.Bind(9, func(p *Packet) { got = *p; at = k.Now() })
 	flow := n.NewFlowID()
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "hello"})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow, Payload: "hello"})
 	k.Run()
-	if got == nil {
+	if got.Payload == nil {
 		t.Fatal("packet not delivered")
 	}
 	if got.Payload != "hello" {
@@ -63,7 +64,7 @@ func TestMultiHopRouting(t *testing.T) {
 	}
 	delivered := false
 	b.Bind(9, func(p *Packet) { delivered = true })
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID()})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: n.NewFlowID()})
 	k.Run()
 	if !delivered {
 		t.Fatal("multi-hop packet not delivered")
@@ -96,7 +97,7 @@ func TestUnreachableCounted(t *testing.T) {
 	a := n.AddHost("a")
 	b := n.AddHost("b") // not connected
 	flow := n.NewFlowID()
-	a.Send(&Packet{Src: a.Addr(1), Dst: b.Addr(1), Size: 100, Flow: flow})
+	a.Send(Packet{Src: a.Addr(1), Dst: b.Addr(1), Size: 100, Flow: flow})
 	k.Run()
 	st := n.FlowStats(flow)
 	if st.Dropped != 1 || st.DropReasons[DropUnreachable] != 1 {
@@ -107,7 +108,7 @@ func TestUnreachableCounted(t *testing.T) {
 func TestNoPortDrop(t *testing.T) {
 	k, n, a, b := twoHosts(LinkConfig{Bps: 8e6})
 	flow := n.NewFlowID()
-	a.Send(&Packet{Src: a.Addr(1), Dst: b.Addr(77), Size: 100, Flow: flow})
+	a.Send(Packet{Src: a.Addr(1), Dst: b.Addr(77), Size: 100, Flow: flow})
 	k.Run()
 	st := n.FlowStats(flow)
 	if st.DropReasons[DropNoPort] != 1 {
@@ -121,7 +122,7 @@ func TestFIFOOverflowDrops(t *testing.T) {
 	b.Bind(9, func(*Packet) {})
 	flow := n.NewFlowID()
 	for i := 0; i < 10; i++ {
-		a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
+		a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1000, Flow: flow})
 	}
 	k.Run()
 	st := n.FlowStats(flow)
@@ -149,9 +150,9 @@ func TestDiffServEFPreemptsBestEffort(t *testing.T) {
 	be := n.NewFlowID()
 	ef := n.NewFlowID()
 	for i := 0; i < 40; i++ {
-		a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1500, Flow: be})
+		a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1500, Flow: be})
 	}
-	a.Send(&Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1500, DSCP: DSCPEF, Flow: ef})
+	a.Send(Packet{Src: a.Addr(9), Dst: b.Addr(9), Size: 1500, DSCP: DSCPEF, Flow: ef})
 	k.Run()
 
 	efLat := meanLatency(n.FlowStats(ef))

@@ -58,7 +58,11 @@ func (d DSCP) String() string {
 // fragmenting application messages, matching Ethernet.
 const MTU = 1500
 
-// Packet is one network datagram.
+// Packet is one network datagram. The network owns every packet in
+// flight and recycles it through its free list: a packet handed to a
+// port handler is valid only until the handler returns, and a dropped
+// one dies in countDrop. A handler that needs a packet's fields later
+// copies them (or the payload, which the network never recycles).
 type Packet struct {
 	Src, Dst Addr
 	Size     int // bytes on the wire, headers included
@@ -78,8 +82,7 @@ type Packet struct {
 	// transit span under it.
 	Ctx trace.SpanContext
 
-	hopSpan *trace.Span   // open span for the hop currently in transit
-	pool    *CrossTraffic // set on a cross-traffic source's packets: their sink recycles them
+	hopSpan *trace.Span // open span for the hop currently in transit
 }
 
 func (p *Packet) String() string {
@@ -162,12 +165,23 @@ func (s *FlowStats) LossRate() float64 {
 }
 
 func (n *Network) flowStats(f FlowID) *FlowStats {
-	st, ok := n.stats[f]
-	if !ok {
+	n.stats = atFlow(n.stats, f)
+	st := n.stats[f]
+	if st == nil {
 		st = &FlowStats{DropReasons: make(map[DropReason]int64)}
 		n.stats[f] = st
 	}
 	return st
+}
+
+// atFlow returns s extended, if need be, so that f indexes it. Flow ids
+// are dense — Network.NewFlowID counts up from 1 — so per-flow tables
+// on the per-packet path are slices indexed by id, not maps.
+func atFlow[T any](s []T, f FlowID) []T {
+	if int(f) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(f)+1-len(s))...)
 }
 
 // FlowStats returns the statistics record for flow f, creating it if
@@ -175,7 +189,8 @@ func (n *Network) flowStats(f FlowID) *FlowStats {
 func (n *Network) FlowStats(f FlowID) *FlowStats { return n.flowStats(f) }
 
 // countDrop ends p's life with reason: the flow's counters, the KindDrop
-// record when a bus is attached, the trace, and p's return to its pool.
+// record when a bus is attached, the trace, and p's return to the free
+// list. Every caller returns right after counting the drop.
 func (n *Network) countDrop(p *Packet, reason DropReason) {
 	st := n.flowStats(p.Flow)
 	st.Dropped++
@@ -198,8 +213,5 @@ func (n *Network) countDrop(p *Packet, reason DropReason) {
 		s.SetAttr(trace.String("reason", reason.String()))
 		s.Finish()
 	}
-	if p.pool != nil {
-		// Every caller returns right after counting the drop.
-		p.pool.free = append(p.pool.free, p)
-	}
+	n.recycle(p)
 }

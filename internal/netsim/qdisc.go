@@ -87,7 +87,7 @@ func (f *FIFO) Clone() Qdisc { return NewFIFO(f.q.limit) }
 // it is what lets a frame-filtered low-rate stream survive heavy
 // multi-flow cross traffic in the Table 1 experiments.
 type DRR struct {
-	flows     map[FlowID]*drrFlow
+	flows     []*drrFlow       // indexed by FlowID
 	active    sim.Ring[FlowID] // round-robin order of backlogged flows
 	quantum   int              // bytes added to a flow's deficit per round
 	perFlow   int              // byte limit per flow queue
@@ -107,7 +107,6 @@ type drrFlow struct {
 // way a router's active queue management does.
 func NewDRR(quantum, perFlowLimit int) *DRR {
 	return &DRR{
-		flows:   make(map[FlowID]*drrFlow),
 		quantum: quantum,
 		perFlow: perFlowLimit,
 		red:     0x9E3779B97F4A7C15,
@@ -126,8 +125,9 @@ func (d *DRR) rand01() float64 {
 
 // Enqueue implements Qdisc.
 func (d *DRR) Enqueue(p *Packet) bool {
-	fl, ok := d.flows[p.Flow]
-	if !ok {
+	d.flows = atFlow(d.flows, p.Flow)
+	fl := d.flows[p.Flow]
+	if fl == nil {
 		fl = &drrFlow{q: pktQueue{limit: d.perFlow}}
 		d.flows[p.Flow] = fl
 	}

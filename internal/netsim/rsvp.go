@@ -153,9 +153,6 @@ func (n *Network) ReserveFlowTimeout(p *sim.Proc, spec ReservationSpec, timeout 
 	return pend.resv, nil
 }
 
-// handle processes an RSVP control packet arriving at this node.
-func (a *rsvpAgent) handle(_ *Packet, msg *rsvpMsg) { a.process(msg) }
-
 // process runs the per-hop RSVP state machine. It is called both for
 // locally originated messages and for arriving control packets.
 func (a *rsvpAgent) process(msg *rsvpMsg) {
@@ -271,7 +268,8 @@ func (a *rsvpAgent) sendTo(target *Node, msg *rsvpMsg) {
 
 // forwardOn transmits an RSVP message over a specific link.
 func (a *rsvpAgent) forwardOn(l *Link, msg *rsvpMsg) {
-	p := &Packet{
+	p := a.node.net.packet()
+	*p = Packet{
 		Src:     a.node.Addr(rsvpPort),
 		Dst:     l.to.Addr(rsvpPort),
 		Size:    rsvpMsgSize,

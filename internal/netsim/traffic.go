@@ -18,8 +18,7 @@ type TrafficGen struct {
 	dscp    DSCP
 	flow    FlowID
 	running bool
-	onTick  func()        // tick, bound once
-	pool    *CrossTraffic // where the sinks return this source's packets; nil: allocate
+	onTick  func() // tick, bound once
 }
 
 // CBRConfig parameterises a constant-bit-rate source.
@@ -84,16 +83,13 @@ func (g *TrafficGen) tick() {
 	if !g.running {
 		return
 	}
-	p := g.pool.get()
-	*p = Packet{
+	g.src.Send(Packet{
 		Src:  g.src.Addr(g.srcPort),
 		Dst:  g.dst,
 		Size: g.pktSize,
 		DSCP: g.dscp,
 		Flow: g.flow,
-		pool: g.pool,
-	}
-	g.src.Send(p)
+	})
 	g.net.k.After(g.gap(), g.onTick)
 }
 
@@ -103,29 +99,12 @@ func (g *TrafficGen) tick() {
 // competes for one fair share, as independent connections would.
 type CrossTraffic struct {
 	gens []*TrafficGen
-	free []*Packet // delivered to a sink or dropped, ready for the next tick
 }
 
-// get returns a packet for a source to fill in. A source outside a
-// bundle (nil ct) allocates: nothing tells it when its packets die.
-func (ct *CrossTraffic) get() *Packet {
-	if ct == nil || len(ct.free) == 0 {
-		return new(Packet)
-	}
-	p := ct.free[len(ct.free)-1]
-	ct.free = ct.free[:len(ct.free)-1]
-	return p
-}
-
-// sink is the handler of every destination port of the bundle. A
-// packet's life ends here or in countDrop — the network touches it no
-// more, and unlike a transport's segment the payload-less packet has no
-// other holder — so the bundle's own packets go back to its sources.
-func (ct *CrossTraffic) sink(p *Packet) {
-	if p.pool == ct {
-		ct.free = append(ct.free, p)
-	}
-}
+// discard is the handler of every destination port of a bundle:
+// deliveries are counted by flow stats, and the network recycles the
+// packet when the handler returns.
+func discard(*Packet) {}
 
 // StartCrossTraffic launches `flows` CBR sources from src to dst whose
 // rates sum to totalBps, addressed to consecutive ports starting at
@@ -138,8 +117,7 @@ func StartCrossTraffic(n *Network, src *Node, dst *Node, basePort uint16, totalB
 	per := totalBps / float64(flows)
 	for i := 0; i < flows; i++ {
 		port := basePort + uint16(i)
-		// Sinks: deliveries are counted by flow stats; payload discarded.
-		dst.Bind(port, ct.sink)
+		dst.Bind(port, discard)
 		g := NewCBR(n, CBRConfig{
 			Src:     src,
 			SrcPort: port,
@@ -147,7 +125,6 @@ func StartCrossTraffic(n *Network, src *Node, dst *Node, basePort uint16, totalB
 			Bps:     per,
 			DSCP:    dscp,
 		})
-		g.pool = ct
 		g.Start()
 		ct.gens = append(ct.gens, g)
 	}

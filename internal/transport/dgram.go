@@ -114,7 +114,7 @@ func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
 		if i == count-1 {
 			chunk = size - maxPayload*(count-1)
 		}
-		c.ep.node.Send(&netsim.Packet{
+		c.ep.node.Send(netsim.Packet{
 			Src:      c.LocalAddr(),
 			Dst:      dst,
 			Size:     chunk + headerBytes,

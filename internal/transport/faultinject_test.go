@@ -89,7 +89,7 @@ func TestDgramMalformedFragmentHeadersIgnored(t *testing.T) {
 	cb := eb.OpenDgram(100, 0)
 	src := ea.Addr(200)
 	send := func(f *fragment) {
-		ea.node.Send(&netsim.Packet{
+		ea.node.Send(netsim.Packet{
 			Src: src, Dst: eb.Addr(100), Size: 100,
 			Flow: 1, Payload: f,
 		})

@@ -65,10 +65,10 @@ type StreamConn struct {
 	// Sender state.
 	nextSeq     uint64
 	base        uint64
-	outstanding []*segment
-	backlog     []*segment // segments waiting for window space
-	buffered    int        // bytes in outstanding + backlog
-	bufferLimit int        // send-buffer bound for SendWait
+	outstanding sim.Ring[*segment] // sent, not yet acknowledged
+	backlog     sim.Ring[*segment] // segments waiting for window space
+	buffered    int                // bytes in outstanding + backlog
+	bufferLimit int                // send-buffer bound for SendWait
 	space       *sim.Signal
 	rto         time.Duration
 	rtoTimer    sim.Event
@@ -210,7 +210,7 @@ func (c *StreamConn) Send(m *Message) {
 		}
 		c.nextSeq++
 		c.buffered += chunk
-		c.backlog = append(c.backlog, seg)
+		c.backlog.Push(seg)
 	}
 	c.pump()
 }
@@ -239,10 +239,9 @@ func (c *StreamConn) RecvTimeout(p *sim.Proc, d time.Duration) (*Message, bool) 
 
 // pump moves backlog segments into the window and transmits them.
 func (c *StreamConn) pump() {
-	for len(c.backlog) > 0 && len(c.outstanding) < streamWindow {
-		seg := c.backlog[0]
-		c.backlog = c.backlog[1:]
-		c.outstanding = append(c.outstanding, seg)
+	for c.backlog.Len() > 0 && c.outstanding.Len() < streamWindow {
+		seg := c.backlog.Pop()
+		c.outstanding.Push(seg)
 		c.transmit(seg)
 	}
 	c.armTimer()
@@ -250,7 +249,7 @@ func (c *StreamConn) pump() {
 
 func (c *StreamConn) transmit(seg *segment) {
 	seg.ack = c.expected
-	c.ep.node.Send(&netsim.Packet{
+	c.ep.node.Send(netsim.Packet{
 		Src:     c.LocalAddr(),
 		Dst:     c.remote,
 		Size:    seg.size + headerBytes,
@@ -262,7 +261,7 @@ func (c *StreamConn) transmit(seg *segment) {
 }
 
 func (c *StreamConn) sendAck() {
-	c.ep.node.Send(&netsim.Packet{
+	c.ep.node.Send(netsim.Packet{
 		Src:     c.LocalAddr(),
 		Dst:     c.remote,
 		Size:    ackSize,
@@ -273,7 +272,7 @@ func (c *StreamConn) sendAck() {
 }
 
 func (c *StreamConn) armTimer() {
-	if c.rtoTimer != (sim.Event{}) || len(c.outstanding) == 0 || c.closed {
+	if c.rtoTimer != (sim.Event{}) || c.outstanding.Len() == 0 || c.closed {
 		return
 	}
 	c.rtoTimer = c.ep.Kernel().After(c.rto, c.onRTO)
@@ -281,14 +280,14 @@ func (c *StreamConn) armTimer() {
 
 func (c *StreamConn) onTimeout() {
 	c.rtoTimer = sim.Event{}
-	if c.closed || len(c.outstanding) == 0 {
+	if c.closed || c.outstanding.Len() == 0 {
 		return
 	}
 	// Retransmit only the window head: the receiver buffers
 	// out-of-order segments, so filling the gap releases everything
 	// behind it (selective-repeat behaviour, as SACK-era TCP achieves).
 	c.retransmits++
-	c.transmit(c.outstanding[0])
+	c.transmit(c.outstanding.At(0))
 	c.rto *= 2
 	if c.rto > maxRTO {
 		c.rto = maxRTO
@@ -305,16 +304,15 @@ func (c *StreamConn) onSegment(seg *segment) {
 	case seg.ack > c.base:
 		c.base = seg.ack
 		c.dupAcks = 0
-		for len(c.outstanding) > 0 && c.outstanding[0].seq < c.base {
-			c.buffered -= c.outstanding[0].size
-			c.outstanding = c.outstanding[1:]
+		for c.outstanding.Len() > 0 && c.outstanding.At(0).seq < c.base {
+			c.buffered -= c.outstanding.Pop().size
 		}
 		c.rto = initialRTO
 		c.rtoTimer.Cancel()
 		c.rtoTimer = sim.Event{}
 		c.pump()
 		c.space.Broadcast()
-	case seg.ack == c.base && len(c.outstanding) > 0:
+	case seg.ack == c.base && c.outstanding.Len() > 0:
 		// Duplicate cumulative ack: the receiver is seeing out-of-order
 		// segments, so the head of the window was lost. After three
 		// duplicates, fast-retransmit it without waiting for the RTO.
@@ -322,7 +320,7 @@ func (c *StreamConn) onSegment(seg *segment) {
 		if c.dupAcks >= 3 {
 			c.dupAcks = 0
 			c.retransmits++
-			c.transmit(c.outstanding[0])
+			c.transmit(c.outstanding.At(0))
 		}
 	}
 	if seg.isAck {
