@@ -2,6 +2,7 @@ package cdr
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -201,6 +202,31 @@ func TestOctetSeqViewAliasesBuffer(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("OctetSeqView: %v allocs, want 0", n)
+	}
+}
+
+// TestStringViewAliasesBuffer: the view is the string's own bytes without
+// the terminator, its capacity clipped so an append cannot overwrite the
+// NUL, and it is checked as String is: a missing terminator is an error.
+func TestStringViewAliasesBuffer(t *testing.T) {
+	e := NewEncoder(LittleEndian)
+	e.PutString("topic")
+	buf := e.Bytes()
+
+	view, err := NewDecoder(buf, LittleEndian).StringView()
+	if err != nil || string(view) != "topic" {
+		t.Fatalf("view = %q, %v", view, err)
+	}
+	if unsafe.SliceData(view) != &buf[4] {
+		t.Error("StringView copied the string")
+	}
+	_ = append(view, 0xFF)
+	if s, err := NewDecoder(buf, LittleEndian).String(); err != nil || s != "topic" {
+		t.Errorf("appending to a view overwrote the terminator: String() = %q, %v", s, err)
+	}
+	buf[len(buf)-1] = 'x'
+	if _, err := NewDecoder(buf, LittleEndian).StringView(); !errors.Is(err, ErrInvalid) {
+		t.Errorf("unterminated string: StringView error %v, want ErrInvalid", err)
 	}
 }
 

@@ -322,22 +322,31 @@ func (d *Decoder) Double() (float64, error) {
 
 // String reads a CORBA string.
 func (d *Decoder) String() (string, error) {
+	view, err := d.StringView()
+	return string(view), err
+}
+
+// StringView reads a CORBA string without copying it: the returned bytes,
+// terminator excluded, alias the decoder's buffer (capacity clipped), are
+// valid for as long as the buffer is, and must not be written to.
+func (d *Decoder) StringView() ([]byte, error) {
 	n, err := d.ULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", fmt.Errorf("%w: zero-length string (missing terminator)", ErrInvalid)
+		return nil, fmt.Errorf("%w: zero-length string (missing terminator)", ErrInvalid)
 	}
 	if err := d.need(int(n)); err != nil {
-		return "", err
+		return nil, err
 	}
-	raw := d.buf[d.pos : d.pos+int(n)]
+	end := d.pos + int(n) - 1
+	raw := d.buf[d.pos:end:end]
 	d.pos += int(n)
-	if raw[n-1] != 0 {
-		return "", fmt.Errorf("%w: string missing NUL terminator", ErrInvalid)
+	if d.buf[end] != 0 {
+		return nil, fmt.Errorf("%w: string missing NUL terminator", ErrInvalid)
 	}
-	return string(raw[:n-1]), nil
+	return raw, nil
 }
 
 // OctetSeq reads a sequence<octet>. The returned slice is a copy.

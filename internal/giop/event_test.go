@@ -1,6 +1,7 @@
 package giop
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cdr"
@@ -21,6 +22,31 @@ func TestEventContextRoundTrip(t *testing.T) {
 		}
 		if seq != 42 || prio != 16000 || published != 123456789 {
 			t.Fatalf("%v: seq=%d prio=%d published=%d", order, seq, prio, published)
+		}
+	}
+}
+
+// TestAppendEventContextReusedBuffer: re-encoding into a reused buffer that
+// holds a longer or shorter earlier event gives exactly EventContext's
+// bytes, and the views parsed from them carry the names.
+func TestAppendEventContextReusedBuffer(t *testing.T) {
+	buf := bytes.Repeat([]byte{0xDB}, 96)[:0]
+	for i, ev := range []struct{ topic, key string }{
+		{"camera/front/left/raw/full-resolution", "a-long-coalescing-key"},
+		{"c", ""},
+		{"telemetry/engine", "k"},
+		{"", ""},
+		{"camera/front/left/raw/full-resolution/and/then/some/more/segments/beyond/the/first/capacity", "key"},
+	} {
+		for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+			buf = AppendEventContext(buf[:0], ev.topic, ev.key, uint64(i), int16(i), int64(-i), order)
+			if want := EventContext(ev.topic, ev.key, uint64(i), int16(i), int64(-i), order).Data; !bytes.Equal(buf, want) {
+				t.Fatalf("event %d, %v: reused buffer encodes\n% x\nwant\n% x", i, order, buf, want)
+			}
+			topic, key, seq, _, _, err := ParseEventContextView(buf)
+			if err != nil || string(topic) != ev.topic || string(key) != ev.key || seq != uint64(i) {
+				t.Fatalf("event %d, %v: parsed %q/%q seq %d (%v)", i, order, topic, key, seq, err)
+			}
 		}
 	}
 }

@@ -702,43 +702,63 @@ func ParseDeadlineContext(data []byte) (int64, error) {
 // Published is the event's publication instant in the channel clock's
 // nanoseconds; Key is the coalescing key ("" for none).
 func EventContext(topic, key string, seq uint64, priority int16, published int64, order cdr.ByteOrder) ServiceContext {
+	return ServiceContext{ID: ServiceEventContext, Data: AppendEventContext(nil, topic, key, seq, priority, published, order)}
+}
+
+// AppendEventContext appends EventContext's data to dst and returns the
+// extended slice: a caller that passes a reused buffer's buf[:0] encodes
+// each event without allocating once the buffer has grown.
+func AppendEventContext(dst []byte, topic, key string, seq uint64, priority int16, published int64, order cdr.ByteOrder) []byte {
+	e := cdr.AppendEncoder(dst, order)
 	// 26 bytes up to the priority, then two strings, each a 4-aligned
 	// length, the bytes and a NUL.
-	e := cdr.AppendEncoder(make([]byte, 0, 26+2+5+len(topic)+3+5+len(key)), order)
+	e.Grow(26 + 2 + 5 + len(topic) + 3 + 5 + len(key))
 	e.PutOctet(byte(order))
 	e.PutULongLong(seq) // 8-aligned: seven bytes of padding first
 	e.PutLongLong(published)
 	e.PutShort(priority)
 	e.PutString(topic)
 	e.PutString(key)
-	return ServiceContext{ID: ServiceEventContext, Data: e.Bytes()}
+	return e.Bytes()
 }
 
 // ParseEventContext extracts the pub/sub event descriptor from event
 // context data.
 func ParseEventContext(data []byte) (topic, key string, seq uint64, priority int16, published int64, err error) {
+	t, k, seq, priority, published, err := ParseEventContextView(data)
+	if err != nil {
+		return "", "", 0, 0, 0, err
+	}
+	return string(t), string(k), seq, priority, published, nil
+}
+
+// ParseEventContextView is ParseEventContext with the topic and key
+// returned as views of data, valid for as long as data is: a consumer that
+// sees the same names event after event can compare them with the strings
+// it already holds instead of allocating new ones.
+func ParseEventContextView(data []byte) (topic, key []byte, seq uint64, priority int16, published int64, err error) {
 	if len(data) < 1 {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: empty event context", ErrBadMessage)
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: empty event context", ErrBadMessage)
 	}
 	order := cdr.ByteOrder(data[0])
 	d := cdr.NewDecoder(data, order)
 	if _, err = d.Octet(); err != nil {
-		return "", "", 0, 0, 0, err
+		return nil, nil, 0, 0, 0, err
 	}
 	if seq, err = d.ULongLong(); err != nil {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: event seq: %v", ErrBadMessage, err)
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: event seq: %v", ErrBadMessage, err)
 	}
 	if published, err = d.LongLong(); err != nil {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: event published: %v", ErrBadMessage, err)
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: event published: %v", ErrBadMessage, err)
 	}
 	if priority, err = d.Short(); err != nil {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: event priority: %v", ErrBadMessage, err)
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: event priority: %v", ErrBadMessage, err)
 	}
-	if topic, err = d.String(); err != nil {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: event topic: %v", ErrBadMessage, err)
+	if topic, err = d.StringView(); err != nil {
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: event topic: %v", ErrBadMessage, err)
 	}
-	if key, err = d.String(); err != nil {
-		return "", "", 0, 0, 0, fmt.Errorf("%w: event key: %v", ErrBadMessage, err)
+	if key, err = d.StringView(); err != nil {
+		return nil, nil, 0, 0, 0, fmt.Errorf("%w: event key: %v", ErrBadMessage, err)
 	}
 	return topic, key, seq, priority, published, nil
 }

@@ -9,11 +9,12 @@ import (
 
 // Publishing one event to eight subscribers and pumping it to each — the
 // delivered path, the only one the pubsub_fanout workload takes — costs
-// 26 allocations once every subscriber's outcome counter is resolved:
-// per subscriber, two topic splits in MatchTopic and one outbox array;
-// per publish, the match list and PumpAll's subscriber copy. Settling a
-// delivery adds none. (The race detector allocates on its own account,
-// so the pin exists only in an ordinary build.)
+// 2 allocations once every subscriber's outcome counter is resolved and
+// its outbox has grown: the publish's match list and PumpAll's subscriber
+// copy. Per subscriber nothing: MatchTopic walks the topic in place, the
+// outbox ring keeps its array, and settling a delivery adds none. (The
+// race detector allocates on its own account, so the pins exist only in
+// an ordinary build.)
 func TestAllocsDeliveredPath(t *testing.T) {
 	ch := New(ChannelConfig{Name: "alloc"})
 	for i := 0; i < 8; i++ {
@@ -31,7 +32,19 @@ func TestAllocsDeliveredPath(t *testing.T) {
 			t.Fatalf("PumpAll delivered %d events, want 8", n)
 		}
 	})
-	if allocs != 26 {
-		t.Fatalf("%v allocations per publish + PumpAll to 8 subscribers, want 26", allocs)
+	if allocs != 2 {
+		t.Fatalf("%v allocations per publish + PumpAll to 8 subscribers, want 2", allocs)
+	}
+}
+
+// MatchTopic, "**" backtracking included, allocates nothing.
+func TestAllocsMatchTopic(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if !MatchTopic("camera/**/raw", "camera/front/left/raw") {
+			t.Fatal("no match")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MatchTopic allocated %v times, want 0", allocs)
 	}
 }

@@ -7,34 +7,45 @@ import "strings"
 // segment matches itself, "*" matches exactly one segment, and "**"
 // matches any run of segments (including none). "**" alone therefore
 // matches every topic, "camera/*" matches "camera/front" but not
-// "camera/front/raw", and "camera/**" matches both.
+// "camera/front/raw", and "camera/**" matches both. Every string has at
+// least one segment: "" is one empty segment, "a/" two.
+//
+// The segments are walked in place, so matching allocates nothing; it
+// runs once per subscriber per published event.
 func MatchTopic(pattern, topic string) bool {
-	return matchSegs(strings.Split(pattern, "/"), strings.Split(topic, "/"))
+	return matchSegs(pattern, topic, true)
 }
 
-func matchSegs(p, t []string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case "**":
-			if len(p) == 1 {
+// matchSegs matches the segments of p against those of t. p always has at
+// least one segment; t has none when more is false.
+func matchSegs(p, t string, more bool) bool {
+	for {
+		seg, prest, pmore := strings.Cut(p, "/")
+		if seg == "**" {
+			if !pmore {
 				return true
 			}
-			for i := 0; i <= len(t); i++ {
-				if matchSegs(p[1:], t[i:]) {
+			// Let "**" take zero segments, then one more each round.
+			for {
+				if matchSegs(prest, t, more) {
 					return true
 				}
-			}
-			return false
-		case "*":
-			if len(t) == 0 {
-				return false
-			}
-		default:
-			if len(t) == 0 || p[0] != t[0] {
-				return false
+				if !more {
+					return false
+				}
+				_, t, more = strings.Cut(t, "/")
 			}
 		}
-		p, t = p[1:], t[1:]
+		if !more {
+			return false
+		}
+		tseg, trest, tmore := strings.Cut(t, "/")
+		if seg != "*" && seg != tseg {
+			return false
+		}
+		if !pmore {
+			return !tmore
+		}
+		p, t, more = prest, trest, tmore
 	}
-	return len(t) == 0
 }

@@ -593,7 +593,10 @@ type Subscriber struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	box  []Event
+	// box is the outbox. It keeps its array once grown to the subscriber's
+	// working depth; Pop and RemoveAt zero the slot they vacate, so a
+	// delivered or evicted event is never pinned by it.
+	box sim.Ring[Event]
 	// degraded forces coalescing (keyed events) or 1-in-SampleEvery
 	// sampling (un-keyed) regardless of the configured policy.
 	degraded bool
@@ -658,7 +661,7 @@ func (s *Subscriber) offer(ev Event) (drop dropRecord, lag *lagRecord) {
 	at := ev.Published
 	s.mu.Lock()
 	defer func() {
-		depth := len(s.box)
+		depth := s.box.Len()
 		s.mu.Unlock()
 		s.gDepth.Set(float64(depth))
 	}()
@@ -675,18 +678,17 @@ func (s *Subscriber) offer(ev Event) (drop dropRecord, lag *lagRecord) {
 		}
 	}
 	if (s.cfg.Policy == CoalesceByKey || degraded) && ev.Key != "" {
-		for i := len(s.box) - 1; i >= 0; i-- {
-			if s.box[i].Key == ev.Key && s.box[i].Topic == ev.Topic {
-				old := s.box[i]
-				s.box[i] = ev
+		for i := s.box.Len() - 1; i >= 0; i-- {
+			if old := s.box.At(i); old.Key == ev.Key && old.Topic == ev.Topic {
+				s.box.Set(i, ev)
 				return s.settle(old, outcomeCoalesced, at), s.lagTransition(at)
 			}
 		}
 	}
-	if len(s.box) >= s.cfg.Outbox {
+	if s.box.Len() >= s.cfg.Outbox {
 		switch s.cfg.Policy {
 		case Block:
-			for len(s.box) >= s.cfg.Outbox && !s.closed {
+			for s.box.Len() >= s.cfg.Outbox && !s.closed {
 				s.cond.Wait()
 			}
 			if s.closed {
@@ -695,10 +697,10 @@ func (s *Subscriber) offer(ev Event) (drop dropRecord, lag *lagRecord) {
 		case DropNewest:
 			return s.settle(ev, outcomeOverflow, at), nil
 		default: // DropOldest, and CoalesceByKey with no queued key match
-			drop = s.settle(s.dropHead(), outcomeOverflow, at)
+			drop = s.settle(s.box.Pop(), outcomeOverflow, at)
 		}
 	}
-	s.box = append(s.box, ev)
+	s.box.Push(ev)
 	s.cond.Broadcast()
 	return drop, s.lagTransition(at)
 }
@@ -721,7 +723,7 @@ func (s *Subscriber) settle(ev Event, o outcome, at sim.Time) dropRecord {
 	}
 	return dropRecord{
 		sub: s.cfg.Name, topic: ev.Topic, seq: ev.Seq,
-		reason: outcomeNames[o], policy: s.cfg.Policy, depth: len(s.box), at: at,
+		reason: outcomeNames[o], policy: s.cfg.Policy, depth: s.box.Len(), at: at,
 	}
 }
 
@@ -736,11 +738,11 @@ func (s *Subscriber) leave() []dropRecord {
 	s.closed = true
 	s.cond.Broadcast()
 	at := s.ch.Now()
-	drops := make([]dropRecord, 0, len(s.box))
-	for _, ev := range s.box {
-		drops = append(drops, s.settle(ev, outcomeClosed, at))
+	drops := make([]dropRecord, 0, s.box.Len())
+	for i := 0; i < s.box.Len(); i++ {
+		drops = append(drops, s.settle(s.box.At(i), outcomeClosed, at))
 	}
-	s.box = nil
+	s.box = sim.Ring[Event]{}
 	for o, n := range s.n {
 		s.ch.left[o].Add(n)
 	}
@@ -750,7 +752,7 @@ func (s *Subscriber) leave() []dropRecord {
 
 // lagTransition updates the lag mark from the current depth; lock held.
 func (s *Subscriber) lagTransition(at sim.Time) *lagRecord {
-	depth := len(s.box)
+	depth := s.box.Len()
 	if !s.lagging && depth >= s.lagHigh() || s.lagging && depth <= s.lagLow() {
 		s.lagging = !s.lagging
 		return &lagRecord{sub: s.cfg.Name, depth: depth, outbox: s.cfg.Outbox, lagging: s.lagging, at: at}
@@ -763,7 +765,7 @@ func (s *Subscriber) lagTransition(at sim.Time) *lagRecord {
 // (directly or via PumpAll); async channels pump themselves.
 func (s *Subscriber) PumpOne() bool {
 	s.mu.Lock()
-	if len(s.box) == 0 {
+	if s.box.Len() == 0 {
 		s.mu.Unlock()
 		return false
 	}
@@ -773,26 +775,13 @@ func (s *Subscriber) PumpOne() bool {
 	return true
 }
 
-// dropHead removes and returns the oldest queued event, clearing its
-// slot so the outbox's backing array stops pinning the payload;
-// subscriber lock held.
-func (s *Subscriber) dropHead() Event {
-	ev := s.box[0]
-	s.box[0] = Event{}
-	s.box = s.box[1:]
-	return ev
-}
-
 // popLocked removes the head event for delivery; subscriber lock held.
 func (s *Subscriber) popLocked() (Event, *lagRecord, int) {
-	ev := s.dropHead()
-	if len(s.box) == 0 {
-		s.box = nil // reset backing array so it can be collected
-	}
+	ev := s.box.Pop()
 	at := s.ch.Now()
 	s.settle(ev, outcomeDelivered, at)
 	s.cond.Broadcast() // wake Block publishers waiting for space
-	return ev, s.lagTransition(at), len(s.box)
+	return ev, s.lagTransition(at), s.box.Len()
 }
 
 // deliver invokes the consumer callback and records the fan-out
@@ -818,10 +807,10 @@ func (s *Subscriber) run() {
 	defer s.ch.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.box) == 0 && !s.closed {
+		for s.box.Len() == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.box) == 0 && s.closed {
+		if s.box.Len() == 0 && s.closed {
 			s.mu.Unlock()
 			return
 		}
@@ -842,7 +831,7 @@ func (s *Subscriber) Stats() SubSnapshot {
 		MinPriority: s.cfg.MinPriority,
 		Policy:      s.cfg.Policy.String(),
 		Outbox:      s.cfg.Outbox,
-		Depth:       len(s.box),
+		Depth:       s.box.Len(),
 		Offered:     s.offered,
 		Delivered:   s.n[outcomeDelivered],
 		Dropped:     s.n[outcomeOverflow] + s.n[outcomeCoalesced] + s.n[outcomeSampled] + s.n[outcomeClosed],

@@ -271,3 +271,51 @@ func TestRingOrderAndRemoveAt(t *testing.T) {
 		t.Fatalf("a ring that never held more than 40 items grew to %d slots", len(r.buf))
 	}
 }
+
+// TestRingReleasesVacatedSlots: Pop and RemoveAt zero the slot they vacate
+// and Set overwrites in place, so a ring that keeps its array holds
+// exactly its live items and never pins one it gave back — a pub/sub
+// outbox's delivered and evicted events among them.
+func TestRingReleasesVacatedSlots(t *testing.T) {
+	var r Ring[*int]
+	var want []*int
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5_000; i++ {
+		switch op := rng.Intn(8); {
+		case len(want) == 0 || (len(want) < 20 && op < 4):
+			v := i
+			r.Push(&v)
+			want = append(want, &v)
+		case op == 4:
+			j := rng.Intn(len(want))
+			v := -i
+			r.Set(j, &v)
+			want[j] = &v
+		case op == 5:
+			j := rng.Intn(len(want))
+			if got := r.RemoveAt(j); got != want[j] {
+				t.Fatalf("RemoveAt(%d) = %p, want %p", j, got, want[j])
+			}
+			want = slices.Delete(want, j, j+1)
+		default:
+			if got := r.Pop(); got != want[0] {
+				t.Fatalf("Pop() = %p, want %p", got, want[0])
+			}
+			want = want[1:]
+		}
+		held := 0
+		for _, p := range r.buf {
+			if p != nil {
+				held++
+			}
+		}
+		if held != len(want) {
+			t.Fatalf("step %d: the array holds %d items, the ring %d: a vacated slot still pins its item", i, held, len(want))
+		}
+		for j, p := range want {
+			if r.At(j) != p {
+				t.Fatalf("step %d: At(%d) = %p, want %p", i, j, r.At(j), p)
+			}
+		}
+	}
+}

@@ -29,6 +29,9 @@ func (r *Ring[T]) Push(v T) {
 // At returns the i-th item from the head, 0 <= i < Len.
 func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
+// Set replaces the i-th item from the head, 0 <= i < Len.
+func (r *Ring[T]) Set(i int, v T) { r.buf[(r.head+i)&(len(r.buf)-1)] = v }
+
 // Pop removes and returns the head item; the ring must not be empty.
 func (r *Ring[T]) Pop() T { return r.RemoveAt(0) }
 

@@ -4,9 +4,15 @@ package wire
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/cdr"
+	"repro/internal/giop"
+	"repro/internal/pubsub"
 )
 
 // echoCost runs n closed-loop echoes of body and returns what one cost the
@@ -74,5 +80,95 @@ func TestAllocBudgetEcho(t *testing.T) {
 	}
 	if news != 0 || framesReleased.Load() != released {
 		t.Errorf("64 B echoes touched the frame pool: %d buffers made, %d frames released", news, framesReleased.Load()-released)
+	}
+}
+
+// pushRequest is a push invocation as the consumer's server hands it to
+// the handler, carrying the event context of (topic, key, seq).
+func pushRequest(topic, key string, seq uint64) *Request {
+	return &Request{
+		Operation: "push",
+		Body:      []byte("payload"),
+		Contexts:  []giop.ServiceContext{giop.EventContext(topic, key, seq, EFPriority, 1, cdr.LittleEndian)},
+	}
+}
+
+// TestAllocBudgetEventNames pins what decoding a push's event descriptor
+// costs the consumer's handler: a topic and key it saw on the previous
+// push are reused, so the same names again allocate nothing; names that
+// change on every push cost at most two strings each, as decoding them
+// always did.
+func TestAllocBudgetEventNames(t *testing.T) {
+	var got pubsub.Event
+	h := ConsumerHandler(func(ev pubsub.Event) { got = ev })
+	serve := func(req *Request) {
+		if _, err := h(req); err != nil {
+			t.Fatalf("push: %v", err)
+		}
+	}
+	a := pushRequest("camera/front", "cam0", 1)
+	b := pushRequest("telemetry/engine/left", "sensor-7", 2)
+
+	serve(a)
+	if allocs := testing.AllocsPerRun(500, func() { serve(a) }); allocs != 0 {
+		t.Errorf("a push repeating the last topic and key allocates %v times, want 0", allocs)
+	}
+	if got.Topic != "camera/front" || got.Key != "cam0" || got.Seq != 1 {
+		t.Errorf("handler saw %q/%q seq %d, want camera/front/cam0 seq 1", got.Topic, got.Key, got.Seq)
+	}
+	var next *Request
+	alternate := func() {
+		if next == a {
+			next = b
+		} else {
+			next = a
+		}
+		serve(next)
+	}
+	if allocs := testing.AllocsPerRun(500, alternate); allocs > 2 {
+		t.Errorf("pushes alternating two topics and keys allocate %v times each, want at most 2", allocs)
+	}
+	if want := map[*Request]string{a: "camera/front", b: "telemetry/engine/left"}[next]; got.Topic != want {
+		t.Errorf("after alternating, handler saw topic %q, want %q", got.Topic, want)
+	}
+}
+
+// TestAllocBudgetPush pins a ChannelHost subscription's push: encoding the
+// event context into the subscription's reused buffers allocates nothing,
+// so the push costs exactly a oneway Invoke with that context.
+func TestAllocBudgetPush(t *testing.T) {
+	leakCheck(t)
+	cli, err := NewClient(ClientConfig{Addr: "pipe", Bands: pushBands, Dial: func() (net.Conn, error) {
+		cliEnd, srvEnd := net.Pipe()
+		go func() {
+			defer srvEnd.Close()
+			_, _ = io.Copy(io.Discard, srvEnd) // ends when the client closes its end
+		}()
+		return cliEnd, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+
+	ev := pubsub.Event{Topic: "camera/front", Key: "cam0", Priority: EFPriority, Seq: 7, Payload: make([]byte, 64)}
+	ctxs := []giop.ServiceContext{giop.EventContext(ev.Topic, ev.Key, ev.Seq, ev.Priority, 0, cdr.LittleEndian)}
+	invoke := func() {
+		if _, err := cli.Invoke("consumer/a", "push", ev.Payload, CallOptions{Priority: ev.Priority, Oneway: true, contexts: ctxs}); err != nil {
+			t.Fatalf("oneway Invoke: %v", err)
+		}
+	}
+	var buf pushBuf
+	push := func() {
+		ev.Seq++
+		buf.push(cli, "consumer/a", ev, CallOptions{Oneway: true}, nil)
+	}
+	invoke()
+	push()
+	base := testing.AllocsPerRun(1000, invoke)
+	pushed := testing.AllocsPerRun(1000, push)
+	t.Logf("oneway Invoke %.0f allocations, subscription push %.0f", base, pushed)
+	if pushed > base {
+		t.Errorf("a subscription's push allocates %v times, a oneway Invoke %v: the push adds its own", pushed, base)
 	}
 }

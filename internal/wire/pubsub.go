@@ -132,6 +132,8 @@ var pushBands = []int16{0, EFPriority}
 type ChannelHost struct {
 	ch  *pubsub.Channel
 	cfg ChannelHostConfig
+	// names reuses the topic and key strings of consecutive publishes.
+	names eventNames
 
 	mu      sync.Mutex
 	pushers map[string]*Client
@@ -165,20 +167,11 @@ func (h *ChannelHost) Dispatch(req *Request) ([]byte, error) {
 }
 
 func (h *ChannelHost) publish(req *Request) ([]byte, error) {
+	ev, exc := h.names.event(req)
+	if exc != nil {
+		return nil, exc
+	}
 	req.Retain()
-	ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
-	data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext)
-	if !ok {
-		return nil, &Exception{ID: giop.ExcBadParam, Minor: 1}
-	}
-	topic, key, _, prio, _, err := giop.ParseEventContext(data)
-	if err != nil {
-		return nil, &Exception{ID: giop.ExcBadParam, Minor: 2}
-	}
-	ev.Topic, ev.Key = topic, key
-	if prio != 0 {
-		ev.Priority = prio
-	}
 	if err := h.ch.PublishCtx(ev, req.TraceCtx); err != nil {
 		if errors.Is(err, pubsub.ErrSaturated) {
 			// The same refusal lane admission uses: a TRANSIENT shed,
@@ -206,6 +199,9 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 		return nil, &Exception{ID: giop.ExcTransient, Minor: 1}
 	}
 	key, tracer := sp.ConsumerKey, h.cfg.Tracer
+	// The subscriber's pump goroutine is the only caller of Deliver, one
+	// event at a time, so its pushes can share one encoding buffer.
+	var buf pushBuf
 	_, err = h.ch.Subscribe(pubsub.SubscriberConfig{
 		Name:        sp.Name,
 		Topic:       sp.Topic,
@@ -215,7 +211,7 @@ func (h *ChannelHost) subscribe(req *Request) ([]byte, error) {
 		Policy:      sp.Policy,
 		SampleEvery: int(sp.SampleEvery),
 		Deliver: func(ev pubsub.Event) {
-			PushEvent(cli, key, ev, CallOptions{Oneway: true}, tracer)
+			buf.push(cli, key, ev, CallOptions{Oneway: true}, tracer)
 		},
 	})
 	if err != nil {
@@ -312,9 +308,26 @@ func (h *ChannelHost) Close() {
 // event's own (selecting band and lane). Push errors are swallowed —
 // delivery QoS is the outbox policy's job, not the transport's.
 func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, tracer *Tracer) {
+	var buf pushBuf
+	buf.push(inv, key, ev, opts, tracer)
+}
+
+// pushBuf holds a push's event context between pushes: a ChannelHost
+// subscription keeps one and re-encodes each event into it. That is safe
+// because one subscriber's pushes run one at a time on its pump goroutine,
+// and Invoke has marshalled the contexts into its frame before it
+// returns.
+type pushBuf struct {
+	data []byte
+	ctxs [1]giop.ServiceContext
+}
+
+// push is PushEvent on b's buffers. opts carries no contexts of its own.
+func (b *pushBuf) push(inv Invoker, key string, ev pubsub.Event, opts CallOptions, tracer *Tracer) {
 	opts.Priority = ev.Priority
-	opts.contexts = append(opts.contexts,
-		giop.EventContext(ev.Topic, ev.Key, ev.Seq, ev.Priority, int64(ev.Published), cdr.LittleEndian))
+	b.data = giop.AppendEventContext(b.data[:0], ev.Topic, ev.Key, ev.Seq, ev.Priority, int64(ev.Published), cdr.LittleEndian)
+	b.ctxs[0] = giop.ServiceContext{ID: giop.ServiceEventContext, Data: b.data}
+	opts.contexts = b.ctxs[:]
 	_, err := inv.Invoke(key, "push", ev.Payload, opts)
 	if err != nil && tracer != nil {
 		// Record the failed push as a zero-length span so losses at the
@@ -324,9 +337,51 @@ func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, trace
 	}
 }
 
+// eventNames decodes a request's event descriptor and hands out its topic
+// and key as strings, reusing the last pair it made while the next
+// event's bytes match: a subscriber or a publisher usually sends one
+// topic and one key over and over. A miss makes the strings afresh, as
+// decoding always did. Lane workers share it, so a mutex guards the pair.
+type eventNames struct {
+	mu         sync.Mutex
+	topic, key string
+}
+
+// event builds the Event a push or publish carries, or the BAD_PARAM
+// exception for a request whose event context is missing (minor 1) or
+// malformed (minor 2). The payload is req.Body, which the caller must
+// retain if it keeps the event.
+func (n *eventNames) event(req *Request) (pubsub.Event, *Exception) {
+	data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext)
+	if !ok {
+		return pubsub.Event{}, &Exception{ID: giop.ExcBadParam, Minor: 1}
+	}
+	topic, key, seq, prio, published, err := giop.ParseEventContextView(data)
+	if err != nil {
+		return pubsub.Event{}, &Exception{ID: giop.ExcBadParam, Minor: 2}
+	}
+	ev := pubsub.Event{Payload: req.Body, Priority: req.Priority, Seq: seq, Published: sim.Time(published)}
+	if prio != 0 {
+		ev.Priority = prio
+	}
+	n.mu.Lock()
+	// string(b) == s compiles to a comparison, not a conversion.
+	if string(topic) != n.topic {
+		n.topic = string(topic)
+	}
+	if string(key) != n.key {
+		n.key = string(key)
+	}
+	ev.Topic, ev.Key = n.topic, n.key
+	n.mu.Unlock()
+	return ev, nil
+}
+
 // ConsumerHandler adapts an event callback into the wire Handler a
 // consumer registers under its ConsumerKey: it reconstructs the Event
-// from the push invocation and hands it over.
+// from the push invocation and hands it over. A push without a
+// well-formed event context is refused with BAD_PARAM, as the channel
+// host refuses such a publish, and fn never sees it.
 //
 // Ordering: the channel pushes one subscriber's events in publish order
 // over one connection, but pushes are oneway, so a lane with several
@@ -337,20 +392,16 @@ func PushEvent(inv Invoker, key string, ev pubsub.Event, opts CallOptions, trace
 // The event's Payload is req.Body and fn may keep it past Dispatch's
 // return, so the handler calls req.Retain.
 func ConsumerHandler(fn func(ev pubsub.Event)) HandlerFunc {
+	var names eventNames
 	return func(req *Request) ([]byte, error) {
 		if req.Operation != "push" {
 			return nil, &Exception{ID: giop.ExcBadOperation, Minor: 2}
 		}
-		req.Retain()
-		ev := pubsub.Event{Payload: req.Body, Priority: req.Priority}
-		if data, ok := giop.FindContext(req.Contexts, giop.ServiceEventContext); ok {
-			if topic, key, seq, prio, published, err := giop.ParseEventContext(data); err == nil {
-				ev.Topic, ev.Key, ev.Seq, ev.Published = topic, key, seq, sim.Time(published)
-				if prio != 0 {
-					ev.Priority = prio
-				}
-			}
+		ev, exc := names.event(req)
+		if exc != nil {
+			return nil, exc
 		}
+		req.Retain()
 		fn(ev)
 		return nil, nil
 	}

@@ -292,3 +292,128 @@ func TestSubscribeSpecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPubSubPushOwnership: each subscription's pushes share one encoding
+// buffer, and the consumer reuses the names of the previous push. Events
+// alternate long and short topics and keys, queue up behind a consumer
+// that is not reading yet, and then go out back to back on two
+// subscriptions at once. The consumer must see each event's exact
+// descriptor, which fails if a buffer is overwritten before its frame is
+// out or a reused name leaks into the next event; under -race it also
+// fails if two subscriptions' pumps touch one buffer.
+func TestPubSubPushOwnership(t *testing.T) {
+	const n, subs = 48, 2
+	topics := []string{"camera/front/left/raw/full-resolution/frames", "c"}
+	keys := []string{"a-rather-long-coalescing-key-for-stream-zero", ""}
+	want := func(i int) (topic, key string) { return topics[i%2], keys[i/2%2] }
+	ch := pubsub.New(pubsub.ChannelConfig{Name: "own", Async: true})
+	gate := make(chan struct{})
+	got := make(chan pubsub.Event, n*subs)
+	cli, _ := pubsubLoopbackGated(t, ch, func(ev pubsub.Event) { got <- ev }, gate)
+	for s := 0; s < subs; s++ {
+		err := SubscribeRemote(cli, "pubsub/chan", SubscribeSpec{
+			Name: fmt.Sprint("s", s), Addr: "consumer", ConsumerKey: "consumer/a",
+			Topic: "**", Priority: EFPriority, Outbox: n, Policy: pubsub.DropNewest,
+		}, CallOptions{Timeout: time.Second})
+		if err != nil {
+			t.Fatalf("SubscribeRemote: %v", err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		topic, key := want(i)
+		ev := pubsub.Event{Topic: topic, Key: key, Priority: EFPriority, Payload: []byte{byte(i)}}
+		if err := PublishRemote(cli, "pubsub/chan", ev, CallOptions{Timeout: time.Second}); err != nil {
+			t.Fatalf("PublishRemote %d: %v", i, err)
+		}
+	}
+	close(gate)
+	var seen [n]int
+	for k := 0; k < n*subs; k++ {
+		select {
+		case ev := <-got:
+			if len(ev.Payload) != 1 || int(ev.Payload[0]) >= n {
+				t.Fatalf("a push carried payload %v", ev.Payload)
+			}
+			i := int(ev.Payload[0])
+			seen[i]++
+			if topic, key := want(i); ev.Topic != topic || ev.Key != key || ev.Seq != uint64(i+1) || ev.Priority != EFPriority {
+				t.Fatalf("event %d arrived as topic %q key %q seq %d priority %d, want %q %q %d %d",
+					i, ev.Topic, ev.Key, ev.Seq, ev.Priority, topic, key, i+1, EFPriority)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("push %d of %d never arrived", k, n*subs)
+		}
+	}
+	for i, c := range seen {
+		if c != subs {
+			t.Errorf("event %d arrived %d times, want once per subscription (%d)", i, c, subs)
+		}
+	}
+}
+
+// TestEventNameOwnershipAcrossWorkers: a lane's workers share one
+// handler's event names. Goroutines decoding different topics and keys at
+// once must each get their own request's names.
+func TestEventNameOwnershipAcrossWorkers(t *testing.T) {
+	var names eventNames
+	reqs := []*Request{
+		{Contexts: []giop.ServiceContext{giop.EventContext("camera/front/left/raw", "cam0", 1, 0, 0, cdr.LittleEndian)}},
+		{Contexts: []giop.ServiceContext{giop.EventContext("c", "", 2, 0, 0, cdr.BigEndian)}},
+		{Contexts: []giop.ServiceContext{giop.EventContext("telemetry/engine", "a-much-longer-key", 3, 0, 0, cdr.LittleEndian)}},
+	}
+	want := []struct{ topic, key string }{{"camera/front/left/raw", "cam0"}, {"c", ""}, {"telemetry/engine", "a-much-longer-key"}}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				j := (w + i) % len(reqs)
+				ev, exc := names.event(reqs[j])
+				if exc != nil || ev.Topic != want[j].topic || ev.Key != want[j].key || ev.Seq != uint64(j+1) {
+					t.Errorf("worker %d: request %d decoded as %q/%q seq %d (%v), want %q/%q seq %d",
+						w, j, ev.Topic, ev.Key, ev.Seq, exc, want[j].topic, want[j].key, j+1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestConsumerRefusesMalformedPush: a push whose event context is missing
+// or malformed is refused with BAD_PARAM (minor 1 and 2, as the channel
+// host refuses such a publish), and the callback never sees it.
+func TestConsumerRefusesMalformedPush(t *testing.T) {
+	srv, cli := loopback(t, ServerConfig{}, ClientConfig{})
+	got := make(chan pubsub.Event, 4)
+	srv.Register("consumer/a", ConsumerHandler(func(ev pubsub.Event) { got <- ev }))
+	good := giop.EventContext("camera/front", "cam0", 1, EFPriority, 1, cdr.LittleEndian)
+	for _, tc := range []struct {
+		name  string
+		ctxs  []giop.ServiceContext
+		minor uint32
+	}{
+		{"missing", nil, 1},
+		{"empty", []giop.ServiceContext{{ID: giop.ServiceEventContext}}, 2},
+		{"truncated", []giop.ServiceContext{{ID: giop.ServiceEventContext, Data: good.Data[:len(good.Data)-3]}}, 2},
+	} {
+		// Two-way, so the refusal comes back to the test.
+		_, err := cli.Invoke("consumer/a", "push", []byte("x"), CallOptions{Priority: EFPriority, Timeout: time.Second, contexts: tc.ctxs})
+		var exc *Exception
+		if !errors.As(err, &exc) || exc.ID != giop.ExcBadParam || exc.Minor != tc.minor {
+			t.Errorf("%s event context: push returned %v, want BAD_PARAM minor %d", tc.name, err, tc.minor)
+		}
+	}
+	if _, err := cli.Invoke("consumer/a", "push", []byte("x"), CallOptions{Priority: EFPriority, Timeout: time.Second, contexts: []giop.ServiceContext{good}}); err != nil {
+		t.Fatalf("well-formed push: %v", err)
+	}
+	// Each push was answered before the next was sent, so the one event
+	// the callback has seen must be the well-formed one.
+	if ev := <-got; ev.Topic != "camera/front" || ev.Key != "cam0" || ev.Seq != 1 {
+		t.Errorf("callback saw %q/%q seq %d, want the well-formed push", ev.Topic, ev.Key, ev.Seq)
+	}
+	if len(got) != 0 {
+		t.Errorf("the callback saw %d more events: malformed pushes reached it", len(got))
+	}
+}
