@@ -9,10 +9,13 @@
 // -duration scales the measured portion of each experiment; the default
 // 0 selects each experiment's paper-scale length (30s for the DiffServ
 // figures, 300s for the reservation runs, 40 images for Table 2).
-// -series additionally dumps raw latency time series (the figures' line
-// data) for the priority experiments. -json writes one BENCH_<name>.json
-// per measured experiment with per-scenario latency percentiles and
-// throughput, for machine consumption (regression tracking, plotting).
+// -run ablations runs each mechanism DESIGN.md §5 names with and
+// without it and checks the benefit it must show; like -run verify it
+// exits 1 when a claim fails. -series additionally dumps raw latency
+// time series (the figures' line data) for the priority experiments.
+// -json writes one BENCH_<name>.json per measured experiment with
+// per-scenario latency percentiles and throughput, for machine
+// consumption (regression tracking, plotting).
 package main
 
 import (
@@ -133,7 +136,7 @@ func main() {
 		ran++
 	}
 	if want("ablations") {
-		fmt.Println(experiments.RenderAblations(experiments.RunAblations(opt)))
+		printChecks("Mechanism ablations (each mechanism with vs without)", experiments.Ablations(opt))
 		ran++
 	}
 	// "wire" is explicit-only (not part of -run all): it opens real
@@ -202,13 +205,7 @@ func main() {
 		ran++
 	}
 	if *run == "verify" {
-		checks := experiments.Verify(opt)
-		fmt.Println(experiments.RenderChecks(checks))
-		for _, c := range checks {
-			if !c.OK {
-				os.Exit(1)
-			}
-		}
+		printChecks("Reproduction self-check (paper claims vs this run)", experiments.Verify(opt))
 		ran++
 	}
 
@@ -218,6 +215,17 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("qosbench: %d experiment(s) in %v wall time\n", ran, time.Since(start).Round(time.Millisecond))
+}
+
+// printChecks prints checks as a table under title and exits 1 if any
+// claim failed.
+func printChecks(title string, checks []experiments.Check) {
+	fmt.Println(experiments.RenderChecks(title, checks))
+	for _, c := range checks {
+		if !c.OK {
+			os.Exit(1)
+		}
+	}
 }
 
 // dumpSeries prints latency series either as CSV or gnuplot-style text.

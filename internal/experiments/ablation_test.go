@@ -1,99 +1,39 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-var ablOpt = Options{Seed: 42, Duration: 10 * time.Second}
+// ablationChecks runs the mechanism claims once, at the options
+// testdata/ablations_seed42_10s.golden pins.
+var ablationChecks = sync.OnceValue(func() []Check {
+	return Ablations(Options{Seed: 42, Duration: 10 * time.Second})
+})
 
-func TestAblationDiffServVsFIFO(t *testing.T) {
-	p := AblationDiffServVsFIFO(ablOpt)
-	if p.With < 0.99 {
-		t.Errorf("EF over DiffServ delivered %.3f, want ~1.0", p.With)
+// claimHolds fails t unless the named mechanism's claim holds.
+func claimHolds(t *testing.T, mechanism string) {
+	t.Helper()
+	for _, c := range ablationChecks() {
+		if c.Experiment == mechanism {
+			if !c.OK {
+				t.Errorf("%s — %s: %s", c.Experiment, c.Claim, c.Detail)
+			}
+			return
+		}
 	}
-	if p.Without > 0.8 {
-		t.Errorf("EF over FIFO delivered %.3f, want heavy loss", p.Without)
-	}
+	t.Fatalf("no claim for %q", mechanism)
 }
 
-func TestAblationReservationVsMarking(t *testing.T) {
-	p := AblationReservationVsMarking(ablOpt)
-	if p.With < 0.99 {
-		t.Errorf("reserved flow delivered %.3f under EF overload, want ~1.0", p.With)
-	}
-	if p.Without > 0.8 {
-		t.Errorf("marking-only flow delivered %.3f under EF overload, want heavy loss", p.Without)
-	}
+func TestAblationDiffServVsFIFO(t *testing.T)       { claimHolds(t, "DiffServ EF vs FIFO") }
+func TestAblationReservationVsMarking(t *testing.T) { claimHolds(t, "IntServ vs DSCP-only") }
+func TestAblationPriorityInheritance(t *testing.T)  { claimHolds(t, "priority inheritance") }
+func TestAblationEnforcementPolicy(t *testing.T)    { claimHolds(t, "hard vs soft enforcement") }
+func TestAblationThreadPoolLanes(t *testing.T)      { claimHolds(t, "thread-pool lanes") }
+func TestAblationFilterPlacement(t *testing.T)      { claimHolds(t, "filter at sender vs distributor") }
+func TestAblationCollocation(t *testing.T)          { claimHolds(t, "collocation") }
+func TestAblationPriorityDrivenReservations(t *testing.T) {
+	claimHolds(t, "priority-driven reservations")
 }
-
-func TestAblationPriorityInheritance(t *testing.T) {
-	p := AblationPriorityInheritance(ablOpt)
-	// With PI the wait is bounded by the critical section (~20 ms);
-	// without it the hog's full 500 ms stands in the way.
-	if p.With > 0.030 {
-		t.Errorf("PI wait %.3fs, want <= critical section", p.With)
-	}
-	if p.Without < 0.4 {
-		t.Errorf("no-PI wait %.3fs, want inversion behind the hog", p.Without)
-	}
-}
-
-func TestAblationEnforcementPolicy(t *testing.T) {
-	p := AblationEnforcementPolicy(ablOpt)
-	// Hard enforcement caps the greedy task at 20% of the CPU, so the
-	// victim finishes early; soft enforcement lets the overrun compete.
-	if p.With >= p.Without {
-		t.Errorf("hard enforcement (%.3fs) not better for the victim than soft (%.3fs)", p.With, p.Without)
-	}
-	if p.With > 0.5 {
-		t.Errorf("victim took %.3fs under hard enforcement", p.With)
-	}
-}
-
-func TestAblationThreadPoolLanes(t *testing.T) {
-	p := AblationThreadPoolLanes(ablOpt)
-	if p.With > 0.005 {
-		t.Errorf("laned dispatch latency %.4fs, want immediate", p.With)
-	}
-	if p.Without < 0.05 {
-		t.Errorf("shared-lane dispatch latency %.4fs, want queued behind the flood", p.Without)
-	}
-}
-
-func TestAblationFilterPlacement(t *testing.T) {
-	p := AblationFilterPlacement(ablOpt)
-	if p.With < 0.9 {
-		t.Errorf("sender-side filtering delivered %.3f of I-frames, want ~1.0", p.With)
-	}
-	if p.Without > 0.7*p.With {
-		t.Errorf("distributor-side filtering (%.3f) should clearly trail sender-side (%.3f)", p.Without, p.With)
-	}
-}
-
-func TestAblationCollocation(t *testing.T) {
-	p := AblationCollocation(ablOpt)
-	if p.With >= p.Without {
-		t.Errorf("collocated RTT %.6fs not below loopback RTT %.6fs", p.With, p.Without)
-	}
-}
-
-func TestRunAblationsRenders(t *testing.T) {
-	out := RenderAblations(RunAblations(ablOpt))
-	if len(out) == 0 {
-		t.Fatal("empty render")
-	}
-}
-
-func TestAblationAdaptiveDSCP(t *testing.T) {
-	p := AblationAdaptiveDSCP(ablOpt)
-	if p.With < 0.85 {
-		t.Errorf("adaptive promotion delivered %.3f, want most frames", p.With)
-	}
-	if p.Without > 0.75 {
-		t.Errorf("unpromoted stream delivered %.3f, want heavy congestion loss", p.Without)
-	}
-	if p.With < p.Without+0.15 {
-		t.Errorf("promotion gain too small: %.3f vs %.3f", p.With, p.Without)
-	}
-}
+func TestAblationAdaptiveDSCP(t *testing.T) { claimHolds(t, "adaptive DSCP promotion") }

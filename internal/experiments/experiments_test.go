@@ -293,7 +293,7 @@ func TestVerifyAllClaimsPass(t *testing.T) {
 			t.Errorf("%s — %s: %s", c.Experiment, c.Claim, c.Detail)
 		}
 	}
-	out := RenderChecks(checks)
+	out := RenderChecks("paper claims", checks)
 	if !strings.Contains(out, "claims reproduced") {
 		t.Fatal("render missing verdict")
 	}

@@ -146,10 +146,10 @@ func hopNatives(f Figure2Result) []int {
 	return out
 }
 
-// RenderChecks prints the audit as a table plus a verdict line.
-func RenderChecks(checks []Check) string {
-	tb := metrics.NewTable("Reproduction self-check (paper claims vs this run)",
-		"Experiment", "Claim", "Result", "Measured")
+// RenderChecks prints checks as a table under title plus a verdict
+// line.
+func RenderChecks(title string, checks []Check) string {
+	tb := metrics.NewTable(title, "Experiment", "Claim", "Result", "Measured")
 	pass := 0
 	for _, c := range checks {
 		verdict := "FAIL"

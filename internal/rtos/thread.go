@@ -109,8 +109,8 @@ type mutexWaiter struct {
 func NewMutex(h *Host) *Mutex { return &Mutex{host: h} }
 
 // NewMutexNoPI creates a mutex WITHOUT priority inheritance — the
-// classic inversion-prone lock, kept for ablation studies quantifying
-// what inheritance buys.
+// classic inversion-prone lock. It is the "without" side of the
+// priority-inheritance claim in experiments.Ablations.
 func NewMutexNoPI(h *Host) *Mutex { return &Mutex{host: h, noPI: true} }
 
 // Lock acquires the mutex for t, blocking while another thread holds it.
