@@ -103,12 +103,15 @@ func main() {
 	img := imgproc.Synthetic(400, 250, 11)
 	fmt.Printf("image: %dx%d PPM, %d bytes; detectors: Kirsch, Prewitt, Sobel\n\n", img.W, img.H, img.Bytes())
 
+	// Every request carries the same body: the image's dimensions ahead
+	// of its (opaque) pixels. Invoke copies it into the request frame,
+	// so one buffer serves every call.
+	e := cdr.NewEncoder(cdr.LittleEndian)
+	e.PutULong(uint32(img.W))
+	e.PutULong(uint32(img.H))
+	body := append(e.Bytes(), make([]byte, img.Bytes())...)
 	batch := func(t *rtos.Thread) {
 		for i := 0; i < imagesPerBatch; i++ {
-			e := cdr.NewEncoder(cdr.LittleEndian)
-			e.PutULong(uint32(img.W))
-			e.PutULong(uint32(img.H))
-			body := append(e.Bytes(), make([]byte, img.Bytes())...)
 			if _, err := cliORB.Invoke(t, procRef, "process", body); err != nil {
 				panic(err)
 			}

@@ -8,15 +8,23 @@ import (
 	"time"
 )
 
-// settledGoroutines reads runtime.NumGoroutine once exiting goroutines
-// have had a chance to finish exiting.
-func settledGoroutines(want int) int {
+// checkNoLeakedGoroutines fails t if more goroutines run than before,
+// once exiting ones have had up to 3 s to finish, and dumps every stack.
+// Fewer is no failure: a goroutine counted in before, one an earlier
+// test started that was still on its way out, may exit meanwhile, and a
+// leak never makes the count fall.
+func checkNoLeakedGoroutines(t *testing.T, before int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
 	n := runtime.NumGoroutine()
-	for i := 0; i < 100 && n > want; i++ {
+	for n > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
 	}
-	return n
+	if n > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("goroutine leak: %d goroutines %s, %d before\n%s", n, when, before, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // No process outlives the scenario that spawned it: every public runner
@@ -42,11 +50,7 @@ func TestLifecycleRunnersReleaseProcesses(t *testing.T) {
 	for _, r := range runners {
 		before := runtime.NumGoroutine()
 		r.run()
-		// Only an excess is a leak: a goroutine counted in before may
-		// exit during the run (seen under -race).
-		if n := settledGoroutines(before); n > before {
-			t.Errorf("%s: %d goroutines after it returned, %d before", r.name, n, before)
-		}
+		checkNoLeakedGoroutines(t, before, "after "+r.name+" returned")
 	}
 }
 

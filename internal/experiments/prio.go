@@ -118,11 +118,13 @@ func runPriorityCase(cfg prioConfig) PrioCaseResult {
 			gen := video.NewGenerator()
 			deadline := t.Now() + cfg.duration
 			next := t.Now()
+			// One body buffer for the whole stream: InvokeOneway copies
+			// it into the request frame, so it is free again once the
+			// call returns.
+			var body []byte
 			for t.Now() < deadline {
 				f := gen.Next()
-				// CDR frame descriptor followed by the (opaque) payload,
-				// padded to the frame's encoded size.
-				body := append(encodeFrameBody(f), make([]byte, f.Size)...)
+				body = frameBody(body, f)
 				if err := cliORB.InvokeOneway(t, ref, "frame", body); err != nil {
 					return
 				}
@@ -305,12 +307,22 @@ func RenderSeries(s *metrics.Series) string {
 	return b.String()
 }
 
-// encodeFrameBody is a tiny helper kept for symmetry with real stubs: it
-// CDR-encodes a frame descriptor ahead of the opaque payload.
-func encodeFrameBody(f video.Frame) []byte {
-	e := cdr.NewEncoder(cdr.LittleEndian)
+// frameDescSize is the CDR size of a frame descriptor: sequence number,
+// type and size.
+const frameDescSize = 8 + 4 + 4
+
+// frameBody lays out a frame's request body in buf's memory, growing it
+// if need be: the CDR frame descriptor ahead of the opaque payload,
+// padded with zeros to the frame's encoded size. Only the descriptor's
+// bytes are ever written, so the padding stays zero from the allocation.
+func frameBody(buf []byte, f video.Frame) []byte {
+	n := frameDescSize + f.Size
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	e := cdr.AppendEncoder(buf[:0], cdr.LittleEndian)
 	e.PutLongLong(f.Seq)
 	e.PutULong(uint32(f.Type))
 	e.PutULong(uint32(f.Size))
-	return e.Bytes()
+	return buf[:n]
 }

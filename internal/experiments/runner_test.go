@@ -49,9 +49,7 @@ func TestRunCasesOrderWidthAndExit(t *testing.T) {
 			} else if procs > 1 && p < 2 {
 				t.Errorf("cases never overlapped at GOMAXPROCS %d", procs)
 			}
-			if g := settledGoroutines(idle); g != idle {
-				t.Errorf("%d goroutines after runCases returned, %d before", g, idle)
-			}
+			checkNoLeakedGoroutines(t, idle, "after runCases returned")
 		})
 	}
 }
@@ -83,7 +81,5 @@ func TestRunCasesPanicNamesCase(t *testing.T) {
 	if n := finished.Load(); n != 3 {
 		t.Errorf("%d healthy cases finished before the panic surfaced, want 3", n)
 	}
-	if g := settledGoroutines(idle); g != idle {
-		t.Errorf("%d goroutines after the panic, %d before", g, idle)
-	}
+	checkNoLeakedGoroutines(t, idle, "after the panic")
 }

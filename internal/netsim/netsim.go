@@ -51,8 +51,9 @@ type Network struct {
 	tracer  *trace.Tracer
 	bus     *events.Bus
 
-	stats []*FlowStats // indexed by FlowID
-	free  []*Packet    // delivered or dropped, ready to carry the next send
+	stats  []*FlowStats // indexed by FlowID
+	free   []*Packet    // delivered or dropped, ready to carry the next send
+	frames [][]byte     // released message frames, ready for the next encode
 }
 
 // New creates an empty network on kernel k.
@@ -76,6 +77,36 @@ func (n *Network) recycle(p *Packet) {
 	*p = Packet{}
 	n.free = append(n.free, p)
 }
+
+// Frame returns an empty buffer to encode a large message into: the
+// most recently released frame, with that frame's capacity, or nil when
+// none is free (the encoder then allocates one). The network never
+// reads a frame's bytes; it keeps released frames only so that a case's
+// bulk messages cycle through a few buffers instead of allocating one
+// each (DESIGN §12 rule 1).
+func (n *Network) Frame() []byte {
+	last := len(n.frames) - 1
+	if last < 0 {
+		return nil
+	}
+	b := n.frames[last]
+	n.frames[last] = nil
+	n.frames = n.frames[:last]
+	return b[:0]
+}
+
+// ReleaseFrame gives frame back for Frame to hand out again. Nothing may
+// read or write its memory afterwards.
+func (n *Network) ReleaseFrame(frame []byte) {
+	if FrameReleaseHook != nil {
+		FrameReleaseHook(frame[:cap(frame)])
+	}
+	n.frames = append(n.frames, frame[:0])
+}
+
+// FrameReleaseHook, when a test sets it, sees every frame as it goes
+// back to a network's free list, before anything can reuse it.
+var FrameReleaseHook func(frame []byte)
 
 // Kernel returns the simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.k }

@@ -107,6 +107,10 @@ const (
 	backoffCap = 160 * time.Millisecond
 	// breakerCooldownCap bounds an open circuit's doubling cooldown.
 	breakerCooldownCap = 2 * time.Second
+	// largeBody is the request body size from which a request's frame is
+	// recycled through the network's free list (DESIGN §12 rule 1): a
+	// smaller frame is cheaper to allocate than to keep track of.
+	largeBody = 4 << 10
 )
 
 func (c *Config) defaults() {
@@ -349,7 +353,10 @@ type InvokeOptions struct {
 }
 
 // Invoke performs a synchronous CORBA invocation of op on ref from
-// thread t, returning the reply body.
+// thread t, returning the reply body. Nothing refers to body once the
+// call returns, so the caller may reuse it: every attempt copies it into
+// its request frame, and a collocated servant that may run after the
+// call returns gets a copy of its own.
 func (o *ORB) Invoke(t *rtos.Thread, ref *ObjectRef, op string, body []byte) ([]byte, error) {
 	return o.InvokeOpt(t, ref, op, body, InvokeOptions{Priority: -1})
 }
@@ -432,7 +439,15 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 		mspan = o.tracer.StartChild(info.TraceCtx, "request.marshal", trace.LayerORB)
 	}
 	t.Compute(o.msgCost(len(body)))
-	wire := req.Marshal(o.cfg.ByteOrder)
+	// A large request's frame comes from the network's free list, and
+	// the server gives it back once the request is settled (DESIGN §12
+	// rule 1) — bar an FT request's (extra carries its context), which
+	// the server keeps.
+	var frame []byte
+	if len(body) >= largeBody && len(extra) == 0 {
+		frame = o.ep.Frame()
+	}
+	wire := req.AppendTo(frame, o.cfg.ByteOrder)
 	if mspan != nil {
 		mspan.SetAttr(trace.Int("bytes", int64(len(wire))))
 		mspan.Finish()
@@ -561,6 +576,11 @@ func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byt
 	// A collocated call still costs a (small) constant: TAO's collocated
 	// stubs avoid (de)marshalling but not the dispatch machinery.
 	t.Compute(costFixed / 4)
+	if opts.Oneway || timeout > 0 {
+		// The call can return before the servant runs: the servant must
+		// not see the caller reuse body.
+		body = append([]byte(nil), body...)
+	}
 
 	done := sim.NewSignal()
 	var replyBody []byte

@@ -32,7 +32,11 @@ func (f ServantFunc) Dispatch(req *ServerRequest) ([]byte, error) { return f(req
 type ServerRequest struct {
 	// Op is the operation name from the GIOP request header.
 	Op string
-	// Body is the CDR-encoded argument stream.
+	// Body is the CDR-encoded argument stream. It is valid until Dispatch
+	// returns: a large request's Body is a view of a frame the ORB
+	// recycles once the request is settled. A servant that keeps Body
+	// past its return calls Retain first; returning it as the reply needs
+	// no Retain, since the reply is encoded before the frame goes back.
 	Body []byte
 	// Priority is the effective CORBA priority of this dispatch.
 	Priority rtcorba.Priority
@@ -53,10 +57,24 @@ type ServerRequest struct {
 	TraceCtx trace.SpanContext
 
 	dspan *trace.Span // open dispatch span owned by the ServerTracer
+	frame []byte      // the recycled frame Body views, nil if none
 }
 
 // Now returns the current virtual time.
 func (r *ServerRequest) Now() sim.Time { return r.Thread.Now() }
+
+// Retain makes Body the servant's to keep: the ORB leaves its frame to
+// the collector instead of recycling it.
+func (r *ServerRequest) Retain() { r.frame = nil }
+
+// release gives the request's frame back to the network's free list,
+// once: the request is settled.
+func (r *ServerRequest) release() {
+	if r.frame != nil {
+		r.ORB.ep.ReleaseFrame(r.frame)
+		r.frame = nil
+	}
+}
 
 // POAConfig configures a portable object adapter.
 type POAConfig struct {
@@ -167,7 +185,7 @@ func (o *ORB) serverReader(conn *transport.StreamConn, t *rtos.Thread) {
 		}
 		switch req := msg.(type) {
 		case *giop.Request:
-			o.dispatchRequest(conn, req, cancelled)
+			o.dispatchRequest(conn, req, m.Data, cancelled)
 		case *giop.LocateRequest:
 			status := giop.LocateUnknownObject
 			if _, _, ok := o.resolveKey(req.ObjectKey); ok {
@@ -206,14 +224,32 @@ func (o *ORB) sendReply(conn *transport.StreamConn, reqID uint32, tctx trace.Spa
 	conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: tctx})
 }
 
-// dispatchRequest demultiplexes a request to its servant and queues it on
-// the POA's thread pool.
-func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, cancelled map[uint32]bool) {
+// dispatchRequest demultiplexes a request, decoded in place from frame,
+// to its servant and queues it on the POA's thread pool.
+func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, frame []byte, cancelled map[uint32]bool) {
 	qos := giop.ParseRequestQoS(req.ServiceContexts)
 	// Even error replies (bad key, full lane) join the caller's trace.
 	var tctx trace.SpanContext
 	if o.tracer != nil {
 		tctx = trace.SpanContext{Trace: trace.TraceID(qos.TraceID), Span: trace.SpanID(qos.SpanID)}
+	}
+	sreq := &ServerRequest{
+		Op:       req.Operation,
+		Body:     req.Body,
+		ORB:      o,
+		Oneway:   !req.ResponseExpected,
+		TraceCtx: tctx,
+	}
+	// A large request's frame goes back to the network's free list once
+	// the request is settled (DESIGN §12 rule 1).
+	if len(req.Body) >= largeBody {
+		sreq.frame = frame
+	}
+	if qos.HasFT {
+		// The at-most-once cache keeps the reply, and an echo servant's
+		// reply is Body: the ORB keeps the frame, as a servant that calls
+		// Retain does.
+		sreq.Retain()
 	}
 
 	// Duplicate suppression for fault-tolerant requests: a failover
@@ -231,27 +267,28 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 		}
 	}
 
-	// settle answers the request and any retransmissions parked on it.
-	// An executed outcome is cached for later retries; a refused one never
-	// reached the servant and is forgotten, so a retry may still execute.
-	// A bad key is a deterministic outcome, cached like an execution.
+	// settle answers the request and any retransmissions parked on it,
+	// then releases the frame: the reply is encoded by then. An executed
+	// outcome is cached for later retries; a refused one never reached
+	// the servant and is forgotten, so a retry may still execute. A bad
+	// key is a deterministic outcome, cached like an execution.
 	const executed, refused = true, false
 	settle := func(ran bool, status giop.ReplyStatus, body []byte) {
-		if !req.ResponseExpected {
-			return
-		}
-		if hasFT {
-			var parked []ftWaiter
-			if ran {
-				parked = o.ftCache.Complete(qos.FT, dedup.Reply{Status: status, Body: body})
-			} else {
-				parked = o.ftCache.Abort(qos.FT)
+		if req.ResponseExpected {
+			if hasFT {
+				var parked []ftWaiter
+				if ran {
+					parked = o.ftCache.Complete(qos.FT, dedup.Reply{Status: status, Body: body})
+				} else {
+					parked = o.ftCache.Abort(qos.FT)
+				}
+				for _, w := range parked {
+					o.sendReply(w.conn, w.reqID, w.tctx, status, body)
+				}
 			}
-			for _, w := range parked {
-				o.sendReply(w.conn, w.reqID, w.tctx, status, body)
-			}
+			o.sendReply(conn, req.RequestID, tctx, status, body)
 		}
-		o.sendReply(conn, req.RequestID, tctx, status, body)
+		sreq.release()
 	}
 
 	poaName, objID, ok := strings.Cut(string(req.ObjectKey), "/")
@@ -275,7 +312,8 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 	if poa.cfg.Model == rtcorba.ClientPropagated && qos.HasPriority {
 		prio = rtcorba.Priority(qos.Priority)
 	}
-	sentAt, deadline := sim.Time(qos.SentAt), sim.Time(qos.Deadline)
+	sreq.Priority, sreq.SentAt = prio, sim.Time(qos.SentAt)
+	deadline := sim.Time(qos.Deadline)
 	// Expired on arrival (it spent its budget on the wire or in socket
 	// buffers): shed it here rather than waste a lane slot on it.
 	if deadline > 0 && o.ep.Kernel().Now() > deadline {
@@ -308,19 +346,11 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, can
 				// A failover retransmission parked on this request still
 				// wants the outcome: then execute anyway.
 				if !hasFT || o.ftCache.Cancel(qos.FT) {
+					sreq.release()
 					return
 				}
 			}
-			sreq := &ServerRequest{
-				Op:       req.Operation,
-				Body:     req.Body,
-				Priority: prio,
-				SentAt:   sentAt,
-				Thread:   t,
-				ORB:      o,
-				Oneway:   !req.ResponseExpected,
-				TraceCtx: tctx,
-			}
+			sreq.Thread = t
 			sinfo := &ServerRequestInfo{Request: sreq}
 			o.interceptReceive(sinfo)
 			body, err := servant.Dispatch(sreq)

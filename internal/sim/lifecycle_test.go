@@ -7,15 +7,23 @@ import (
 	"time"
 )
 
-// settledGoroutines reads runtime.NumGoroutine once exiting goroutines
-// have had a chance to finish exiting.
-func settledGoroutines(want int) int {
+// checkNoLeakedGoroutines fails t if more goroutines run than before,
+// once exiting ones have had up to 3 s to finish, and dumps every stack.
+// Fewer is no failure: a goroutine counted in before, one an earlier
+// test started that was still on its way out, may exit meanwhile, and a
+// leak never makes the count fall.
+func checkNoLeakedGoroutines(t *testing.T, before int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
 	n := runtime.NumGoroutine()
-	for i := 0; i < 100 && n > want; i++ {
+	for n > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
 	}
-	return n
+	if n > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("goroutine leak: %d goroutines %s, %d before\n%s", n, when, before, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 func TestLifecycleCloseUnwindsProcesses(t *testing.T) {
@@ -59,9 +67,7 @@ func TestLifecycleCloseUnwindsProcesses(t *testing.T) {
 	}
 	k.Run() // nothing left to fire
 	k.Close()
-	if n := settledGoroutines(before); n != before {
-		t.Fatalf("%d goroutines after Close, %d before the scenario", n, before)
-	}
+	checkNoLeakedGoroutines(t, before, "after Close")
 }
 
 func TestLifecycleProcessPanicReachesRun(t *testing.T) {
@@ -85,7 +91,5 @@ func TestLifecycleProcessPanicReachesRun(t *testing.T) {
 		t.Fatalf("%d live processes after the panic, want 1 (the bystander)", len(k.live))
 	}
 	k.Close()
-	if n := settledGoroutines(before); n != before {
-		t.Fatalf("%d goroutines after Close, %d before the scenario", n, before)
-	}
+	checkNoLeakedGoroutines(t, before, "after Close")
 }

@@ -35,7 +35,11 @@ type segment struct {
 // are protocol-checksummed on a real wire, so corruption there — and on
 // pure acks or byteless payloads — destroys the packet instead (nil).
 // The copy shares nothing mutable with the original, which may still be
-// queued for go-back-N retransmission.
+// queued for go-back-N retransmission. A segment of a message already
+// delivered may be copied too, after the receiver has released and
+// reused the message's bytes (Endpoint.ReleaseFrame): the copy reads
+// whatever they hold now, but its sequence number is behind the
+// receiver's, so it is never delivered.
 func (s *segment) CorruptCopy(r *rand.Rand) any {
 	if s.isAck || s.msg == nil || len(s.msg.Data) == 0 {
 		return nil

@@ -32,6 +32,18 @@ func (e *Endpoint) Node() *netsim.Node { return e.node }
 // Kernel returns the simulation kernel.
 func (e *Endpoint) Kernel() *sim.Kernel { return e.net.Kernel() }
 
+// Frame returns an empty buffer, from the network's free list of
+// frames, to encode a large outgoing message into (nil when the list is
+// empty). The stream hands the receiver the sender's own bytes, so the
+// frame is the receiver's once the message is delivered: the sender
+// never reads it again, bar a go-back-N copy of an already delivered
+// segment, which is never delivered a second time.
+func (e *Endpoint) Frame() []byte { return e.net.Frame() }
+
+// ReleaseFrame gives the frame of a received message back to the
+// network's free list once nothing refers to it.
+func (e *Endpoint) ReleaseFrame(frame []byte) { e.net.ReleaseFrame(frame) }
+
 // Addr returns the address of a port on this endpoint.
 func (e *Endpoint) Addr(port uint16) netsim.Addr { return e.node.Addr(port) }
 
