@@ -1,115 +1,134 @@
-// Command qosbench regenerates every table and figure from the paper's
-// evaluation section (Section 5) on the simulated substrate.
+// Command qosbench is the one program for the simulated plane: it
+// regenerates every table and figure from the paper's evaluation
+// section (Section 5), runs the extension scenarios, and audits the
+// claims all of them make.
 //
 // Usage:
 //
-//	qosbench [-run all|fig2|fig4|fig5|fig6|fig7|table1|table2|overload|slo|ablations|wire|chaos|obs|pubsub|verify]
-//	         [-seed N] [-duration D] [-requests N] [-series]
+//	qosbench [-run NAME] [-seed N] [-duration D] [-requests N]
+//	         [-series] [-csv] [-plot] [-json] [-jsonl FILE]
+//
+// The runs are named in the table below; -h lists them. -run all runs
+// the paper's figures and tables plus overload, slo and ablations.
+// -run verify checks the paper's 14 claims, -run ablations the nine
+// mechanism claims (each mechanism with and without), and -run audit
+// both plus the claims of the extension scenarios (overload, failover
+// with and without recovery, SLO, monitor and trace); each prints one
+// table per group. Any run exits 1 when one of its claims fails.
 //
 // -duration scales the measured portion of each experiment; the default
 // 0 selects each experiment's paper-scale length (30s for the DiffServ
 // figures, 300s for the reservation runs, 40 images for Table 2).
-// -run ablations runs each mechanism DESIGN.md §5 names with and
-// without it and checks the benefit it must show; like -run verify it
-// exits 1 when a claim fails. -series additionally dumps raw latency
-// time series (the figures' line data) for the priority experiments.
-// -json writes one BENCH_<name>.json per measured experiment with
-// per-scenario latency percentiles and throughput, for machine
-// consumption (regression tracking, plotting).
+// -series additionally dumps raw latency time series (the figures' line
+// data) for the priority experiments. -json writes one BENCH_<name>.json
+// per measured experiment with per-scenario latency percentiles and
+// throughput, for machine consumption (regression tracking, plotting);
+// with -run trace it writes the exemplar traces — spans, critical path
+// and both per-layer decompositions — to BENCH_trace.json. -jsonl
+// streams every span of -run trace to a file as JSON lines.
+//
+// wire, chaos, obs and pubsub open real localhost sockets and run on
+// the wall clock; every other run is virtual-time and byte-identical
+// run to run for a given seed.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig2, fig4, fig5, fig6, fig7, table1, table2, overload, slo, ablations, wire, chaos, obs, pubsub, verify (wire, chaos, obs, pubsub and verify are explicit-only)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	requests := flag.Int("requests", 0, "chaos soak request count (0 = default 10000)")
-	duration := flag.Duration("duration", 0, "override experiment duration (0 = paper scale)")
-	series := flag.Bool("series", false, "dump raw latency series for fig4/fig5/fig6")
-	csv := flag.Bool("csv", false, "emit latency series as CSV instead of gnuplot-style text")
-	plot := flag.Bool("plot", false, "render ASCII plots of the figure series")
-	jsonOut := flag.Bool("json", false, "write BENCH_<name>.json with per-scenario percentiles and throughput")
-	flag.Parse()
+// env is what a run reads: the experiment options, the output and the
+// flags that shape it.
+type env struct {
+	w        io.Writer
+	opt      experiments.Options
+	requests int
+	series   bool
+	csv      bool
+	plot     bool
+	json     bool
+	jsonl    string
+}
 
-	opt := experiments.Options{Seed: *seed, Duration: *duration}
-	start := time.Now()
-	ran := 0
+// namedRun is one -run mode. It writes its report to e.w and returns
+// the claims it checked; an error ends qosbench with exit status 1.
+type namedRun struct {
+	name string
+	all  bool // part of -run all
+	run  func(e *env) ([]experiments.Check, error)
+}
 
-	want := func(name string) bool { return *run == "all" || *run == name }
-	emit := func(name string, stats []benchStat) {
-		if *jsonOut {
-			writeBench(name, *seed, stats)
-		}
-	}
+const (
+	paperTitle     = "Reproduction self-check (paper claims vs this run)"
+	mechanismTitle = "Mechanism ablations (each mechanism with vs without)"
+	extensionTitle = "Extension scenarios (the verdicts each scenario prints)"
+)
 
-	if want("fig2") {
-		fmt.Println(experiments.RunFigure2(opt).Render())
-		ran++
-	}
-	if want("fig4") {
-		r := experiments.RunFigure4(opt)
-		fmt.Println(r.Render())
-		if *plot {
-			fmt.Println(metrics.ASCIIPlot(r.NoTraffic.S1, 100, 10))
-			fmt.Println(metrics.ASCIIPlot(r.WithTraffic.S1, 100, 10))
+var runs = []namedRun{
+	{"fig2", true, func(e *env) ([]experiments.Check, error) {
+		fmt.Fprintln(e.w, experiments.RunFigure2(e.opt).Render())
+		return nil, nil
+	}},
+	{"fig4", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFigure4(e.opt)
+		fmt.Fprintln(e.w, r.Render())
+		if e.plot {
+			fmt.Fprintln(e.w, metrics.ASCIIPlot(r.NoTraffic.S1, 100, 10))
+			fmt.Fprintln(e.w, metrics.ASCIIPlot(r.WithTraffic.S1, 100, 10))
 		}
-		if *series {
-			dumpSeries(*csv, r.NoTraffic.S1, r.WithTraffic.S1)
+		e.dumpSeries(r.NoTraffic.S1, r.WithTraffic.S1)
+		e.emit("fig4", append(prioStats(r.NoTraffic), prioStats(r.WithTraffic)...))
+		return nil, nil
+	}},
+	{"fig5", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFigure5(e.opt)
+		fmt.Fprintln(e.w, r.Render())
+		e.dumpSeries(r.NoTraffic.S1, r.NoTraffic.S2)
+		e.emit("fig5", append(prioStats(r.NoTraffic), prioStats(r.WithTraffic)...))
+		return nil, nil
+	}},
+	{"fig6", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFigure6(e.opt)
+		fmt.Fprintln(e.w, r.Render())
+		if e.plot {
+			fmt.Fprintln(e.w, metrics.ASCIIPlot(r.Combined.S1, 100, 10))
 		}
-		emit("fig4", append(prioStats(r.NoTraffic), prioStats(r.WithTraffic)...))
-		ran++
-	}
-	if want("fig5") {
-		r := experiments.RunFigure5(opt)
-		fmt.Println(r.Render())
-		if *series {
-			dumpSeries(*csv, r.NoTraffic.S1, r.NoTraffic.S2)
-		}
-		emit("fig5", append(prioStats(r.NoTraffic), prioStats(r.WithTraffic)...))
-		ran++
-	}
-	if want("fig6") {
-		r := experiments.RunFigure6(opt)
-		fmt.Println(r.Render())
-		if *plot {
-			fmt.Println(metrics.ASCIIPlot(r.Combined.S1, 100, 10))
-		}
-		if *series {
-			dumpSeries(*csv, r.Combined.S1, r.Combined.S2)
-		}
-		emit("fig6", prioStats(r.Combined))
-		ran++
-	}
-	if want("fig7") {
-		r := experiments.RunFigure7(opt)
-		fmt.Println(r.Render())
-		emit("fig7", []benchStat{resvStat(r.NoAdaptation), resvStat(r.PartialWithFilter), resvStat(r.FullReservation)})
-		ran++
-	}
-	if want("table1") {
-		r := experiments.RunTable1(opt)
-		fmt.Println(r.Render())
+		e.dumpSeries(r.Combined.S1, r.Combined.S2)
+		e.emit("fig6", prioStats(r.Combined))
+		return nil, nil
+	}},
+	{"fig7", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFigure7(e.opt)
+		fmt.Fprintln(e.w, r.Render())
+		e.emit("fig7", []benchStat{resvStat(r.NoAdaptation), resvStat(r.PartialWithFilter), resvStat(r.FullReservation)})
+		return nil, nil
+	}},
+	{"table1", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunTable1(e.opt)
+		fmt.Fprintln(e.w, r.Render())
 		var stats []benchStat
 		for _, c := range r.Cases {
 			stats = append(stats, resvStat(c))
 		}
-		emit("table1", stats)
-		ran++
-	}
-	if want("table2") {
-		r := experiments.RunTable2(opt)
-		fmt.Println(r.Render())
+		e.emit("table1", stats)
+		return nil, nil
+	}},
+	{"table2", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunTable2(e.opt)
+		fmt.Fprintln(e.w, r.Render())
 		var stats []benchStat
 		for _, row := range r.Rows {
 			stats = append(stats,
@@ -117,126 +136,226 @@ func main() {
 				summaryStat(row.Algo.String()+": competing load", row.Load),
 				summaryStat(row.Algo.String()+": load + reserve", row.Reserve))
 		}
-		emit("table2", stats)
-		ran++
-	}
-	if want("overload") {
-		r := experiments.RunOverload(opt)
-		fmt.Println(r.Render())
-		emit("overload", overloadStats(r))
-		ran++
-	}
-	if want("slo") {
-		r := experiments.RunSLO(opt)
-		fmt.Print(r.SLO.Render())
-		fmt.Printf("burn fired %v, p95 rule fired %v; %d/%d deadline misses kept; %.1f traces/s kept\n\n",
-			renderFired(r.BurnFired, r.BurnFiredAt), renderFired(r.AlertFired, r.AlertFiredAt),
-			r.MissKept, r.MissTotal, r.KeptPerSec)
-		emit("slo", sloStats(r))
-		ran++
-	}
-	if want("ablations") {
-		printChecks("Mechanism ablations (each mechanism with vs without)", experiments.Ablations(opt))
-		ran++
-	}
-	// "wire" is explicit-only (not part of -run all): it opens real
-	// localhost TCP sockets and burns wall-clock time, unlike the
-	// virtual-time experiments above.
-	if *run == "wire" {
-		res, err := wire.RunBench(wire.BenchOptions{Duration: *duration})
+		e.emit("table2", stats)
+		return nil, nil
+	}},
+	{"overload", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunOverload(e.opt)
+		fmt.Fprint(e.w, r.Render())
+		e.emit("overload", overloadStats(r))
+		return r.Checks(), nil
+	}},
+	{"slo", true, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunSLO(e.opt)
+		fmt.Fprint(e.w, r.Render())
+		e.emit("slo", sloStats(r))
+		return r.Checks(), nil
+	}},
+	{"ablations", true, func(e *env) ([]experiments.Check, error) {
+		return e.printChecks(mechanismTitle, experiments.Ablations(e.opt)), nil
+	}},
+	{"verify", false, func(e *env) ([]experiments.Check, error) {
+		return e.printChecks(paperTitle, experiments.Verify(e.opt)), nil
+	}},
+	{"audit", false, func(e *env) ([]experiments.Check, error) {
+		return slices.Concat(
+			e.printChecks(paperTitle, experiments.Verify(e.opt)),
+			e.printChecks(mechanismTitle, experiments.Ablations(e.opt)),
+			e.printChecks(extensionTitle, experiments.Extensions(e.opt))), nil
+	}},
+	{"failover", false, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFailover(e.opt, false)
+		fmt.Fprint(e.w, r.Render())
+		return r.Checks(), nil
+	}},
+	{"failover-recover", false, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunFailover(e.opt, true)
+		fmt.Fprint(e.w, r.Render())
+		return r.Checks(), nil
+	}},
+	{"trace", false, runTrace},
+	{"topo-diffserv", false, func(e *env) ([]experiments.Check, error) {
+		sys := experiments.DiffServTopology(1)
+		defer sys.Close()
+		fmt.Fprint(e.w, dumpTopology(sys))
+		return nil, nil
+	}},
+	{"topo-reservation", false, func(e *env) ([]experiments.Check, error) {
+		sys, err := reservationTopology()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wire bench: %v\n", err)
-			os.Exit(1)
+			return nil, err
 		}
-		fmt.Println(res.Render())
-		emit("wire", wireStats(res))
-		ran++
-	}
-	// "chaos" is likewise explicit-only: a wall-clock soak over real TCP
-	// with fault injection, asserting the robustness invariants hard
-	// (non-zero exit on any breach, for the CI smoke step).
-	if *run == "chaos" {
+		defer sys.Close()
+		fmt.Fprint(e.w, dumpTopology(sys))
+		return nil, nil
+	}},
+	// wire, chaos, obs and pubsub open real localhost TCP sockets and
+	// burn wall-clock time, unlike the virtual-time runs above.
+	{"wire", false, func(e *env) ([]experiments.Check, error) {
+		res, err := wire.RunBench(wire.BenchOptions{Duration: e.opt.Duration})
+		if err != nil {
+			return nil, fmt.Errorf("wire bench: %w", err)
+		}
+		fmt.Fprintln(e.w, res.Render())
+		e.emit("wire", wireStats(res))
+		return nil, nil
+	}},
+	// chaos is a soak over real TCP with fault injection; it fails on
+	// any breach of the robustness invariants.
+	{"chaos", false, func(e *env) ([]experiments.Check, error) {
 		rep, err := chaos.RunSoak(chaos.SoakConfig{
-			Seed:     *seed,
-			Requests: *requests,
-			Log:      func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) },
+			Seed:     e.opt.Seed,
+			Requests: e.requests,
+			Log:      func(f string, a ...any) { fmt.Fprintf(e.w, "  "+f+"\n", a...) },
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos soak: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("chaos soak: %w", err)
 		}
-		fmt.Println(rep.Render())
-		emit("chaos", chaosStats(rep))
-		if v := rep.Violations(); len(v) > 0 {
-			for _, msg := range v {
-				fmt.Fprintf(os.Stderr, "chaos soak invariant violated: %s\n", msg)
-			}
-			os.Exit(1)
-		}
-		ran++
-	}
-	// "obs" is explicit-only: it prices the wall-clock observability
-	// plane by running the wire load with the full observer stack
-	// (sampler + rules + runtime collector + SLO tracker + profiler +
-	// live scraper) against an observers-off baseline.
-	if *run == "obs" {
-		res, err := wire.RunObsBench(wire.BenchOptions{Duration: *duration})
+		fmt.Fprintln(e.w, rep.Render())
+		e.emit("chaos", chaosStats(rep))
+		return nil, violated("chaos soak", rep.Violations())
+	}},
+	// obs prices the observability plane: the wire load with the full
+	// observer stack (sampler + rules + runtime collector + SLO tracker
+	// + profiler + live scraper) against an observers-off baseline.
+	{"obs", false, func(e *env) ([]experiments.Check, error) {
+		res, err := wire.RunObsBench(wire.BenchOptions{Duration: e.opt.Duration})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs bench: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("obs bench: %w", err)
 		}
-		fmt.Println(res.Render())
-		emit("obs", obsStats(res))
-		ran++
-	}
-	// "pubsub" is explicit-only: a wall-clock run of the event channel
-	// under a best-effort flood, asserting the dissemination invariants
-	// hard (non-zero exit on any breach, for the CI smoke step).
-	if *run == "pubsub" {
-		r := experiments.RunPubSub(opt)
-		fmt.Println(r.Render())
-		emit("pubsub", pubsubStats(r))
-		if v := r.Violations(); len(v) > 0 {
-			for _, msg := range v {
-				fmt.Fprintf(os.Stderr, "pubsub invariant violated: %s\n", msg)
-			}
-			os.Exit(1)
-		}
-		ran++
-	}
-	if *run == "verify" {
-		printChecks("Reproduction self-check (paper claims vs this run)", experiments.Verify(opt))
-		ran++
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		flag.Usage()
-		os.Exit(2)
-	}
-	fmt.Printf("qosbench: %d experiment(s) in %v wall time\n", ran, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(e.w, res.Render())
+		e.emit("obs", obsStats(res))
+		return nil, nil
+	}},
+	// pubsub runs the event channel under a best-effort flood and fails
+	// on any breach of the dissemination invariants.
+	{"pubsub", false, func(e *env) ([]experiments.Check, error) {
+		r := experiments.RunPubSub(e.opt)
+		fmt.Fprintln(e.w, r.Render())
+		e.emit("pubsub", pubsubStats(r))
+		return nil, violated("pubsub", r.Violations())
+	}},
 }
 
-// printChecks prints checks as a table under title and exits 1 if any
-// claim failed.
-func printChecks(title string, checks []experiments.Check) {
-	fmt.Println(experiments.RenderChecks(title, checks))
+// runTrace traces the prio and video scenarios and prints each
+// exemplar's span tree, per-layer breakdown and telemetry.
+func runTrace(e *env) ([]experiments.Check, error) {
+	var sink *trace.JSONL
+	if e.jsonl != "" {
+		f, err := os.Create(e.jsonl)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		sink = trace.NewJSONL(f)
+	}
+	r := experiments.RunTrace(e.opt, sink)
+	fmt.Fprint(e.w, r.Render())
+	if e.json {
+		data, err := r.JSON()
+		if err != nil {
+			return nil, fmt.Errorf("json: %w", err)
+		}
+		e.write("BENCH_trace.json", data)
+	}
+	if sink != nil && sink.Err() != nil {
+		return nil, fmt.Errorf("jsonl export: %w", sink.Err())
+	}
+	return r.Checks(), nil
+}
+
+// violated turns a wall-clock run's invariant violations into an error.
+func violated(what string, v []string) error {
+	if len(v) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s invariant violated: %s", what, strings.Join(v, "; "))
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run parses args, runs the named experiments with their reports on w,
+// and returns the exit status: 0, 1 if a claim failed or a run erred,
+// 2 for bad usage.
+func run(args []string, w io.Writer) int {
+	var names, inAll []string
+	for _, r := range runs {
+		names = append(names, r.name)
+		if r.all {
+			inAll = append(inAll, r.name)
+		}
+	}
+	fs := flag.NewFlagSet("qosbench", flag.ContinueOnError)
+	name := fs.String("run", "all", "experiment to run: all, "+strings.Join(names, ", ")+" (all = "+strings.Join(inAll, ", ")+")")
+	e := &env{w: w}
+	fs.Int64Var(&e.opt.Seed, "seed", 42, "simulation seed")
+	fs.IntVar(&e.requests, "requests", 0, "chaos soak request count (0 = default 10000)")
+	fs.DurationVar(&e.opt.Duration, "duration", 0, "override experiment duration (0 = paper scale)")
+	fs.BoolVar(&e.series, "series", false, "dump raw latency series for fig4/fig5/fig6")
+	fs.BoolVar(&e.csv, "csv", false, "emit latency series as CSV instead of gnuplot-style text")
+	fs.BoolVar(&e.plot, "plot", false, "render ASCII plots of the figure series")
+	fs.BoolVar(&e.json, "json", false, "write BENCH_<name>.json with per-scenario percentiles and throughput (trace: the exemplar traces)")
+	fs.StringVar(&e.jsonl, "jsonl", "", "with -run trace, write every span as JSON lines to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	start := time.Now()
+	var checks []experiments.Check
+	ran := 0
+	for _, r := range runs {
+		if *name != r.name && !(*name == "all" && r.all) {
+			continue
+		}
+		c, err := r.run(e)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qosbench: %s: %v\n", r.name, err)
+			return 1
+		}
+		checks = append(checks, c...)
+		ran++
+	}
+	if ran == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *name)
+		fs.Usage()
+		return 2
+	}
+	fmt.Fprintf(w, "qosbench: %d experiment(s) in %v wall time\n", ran, time.Since(start).Round(time.Millisecond))
+	failed := 0
 	for _, c := range checks {
 		if !c.OK {
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "qosbench: claim failed: %s: %s (%s)\n", c.Experiment, c.Claim, c.Detail)
+			failed++
 		}
 	}
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }
 
-// dumpSeries prints latency series either as CSV or gnuplot-style text.
-func dumpSeries(csv bool, series ...*metrics.Series) {
+// printChecks prints checks as a table under title and returns them.
+func (e *env) printChecks(title string, checks []experiments.Check) []experiments.Check {
+	fmt.Fprintln(e.w, experiments.RenderChecks(title, checks))
+	return checks
+}
+
+// dumpSeries prints latency series with -series, either as CSV or
+// gnuplot-style text.
+func (e *env) dumpSeries(series ...*metrics.Series) {
+	if !e.series {
+		return
+	}
 	for _, s := range series {
-		if csv {
-			if err := s.WriteCSV(os.Stdout); err != nil {
+		if e.csv {
+			if err := s.WriteCSV(e.w); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 			}
 		} else {
-			fmt.Println(experiments.RenderSeries(s))
+			fmt.Fprintln(e.w, experiments.RenderSeries(s))
 		}
 	}
 }
@@ -295,17 +414,30 @@ type benchFile struct {
 	Scenarios []benchStat `json:"scenarios"`
 }
 
+// latStat is a scenario's sample count and latency percentiles in
+// milliseconds.
+func latStat(scenario string, n int, p50, p95, p99 float64) benchStat {
+	return benchStat{Scenario: scenario, Samples: n, P50Ms: p50, P95Ms: p95, P99Ms: p99}
+}
+
+// summaryMs is latStat for a summary in seconds.
+func summaryMs(scenario string, sum metrics.Summary) benchStat {
+	return latStat(scenario, sum.N, sum.P50*1e3, sum.P95*1e3, sum.P99*1e3)
+}
+
+// classStat is latStat for a wall-clock class report (already in ms),
+// with its throughput.
+func classStat(scenario string, c wire.ClassReport) benchStat {
+	st := latStat(scenario, int(c.OK), c.Latency.P50, c.Latency.P95, c.Latency.P99)
+	st.Throughput = c.Throughput
+	return st
+}
+
 // seriesStat derives a benchStat from a latency series and its summary:
 // percentiles from the summary, throughput from the sample count over
 // the series' observed time span.
 func seriesStat(scenario string, s *metrics.Series, sum metrics.Summary) benchStat {
-	st := benchStat{
-		Scenario: scenario,
-		Samples:  sum.N,
-		P50Ms:    sum.P50 * 1e3,
-		P95Ms:    sum.P95 * 1e3,
-		P99Ms:    sum.P99 * 1e3,
-	}
+	st := summaryMs(scenario, sum)
 	if n := len(s.Points); n > 1 {
 		if span := time.Duration(s.Points[n-1].T - s.Points[0].T).Seconds(); span > 0 {
 			st.Throughput = float64(n-1) / span
@@ -321,22 +453,8 @@ func seriesStat(scenario string, s *metrics.Series, sum metrics.Summary) benchSt
 // sheds over offered load) — the EF entry should show a p99 far below
 // the BE entry's.
 func wireStats(r *wire.BenchResult) []benchStat {
-	ef := benchStat{
-		Scenario:   "wire EF (expedited, wall clock)",
-		Samples:    int(r.EF.OK),
-		P50Ms:      r.EF.Latency.P50,
-		P95Ms:      r.EF.Latency.P95,
-		P99Ms:      r.EF.Latency.P99,
-		Throughput: r.EF.Throughput,
-	}
-	be := benchStat{
-		Scenario:   "wire BE (best-effort, wall clock)",
-		Samples:    int(r.BE.OK),
-		P50Ms:      r.BE.Latency.P50,
-		P95Ms:      r.BE.Latency.P95,
-		P99Ms:      r.BE.Latency.P99,
-		Throughput: r.BE.Throughput,
-	}
+	ef := classStat("wire EF (expedited, wall clock)", r.EF)
+	be := classStat("wire BE (best-effort, wall clock)", r.BE)
 	if r.BE.Offered > 0 {
 		be.ShedRate = (r.Refused + r.Shed) / float64(r.BE.Offered)
 	}
@@ -353,45 +471,20 @@ func chaosStats(r *chaos.SoakReport) []benchStat {
 		}
 		return float64(n) / (ms / 1000)
 	}
+	stat := func(scenario string, n int, p50, p95, p99, ms float64) benchStat {
+		st := latStat(scenario, n, p50, p95, p99)
+		st.Throughput = rate(n, ms)
+		return st
+	}
+	fo := stat("chaos failover/recovery", r.Failovers, r.FailoverP50Ms, r.FailoverP95Ms, r.FailoverP99Ms, r.FaultMs)
+	fo.FailoverP50Ms, fo.FailoverP99Ms = r.FailoverP50Ms, r.FailoverP99Ms
+	fo.RetryBudgetSpent, fo.RetryBudgetDenied = r.RetryBudgetSpent, r.RetryBudgetDenied
+	fo.ServiceGapMs, fo.RedetectMs = r.ServiceGapMs, r.RedetectMs
 	return []benchStat{
-		{
-			Scenario:   "chaos EF baseline (no faults)",
-			Samples:    r.EFBaselineN,
-			P50Ms:      r.EFBaselineP50Ms,
-			P95Ms:      r.EFBaselineP95Ms,
-			P99Ms:      r.EFBaselineP99Ms,
-			Throughput: rate(r.EFBaselineN, r.WarmMs),
-		},
-		{
-			Scenario:   "chaos EF under BE torture",
-			Samples:    r.EFFaultN,
-			P50Ms:      r.EFFaultP50Ms,
-			P95Ms:      r.EFFaultP95Ms,
-			P99Ms:      r.EFFaultP99Ms,
-			Throughput: rate(r.EFFaultN, r.FaultMs),
-		},
-		{
-			Scenario:   "chaos BE under torture (latency + kill/restart)",
-			Samples:    r.BEFaultN,
-			P50Ms:      r.BEFaultP50Ms,
-			P95Ms:      r.BEFaultP95Ms,
-			P99Ms:      r.BEFaultP99Ms,
-			Throughput: rate(r.BEFaultN, r.FaultMs),
-		},
-		{
-			Scenario:          "chaos failover/recovery",
-			Samples:           r.Failovers,
-			P50Ms:             r.FailoverP50Ms,
-			P95Ms:             r.FailoverP95Ms,
-			P99Ms:             r.FailoverP99Ms,
-			Throughput:        rate(r.Failovers, r.FaultMs),
-			FailoverP50Ms:     r.FailoverP50Ms,
-			FailoverP99Ms:     r.FailoverP99Ms,
-			RetryBudgetSpent:  r.RetryBudgetSpent,
-			RetryBudgetDenied: r.RetryBudgetDenied,
-			ServiceGapMs:      r.ServiceGapMs,
-			RedetectMs:        r.RedetectMs,
-		},
+		stat("chaos EF baseline (no faults)", r.EFBaselineN, r.EFBaselineP50Ms, r.EFBaselineP95Ms, r.EFBaselineP99Ms, r.WarmMs),
+		stat("chaos EF under BE torture", r.EFFaultN, r.EFFaultP50Ms, r.EFFaultP95Ms, r.EFFaultP99Ms, r.FaultMs),
+		stat("chaos BE under torture (latency + kill/restart)", r.BEFaultN, r.BEFaultP50Ms, r.BEFaultP95Ms, r.BEFaultP99Ms, r.FaultMs),
+		fo,
 	}
 }
 
@@ -399,26 +492,16 @@ func chaosStats(r *chaos.SoakReport) []benchStat {
 // with observers off and on (the overhead entry carries the ratio and
 // the observer-activity evidence), plus both BE entries for context.
 func obsStats(r *wire.ObsBenchResult) []benchStat {
-	class := func(scenario string, c wire.ClassReport) benchStat {
-		return benchStat{
-			Scenario:   scenario,
-			Samples:    int(c.OK),
-			P50Ms:      c.Latency.P50,
-			P95Ms:      c.Latency.P95,
-			P99Ms:      c.Latency.P99,
-			Throughput: c.Throughput,
-		}
-	}
-	off := class("obs EF observers off", r.OffEF)
-	on := class("obs EF observers on (sampler+runtime+slo+profiler+scraper)", r.OnEF)
+	off := classStat("obs EF observers off", r.OffEF)
+	on := classStat("obs EF observers on (sampler+runtime+slo+profiler+scraper)", r.OnEF)
 	on.OverheadRatio = r.OverheadP99
 	on.SamplerTicks = r.SamplerTicks
 	on.ProfileCaptures = r.ProfileCaptures
 	on.EventsStreamed = r.EventsStreamed
 	return []benchStat{
 		off, on,
-		class("obs BE observers off", r.OffBE),
-		class("obs BE observers on", r.OnBE),
+		classStat("obs BE observers off", r.OffBE),
+		classStat("obs BE observers on", r.OnBE),
 	}
 }
 
@@ -426,29 +509,14 @@ func obsStats(r *wire.ObsBenchResult) []benchStat {
 // the unloaded and flooded phases, with the loaded entry carrying the
 // ratio, admission, and drop-attribution evidence.
 func pubsubStats(r experiments.PubSubResult) []benchStat {
-	base := benchStat{
-		Scenario: "pubsub EF fan-out, unloaded baseline (wall clock)",
-		Samples:  r.Baseline.N,
-		P50Ms:    r.Baseline.P50 * 1e3,
-		P95Ms:    r.Baseline.P95 * 1e3,
-		P99Ms:    r.Baseline.P99 * 1e3,
-	}
+	base := summaryMs("pubsub EF fan-out, unloaded baseline (wall clock)", r.Baseline)
 	efDrops := int64(r.EFDropped)
-	load := benchStat{
-		Scenario:       "pubsub EF fan-out under BE flood (wall clock)",
-		Samples:        r.Loaded.N,
-		P50Ms:          r.Loaded.P50 * 1e3,
-		P95Ms:          r.Loaded.P95 * 1e3,
-		P99Ms:          r.Loaded.P99 * 1e3,
-		FanoutP99Ratio: r.FanoutP99Ratio(),
-		EFDrops:        &efDrops,
-		SlowDrops:      int64(r.SlowOverflow),
-		OtherDrops:     int64(r.OtherOverflow),
-		Refused:        int64(r.Refused),
-		CoalescedN:     int64(r.Coalesced),
-		SampledN:       int64(r.Sampled),
-		DropRecords:    r.DropRecords,
-	}
+	load := summaryMs("pubsub EF fan-out under BE flood (wall clock)", r.Loaded)
+	load.FanoutP99Ratio = r.FanoutP99Ratio()
+	load.EFDrops = &efDrops
+	load.SlowDrops, load.OtherDrops = int64(r.SlowOverflow), int64(r.OtherOverflow)
+	load.Refused, load.CoalescedN, load.SampledN = int64(r.Refused), int64(r.Coalesced), int64(r.Sampled)
+	load.DropRecords = r.DropRecords
 	if r.Duration > 0 {
 		load.Throughput = float64(r.EFDelivered) / r.Duration.Seconds()
 	}
@@ -466,13 +534,7 @@ func prioStats(c experiments.PrioCaseResult) []benchStat {
 // resvStat reports a reservation case: latency percentiles over the
 // load window, throughput as mean frames received per second.
 func resvStat(c experiments.ResvCaseResult) benchStat {
-	st := benchStat{
-		Scenario: c.Name,
-		Samples:  c.LatencyUnderLoad.N,
-		P50Ms:    c.LatencyUnderLoad.P50 * 1e3,
-		P95Ms:    c.LatencyUnderLoad.P95 * 1e3,
-		P99Ms:    c.LatencyUnderLoad.P99 * 1e3,
-	}
+	st := summaryMs(c.Name, c.LatencyUnderLoad)
 	if len(c.RecvPerSec) > 0 {
 		var total int64
 		for _, n := range c.RecvPerSec {
@@ -487,13 +549,7 @@ func resvStat(c experiments.ResvCaseResult) benchStat {
 // the 2x window, and the low band's shed rate with its served rate as
 // throughput.
 func overloadStats(r experiments.OverloadResult) []benchStat {
-	high := benchStat{
-		Scenario: "overload / high band (2x window)",
-		Samples:  r.HighOver.N,
-		P50Ms:    r.HighOver.P50 * 1e3,
-		P95Ms:    r.HighOver.P95 * 1e3,
-		P99Ms:    r.HighOver.P99 * 1e3,
-	}
+	high := summaryMs("overload / high band (2x window)", r.HighOver)
 	if r.Duration > 0 {
 		high.Throughput = float64(r.HighOK) / r.Duration.Seconds()
 	}
@@ -508,29 +564,15 @@ func overloadStats(r experiments.OverloadResult) []benchStat {
 	return []benchStat{high, low}
 }
 
-// renderFired formats a first-firing time for the slo summary line.
-func renderFired(fired bool, at time.Duration) string {
-	if !fired {
-		return "never"
-	}
-	return at.String()
-}
-
 // sloStats reports the SLO scenario: the successful-invocation RTT
 // distribution (the app.rtt_ms histogram is already in milliseconds)
 // plus the alerting head-to-head and sampling-economics fields.
 func sloStats(r experiments.SLOResult) []benchStat {
 	sum := r.Reg.Histogram("app.rtt_ms").Summary()
-	st := benchStat{
-		Scenario:     "slo / client rtt (successes)",
-		Samples:      sum.N,
-		P50Ms:        sum.P50,
-		P95Ms:        sum.P95,
-		P99Ms:        sum.P99,
-		BurnFiredMs:  float64(r.BurnFiredAt) / float64(time.Millisecond),
-		AlertFiredMs: float64(r.AlertFiredAt) / float64(time.Millisecond),
-		KeptPerSec:   r.KeptPerSec,
-	}
+	st := latStat("slo / client rtt (successes)", sum.N, sum.P50, sum.P95, sum.P99)
+	st.BurnFiredMs = float64(r.BurnFiredAt) / float64(time.Millisecond)
+	st.AlertFiredMs = float64(r.AlertFiredAt) / float64(time.Millisecond)
+	st.KeptPerSec = r.KeptPerSec
 	if r.Duration > 0 {
 		st.Throughput = float64(r.OK) / r.Duration.Seconds()
 	}
@@ -543,30 +585,31 @@ func sloStats(r experiments.SLOResult) []benchStat {
 // summaryStat reports a per-image processing-time summary; throughput
 // is the implied steady-state image rate.
 func summaryStat(scenario string, sum metrics.Summary) benchStat {
-	st := benchStat{
-		Scenario: scenario,
-		Samples:  sum.N,
-		P50Ms:    sum.P50 * 1e3,
-		P95Ms:    sum.P95 * 1e3,
-		P99Ms:    sum.P99 * 1e3,
-	}
+	st := summaryMs(scenario, sum)
 	if sum.Mean > 0 {
 		st.Throughput = 1 / sum.Mean
 	}
 	return st
 }
 
-// writeBench writes BENCH_<name>.json in the current directory.
-func writeBench(name string, seed int64, stats []benchStat) {
-	data, err := json.MarshalIndent(benchFile{Name: name, Seed: seed, Scenarios: stats}, "", "  ")
+// emit writes BENCH_<name>.json with -json.
+func (e *env) emit(name string, stats []benchStat) {
+	if !e.json {
+		return
+	}
+	data, err := json.MarshalIndent(benchFile{Name: name, Seed: e.opt.Seed, Scenarios: stats}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "json: %v\n", err)
 		return
 	}
-	path := "BENCH_" + name + ".json"
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	e.write("BENCH_"+name+".json", append(data, '\n'))
+}
+
+// write writes data to path in the current directory.
+func (e *env) write(path string, data []byte) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "json: %v\n", err)
 		return
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(e.w, "wrote %s\n", path)
 }

@@ -1,16 +1,7 @@
-// Command topoview builds the evaluation topologies and dumps their
-// nodes, links, routes and reservation state — a debugging aid for the
-// simulated testbeds.
-//
-// Usage:
-//
-//	topoview [-topo diffserv|reservation]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -21,52 +12,29 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
-	topo := flag.String("topo", "diffserv", "topology to inspect: diffserv (figures 4-6) or reservation (figure 7 / table 1)")
-	flag.Parse()
-
-	out, err := run(*topo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fmt.Print(out)
-}
-
-// run builds the named topology with the experiments' own builders and
-// returns its dump.
-func run(topo string) (string, error) {
-	var sys *core.System
-	switch topo {
-	case "diffserv":
-		sys = experiments.DiffServTopology(1)
-	case "reservation":
-		sys = reservationTopo()
-	default:
-		return "", fmt.Errorf("unknown topology %q", topo)
-	}
-	defer sys.Close()
-	return dump(sys), nil
-}
-
-// reservationTopo is the reservation testbed with one installed
-// reservation, so the dump shows reserved bandwidth on the link.
-func reservationTopo() *core.System {
+// reservationTopology is the reservation testbed of Figure 7 and
+// Table 1 with one installed reservation, so the dump shows reserved
+// bandwidth on the link.
+func reservationTopology() (*core.System, error) {
 	sys := experiments.ReservationTopology(1)
 	flow := sys.Net.NewFlowID()
+	var err error
 	sys.K.Go("reserve", func(p *sim.Proc) {
-		_, err := sys.Net.ReserveFlow(p, netsim.ReservationSpec{
+		_, err = sys.Net.ReserveFlow(p, netsim.ReservationSpec{
 			Flow: flow, Src: sys.Machine("sender").Node, Dst: sys.Machine("receiver").Node, RateBps: 1.2e6,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reservation failed: %v\n", err)
-		}
 	})
 	sys.RunUntil(time.Second)
-	return sys
+	if err != nil {
+		sys.Close()
+		return nil, fmt.Errorf("reservation failed: %w", err)
+	}
+	return sys, nil
 }
 
-func dump(sys *core.System) string {
+// dumpTopology renders a testbed's nodes, links with their queue and
+// reservation state, and the routes between its hosts.
+func dumpTopology(sys *core.System) string {
 	var out strings.Builder
 	nodes := metrics.NewTable("Nodes", "ID", "Name", "Kind", "Quantum")
 	for _, nd := range sys.Net.Nodes() {

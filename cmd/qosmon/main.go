@@ -99,7 +99,7 @@ func run(opt options) (string, *telemetry.Registry) {
 		out += fmt.Sprintf("  time in %-22s %v\n", reg, r.TimeIn[reg])
 	}
 	driven := "NO"
-	if r.Escalate > 0 && r.Transitions >= 3 {
+	if r.ClosedLoop() {
 		driven = "yes"
 	}
 	out += fmt.Sprintf("  transitions from sampled data  %s (%d region transitions, conditions read only sampled series)\n",

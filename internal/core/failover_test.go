@@ -258,7 +258,7 @@ func TestKillPrimaryEndToEnd(t *testing.T) {
 
 // TestKillPrimaryE2EDeterministic reruns the scenario and demands
 // identical observable results — the repeatability half of the
-// acceptance criteria at the API level (the qosfailover command pins
+// acceptance criteria at the API level (qosbench -run failover pins
 // the byte-identical text form).
 func TestKillPrimaryE2EDeterministic(t *testing.T) {
 	a, b := runKillPrimaryE2E(42), runKillPrimaryE2E(42)

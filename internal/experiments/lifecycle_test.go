@@ -46,6 +46,7 @@ func TestLifecycleRunnersReleaseProcesses(t *testing.T) {
 		{"RunMonitor", func() { RunMonitor(short) }},
 		{"RunOverload", func() { RunOverload(short) }},
 		{"RunSLO", func() { RunSLO(short) }},
+		{"Extensions", func() { Extensions(Options{Seed: 3}) }},
 	}
 	for _, r := range runners {
 		before := runtime.NumGoroutine()

@@ -133,84 +133,146 @@ func reconcile(tl *events.Timeline, poa *orb.POA, lanes int, cli *orb.ORB) []str
 	return out
 }
 
-// RunMonitor executes the scenario. Duration defaults to 12s with the
-// flood in the middle third; the sampler and contract tick every 250ms.
-func RunMonitor(opt Options) MonitorResult {
-	dur := opt.duration(12 * time.Second)
-	loadStart, loadEnd := dur/3, 2*dur/3
-	const every = 250 * time.Millisecond
+// reconciled states that a scenario's bus records agree with the
+// counters of the layers that published them.
+func reconciled(experiment string, unreconciled []string) Check {
+	detail := "records match counters"
+	if len(unreconciled) > 0 {
+		detail = strings.Join(unreconciled, "; ")
+	}
+	return Check{experiment, "shed and breaker records reconcile with the pool's and ORB's counters",
+		len(unreconciled) == 0, detail}
+}
 
-	sys := core.NewSystem(opt.seed())
-	defer sys.Close()
-	cli := sys.AddMachine("cli", rtos.HostConfig{})
+// floodBed is the testbed the monitor and SLO scenarios share: a client
+// invokes a server across a router while a bulk flood congests the
+// best-effort band in the middle third of the run. Every link is an EF
+// band over a plain FIFO best-effort class. The stock DiffServ profile
+// fair-queues best effort per flow, which would isolate the client from
+// the flood; here best-effort traffic shares one FIFO, so congestion
+// hits everyone not in the EF band. The server's 8 Mb/s access link is
+// the bottleneck.
+type floodBed struct {
+	sys                *core.System
+	cli                *core.Machine
+	loadStart, loadEnd time.Duration
+	reg                *telemetry.Registry
+	plane              *monitor.Plane
+	tr                 *trace.Tracer
+	cliORB             *orb.ORB
+	ctx                *traceCtxCapture
+	poa                *orb.POA
+	lanes              int
+	ref                *orb.ObjectRef
+	// bulk counts the flood datagrams offered.
+	bulk int64
+}
+
+// newFloodBed builds the testbed for a run of dur whose monitoring
+// plane samples at the given interval, with client priorities from
+// escalated up marked EF and served by the server's high lane. The client's interceptors are the
+// telemetry probe, extra, then the trace-context capture. The caller
+// closes bed.sys.
+func newFloodBed(opt Options, dur, every time.Duration, escalated rtcorba.Priority, extra ...orb.ClientInterceptor) *floodBed {
+	b := &floodBed{sys: core.NewSystem(opt.seed()), loadStart: dur / 3, loadEnd: 2 * dur / 3}
+	sys := b.sys
+	b.cli = sys.AddMachine("cli", rtos.HostConfig{})
 	loadm := sys.AddMachine("load", rtos.HostConfig{})
 	srv := sys.AddMachine("srv", rtos.HostConfig{})
 	rtr := sys.AddRouter("rtr")
-	// Hand-built links: an EF band over a plain FIFO best-effort class.
-	// The stock DiffServ profile fair-queues best effort per flow, which
-	// would isolate the client from the flood; here best-effort traffic
-	// shares one FIFO, so congestion hits everyone not in the EF band —
-	// the situation the monitoring loop must detect and escape.
-	link := func(a, b *netsim.Node, bps float64) {
-		sys.Net.ConnectSym(a, b, netsim.LinkConfig{
+	link := func(x, y *netsim.Node, bps float64) {
+		sys.Net.ConnectSym(x, y, netsim.LinkConfig{
 			Bps:   bps,
 			Delay: time.Millisecond,
 			Queue: netsim.NewDiffServ(32*1024, netsim.NewFIFO(64*1024)),
 		})
 	}
-	link(cli.Node, rtr, 10e6)
+	link(b.cli.Node, rtr, 10e6)
 	link(loadm.Node, rtr, 10e6)
-	// The server's access link is the bottleneck: the flood self-clocks
-	// against its own 10 Mb/s access link, overflowing the 8 Mb/s
-	// best-effort queue here — tail drops, rising delay, the works.
 	link(rtr, srv.Node, 8e6)
 
-	tr := trace.NewTracer(sys.K)
-	sys.Net.SetTracer(tr)
-	reg := telemetry.NewRegistry()
-	plane := monitor.NewPlane(sys.K, reg, every)
-	sys.Net.SetBus(plane.Bus)
-	plane.WireTracer(tr)
+	b.tr = trace.NewTracer(sys.K)
+	sys.Net.SetTracer(b.tr)
+	b.reg = telemetry.NewRegistry()
+	b.plane = monitor.NewPlane(sys.K, b.reg, every)
+	sys.Net.SetBus(b.plane.Bus)
+	b.plane.WireTracer(b.tr)
 
-	// The client's priorities map onto the wire: best effort below the
-	// escalation band, EF at and above it.
-	cliORB := cli.ORB(orb.Config{NetMapping: rtcorba.BandedDSCPMapping{
-		Bands: []rtcorba.DSCPBand{{From: monitorEscalatedPrio, DSCP: netsim.DSCPEF}},
+	b.cliORB = b.cli.ORB(orb.Config{NetMapping: rtcorba.BandedDSCPMapping{
+		Bands: []rtcorba.DSCPBand{{From: escalated, DSCP: netsim.DSCPEF}},
 	}})
 	srvORB := srv.ORB(orb.Config{})
-	cliORB.EnableTracing(tr)
-	srvORB.EnableTracing(tr)
-	cliORB.AddClientInterceptor(&orb.TelemetryProbe{Reg: reg})
+	b.cliORB.EnableTracing(b.tr)
+	srvORB.EnableTracing(b.tr)
+	b.cliORB.AddClientInterceptor(&orb.TelemetryProbe{Reg: b.reg})
+	for _, ci := range extra {
+		b.cliORB.AddClientInterceptor(ci)
+	}
 	// Capture each invocation's trace context so the application's own
-	// rtt histogram can stamp observations with exemplars: every window
-	// of the dashboard series then names a concrete causal trace.
-	ctxCap := &traceCtxCapture{}
-	cliORB.AddClientInterceptor(ctxCap)
+	// rtt histogram can stamp observations with exemplars.
+	b.ctx = &traceCtxCapture{}
+	b.cliORB.AddClientInterceptor(b.ctx)
 	// Breaker transitions from the client, lane sheds from the server's
 	// POA pool ("pool/srv/app").
-	cliORB.SetBus(plane.Bus)
-	srvORB.SetBus(plane.Bus)
+	b.cliORB.SetBus(b.plane.Bus)
+	srvORB.SetBus(b.plane.Bus)
 
 	lanes := []rtcorba.LaneConfig{
 		{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
-		{Priority: monitorEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
+		{Priority: escalated, Threads: 1, QueueLimit: 32, HighWatermark: 24},
 	}
-	poa, err := srvORB.CreatePOA("app", orb.POAConfig{Model: rtcorba.ClientPropagated, Lanes: lanes})
-	if err != nil {
-		panic(err)
-	}
-	servant := orb.ServantFunc(func(req *orb.ServerRequest) ([]byte, error) {
+	b.lanes = len(lanes)
+	var err error
+	b.poa, err = srvORB.CreatePOA("app", orb.POAConfig{Model: rtcorba.ClientPropagated, Lanes: lanes})
+	must(err)
+	b.ref, err = b.poa.Activate("svc", orb.ServantFunc(func(req *orb.ServerRequest) ([]byte, error) {
 		req.Thread.Compute(200 * time.Microsecond)
 		return make([]byte, 128), nil
-	})
-	ref, err := poa.Activate("svc", servant)
-	if err != nil {
-		panic(err)
+	}))
+	must(err)
+
+	// Bulk flood: raw best-effort datagrams (media/sensor-style traffic
+	// with no transport backpressure) at 9.6 Mb/s during the middle
+	// third — over the server access link's 8 Mb/s, so the best-effort
+	// band queues up and tail-drops while the EF band stays clear.
+	bulkSent := b.reg.Counter("load.bulk")
+	flow := sys.Net.NewFlowID()
+	srv.Node.Bind(9999, func(*netsim.Packet) {})
+	var blast func()
+	blast = func() {
+		now := sys.K.Now()
+		if now >= sim.Time(b.loadEnd) {
+			return
+		}
+		if now >= sim.Time(b.loadStart) {
+			bulkSent.Inc()
+			b.bulk++
+			loadm.Node.Send(netsim.Packet{
+				Src:  loadm.Node.Addr(9998),
+				Dst:  srv.Node.Addr(9999),
+				Size: 1500,
+				Flow: flow,
+			})
+		}
+		sys.K.After(1250*time.Microsecond, blast)
 	}
+	sys.K.Soon(blast)
+	return b
+}
+
+// RunMonitor executes the scenario. Duration defaults to 12s with the
+// flood in the middle third; the sampler and contract tick every 250ms.
+func RunMonitor(opt Options) MonitorResult {
+	dur := opt.duration(12 * time.Second)
+	const every = 250 * time.Millisecond
+	bed := newFloodBed(opt, dur, every, monitorEscalatedPrio)
+	defer bed.sys.Close()
+	sys, reg, plane, tr, cliORB, ctxCap := bed.sys, bed.reg, bed.plane, bed.tr, bed.cliORB, bed.ctx
+
 	r := MonitorResult{
 		Duration:  dur,
-		LoadStart: loadStart,
-		LoadEnd:   loadEnd,
+		LoadStart: bed.loadStart,
+		LoadEnd:   bed.loadEnd,
 		Every:     every,
 		TimeIn:    make(map[string]time.Duration),
 		Timeline:  plane.Timeline,
@@ -223,7 +285,6 @@ func RunMonitor(opt Options) MonitorResult {
 	// not the TelemetryProbe's priority-labelled rtt, which would split
 	// the series when the qosket changes priority).
 	rtt := reg.Histogram("app.rtt_ms")
-	bulkSent := reg.Counter("load.bulk")
 
 	// Closed loop: sampled conditions only.
 	rttCond := monitor.HistogramCond("rtt_p95_ms", plane.Sampler, "app.rtt_ms", monitor.StatP95)
@@ -274,12 +335,12 @@ func RunMonitor(opt Options) MonitorResult {
 	})
 
 	// Client: steady request stream, RTTs recorded in milliseconds.
-	cli.Host.Spawn("client", 50, func(th *rtos.Thread) {
+	bed.cli.Host.Spawn("client", 50, func(th *rtos.Thread) {
 		body := make([]byte, 512)
 		for th.Now() < sim.Time(dur) {
 			r.Sent++
 			start := th.Now()
-			_, err := cliORB.InvokeOpt(th, ref, "work", body, orb.InvokeOptions{
+			_, err := cliORB.InvokeOpt(th, bed.ref, "work", body, orb.InvokeOptions{
 				Priority: curPrio,
 				Deadline: 250 * time.Millisecond,
 			})
@@ -300,32 +361,6 @@ func RunMonitor(opt Options) MonitorResult {
 		}
 	})
 
-	// Bulk flood: raw best-effort datagrams (media/sensor-style traffic
-	// with no transport backpressure) at 9.6 Mb/s during the middle
-	// third — over the server access link's 8 Mb/s, so the best-effort
-	// band queues up and tail-drops while the EF band stays clear.
-	flow := sys.Net.NewFlowID()
-	srv.Node.Bind(9999, func(*netsim.Packet) {})
-	var blast func()
-	blast = func() {
-		now := sys.K.Now()
-		if now >= sim.Time(loadEnd) {
-			return
-		}
-		if now >= sim.Time(loadStart) {
-			bulkSent.Inc()
-			r.BulkOffer++
-			loadm.Node.Send(netsim.Packet{
-				Src:  loadm.Node.Addr(9998),
-				Dst:  srv.Node.Addr(9999),
-				Size: 1500,
-				Flow: flow,
-			})
-		}
-		sys.K.After(1250*time.Microsecond, blast)
-	}
-	sys.K.Soon(blast)
-
 	plane.Start()
 	contract.Start(sys.K)
 	sys.RunUntil(sim.Time(dur + 250*time.Millisecond))
@@ -333,8 +368,9 @@ func RunMonitor(opt Options) MonitorResult {
 	plane.Stop()
 	tr.FlushOpen()
 
+	r.BulkOffer = bed.bulk
 	r.RTT = plane.Sampler.Series("app.rtt_ms.window")
-	r.Unreconciled = reconcile(plane.Timeline, poa, len(lanes), cliORB)
+	r.Unreconciled = reconcile(plane.Timeline, bed.poa, bed.lanes, cliORB)
 	r.Regions = hist.Spans()
 	r.Transitions = contract.Transitions()
 	for _, s := range hist.Spans() {
@@ -364,4 +400,20 @@ func RunMonitor(opt Options) MonitorResult {
 		r.Breakdown, r.BreakdownTotal = col.Breakdown(r.ExemplarTrace)
 	}
 	return r
+}
+
+// ClosedLoop reports whether sampled data drove the adaptation loop:
+// the qosket escalated and the contract made at least three region
+// transitions.
+func (r MonitorResult) ClosedLoop() bool { return r.Escalate > 0 && r.Transitions >= 3 }
+
+// Checks states the scenario's verdicts as claims: the region
+// transitions come from sampled data, and the bus records reconcile
+// with the counters of the layers that published them.
+func (r MonitorResult) Checks() []Check {
+	return []Check{
+		{"Monitor", "sampled data drives the contract's region transitions",
+			r.ClosedLoop(), fmt.Sprintf("%d escalation(s), %d region transitions", r.Escalate, r.Transitions)},
+		reconciled("Monitor", r.Unreconciled),
+	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -62,6 +63,7 @@ type OverloadBucket struct {
 
 // OverloadResult is the measured outcome of the overload scenario.
 type OverloadResult struct {
+	Seed              int64
 	Duration          time.Duration
 	WarmEnd, OverEnd  time.Duration
 	HighDeadline      time.Duration
@@ -146,6 +148,7 @@ func RunOverload(opt Options) OverloadResult {
 	groupRef := g.Ref()
 
 	r := OverloadResult{
+		Seed:         opt.seed(),
 		Duration:     dur,
 		WarmEnd:      warmEnd,
 		OverEnd:      overEnd,
@@ -275,28 +278,36 @@ func (r OverloadResult) HighP99() time.Duration {
 	return time.Duration(r.HighOver.P99 * float64(time.Second))
 }
 
-// RenderTimeline prints the sampled degradation timeline.
-func (r OverloadResult) RenderTimeline() string {
-	tb := metrics.NewTable("Degradation timeline (500ms buckets)",
+// highWithin reports whether the command strand's overload p99 stayed
+// within its deadline.
+func (r OverloadResult) highWithin() bool { return r.HighP99() <= r.HighDeadline }
+
+// Render prints the overload report: the sampled degradation timeline,
+// the per-strand table, the breaker transition log and the acceptance
+// summary.
+func (r OverloadResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "qosoverload: 2x lane saturation in [%v, %v) of %v (seed %d)\n\n",
+		r.WarmEnd, r.OverEnd, r.Duration, r.Seed)
+
+	tl := metrics.NewTable("Degradation timeline (500ms buckets)",
 		"t", "phase", "low offered", "low served", "low shed", "high ok", "high max", "queue", "breaker")
-	for _, b := range r.Timeline {
-		tb.AddRow(
-			fmt.Sprint(b.At),
-			b.Phase,
-			fmt.Sprint(b.LowOffered),
-			fmt.Sprint(b.LowServed),
-			fmt.Sprint(b.LowShed),
-			fmt.Sprint(b.HighOK),
-			metrics.FormatDuration(b.HighMax),
-			fmt.Sprint(b.QueueDepth),
-			b.Breaker.String(),
+	for _, bk := range r.Timeline {
+		tl.AddRow(
+			fmt.Sprint(bk.At),
+			bk.Phase,
+			fmt.Sprint(bk.LowOffered),
+			fmt.Sprint(bk.LowServed),
+			fmt.Sprint(bk.LowShed),
+			fmt.Sprint(bk.HighOK),
+			metrics.FormatDuration(bk.HighMax),
+			fmt.Sprint(bk.QueueDepth),
+			bk.Breaker.String(),
 		)
 	}
-	return tb.Render()
-}
+	b.WriteString(tl.Render())
+	b.WriteString("\n")
 
-// Render prints the degradation report.
-func (r OverloadResult) Render() string {
 	tb := metrics.NewTable(
 		fmt.Sprintf("Overload — 2x saturation in [%v, %v) of %v", r.WarmEnd, r.OverEnd, r.Duration),
 		"Strand", "Offered", "OK", "Shed", "Detail")
@@ -312,13 +323,13 @@ func (r OverloadResult) Render() string {
 		fmt.Sprint(r.OpsOK+r.OpsOverload+r.OpsDeadline+r.OpsFailed), fmt.Sprint(r.OpsOK),
 		fmt.Sprint(r.OpsOverload+r.OpsDeadline+r.OpsFailed),
 		fmt.Sprintf("overload %d, deadline %d, other %d", r.OpsOverload, r.OpsDeadline, r.OpsFailed))
-	out := tb.Render()
-	out += "\n  circuit breaker (primary endpoint):\n"
+	b.WriteString(tb.Render())
+	b.WriteString("\n  circuit breaker (primary endpoint):\n")
 	if len(r.Breaker) == 0 {
-		out += "    no transitions\n"
+		b.WriteString("    no transitions\n")
 	}
 	for _, tr := range r.Breaker {
-		out += fmt.Sprintf("    t=%-8v %v: %v -> %v\n", time.Duration(tr.At), tr.Addr, tr.From, tr.To)
+		fmt.Fprintf(&b, "    t=%-8v %v: %v -> %v\n", time.Duration(tr.At), tr.Addr, tr.From, tr.To)
 	}
 	verdict := "did not open"
 	if r.BreakerOpened && r.BreakerReclosed {
@@ -326,6 +337,38 @@ func (r OverloadResult) Render() string {
 	} else if r.BreakerOpened {
 		verdict = "opened under overload, still open"
 	}
-	out += fmt.Sprintf("    verdict: %s\n", verdict)
-	return out
+	fmt.Fprintf(&b, "    verdict: %s\n", verdict)
+
+	b.WriteString("\nacceptance:\n")
+	within := "EXCEEDS"
+	if r.highWithin() {
+		within = "within"
+	}
+	fmt.Fprintf(&b, "  high-band p99 under overload   %v (%s deadline %v)\n", r.HighP99(), within, r.HighDeadline)
+	fmt.Fprintf(&b, "  high-band failures             %d of %d\n", r.HighFailed, r.HighSent)
+	fmt.Fprintf(&b, "  low-band shed rate             %.1f%% (%d of %d offered; queue bounded, final depth %d)\n",
+		100*r.ShedRate, r.LowRefused+r.LowShedDeadline+r.LowShedEvicted, r.LowOffered, r.PrimaryQueueFinal)
+	breakerVerdict := "never opened"
+	switch {
+	case r.BreakerOpened && r.BreakerReclosed:
+		breakerVerdict = "opened on the saturated primary, re-closed after load dropped"
+	case r.BreakerOpened:
+		breakerVerdict = "opened on the saturated primary, still open"
+	}
+	fmt.Fprintf(&b, "  circuit breaker                %s (%d transitions)\n", breakerVerdict, len(r.Breaker))
+	fmt.Fprintf(&b, "  ops availability               %d ok, %d overload, %d deadline, %d other\n",
+		r.OpsOK, r.OpsOverload, r.OpsDeadline, r.OpsFailed)
+	return b.String()
+}
+
+// Checks states the acceptance verdicts as claims: the high band's
+// overload p99 stays within its deadline, and the breaker opens on the
+// saturated primary and re-closes after the load drops.
+func (r OverloadResult) Checks() []Check {
+	return []Check{
+		{"Overload", "the high band's p99 under 2x saturation stays within its deadline",
+			r.highWithin(), fmt.Sprintf("p99 %v (deadline %v)", r.HighP99(), r.HighDeadline)},
+		{"Overload", "the breaker opens on the saturated primary and re-closes after the load drops",
+			r.BreakerOpened && r.BreakerReclosed, fmt.Sprintf("opened %v, re-closed %v (%d transitions)", r.BreakerOpened, r.BreakerReclosed, len(r.Breaker))},
+	}
 }

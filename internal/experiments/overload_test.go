@@ -43,7 +43,7 @@ func TestOverloadDegradesGracefully(t *testing.T) {
 func TestOverloadDeterministic(t *testing.T) {
 	a := RunOverload(Options{})
 	b := RunOverload(Options{})
-	if ra, rb := a.RenderTimeline()+a.Render(), b.RenderTimeline()+b.Render(); ra != rb {
+	if ra, rb := a.Render(), b.Render(); ra != rb {
 		t.Fatalf("same-seed runs diverged:\n--- first ---\n%s\n--- second ---\n%s", ra, rb)
 	}
 }

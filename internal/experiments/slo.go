@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/monitor"
-	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/quo"
 	"repro/internal/rtcorba"
@@ -26,8 +27,8 @@ import (
 // sampled trace whose critical path names the layer that ate the
 // budget?
 //
-// Topology and load mirror the monitor experiment (client and flood
-// sharing a DiffServ link's best-effort band, flood in the middle
+// Topology and load are the monitor experiment's (floodBed: client and
+// flood sharing a DiffServ link's best-effort band, flood in the middle
 // third), but the adaptation loop is different: the QuO contract reads
 // an SLO burn-rate condition, not a latency statistic, and the tracer's
 // expensive sinks sit behind a tail-based adaptive sampler with a
@@ -49,6 +50,7 @@ const (
 
 // SLOResult is the measured outcome of the SLO scenario.
 type SLOResult struct {
+	Seed               int64
 	Duration           time.Duration
 	LoadStart, LoadEnd time.Duration
 	Every              time.Duration
@@ -112,36 +114,15 @@ func (c *sloMissCapture) ReceiveReply(info *orb.ClientRequestInfo) {
 // in the middle third.
 func RunSLO(opt Options) SLOResult {
 	dur := opt.duration(12 * time.Second)
-	loadStart, loadEnd := dur/3, 2*dur/3
 	const every = 250 * time.Millisecond
-
-	sys := core.NewSystem(opt.seed())
-	defer sys.Close()
-	cli := sys.AddMachine("cli", rtos.HostConfig{})
-	loadm := sys.AddMachine("load", rtos.HostConfig{})
-	srv := sys.AddMachine("srv", rtos.HostConfig{})
-	rtr := sys.AddRouter("rtr")
-	link := func(a, b *netsim.Node, bps float64) {
-		sys.Net.ConnectSym(a, b, netsim.LinkConfig{
-			Bps:   bps,
-			Delay: time.Millisecond,
-			Queue: netsim.NewDiffServ(32*1024, netsim.NewFIFO(64*1024)),
-		})
-	}
-	link(cli.Node, rtr, 10e6)
-	link(loadm.Node, rtr, 10e6)
-	link(rtr, srv.Node, 8e6)
-
-	reg := telemetry.NewRegistry()
-	plane := monitor.NewPlane(sys.K, reg, every)
-	sys.Net.SetBus(plane.Bus)
+	missCap := &sloMissCapture{}
+	bed := newFloodBed(opt, dur, every, sloEscalatedPrio, missCap)
+	defer bed.sys.Close()
+	sys, reg, plane, tr, cliORB, ctxCap := bed.sys, bed.reg, bed.plane, bed.tr, bed.cliORB, bed.ctx
 
 	// The tracer's expensive sink sits behind the adaptive sampler: the
 	// kept collector holds only error-class, tail-outlier and
 	// budget-limited head traces.
-	tr := trace.NewTracer(sys.K)
-	sys.Net.SetTracer(tr)
-	plane.WireTracer(tr)
 	kept := trace.NewCollector()
 	smp := sampling.New(sys.K, sampling.Config{
 		BandOf: func(p int64) string {
@@ -153,41 +134,11 @@ func RunSLO(opt Options) SLOResult {
 	}, kept).Instrument(reg)
 	tr.AddSink(smp)
 
-	cliORB := cli.ORB(orb.Config{NetMapping: rtcorba.BandedDSCPMapping{
-		Bands: []rtcorba.DSCPBand{{From: sloEscalatedPrio, DSCP: netsim.DSCPEF}},
-	}})
-	srvORB := srv.ORB(orb.Config{})
-	cliORB.EnableTracing(tr)
-	srvORB.EnableTracing(tr)
-	cliORB.AddClientInterceptor(&orb.TelemetryProbe{Reg: reg})
-	missCap := &sloMissCapture{}
-	cliORB.AddClientInterceptor(missCap)
-	ctxCap := &traceCtxCapture{}
-	cliORB.AddClientInterceptor(ctxCap)
-	cliORB.SetBus(plane.Bus)
-	srvORB.SetBus(plane.Bus)
-
-	lanes := []rtcorba.LaneConfig{
-		{Priority: 0, Threads: 2, QueueLimit: 64, HighWatermark: 48},
-		{Priority: sloEscalatedPrio, Threads: 1, QueueLimit: 32, HighWatermark: 24},
-	}
-	poa, err := srvORB.CreatePOA("app", orb.POAConfig{Model: rtcorba.ClientPropagated, Lanes: lanes})
-	if err != nil {
-		panic(err)
-	}
-	servant := orb.ServantFunc(func(req *orb.ServerRequest) ([]byte, error) {
-		req.Thread.Compute(200 * time.Microsecond)
-		return make([]byte, 128), nil
-	})
-	ref, err := poa.Activate("svc", servant)
-	if err != nil {
-		panic(err)
-	}
-
 	r := SLOResult{
+		Seed:      opt.seed(),
 		Duration:  dur,
-		LoadStart: loadStart,
-		LoadEnd:   loadEnd,
+		LoadStart: bed.loadStart,
+		LoadEnd:   bed.loadEnd,
 		Every:     every,
 		TimeIn:    make(map[string]time.Duration),
 		Guilty:    make(map[string]int),
@@ -274,12 +225,12 @@ func RunSLO(opt Options) SLOResult {
 	// Client: steady request stream with a hard deadline. Every outcome
 	// feeds the SLO; successful RTTs also feed the dashboard histogram
 	// with the invocation's trace as exemplar.
-	cli.Host.Spawn("client", 50, func(th *rtos.Thread) {
+	bed.cli.Host.Spawn("client", 50, func(th *rtos.Thread) {
 		body := make([]byte, 512)
 		for th.Now() < sim.Time(dur) {
 			r.Sent++
 			start := th.Now()
-			_, err := cliORB.InvokeOpt(th, ref, "work", body, orb.InvokeOptions{
+			_, err := cliORB.InvokeOpt(th, bed.ref, "work", body, orb.InvokeOptions{
 				Priority: curPrio,
 				Deadline: sloDeadline,
 			})
@@ -305,30 +256,6 @@ func RunSLO(opt Options) SLOResult {
 		}
 	})
 
-	// Bulk flood over the best-effort band during the middle third.
-	bulkSent := reg.Counter("load.bulk")
-	flow := sys.Net.NewFlowID()
-	srv.Node.Bind(9999, func(*netsim.Packet) {})
-	var blast func()
-	blast = func() {
-		now := sys.K.Now()
-		if now >= sim.Time(loadEnd) {
-			return
-		}
-		if now >= sim.Time(loadStart) {
-			bulkSent.Inc()
-			r.BulkOffer++
-			loadm.Node.Send(netsim.Packet{
-				Src:  loadm.Node.Addr(9998),
-				Dst:  srv.Node.Addr(9999),
-				Size: 1500,
-				Flow: flow,
-			})
-		}
-		sys.K.After(1250*time.Microsecond, blast)
-	}
-	sys.K.Soon(blast)
-
 	plane.Start()
 	tracker.Start(100 * time.Millisecond)
 	contract.Start(sys.K)
@@ -339,7 +266,8 @@ func RunSLO(opt Options) SLOResult {
 	tr.FlushOpen()
 	smp.FlushOpen()
 
-	r.Unreconciled = reconcile(plane.Timeline, poa, len(lanes), cliORB)
+	r.BulkOffer = bed.bulk
+	r.Unreconciled = reconcile(plane.Timeline, bed.poa, bed.lanes, cliORB)
 	r.Regions = hist.Spans()
 	r.Transitions = contract.Transitions()
 	for _, s := range hist.Spans() {
@@ -370,4 +298,116 @@ func RunSLO(opt Options) SLOResult {
 		}
 	}
 	return r
+}
+
+// burnWon reports whether the burn-rate pair fired before the raw p95
+// rule (or the rule never fired).
+func (r SLOResult) burnWon() bool {
+	return r.BurnFired && (!r.AlertFired || r.BurnFiredAt < r.AlertFiredAt)
+}
+
+// Render prints the causal-latency attribution report: the burn-rate
+// state of the objective, the alerting head-to-head, the contract's
+// region timeline, the sampler's kept-trace economics, the critical
+// path of the slowest kept deadline miss, and the full event timeline.
+func (r SLOResult) Render() string {
+	end := r.Duration + r.Every
+	var b strings.Builder
+	fmt.Fprintf(&b, "qosslo: burn-rate SLO plane + tail-based trace sampling (seed %d, %v virtual)\n",
+		r.Seed, r.Duration)
+	fmt.Fprintf(&b, "flood: best-effort datagrams in [%v, %v) against the server's 8 Mb/s access link\n\n",
+		r.LoadStart, r.LoadEnd)
+
+	obj := r.SLO.Objective()
+	fmt.Fprintf(&b, "objective: %.3g%% of invocations within %v (budget %.3g%%)\n",
+		100*obj.Goal, obj.LatencyBound, 100*(1-obj.Goal))
+	b.WriteString(r.SLO.Render() + "\n")
+
+	b.WriteString("alerting head-to-head (same 30ms boundary, flood begins at " + r.LoadStart.String() + "):\n")
+	if r.BurnFired {
+		fmt.Fprintf(&b, "  burn-rate fast pair fired   %12v  (+%v after flood onset)\n",
+			r.BurnFiredAt, r.BurnFiredAt-r.LoadStart)
+	} else {
+		b.WriteString("  burn-rate fast pair fired   never\n")
+	}
+	if r.AlertFired {
+		fmt.Fprintf(&b, "  p95 rule (For=2) fired      %12v  (+%v after flood onset)\n",
+			r.AlertFiredAt, r.AlertFiredAt-r.LoadStart)
+	} else {
+		b.WriteString("  p95 rule (For=2) fired      never\n")
+	}
+	if r.burnWon() {
+		lead := "unbounded"
+		if r.AlertFired {
+			lead = (r.AlertFiredAt - r.BurnFiredAt).String()
+		}
+		fmt.Fprintf(&b, "  winner: burn rate, by %s\n", lead)
+	}
+	b.WriteString("\n")
+
+	b.WriteString("contract region timeline (conditions read the SLO burn, not raw latency):\n")
+	for _, s := range r.Regions {
+		fmt.Fprintf(&b, "%12v  %-10s %v\n", time.Duration(s.Start), s.Region, s.DurationAt(end))
+	}
+	b.WriteString("\n")
+
+	st := r.Sampling
+	tb := metrics.NewTable("Tail-based sampling verdicts", "Verdict", "Traces")
+	tb.AddRow("keep:error", fmt.Sprint(st.KeepError))
+	tb.AddRow("keep:tail", fmt.Sprint(st.KeepTail))
+	tb.AddRow("keep:head", fmt.Sprint(st.KeepHead))
+	tb.AddRow("drop", fmt.Sprint(st.Dropped))
+	tb.AddRow("total", fmt.Sprint(st.Traces))
+	b.WriteString(tb.Render())
+	fmt.Fprintf(&b, "kept %d of %d traces (%.1f/s against a %g/s head budget), %d resurrected by late spans\n",
+		st.Kept, st.Traces, r.KeptPerSec, sampling.HeadBudget, st.Resurrected)
+	fmt.Fprintf(&b, "spans stored %d, spans discarded %d\n\n", st.SpansKept, st.SpansDropped)
+
+	fmt.Fprintf(&b, "deadline-miss audit: %d missed invocations, %d with a kept trace\n", r.MissTotal, r.MissKept)
+	b.WriteString("critical-path guilty layer across kept misses:\n")
+	for _, layer := range []string{"netsim", "poa", "orb", "rtcorba", "overload", "app"} {
+		if n := r.Guilty[layer]; n > 0 {
+			fmt.Fprintf(&b, "  %-10s %d\n", layer, n)
+		}
+	}
+	if r.WorstMiss != 0 {
+		fmt.Fprintf(&b, "\nslowest kept miss (trace %d) critical path:\n", r.WorstMiss)
+		b.WriteString(r.Kept.RenderCriticalPath(r.WorstMiss))
+	}
+
+	b.WriteString("\nslo_burn / alert / region timeline:\n")
+	b.WriteString(r.Timeline.Render(events.KindSLOBurn, events.KindAlert, events.KindRegion))
+	b.WriteString("\nevent counts by kind:\n")
+	b.WriteString(r.Timeline.RenderCounts())
+
+	b.WriteString("\nclosed-loop summary:\n")
+	fmt.Fprintf(&b, "  client invocations   %d sent, %d ok, %d deadline-expired, %d failed\n",
+		r.Sent, r.OK, r.Deadline, r.Failed)
+	fmt.Fprintf(&b, "  flood offered        %d datagrams\n", r.BulkOffer)
+	fmt.Fprintf(&b, "  qosket actions       %d escalation(s) to the EF band, %d de-escalation(s)\n",
+		r.Escalate, r.Deescalate)
+	for _, reg := range []string{"normal", "burning", "protected"} {
+		fmt.Fprintf(&b, "  time in %-12s %v\n", reg, r.TimeIn[reg])
+	}
+
+	b.WriteString("\nfull event timeline:\n")
+	b.WriteString(r.Timeline.Render())
+	return b.String()
+}
+
+// Checks states the scenario's verdicts as claims: burn-rate alerting
+// beats the raw p95 rule to the alarm, and the bus records reconcile
+// with the counters of the layers that published them.
+func (r SLOResult) Checks() []Check {
+	lead := "burn never fired"
+	switch {
+	case r.BurnFired && r.AlertFired:
+		lead = fmt.Sprintf("burn %v, p95 rule %v", r.BurnFiredAt, r.AlertFiredAt)
+	case r.BurnFired:
+		lead = fmt.Sprintf("burn %v, p95 rule never", r.BurnFiredAt)
+	}
+	return []Check{
+		{"SLO", "burn-rate alerting fires before the raw p95 threshold rule", r.burnWon(), lead},
+		reconciled("SLO", r.Unreconciled),
+	}
 }

@@ -167,7 +167,7 @@ type LayerShare struct {
 // exclusive per-layer durations: every instant of [root.Start, root.End]
 // is charged to the deepest span covering it (ties to the most recently
 // minted span), so the shares sum exactly to the root's duration — the
-// critical-path property the qostrace CLI relies on.
+// critical-path property the trace scenario's audit claim checks.
 //
 // Layers are returned in descending time order (ties by name) for
 // deterministic rendering.

@@ -44,10 +44,10 @@ type EventJSON struct {
 }
 
 // SpanJSON is the machine-readable form of one ended span, shared by
-// the JSONL exporter and qostrace's -json output so trace shapes can be
-// diffed across runs. Field order follows the struct definition and
-// attribute slices preserve insertion order, so marshalling is
-// deterministic.
+// the JSONL exporter and the trace scenario's JSON document so trace
+// shapes can be diffed across runs. Field order follows the struct
+// definition and attribute slices preserve insertion order, so
+// marshalling is deterministic.
 type SpanJSON struct {
 	Trace  uint64      `json:"trace"`
 	Span   uint64      `json:"span"`
