@@ -276,7 +276,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run parses args, runs the named experiments with their reports on w,
 // and returns the exit status: 0, 1 if a claim failed or a run erred,
-// 2 for bad usage.
+// 2 for bad usage. The closing wall-time line and failed claims go to
+// stderr, so a virtual-time run's w is byte-identical run to run.
 func run(args []string, w io.Writer) int {
 	var names, inAll []string
 	for _, r := range runs {
@@ -323,7 +324,7 @@ func run(args []string, w io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	fmt.Fprintf(w, "qosbench: %d experiment(s) in %v wall time\n", ran, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "qosbench: %d experiment(s) in %v wall time\n", ran, time.Since(start).Round(time.Millisecond))
 	failed := 0
 	for _, c := range checks {
 		if !c.OK {

@@ -10,25 +10,20 @@ import (
 )
 
 // report runs qosbench with args, requires exit status 0, and returns
-// its output without the closing wall-time line.
+// its stdout.
 func report(t *testing.T, args ...string) string {
 	t.Helper()
 	var out bytes.Buffer
 	if code := run(args, &out); code != 0 {
 		t.Fatalf("qosbench %v exited %d:\n%s", args, code, out.String())
 	}
-	s := out.String()
-	i := strings.LastIndex(strings.TrimSuffix(s, "\n"), "\n")
-	if !strings.HasSuffix(s, " wall time\n") || !strings.HasPrefix(s[i+1:], "qosbench: ") {
-		t.Fatalf("qosbench %v: no closing wall-time line:\n%s", args, s)
-	}
-	return s[:i+1]
+	return out.String()
 }
 
 // golden runs qosbench with args twice, requires byte-identical
 // reports, compares them to testdata/name, and returns the report.
-// Regenerate a golden with the run it names (dropping the wall-time
-// line) only for a deliberate change.
+// Regenerate a golden with the run it names (its stdout) only for a
+// deliberate change.
 func golden(t *testing.T, name string, args ...string) string {
 	t.Helper()
 	a, b := report(t, args...), report(t, args...)

@@ -21,14 +21,15 @@ import (
 	"repro/internal/video"
 )
 
-// framePacket is the wire payload of one video frame.
+// framePacket is one video frame on the wire: the datagram message and
+// the simulated object it carries (msg.Payload points back at the
+// framePacket), in one record. msg.Ctx is the frame's trace span: opened
+// by the sender, closed by the receiving endpoint (or left open —
+// flagged unfinished — when the frame is lost in the network).
 type framePacket struct {
+	msg    transport.Message
 	frame  video.Frame
 	sentAt sim.Time
-	// ctx is the frame's trace span: opened by the sender, closed by
-	// the receiving endpoint (or left open — flagged unfinished — when
-	// the frame is lost in the network).
-	ctx trace.SpanContext
 }
 
 // QoS describes the network QoS requested at bind time.
@@ -140,8 +141,8 @@ func (r *Receiver) loop(t *rtos.Thread) {
 		}
 		tr := r.svc.tracer
 		var rspan *trace.Span
-		if tr != nil && fp.ctx.Valid() {
-			rspan = tr.StartChild(fp.ctx, "frame.recv", trace.LayerAVStreams)
+		if tr != nil && m.Ctx.Valid() {
+			rspan = tr.StartChild(m.Ctx, "frame.recv", trace.LayerAVStreams)
 		}
 		t.Compute(r.svc.frameCost(r.svc.RecvCostFixed, r.svc.RecvCostPerKB, fp.frame.Size))
 		now := t.Now()
@@ -151,12 +152,12 @@ func (r *Receiver) loop(t *rtos.Thread) {
 		r.Stats.RecordReceived(fp.frame, now)
 		r.Latency = append(r.Latency, time.Duration(now-fp.sentAt))
 		r.arrived = append(r.arrived, now)
-		if tr != nil && fp.ctx.Valid() {
+		if tr != nil && m.Ctx.Valid() {
 			// Delivery closes the span the sender opened for this frame.
-			tr.Finish(fp.ctx)
+			tr.Finish(m.Ctx)
 		}
 		if r.ctxHandler != nil {
-			r.ctxHandler(fp.frame, fp.sentAt, now, fp.ctx)
+			r.ctxHandler(fp.frame, fp.sentAt, now, m.Ctx)
 		} else if r.handler != nil {
 			r.handler(fp.frame, fp.sentAt, now)
 		}
@@ -277,12 +278,11 @@ func (st *Stream) sendFrame(t *rtos.Thread, f video.Frame, parent trace.SpanCont
 	now := t.Now()
 	st.Stats.RecordSent(f, now)
 	fp := &framePacket{frame: f, sentAt: now}
-	msg := &transport.Message{Payload: fp, Size: f.Size}
+	fp.msg = transport.Message{Payload: fp, Size: f.Size}
 	if span != nil {
-		fp.ctx = span.Context()
-		msg.Ctx = span.Context()
+		fp.msg.Ctx = span.Context()
 	}
-	st.sender.conn.Send(st.dst, msg)
+	st.sender.conn.Send(st.dst, &fp.msg)
 	return true
 }
 

@@ -78,12 +78,12 @@ func (n *Network) recycle(p *Packet) {
 	n.free = append(n.free, p)
 }
 
-// Frame returns an empty buffer to encode a large message into: the
-// most recently released frame, with that frame's capacity, or nil when
-// none is free (the encoder then allocates one). The network never
-// reads a frame's bytes; it keeps released frames only so that a case's
-// bulk messages cycle through a few buffers instead of allocating one
-// each (DESIGN §12 rule 1).
+// Frame returns an empty buffer to encode a message into: the most
+// recently released frame, with that frame's capacity, or nil when none
+// is free (the encoder then allocates one). The network never reads a
+// frame's bytes; it keeps released frames only so that a case's
+// requests cycle through a few buffers instead of allocating one each
+// (DESIGN §12 rule 1).
 func (n *Network) Frame() []byte {
 	last := len(n.frames) - 1
 	if last < 0 {

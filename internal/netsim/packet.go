@@ -58,6 +58,16 @@ func (d DSCP) String() string {
 // fragmenting application messages, matching Ethernet.
 const MTU = 1500
 
+// Header is a transport's per-packet header, carried by value so that a
+// segment, an ack or a fragment costs no record. The network never reads
+// it. A stream segment uses Seq and Ack, a datagram fragment Seq (its
+// message's id), Idx and Count.
+type Header struct {
+	Seq, Ack     uint64
+	Idx, Count   int32
+	Proto, Flags uint8 // the owning transport (zero for none) and its flags
+}
+
 // Packet is one network datagram. The network owns every packet in
 // flight and recycles it through its free list: a packet handed to a
 // port handler is valid only until the handler returns, and a dropped
@@ -68,6 +78,7 @@ type Packet struct {
 	Size     int // bytes on the wire, headers included
 	DSCP     DSCP
 	Flow     FlowID
+	Hdr      Header
 	Payload  any
 	Sent     sim.Time // stamped by Node.Send
 	TTL      int

@@ -11,11 +11,12 @@ import (
 )
 
 // TestAllocBudgetSimFrame: once the network's free list holds a frame, a
-// 5 KiB oneway between two ORBs costs only its small objects, 1.4 KB —
-// the invocation record, four segment and four ack records, the
-// delivered and decoded message, the dispatch and its closures — and
-// not its 5.4 KB frame. (The race detector allocates on its own account,
-// so the pin exists only in an ordinary build.)
+// 5 KiB oneway between two ORBs costs only its small objects, 960 B —
+// the invocation record and its service contexts, the decoded message,
+// the dispatch and its closures — and neither its 5.4 KB frame nor
+// anything for its four segments and their acks. (The race detector
+// allocates on its own account, so the pin exists only in an ordinary
+// build.)
 func TestAllocBudgetSimFrame(t *testing.T) {
 	r := newRig(t, Config{}, Config{})
 	defer r.k.Close()
@@ -45,8 +46,8 @@ func TestAllocBudgetSimFrame(t *testing.T) {
 	if n < 190 {
 		t.Fatalf("%d oneways delivered in 2 s, want one per 10 ms", n)
 	}
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(n); per >= 2<<10 {
-		t.Errorf("%d B allocated per 5 KiB oneway, want < 2 KiB: the request frame is not recycled", per)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(n); per >= 1<<10 {
+		t.Errorf("%d B allocated per 5 KiB oneway, want < 1 KiB: the request frame or its segments are not recycled", per)
 	} else {
 		t.Logf("%d B allocated per 5 KiB oneway", per)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/giop"
 	"repro/internal/netsim"
 	"repro/internal/rtcorba"
@@ -14,47 +15,57 @@ import (
 	"repro/internal/transport"
 )
 
-// Frame lifetime, made observable. The frame of a large request goes back
+// Frame lifetime, made observable. The frame of every request goes back
 // to the network's free list once the request is settled (DESIGN §12
 // rule 1), so a use after release would normally show only when a later
 // request happened to be encoded into the same buffer. For the whole
 // test binary the release hook fills every frame with 0xDB as it goes
 // back: whatever still looks at one reads poison, at once, in every test
-// of the package.
-var (
-	framesReleased atomic.Int64
-	// doubleReleases counts frames released while still poisoned. A
-	// frame in use holds a GIOP message, so it starts with the magic; one
-	// that starts with poison went back twice with no encode between.
-	doubleReleases atomic.Int64
-)
+// of the package. The hook also panics — failing whichever test does it,
+// with the second releaser's stack — when a frame goes back twice.
+var framesReleased atomic.Int64
 
-func init() {
-	netsim.FrameReleaseHook = func(frame []byte) {
-		if bytes.HasPrefix(frame, []byte{0xDB, 0xDB, 0xDB, 0xDB}) {
-			doubleReleases.Add(1)
-		}
-		for i := range frame {
-			frame[i] = 0xDB
-		}
-		framesReleased.Add(1)
+func init() { netsim.FrameReleaseHook = poisonFrame }
+
+// poisonFrame fills a released frame with 0xDB, after checking that it is
+// not poison already. A frame handed out by Network.Frame holds a GIOP
+// message by the time it goes back, so it starts with the magic; one
+// that starts with poison went back twice with no encode between.
+func poisonFrame(frame []byte) {
+	if bytes.HasPrefix(frame, []byte{0xDB, 0xDB, 0xDB, 0xDB}) {
+		panic("a frame was released twice")
 	}
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+	framesReleased.Add(1)
 }
 
 // releasedSince fails t unless exactly want frames went back since the
-// release count read before, none of them twice.
+// release count read before.
 func releasedSince(t *testing.T, before, want int64) {
 	t.Helper()
 	if got := framesReleased.Load() - before; got != want {
 		t.Errorf("%d frames released, want %d", got, want)
 	}
-	if n := doubleReleases.Load(); n != 0 {
-		t.Errorf("%d frames were released twice", n)
-	}
 }
 
-// largeBodyOf returns a body just over largeBody whose bytes all read b.
-func largeBodyOf(b byte) []byte { return bytes.Repeat([]byte{b}, largeBody+1024) }
+// TestFrameReleasedTwicePanics: the hook catches a second release of one
+// frame, so a double release fails any test of the binary it happens in.
+func TestFrameReleasedTwicePanics(t *testing.T) {
+	frame := (&giop.CancelRequest{RequestID: 1}).Marshal(cdr.BigEndian)
+	poisonFrame(frame)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second release of one frame went unnoticed")
+		}
+	}()
+	poisonFrame(frame)
+}
+
+// largeBodyOf returns a 5 KiB body, four segments on the stream, whose
+// bytes all read b.
+func largeBodyOf(b byte) []byte { return bytes.Repeat([]byte{b}, 5<<10) }
 
 // TestFrameEchoRepliesIntact: a servant that returns req.Body without
 // Retain gets its reply bytes through intact, because the reply is
@@ -76,7 +87,7 @@ func TestFrameEchoRepliesIntact(t *testing.T) {
 	})
 	r.k.RunUntil(time.Second)
 	releasedSince(t, before, 3)
-	if f := r.net.Frame(); cap(f) < largeBody {
+	if f := r.net.Frame(); cap(f) < 5<<10 {
 		t.Errorf("the network's free list holds a %d B frame after the calls, want the one they shared", cap(f))
 	}
 	if f := r.net.Frame(); f != nil {
@@ -167,18 +178,21 @@ func TestFrameFTNeverRecycled(t *testing.T) {
 	releasedSince(t, before, 1)
 }
 
-// TestOwnershipReleasedOnceEachFate: a large request's frame goes back
+// TestOwnershipReleasedOnceEachFate: each request's frame goes back
 // exactly once whatever settles it — executed, refused by the lane,
 // shed for its deadline in the queue, cancelled while queued, addressed
-// to no object, or expired on arrival.
+// to no object, or expired on arrival. The small requests that fill the
+// lane first are settled by then too, so their frames count as well.
 func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		// run invokes exactly one large request on srv, behind ref, and
-		// reports whether it met the fate tc names.
+		name     string
+		requests int // requests run sends, each settled once it returns
+		// run invokes one large request on srv, behind ref, after
+		// requests-1 small ones, and reports whether the large one met
+		// the fate tc names.
 		run func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool
 	}{
-		{"executed", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"executed", 1, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			var err error
 			r.clientHost.Spawn("caller", 50, func(th *rtos.Thread) {
 				_, err = r.client.Invoke(th, ref, "work", largeBodyOf(1))
@@ -186,7 +200,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			r.k.RunUntil(time.Second)
 			return err == nil
 		}},
-		{"refused", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"refused", 3, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			r.clientHost.Spawn("flood", 50, func(th *rtos.Thread) {
 				_ = r.client.InvokeOneway(th, ref, "work", nil) // runs
 				_ = r.client.InvokeOneway(th, ref, "work", nil) // queued
@@ -195,7 +209,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			r.k.RunUntil(5 * time.Second)
 			return poa.Pool().Stats(0).Refused == 1
 		}},
-		{"shed", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"shed", 2, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			var err error
 			r.clientHost.Spawn("caller", 50, func(th *rtos.Thread) {
 				_ = r.client.InvokeOneway(th, ref, "work", nil)
@@ -206,7 +220,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			r.k.RunUntil(5 * time.Second)
 			return errors.Is(err, ErrDeadlineExpired) && poa.Pool().Stats(0).Deadline == 1
 		}},
-		{"cancelled", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"cancelled", 2, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			var err error
 			r.clientHost.Spawn("caller", 50, func(th *rtos.Thread) {
 				_ = r.client.InvokeOneway(th, ref, "work", nil)
@@ -217,7 +231,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			r.k.RunUntil(5 * time.Second)
 			return errors.Is(err, ErrTimeout) && srv.calls == 1
 		}},
-		{"bad-key", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"bad-key", 1, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			var err error
 			ghost := &ObjectRef{Addr: ref.Addr, Key: []byte("app/ghost")}
 			r.clientHost.Spawn("caller", 50, func(th *rtos.Thread) {
@@ -226,7 +240,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			r.k.RunUntil(time.Second)
 			return errors.Is(err, ErrObjectNotExist)
 		}},
-		{"expired-on-arrival", func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
+		{"expired-on-arrival", 1, func(r *rig, poa *POA, ref *ObjectRef, srv *blockerServant) bool {
 			var err error
 			r.clientHost.Spawn("caller", 50, func(th *rtos.Thread) {
 				// The budget outlasts the client's send check but not
@@ -249,7 +263,7 @@ func TestOwnershipReleasedOnceEachFate(t *testing.T) {
 			if !tc.run(r, poa, ref, srv) {
 				t.Fatalf("the request did not meet the fate %q", tc.name)
 			}
-			releasedSince(t, before, 1)
+			releasedSince(t, before, int64(tc.requests))
 		})
 	}
 }

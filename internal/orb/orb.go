@@ -107,10 +107,6 @@ const (
 	backoffCap = 160 * time.Millisecond
 	// breakerCooldownCap bounds an open circuit's doubling cooldown.
 	breakerCooldownCap = 2 * time.Second
-	// largeBody is the request body size from which a request's frame is
-	// recycled through the network's free list (DESIGN §12 rule 1): a
-	// smaller frame is cheaper to allocate than to keep track of.
-	largeBody = 4 << 10
 )
 
 func (c *Config) defaults() {
@@ -439,12 +435,12 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 		mspan = o.tracer.StartChild(info.TraceCtx, "request.marshal", trace.LayerORB)
 	}
 	t.Compute(o.msgCost(len(body)))
-	// A large request's frame comes from the network's free list, and
-	// the server gives it back once the request is settled (DESIGN §12
-	// rule 1) — bar an FT request's (extra carries its context), which
-	// the server keeps.
+	// The request's frame comes from the network's free list, and the
+	// server gives it back once the request is settled (DESIGN §12 rule
+	// 1) — bar an FT request's (extra carries its context), which the
+	// server keeps.
 	var frame []byte
-	if len(body) >= largeBody && len(extra) == 0 {
+	if len(extra) == 0 {
 		frame = o.ep.Frame()
 	}
 	wire := req.AppendTo(frame, o.cfg.ByteOrder)

@@ -33,8 +33,8 @@ type ServerRequest struct {
 	// Op is the operation name from the GIOP request header.
 	Op string
 	// Body is the CDR-encoded argument stream. It is valid until Dispatch
-	// returns: a large request's Body is a view of a frame the ORB
-	// recycles once the request is settled. A servant that keeps Body
+	// returns: Body is a view of a frame the ORB recycles once the
+	// request is settled. A servant that keeps Body
 	// past its return calls Retain first; returning it as the reply needs
 	// no Retain, since the reply is encoded before the frame goes back.
 	Body []byte
@@ -57,7 +57,7 @@ type ServerRequest struct {
 	TraceCtx trace.SpanContext
 
 	dspan *trace.Span // open dispatch span owned by the ServerTracer
-	frame []byte      // the recycled frame Body views, nil if none
+	frame []byte      // the recycled frame Body views, nil once retained or released
 }
 
 // Now returns the current virtual time.
@@ -233,17 +233,15 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, fra
 	if o.tracer != nil {
 		tctx = trace.SpanContext{Trace: trace.TraceID(qos.TraceID), Span: trace.SpanID(qos.SpanID)}
 	}
+	// The request's frame goes back to the network's free list once the
+	// request is settled (DESIGN §12 rule 1).
 	sreq := &ServerRequest{
 		Op:       req.Operation,
 		Body:     req.Body,
 		ORB:      o,
 		Oneway:   !req.ResponseExpected,
 		TraceCtx: tctx,
-	}
-	// A large request's frame goes back to the network's free list once
-	// the request is settled (DESIGN §12 rule 1).
-	if len(req.Body) >= largeBody {
-		sreq.frame = frame
+		frame:    frame,
 	}
 	if qos.HasFT {
 		// The at-most-once cache keeps the reply, and an echo servant's

@@ -26,7 +26,7 @@ import (
 // ClientTracer/ServerTracer interceptor pair. Existing and future POA
 // thread pools record lane-queue spans against the same tracer. The
 // network is not touched: call Network.SetTracer separately to get
-// per-hop spans (qostrace does both).
+// per-hop spans (qosbench -run trace does both).
 func (o *ORB) EnableTracing(tr *trace.Tracer) {
 	o.tracer = tr
 	for _, p := range o.poas {

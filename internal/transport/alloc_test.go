@@ -9,16 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// The network carries a transport's segments and fragments in packets
-// from its free list, so once queues, the event heap and the free list
-// have reached their working size a message costs only what the
-// transport itself keeps: its payload records and the receiver's copy of
-// the message — no packet. (The race detector allocates on its own
-// account, so the pins exist only in an ordinary build.)
+// The network carries a transport's segments, acks and fragments in
+// packets from its free list, their headers by value in the packet and
+// the sender's message as the payload; the sender's window and the
+// receiver's queue hold values. So once queues, rings, the event heap and
+// the free list have reached their working size a message costs the
+// transport nothing. (The race detector allocates on its own account, so
+// the pins exist only in an ordinary build.)
 
-// One one-segment stream message and its ack: the data segment, the ack
-// segment and the delivered copy — three objects, where a packet per
-// segment would make five.
+// One one-segment stream message and its ack: no allocation.
 func TestAllocsStreamMessageAndAck(t *testing.T) {
 	k, _, ea, eb := pair(nil, 10e6)
 	defer k.Close()
@@ -44,12 +43,12 @@ func TestAllocsStreamMessageAndAck(t *testing.T) {
 	if received != 10+101 { // AllocsPerRun warms up with one extra call
 		t.Fatalf("%d messages received, want %d", received, 10+101)
 	}
-	if allocs != 3 {
-		t.Fatalf("%v allocations per message and ack, want 3: data segment, ack segment, delivered copy", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per message and ack, want 0", allocs)
 	}
 }
 
-// One one-fragment datagram: the fragment and the delivered copy.
+// One one-fragment datagram: no allocation.
 func TestAllocsDgramOneFragment(t *testing.T) {
 	k, _, ea, eb := pair(nil, 10e6)
 	defer k.Close()
@@ -73,7 +72,7 @@ func TestAllocsDgramOneFragment(t *testing.T) {
 	if received != 10+101 {
 		t.Fatalf("%d datagrams received, want %d", received, 10+101)
 	}
-	if allocs != 2 {
-		t.Fatalf("%v allocations per datagram, want 2: fragment, delivered copy", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per datagram, want 0", allocs)
 	}
 }

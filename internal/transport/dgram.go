@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/netsim"
@@ -20,7 +19,7 @@ type DgramConn struct {
 	flow  netsim.FlowID
 	msgID uint64
 
-	recvQ *sim.Queue[*Message]
+	recvQ *sim.Queue[Message]
 	reasm map[reasmKey]*reasmBuf
 
 	// ReassemblyTimeout discards partial messages whose last fragment
@@ -48,30 +47,6 @@ type reasmBuf struct {
 // flood of never-completing fragment trains cannot grow state unboundedly.
 const reasmLimit = 256
 
-type fragment struct {
-	msgID   uint64
-	idx     int
-	count   int
-	payload *Message
-}
-
-// CorruptCopy implements netsim.Corrupter. Fragments carrying real bytes
-// are delivered with one bit flipped in a copied payload; fragments of
-// simulated objects (video frames, whose integrity a real receiver
-// checks) are destroyed instead (nil).
-func (f *fragment) CorruptCopy(r *rand.Rand) any {
-	if f.payload == nil || len(f.payload.Data) == 0 {
-		return nil
-	}
-	msg := *f.payload
-	msg.Data = append([]byte(nil), f.payload.Data...)
-	bit := r.Intn(len(msg.Data) * 8)
-	msg.Data[bit/8] ^= 1 << (bit % 8)
-	cp := *f
-	cp.payload = &msg
-	return &cp
-}
-
 // OpenDgram binds a datagram socket on port. The flow id labels all
 // traffic sent from this socket; pass 0 to allocate a fresh one.
 func (e *Endpoint) OpenDgram(port uint16, flow netsim.FlowID) *DgramConn {
@@ -82,7 +57,7 @@ func (e *Endpoint) OpenDgram(port uint16, flow netsim.FlowID) *DgramConn {
 		ep:                e,
 		port:              port,
 		flow:              flow,
-		recvQ:             sim.NewQueue[*Message](),
+		recvQ:             sim.NewQueue[Message](),
 		reasm:             make(map[reasmKey]*reasmBuf),
 		ReassemblyTimeout: time.Second,
 	}
@@ -101,7 +76,8 @@ func (c *DgramConn) LocalAddr() netsim.Addr { return c.ep.Addr(c.port) }
 // adjust to mark a stream for expedited forwarding.
 func (c *DgramConn) SetDSCP(d netsim.DSCP) { c.dscp = d }
 
-// Send transmits a message to dst, fragmenting as needed.
+// Send transmits a message to dst, fragmenting as needed. Every
+// fragment's packet carries m itself, its place in m in its header.
 func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
 	c.msgID++
 	size := m.WireSize()
@@ -122,48 +98,47 @@ func (c *DgramConn) Send(dst netsim.Addr, m *Message) {
 			Flow:     c.flow,
 			Deadline: m.Deadline,
 			Ctx:      m.Ctx,
-			Payload:  &fragment{msgID: c.msgID, idx: i, count: count, payload: m},
+			Hdr:      netsim.Header{Proto: protoDgram, Seq: c.msgID, Idx: int32(i), Count: int32(count)},
+			Payload:  m,
 		})
 	}
 }
 
 // Recv blocks the calling process until a complete message arrives.
-func (c *DgramConn) Recv(p *sim.Proc) *Message {
+func (c *DgramConn) Recv(p *sim.Proc) Message {
 	return c.recvQ.Get(p)
 }
 
 func (c *DgramConn) onPacket(p *netsim.Packet) {
-	frag, ok := p.Payload.(*fragment)
-	if !ok {
-		return
-	}
-	// A malformed header (e.g. hit by injected corruption) must be
-	// ignored, not indexed with.
-	if frag.count <= 0 || frag.idx < 0 || frag.idx >= frag.count {
+	h := p.Hdr
+	msg, _ := p.Payload.(*Message)
+	// Ignore, rather than index with, a malformed packet: another
+	// protocol's, one with no message, or one whose index is out of range.
+	if msg == nil || h.Proto != protoDgram || h.Count <= 0 || h.Idx < 0 || h.Idx >= h.Count {
 		return
 	}
 	now := c.ep.Kernel().Now()
 	c.expireReassembly(now)
-	if frag.count == 1 {
-		c.deliver(p.Src, frag.payload)
+	if h.Count == 1 {
+		c.deliver(p.Src, msg)
 		return
 	}
-	key := reasmKey{from: p.Src, msgID: frag.msgID}
+	key := reasmKey{from: p.Src, msgID: h.Seq}
 	buf, ok := c.reasm[key]
 	if !ok {
 		if len(c.reasm) >= reasmLimit {
 			return
 		}
-		buf = &reasmBuf{expected: frag.count, seen: make([]bool, frag.count), msg: frag.payload}
+		buf = &reasmBuf{expected: int(h.Count), seen: make([]bool, h.Count), msg: msg}
 		c.reasm[key] = buf
 	}
 	// Fragments disagreeing with the train's shape, and duplicated
 	// fragments, must not advance reassembly: a message completes only
 	// when every distinct index has arrived.
-	if frag.count != buf.expected || buf.seen[frag.idx] {
+	if int(h.Count) != buf.expected || buf.seen[h.Idx] {
 		return
 	}
-	buf.seen[frag.idx] = true
+	buf.seen[h.Idx] = true
 	buf.got++
 	buf.deadline = now + c.ReassemblyTimeout
 	if buf.got >= buf.expected {
@@ -176,7 +151,7 @@ func (c *DgramConn) deliver(from netsim.Addr, m *Message) {
 	out := *m
 	out.From = from
 	c.recvMsgs++
-	c.recvQ.Put(&out)
+	c.recvQ.Put(out)
 }
 
 func (c *DgramConn) expireReassembly(now sim.Time) {

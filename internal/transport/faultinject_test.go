@@ -24,7 +24,7 @@ func TestDgramDuplicatedFragmentsDeliverOnce(t *testing.T) {
 	ca := ea.OpenDgram(100, 0)
 	cb := eb.OpenDgram(100, 0)
 	var got *Message
-	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
+	k.Go("recv", func(p *sim.Proc) { m := cb.Recv(p); got = &m })
 	ca.Send(eb.Addr(100), &Message{Payload: "frame", Size: 2000})
 	k.Run()
 	if got == nil || got.Payload != "frame" {
@@ -42,7 +42,7 @@ func TestDgramCorruptedFragmentFlipsOneBit(t *testing.T) {
 	orig := []byte("precise bytes")
 	sent := &Message{Data: append([]byte(nil), orig...)}
 	var got *Message
-	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
+	k.Go("recv", func(p *sim.Proc) { m := cb.Recv(p); got = &m })
 	ca.Send(eb.Addr(100), sent)
 	k.Run()
 	if got == nil {
@@ -83,35 +83,106 @@ func TestDgramByteslessPayloadDestroyedByCorruption(t *testing.T) {
 
 func TestDgramMalformedFragmentHeadersIgnored(t *testing.T) {
 	// Fragments whose headers were hit by corruption (index out of
-	// range, nonsense counts, count disagreeing with the train) must be
-	// ignored without panicking or completing a message early.
+	// range, nonsense counts, count disagreeing with the train), that
+	// name another protocol or that carry no message must be ignored
+	// without panicking or completing a message early.
 	k, _, ea, eb := pair(nil, 10e6)
 	cb := eb.OpenDgram(100, 0)
-	src := ea.Addr(200)
-	send := func(f *fragment) {
+	send := func(h netsim.Header, payload any) {
 		ea.node.Send(netsim.Packet{
-			Src: src, Dst: eb.Addr(100), Size: 100,
-			Flow: 1, Payload: f,
+			Src: ea.Addr(200), Dst: eb.Addr(100), Size: 100,
+			Flow: 1, Hdr: h, Payload: payload,
 		})
 	}
+	frag := func(msgID uint64, idx, count int32) netsim.Header {
+		return netsim.Header{Proto: protoDgram, Seq: msgID, Idx: idx, Count: count}
+	}
 	msg := &Message{Data: []byte("payload")}
+	bogus := &Message{Data: []byte("bogus")}
 	k.Go("inject", func(p *sim.Proc) {
-		send(&fragment{msgID: 7, idx: 5, count: 2, payload: msg})  // idx >= count
-		send(&fragment{msgID: 7, idx: -1, count: 2, payload: msg}) // negative idx
-		send(&fragment{msgID: 7, idx: 0, count: 0, payload: msg})  // zero count
-		send(&fragment{msgID: 8, idx: 0, count: 2, payload: msg})  // starts a train
-		send(&fragment{msgID: 8, idx: 1, count: 3, payload: msg})  // count mismatch: ignored
+		send(frag(7, 5, 2), bogus)                                      // idx >= count
+		send(frag(7, -1, 2), bogus)                                     // negative idx
+		send(frag(7, 0, 0), bogus)                                      // zero count
+		send(netsim.Header{Proto: protoStream, Flags: flagLast}, bogus) // a stream segment
+		send(netsim.Header{Seq: 9, Count: 1}, bogus)                    // no protocol
+		send(frag(9, 0, 1), nil)                                        // no message
+		send(frag(9, 0, 1), (*Message)(nil))                            // a nil message
+		send(frag(9, 0, 1), "bogus")                                    // not a message
+		send(frag(8, 0, 2), msg)                                        // starts a train
+		send(frag(8, 1, 3), bogus)                                      // count mismatch: ignored
 		p.Sleep(10 * time.Millisecond)
-		send(&fragment{msgID: 8, idx: 1, count: 2, payload: msg}) // completes it
+		send(frag(8, 1, 2), msg) // completes it
 	})
 	var got *Message
-	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
+	k.Go("recv", func(p *sim.Proc) { m := cb.Recv(p); got = &m })
 	k.Run()
 	if cb.recvMsgs != 1 {
 		t.Fatalf("ReceivedMessages = %d, want exactly 1", cb.recvMsgs)
 	}
 	if got == nil || string(got.Data) != "payload" {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+func TestStreamMalformedSegmentHeadersIgnored(t *testing.T) {
+	// Stream packets whose flags disagree with their payload (an ack
+	// carrying data, data carrying no message) or that name another
+	// protocol must be ignored without panicking, delivering anything
+	// early or disturbing the connection. Each bogus packet would be the
+	// receiver's next expected, final segment if it were accepted.
+	k, _, ea, eb := pair(nil, 10e6)
+	lis := eb.Listen(200)
+	cli := ea.Dial(300, eb.Addr(200))
+	var got []string
+	k.Go("server", func(p *sim.Proc) {
+		conn := lis.Accept(p)
+		for {
+			got = append(got, string(conn.Recv(p).Data))
+		}
+	})
+	send := func(from *Endpoint, src, dst netsim.Addr, h netsim.Header, payload any) {
+		from.node.Send(netsim.Packet{Src: src, Dst: dst, Size: 100, Flow: 1, Hdr: h, Payload: payload})
+	}
+	bogus := &Message{Data: []byte("bogus")}
+	junk := []struct {
+		h       netsim.Header
+		payload any
+	}{
+		{netsim.Header{Proto: protoStream, Flags: flagAck | flagLast, Seq: 1, Ack: 5}, bogus}, // an ack carrying data
+		{netsim.Header{Proto: protoStream, Flags: flagLast, Seq: 1}, nil},                     // data with no payload
+		{netsim.Header{Proto: protoStream, Flags: flagLast, Seq: 1}, (*Message)(nil)},         // data with a nil message
+		{netsim.Header{Proto: protoStream, Flags: flagLast, Seq: 1}, "bogus"},                 // data that is no message
+		{netsim.Header{Proto: protoDgram, Flags: flagLast, Seq: 1, Count: 1}, bogus},          // a datagram fragment
+		{netsim.Header{Flags: flagLast, Seq: 1}, bogus},                                       // no protocol
+	}
+	k.Go("client", func(p *sim.Proc) {
+		cli.Send(&Message{Data: []byte("one")})
+		p.Sleep(10 * time.Millisecond)
+		for _, j := range junk {
+			// At the listener's connection, at the listener from a
+			// stranger, and at the dialer, whose next expected segment
+			// is its first.
+			send(ea, cli.LocalAddr(), eb.Addr(200), j.h, j.payload)
+			send(ea, ea.Addr(999), eb.Addr(200), j.h, j.payload)
+			h := j.h
+			h.Seq = 0
+			send(eb, eb.Addr(200), cli.LocalAddr(), h, j.payload)
+		}
+		p.Sleep(10 * time.Millisecond)
+		cli.Send(&Message{Data: []byte("two")})
+	})
+	k.RunUntil(time.Second)
+	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
+		t.Fatalf("the listener's connection delivered %q, want [one two]", got)
+	}
+	if len(lis.conns) != 1 {
+		t.Fatalf("%d connections at the listener, want 1: a malformed packet opened one", len(lis.conns))
+	}
+	if n := cli.recvQ.Len(); n != 0 {
+		t.Fatalf("the dialer delivered %d messages, want none", n)
+	}
+	if cli.retransmits != 0 {
+		t.Fatalf("%d retransmissions: a malformed ack moved the sender's window", cli.retransmits)
 	}
 }
 

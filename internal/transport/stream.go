@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/netsim"
@@ -20,37 +19,15 @@ const (
 	ackSize = headerBytes
 )
 
-// segment is the stream protocol PDU carried as a packet payload.
+// segment is one data segment of a message, kept by value in the
+// sender's window and the receiver's reassembly buffer. On the wire its
+// sequence number and flags ride in the packet's netsim.Header, and the
+// packet's payload is the message itself.
 type segment struct {
 	seq   uint64 // sequence number of this data segment
-	ack   uint64 // cumulative ack: next expected sequence
-	isAck bool
-	last  bool // final segment of its message
+	flags uint8  // flagLast on the final segment of its message
 	msg   *Message
 	size  int // payload bytes this segment represents
-}
-
-// CorruptCopy implements netsim.Corrupter: injected corruption flips one
-// payload bit in a copy of the carried message. Header fields (seq/ack)
-// are protocol-checksummed on a real wire, so corruption there — and on
-// pure acks or byteless payloads — destroys the packet instead (nil).
-// The copy shares nothing mutable with the original, which may still be
-// queued for go-back-N retransmission. A segment of a message already
-// delivered may be copied too, after the receiver has released and
-// reused the message's bytes (Endpoint.ReleaseFrame): the copy reads
-// whatever they hold now, but its sequence number is behind the
-// receiver's, so it is never delivered.
-func (s *segment) CorruptCopy(r *rand.Rand) any {
-	if s.isAck || s.msg == nil || len(s.msg.Data) == 0 {
-		return nil
-	}
-	msg := *s.msg
-	msg.Data = append([]byte(nil), s.msg.Data...)
-	bit := r.Intn(len(msg.Data) * 8)
-	msg.Data[bit/8] ^= 1 << (bit % 8)
-	cp := *s
-	cp.msg = &msg
-	return &cp
 }
 
 // StreamConn is a reliable, in-order message channel over the simulated
@@ -69,10 +46,10 @@ type StreamConn struct {
 	// Sender state.
 	nextSeq     uint64
 	base        uint64
-	outstanding sim.Ring[*segment] // sent, not yet acknowledged
-	backlog     sim.Ring[*segment] // segments waiting for window space
-	buffered    int                // bytes in outstanding + backlog
-	bufferLimit int                // send-buffer bound for SendWait
+	outstanding sim.Ring[segment] // sent, not yet acknowledged
+	backlog     sim.Ring[segment] // segments waiting for window space
+	buffered    int               // bytes in outstanding + backlog
+	bufferLimit int               // send-buffer bound for SendWait
 	space       *sim.Signal
 	rto         time.Duration
 	rtoTimer    sim.Event
@@ -82,8 +59,8 @@ type StreamConn struct {
 
 	// Receiver state.
 	expected uint64
-	recvBuf  map[uint64]*segment // out-of-order segments awaiting the gap fill
-	recvQ    *sim.Queue[*Message]
+	recvBuf  map[uint64]segment // out-of-order segments awaiting the gap fill
+	recvQ    *sim.Queue[Message]
 }
 
 // recvBufLimit bounds the out-of-order reassembly buffer (segments).
@@ -115,7 +92,7 @@ func (l *Listener) Accept(p *sim.Proc) *StreamConn {
 }
 
 func (l *Listener) onPacket(p *netsim.Packet) {
-	seg, ok := p.Payload.(*segment)
+	msg, ok := parseSegment(p)
 	if !ok {
 		return
 	}
@@ -125,7 +102,21 @@ func (l *Listener) onPacket(p *netsim.Packet) {
 		l.conns[p.Src] = c
 		l.accept.Put(c)
 	}
-	c.onSegment(seg)
+	c.onSegment(p.Hdr, msg)
+}
+
+// parseSegment returns the message a stream packet carries (nil for a
+// pure ack), or false for a packet that is no well-formed segment: a
+// foreign protocol, an ack carrying data, data carrying no message.
+func parseSegment(p *netsim.Packet) (*Message, bool) {
+	if p.Hdr.Proto != protoStream {
+		return nil, false
+	}
+	if p.Hdr.Flags&flagAck != 0 {
+		return nil, p.Payload == nil
+	}
+	msg, _ := p.Payload.(*Message)
+	return msg, msg != nil
 }
 
 // Dial opens a stream connection from localPort to remote. The connection
@@ -133,8 +124,8 @@ func (l *Listener) onPacket(p *netsim.Packet) {
 func (e *Endpoint) Dial(localPort uint16, remote netsim.Addr) *StreamConn {
 	c := newStreamConn(e, localPort, remote, nil)
 	e.node.Bind(localPort, func(p *netsim.Packet) {
-		if seg, ok := p.Payload.(*segment); ok && p.Src == remote {
-			c.onSegment(seg)
+		if msg, ok := parseSegment(p); ok && p.Src == remote {
+			c.onSegment(p.Hdr, msg)
 		}
 	})
 	return c
@@ -148,8 +139,8 @@ func newStreamConn(e *Endpoint, port uint16, remote netsim.Addr, owner *Listener
 		owner:       owner,
 		flow:        e.net.NewFlowID(),
 		rto:         initialRTO,
-		recvBuf:     make(map[uint64]*segment),
-		recvQ:       sim.NewQueue[*Message](),
+		recvBuf:     make(map[uint64]segment),
+		recvQ:       sim.NewQueue[Message](),
 		bufferLimit: 64 * 1024,
 		space:       sim.NewSignal(),
 	}
@@ -202,19 +193,13 @@ func (c *StreamConn) Send(m *Message) {
 		count = 1
 	}
 	for i := 0; i < count; i++ {
-		chunk := maxPayload
+		chunk, flags := maxPayload, uint8(0)
 		if i == count-1 {
-			chunk = size - maxPayload*(count-1)
+			chunk, flags = size-maxPayload*(count-1), flagLast
 		}
-		seg := &segment{
-			seq:  c.nextSeq,
-			last: i == count-1,
-			msg:  m,
-			size: chunk,
-		}
+		c.backlog.Push(segment{seq: c.nextSeq, flags: flags, msg: m, size: chunk})
 		c.nextSeq++
 		c.buffered += chunk
-		c.backlog.Push(seg)
 	}
 	c.pump()
 }
@@ -232,12 +217,12 @@ func (c *StreamConn) SendWait(p *sim.Proc, m *Message) {
 }
 
 // Recv blocks until the next in-order message is delivered.
-func (c *StreamConn) Recv(p *sim.Proc) *Message {
+func (c *StreamConn) Recv(p *sim.Proc) Message {
 	return c.recvQ.Get(p)
 }
 
 // RecvTimeout blocks for at most d.
-func (c *StreamConn) RecvTimeout(p *sim.Proc, d time.Duration) (*Message, bool) {
+func (c *StreamConn) RecvTimeout(p *sim.Proc, d time.Duration) (Message, bool) {
 	return c.recvQ.GetTimeout(p, d)
 }
 
@@ -251,8 +236,7 @@ func (c *StreamConn) pump() {
 	c.armTimer()
 }
 
-func (c *StreamConn) transmit(seg *segment) {
-	seg.ack = c.expected
+func (c *StreamConn) transmit(seg segment) {
 	c.ep.node.Send(netsim.Packet{
 		Src:     c.LocalAddr(),
 		Dst:     c.remote,
@@ -260,18 +244,19 @@ func (c *StreamConn) transmit(seg *segment) {
 		DSCP:    c.dscp,
 		Flow:    c.flow,
 		Ctx:     seg.msg.Ctx,
-		Payload: seg,
+		Hdr:     netsim.Header{Proto: protoStream, Flags: seg.flags, Seq: seg.seq, Ack: c.expected},
+		Payload: seg.msg,
 	})
 }
 
 func (c *StreamConn) sendAck() {
 	c.ep.node.Send(netsim.Packet{
-		Src:     c.LocalAddr(),
-		Dst:     c.remote,
-		Size:    ackSize,
-		DSCP:    c.dscp,
-		Flow:    c.flow,
-		Payload: &segment{isAck: true, ack: c.expected},
+		Src:  c.LocalAddr(),
+		Dst:  c.remote,
+		Size: ackSize,
+		DSCP: c.dscp,
+		Flow: c.flow,
+		Hdr:  netsim.Header{Proto: protoStream, Flags: flagAck, Ack: c.expected},
 	})
 }
 
@@ -299,14 +284,16 @@ func (c *StreamConn) onTimeout() {
 	c.armTimer()
 }
 
-func (c *StreamConn) onSegment(seg *segment) {
+// onSegment handles one stream packet's header and the message it
+// carries (nil for a pure ack).
+func (c *StreamConn) onSegment(h netsim.Header, msg *Message) {
 	if c.closed {
 		return
 	}
 	// Process the (possibly piggybacked) acknowledgment.
 	switch {
-	case seg.ack > c.base:
-		c.base = seg.ack
+	case h.Ack > c.base:
+		c.base = h.Ack
 		c.dupAcks = 0
 		for c.outstanding.Len() > 0 && c.outstanding.At(0).seq < c.base {
 			c.buffered -= c.outstanding.Pop().size
@@ -316,7 +303,7 @@ func (c *StreamConn) onSegment(seg *segment) {
 		c.rtoTimer = sim.Event{}
 		c.pump()
 		c.space.Broadcast()
-	case seg.ack == c.base && c.outstanding.Len() > 0:
+	case h.Ack == c.base && c.outstanding.Len() > 0:
 		// Duplicate cumulative ack: the receiver is seeing out-of-order
 		// segments, so the head of the window was lost. After three
 		// duplicates, fast-retransmit it without waiting for the RTO.
@@ -327,12 +314,13 @@ func (c *StreamConn) onSegment(seg *segment) {
 			c.transmit(c.outstanding.At(0))
 		}
 	}
-	if seg.isAck {
+	if msg == nil {
 		return
 	}
 	// In-order data advances the receive window, draining any buffered
 	// out-of-order successors; data beyond the expected sequence is
 	// buffered for later (selective repeat).
+	seg := segment{seq: h.Seq, flags: h.Flags, msg: msg}
 	switch {
 	case seg.seq == c.expected:
 		c.deliverSegment(seg)
@@ -352,11 +340,11 @@ func (c *StreamConn) onSegment(seg *segment) {
 
 // deliverSegment consumes one in-order segment, surfacing its message
 // when the final segment arrives.
-func (c *StreamConn) deliverSegment(seg *segment) {
+func (c *StreamConn) deliverSegment(seg segment) {
 	c.expected++
-	if seg.last {
+	if seg.flags&flagLast != 0 {
 		out := *seg.msg
 		out.From = c.remote
-		c.recvQ.Put(&out)
+		c.recvQ.Put(out)
 	}
 }

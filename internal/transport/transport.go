@@ -9,6 +9,7 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -33,7 +34,7 @@ func (e *Endpoint) Node() *netsim.Node { return e.node }
 func (e *Endpoint) Kernel() *sim.Kernel { return e.net.Kernel() }
 
 // Frame returns an empty buffer, from the network's free list of
-// frames, to encode a large outgoing message into (nil when the list is
+// frames, to encode an outgoing message into (nil when the list is
 // empty). The stream hands the receiver the sender's own bytes, so the
 // frame is the receiver's once the message is delivered: the sender
 // never reads it again, bar a go-back-N copy of an already delivered
@@ -78,6 +79,36 @@ func (m *Message) WireSize() int {
 func (m *Message) String() string {
 	return fmt.Sprintf("msg(from=%v %dB)", m.From, m.WireSize())
 }
+
+// CorruptCopy implements netsim.Corrupter for the segments and fragments
+// that carry m (their headers are checksummed, so never hit): one bit
+// flips in a copy of m's bytes, as m may still await retransmission. A
+// byteless message (a simulated object, such as a video frame, whose
+// integrity a real receiver checks) is destroyed instead (nil), as is a
+// pure ack, which carries none. A copy of a delivered message's segment
+// may read bytes the receiver has since released and reused
+// (Endpoint.ReleaseFrame), but it is behind the receiver's sequence, so
+// it is never delivered.
+func (m *Message) CorruptCopy(r *rand.Rand) any {
+	if len(m.Data) == 0 {
+		return nil
+	}
+	cp := *m
+	cp.Data = append([]byte(nil), m.Data...)
+	bit := r.Intn(len(cp.Data) * 8)
+	cp.Data[bit/8] ^= 1 << (bit % 8)
+	return &cp
+}
+
+// Protocol ids and flags in netsim.Header. A packet with another
+// protocol's id, or a payload its flags deny, is ignored.
+const (
+	protoStream = 1 + iota
+	protoDgram
+
+	flagAck  = 1 << 0 // stream: a pure ack, no payload
+	flagLast = 1 << 1 // stream: the final segment of its message
+)
 
 // headerBytes is the per-packet overhead added by the simulated
 // IP/UDP-like encapsulation.

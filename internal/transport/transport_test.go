@@ -28,7 +28,7 @@ func TestDgramRoundTrip(t *testing.T) {
 	ca := ea.OpenDgram(100, 0)
 	cb := eb.OpenDgram(100, 0)
 	var got *Message
-	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
+	k.Go("recv", func(p *sim.Proc) { m := cb.Recv(p); got = &m })
 	k.Go("send", func(p *sim.Proc) {
 		ca.Send(eb.Addr(100), &Message{Data: []byte("ping")})
 	})
@@ -46,7 +46,7 @@ func TestDgramFragmentationReassembly(t *testing.T) {
 	ca := ea.OpenDgram(100, 0)
 	cb := eb.OpenDgram(100, 0)
 	var got *Message
-	k.Go("recv", func(p *sim.Proc) { got = cb.Recv(p) })
+	k.Go("recv", func(p *sim.Proc) { m := cb.Recv(p); got = &m })
 	// 10 KB payload object: 7 fragments at 1460 B.
 	ca.Send(eb.Addr(100), &Message{Payload: "frame-1", Size: 10 * 1024})
 	k.Run()
@@ -64,7 +64,7 @@ func TestDgramLostFragmentLosesMessage(t *testing.T) {
 	k, _, ea, eb := pair(func() netsim.Qdisc { return netsim.NewFIFO(3000) }, 1e6)
 	ca := ea.OpenDgram(100, 0)
 	cb := eb.OpenDgram(100, 0)
-	var got *Message
+	var got Message
 	var timedOut bool
 	k.Go("recv", func(p *sim.Proc) {
 		var ok bool
@@ -105,8 +105,8 @@ func TestStreamLargeMessage(t *testing.T) {
 	cli := ea.Dial(300, eb.Addr(200))
 	var got *Message
 	k.Go("server", func(p *sim.Proc) {
-		conn := lis.Accept(p)
-		got = conn.Recv(p)
+		m := lis.Accept(p).Recv(p)
+		got = &m
 	})
 	data := make([]byte, 100*1024)
 	for i := range data {
@@ -158,7 +158,8 @@ func TestStreamBidirectional(t *testing.T) {
 	})
 	k.Go("client", func(p *sim.Proc) {
 		cli.Send(&Message{Data: []byte("hello")})
-		reply = cli.Recv(p)
+		m := cli.Recv(p)
+		reply = &m
 	})
 	k.Run()
 	if reply == nil || string(reply.Data) != "re:hello" {
