@@ -111,10 +111,10 @@ func run() string {
 		_, err := channel.Subscribe(pubsub.SubscriberConfig{
 			Name: name, Topic: topic, Priority: int16(prio), Outbox: 8,
 			Deliver: func(ev pubsub.Event) {
-				pool.Dispatch(rtcorba.Work{Priority: prio, Fn: func(t *rtos.Thread) {
+				pool.Dispatch(rtcorba.Work{Priority: prio, Job: rtcorba.JobFunc(func(t *rtos.Thread) {
 					t.Compute(5 * time.Microsecond) // per-event dispatch cost
 					handle(t, ev)
-				}})
+				})})
 			},
 		})
 		must(err)

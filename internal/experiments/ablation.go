@@ -254,17 +254,17 @@ func lanesScenario(opt Options, lanes bool) float64 {
 	}
 	// Flood with slow low-priority work.
 	for i := 0; i < 50; i++ {
-		tp.Dispatch(rtcorba.Work{Priority: 100, Fn: func(t *rtos.Thread) {
+		tp.Dispatch(rtcorba.Work{Priority: 100, Job: rtcorba.JobFunc(func(t *rtos.Thread) {
 			t.Compute(20 * time.Millisecond)
-		}})
+		})})
 	}
 	var latency time.Duration
 	k.After(10*time.Millisecond, func() {
 		queued := k.Now()
-		tp.Dispatch(rtcorba.Work{Priority: 30000, Fn: func(t *rtos.Thread) {
+		tp.Dispatch(rtcorba.Work{Priority: 30000, Job: rtcorba.JobFunc(func(t *rtos.Thread) {
 			latency = time.Duration(t.Now() - queued)
 			t.Compute(time.Millisecond)
-		}})
+		})})
 	})
 	sys.RunUntil(10 * time.Second)
 	return latency.Seconds()

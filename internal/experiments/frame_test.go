@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // Frame lifetime, made observable for the scenarios: the sim ORB
@@ -45,5 +46,35 @@ func TestFramesRecycledOncePerVerify(t *testing.T) {
 	}
 	if framesReleased.Load() == before {
 		t.Error("a Verify pass released no frame: requests are not recycled, or the hook is off")
+	}
+}
+
+// TestFrameFreeListBounded: a case network keeps at most 16 released
+// frames and 512 KiB of them, so a burst of requests in flight does not
+// leave all its frames behind until the case ends. 64 video-size frames
+// (13 KiB) leave 16 to hand out again; ATR-image-size frames (293 KiB)
+// stop at the byte bound. A frame beyond the bound is the collector's.
+func TestFrameFreeListBounded(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	n := netsim.New(k)
+	drain := func() (frames, bytes int) {
+		for b := n.Frame(); b != nil; b = n.Frame() {
+			frames++
+			bytes += cap(b)
+		}
+		return frames, bytes
+	}
+	for i := 0; i < 64; i++ {
+		n.ReleaseFrame(make([]byte, 13<<10))
+	}
+	if f, _ := drain(); f != 16 {
+		t.Errorf("the network kept %d of 64 video-size frames, want 16", f)
+	}
+	for i := 0; i < 8; i++ {
+		n.ReleaseFrame(make([]byte, 293<<10))
+	}
+	if f, b := drain(); f != 1 || b > 512<<10 {
+		t.Errorf("the network kept %d image-size frames, %d B, want 1 within 512 KiB", f, b)
 	}
 }

@@ -54,6 +54,7 @@ type Network struct {
 	stats  []*FlowStats // indexed by FlowID
 	free   []*Packet    // delivered or dropped, ready to carry the next send
 	frames [][]byte     // released message frames, ready for the next encode
+	kept   int          // the frames' total capacity
 }
 
 // New creates an empty network on kernel k.
@@ -78,6 +79,16 @@ func (n *Network) recycle(p *Packet) {
 	n.free = append(n.free, p)
 }
 
+// A network keeps at most frameKeep released frames, of at most
+// frameKeepBytes in all; a frame released beyond that is left to the
+// collector. A burst of requests in flight would otherwise leave its
+// frames, each at the largest capacity it reached, on the free list
+// until the case ends.
+const (
+	frameKeep      = 16
+	frameKeepBytes = 1 << 19
+)
+
 // Frame returns an empty buffer to encode a message into: the most
 // recently released frame, with that frame's capacity, or nil when none
 // is free (the encoder then allocates one). The network never reads a
@@ -92,16 +103,20 @@ func (n *Network) Frame() []byte {
 	b := n.frames[last]
 	n.frames[last] = nil
 	n.frames = n.frames[:last]
+	n.kept -= cap(b)
 	return b[:0]
 }
 
-// ReleaseFrame gives frame back for Frame to hand out again. Nothing may
-// read or write its memory afterwards.
+// ReleaseFrame gives frame back for Frame to hand out again, if the
+// network keeps it. Nothing may read or write its memory afterwards.
 func (n *Network) ReleaseFrame(frame []byte) {
 	if FrameReleaseHook != nil {
 		FrameReleaseHook(frame[:cap(frame)])
 	}
-	n.frames = append(n.frames, frame[:0])
+	if len(n.frames) < frameKeep && n.kept+cap(frame) <= frameKeepBytes {
+		n.frames = append(n.frames, frame[:0])
+		n.kept += cap(frame)
+	}
 }
 
 // FrameReleaseHook, when a test sets it, sees every frame as it goes

@@ -119,7 +119,7 @@ func (b *orbBreaker) allow(addr netsim.Addr) bool {
 // Application exceptions and protocol errors do not trip the breaker —
 // the endpoint answered, just not usefully.
 func breakerFailure(err error) bool {
-	return errorsIsAny(err, ErrOverload, ErrDeadlineExpired, ErrTimeout)
+	return errors.Is(err, ErrOverload) || errors.Is(err, ErrDeadlineExpired) || errors.Is(err, ErrTimeout)
 }
 
 // record feeds an invocation outcome into addr's circuit.
@@ -128,16 +128,6 @@ func (b *orbBreaker) record(addr netsim.Addr, err error) {
 	if changed {
 		b.observe(addr, tr)
 	}
-}
-
-// errorsIsAny reports whether err matches any of targets.
-func errorsIsAny(err error, targets ...error) bool {
-	for _, t := range targets {
-		if errors.Is(err, t) {
-			return true
-		}
-	}
-	return false
 }
 
 // BreakerState returns the circuit state for addr (closed if the

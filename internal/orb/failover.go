@@ -73,8 +73,6 @@ func retryable(err error) bool {
 // plain references, the profile-walking retry loop for group
 // references. LOCATION_FORWARD replies are followed in both cases.
 func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byte, prio rtcorba.Priority, opts InvokeOptions, info *ClientRequestInfo) ([]byte, error) {
-	profiles := ref.Profiles()
-
 	// All attempts of one logical invocation share one retention id, so
 	// replicas can suppress duplicate executions.
 	var extra []giop.ServiceContext
@@ -83,7 +81,7 @@ func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 	if ref.Group != 0 {
 		o.ftSeq++
 		extra = append(extra, giop.FTRequestContext(ref.Group, o.clientID, o.ftSeq, o.cfg.ByteOrder))
-		maxAttempts = 2 * len(profiles)
+		maxAttempts = 2 * (1 + len(ref.Alternates))
 		if timeout == 0 {
 			// A group invocation must not block forever on a dead
 			// replica: detection is what the alternates are for.
@@ -101,13 +99,13 @@ func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 			o.shedExpired(info, "failover")
 			return nil, ErrDeadlineExpired
 		}
-		p := profiles[attempt%len(profiles)]
+		p := ref.profile(attempt)
 		if ref.Group != 0 && !o.breaker.allow(p.Addr) {
 			// This endpoint's circuit is open: route around it without
 			// burning an attempt timeout. If every profile is open the
 			// invocation fails fast instead of queueing onto known-sick
 			// replicas.
-			alt, ok := o.breakerAlternative(profiles, attempt)
+			alt, ok := o.breakerAlternative(ref, attempt)
 			if !ok {
 				if lastErr == nil {
 					lastErr = ErrOverload
@@ -155,9 +153,9 @@ func (o *ORB) invokeRouted(t *rtos.Thread, ref *ObjectRef, op string, body []byt
 
 // breakerAlternative scans the profile list (starting after the refused
 // slot, wrapping once) for an endpoint whose circuit admits traffic.
-func (o *ORB) breakerAlternative(profiles []Profile, attempt int) (Profile, bool) {
-	for i := 1; i <= len(profiles); i++ {
-		p := profiles[(attempt+i)%len(profiles)]
+func (o *ORB) breakerAlternative(ref *ObjectRef, attempt int) (Profile, bool) {
+	for i := 1; i <= 1+len(ref.Alternates); i++ {
+		p := ref.profile(attempt + i)
 		if o.breaker.allow(p.Addr) {
 			return p, true
 		}
@@ -170,6 +168,9 @@ func (o *ORB) breakerAlternative(profiles []Profile, attempt int) (Profile, bool
 func (o *ORB) invokeProfile(t *rtos.Thread, p Profile, op string, body []byte, prio rtcorba.Priority, opts InvokeOptions, timeout time.Duration, info *ClientRequestInfo, extra []giop.ServiceContext) ([]byte, error) {
 	for hop := 0; ; hop++ {
 		reply, err := o.invokeOnce(t, p, op, body, prio, opts, timeout, info, extra)
+		if err == nil {
+			return reply, nil
+		}
 		var fwd *forwardedError
 		if !errors.As(err, &fwd) {
 			return reply, err

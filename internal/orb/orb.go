@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -144,7 +145,7 @@ type ORB struct {
 
 	lis      *transport.Listener
 	poas     map[string]*POA
-	conns    map[netsim.Addr]*clientConn
+	conns    map[netsim.Addr]*transport.StreamConn
 	pending  map[uint32]*pendingCall
 	currents map[*rtos.Thread]rtcorba.Priority
 	reqSeq   uint32
@@ -169,13 +170,9 @@ type ORB struct {
 	bus                *events.Bus
 }
 
-type clientConn struct {
-	stream *transport.StreamConn
-}
-
 type pendingCall struct {
 	sig   *sim.Signal
-	conn  *clientConn
+	conn  *transport.StreamConn
 	reply *giop.Reply
 	err   error // set instead of reply on a connection-level failure
 }
@@ -195,7 +192,7 @@ func New(name string, host *rtos.Host, net *netsim.Network, node *netsim.Node, c
 		ioPrio:   host.Priorities().Max,
 		mm:       rtcorba.NewMappingManager(),
 		poas:     make(map[string]*POA),
-		conns:    make(map[netsim.Addr]*clientConn),
+		conns:    make(map[netsim.Addr]*transport.StreamConn),
 		pending:  make(map[uint32]*pendingCall),
 		currents: make(map[*rtos.Thread]rtcorba.Priority),
 		clientID: cid,
@@ -261,25 +258,25 @@ func (c *Current) Priority() rtcorba.Priority {
 // with the DSCP for priority p applied. Banded connections are the wire
 // plane's (wire.ClientConfig.Bands); the simulated ORB keeps one
 // connection per server.
-func (o *ORB) connFor(addr netsim.Addr, p rtcorba.Priority) *clientConn {
+func (o *ORB) connFor(addr netsim.Addr, p rtcorba.Priority) *transport.StreamConn {
 	c, ok := o.conns[addr]
 	if !ok {
 		localPort := o.ep.Node().EphemeralPort()
-		c = &clientConn{stream: o.ep.Dial(localPort, addr)}
+		c = o.ep.Dial(localPort, addr)
 		o.conns[addr] = c
 		o.host.Spawn(fmt.Sprintf("%s-creader-%d", o.name, localPort), o.ioPrio, func(t *rtos.Thread) {
 			o.clientReader(c, t)
 		})
 	}
-	c.stream.SetDSCP(o.cfg.NetMapping.ToDSCP(p))
+	c.SetDSCP(o.cfg.NetMapping.ToDSCP(p))
 	return c
 }
 
 // clientReader drains replies on a client connection, completing pending
 // calls.
-func (o *ORB) clientReader(c *clientConn, t *rtos.Thread) {
+func (o *ORB) clientReader(c *transport.StreamConn, t *rtos.Thread) {
 	for {
-		m := c.stream.Recv(t.Proc())
+		m := c.Recv(t.Proc())
 		t.Compute(o.msgCost(len(m.Data)))
 		msg, err := giop.Decode(m.Data)
 		if err != nil {
@@ -310,18 +307,14 @@ func (o *ORB) clientReader(c *clientConn, t *rtos.Thread) {
 // failPendingOn fails every pending call issued on connection c with err.
 // Request ids are processed in ascending order so wakeups are scheduled
 // deterministically.
-func (o *ORB) failPendingOn(c *clientConn, err error) {
+func (o *ORB) failPendingOn(c *transport.StreamConn, err error) {
 	var ids []uint32
 	for id, pc := range o.pending {
 		if pc.conn == c {
 			ids = append(ids, id)
 		}
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		pc := o.pending[id]
 		delete(o.pending, id)
@@ -412,15 +405,11 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 	o.reqSeq++
 	reqID := o.reqSeq
 
-	contexts := []giop.ServiceContext{
-		giop.PriorityContext(int16(prio), o.cfg.ByteOrder),
-		giop.TimestampContext(int64(o.ep.Kernel().Now()), o.cfg.ByteOrder),
+	now := o.ep.Kernel().Now()
+	contexts := info.ExtraContexts
+	if len(extra) > 0 {
+		contexts = append(contexts[:len(contexts):len(contexts)], extra...)
 	}
-	if info.Deadline > 0 {
-		contexts = append(contexts, giop.DeadlineContext(int64(info.Deadline), o.cfg.ByteOrder))
-	}
-	contexts = append(contexts, info.ExtraContexts...)
-	contexts = append(contexts, extra...)
 	req := &giop.Request{
 		RequestID:        reqID,
 		ResponseExpected: !opts.Oneway,
@@ -443,7 +432,7 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 	if len(extra) == 0 {
 		frame = o.ep.Frame()
 	}
-	wire := req.AppendTo(frame, o.cfg.ByteOrder)
+	wire := encodeRequest(frame, req, prio, now, info.Deadline, o.cfg.ByteOrder)
 	if mspan != nil {
 		mspan.SetAttr(trace.Int("bytes", int64(len(wire))))
 		mspan.Finish()
@@ -457,7 +446,7 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 	}
 	// Blocking write: under congestion the client experiences socket-
 	// buffer backpressure rather than queueing unboundedly.
-	conn.stream.SendWait(t.Proc(), &transport.Message{Data: wire, Ctx: info.TraceCtx})
+	conn.SendWait(t.Proc(), &transport.Message{Data: wire, Ctx: info.TraceCtx})
 	if opts.Oneway {
 		return nil, nil
 	}
@@ -481,7 +470,7 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 			delete(o.pending, reqID)
 			// Tell the server to abandon the request if still queued.
 			cancel := (&giop.CancelRequest{RequestID: reqID}).Marshal(o.cfg.ByteOrder)
-			conn.stream.Send(&transport.Message{Data: cancel})
+			conn.Send(&transport.Message{Data: cancel})
 			if deadlineBound {
 				o.shedExpired(info, "client")
 				return nil, ErrDeadlineExpired
@@ -521,6 +510,25 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 	}
 }
 
+// encodeRequest appends req to frame with its priority, send time now
+// and deadline (zero for none) encoded ahead of its own contexts: the
+// bytes, and so every message's cost, equal those of a request whose
+// ServiceContexts start with the three contexts' values.
+func encodeRequest(frame []byte, req *giop.Request, prio rtcorba.Priority, now, deadline sim.Time, order cdr.ByteOrder) []byte {
+	qos := giop.RequestQoS{Priority: int16(prio), HasPriority: true, SentAt: int64(now), Deadline: int64(deadline)}
+	if now == 0 {
+		// AppendQoS leaves out a zero instant, but a call made at time
+		// zero sends its timestamp all the same, ahead of its deadline.
+		pre := []giop.ServiceContext{giop.TimestampContext(0, order)}
+		if deadline != 0 {
+			pre = append(pre, giop.DeadlineContext(int64(deadline), order))
+			qos.Deadline = 0
+		}
+		req.ServiceContexts = append(pre, req.ServiceContexts...)
+	}
+	return req.AppendQoS(frame, order, &qos)
+}
+
 // shedExpired emits the zero-length deadline_expired span that marks
 // where on the invocation path an expired request was dropped.
 func (o *ORB) shedExpired(info *ClientRequestInfo, where string) {
@@ -532,18 +540,23 @@ func (o *ORB) shedExpired(info *ClientRequestInfo, where string) {
 	s.Finish()
 }
 
-// resolveKey finds the POA and servant for an object key.
-func (o *ORB) resolveKey(key []byte) (*POA, Servant, bool) {
+// resolveKey finds the POA and servant for an object key. A key that
+// resolves to none gets the OBJECT_NOT_EXIST minor code saying why: 1
+// for a malformed key, 2 for an unknown POA, 3 for an unknown object.
+func (o *ORB) resolveKey(key []byte) (*POA, Servant, uint32) {
 	poaName, objID, ok := strings.Cut(string(key), "/")
 	if !ok {
-		return nil, nil, false
+		return nil, nil, 1
 	}
 	poa, ok := o.poas[poaName]
 	if !ok {
-		return nil, nil, false
+		return nil, nil, 2
 	}
 	servant, ok := poa.servants[objID]
-	return poa, servant, ok
+	if !ok {
+		return nil, nil, 3
+	}
+	return poa, servant, 0
 }
 
 // invokeCollocated is the collocation fast path: when the target object
@@ -554,17 +567,9 @@ func (o *ORB) resolveKey(key []byte) (*POA, Servant, bool) {
 // stubs preserve them.
 func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byte, prio rtcorba.Priority, opts InvokeOptions, timeout time.Duration, info *ClientRequestInfo) ([]byte, error) {
 	tctx := info.TraceCtx
-	poaName, objID, ok := strings.Cut(string(key), "/")
-	if !ok {
-		return nil, fmt.Errorf("%w (collocated, bad key)", ErrObjectNotExist)
-	}
-	poa, ok := o.poas[poaName]
-	if !ok {
-		return nil, fmt.Errorf("%w (collocated, POA %q)", ErrObjectNotExist, poaName)
-	}
-	servant, ok := poa.servants[objID]
-	if !ok {
-		return nil, fmt.Errorf("%w (collocated, object %q)", ErrObjectNotExist, objID)
+	poa, servant, minor := o.resolveKey(key)
+	if minor != 0 {
+		return nil, fmt.Errorf("%w (collocated, key %q, minor %d)", ErrObjectNotExist, key, minor)
 	}
 	if poa.cfg.Model == rtcorba.ServerDeclared {
 		prio = poa.cfg.ServerPriority
@@ -578,62 +583,33 @@ func (o *ORB) invokeCollocated(t *rtos.Thread, key []byte, op string, body []byt
 		body = append([]byte(nil), body...)
 	}
 
-	done := sim.NewSignal()
-	var replyBody []byte
-	var dispatchErr error
-	work := rtcorba.Work{
-		Priority: prio,
-		Ctx:      tctx,
-		Deadline: info.Deadline,
-		Shed: func(r rtcorba.ShedReason) {
-			// The pool dropped the queued dispatch; unblock the caller
-			// with the classified outcome instead of letting it time out.
-			if r == rtcorba.ShedDeadline {
-				dispatchErr = ErrDeadlineExpired
-			} else {
-				dispatchErr = fmt.Errorf("%w (collocated, evicted)", ErrOverload)
-			}
-			done.Broadcast()
-		},
-		Fn: func(pt *rtos.Thread) {
-			sreq := &ServerRequest{
-				Op:       op,
-				Body:     body,
-				Priority: prio,
-				SentAt:   o.ep.Kernel().Now(),
-				Thread:   pt,
-				ORB:      o,
-				Oneway:   opts.Oneway,
-				TraceCtx: tctx,
-			}
-			sinfo := &ServerRequestInfo{Request: sreq}
-			o.interceptReceive(sinfo)
-			replyBody, dispatchErr = servant.Dispatch(sreq)
-			sinfo.Err = dispatchErr
-			o.interceptSendReply(sinfo)
-			done.Broadcast()
-		},
+	c := &serverCall{
+		ServerRequest: ServerRequest{Op: op, Body: body, Priority: prio, ORB: o, Oneway: opts.Oneway, TraceCtx: tctx},
+		servant:       servant,
+		done:          sim.NewSignal(),
 	}
-	if !poa.pool.Dispatch(work) {
+	if !poa.pool.Dispatch(rtcorba.Work{Priority: prio, Job: c, Ctx: tctx, Deadline: info.Deadline}) {
 		return nil, fmt.Errorf("%w (collocated, lane refused)", ErrOverload)
 	}
 	if opts.Oneway {
 		return nil, nil
 	}
 	if timeout > 0 {
-		if !done.WaitTimeout(t.Proc(), timeout) {
+		if !c.done.WaitTimeout(t.Proc(), timeout) {
 			return nil, ErrTimeout
 		}
 	} else {
-		done.Wait(t.Proc())
+		c.done.Wait(t.Proc())
 	}
-	var fr *ForwardRequest
-	if errors.As(dispatchErr, &fr) {
-		// Collocated servants can forward too; surface it the same way
-		// the wire path does so the invocation loop follows it.
-		return nil, &forwardedError{ref: fr.Ref}
+	if c.err != nil {
+		var fr *ForwardRequest
+		if errors.As(c.err, &fr) {
+			// Collocated servants can forward too; surface it the same
+			// way the wire path does so the invocation loop follows it.
+			return nil, &forwardedError{ref: fr.Ref}
+		}
 	}
-	return replyBody, dispatchErr
+	return c.reply, c.err
 }
 
 // decodeSystemException maps a SYSTEM_EXCEPTION reply onto the ORB's

@@ -226,8 +226,8 @@ func TestDSCPFollowsNetworkMapping(t *testing.T) {
 	if conn == nil {
 		t.Fatal("no client connection")
 	}
-	if conn.stream.DSCP() != netsim.DSCPEF {
-		t.Fatalf("connection DSCP = %v, want EF", conn.stream.DSCP())
+	if conn.DSCP() != netsim.DSCPEF {
+		t.Fatalf("connection DSCP = %v, want EF", conn.DSCP())
 	}
 }
 

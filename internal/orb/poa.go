@@ -188,7 +188,7 @@ func (o *ORB) serverReader(conn *transport.StreamConn, t *rtos.Thread) {
 			o.dispatchRequest(conn, req, m.Data, cancelled)
 		case *giop.LocateRequest:
 			status := giop.LocateUnknownObject
-			if _, _, ok := o.resolveKey(req.ObjectKey); ok {
+			if _, _, minor := o.resolveKey(req.ObjectKey); minor == 0 {
 				status = giop.LocateObjectHere
 			}
 			rep := &giop.LocateReply{RequestID: req.RequestID, Status: status}
@@ -224,6 +224,29 @@ func (o *ORB) sendReply(conn *transport.StreamConn, reqID uint32, tctx trace.Spa
 	conn.Send(&transport.Message{Data: rep.Marshal(o.cfg.ByteOrder), Ctx: tctx})
 }
 
+// serverCall is one inbound request's whole server-side state in one
+// allocation: the ServerRequest the servant sees, the ServerRequestInfo
+// the interceptors see, what settling it needs, and the job the POA's
+// thread pool runs or sheds. It is not pooled: servants and interceptors
+// may keep the request. A collocated call has no conn; its outcome goes
+// to the waiting caller through done, reply and err.
+type serverCall struct {
+	ServerRequest
+	info      ServerRequestInfo
+	servant   Servant
+	conn      *transport.StreamConn
+	reqID     uint32
+	ft        giop.FTKey
+	hasFT     bool            // a two-way request carrying an FT key
+	cancelled map[uint32]bool // the connection's cancelled request ids
+	done      *sim.Signal
+	reply     []byte
+	err       error
+}
+
+// A settled request either reached the servant or was refused before.
+const executed, refused = true, false
+
 // dispatchRequest demultiplexes a request, decoded in place from frame,
 // to its servant and queues it on the POA's thread pool.
 func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, frame []byte, cancelled map[uint32]bool) {
@@ -235,27 +258,24 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, fra
 	}
 	// The request's frame goes back to the network's free list once the
 	// request is settled (DESIGN §12 rule 1).
-	sreq := &ServerRequest{
-		Op:       req.Operation,
-		Body:     req.Body,
-		ORB:      o,
-		Oneway:   !req.ResponseExpected,
-		TraceCtx: tctx,
-		frame:    frame,
+	c := &serverCall{
+		ServerRequest: ServerRequest{Op: req.Operation, Body: req.Body, ORB: o,
+			Oneway: !req.ResponseExpected, TraceCtx: tctx, frame: frame},
+		conn: conn, reqID: req.RequestID, cancelled: cancelled,
+		ft: qos.FT, hasFT: req.ResponseExpected && qos.HasFT,
 	}
 	if qos.HasFT {
 		// The at-most-once cache keeps the reply, and an echo servant's
 		// reply is Body: the ORB keeps the frame, as a servant that calls
 		// Retain does.
-		sreq.Retain()
+		c.Retain()
 	}
 
 	// Duplicate suppression for fault-tolerant requests: a failover
 	// retry carries the same FT key as the original, so if this replica
 	// already executed it — or is still executing it — the retry must
 	// not run the servant a second time.
-	hasFT := req.ResponseExpected && qos.HasFT
-	if hasFT {
+	if c.hasFT {
 		switch verdict, cached := o.ftCache.Admit(qos.FT, ftWaiter{conn: conn, reqID: req.RequestID, tctx: tctx}); verdict {
 		case dedup.Replay:
 			o.sendReply(conn, req.RequestID, tctx, cached.Status, cached.Body)
@@ -265,52 +285,19 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, fra
 		}
 	}
 
-	// settle answers the request and any retransmissions parked on it,
-	// then releases the frame: the reply is encoded by then. An executed
-	// outcome is cached for later retries; a refused one never reached
-	// the servant and is forgotten, so a retry may still execute. A bad
-	// key is a deterministic outcome, cached like an execution.
-	const executed, refused = true, false
-	settle := func(ran bool, status giop.ReplyStatus, body []byte) {
-		if req.ResponseExpected {
-			if hasFT {
-				var parked []ftWaiter
-				if ran {
-					parked = o.ftCache.Complete(qos.FT, dedup.Reply{Status: status, Body: body})
-				} else {
-					parked = o.ftCache.Abort(qos.FT)
-				}
-				for _, w := range parked {
-					o.sendReply(w.conn, w.reqID, w.tctx, status, body)
-				}
-			}
-			o.sendReply(conn, req.RequestID, tctx, status, body)
-		}
-		sreq.release()
-	}
-
-	poaName, objID, ok := strings.Cut(string(req.ObjectKey), "/")
-	if !ok {
-		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 1))
+	poa, servant, minor := o.resolveKey(req.ObjectKey)
+	if minor != 0 {
+		c.settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, minor))
 		return
 	}
-	poa, ok := o.poas[poaName]
-	if !ok {
-		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 2))
-		return
-	}
-	servant, ok := poa.servants[objID]
-	if !ok {
-		settle(executed, giop.StatusSystemException, o.exception(giop.ExcObjectNotExist, 3))
-		return
-	}
+	c.servant = servant
 
 	// Effective dispatch priority per the POA's priority model.
 	prio := poa.cfg.ServerPriority
 	if poa.cfg.Model == rtcorba.ClientPropagated && qos.HasPriority {
 		prio = rtcorba.Priority(qos.Priority)
 	}
-	sreq.Priority, sreq.SentAt = prio, sim.Time(qos.SentAt)
+	c.Priority, c.SentAt = prio, sim.Time(qos.SentAt)
 	deadline := sim.Time(qos.Deadline)
 	// Expired on arrival (it spent its budget on the wire or in socket
 	// buffers): shed it here rather than waste a lane slot on it.
@@ -320,84 +307,121 @@ func (o *ORB) dispatchRequest(conn *transport.StreamConn, req *giop.Request, fra
 			s.SetAttr(trace.String("at", "server"), trace.Dur("deadline", deadline))
 			s.Finish()
 		}
-		settle(refused, giop.StatusSystemException, o.exception(giop.ExcTimeout, 1))
+		c.settle(refused, giop.StatusSystemException, o.exception(giop.ExcTimeout, 1))
 		return
 	}
 
-	work := rtcorba.Work{
-		Priority: prio,
-		Ctx:      tctx,
-		Deadline: deadline,
-		Shed: func(r rtcorba.ShedReason) {
-			// The pool dropped the request (deadline expired while
-			// queued, or evicted for a higher-priority arrival). Tell
-			// the client which, so it can classify the failure.
-			if r == rtcorba.ShedDeadline {
-				settle(refused, giop.StatusSystemException, o.exception(giop.ExcTimeout, 2))
-			} else {
-				settle(refused, giop.StatusSystemException, o.exception(giop.ExcTransient, giop.MinorShed))
-			}
-		},
-		Fn: func(t *rtos.Thread) {
-			if cancelled[req.RequestID] {
-				delete(cancelled, req.RequestID)
-				// A failover retransmission parked on this request still
-				// wants the outcome: then execute anyway.
-				if !hasFT || o.ftCache.Cancel(qos.FT) {
-					sreq.release()
-					return
-				}
-			}
-			sreq.Thread = t
-			sinfo := &ServerRequestInfo{Request: sreq}
-			o.interceptReceive(sinfo)
-			body, err := servant.Dispatch(sreq)
-			sinfo.Err = err
-			o.interceptSendReply(sinfo)
-			var rspan *trace.Span
-			if o.tracer != nil && tctx.Valid() {
-				rspan = o.tracer.StartChild(tctx, "reply.marshal", trace.LayerORB)
-			}
-			var fr *ForwardRequest
-			if errors.As(err, &fr) {
-				// The servant redirected the client (e.g. a backup
-				// pointing at the new primary after promotion).
-				t.Compute(o.msgCost(64))
-				if rspan != nil {
-					rspan.SetAttr(trace.String("forward", fr.Ref.Addr.String()))
-					rspan.Finish()
-				}
-				settle(executed, giop.StatusLocationForward, encodeForward(fr.Ref, o.cfg.ByteOrder))
-				return
-			}
-			if err != nil {
-				var se *SystemException
-				id, minor := giop.ExcUnknown, uint32(0)
-				if errors.As(err, &se) {
-					id, minor = se.ID, se.Minor
-				}
-				// Marshalling the exception reply costs CPU too.
-				t.Compute(o.msgCost(64))
-				if rspan != nil {
-					rspan.Finish()
-				}
-				settle(executed, giop.StatusSystemException, o.exception(id, minor))
-				return
-			}
-			t.Compute(o.msgCost(len(body)))
-			if rspan != nil {
-				rspan.SetAttr(trace.Int("bytes", int64(len(body))))
-				rspan.Finish()
-			}
-			settle(executed, giop.StatusNoException, body)
-		},
-	}
-	if !poa.pool.Dispatch(work) {
+	if !poa.pool.Dispatch(rtcorba.Work{Priority: prio, Job: c, Ctx: tctx, Deadline: deadline}) {
 		// Admission control refused the request (watermark hit, or the
 		// lane is full and this arrival would not win an eviction).
 		// Minor 2 distinguishes the deliberate shed from legacy
 		// lane-full TRANSIENT replies, so clients classify it as
 		// overload rather than a transient glitch.
-		settle(refused, giop.StatusSystemException, o.exception(giop.ExcTransient, giop.MinorShed))
+		c.settle(refused, giop.StatusSystemException, o.exception(giop.ExcTransient, giop.MinorShed))
 	}
+}
+
+// settle answers the request and any retransmissions parked on it,
+// then releases the frame: the reply is encoded by then. An executed
+// outcome is cached for later retries; a refused one never reached
+// the servant and is forgotten, so a retry may still execute. A bad
+// key is a deterministic outcome, cached like an execution.
+func (c *serverCall) settle(ran bool, status giop.ReplyStatus, body []byte) {
+	o := c.ORB
+	if !c.Oneway {
+		if c.hasFT {
+			var parked []ftWaiter
+			if ran {
+				parked = o.ftCache.Complete(c.ft, dedup.Reply{Status: status, Body: body})
+			} else {
+				parked = o.ftCache.Abort(c.ft)
+			}
+			for _, w := range parked {
+				o.sendReply(w.conn, w.reqID, w.tctx, status, body)
+			}
+		}
+		o.sendReply(c.conn, c.reqID, c.TraceCtx, status, body)
+	}
+	c.release()
+}
+
+// Shed implements rtcorba.Job: the pool dropped the queued request
+// (deadline expired while queued, or evicted for a higher-priority
+// arrival). The caller is told which, so it can classify the failure.
+func (c *serverCall) Shed(r rtcorba.ShedReason) {
+	switch deadline := r == rtcorba.ShedDeadline; {
+	case c.conn != nil && deadline:
+		c.settle(refused, giop.StatusSystemException, c.ORB.exception(giop.ExcTimeout, 2))
+	case c.conn != nil:
+		c.settle(refused, giop.StatusSystemException, c.ORB.exception(giop.ExcTransient, giop.MinorShed))
+	case deadline:
+		c.err = ErrDeadlineExpired
+		c.done.Broadcast()
+	default:
+		c.err = fmt.Errorf("%w (collocated, evicted)", ErrOverload)
+		c.done.Broadcast()
+	}
+}
+
+// Run implements rtcorba.Job: it runs the servant between the server
+// interceptors on pool thread t and answers the caller.
+func (c *serverCall) Run(t *rtos.Thread) {
+	o := c.ORB
+	if c.cancelled[c.reqID] {
+		delete(c.cancelled, c.reqID)
+		// A failover retransmission parked on this request still
+		// wants the outcome: then execute anyway.
+		if !c.hasFT || o.ftCache.Cancel(c.ft) {
+			c.release()
+			return
+		}
+	}
+	if c.conn == nil {
+		c.SentAt = o.ep.Kernel().Now()
+	}
+	c.Thread, c.info.Request = t, &c.ServerRequest
+	o.interceptReceive(&c.info)
+	body, err := c.servant.Dispatch(&c.ServerRequest)
+	c.info.Err = err
+	o.interceptSendReply(&c.info)
+	if c.conn == nil {
+		c.reply, c.err = body, err
+		c.done.Broadcast()
+		return
+	}
+	var rspan *trace.Span
+	if o.tracer != nil && c.TraceCtx.Valid() {
+		rspan = o.tracer.StartChild(c.TraceCtx, "reply.marshal", trace.LayerORB)
+	}
+	if err != nil {
+		// Marshalling a forward or exception reply costs CPU too.
+		t.Compute(o.msgCost(64))
+		status, reply := giop.StatusSystemException, []byte(nil)
+		var fr *ForwardRequest
+		var se *SystemException
+		switch {
+		case errors.As(err, &fr):
+			// The servant redirected the client (e.g. a backup
+			// pointing at the new primary after promotion).
+			status, reply = giop.StatusLocationForward, encodeForward(fr.Ref, o.cfg.ByteOrder)
+			if rspan != nil {
+				rspan.SetAttr(trace.String("forward", fr.Ref.Addr.String()))
+			}
+		case errors.As(err, &se):
+			reply = o.exception(se.ID, se.Minor)
+		default:
+			reply = o.exception(giop.ExcUnknown, 0)
+		}
+		if rspan != nil {
+			rspan.Finish()
+		}
+		c.settle(executed, status, reply)
+		return
+	}
+	t.Compute(o.msgCost(len(body)))
+	if rspan != nil {
+		rspan.SetAttr(trace.Int("bytes", int64(len(body))))
+		rspan.Finish()
+	}
+	c.settle(executed, giop.StatusNoException, body)
 }

@@ -39,13 +39,14 @@ type Profile struct {
 	Key  []byte
 }
 
-// Profiles returns the reference's profiles in failover order: the
-// primary Addr/Key first, then the alternates.
-func (r *ObjectRef) Profiles() []Profile {
-	out := make([]Profile, 0, 1+len(r.Alternates))
-	out = append(out, Profile{Addr: r.Addr, Key: r.Key})
-	out = append(out, r.Alternates...)
-	return out
+// profile returns the reference's i-th profile in failover order,
+// counted round the list: the primary Addr/Key first, then the
+// alternates.
+func (r *ObjectRef) profile(i int) Profile {
+	if i %= 1 + len(r.Alternates); i > 0 {
+		return r.Alternates[i-1]
+	}
+	return Profile{Addr: r.Addr, Key: r.Key}
 }
 
 // ErrBadRef reports an unparseable stringified reference.

@@ -23,19 +23,19 @@ func TestAllocsSettleWithoutBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	busy := func(t *rtos.Thread) { t.Compute(time.Hour) }
-	tp.Dispatch(Work{Fn: busy})
-	k.RunFor(time.Millisecond)  // the thread is running it
-	tp.Dispatch(Work{Fn: busy}) // the queue is full
+	tp.Dispatch(Work{Job: JobFunc(busy)})
+	k.RunFor(time.Millisecond)            // the thread is running it
+	tp.Dispatch(Work{Job: JobFunc(busy)}) // the queue is full
 	const rounds = 100
 	refused := testing.AllocsPerRun(rounds, func() {
-		if tp.Dispatch(Work{Fn: busy}) {
+		if tp.Dispatch(Work{Job: JobFunc(busy)}) {
 			t.Fatal("admitted to a full lane with no lower-priority victim")
 		}
 	})
 	prio := Priority(0)
 	evicted := testing.AllocsPerRun(rounds, func() {
 		prio++
-		if !tp.Dispatch(Work{Priority: prio, Fn: busy}) {
+		if !tp.Dispatch(Work{Priority: prio, Job: JobFunc(busy)}) {
 			t.Fatal("refused despite an evictable victim")
 		}
 	})

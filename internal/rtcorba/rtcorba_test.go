@@ -156,10 +156,10 @@ func TestThreadPoolLaneSelection(t *testing.T) {
 	mk := func(counter *int) func(*rtos.Thread) {
 		return func(t *rtos.Thread) { *counter++ }
 	}
-	tp.Dispatch(Work{Priority: 100, Fn: mk(&lane0)})
-	tp.Dispatch(Work{Priority: 15999, Fn: mk(&lane0)})
-	tp.Dispatch(Work{Priority: 16000, Fn: mk(&lane1)})
-	tp.Dispatch(Work{Priority: 32767, Fn: mk(&lane1)})
+	tp.Dispatch(Work{Priority: 100, Job: JobFunc(mk(&lane0))})
+	tp.Dispatch(Work{Priority: 15999, Job: JobFunc(mk(&lane0))})
+	tp.Dispatch(Work{Priority: 16000, Job: JobFunc(mk(&lane1))})
+	tp.Dispatch(Work{Priority: 32767, Job: JobFunc(mk(&lane1))})
 	k.RunUntil(time.Second)
 	if lane0 != 2 || lane1 != 2 {
 		t.Fatalf("lane work split = %d/%d, want 2/2", lane0, lane1)
@@ -178,9 +178,9 @@ func TestThreadPoolRunsAtRequestPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	var observed rtos.Priority
-	tp.Dispatch(Work{Priority: 32767, Fn: func(t *rtos.Thread) {
+	tp.Dispatch(Work{Priority: 32767, Job: JobFunc(func(t *rtos.Thread) {
 		observed = t.Priority()
-	}})
+	})})
 	k.RunUntil(time.Second)
 	want, _ := mm.ToNative(32767, h.Priorities())
 	if observed != want {
@@ -201,7 +201,7 @@ func TestThreadPoolBoundedQueueRefuses(t *testing.T) {
 	// here land in the queue.
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if tp.Dispatch(Work{Priority: 0, Fn: block}) {
+		if tp.Dispatch(Work{Priority: 0, Job: JobFunc(block)}) {
 			accepted++
 		}
 	}
@@ -244,11 +244,11 @@ func TestHighPriorityLaneNotBlockedByLow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var highDone sim.Time
-	tp.Dispatch(Work{Priority: 0, Fn: func(t *rtos.Thread) { t.Compute(500 * time.Millisecond) }})
-	tp.Dispatch(Work{Priority: 25000, Fn: func(t *rtos.Thread) {
+	tp.Dispatch(Work{Priority: 0, Job: JobFunc(func(t *rtos.Thread) { t.Compute(500 * time.Millisecond) })})
+	tp.Dispatch(Work{Priority: 25000, Job: JobFunc(func(t *rtos.Thread) {
 		t.Compute(time.Millisecond)
 		highDone = t.Now()
-	}})
+	})})
 	k.RunUntil(2 * time.Second)
 	if highDone == 0 || highDone > 10*time.Millisecond {
 		t.Fatalf("high-priority work finished at %v; blocked behind low lane", highDone)

@@ -11,9 +11,18 @@ import (
 	"repro/internal/trace"
 )
 
+// testJob is a Job made of two closures.
+type testJob struct {
+	run  func(*rtos.Thread)
+	shed func(ShedReason)
+}
+
+func (j testJob) Run(t *rtos.Thread) { j.run(t) }
+func (j testJob) Shed(r ShedReason)  { j.shed(r) }
+
 // TestRejectLowestFirstEviction pins the shedding policy: a
 // higher-priority arrival at a full lane evicts the lowest-priority
-// queued item (with its Shed callback told why) instead of being
+// queued item (with its job's Shed told why) instead of being
 // refused.
 func TestRejectLowestFirstEviction(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -29,19 +38,19 @@ func TestRejectLowestFirstEviction(t *testing.T) {
 	// Fill the queue with priorities 10 and 20.
 	for _, p := range []Priority{10, 20} {
 		p := p
-		ok := tp.Dispatch(Work{Priority: p, Fn: block, Shed: func(r ShedReason) {
+		ok := tp.Dispatch(Work{Priority: p, Job: testJob{run: block, shed: func(r ShedReason) {
 			evictedPrio, evictedReason = p, r
-		}})
+		}}})
 		if !ok {
 			t.Fatalf("initial dispatch at priority %d refused", p)
 		}
 	}
 	// An equal-priority arrival must not evict.
-	if tp.Dispatch(Work{Priority: 10, Fn: block}) {
+	if tp.Dispatch(Work{Priority: 10, Job: JobFunc(block)}) {
 		t.Fatal("equal-priority arrival admitted to a full lane")
 	}
 	// A higher-priority arrival evicts the priority-10 item.
-	if !tp.Dispatch(Work{Priority: 30, Fn: block}) {
+	if !tp.Dispatch(Work{Priority: 30, Job: JobFunc(block)}) {
 		t.Fatal("higher-priority arrival refused despite evictable victim")
 	}
 	if evictedPrio != 10 || evictedReason != ShedEvicted {
@@ -67,7 +76,7 @@ func TestWatermarkAdmissionControl(t *testing.T) {
 	block := func(t *rtos.Thread) { t.Compute(time.Second) }
 	admitted := 0
 	for i := 0; i < 10; i++ {
-		if tp.Dispatch(Work{Priority: 5, Fn: block}) {
+		if tp.Dispatch(Work{Priority: 5, Job: JobFunc(block)}) {
 			admitted++
 		}
 	}
@@ -76,7 +85,7 @@ func TestWatermarkAdmissionControl(t *testing.T) {
 	}
 	// Higher-priority arrivals pass the watermark gate.
 	for i := 0; i < 4; i++ {
-		if !tp.Dispatch(Work{Priority: 100, Fn: block}) {
+		if !tp.Dispatch(Work{Priority: 100, Job: JobFunc(block)}) {
 			t.Fatalf("high-priority arrival %d refused below hard limit", i)
 		}
 	}
@@ -109,19 +118,19 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	var shedReason ShedReason
 	// First item occupies the thread for 100ms; the second has a 10ms
 	// deadline and must be shed when the thread frees up at t=100ms.
-	tp.Dispatch(Work{Priority: 0, Fn: func(t *rtos.Thread) { t.Compute(100 * time.Millisecond) }})
+	tp.Dispatch(Work{Priority: 0, Job: JobFunc(func(t *rtos.Thread) { t.Compute(100 * time.Millisecond) })})
 	tp.Dispatch(Work{
 		Priority: 0,
 		Deadline: sim.Time(10 * time.Millisecond),
-		Fn:       func(t *rtos.Thread) { ran++ },
-		Shed:     func(r ShedReason) { shed++; shedReason = r },
+		Job: testJob{run: func(t *rtos.Thread) { ran++ },
+			shed: func(r ShedReason) { shed++; shedReason = r }},
 	})
 	// A third item with a generous deadline still runs.
 	ranLate := 0
 	tp.Dispatch(Work{
 		Priority: 0,
 		Deadline: sim.Time(time.Second),
-		Fn:       func(t *rtos.Thread) { ranLate++ },
+		Job:      JobFunc(func(t *rtos.Thread) { ranLate++ }),
 	})
 	k.RunUntil(2 * time.Second)
 	if ran != 0 || shed != 1 || shedReason != ShedDeadline {
@@ -139,7 +148,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 // outcomes behind a busy thread: A runs, C is evicted by E, D is refused at
 // the full queue, B's deadline passes while it waits, and E runs. Each is
 // counted once in Stats, is published as a KindShed record and reaches
-// the Work.Shed callback (a refusal only the record: Dispatch's false
+// its job's Shed (a refusal only the record: Dispatch's false
 // answers the caller), and ends
 // its lane.queue span with its outcome's event.
 func TestLaneOutcomeEachFate(t *testing.T) {
@@ -161,8 +170,8 @@ func TestLaneOutcomeEachFate(t *testing.T) {
 		offered++
 		root := tr.StartRoot(name, trace.LayerApp)
 		defer root.Finish()
-		return tp.Dispatch(Work{Priority: p, Fn: fn, Ctx: root.Context(), Deadline: sim.Time(dl),
-			Shed: func(r ShedReason) { shed = append(shed, name+" "+r.String()) }})
+		return tp.Dispatch(Work{Priority: p, Ctx: root.Context(), Deadline: sim.Time(dl),
+			Job: testJob{run: fn, shed: func(r ShedReason) { shed = append(shed, name+" "+r.String()) }}})
 	}
 	busy := func(t *rtos.Thread) { t.Compute(100 * time.Millisecond) }
 	quick := func(*rtos.Thread) {}

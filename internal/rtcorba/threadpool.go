@@ -36,29 +36,38 @@ func (r ShedReason) String() string {
 }
 
 // Work is a unit dispatched onto a pool thread. The thread's native
-// priority has already been set according to the priority model when fn
-// runs.
+// priority has already been set according to the priority model when
+// its job runs.
 type Work struct {
 	// Priority is the CORBA priority governing the dispatch.
 	Priority Priority
-	// Fn is executed on the pool thread.
-	Fn func(t *rtos.Thread)
+	// Job runs on the pool thread, or is told why the pool discarded it.
+	Job Job
 	// Ctx, when valid, parents the lane-queue span the pool records for
 	// this work item (the enqueue-to-dequeue delay) when a tracer is
 	// installed.
 	Ctx trace.SpanContext
 	// Deadline, when non-zero, is the absolute expiry instant of the
 	// request's end-to-end deadline. A lane thread that dequeues the
-	// item after this instant sheds it instead of running Fn.
+	// item after this instant sheds it instead of running its job.
 	Deadline sim.Time
-	// Shed, when non-nil, runs instead of Fn if the pool discards the
-	// item (eviction by a higher-priority arrival, or deadline expiry at
-	// dequeue). Servers use it to answer the client with an overload or
-	// timeout reply so the caller can tell shedding from a crash.
-	Shed func(reason ShedReason)
 
 	qspan *trace.Span
 }
+
+// Job is what a work item does: Run on a pool thread, or Shed if the
+// pool discards it once admitted. A server's request record is its own
+// job, so a dispatch costs no closure.
+type Job interface {
+	Run(t *rtos.Thread)
+	Shed(reason ShedReason)
+}
+
+// JobFunc adapts a function to Job; it drops a shed silently.
+type JobFunc func(t *rtos.Thread)
+
+func (f JobFunc) Run(t *rtos.Thread) { f(t) }
+func (f JobFunc) Shed(ShedReason)    {}
 
 // LaneConfig configures one priority lane of a thread pool.
 type LaneConfig struct {
@@ -122,7 +131,7 @@ type lane struct {
 type outcome int
 
 const (
-	served   outcome = iota // a lane thread ran Fn
+	served   outcome = iota // a lane thread ran the job
 	refused                 // admission: hard limit with no victim, or the watermark
 	evicted                 // a higher-priority arrival took its slot
 	deadline                // its deadline had passed when a thread dequeued it
@@ -208,7 +217,7 @@ func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 		} else {
 			t.SetPriority(ln.native)
 		}
-		w.Fn(t)
+		w.Job.Run(t)
 		tp.settle(ln, w, served)
 		t.SetPriority(ln.native)
 	}
@@ -217,7 +226,7 @@ func (tp *ThreadPool) laneWorker(ln *lane, t *rtos.Thread) {
 // settle counts a work item's outcome. An item the lane discards also
 // leaves its event on the lane.queue span (or, untraced past dequeue, a
 // deadline_expired span), a KindShed record, and — once admitted —
-// has its Shed callback told why.
+// has its job's Shed told why.
 func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
 	ln.n[o]++
 	if o == served {
@@ -242,12 +251,12 @@ func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
 			events.F("lane", strconv.Itoa(int(ln.cfg.Priority))),
 			events.F("reason", outcomeNames[o]))
 	}
-	if w.Shed != nil && o != refused {
+	if o != refused {
 		reason := ShedEvicted
 		if o == deadline {
 			reason = ShedDeadline
 		}
-		w.Shed(reason)
+		w.Job.Shed(reason)
 	}
 }
 
@@ -255,8 +264,7 @@ func (tp *ThreadPool) settle(ln *lane, w Work, o outcome) {
 // false if the lane refused the work — the queue is at its hard limit
 // with no lower-priority victim to evict, or at its high watermark and
 // the work would not win an eviction (the RT-CORBA TRANSIENT condition).
-// Work admitted by evicting a queued item triggers the victim's Shed
-// callback.
+// Work admitted by evicting a queued item sheds the victim's job.
 func (tp *ThreadPool) Dispatch(w Work) bool {
 	ln := tp.laneFor(w.Priority)
 	if tp.tracer != nil && w.Ctx.Valid() {

@@ -77,6 +77,7 @@ func (rk *ResourceKernel) Reserve(c, t time.Duration, policy EnforcementPolicy) 
 		budget:  c,
 		policy:  policy,
 	}
+	r.onPeriod = r.replenish
 	rk.reserves = append(rk.reserves, r)
 	r.scheduleReplenish()
 	return r, nil
@@ -95,6 +96,7 @@ type Reserve struct {
 	policy   EnforcementPolicy
 	canceled bool
 	threads  []*Thread
+	onPeriod func() // replenish, bound once
 
 	// accounting
 	periods  int
@@ -155,17 +157,18 @@ func (r *Reserve) deplete() {
 	r.overruns++
 }
 
-func (r *Reserve) scheduleReplenish() {
-	r.rk.host.k.After(r.period, func() {
-		if r.canceled {
-			return
-		}
-		r.periods++
-		r.budget = r.compute
-		r.depleted = false
-		r.rk.host.cpu.reschedule()
-		r.scheduleReplenish()
-	})
+func (r *Reserve) scheduleReplenish() { r.rk.host.k.After(r.period, r.onPeriod) }
+
+// replenish refills the budget at the start of each period.
+func (r *Reserve) replenish() {
+	if r.canceled {
+		return
+	}
+	r.periods++
+	r.budget = r.compute
+	r.depleted = false
+	r.rk.host.cpu.reschedule()
+	r.scheduleReplenish()
 }
 
 // String implements fmt.Stringer.

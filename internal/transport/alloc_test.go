@@ -76,3 +76,35 @@ func TestAllocsDgramOneFragment(t *testing.T) {
 		t.Fatalf("%v allocations per datagram, want 0", allocs)
 	}
 }
+
+// One four-fragment datagram: no allocation, as each connection recycles
+// its reassembly buffers.
+func TestAllocsDgramMultiFragment(t *testing.T) {
+	k, _, ea, eb := pair(nil, 10e6)
+	defer k.Close()
+	ca, cb := ea.OpenDgram(100, 0), eb.OpenDgram(100, 0)
+	received := 0
+	k.Go("recv", func(p *sim.Proc) {
+		for {
+			if m := cb.Recv(p); len(m.Data) != 3*maxPayload+100 {
+				t.Errorf("received %d bytes, want %d", len(m.Data), 3*maxPayload+100)
+			}
+			received++
+		}
+	})
+	m := &Message{Data: make([]byte, 3*maxPayload+100)}
+	round := func() {
+		ca.Send(eb.Addr(100), m)
+		k.RunFor(10 * time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(100, round)
+	if received != 10+101 {
+		t.Fatalf("%d datagrams received, want %d", received, 10+101)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per four-fragment datagram, want 0", allocs)
+	}
+}

@@ -21,6 +21,7 @@ type DgramConn struct {
 
 	recvQ *sim.Queue[Message]
 	reasm map[reasmKey]*reasmBuf
+	spare []*reasmBuf // finished reassembly buffers, ready for the next train
 
 	// ReassemblyTimeout discards partial messages whose last fragment
 	// has not arrived in time.
@@ -129,7 +130,7 @@ func (c *DgramConn) onPacket(p *netsim.Packet) {
 		if len(c.reasm) >= reasmLimit {
 			return
 		}
-		buf = &reasmBuf{expected: int(h.Count), seen: make([]bool, h.Count), msg: msg}
+		buf = c.startReasm(int(h.Count), msg)
 		c.reasm[key] = buf
 	}
 	// Fragments disagreeing with the train's shape, and duplicated
@@ -144,7 +145,34 @@ func (c *DgramConn) onPacket(p *netsim.Packet) {
 	if buf.got >= buf.expected {
 		delete(c.reasm, key)
 		c.deliver(p.Src, buf.msg)
+		c.recycle(buf)
 	}
+}
+
+// startReasm returns an empty buffer for a train of count fragments of
+// msg, a recycled one when there is one.
+func (c *DgramConn) startReasm(count int, msg *Message) *reasmBuf {
+	var buf *reasmBuf
+	if n := len(c.spare); n > 0 {
+		buf, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		buf = new(reasmBuf)
+	}
+	if cap(buf.seen) < count {
+		buf.seen = make([]bool, count)
+	}
+	buf.seen = buf.seen[:count]
+	clear(buf.seen)
+	buf.got, buf.expected, buf.msg = 0, count, msg
+	return buf
+}
+
+// recycle keeps a finished buffer for the next train; it holds no
+// message meanwhile. At most reasmLimit buffers are live, so at most
+// that many are kept.
+func (c *DgramConn) recycle(buf *reasmBuf) {
+	buf.msg = nil
+	c.spare = append(c.spare, buf)
 }
 
 func (c *DgramConn) deliver(from netsim.Addr, m *Message) {
@@ -158,6 +186,7 @@ func (c *DgramConn) expireReassembly(now sim.Time) {
 	for key, buf := range c.reasm {
 		if now > buf.deadline {
 			delete(c.reasm, key)
+			c.recycle(buf)
 		}
 	}
 }
