@@ -27,8 +27,8 @@
 // and both per-layer decompositions — to BENCH_trace.json. -jsonl
 // streams every span of -run trace to a file as JSON lines.
 //
-// wire, chaos, obs and pubsub open real localhost sockets and run on
-// the wall clock; every other run is virtual-time and byte-identical
+// chaos, obs and pubsub open real localhost sockets and run on the
+// wall clock; every other run is virtual-time and byte-identical
 // run to run for a given seed.
 package main
 
@@ -75,6 +75,7 @@ const (
 	paperTitle     = "Reproduction self-check (paper claims vs this run)"
 	mechanismTitle = "Mechanism ablations (each mechanism with vs without)"
 	extensionTitle = "Extension scenarios (the verdicts each scenario prints)"
+	isolationTitle = "EF/BE isolation on the live plane (observers off)"
 )
 
 var runs = []namedRun{
@@ -189,17 +190,9 @@ var runs = []namedRun{
 		fmt.Fprint(e.w, dumpTopology(sys))
 		return nil, nil
 	}},
-	// wire, chaos, obs and pubsub open real localhost TCP sockets and
-	// burn wall-clock time, unlike the virtual-time runs above.
-	{"wire", false, func(e *env) ([]experiments.Check, error) {
-		res, err := wire.RunBench(wire.BenchOptions{Duration: e.opt.Duration})
-		if err != nil {
-			return nil, fmt.Errorf("wire bench: %w", err)
-		}
-		fmt.Fprintln(e.w, res.Render())
-		e.emit("wire", wireStats(res))
-		return nil, nil
-	}},
+	// chaos, obs and pubsub open real localhost TCP sockets and burn
+	// wall-clock time, unlike the virtual-time runs above.
+
 	// chaos is a soak over real TCP with fault injection; it fails on
 	// any breach of the robustness invariants.
 	{"chaos", false, func(e *env) ([]experiments.Check, error) {
@@ -215,17 +208,18 @@ var runs = []namedRun{
 		e.emit("chaos", chaosStats(rep))
 		return nil, violated("chaos soak", rep.Violations())
 	}},
-	// obs prices the observability plane: the wire load with the full
-	// observer stack (sampler + rules + runtime collector + SLO tracker
-	// + profiler + live scraper) against an observers-off baseline.
+	// obs prices the observability plane: the EF/BE wire load with the
+	// full observer stack (sampler + rules + runtime collector + SLO
+	// tracker + profiler + live scraper) against an observers-off
+	// baseline, whose EF/BE separation is the isolation claim it checks.
 	{"obs", false, func(e *env) ([]experiments.Check, error) {
-		res, err := wire.RunObsBench(wire.BenchOptions{Duration: e.opt.Duration})
+		res, err := runObsBench(e.opt.Duration)
 		if err != nil {
 			return nil, fmt.Errorf("obs bench: %w", err)
 		}
 		fmt.Fprintln(e.w, res.Render())
 		e.emit("obs", obsStats(res))
-		return nil, nil
+		return e.printChecks(isolationTitle, []experiments.Check{isolationCheck(res.OffEF, res.OffBE)}), nil
 	}},
 	// pubsub runs the event channel under a best-effort flood and fails
 	// on any breach of the dissemination invariants.
@@ -370,9 +364,10 @@ type benchStat struct {
 	P95Ms      float64 `json:"p95_ms"`
 	P99Ms      float64 `json:"p99_ms"`
 	Throughput float64 `json:"throughput_per_sec"`
-	// ShedRate is the fraction of offered load deliberately shed
-	// (overload scenarios only).
-	ShedRate float64 `json:"shed_rate,omitempty"`
+	// ShedRate is the fraction of offered load deliberately shed (the
+	// overload low band and the obs BE observers-off entry). It is a
+	// pointer so a measured zero still serializes.
+	ShedRate *float64 `json:"shed_rate,omitempty"`
 	// SLO-scenario fields: when each alerting strategy first fired
 	// (virtual ms, 0 = never), the sampler's kept-trace rate, and the
 	// fraction of deadline-missed invocations with a kept trace.
@@ -447,21 +442,6 @@ func seriesStat(scenario string, s *metrics.Series, sum metrics.Summary) benchSt
 	return st
 }
 
-// wireStats reports the real-socket wire benchmark: wall-clock
-// percentiles per class (ClassReport latencies are already ms),
-// throughput as completed calls per second, and the best-effort
-// class's server-side shed fraction (admission refusals + deadline
-// sheds over offered load) — the EF entry should show a p99 far below
-// the BE entry's.
-func wireStats(r *wire.BenchResult) []benchStat {
-	ef := classStat("wire EF (expedited, wall clock)", r.EF)
-	be := classStat("wire BE (best-effort, wall clock)", r.BE)
-	if r.BE.Offered > 0 {
-		be.ShedRate = (r.Refused + r.Shed) / float64(r.BE.Offered)
-	}
-	return []benchStat{ef, be}
-}
-
 // chaosStats reports the chaos soak: EF latency with and without BE
 // torture (the isolation claim), BE latency under torture, and one
 // failover/recovery entry carrying the budget and bound measurements.
@@ -489,21 +469,24 @@ func chaosStats(r *chaos.SoakReport) []benchStat {
 	}
 }
 
-// obsStats reports the observer-overhead benchmark: EF percentiles
-// with observers off and on (the overhead entry carries the ratio and
-// the observer-activity evidence), plus both BE entries for context.
-func obsStats(r *wire.ObsBenchResult) []benchStat {
+// obsStats reports the observer-overhead run: EF percentiles with
+// observers off and on (the overhead entry carries the ratio and the
+// observer-activity evidence), plus both BE entries. The observers-off
+// pair is the EF-vs-BE separation; its BE entry carries the server's
+// shed fraction (admission refusals + deadline sheds over offered load).
+func obsStats(r *obsResult) []benchStat {
 	off := classStat("obs EF observers off", r.OffEF)
 	on := classStat("obs EF observers on (sampler+runtime+slo+profiler+scraper)", r.OnEF)
 	on.OverheadRatio = r.OverheadP99
 	on.SamplerTicks = r.SamplerTicks
 	on.ProfileCaptures = r.ProfileCaptures
 	on.EventsStreamed = r.EventsStreamed
-	return []benchStat{
-		off, on,
-		classStat("obs BE observers off", r.OffBE),
-		classStat("obs BE observers on", r.OnBE),
+	offBE := classStat("obs BE observers off", r.OffBE)
+	if r.OffBE.Offered > 0 {
+		shed := float64(r.OffRefused+r.OffShed) / float64(r.OffBE.Offered)
+		offBE.ShedRate = &shed
 	}
+	return []benchStat{off, on, offBE, classStat("obs BE observers on", r.OnBE)}
 }
 
 // pubsubStats reports the pub/sub scenario: EF fan-out percentiles for
@@ -557,7 +540,7 @@ func overloadStats(r experiments.OverloadResult) []benchStat {
 	low := benchStat{
 		Scenario: "overload / low band",
 		Samples:  int(r.LowOffered),
-		ShedRate: r.ShedRate,
+		ShedRate: &r.ShedRate,
 	}
 	if r.Duration > 0 {
 		low.Throughput = float64(r.LowServed) / r.Duration.Seconds()

@@ -156,17 +156,20 @@ func TestTopologyDumps(t *testing.T) {
 	}
 }
 
-// TestExitCodes: a passing audit exits 0, a failed claim 1 (an overload
-// run too short for the breaker to re-close after the load drops), and
-// an unknown -run 2.
+// TestExitCodes: a passing audit exits 0, and so does an SLO run off
+// its default horizon; a failed claim exits 1 (an overload run too
+// short for the breaker to re-close after the load drops); an unknown
+// -run exits 2, and so does the retired -run wire.
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want int
 	}{
 		{[]string{"-run", "audit", "-seed", "1"}, 0},
+		{[]string{"-run", "slo", "-duration", "30s"}, 0},
 		{[]string{"-run", "overload", "-duration", "1s"}, 1},
 		{[]string{"-run", "bogus"}, 2},
+		{[]string{"-run", "wire"}, 2},
 	} {
 		var out bytes.Buffer
 		if got := run(tc.args, &out); got != tc.want {

@@ -46,6 +46,12 @@ const (
 	// push RTTs past it, producing the deadline-missed traces the
 	// sampler must keep.
 	sloDeadline = 40 * time.Millisecond
+	// sloHorizon is the scenario's default length and the time scale
+	// its burn-rate pairs are sized on. The pairs stay put when
+	// -duration stretches the run: the brown-out's onset is as sharp at
+	// any length, and a fast pair scaled to a longer run would react
+	// slower than the p95 rule's two ticks.
+	sloHorizon = 12 * time.Second
 )
 
 // SLOResult is the measured outcome of the SLO scenario.
@@ -113,7 +119,7 @@ func (c *sloMissCapture) ReceiveReply(info *orb.ClientRequestInfo) {
 // RunSLO executes the scenario. Duration defaults to 12s with the flood
 // in the middle third.
 func RunSLO(opt Options) SLOResult {
-	dur := opt.duration(12 * time.Second)
+	dur := opt.duration(sloHorizon)
 	const every = 250 * time.Millisecond
 	missCap := &sloMissCapture{}
 	bed := newFloodBed(opt, dur, every, sloEscalatedPrio, missCap)
@@ -149,11 +155,11 @@ func RunSLO(opt Options) SLOResult {
 	}
 
 	// The SLO: 99.9% of invocations complete under the latency bound,
-	// burn-rate pairs scaled to the scenario horizon. slo_burn records
+	// burn-rate pairs scaled to the scenario's time scale. slo_burn records
 	// land on the same bus as alert rules and region transitions.
 	tracker := slo.NewTracker(sys.K, slo.Objective{
 		Name: "invoke", Goal: sloGoal, LatencyBound: sloLatencyBound,
-		Pairs: slo.ScaledPairs(dur),
+		Pairs: slo.ScaledPairs(sloHorizon),
 	}, plane.Bus)
 	r.SLO = tracker
 

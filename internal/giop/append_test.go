@@ -97,7 +97,7 @@ func refQoSContexts(q RequestQoS, order cdr.ByteOrder) []ServiceContext {
 		e.PutShort(q.Priority)
 		out = append(out, ServiceContext{ServiceRTCorbaPriority, e.Bytes()})
 	}
-	if q.SentAt != 0 {
+	if q.HasSentAt {
 		out = append(out, ServiceContext{ServiceInvocationTimestamp, refContextData(order, []uint64{uint64(q.SentAt)}, nil)})
 	}
 	if q.Deadline != 0 {
@@ -134,7 +134,7 @@ func randomQoS(rng *rand.Rand) RequestQoS {
 		q.Priority, q.HasPriority = int16(rng.Intn(1<<15)), true
 	}
 	if rng.Intn(2) == 0 {
-		q.SentAt = rng.Int63() + 1
+		q.SentAt, q.HasSentAt = rng.Int63(), true
 	}
 	if rng.Intn(2) == 0 {
 		q.Deadline = rng.Int63() + 1
@@ -381,7 +381,7 @@ func TestAppendToAllocBudget(t *testing.T) {
 	req := &Request{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("bench/echo"), Operation: "echo",
 		ServiceContexts: constructorContexts(cdr.BigEndian), Body: body}
 	rep := &Reply{RequestID: 7, Body: body}
-	q := &RequestQoS{Priority: 16000, HasPriority: true, SentAt: 1, Deadline: 2, TraceID: 3, SpanID: 4,
+	q := &RequestQoS{Priority: 16000, HasPriority: true, SentAt: 1, HasSentAt: true, Deadline: 2, TraceID: 3, SpanID: 4,
 		FT: FTKey{1, 2, 3}, HasFT: true}
 	buf := make([]byte, 0, len(body)+512)
 

@@ -15,15 +15,17 @@ type FTKey struct {
 // ParseRequestQoS extracts in a single pass, and what Request.AppendQoS
 // encodes straight into a message. Parsed, a context that is absent or
 // malformed leaves its fields zero; encoded, Priority is written when
-// HasPriority, FT when HasFT, SentAt and Deadline when nonzero, and the
-// trace context when both ids are nonzero.
+// HasPriority, SentAt when HasSentAt, FT when HasFT, Deadline when
+// nonzero, and the trace context when both ids are nonzero.
 type RequestQoS struct {
 	// Priority is the RT-CORBA priority (0x10), valid when HasPriority.
 	Priority    int16
 	HasPriority bool
 	// SentAt is the client's send instant (0x11) in its clock's
-	// nanoseconds.
-	SentAt int64
+	// nanoseconds, valid when HasSentAt: a virtual clock's zero is an
+	// instant like any other.
+	SentAt    int64
+	HasSentAt bool
 	// TraceID and SpanID are the caller's span (0x12).
 	TraceID, SpanID uint64
 	// FT is the at-most-once key (0x13), valid when HasFT.
@@ -52,7 +54,9 @@ func ParseRequestQoS(ctxs []ServiceContext) RequestQoS {
 				q.Priority, q.HasPriority = p, true
 			}
 		case ServiceInvocationTimestamp:
-			q.SentAt, _ = ParseTimestampContext(c.Data)
+			if t, err := ParseTimestampContext(c.Data); err == nil {
+				q.SentAt, q.HasSentAt = t, true
+			}
 		case ServiceTraceContext:
 			q.TraceID, q.SpanID, _ = ParseTraceContext(c.Data)
 		case ServiceFTRequest:
@@ -117,7 +121,7 @@ func (q *RequestQoS) layout(n int) (count, end int) {
 		}
 	}
 	add(q.HasPriority, priorityDataLen)
-	add(q.SentAt != 0, instantDataLen)
+	add(q.HasSentAt, instantDataLen)
 	add(q.Deadline != 0, instantDataLen)
 	add(q.hasTrace(), traceDataLen)
 	add(q.HasFT, ftDataLen)
@@ -134,7 +138,7 @@ func (q *RequestQoS) put(e *cdr.Encoder) {
 		putPriorityData(e, q.Priority)
 		e.SetOrigin(origin)
 	}
-	if q.SentAt != 0 {
+	if q.HasSentAt {
 		origin := beginContext(e, ServiceInvocationTimestamp, instantDataLen)
 		putInstantData(e, q.SentAt)
 		e.SetOrigin(origin)

@@ -14,7 +14,7 @@ import (
 func TestParseRequestQoS(t *testing.T) {
 	all := RequestQoS{
 		Priority: 16000, HasPriority: true,
-		SentAt:  111,
+		SentAt: 111, HasSentAt: true,
 		TraceID: 7, SpanID: 8,
 		FT: FTKey{Group: 3, Client: 99, Retention: 5}, HasFT: true,
 		Deadline: 222,

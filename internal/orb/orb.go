@@ -515,17 +515,7 @@ func (o *ORB) invokeOnce(t *rtos.Thread, p Profile, op string, body []byte, prio
 // bytes, and so every message's cost, equal those of a request whose
 // ServiceContexts start with the three contexts' values.
 func encodeRequest(frame []byte, req *giop.Request, prio rtcorba.Priority, now, deadline sim.Time, order cdr.ByteOrder) []byte {
-	qos := giop.RequestQoS{Priority: int16(prio), HasPriority: true, SentAt: int64(now), Deadline: int64(deadline)}
-	if now == 0 {
-		// AppendQoS leaves out a zero instant, but a call made at time
-		// zero sends its timestamp all the same, ahead of its deadline.
-		pre := []giop.ServiceContext{giop.TimestampContext(0, order)}
-		if deadline != 0 {
-			pre = append(pre, giop.DeadlineContext(int64(deadline), order))
-			qos.Deadline = 0
-		}
-		req.ServiceContexts = append(pre, req.ServiceContexts...)
-	}
+	qos := giop.RequestQoS{Priority: int16(prio), HasPriority: true, SentAt: int64(now), HasSentAt: true, Deadline: int64(deadline)}
 	return req.AppendQoS(frame, order, &qos)
 }
 

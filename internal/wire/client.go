@@ -360,7 +360,7 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	// trace context.
 	qos := giop.RequestQoS{
 		Priority: opts.Priority, HasPriority: true,
-		SentAt:   start.UnixNano(),
+		SentAt: start.UnixNano(), HasSentAt: true,
 		Deadline: expiry.UnixNano(),
 		TraceID:  uint64(ctx.Trace), SpanID: uint64(ctx.Span),
 	}

@@ -45,8 +45,8 @@
 // a Handler returned, is the caller's again the moment the call completes.
 //
 // Unit tests run socket-free and deterministic over net.Pipe loopback
-// connections (Server.ServeConn plus ClientConfig.Dial); the wall-clock
-// benchmarks and cmd/qosserve + cmd/qoscall exercise real TCP.
+// connections (Server.ServeConn plus ClientConfig.Dial); qosbench -run
+// obs, cmd/qosserve + cmd/qoscall and bench/qosperf exercise real TCP.
 package wire
 
 import (
@@ -60,6 +60,10 @@ import (
 	"repro/internal/trace"
 	"repro/internal/trace/telemetry"
 )
+
+// EFPriority is the expedited CORBA priority the wall-clock programs
+// use for the high band; best effort rides at 0.
+const EFPriority int16 = 16000
 
 // Errors returned by wire invocations. They mirror the simulated ORB's
 // classification so the shared breaker semantics line up: overload and
