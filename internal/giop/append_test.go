@@ -432,6 +432,50 @@ func TestDecodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDecodeByValueAllocBudget: DecodeRequest into a caller's Request
+// allocates only the operation name, and not even that when it equals the
+// name passed as the previous one; DecodeReply allocates nothing. (The
+// frames carry no service contexts: a request with some still allocates
+// their slice, as Decode does.)
+func TestDecodeByValueAllocBudget(t *testing.T) {
+	echo := (&Request{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("app/echo"), Operation: "echo",
+		Body: make([]byte, 64)}).Marshal(cdr.BigEndian)
+	push := (&Request{RequestID: 8, ObjectKey: []byte("consumer/a"), Operation: "push",
+		Body: make([]byte, 64)}).Marshal(cdr.LittleEndian)
+	reply := (&Reply{RequestID: 7, Body: make([]byte, 64)}).Marshal(cdr.BigEndian)
+	var req Request
+	var rep Reply
+	next := echo
+	decode := func() {
+		if err := DecodeRequest(next, &req, req.Operation); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(100, decode); got != 0 {
+		t.Errorf("DecodeRequest repeating the last operation: %v allocs, want 0", got)
+	}
+	alternate := func() {
+		if next = echo; req.Operation == "echo" {
+			next = push
+		}
+		decode()
+	}
+	if got := testing.AllocsPerRun(100, alternate); got != 1 {
+		t.Errorf("DecodeRequest of a new operation: %v allocs, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := DecodeReply(reply, &rep); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecodeReply: %v allocs, want 0", got)
+	}
+	if rep.RequestID != 7 || len(rep.Body) != 64 {
+		t.Errorf("DecodeReply gave id %d and a %d-byte body", rep.RequestID, len(rep.Body))
+	}
+}
+
 // TestDecodeAliasesFrame: body, object key and context data are the
 // frame's own bytes; the views inside the frame have their capacity
 // clipped so an append cannot run into the field behind them.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -119,7 +120,8 @@ func frameSeeds() [][]byte {
 	return [][]byte{wire, truncated, oversized, justOver, lying, wire[:1], wire[:HeaderSize]}
 }
 
-// FuzzDecode asserts the GIOP decoder never panics and that every frame
+// FuzzDecode asserts the GIOP decoder never panics, that the by-value
+// entry points agree with it (checkByValue), and that every frame
 // it accepts re-marshals to a frame that is itself: the re-marshalled
 // bytes decode to an equal message and marshal — through AppendTo into a
 // buffer of stale bytes — to the same bytes again. (The input itself
@@ -152,6 +154,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
+		checkByValue(t, data, msg, err)
 		if err != nil {
 			return
 		}
@@ -179,6 +182,44 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-marshalled frame does not re-marshal to itself\n got %x\nwant %x", fixed, out)
 		}
 	})
+}
+
+// checkByValue holds DecodeRequest and DecodeReply to Decode's result
+// msg, err for the same bytes: for a frame of their own type the same
+// error, or an equal message — also when the operation name is passed as
+// the previous one, and so reused — and for a frame of any other type an
+// error.
+func checkByValue(t *testing.T, data []byte, msg Message, err error) {
+	t.Helper()
+	var req Request
+	var rep Reply
+	rerr := DecodeRequest(data, &req, "")
+	perr := DecodeReply(data, &rep)
+	for _, c := range []struct {
+		name string
+		t    MsgType
+		got  Message
+		err  error
+	}{{"DecodeRequest", MsgRequest, &req, rerr}, {"DecodeReply", MsgReply, &rep, perr}} {
+		if len(data) < HeaderSize || MsgType(data[7]) != c.t {
+			if c.err == nil {
+				t.Fatalf("%s accepted a frame Decode reads as %#v", c.name, msg)
+			}
+			continue
+		}
+		if fmt.Sprint(c.err) != fmt.Sprint(err) {
+			t.Fatalf("%s error %v, Decode's %v", c.name, c.err, err)
+		}
+		if err == nil && !reflect.DeepEqual(c.got, msg) {
+			t.Fatalf("%s decoded %#v, Decode %#v", c.name, c.got, msg)
+		}
+	}
+	if rerr == nil {
+		var again Request
+		if err := DecodeRequest(data, &again, req.Operation); err != nil || !reflect.DeepEqual(&again, &req) {
+			t.Fatalf("DecodeRequest with the operation name repeated: %#v, %v; was %#v", again, err, req)
+		}
+	}
 }
 
 // FuzzReadFrame drives the stream framer with arbitrary bytes delivered

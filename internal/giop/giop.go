@@ -421,29 +421,26 @@ func finish(e *cdr.Encoder, start int) []byte {
 // here on — the caller must not write to buf or read another frame into
 // it while the message, or anything taken from it, is in use.
 func Decode(buf []byte) (Message, error) {
-	if len(buf) < HeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadMessage, len(buf))
-	}
-	if !bytes.Equal(buf[0:4], magic[:]) {
-		return nil, ErrBadMagic
-	}
-	if buf[4] != VersionMajor || buf[5] != VersionMinor {
-		return nil, fmt.Errorf("%w: %d.%d", ErrBadVersion, buf[4], buf[5])
-	}
-	order := headerOrder(buf)
-	t := MsgType(buf[7])
-	size := order.Order().Uint32(buf[8:12])
-	if int(size) != len(buf)-HeaderSize {
-		return nil, fmt.Errorf("%w: size field %d, actual %d", ErrBadMessage, size, len(buf)-HeaderSize)
+	order, t, err := checkHeader(buf)
+	if err != nil {
+		return nil, err
 	}
 	// Decode with header bytes in place so alignment matches encoding.
 	d := cdr.NewDecoder(buf, order)
-	_ = d.Skip(HeaderSize) // cannot fail: len(buf) >= HeaderSize
+	_ = d.Skip(HeaderSize) // cannot fail: checkHeader saw a whole header
 	switch t {
 	case MsgRequest:
-		return decodeRequest(d, buf)
+		r := &Request{}
+		if err := decodeRequest(d, buf, r, ""); err != nil {
+			return nil, err
+		}
+		return r, nil
 	case MsgReply:
-		return decodeReply(d, buf)
+		r := &Reply{}
+		if err := decodeReply(d, buf, r); err != nil {
+			return nil, err
+		}
+		return r, nil
 	case MsgCancelRequest:
 		id, err := d.ULong()
 		if err != nil {
@@ -485,56 +482,122 @@ func Decode(buf []byte) (Message, error) {
 	}
 }
 
-func decodeRequest(d *cdr.Decoder, buf []byte) (*Request, error) {
-	r := &Request{}
+// DecodeRequest is Decode for a frame that holds a Request, decoded into
+// *r instead of a message of its own: the same checks, the same errors,
+// the same views of buf. A reader that decodes frame after frame into one
+// Request on its stack allocates nothing for the message. When the
+// operation name equals lastOp, r.Operation is lastOp itself, so a
+// connection that passes its previous request's name decodes a repeated
+// one without copying it. A frame of another type is an error.
+func DecodeRequest(buf []byte, r *Request, lastOp string) error {
+	d, err := open(buf, MsgRequest)
+	if err != nil {
+		return err
+	}
+	return decodeRequest(&d, buf, r, lastOp)
+}
+
+// DecodeReply is DecodeRequest for a Reply: Decode's checks and views,
+// decoded into *r.
+func DecodeReply(buf []byte, r *Reply) error {
+	d, err := open(buf, MsgReply)
+	if err != nil {
+		return err
+	}
+	return decodeReply(&d, buf, r)
+}
+
+// open checks that buf is a whole message of type want and returns a
+// decoder positioned after its header.
+func open(buf []byte, want MsgType) (cdr.Decoder, error) {
+	order, t, err := checkHeader(buf)
+	if err != nil {
+		return cdr.Decoder{}, err
+	}
+	if t != want {
+		return cdr.Decoder{}, fmt.Errorf("%w: %v, want %v", ErrBadMessage, t, want)
+	}
+	d := cdr.NewDecoder(buf, order)
+	_ = d.Skip(HeaderSize)
+	return *d, nil
+}
+
+// checkHeader validates a whole message's header — magic, version, the
+// size field against the buffer — and returns its byte order and type.
+func checkHeader(buf []byte) (cdr.ByteOrder, MsgType, error) {
+	if len(buf) < HeaderSize {
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrBadMessage, len(buf))
+	}
+	if !bytes.Equal(buf[0:4], magic[:]) {
+		return 0, 0, ErrBadMagic
+	}
+	if buf[4] != VersionMajor || buf[5] != VersionMinor {
+		return 0, 0, fmt.Errorf("%w: %d.%d", ErrBadVersion, buf[4], buf[5])
+	}
+	order := headerOrder(buf)
+	size := order.Order().Uint32(buf[8:12])
+	if int(size) != len(buf)-HeaderSize {
+		return 0, 0, fmt.Errorf("%w: size field %d, actual %d", ErrBadMessage, size, len(buf)-HeaderSize)
+	}
+	return order, MsgType(buf[7]), nil
+}
+
+// decodeRequest and decodeReply fill every field of *r from the message
+// in buf, which checkHeader has accepted; d is positioned after its
+// header.
+func decodeRequest(d *cdr.Decoder, buf []byte, r *Request, lastOp string) error {
 	var err error
 	if r.RequestID, err = d.ULong(); err != nil {
-		return nil, fmt.Errorf("%w: request id: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: request id: %v", ErrBadMessage, err)
 	}
 	flags, err := d.Octet()
 	if err != nil {
-		return nil, fmt.Errorf("%w: response flags: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: response flags: %v", ErrBadMessage, err)
 	}
 	r.ResponseExpected = flags != 0
 	if err := d.Skip(3); err != nil {
-		return nil, fmt.Errorf("%w: reserved: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: reserved: %v", ErrBadMessage, err)
 	}
 	disp, err := d.Short()
 	if err != nil || disp != 0 {
-		return nil, fmt.Errorf("%w: addressing disposition %d (%v)", ErrBadMessage, disp, err)
+		return fmt.Errorf("%w: addressing disposition %d (%v)", ErrBadMessage, disp, err)
 	}
 	if r.ObjectKey, err = d.OctetSeqView(); err != nil {
-		return nil, fmt.Errorf("%w: object key: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: object key: %v", ErrBadMessage, err)
 	}
-	if r.Operation, err = d.String(); err != nil {
-		return nil, fmt.Errorf("%w: operation: %v", ErrBadMessage, err)
+	op, err := d.StringView()
+	if err != nil {
+		return fmt.Errorf("%w: operation: %v", ErrBadMessage, err)
+	}
+	r.Operation = lastOp
+	if string(op) != lastOp {
+		r.Operation = string(op)
 	}
 	if r.ServiceContexts, err = getContexts(d); err != nil {
-		return nil, err
+		return err
 	}
 	r.Body = extractBody(d, buf)
-	return r, nil
+	return nil
 }
 
-func decodeReply(d *cdr.Decoder, buf []byte) (*Reply, error) {
-	r := &Reply{}
+func decodeReply(d *cdr.Decoder, buf []byte, r *Reply) error {
 	var err error
 	if r.RequestID, err = d.ULong(); err != nil {
-		return nil, fmt.Errorf("%w: request id: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: request id: %v", ErrBadMessage, err)
 	}
 	status, err := d.ULong()
 	if err != nil {
-		return nil, fmt.Errorf("%w: status: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: status: %v", ErrBadMessage, err)
 	}
 	if status > uint32(StatusLocationForward) {
-		return nil, fmt.Errorf("%w: reply status %d", ErrBadMessage, status)
+		return fmt.Errorf("%w: reply status %d", ErrBadMessage, status)
 	}
 	r.Status = ReplyStatus(status)
 	if r.ServiceContexts, err = getContexts(d); err != nil {
-		return nil, err
+		return err
 	}
 	r.Body = extractBody(d, buf)
-	return r, nil
+	return nil
 }
 
 func getContexts(d *cdr.Decoder) ([]ServiceContext, error) {

@@ -16,8 +16,9 @@ import (
 // their acks. What is left of a 5 KiB oneway is
 //   - the ClientRequestInfo the interceptors see;
 //   - the transport.Message carrying the request frame;
-//   - the decoded giop.Request, its service-context slice and its
-//     operation name (a tiny string, several to an allocation);
+//   - the decoded request's service-context slice (the giop.Request is
+//     decoded on the server reader's stack, and its operation name is the
+//     previous request's string again);
 //   - the serverCall record: the ServerRequest, its ServerRequestInfo
 //     and the lane job in one object.
 //
@@ -65,14 +66,14 @@ func costPerCall(t *testing.T, oneway bool, body []byte) (objects, bytes uint64)
 }
 
 // TestAllocBudgetSimFrame: a warm 5 KiB oneway between two ORBs costs
-// at most 6 objects and less than 1 KiB, the objects listed above.
+// at most 4 objects and less than 1 KiB, the objects listed above.
 func TestAllocBudgetSimFrame(t *testing.T) {
 	objects, bytes := costPerCall(t, true, make([]byte, 5<<10))
 	if bytes >= 1<<10 {
 		t.Errorf("%d B allocated per 5 KiB oneway, want < 1 KiB: the request frame or its segments are not recycled", bytes)
 	}
-	if objects > 6 {
-		t.Errorf("%d objects allocated per 5 KiB oneway, want <= 6", objects)
+	if objects > 4 {
+		t.Errorf("%d objects allocated per 5 KiB oneway, want <= 4", objects)
 	}
 	t.Logf("%d objects, %d B per 5 KiB oneway", objects, bytes)
 }
@@ -83,8 +84,8 @@ func TestAllocBudgetSimFrame(t *testing.T) {
 // decoded giop.Reply.
 func TestAllocBudgetSimTwoWay(t *testing.T) {
 	objects, bytes := costPerCall(t, false, make([]byte, 64))
-	if objects > 12 {
-		t.Errorf("%d objects allocated per two-way call, want <= 12", objects)
+	if objects > 10 {
+		t.Errorf("%d objects allocated per two-way call, want <= 10", objects)
 	}
 	t.Logf("%d objects, %d B per two-way call", objects, bytes)
 }

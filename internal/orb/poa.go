@@ -175,17 +175,26 @@ func (o *ORB) serverReader(conn *transport.StreamConn, t *rtos.Thread) {
 	// Request ids the client has cancelled; still-queued dispatches for
 	// them are abandoned before reaching the servant.
 	cancelled := make(map[uint32]bool)
+	// A Request is decoded into decoded, which dispatchRequest does not
+	// keep, reusing the previous request's operation name when it repeats.
+	var decoded giop.Request
 	for {
 		m := conn.Recv(t.Proc())
 		t.Compute(o.msgCost(len(m.Data)))
-		msg, err := giop.Decode(m.Data)
+		var msg giop.Message
+		var err error
+		if len(m.Data) >= giop.HeaderSize && giop.MsgType(m.Data[7]) == giop.MsgRequest {
+			err = giop.DecodeRequest(m.Data, &decoded, decoded.Operation)
+		} else {
+			msg, err = giop.Decode(m.Data)
+		}
 		if err != nil {
 			conn.Send(&transport.Message{Data: (&giop.MessageError{}).Marshal(o.cfg.ByteOrder)})
 			continue
 		}
 		switch req := msg.(type) {
-		case *giop.Request:
-			o.dispatchRequest(conn, req, m.Data, cancelled)
+		case nil: // a Request, in decoded
+			o.dispatchRequest(conn, &decoded, m.Data, cancelled)
 		case *giop.LocateRequest:
 			status := giop.LocateUnknownObject
 			if _, _, minor := o.resolveKey(req.ObjectKey); minor == 0 {

@@ -133,13 +133,48 @@ type clientConn struct {
 	err     error
 }
 
+// pendingCall is one two-way call's record from registration to its
+// result. Whoever removes it from its connection's pending map — the read
+// loop with the reply, fail with the error — fills in the result and then
+// signals done, once; nobody else touches it until the caller has that
+// signal or has removed the call itself (cancel, take). A settled record
+// is recycled when the call's frames were small (recycle).
 type pendingCall struct {
-	done  chan struct{}
-	reply *giop.Reply
+	done  chan struct{} // capacity 1: one signal per use
+	timer *time.Timer   // the call's deadline; Reset on reuse
+	reply giop.Reply    // decoded by value; Body is a view of its frame
 	// order is the byte order of the reply frame, captured from its
 	// header flags so the exception body decodes exactly.
 	order cdr.ByteOrder
 	err   error
+}
+
+// callPool holds the records of settled small calls.
+var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
+
+// newCall returns a record for a call whose request body is small
+// (below largeFrame) from callPool, and a fresh one otherwise. The large
+// path keeps its per-call allocations on purpose: on echo_large they are
+// what makes the invoking goroutine assist the collector and end its
+// mark phases (DESIGN §12, "Why the large path still allocates its small
+// objects").
+func newCall(small bool) *pendingCall {
+	if small {
+		return callPool.Get().(*pendingCall)
+	}
+	return &pendingCall{done: make(chan struct{}, 1)}
+}
+
+// recycle returns a settled record to callPool when both the request
+// body (small) and the reply body were below largeFrame. Its timer is
+// stopped, and go 1.23 timers drop a stale tick on Stop and Reset, so the
+// next call cannot see this one's deadline.
+func (call *pendingCall) recycle(small bool) {
+	if !small || len(call.reply.Body) >= largeFrame {
+		return
+	}
+	*call = pendingCall{done: call.done, timer: call.timer}
+	callPool.Put(call)
 }
 
 // FTRequest identifies one logical fault-tolerant invocation for
@@ -376,6 +411,9 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 		Body:             body,
 	}
 
+	// A call whose request or reply is large keeps its record to itself
+	// (newCall, recycle).
+	small := len(body) < largeFrame
 	var conn *clientConn
 	var call *pendingCall
 	var others bool
@@ -391,7 +429,9 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 		if opts.Oneway {
 			break
 		}
-		call = &pendingCall{done: make(chan struct{})}
+		if call == nil {
+			call = newCall(small)
+		}
 		others, err = conn.register(id, call)
 		if err == nil {
 			break
@@ -408,25 +448,49 @@ func (c *Client) invokeOnce(b *clientBand, ctx trace.SpanContext, key, op string
 	// send returns: the write deadline is the call's expiry, so a wedged
 	// peer cannot block past it.
 	if err := conn.send(len(body), func(dst []byte) []byte { return req.AppendQoS(dst, requestOrder, &qos) }, expiry, others); err != nil {
+		if call != nil {
+			// fail has taken the call, or is about to: its signal must be
+			// in before the record is reused.
+			if taken, _ := conn.take(id); !taken {
+				<-call.done
+			}
+			call.recycle(small)
+		}
 		return nil, fmt.Errorf("%w: write %s: %v", ErrUnavailable, c.cfg.Addr, err)
 	}
 	if opts.Oneway {
 		return nil, nil
 	}
 
-	timer := time.NewTimer(time.Until(expiry))
-	defer timer.Stop()
+	if call.timer == nil {
+		call.timer = time.NewTimer(time.Until(expiry))
+	} else {
+		call.timer.Reset(time.Until(expiry))
+	}
 	select {
 	case <-call.done:
-	case <-timer.C:
-		conn.cancel(id)
+		call.timer.Stop()
+	case <-call.timer.C:
+		if !conn.cancel(id) {
+			// The reply, or the connection's failure, won the race: wait
+			// for its signal before the record is reused.
+			<-call.done
+		}
+		call.recycle(small)
 		return nil, fmt.Errorf("%w: %v elapsed waiting for %s", ErrDeadlineExpired, timeout, op)
 	}
 
+	reply, err := call.result()
+	call.recycle(small)
+	return reply, err
+}
+
+// result is a signalled call's outcome: the reply body, or the error.
+func (call *pendingCall) result() ([]byte, error) {
 	if call.err != nil {
 		return nil, call.err
 	}
-	switch rep := call.reply; rep.Status {
+	switch rep := &call.reply; rep.Status {
 	case giop.StatusNoException:
 		return rep.Body, nil
 	case giop.StatusSystemException:
@@ -586,30 +650,44 @@ func (conn *clientConn) register(id uint32, call *pendingCall) (others bool, err
 	return len(conn.pending) > 1, nil
 }
 
+// take removes a pending call and reports whether it was still there —
+// one that is not has been, or is being, signalled by the read loop or
+// fail — and whether other calls are outstanding.
+func (conn *clientConn) take(id uint32) (taken, others bool) {
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	_, taken = conn.pending[id]
+	delete(conn.pending, id)
+	return taken, len(conn.pending) > 0
+}
+
 // cancel abandons a pending call (deadline expiry) and tells the server
-// to skip the queued work — best-effort. With other calls outstanding the
+// to skip the queued work — best-effort. It reports whether it removed the
+// call: when the reply or the connection's failure got there first there
+// is nothing left to cancel. With other calls outstanding the
 // CancelRequest is only queued, to leave with the connection's next flush:
 // a write that times out ends the connection for every call on it, and the
 // patience of a caller that has already given up must not be what decides
 // that for its neighbours. With none there is nobody else to carry the
 // message and nobody to harm, so it is flushed at once, bounded so this
 // caller is not held up further.
-func (conn *clientConn) cancel(id uint32) {
-	conn.mu.Lock()
-	delete(conn.pending, id)
-	others := len(conn.pending) > 0
-	conn.mu.Unlock()
+func (conn *clientConn) cancel(id uint32) bool {
+	taken, others := conn.take(id)
+	if !taken {
+		return false
+	}
 
 	b := conn.band
 	m := giop.CancelRequest{RequestID: id}
 	ticket, _ := conn.queue(0, func(dst []byte) []byte { return m.AppendTo(dst, requestOrder) }, time.Time{})
 	b.c.frames.get(b.label).Inc()
 	if others {
-		return
+		return true
 	}
 	if flushed, _ := conn.flush(ticket, time.Now().Add(50*time.Millisecond)); flushed {
 		b.c.flushes.get(b.label).Inc()
 	}
+	return true
 }
 
 // send queues one frame and returns once it is in the kernel, or with
@@ -645,11 +723,16 @@ func (conn *clientConn) send(size int, enc func(dst []byte) []byte, deadline tim
 // their pending calls by request ID. Each frame is allocated once, at
 // its size (hdr saves ReadFrame the header's allocation), and belongs to
 // the message decoded from it: the reply body Invoke returns is a view
-// of its frame.
+// of its frame. A Reply in a frame below largeFrame is decoded into rep,
+// on this goroutine's stack, and copied into its call's record; a larger
+// one keeps its own allocation, which on echo_large is one of the small
+// objects that pace the collector (DESIGN §12, "Why the large path still
+// allocates its small objects").
 func (conn *clientConn) readLoop() {
 	c := conn.band.c
 	br := bufio.NewReaderSize(conn.nc, 32<<10)
 	hdr := make([]byte, giop.HeaderSize)
+	var rep giop.Reply
 	for {
 		frame, err := giop.ReadFrame(br, giop.DefaultMaxMessage, hdr)
 		if err != nil {
@@ -666,27 +749,22 @@ func (conn *clientConn) readLoop() {
 		if frame[6]&1 == 1 {
 			order = cdr.LittleEndian
 		}
-		msg, err := giop.Decode(frame)
+		var msg giop.Message
+		if giop.MsgType(frame[7]) == giop.MsgReply && len(frame) < largeFrame {
+			err = giop.DecodeReply(frame, &rep)
+		} else {
+			msg, err = giop.Decode(frame)
+		}
 		if err != nil {
 			conn.fail(fmt.Errorf("%w: %v", ErrProtocol, err))
 			conn.band.drop(conn)
 			return
 		}
 		switch m := msg.(type) {
+		case nil: // a small Reply, in rep
+			conn.deliver(&rep, order)
 		case *giop.Reply:
-			conn.mu.Lock()
-			call, ok := conn.pending[m.RequestID]
-			if ok {
-				delete(conn.pending, m.RequestID)
-			}
-			conn.mu.Unlock()
-			if ok {
-				call.reply = m
-				call.order = order
-				close(call.done)
-			} else {
-				c.reg.Counter("wire.client.orphan_replies").Inc()
-			}
+			conn.deliver(m, order)
 		case *giop.CloseConnection:
 			// Graceful drain: the server will answer what is already in
 			// flight, then close. Retire the connection — no new calls
@@ -706,6 +784,21 @@ func (conn *clientConn) readLoop() {
 			return
 		}
 	}
+}
+
+// deliver hands a reply to its pending call: the one signal the call
+// gets, from the party that removed it from pending.
+func (conn *clientConn) deliver(rep *giop.Reply, order cdr.ByteOrder) {
+	conn.mu.Lock()
+	call, ok := conn.pending[rep.RequestID]
+	delete(conn.pending, rep.RequestID)
+	conn.mu.Unlock()
+	if !ok {
+		conn.band.c.reg.Counter("wire.client.orphan_replies").Inc()
+		return
+	}
+	call.reply, call.order = *rep, order
+	call.done <- struct{}{}
 }
 
 // retire marks the connection dead for new registrations and removes it
@@ -736,6 +829,6 @@ func (conn *clientConn) fail(err error) {
 	conn.nc.Close()
 	for _, call := range pending {
 		call.err = err
-		close(call.done)
+		call.done <- struct{}{}
 	}
 }

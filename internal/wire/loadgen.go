@@ -31,9 +31,9 @@ type LoadClass struct {
 	Idempotent bool
 }
 
-// maxInFlight bounds one class's concurrently outstanding calls; an
-// issue tick finding the bound exhausted counts the request as dropped
-// locally rather than blocking the schedule.
+// maxInFlight bounds one class's concurrently outstanding calls; a slot
+// finding the bound exhausted counts its request as dropped locally
+// rather than blocking the schedule.
 const maxInFlight = 1024
 
 // Invoker is the invocation surface the load generator drives: a plain
@@ -52,12 +52,12 @@ type ClassReport struct {
 	// Errors counts failures by class: overload, deadline, unavailable,
 	// circuit_open, dropped_local, ...
 	Errors map[string]int64
-	// Latency summarises wall-clock round-trip milliseconds over
-	// successful calls.
+	// Latency summarises, over successful calls, the wall-clock
+	// milliseconds from each call's scheduled slot to its reply.
 	Latency metrics.Summary
 	// Throughput is successful replies per wall-clock second.
 	Throughput float64
-	// RawMs holds the individual successful-call round trips behind
+	// RawMs holds the individual successful-call latencies behind
 	// Latency, so callers can pool samples across runs and compute
 	// percentiles over one large distribution.
 	RawMs []float64 `json:"-"`
@@ -93,50 +93,48 @@ func runClass(c Invoker, d time.Duration, lc LoadClass) ClassReport {
 	rep := ClassReport{Name: lc.Name, Errors: make(map[string]int64)}
 	var lats []float64
 
+	// The schedule is absolute: slot k is due at start + k·interval, and
+	// every slot whose instant has passed is issued, so a loop that wakes
+	// late catches up instead of dropping ticks (a time.Ticker drops
+	// them: at 1 200 Hz on 2 vCPUs one offered 74–79 % of its slots).
+	// Each call is timed from its slot, so lateness counts as latency.
 	sem := make(chan struct{}, maxInFlight)
 	var calls sync.WaitGroup
 	interval := time.Second / time.Duration(lc.Hz)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.After(d)
 	start := time.Now()
-
-loop:
-	for {
-		select {
-		case <-deadline:
-			break loop
-		case <-ticker.C:
-			rep.Offered++
-			select {
-			case sem <- struct{}{}:
-			default:
-				mu.Lock()
-				rep.Errors["dropped_local"]++
-				mu.Unlock()
-				continue
-			}
-			calls.Add(1)
-			go func() {
-				defer func() { <-sem; calls.Done() }()
-				t0 := time.Now()
-				_, err := c.Invoke(lc.Key, "echo", body, CallOptions{
-					Priority:   lc.Priority,
-					Timeout:    lc.Timeout,
-					Idempotent: lc.Idempotent,
-				})
-				rtt := time.Since(t0)
-				mu.Lock()
-				rep.Completed++
-				if err != nil {
-					rep.Errors[errClass(err)]++
-				} else {
-					rep.OK++
-					lats = append(lats, float64(rtt)/float64(time.Millisecond))
-				}
-				mu.Unlock()
-			}()
+	for k := time.Duration(0); k*interval < d; k++ {
+		due := start.Add(k * interval)
+		if wait := time.Until(due); wait > 0 {
+			time.Sleep(wait)
 		}
+		rep.Offered++
+		select {
+		case sem <- struct{}{}:
+		default:
+			mu.Lock()
+			rep.Errors["dropped_local"]++
+			mu.Unlock()
+			continue
+		}
+		calls.Add(1)
+		go func() {
+			defer func() { <-sem; calls.Done() }()
+			_, err := c.Invoke(lc.Key, "echo", body, CallOptions{
+				Priority:   lc.Priority,
+				Timeout:    lc.Timeout,
+				Idempotent: lc.Idempotent,
+			})
+			rtt := time.Since(due)
+			mu.Lock()
+			rep.Completed++
+			if err != nil {
+				rep.Errors[errClass(err)]++
+			} else {
+				rep.OK++
+				lats = append(lats, float64(rtt)/float64(time.Millisecond))
+			}
+			mu.Unlock()
+		}()
 	}
 	calls.Wait()
 

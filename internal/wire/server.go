@@ -409,9 +409,13 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// is cheaper to allocate than to pool. A larger one is borrowed from
 	// the write pool until its request is settled (one that never reaches
 	// a lane worker — not a Request, refused, an FT replay — is garbage
-	// like a small one).
+	// like a small one). A GIOP Request, of any size, is decoded into req
+	// on this goroutine's stack — handleRequest copies what the lane
+	// needs — and an operation name equal to the previous request's is
+	// that string again, not a copy.
 	br := bufio.NewReaderSize(nc, 32<<10)
 	hdr := make([]byte, giop.HeaderSize)
+	var req giop.Request
 	// What the read loop answers itself — a replay, a refusal — goes out at
 	// once: its batch never holds a reply past the request that caused it.
 	b := &replyBatch{s: s}
@@ -433,15 +437,20 @@ func (s *Server) ServeConn(nc net.Conn) {
 			}
 			return
 		}
-		msg, err := giop.Decode(frame)
+		var msg giop.Message
+		if giop.MsgType(frame[7]) == giop.MsgRequest {
+			err = giop.DecodeRequest(frame, &req, req.Operation)
+		} else {
+			msg, err = giop.Decode(frame)
+		}
 		if err != nil {
 			s.reg.Counter("wire.server.protocol_errors").Inc()
 			c.send(&giop.MessageError{})
 			return
 		}
 		switch m := msg.(type) {
-		case *giop.Request:
-			s.handleRequest(c, m, b, borrowed)
+		case nil: // the Request in req
+			s.handleRequest(c, &req, b, borrowed)
 		case *giop.CancelRequest:
 			if c.cancels++; c.cancels > maxCancelled {
 				c.cancelled.Clear()
@@ -621,11 +630,22 @@ type heldReply struct {
 	ticket uint64
 }
 
-// reply queues one Reply on c, to leave with the batch's next flush.
+// reply queues one Reply on c, to leave with the batch's next flush. A
+// small reply is encoded from a value on this goroutine's stack; a large
+// one keeps its allocation, which on echo_large is one of the lane
+// worker's that pace the collector (DESIGN §12, "Why the large path still
+// allocates its small objects").
 func (b *replyBatch) reply(c *serverConn, id uint32, status giop.ReplyStatus, body []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ticket, wrote := c.queueMsg(&giop.Reply{RequestID: id, Status: status, Body: body}, len(body))
+	var ticket uint64
+	var wrote bool
+	if len(body) < largeFrame {
+		rep, order := giop.Reply{RequestID: id, Status: status, Body: body}, c.s.order
+		ticket, wrote = c.queue(len(body), func(dst []byte) []byte { return rep.AppendTo(dst, order) }, time.Time{})
+	} else {
+		ticket, wrote = c.queueMsg(&giop.Reply{RequestID: id, Status: status, Body: body}, len(body))
+	}
 	b.frames++
 	if wrote {
 		b.flushes++

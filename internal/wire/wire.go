@@ -21,8 +21,9 @@
 //
 // Buffer ownership. A payload byte is moved once in each direction.
 // Inbound, a connection's read loop reads every frame once into memory of
-// its own and giop.Decode parses it in place: the decoded message aliases
-// the frame. A frame below largeFrame is allocated at its exact size and
+// its own and giop parses it in place — a Request or a Reply into a value
+// on the read loop's stack (DecodeRequest, DecodeReply), anything else
+// with Decode: the decoded message aliases the frame. A frame below largeFrame is allocated at its exact size and
 // is garbage-collected with its message. The frame of a larger request is
 // borrowed from the write pool and goes back once the request is settled.
 // So req.Body and req.Contexts[i].Data are valid until Dispatch returns —
