@@ -158,9 +158,24 @@ func TestTopologyDumps(t *testing.T) {
 
 // TestExitCodes: a passing audit exits 0, and so does an SLO run off
 // its default horizon; a failed claim exits 1 (an overload run too
-// short for the breaker to re-close after the load drops); an unknown
-// -run exits 2, and so does the retired -run wire.
+// short for the breaker to re-close after the load drops), and so does
+// a -run trace -json whose BENCH_trace.json cannot be written (a
+// directory holds its name, which fails even as root); an unknown -run
+// exits 2, and so does the retired -run wire.
 func TestExitCodes(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "BENCH_trace.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
 	for _, tc := range []struct {
 		args []string
 		want int
@@ -168,6 +183,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-run", "audit", "-seed", "1"}, 0},
 		{[]string{"-run", "slo", "-duration", "30s"}, 0},
 		{[]string{"-run", "overload", "-duration", "1s"}, 1},
+		{[]string{"-run", "trace", "-json"}, 1},
 		{[]string{"-run", "bogus"}, 2},
 		{[]string{"-run", "wire"}, 2},
 	} {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/events"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -150,7 +149,7 @@ func benchPhase(d time.Duration, efHz int, plane *obsPlane) (*phaseResult, error
 // worker holds tens of milliseconds while EF rides a private band into
 // its own lane — the gap is structural (orders of magnitude), so a 2x
 // margin is conservative even under the race detector.
-func isolationCheck(ef, be wire.ClassReport) experiments.Check {
+func isolationCheck(ef, be wire.ClassReport) metrics.Check {
 	var errs []string
 	for class, n := range ef.Errors {
 		if class != "dropped_local" && n > 0 {
@@ -162,7 +161,7 @@ func isolationCheck(ef, be wire.ClassReport) experiments.Check {
 	if len(errs) > 0 {
 		detail += ", EF errors " + strings.Join(errs, " ")
 	}
-	return experiments.Check{
+	return metrics.Check{
 		Experiment: "Obs",
 		Claim:      "saturating BE leaves EF p99 below half BE p99, and EF without errors",
 		OK:         ef.OK > 0 && be.OK > 0 && ef.Latency.P99*2 < be.Latency.P99 && len(errs) == 0,
@@ -205,6 +204,20 @@ func (r *obsResult) Render() string {
 	out += fmt.Sprintf("  observers: ticks=%d go_series=%d profiles=%g alert_profile=%v events=%d scrapes=%d\n",
 		r.SamplerTicks, r.RuntimeSeries, r.ProfileCaptures, r.AlertProfile, r.EventsStreamed, r.Scrapes)
 	return out
+}
+
+// Checks states the run's claims: EF/BE isolation on the observers-off
+// side, and that every observer of the resident plane ran — the wall
+// sampler closed windows, the runtime collector published go.* series,
+// the profiler wrote captures and the /events stream delivered records.
+func (r *obsResult) Checks() []metrics.Check {
+	return []metrics.Check{
+		isolationCheck(r.OffEF, r.OffBE),
+		{Experiment: "Obs", Claim: "every observer of the plane ran during the observed phases",
+			OK: r.SamplerTicks > 0 && r.RuntimeSeries > 0 && r.ProfileCaptures > 0 && r.EventsStreamed > 0,
+			Detail: fmt.Sprintf("ticks=%d go_series=%d profiles=%g events=%d",
+				r.SamplerTicks, r.RuntimeSeries, r.ProfileCaptures, r.EventsStreamed)},
+	}
 }
 
 // sloInvoker feeds EF call outcomes into a wall-clock SLO tracker on

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/avstreams"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/quo"
@@ -33,7 +34,7 @@ func (r *onOff) cases(opt Options, name string, scenario func(opt Options, on bo
 
 // Ablations runs every mechanism's scenario with and without the
 // mechanism, side by side on runCases, and tests each mechanism's claim.
-func Ablations(opt Options) []Check {
+func Ablations(opt Options) []metrics.Check {
 	var diffServ, intServ, pi, enforce, lanes, filter, colloc, adapt onOff
 	var high, low float64
 	runCases(slices.Concat(
@@ -48,9 +49,9 @@ func Ablations(opt Options) []Check {
 		adapt.cases(opt, "adaptive DSCP promotion", adaptiveDSCPScenario),
 	))
 
-	var checks []Check
+	var checks []metrics.Check
 	add := func(mechanism, claim string, ok bool, r onOff, unit string) {
-		checks = append(checks, Check{
+		checks = append(checks, metrics.Check{
 			Experiment: mechanism,
 			Claim:      claim,
 			OK:         ok,
@@ -81,7 +82,7 @@ func Ablations(opt Options) []Check {
 	add("collocation",
 		"the fast path beats loopback GIOP: with < without",
 		colloc.with < colloc.without, colloc, "round-trip-seconds")
-	checks = append(checks, Check{
+	checks = append(checks, metrics.Check{
 		Experiment: "priority-driven reservations",
 		Claim:      "grants follow priority: high >= 0.99, low < high and >= its 0.1 floor",
 		OK:         high >= 0.99 && low < high && low >= 0.1,

@@ -4,11 +4,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // ablationChecks runs the mechanism claims once, at the options
 // testdata/ablations_seed42_10s.golden pins.
-var ablationChecks = sync.OnceValue(func() []Check {
+var ablationChecks = sync.OnceValue(func() []metrics.Check {
 	return Ablations(Options{Seed: 42, Duration: 10 * time.Second})
 })
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -293,7 +294,7 @@ func TestVerifyAllClaimsPass(t *testing.T) {
 			t.Errorf("%s — %s: %s", c.Experiment, c.Claim, c.Detail)
 		}
 	}
-	out := RenderChecks("paper claims", checks)
+	out := metrics.RenderChecks("paper claims", checks)
 	if !strings.Contains(out, "claims reproduced") {
 		t.Fatal("render missing verdict")
 	}

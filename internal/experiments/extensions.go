@@ -1,11 +1,15 @@
 package experiments
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/metrics"
+)
 
 // Extensions runs every seeded extension scenario — overload, failover
 // with and without recovery, SLO, monitor and trace — side by side and
 // returns the claims each states about its own run.
-func Extensions(opt Options) []Check {
+func Extensions(opt Options) []metrics.Check {
 	var (
 		over        OverloadResult
 		fail, recov FailoverResult

@@ -8,6 +8,7 @@ import (
 	"repro/internal/avstreams"
 	"repro/internal/core"
 	"repro/internal/ft"
+	"repro/internal/metrics"
 	"repro/internal/orb"
 	"repro/internal/quo"
 	"repro/internal/rtos"
@@ -244,19 +245,19 @@ func (r FailoverResult) Render() string {
 // fails, the crash is detected within 1.5 heartbeat periods, the stream
 // reaches the backup within 2, and the contract ends in the region the
 // fault schedule implies.
-func (r FailoverResult) Checks() []Check {
+func (r FailoverResult) Checks() []metrics.Check {
 	name, region := "Failover", "degraded: running on backup"
 	if r.Recover {
 		name, region = "Failover + recovery", "normal"
 	}
-	return []Check{
-		{name, "every group invocation survives the primary's crash",
-			r.InvokeOK > 0 && r.InvokeFailed == 0, fmt.Sprintf("%d ok, %d failed", r.InvokeOK, r.InvokeFailed)},
-		{name, "the heartbeat monitor detects the crash within 1.5 periods",
-			r.Detection > 0 && r.Detection <= failoverPeriod*3/2, fmt.Sprintf("%v (bound %v)", r.Detection, failoverPeriod*3/2)},
-		{name, "the stream reaches the backup within 2 detector periods",
-			r.StreamFailover > 0 && r.StreamFailover <= 2*failoverPeriod, fmt.Sprintf("%v (bound %v)", r.StreamFailover, 2*failoverPeriod)},
-		{name, fmt.Sprintf("the contract ends in region %q", region),
-			r.FinalRegion == region, fmt.Sprintf("%q", r.FinalRegion)},
+	return []metrics.Check{
+		{Experiment: name, Claim: "every group invocation survives the primary's crash",
+			OK: r.InvokeOK > 0 && r.InvokeFailed == 0, Detail: fmt.Sprintf("%d ok, %d failed", r.InvokeOK, r.InvokeFailed)},
+		{Experiment: name, Claim: "the heartbeat monitor detects the crash within 1.5 periods",
+			OK: r.Detection > 0 && r.Detection <= failoverPeriod*3/2, Detail: fmt.Sprintf("%v (bound %v)", r.Detection, failoverPeriod*3/2)},
+		{Experiment: name, Claim: "the stream reaches the backup within 2 detector periods",
+			OK: r.StreamFailover > 0 && r.StreamFailover <= 2*failoverPeriod, Detail: fmt.Sprintf("%v (bound %v)", r.StreamFailover, 2*failoverPeriod)},
+		{Experiment: name, Claim: fmt.Sprintf("the contract ends in region %q", region),
+			OK: r.FinalRegion == region, Detail: fmt.Sprintf("%q", r.FinalRegion)},
 	}
 }

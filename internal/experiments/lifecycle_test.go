@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // checkNoLeakedGoroutines fails t if more goroutines run than before,
@@ -68,12 +70,12 @@ func TestGoldenVerifyDetails(t *testing.T) {
 	}
 	for _, g := range []struct {
 		file string
-		run  func() []Check
+		run  func() []metrics.Check
 	}{
-		{"testdata/verify_seed1.golden", func() []Check { return Verify(Options{Seed: 1}) }},
-		{"testdata/verify_seed7.golden", func() []Check { return Verify(Options{Seed: 7}) }},
-		{"testdata/ablations_seed42_10s.golden", func() []Check { return Ablations(Options{Seed: 42, Duration: 10 * time.Second}) }},
-		{"testdata/ablations_seed7.golden", func() []Check { return Ablations(Options{Seed: 7}) }},
+		{"testdata/verify_seed1.golden", func() []metrics.Check { return Verify(Options{Seed: 1}) }},
+		{"testdata/verify_seed7.golden", func() []metrics.Check { return Verify(Options{Seed: 7}) }},
+		{"testdata/ablations_seed42_10s.golden", func() []metrics.Check { return Ablations(Options{Seed: 42, Duration: 10 * time.Second}) }},
+		{"testdata/ablations_seed7.golden", func() []metrics.Check { return Ablations(Options{Seed: 7}) }},
 	} {
 		want, err := os.ReadFile(g.file)
 		if err != nil {

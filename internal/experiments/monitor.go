@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/orb"
@@ -135,13 +136,13 @@ func reconcile(tl *events.Timeline, poa *orb.POA, lanes int, cli *orb.ORB) []str
 
 // reconciled states that a scenario's bus records agree with the
 // counters of the layers that published them.
-func reconciled(experiment string, unreconciled []string) Check {
+func reconciled(experiment string, unreconciled []string) metrics.Check {
 	detail := "records match counters"
 	if len(unreconciled) > 0 {
 		detail = strings.Join(unreconciled, "; ")
 	}
-	return Check{experiment, "shed and breaker records reconcile with the pool's and ORB's counters",
-		len(unreconciled) == 0, detail}
+	return metrics.Check{Experiment: experiment, Claim: "shed and breaker records reconcile with the pool's and ORB's counters",
+		OK: len(unreconciled) == 0, Detail: detail}
 }
 
 // floodBed is the testbed the monitor and SLO scenarios share: a client
@@ -410,10 +411,10 @@ func (r MonitorResult) ClosedLoop() bool { return r.Escalate > 0 && r.Transition
 // Checks states the scenario's verdicts as claims: the region
 // transitions come from sampled data, and the bus records reconcile
 // with the counters of the layers that published them.
-func (r MonitorResult) Checks() []Check {
-	return []Check{
-		{"Monitor", "sampled data drives the contract's region transitions",
-			r.ClosedLoop(), fmt.Sprintf("%d escalation(s), %d region transitions", r.Escalate, r.Transitions)},
+func (r MonitorResult) Checks() []metrics.Check {
+	return []metrics.Check{
+		{Experiment: "Monitor", Claim: "sampled data drives the contract's region transitions",
+			OK: r.ClosedLoop(), Detail: fmt.Sprintf("%d escalation(s), %d region transitions", r.Escalate, r.Transitions)},
 		reconciled("Monitor", r.Unreconciled),
 	}
 }

@@ -364,11 +364,11 @@ func (r OverloadResult) Render() string {
 // Checks states the acceptance verdicts as claims: the high band's
 // overload p99 stays within its deadline, and the breaker opens on the
 // saturated primary and re-closes after the load drops.
-func (r OverloadResult) Checks() []Check {
-	return []Check{
-		{"Overload", "the high band's p99 under 2x saturation stays within its deadline",
-			r.highWithin(), fmt.Sprintf("p99 %v (deadline %v)", r.HighP99(), r.HighDeadline)},
-		{"Overload", "the breaker opens on the saturated primary and re-closes after the load drops",
-			r.BreakerOpened && r.BreakerReclosed, fmt.Sprintf("opened %v, re-closed %v (%d transitions)", r.BreakerOpened, r.BreakerReclosed, len(r.Breaker))},
+func (r OverloadResult) Checks() []metrics.Check {
+	return []metrics.Check{
+		{Experiment: "Overload", Claim: "the high band's p99 under 2x saturation stays within its deadline",
+			OK: r.highWithin(), Detail: fmt.Sprintf("p99 %v (deadline %v)", r.HighP99(), r.HighDeadline)},
+		{Experiment: "Overload", Claim: "the breaker opens on the saturated primary and re-closes after the load drops",
+			OK: r.BreakerOpened && r.BreakerReclosed, Detail: fmt.Sprintf("opened %v, re-closed %v (%d transitions)", r.BreakerOpened, r.BreakerReclosed, len(r.Breaker))},
 	}
 }

@@ -36,8 +36,7 @@ type PubSubResult struct {
 	// counts token-bucket refusals of the bulk flood.
 	Published uint64
 	Refused   uint64
-	// EFDelivered/EFDropped are the expedited subscriber's totals; the
-	// isolation claim requires EFDropped == 0.
+	// EFDelivered/EFDropped are the expedited subscriber's totals.
 	EFDelivered uint64
 	EFDropped   uint64
 	// SlowOverflow and OtherOverflow attribute overflow drops: the slow
@@ -83,28 +82,27 @@ func (r PubSubResult) FanoutP99Ratio() float64 {
 	return ratio
 }
 
-// Violations returns the invariants the run breached, empty when clean.
-func (r PubSubResult) Violations() []string {
-	var v []string
-	if r.EFDropped != 0 {
-		v = append(v, fmt.Sprintf("EF subscriber dropped %d events, want 0", r.EFDropped))
+// Checks states the channel's isolation invariants as claims: the
+// expedited feed stays lossless and fast under the flood, overflow
+// lands only on the slow consumer, admission sheds part of the flood,
+// and every drop and lag episode surfaces as a bus record.
+func (r PubSubResult) Checks() []metrics.Check {
+	folded := r.SlowOverflow + r.OtherOverflow + r.Coalesced + r.Sampled
+	return []metrics.Check{
+		{Experiment: "Pub/sub", Claim: "the EF subscriber receives the feed and drops nothing",
+			OK: r.EFDelivered > 0 && r.EFDropped == 0, Detail: fmt.Sprintf("%d delivered, %d dropped", r.EFDelivered, r.EFDropped)},
+		{Experiment: "Pub/sub", Claim: "EF fan-out p99 under the flood stays within 5x the unloaded baseline",
+			OK: r.FanoutP99Ratio() <= 5, Detail: fmt.Sprintf("%.2fx", r.FanoutP99Ratio())},
+		{Experiment: "Pub/sub", Claim: "overflow drops land at the slow consumer and nowhere else",
+			OK: r.SlowOverflow > 0 && r.OtherOverflow == 0, Detail: fmt.Sprintf("slow %d, others %d", r.SlowOverflow, r.OtherOverflow)},
+		{Experiment: "Pub/sub", Claim: "admission refuses part of the flood",
+			OK: r.Refused > 0, Detail: fmt.Sprintf("%d refused", r.Refused)},
+		{Experiment: "Pub/sub", Claim: "every drop is a bus record: the ledgers and the drop causes agree",
+			OK:     uint64(r.DropRecords) == r.Snap.Dropped && uint64(r.DropRecords) == folded,
+			Detail: fmt.Sprintf("%d records, ledgers %d, slow+other+coalesced+sampled %d", r.DropRecords, r.Snap.Dropped, folded)},
+		{Experiment: "Pub/sub", Claim: "the saturated outbox publishes lag records",
+			OK: r.LagRecords > 0, Detail: fmt.Sprintf("%d records", r.LagRecords)},
 	}
-	if ratio := r.FanoutP99Ratio(); ratio > 5 {
-		v = append(v, fmt.Sprintf("EF fan-out p99 ratio %.2f exceeds 5x baseline", ratio))
-	}
-	if r.OtherOverflow != 0 {
-		v = append(v, fmt.Sprintf("%d overflow drops at subscribers other than the slow consumer", r.OtherOverflow))
-	}
-	if r.SlowOverflow == 0 {
-		v = append(v, "slow consumer dropped nothing: the flood never saturated it")
-	}
-	if r.Refused == 0 {
-		v = append(v, "admission refused nothing: the token bucket never engaged")
-	}
-	if uint64(r.DropRecords) != r.Snap.Dropped {
-		v = append(v, fmt.Sprintf("bus saw %d drop records, outbox ledgers count %d drops", r.DropRecords, r.Snap.Dropped))
-	}
-	return v
 }
 
 // RunPubSub runs the wall-clock pub/sub scenario in-process: a ~300 Hz
@@ -292,12 +290,5 @@ func (r PubSubResult) Render() string {
 		r.SlowOverflow, r.OtherOverflow, r.Coalesced, r.Sampled)
 	fmt.Fprintf(&b, "bus records: %d drops, %d sub-lag; degradation engaged %v (%d region transitions)\n",
 		r.DropRecords, r.LagRecords, r.DegradeEngaged, r.Transitions)
-	if v := r.Violations(); len(v) > 0 {
-		for _, msg := range v {
-			fmt.Fprintf(&b, "VIOLATION: %s\n", msg)
-		}
-	} else {
-		b.WriteString("all invariants hold\n")
-	}
 	return b.String()
 }

@@ -404,7 +404,7 @@ func (r SLOResult) Render() string {
 // Checks states the scenario's verdicts as claims: burn-rate alerting
 // beats the raw p95 rule to the alarm, and the bus records reconcile
 // with the counters of the layers that published them.
-func (r SLOResult) Checks() []Check {
+func (r SLOResult) Checks() []metrics.Check {
 	lead := "burn never fired"
 	switch {
 	case r.BurnFired && r.AlertFired:
@@ -412,8 +412,8 @@ func (r SLOResult) Checks() []Check {
 	case r.BurnFired:
 		lead = fmt.Sprintf("burn %v, p95 rule never", r.BurnFiredAt)
 	}
-	return []Check{
-		{"SLO", "burn-rate alerting fires before the raw p95 threshold rule", r.burnWon(), lead},
+	return []metrics.Check{
+		{Experiment: "SLO", Claim: "burn-rate alerting fires before the raw p95 threshold rule", OK: r.burnWon(), Detail: lead},
 		reconciled("SLO", r.Unreconciled),
 	}
 }

@@ -311,14 +311,14 @@ func renderBreakdown(b *strings.Builder, col *trace.Collector, id trace.TraceID)
 
 // Checks states, for every exemplar trace, that its per-layer shares sum
 // to its end-to-end latency within 1 %.
-func (r TraceResult) Checks() []Check {
-	var checks []Check
+func (r TraceResult) Checks() []metrics.Check {
+	var checks []metrics.Check
 	for _, e := range r.exemplars() {
 		sum, total, delta := layerSum(e.col, e.id)
-		checks = append(checks, Check{"Trace " + e.scenario,
-			"per-layer shares sum to the end-to-end latency within 1%",
-			total > 0 && delta <= 1.0,
-			fmt.Sprintf("%v of %v (delta %.3f%%)", sum, total, delta)})
+		checks = append(checks, metrics.Check{Experiment: "Trace " + e.scenario,
+			Claim:  "per-layer shares sum to the end-to-end latency within 1%",
+			OK:     total > 0 && delta <= 1.0,
+			Detail: fmt.Sprintf("%v of %v (delta %.3f%%)", sum, total, delta)})
 	}
 	return checks
 }

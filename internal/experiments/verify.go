@@ -3,31 +3,21 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// Check is one reproduction self-check: a qualitative claim from the
-// paper's evaluation, tested against a fresh run.
-type Check struct {
-	Experiment string
-	Claim      string
-	OK         bool
-	Detail     string
-}
-
 // Verify reruns every experiment at a reduced scale and tests the
 // paper's qualitative claims against the results — the repository's
 // one-command reproduction audit.
-func Verify(opt Options) []Check {
+func Verify(opt Options) []metrics.Check {
 	if opt.Duration == 0 {
 		opt.Duration = 60 * time.Second
 	}
-	var checks []Check
+	var checks []metrics.Check
 	add := func(experiment, claim string, ok bool, detail string, args ...any) {
-		checks = append(checks, Check{
+		checks = append(checks, metrics.Check{
 			Experiment: experiment,
 			Claim:      claim,
 			OK:         ok,
@@ -144,23 +134,4 @@ func hopNatives(f Figure2Result) []int {
 		out = append(out, int(h.Native))
 	}
 	return out
-}
-
-// RenderChecks prints checks as a table under title plus a verdict
-// line.
-func RenderChecks(title string, checks []Check) string {
-	tb := metrics.NewTable(title, "Experiment", "Claim", "Result", "Measured")
-	pass := 0
-	for _, c := range checks {
-		verdict := "FAIL"
-		if c.OK {
-			verdict = "ok"
-			pass++
-		}
-		tb.AddRow(c.Experiment, c.Claim, verdict, c.Detail)
-	}
-	var b strings.Builder
-	b.WriteString(tb.Render())
-	fmt.Fprintf(&b, "\n%d/%d claims reproduced\n", pass, len(checks))
-	return b.String()
 }

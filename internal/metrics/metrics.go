@@ -1,7 +1,8 @@
 // Package metrics provides the measurement and reporting plumbing shared
 // by the experiments: time series of latency samples, summary statistics
-// (mean, standard deviation, percentiles), and aligned-text table
-// rendering for the paper's tables and figure series.
+// (mean, standard deviation, percentiles), aligned-text table
+// rendering for the paper's tables and figure series, and the claims
+// (Check) every run states about itself.
 package metrics
 
 import (
@@ -186,6 +187,35 @@ func (t *Table) Render() string {
 	for _, row := range t.Rows {
 		line(row)
 	}
+	return b.String()
+}
+
+// Check is one claim a run states about itself — a qualitative result
+// of the paper or an invariant of an extension — tested against that
+// run's own measurements.
+type Check struct {
+	Experiment string
+	Claim      string
+	OK         bool
+	Detail     string
+}
+
+// RenderChecks prints checks as a table under title plus a verdict
+// line.
+func RenderChecks(title string, checks []Check) string {
+	tb := NewTable(title, "Experiment", "Claim", "Result", "Measured")
+	pass := 0
+	for _, c := range checks {
+		verdict := "FAIL"
+		if c.OK {
+			verdict = "ok"
+			pass++
+		}
+		tb.AddRow(c.Experiment, c.Claim, verdict, c.Detail)
+	}
+	var b strings.Builder
+	b.WriteString(tb.Render())
+	fmt.Fprintf(&b, "\n%d/%d claims reproduced\n", pass, len(checks))
 	return b.String()
 }
 

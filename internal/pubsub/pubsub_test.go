@@ -445,9 +445,9 @@ func TestLagCond(t *testing.T) {
 // TestScenarioSimClock is the deterministic sim-clock variant of the
 // qosbench pubsub scenario: an EF camera feed fanning out to an EF
 // display plus a flood of BE subscribers, one deliberately slow. Run
-// under -race in CI. The invariants mirror BENCH_pubsub.json's: the EF
-// subscriber never drops, and every overflow drop lands on the slow BE
-// subscriber's outbox policy.
+// under -race in CI. The invariants mirror qosbench -run pubsub's
+// claims: the EF subscriber never drops, and every overflow drop lands
+// on the slow BE subscriber's outbox policy.
 func TestScenarioSimClock(t *testing.T) {
 	clk := sim.NewKernel(1)
 	bus, log := recordBus(events.KindDrop)
