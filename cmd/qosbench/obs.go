@@ -207,17 +207,19 @@ func (r *obsResult) Render() string {
 }
 
 // Checks states the run's claims: EF/BE isolation on the observers-off
-// side, and that every observer of the resident plane ran — the wall
-// sampler closed windows, the runtime collector published go.* series,
-// the profiler wrote captures and the /events stream delivered records.
+// side, and that every observer of the resident plane ran.
 func (r *obsResult) Checks() []metrics.Check {
-	return []metrics.Check{
-		isolationCheck(r.OffEF, r.OffBE),
-		{Experiment: "Obs", Claim: "every observer of the plane ran during the observed phases",
-			OK: r.SamplerTicks > 0 && r.RuntimeSeries > 0 && r.ProfileCaptures > 0 && r.EventsStreamed > 0,
-			Detail: fmt.Sprintf("ticks=%d go_series=%d profiles=%g events=%d",
-				r.SamplerTicks, r.RuntimeSeries, r.ProfileCaptures, r.EventsStreamed)},
-	}
+	return []metrics.Check{isolationCheck(r.OffEF, r.OffBE), r.observersRan()}
+}
+
+// observersRan is the claim that the wall sampler closed windows, the
+// runtime collector published go.* series, the profiler wrote captures
+// and the /events stream delivered records.
+func (r *obsResult) observersRan() metrics.Check {
+	return metrics.Check{Experiment: "Obs", Claim: "every observer of the plane ran during the observed phases",
+		OK: r.SamplerTicks > 0 && r.RuntimeSeries > 0 && r.ProfileCaptures > 0 && r.EventsStreamed > 0,
+		Detail: fmt.Sprintf("ticks=%d go_series=%d profiles=%g events=%d",
+			r.SamplerTicks, r.RuntimeSeries, r.ProfileCaptures, r.EventsStreamed)}
 }
 
 // sloInvoker feeds EF call outcomes into a wall-clock SLO tracker on

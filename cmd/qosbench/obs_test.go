@@ -34,8 +34,10 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 // TestObsBenchSmoke runs the observer-overhead harness on short phases
-// and asserts the claims -run obs checks: EF/BE isolation with the
-// observers off, and every observer of the resident plane running.
+// and asserts that every observer of the resident plane ran. The
+// isolation claim -run obs also checks is TestTCPEndToEnd's: a 100 ms
+// phase builds too little BE queue for it (EF p99 came within 3 % of
+// half the BE p99 in 1 of 20 runs under -race on 2 vCPU).
 func TestObsBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket run")
@@ -45,9 +47,7 @@ func TestObsBenchSmoke(t *testing.T) {
 		t.Fatalf("runObsBench: %v", err)
 	}
 	t.Logf("\n%s", res.Render())
-	for _, c := range res.Checks() {
-		if !c.OK {
-			t.Errorf("%s: %s", c.Claim, c.Detail)
-		}
+	if c := res.observersRan(); !c.OK {
+		t.Errorf("%s: %s", c.Claim, c.Detail)
 	}
 }

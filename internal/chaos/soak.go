@@ -62,9 +62,12 @@ type SoakReport struct {
 	// (must be zero: silence and mystery are both losses).
 	Unclassified int
 
-	EFBaselineP50Ms, EFBaselineP99Ms float64
-	EFFaultP50Ms, EFFaultP99Ms       float64
-	BEBaselineP99Ms, BEFaultP99Ms    float64
+	EFBaselineP50Ms float64
+	EFBaselineP99Ms float64
+	EFFaultP50Ms    float64
+	EFFaultP99Ms    float64
+	BEBaselineP99Ms float64
+	BEFaultP99Ms    float64
 
 	// ServiceGapMs is the longest gap between consecutive BE successes
 	// across the whole run — the service-level recovery bound: killing
@@ -75,9 +78,11 @@ type SoakReport struct {
 	// prober took to mark it up again (-1 if it never did).
 	RedetectMs float64
 
-	FailoverP50Ms, FailoverP99Ms        float64
-	Failovers                           int
-	RetryBudgetSpent, RetryBudgetDenied int64
+	FailoverP50Ms     float64
+	FailoverP99Ms     float64
+	Failovers         int
+	RetryBudgetSpent  int64
+	RetryBudgetDenied int64
 
 	WallMs float64
 }

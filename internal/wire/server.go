@@ -411,12 +411,11 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// a lane worker — not a Request, refused, an FT replay — is garbage
 	// like a small one). A GIOP Request, of any size, is decoded into req
 	// on this goroutine's stack — handleRequest copies what the lane
-	// needs — and an operation name or object key equal to the previous
-	// request's is that string again, not a copy.
+	// needs — and an operation name equal to the previous request's is
+	// that string again, not a copy.
 	br := bufio.NewReaderSize(nc, 32<<10)
 	hdr := make([]byte, giop.HeaderSize)
 	var req giop.Request
-	var key string
 	// What the read loop answers itself — a replay, a refusal — goes out at
 	// once: its batch never holds a reply past the request that caused it.
 	b := &replyBatch{s: s}
@@ -451,10 +450,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 		}
 		switch m := msg.(type) {
 		case nil: // the Request in req
-			if string(req.ObjectKey) != key {
-				key = string(req.ObjectKey)
-			}
-			s.handleRequest(c, &req, key, b, borrowed)
+			s.handleRequest(c, &req, b, borrowed)
 		case *giop.CancelRequest:
 			if c.cancels++; c.cancels > maxCancelled {
 				c.cancelled.Clear()
@@ -486,13 +482,12 @@ func (s *Server) ServeConn(nc net.Conn) {
 
 // handleRequest parses the request's QoS contexts and enqueues it on
 // its priority lane, settling it at once when the dedup cache answers
-// for it or admission refuses it; key is m's object key as a string and
-// b is the read loop's batch. frame is the pooled buffer m aliases, if
-// its frame is borrowed.
-func (s *Server) handleRequest(c *serverConn, m *giop.Request, key string, b *replyBatch, frame *[]byte) {
+// for it or admission refuses it; b is the read loop's batch. frame is
+// the pooled buffer m aliases, if its frame is borrowed.
+func (s *Server) handleRequest(c *serverConn, m *giop.Request, b *replyBatch, frame *[]byte) {
 	qos := giop.ParseRequestQoS(m.ServiceContexts)
 	req := &Request{
-		Key:       key,
+		Key:       string(m.ObjectKey),
 		Operation: m.Operation,
 		Body:      m.Body,
 		Priority:  qos.Priority,
